@@ -180,7 +180,7 @@ def materialize_class_row(node: FddNode, cls, leaf_cache: ClassRowCache) -> Clas
         leaf_cache[current.uid] = cached
     prepared_actions, probs = cached
     values = cls.values
-    outcome_type = type(cls)
+    from_sorted = type(cls)._from_sorted
     outcomes_list = []
     append = outcomes_list.append
     for prep in prepared_actions:
@@ -214,9 +214,7 @@ def materialize_class_row(node: FddNode, cls, leaf_cache: ClassRowCache) -> Clas
         if not valid:
             append(cls.apply_action(action))
             continue
-        outcome = object.__new__(outcome_type)
-        object.__setattr__(outcome, "values", tuple(updated))
-        append(outcome)
+        append(from_sorted(tuple(updated)))
     outcomes = tuple(outcomes_list)
     if len(outcomes) > 1 and len(set(outcomes)) != len(outcomes):
         merged: dict = {}

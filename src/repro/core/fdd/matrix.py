@@ -47,7 +47,7 @@ from repro.core.packet import DROP, Packet, _DropType
 WILDCARD: None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicPacket:
     """An equivalence class of packets under dynamic domain reduction.
 
@@ -55,13 +55,40 @@ class SymbolicPacket:
     to the wildcard ``None`` meaning "some value not mentioned anywhere in
     the program".  Two concrete packets in the same class are treated
     identically by the program the domain was derived from.
+
+    Classes are Markov-chain states and dict keys throughout assembly,
+    solve and decode, so the hash is computed once at construction (as
+    :class:`~repro.core.packet.Packet` does) rather than on every probe.
     """
 
     values: tuple[tuple[str, int | None], ...]
 
     def __init__(self, values: Mapping[str, int | None] | Iterable[tuple[str, int | None]]):
-        items = values.items() if isinstance(values, Mapping) else values
-        object.__setattr__(self, "values", tuple(sorted(items)))
+        items = tuple(sorted(values.items() if isinstance(values, Mapping) else values))
+        object.__setattr__(self, "values", items)
+        object.__setattr__(self, "_hash", hash(items))
+
+    @classmethod
+    def _from_sorted(cls, items: tuple[tuple[str, int | None], ...]) -> "SymbolicPacket":
+        """The class over ``items`` already in canonical (sorted) order —
+        e.g. derived position-wise from an existing class's ``values``;
+        the constructor of the assembly hot loops."""
+        symbolic = object.__new__(cls)
+        object.__setattr__(symbolic, "values", items)
+        object.__setattr__(symbolic, "_hash", hash(items))
+        return symbolic
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __reduce__(self):
+        # String hashes are per-process: never ship the cached one.
+        return (SymbolicPacket, (self.values,))
 
     def value(self, field: str) -> int | None:
         """The class value of ``field`` (``None`` for wildcard or unknown field)."""
@@ -100,9 +127,7 @@ class SymbolicPacket:
             for field, value in self.values
         )
         if not mods:
-            updated_cls = object.__new__(SymbolicPacket)
-            object.__setattr__(updated_cls, "values", items)
-            return updated_cls
+            return SymbolicPacket._from_sorted(items)
         merged = dict(items)
         merged.update(mods)
         return SymbolicPacket(merged)

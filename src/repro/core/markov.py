@@ -106,6 +106,12 @@ class AbsorptionSystem:
     the same factorization.  This is the linear-algebra core of the
     batched matrix backend: one factorization, many queries.
 
+    Lifetime rule: SciPy's ``SuperLU`` object keeps its allocation table
+    per thread and silently leaks a factorization destroyed on a thread
+    other than the one that created it.  A system that outlives the frame
+    that built it must therefore have :meth:`release` called there first;
+    afterwards only the metadata and the cached absorption matrix remain.
+
     Attributes
     ----------
     transient:
@@ -158,9 +164,9 @@ class AbsorptionSystem:
             raise ValueError(
                 f"right-hand side has {rhs.shape[0]} rows, expected {len(self.transient)}"
             )
-        if self._lu is None or rhs.size == 0:
+        if rhs.size == 0:
             return np.zeros_like(rhs)
-        return self._lu.solve(rhs)
+        return self._factor().solve(rhs)
 
     def absorption_matrix(self) -> np.ndarray:
         """The dense absorption matrix ``A = (I - Q)^{-1} R`` (cached).
@@ -170,11 +176,32 @@ class AbsorptionSystem:
         """
         if self._absorption is None:
             nt, na = len(self.transient), len(self.absorbing)
-            if nt == 0 or na == 0 or self._lu is None:
+            if nt == 0 or na == 0:
                 self._absorption = np.zeros((nt, na))
             else:
-                self._absorption = self._lu.solve(self._r.toarray())
+                self._absorption = self._factor().solve(self._r.toarray())
         return self._absorption
+
+    def _factor(self):
+        # Only a system with no solvable transient state is built without
+        # a factor, and those never reach a solve (their right-hand sides
+        # are empty) — so a missing factor here means release().
+        if self._lu is None:
+            raise RuntimeError(
+                "the LU factorization of this AbsorptionSystem was released"
+            )
+        return self._lu
+
+    def release(self) -> None:
+        """Free the LU factorization, on the calling thread.
+
+        Call it on the thread that built the system, before the system is
+        handed to anything that may drop it elsewhere.  The cached
+        :meth:`absorption_matrix` (hence :meth:`result`) stays available;
+        :meth:`solve`, and :meth:`absorption_matrix` when nothing was
+        cached, raise afterwards.
+        """
+        self._lu = None
 
     def result(self) -> AbsorptionResult:
         """The absorption probabilities in dict-of-rows form.
@@ -322,7 +349,9 @@ class IncrementalAbsorptionSolver:
     system:
         The :class:`AbsorptionSystem` of the most recent full subsystem
         solve (``None`` before the first solve and in exact mode; Schur
-        updates do not replace it).
+        updates do not replace it).  Its LU factor is already released —
+        the solver may be dropped on any thread — so it carries the
+        subsystem's shape and absorption matrix, not a live factorization.
     """
 
     def __init__(
@@ -431,11 +460,17 @@ class IncrementalAbsorptionSolver:
             self.system = None
         else:
             with self._measure("factorize"):
-                self.system = solve_absorption_batched(
+                system = solve_absorption_batched(
                     new, sub_absorbing, sub_transitions
                 )
-            with self._measure("solve"):
-                result = self.system.result()
+            try:
+                with self._measure("solve"):
+                    result = system.result()
+            finally:
+                # The factor dies here, on the thread that made it: this
+                # solver (or a traceback) may be dropped on any thread.
+                system.release()
+            self.system = system
         self.factorizations += 1
 
         zero: Fraction | float = Fraction(0) if self.exact else 0.0

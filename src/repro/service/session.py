@@ -41,7 +41,12 @@ cache is keyed by the *canonical stage specs* of the queried policy —
 manager-independent serializations of the compiled FDD stages — so
 semantically equal policies share entries even when they were compiled
 by different replicas, and a hit computed on replica A is served to a
-shard headed for replica B without touching either solver.
+shard headed for replica B without touching either solver.  Those specs
+are large (thousands of leaves, many of them ``Fraction``s) and tuples
+do not cache their hash, so the session hashes each one exactly once:
+it is interned to a small integer *plan token* when its policy object
+is first seen, and the cache is a two-level ``token -> {ingress packet
+-> distribution}`` table — one dict probe per query on a hit.
 
 Sessions implement the analysis engine protocol
 (``output_distribution`` / ``certainly_delivers``), so every
@@ -303,13 +308,18 @@ class AnalysisSession:
         self._idle = threading.Condition(self._state_lock)
         # dest -> model; the None key is the session's default model.
         self._models: dict[int | None, NetworkModel] = {}
-        # Canonical policy keys: id(policy) -> (policy, key).  The policy
-        # is retained so a recycled id cannot alias a different program.
-        self._keys: dict[int, tuple[s.Policy, object]] = {}
-        # (policy key, ingress packet) -> output distribution.
-        self._dists: dict[tuple, Dist[Outcome]] = {}
-        # (policy key, "certainly_delivers") -> bool.
-        self._verdicts: dict[tuple, bool] = {}
+        # Canonical policy key -> plan token.  The intern table is exact
+        # (equal keys, equal token — never a digest, a collision would
+        # serve another model's probabilities) and is the only place a
+        # structural key is ever hashed: once per registered policy.
+        self._tokens: dict[object, int] = {}
+        # id(policy) -> (policy, plan token).  The policy is retained so
+        # a recycled id cannot alias a different program.
+        self._keys: dict[int, tuple[s.Policy, int]] = {}
+        # plan token -> {ingress packet -> output distribution}.
+        self._dists: dict[int, dict[Packet, Dist[Outcome]]] = {}
+        # plan token -> certainly_delivers verdict.
+        self._verdicts: dict[int, bool] = {}
         self._max_attempts = max_attempts
         self._queries_served = 0
         self._batches_served = 0
@@ -665,23 +675,20 @@ class AnalysisSession:
         """
         with self._serving():
             # Cached-verdict fast path: no lease needed when the policy's
-            # canonical key is already known and the verdict is cached.
-            entry = self._keys.get(id(model.policy))
-            if entry is not None and entry[0] is model.policy:
-                cached = self._verdicts.get((entry[1], "certainly_delivers"))
+            # plan token is already known and the verdict is cached.
+            token = self._known_token(model.policy)
+            if token is not None:
+                cached = self._verdicts.get(token)
                 if cached is not None:
                     return cached
 
             def check(replica: Replica) -> bool:
-                key = (
-                    self._policy_key(model.policy, replica.backend),
-                    "certainly_delivers",
-                )
-                cached = self._verdicts.get(key)
+                token = self._policy_key(model.policy, replica.backend)
+                cached = self._verdicts.get(token)
                 if cached is None:
                     verdict = bool(replica.backend.certainly_delivers(model))
                     with self._state_lock:
-                        cached = self._verdicts.setdefault(key, verdict)
+                        cached = self._verdicts.setdefault(token, verdict)
                 return cached
 
             verdict, _attempts, _failed = self._with_lease(None, check)
@@ -709,12 +716,14 @@ class AnalysisSession:
             if solver is not None:
                 for name, value in solver().items():
                     solver_totals[name] = solver_totals.get(name, 0) + int(value)
+        with self._state_lock:
+            cached = sum(len(table) for table in self._dists.values())
         return {
             "queries": self._queries_served,
             "batches": self._batches_served,
             "shards": self._shards_run,
             "retried_shards": self._shard_retries,
-            "cached_distributions": len(self._dists),
+            "cached_distributions": cached,
             "destinations": self.destinations,
             "backend": type(self._backend).__name__,
             "backend_timings": timings,
@@ -932,21 +941,16 @@ class AnalysisSession:
             # *entry points* refuse new work during the drain.
             raise RuntimeError("session is closed")
         if self._cache_enabled:
-            entry = self._keys.get(id(policy))
-            if entry is not None and entry[0] is policy:
-                base = entry[1]
+            table = self._dists.get(self._known_token(policy))
+            if table is not None:
                 out: dict[Packet, Dist[Outcome]] = {}
-                hits: set[Packet] = set()
-                complete = True
                 for packet in packets:
-                    found = self._dists.get((base, packet))
+                    found = table.get(packet)
                     if found is None:
-                        complete = False
                         break
                     out[packet] = found
-                    hits.add(packet)
-                if complete:
-                    return out, hits, None, 0, ()
+                else:
+                    return out, set(out), None, 0, ()
 
         def solve(replica: Replica) -> tuple[dict[Packet, Dist[Outcome]], set[Packet], int]:
             dists, solved_hits = self._solve_on(replica, policy, packets)
@@ -1009,63 +1013,60 @@ class AnalysisSession:
     def _solve_on(
         self, replica: Replica, policy: s.Policy, packets: Sequence[Packet]
     ) -> tuple[dict[Packet, Dist[Outcome]], set[Packet]]:
-        """Compute (cache-assisted) distributions on an already-leased replica."""
+        """Compute (cache-assisted) distributions on an already-leased replica.
+
+        At most two cache probes per packet: one read, one publish.
+        """
         backend = replica.backend
         if not self._cache_enabled:
             return dict(backend.output_distributions(policy, packets)), set()
-        base = self._policy_key(policy, backend)
-        cache = self._dists
+        token = self._policy_key(policy, backend)
+        # The read happens under the lease, immediately before the solve:
+        # entries another shard (e.g. one stolen onto a different replica)
+        # published while this one waited for its lease are hits here.
+        table = self._dists.get(token, {})
         out: dict[Packet, Dist[Outcome]] = {}
         hits: set[Packet] = set()
-        misses: list[Packet] = []
         for packet in packets:
-            found = cache.get((base, packet))
+            found = table.get(packet)
             if found is None:
-                if packet not in out:
-                    misses.append(packet)
-                    out[packet] = None  # type: ignore[assignment]
+                out[packet] = None  # type: ignore[assignment]
             else:
                 out[packet] = found
                 hits.add(packet)
-        pending = misses
-        while pending:
-            # Another shard (e.g. one stolen onto a different replica) may
-            # have published some of these entries since the read above;
-            # solve only what is still missing, then publish under the
-            # state lock.  A concurrent clear_cache() can empty the cache
-            # between the solve and the read-back, so unresolved packets
-            # loop around and are re-solved rather than returned as None —
-            # but a packet the backend was *asked* about and did not
-            # answer is a contract violation and fails fast instead of
-            # spinning forever.
-            still = [pk for pk in pending if (base, pk) not in cache]
-            computed = dict(backend.output_distributions(policy, still)) if still else {}
-            with self._state_lock:
-                for packet, dist in computed.items():
-                    cache.setdefault((base, packet), dist)
-                unresolved: list[Packet] = []
-                for packet in pending:
-                    value = cache.get((base, packet))
-                    if value is None:
-                        value = computed.get(packet)
-                    if value is None:
-                        unresolved.append(packet)
-                    else:
-                        out[packet] = value
-            asked = set(still)
-            broken = [pk for pk in unresolved if pk in asked]
-            if broken:
-                raise RuntimeError(
-                    f"backend {type(backend).__name__} returned no distribution "
-                    f"for {len(broken)} requested ingress packet(s), e.g. {broken[0]!r}"
-                )
-            pending = unresolved
+        misses = [packet for packet, found in out.items() if found is None]
+        if not misses:
+            return out, hits
+        computed = backend.output_distributions(policy, misses)
+        # A packet the backend was asked about and did not answer is a
+        # contract violation: fail fast rather than hand back a None.
+        broken = [packet for packet in misses if computed.get(packet) is None]
+        if broken:
+            raise RuntimeError(
+                f"backend {type(backend).__name__} returned no distribution "
+                f"for {len(broken)} requested ingress packet(s), e.g. {broken[0]!r}"
+            )
+        with self._state_lock:
+            # Publish into the *live* table: a concurrent clear_cache() may
+            # have dropped the one read above.  setdefault both publishes
+            # and reads back, so every miss resolves to the entry the cache
+            # actually holds (ours, or a racing shard's equal answer).
+            table = self._dists.setdefault(token, {})
+            for packet in misses:
+                out[packet] = table.setdefault(packet, computed[packet])
         return out, hits
 
-    def _policy_key(self, policy: s.Policy, backend: object) -> object:
-        """A cache key for ``policy``: canonical stage specs when available.
+    def _known_token(self, policy: s.Policy) -> int | None:
+        """The plan token of an already-registered policy object, else ``None``."""
+        entry = self._keys.get(id(policy))
+        if entry is not None and entry[0] is policy:
+            return entry[1]
+        return None
 
-        With a plan-capable backend the key is
+    def _policy_key(self, policy: s.Policy, backend: object) -> int:
+        """The plan token of ``policy``: its interned canonical stage specs.
+
+        With a plan-capable backend the canonical key is
         :meth:`~repro.backends.matrix.MatrixBackend.plan_key` — the
         manager-*independent* serialization of the policy's compiled
         stage FDDs.  Structural specs, not node ids: the same policy
@@ -1075,23 +1076,27 @@ class AnalysisSession:
         ``plan_key`` fall back to object identity (the policy is retained
         so its id cannot be recycled).
 
+        The key is hashed here and nowhere else — once per policy object,
+        when it is interned to the small integer token every cache table
+        is keyed by.  Equal keys intern to the same token.
+
         The caller must hold the lease of ``backend``'s replica: key
         computation may compile the policy's plan.
         """
-        entry = self._keys.get(id(policy))
-        if entry is not None and entry[0] is policy:
-            return entry[1]
+        token = self._known_token(policy)
+        if token is not None:
+            return token
         plan_key_fn = getattr(backend, "plan_key", None)
         if plan_key_fn is not None:
             key: object = plan_key_fn(policy)
         else:
             key = ("policy-id", id(policy))
         with self._state_lock:
-            entry = self._keys.get(id(policy))
-            if entry is not None and entry[0] is policy:
-                return entry[1]
-            self._keys[id(policy)] = (policy, key)
-            return key
+            token = self._known_token(policy)
+            if token is None:
+                token = self._tokens.setdefault(key, len(self._tokens))
+                self._keys[id(policy)] = (policy, token)
+            return token
 
 
 __all__ = ["AnalysisSession"]

@@ -64,6 +64,25 @@ class TestSymbolicPacket:
         assert classify(Packet({"pt": 2}), domains).value("pt") == 2
         assert classify(Packet({"pt": 7}), domains).value("pt") is None
 
+    def test_cached_hash_agrees_across_every_constructor(self):
+        built = SymbolicPacket({"sw": None, "pt": 9})
+        derived = SymbolicPacket({"pt": 1, "sw": None}).apply_action(Action({"pt": 9}))
+        widened = SymbolicPacket({"pt": 9}).apply_action(Action({"sw": 4}))
+        assert built == derived and hash(built) == hash(derived) == hash(built.values)
+        assert widened == SymbolicPacket({"pt": 9, "sw": 4})
+        assert hash(widened) == hash(widened.values)
+        assert built != widened and built != built.values
+        with pytest.raises(AttributeError):
+            built.values = ()
+
+    def test_pickle_never_ships_the_process_local_hash(self):
+        import pickle
+
+        cls = SymbolicPacket({"pt": 2, "sw": None})
+        wire = pickle.dumps(cls)
+        assert b"_hash" not in wire  # str hashes differ per interpreter
+        assert pickle.loads(wire) == cls and hash(pickle.loads(wire)) == hash(cls)
+
 
 class TestDomains:
     def test_enumerate_classes_includes_wildcards(self):
