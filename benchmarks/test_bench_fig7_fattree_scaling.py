@@ -20,10 +20,15 @@ The sweep also runs the batched matrix backend, reporting its one-time
 FDD/matrix compilation separately from the batched all-ingress query so
 the artifact records where each backend spends its time.  The matrix
 sweep extends past the interpreted backends to FatTree k=10 (125
-switches) — cheap on the no-failure configuration because assembly and
-the ``splu`` solve stay tiny even as the topology grows; the k=10
-failure configuration is compile-bound (minutes of FDD construction)
-and only runs at ``REPRO_SCALE >= 2``.
+switches), with and without failures: assembly and the ``splu`` solve
+stay tiny as the topology grows, and since sequences compile per switch
+the k=10 failure configuration is seconds of FDD construction, not
+minutes, so it runs in the default sweep.  Every configuration's
+absolute ``compile_s``/``query_s`` lands in the ``phases`` of
+``BENCH_fig7.json``, and ``compile_ops_k8_f1000`` — the
+``restrict_eq`` + ``restrict_ne`` + ``ite`` memo entries one cold
+FatTree k=8-with-failures plan creates, a count that repeats exactly —
+is gated by CI as a lower-is-better metric.
 
 A third claim landed with the vectorized assembly kernel: single-pass
 matrix assembly (BFS exploration fused with preallocated-triplet-buffer
@@ -52,16 +57,22 @@ from bench_utils import print_table, record, scale, shared_backend, shared_inter
 #: FatTree parameters swept by the native backend (scaled by REPRO_SCALE).
 NATIVE_SIZES = [4, 6, 8][: 2 + scale()]
 #: The matrix backend sweeps the native sizes plus k=10 (125 switches) —
-#: past the point where the interpreted sweep is practical.  The k=10
-#: failure configuration is gated behind REPRO_SCALE>=2: its FDD compile
-#: alone takes minutes, while assembly/solve stay in the tens of ms.
+#: past the point where the interpreted sweep is practical — with and
+#: without failures (the failure configuration is seconds of per-switch
+#: FDD compile; assembly/solve stay in the tens of ms).
 MATRIX_SIZES = NATIVE_SIZES + [10]
+#: The FDD operations whose memo-table sizes make up ``compile_ops_*``.
+COMPILE_OPS = ("restrict_eq", "restrict_ne", "ite")
 #: The PRISM pipeline explores the full product state space and is kept small.
 PRISM_SIZES = [4]
 #: Timed repetitions per loop stage of the assembly-kernel comparison.
 ASSEMBLY_REPS = 10
 
+TITLE = "Figure 7 — model construction time (native vs matrix vs PRISM, with/without failures)"
+HEADER = ["backend", "p", "switches", "pr(fail)", "time", "compile/interp-compiled", "query/speedup"]
 RESULTS: list[list[object]] = []
+#: Per-configuration absolute matrix-backend seconds, keyed for ``phases``.
+MATRIX_PHASES: dict[str, float] = {}
 #: Accumulated wall-clock totals of the interpreted-vs-compiled comparison.
 SPEEDUP_TOTALS = {"interpreted": 0.0, "compiled": 0.0}
 #: Accumulated wall-clock totals of the assembly-kernel comparison.
@@ -102,10 +113,20 @@ def prism_construct(p: int, failure_probability: float | None):
 
 
 def matrix_construct(p: int, failure_probability: float | None):
+    """All-ingress answers plus this configuration's own phase seconds.
+
+    The sweep shares one backend, whose stopwatch accumulates: the
+    configuration's cost is the difference across the call.
+    """
     model = build(p, failure_probability)
     backend = shared_backend("fig7", "matrix")
+    before = backend.timings()
     outputs = backend.output_distributions(model.policy, model.ingress_packets)
-    return outputs, backend.timings()
+    timings = {
+        phase: seconds - before.get(phase, 0.0)
+        for phase, seconds in backend.timings().items()
+    }
+    return outputs, timings
 
 
 @pytest.mark.parametrize("p", NATIVE_SIZES)
@@ -162,11 +183,6 @@ def test_interpreted_vs_compiled_construction(benchmark, p, failure_probability)
 @pytest.mark.parametrize("p", MATRIX_SIZES)
 @pytest.mark.parametrize("failure_probability", [None, 1 / 1000], ids=["f0", "f1000"])
 def test_matrix_backend_scaling(benchmark, p, failure_probability):
-    if p not in NATIVE_SIZES and failure_probability is not None and scale() < 2:
-        pytest.skip(
-            "k=10 with failures is compile-bound (minutes of FDD "
-            "construction); set REPRO_SCALE>=2 to include it"
-        )
     start = time.perf_counter()
     outputs, timings = benchmark.pedantic(
         matrix_construct, args=(p, failure_probability), rounds=1, iterations=1
@@ -177,6 +193,9 @@ def test_matrix_backend_scaling(benchmark, p, failure_probability):
     # "query" is end-to-end query time; "assemble"/"factorize"/"solve" are
     # sub-phases nested inside it.
     query_s = timings.get("query", 0.0)
+    label = f"matrix_k{p}_f{'1000' if failure_probability else '0'}"
+    MATRIX_PHASES[f"{label}_compile_s"] = compile_s
+    MATRIX_PHASES[f"{label}_query_s"] = query_s
     RESULTS.append(
         [
             "matrix",
@@ -189,6 +208,33 @@ def test_matrix_backend_scaling(benchmark, p, failure_probability):
         ]
     )
     assert len(outputs) > 0
+
+
+def test_matrix_compile_work_count(benchmark):
+    """The compile's work, counted: the metric CI can gate without a clock.
+
+    One cold FatTree k=8-with-failures plan on a fresh backend (the
+    shared one would carry the sweep's memo tables).  Whole-program
+    compilation made 1 497 939 of these entries; per-switch compilation
+    makes 63 922, every run.
+    """
+    from repro.backends import MatrixBackend
+
+    def plan_cold() -> int:
+        with MatrixBackend() as backend:
+            backend.plan(build(8, 1 / 1000).policy)
+            return sum(len(backend.manager.op_cache(name)) for name in COMPILE_OPS)
+
+    entries = benchmark.pedantic(plan_cold, rounds=1, iterations=1)
+    record(
+        "fig7",
+        TITLE,
+        HEADER,
+        RESULTS,
+        phases=MATRIX_PHASES,
+        metrics={"compile_ops_k8_f1000": float(entries)},
+    )
+    assert entries > 0
 
 
 @pytest.mark.parametrize("p", PRISM_SIZES)
@@ -282,8 +328,8 @@ def test_compiled_body_speedup(benchmark):
     speedup = interpreted_s / compiled_s
     record(
         "fig7",
-        "Figure 7 — model construction time (native vs matrix vs PRISM, with/without failures)",
-        ["backend", "p", "switches", "pr(fail)", "time", "compile/interp-compiled", "query/speedup"],
+        TITLE,
+        HEADER,
         RESULTS,
         phases={
             "interpreted_construction_s": interpreted_s,
@@ -314,8 +360,8 @@ def test_vectorized_assembly_speedup(benchmark):
     speedup = reference_s / vectorized_s
     record(
         "fig7",
-        "Figure 7 — model construction time (native vs matrix vs PRISM, with/without failures)",
-        ["backend", "p", "switches", "pr(fail)", "time", "compile/interp-compiled", "query/speedup"],
+        TITLE,
+        HEADER,
         RESULTS,
         phases={
             "reference_assembly_s": reference_s,
@@ -335,8 +381,8 @@ def test_vectorized_assembly_speedup(benchmark):
 def test_report_figure7(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print_table(
-        "Figure 7 — model construction time (native vs matrix vs PRISM, with/without failures)",
-        ["backend", "p", "switches", "pr(fail)", "time", "compile/interp-compiled", "query/speedup"],
+        TITLE,
+        HEADER,
         RESULTS,
         fig="fig7",
     )

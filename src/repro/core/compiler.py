@@ -20,11 +20,12 @@ McNetKAT's pragmatic restrictions (§5).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.fdd import ops
+from repro.core.fdd.evaluator import dispatch_spine
 from repro.core.fdd.matrix import (
     SymbolicPacket,
     class_transition,
@@ -138,8 +139,7 @@ class Compiler:
         if isinstance(policy, s.Or):
             return ops.disjoin(self.compile(policy.left), self.compile(policy.right))
         if isinstance(policy, s.Seq):
-            parts = [self.compile(part) for part in policy.parts]
-            return ops.sequence_all(parts)
+            return self._compile_seq(policy.parts)
         if isinstance(policy, s.Union):
             if all(isinstance(part, s.Predicate) for part in policy.parts):
                 result = manager.false_leaf
@@ -171,6 +171,67 @@ class Compiler:
                 "Kleene star is outside the guarded fragment; use while loops"
             )
         raise TypeError(f"unknown policy node {type(policy)!r}")
+
+    # -- sequences ----------------------------------------------------------------
+    def _compile_seq(self, parts: Sequence[s.Policy]) -> FddNode:
+        """Compile ``p₁ ; … ; pₙ`` — per dispatch value when spine-shaped (§5.1, §6).
+
+        A network model is ``case sw=1 … case sw=n`` several times over;
+        multiplying the n-switch diagrams of its parts drags every
+        switch's disequalities through every product.  When the parts
+        dispatch on one field (:func:`~repro.core.fdd.evaluator.dispatch_spine`)
+        each value ``v`` instead gets its own small product
+        ``p₁|v ; … ; pₙ|v`` — a ``case`` contributes its ``v``-branch, any
+        other part its diagram restricted to ``field = v`` while the
+        field still holds its input value — and the per-value runs are
+        joined once, with one ``ite`` each, over the run of the defaults.
+        A value whose run is just the default run restricted to it adds
+        no test (the monolithic product would not have one either).
+
+        A run associates as ``lead ; ((case₁ ; … ; caseₘ) ; suffix)``:
+        the value-independent ``suffix`` (flag resets, hop counter) is
+        multiplied out once and meets each value's cases once, and what
+        precedes the first ``case`` (local initialisations, the ingress
+        predicate) comes last — so a model's first hop and its loop
+        body, which differ only in that lead-in, find each other's
+        per-value tails in the ``sequence`` op cache.
+        """
+        spine = dispatch_spine(parts)
+        if spine is None:
+            return ops.sequence_all([self.compile(part) for part in parts])
+        field, marked, stable = spine
+        first = next(i for i, table in enumerate(marked) if table is not None)
+        whole = [
+            None if table is not None else self.compile(part)
+            for part, table in zip(parts, marked)
+        ]
+        # Past ``stable`` the field may have been reassigned: those parts
+        # run whole, and their product is the same for every value.
+        suffix = [ops.sequence_all(whole[stable:])] if stable < len(parts) else []
+
+        def run(head: list[FddNode]) -> FddNode:
+            tail = ops.sequence_all(head[first:] + suffix)
+            return ops.sequence_all(head[:first] + [tail])
+
+        default = run([
+            fdd if fdd is not None else self.compile(part.default)
+            for part, fdd in zip(parts[:stable], whole)
+        ])
+        values = sorted({
+            value for table in marked if table is not None for value in table
+        })
+        result = default
+        for value in reversed(values):
+            at_value = run([
+                ops.restrict_eq(fdd, field, value)
+                if fdd is not None
+                else self.compile(table.get(value, part.default))
+                for part, table, fdd in zip(parts[:stable], marked, whole)
+            ])
+            if at_value is not ops.restrict_eq(default, field, value):
+                guard = self.manager.from_test(field, value)
+                result = ops.ite(guard, at_value, result)
+        return result
 
     # -- loops --------------------------------------------------------------------
     def _compile_while(self, loop: s.WhileDo) -> FddNode:

@@ -14,8 +14,9 @@ library:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
 
 Number = Fraction | float | int
 T = TypeVar("T", bound=Hashable)

@@ -88,6 +88,19 @@ def output_equivalent(
     return True
 
 
+def _dominated(
+    dists_p: dict[Packet, Dist[Outcome]],
+    dists_q: dict[Packet, Dist[Outcome]],
+    tolerance: float,
+) -> bool:
+    """Whether ``dists_q`` dominates ``dists_p`` on every input (drop ignored)."""
+    ignore = frozenset([DROP])
+    return all(
+        dist.dominated_by(dists_q[packet], tolerance=tolerance, ignore=ignore)
+        for packet, dist in dists_p.items()
+    )
+
+
 def refines(
     p: s.Policy,
     q: s.Policy,
@@ -105,13 +118,7 @@ def refines(
     inputs = list(inputs)
     dists_p = output_distributions(p, inputs, exact=exact)
     dists_q = output_distributions(q, inputs, exact=exact)
-    ignore = frozenset([DROP])
-    for packet in inputs:
-        if not dists_p[packet].dominated_by(
-            dists_q[packet], tolerance=tolerance, ignore=ignore
-        ):
-            return False
-    return True
+    return _dominated(dists_p, dists_q, tolerance)
 
 
 def strictly_refines(
@@ -122,10 +129,7 @@ def strictly_refines(
     tolerance: float = 1e-9,
 ) -> bool:
     """The strict refinement ``p < q``: ``p ≤ q`` and not ``q ≤ p``."""
-    inputs = list(inputs)
-    return refines(p, q, inputs, exact=exact, tolerance=tolerance) and not refines(
-        q, p, inputs, exact=exact, tolerance=tolerance
-    )
+    return compare(p, q, inputs, exact=exact, tolerance=tolerance) == "<"
 
 
 def compare(
@@ -138,11 +142,14 @@ def compare(
     """Classify the relationship between two programs on the given inputs.
 
     Returns one of ``"≡"``, ``"<"``, ``">"``, or ``"incomparable"`` — the
-    entries used in Figure 11(c) of the paper.
+    entries used in Figure 11(c) of the paper.  Each program is evaluated
+    once per input; both refinement directions read the same distributions.
     """
     inputs = list(inputs)
-    le = refines(p, q, inputs, exact=exact, tolerance=tolerance)
-    ge = refines(q, p, inputs, exact=exact, tolerance=tolerance)
+    dists_p = output_distributions(p, inputs, exact=exact)
+    dists_q = output_distributions(q, inputs, exact=exact)
+    le = _dominated(dists_p, dists_q, tolerance)
+    ge = _dominated(dists_q, dists_p, tolerance)
     if le and ge:
         return "≡"
     if le:

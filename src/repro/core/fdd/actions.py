@@ -8,8 +8,8 @@ packet (or the drop outcome).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from repro.core.packet import DROP, Packet, _DropType
 

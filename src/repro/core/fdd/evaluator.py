@@ -29,6 +29,7 @@ compiled FDDs — not the pickled AST — to worker processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -522,26 +523,27 @@ def _assigned_fields(policy: s.Policy) -> frozenset[str]:
     )
 
 
-def _specialize_spine(
-    parts: list[s.Policy],
-) -> tuple[str, dict[int, s.Policy], s.Policy] | None:
-    """Specialize a whole body per value of one dispatch field.
+def dispatch_spine(
+    parts: Sequence[s.Policy],
+) -> tuple[str, list[dict[int, s.Policy] | None], int] | None:
+    """The per-value dispatch structure of a sequence, if it has one.
 
-    Network-model bodies are sequences of ``case`` nodes dispatching on
-    the switch field (failure model, routing, topology) followed by flag
-    resets and a hop counter.  For a packet at switch ``v`` the entire
-    sequence collapses to ``failure_v ; routing_v ; topology_v ; …`` —
-    one small per-switch program whose FDD composes those branches and
-    integrates the intermediate flag samples out symbolically, so a
-    transition row costs a single diagram walk instead of enumerating
-    every flag combination as a concrete packet.
+    Network-model programs are sequences of ``case`` nodes dispatching on
+    the switch field (failure model, routing, topology) among parts that
+    do not dispatch (ingress predicate, flag resets, hop counter).  For a
+    packet at switch ``v`` such a sequence collapses to
+    ``failure_v ; routing_v ; topology_v ; …`` — one small per-switch
+    program.  This is the single definition of that shape; the
+    compiler's per-switch compilation and :class:`CompiledBody`'s lazily
+    specialized bodies both start from it.
 
-    A ``case`` on the spine field may only be specialized while no
-    earlier part can have reassigned that field (the topology step
-    assigns ``sw``, so only cases *before* it qualify — for network
-    bodies that is all of them).  Returns ``(field, value -> specialized
-    body, default body)``, or ``None`` when the body does not have this
-    shape (the caller falls back to segment-pipeline evaluation).
+    Returns ``(field, marked, stable)``: ``field`` is the field of the
+    first single-field ``case``; ``parts[:stable]`` are the parts that
+    still see the *input* value of ``field`` (everything up to and
+    including the first part that may assign it — the topology step
+    assigns ``sw``); and ``marked[i]`` is the ``value -> branch`` table
+    of ``parts[i]`` when it is a ``case`` on ``field`` among those, else
+    ``None``.  ``None`` when no part qualifies.
     """
     dispatches = [
         _dispatch_table(part) if isinstance(part, s.Case) else None for part in parts
@@ -549,21 +551,44 @@ def _specialize_spine(
     field = next((d[0] for d in dispatches if d is not None), None)
     if field is None:
         return None
-    marked: list[dict[int, s.Policy] | None] = []
-    assigned = False
-    for part, dispatch in zip(parts, dispatches):
-        if dispatch is not None and dispatch[0] == field and not assigned:
-            marked.append(dispatch[1])
-        elif dispatch is not None and len(dispatch[1]) > 64:
-            # An unspecialized wide case would compile into one huge FDD;
-            # the lazy segment pipeline handles it better.
-            return None
-        else:
-            marked.append(None)
+    marked: list[dict[int, s.Policy] | None] = [None] * len(parts)
+    stable = len(parts)
+    for index, (part, dispatch) in enumerate(zip(parts, dispatches)):
+        if dispatch is not None and dispatch[0] == field:
+            marked[index] = dispatch[1]
         if field in _assigned_fields(part):
-            assigned = True
+            stable = index + 1
+            break
     if not any(table is not None for table in marked):
         return None
+    return field, marked, stable
+
+
+def _specialize_spine(
+    parts: list[s.Policy],
+) -> tuple[str, dict[int, s.Policy], s.Policy] | None:
+    """Specialize a whole body per value of one dispatch field.
+
+    For a :func:`dispatch_spine`-shaped body, the program a packet at
+    value ``v`` runs is one small sequence whose FDD composes that
+    value's branches and integrates the intermediate flag samples out
+    symbolically, so a transition row costs a single diagram walk
+    instead of enumerating every flag combination as a concrete packet.
+    Returns ``(field, value -> specialized body, default body)``, or
+    ``None`` when the body does not have this shape (the caller falls
+    back to segment-pipeline evaluation).
+    """
+    spine = dispatch_spine(parts)
+    if spine is None:
+        return None
+    field, marked, _stable = spine
+    for part, table in zip(parts, marked):
+        if table is None and isinstance(part, s.Case):
+            dispatch = _dispatch_table(part)
+            if dispatch is not None and len(dispatch[1]) > 64:
+                # An unspecialized wide case would compile into one huge
+                # FDD; the lazy segment pipeline handles it better.
+                return None
 
     values = sorted({
         value for table in marked if table is not None for value in table

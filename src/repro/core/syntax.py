@@ -348,34 +348,40 @@ def assign(field: str, value: int) -> Policy:
     return Assign(field, int(value))
 
 
-def conj(*preds: Predicate) -> Predicate:
-    """Predicate conjunction (identity: ``skip``)."""
-    result: Predicate = SKIP
+def _balanced(
+    node: type[And] | type[Or], unit: Predicate, preds: Sequence[Predicate]
+) -> Predicate:
+    """Combine ``preds`` pairwise, left to right; ``unit`` operands drop out.
+
+    The tree is ⌈log₂ n⌉ deep, not n: every recursive consumer (compiler,
+    interpreter, pretty-printer, ``walk``) handles a predicate with
+    thousands of terms — one per host port of a large fat-tree — within
+    the default recursion limit, and folds it pairwise rather than one
+    term at a time against an ever-growing accumulator.
+    """
+    kind = "conjunction" if node is And else "disjunction"
+    level: list[Predicate] = []
     for pred in preds:
         if not isinstance(pred, Predicate):
-            raise TypeError(f"conjunction requires predicates, got {pred!r}")
-        if isinstance(pred, TrueP):
-            continue
-        if isinstance(result, TrueP):
-            result = pred
-        else:
-            result = And(result, pred)
-    return result
+            raise TypeError(f"{kind} requires predicates, got {pred!r}")
+        if pred != unit:
+            level.append(pred)
+    while len(level) > 1:
+        paired = [node(left, right) for left, right in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0] if level else unit
+
+
+def conj(*preds: Predicate) -> Predicate:
+    """Predicate conjunction (identity: ``skip``), as a balanced tree."""
+    return _balanced(And, SKIP, preds)
 
 
 def disj(*preds: Predicate) -> Predicate:
-    """Predicate disjunction (identity: ``drop``)."""
-    result: Predicate = DROP_POLICY
-    for pred in preds:
-        if not isinstance(pred, Predicate):
-            raise TypeError(f"disjunction requires predicates, got {pred!r}")
-        if isinstance(pred, FalseP):
-            continue
-        if isinstance(result, FalseP):
-            result = pred
-        else:
-            result = Or(result, pred)
-    return result
+    """Predicate disjunction (identity: ``drop``), as a balanced tree."""
+    return _balanced(Or, DROP_POLICY, preds)
 
 
 def neg(pred: Predicate) -> Predicate:

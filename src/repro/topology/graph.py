@@ -45,6 +45,8 @@ class Topology:
         self.graph = nx.Graph(name=name)
         # (node, port) -> (peer node, peer port)
         self._ports: dict[tuple[Node, int], tuple[Node, int]] = {}
+        # node -> {port: peer node}, the per-node index behind ports()
+        self._node_ports: dict[Node, dict[int, Node]] = {}
         self._next_port: dict[Node, int] = {}
 
     # -- construction ------------------------------------------------------------
@@ -79,6 +81,8 @@ class Topology:
         self.graph.add_edge(a, b, ports={a: port_a, b: port_b}, **attrs)
         self._ports[(a, port_a)] = (b, port_b)
         self._ports[(b, port_b)] = (a, port_a)
+        self._node_ports.setdefault(a, {})[port_a] = b
+        self._node_ports.setdefault(b, {})[port_b] = a
         self._next_port[a] = max(self._next_port.get(a, 1), port_a + 1)
         self._next_port[b] = max(self._next_port.get(b, 1), port_b + 1)
         return port_a, port_b
@@ -119,11 +123,7 @@ class Topology:
 
     def ports(self, node: Node) -> dict[int, Node]:
         """All occupied ports of a node, mapping port number to neighbour."""
-        return {
-            port: peer
-            for (owner, port), (peer, _peer_port) in self._ports.items()
-            if owner == node
-        }
+        return dict(self._node_ports.get(node, ()))
 
     def directed_links(self) -> Iterator[Port]:
         """All directed link endpoints (each undirected link appears twice)."""

@@ -1,0 +1,464 @@
+"""Per-switch compilation of spine-shaped sequences, checked without a clock.
+
+The compiler builds ``case sw=… ; case sw=… ; …`` one dispatch value at a
+time and joins the per-value runs once.  The oracle for *what* it must
+build is the monolithic product, assembled here from public ``ops``:
+``reduce(sequence_all([compile(part) …]))``.  It lives in the test tree
+only — the product code has one compile path for these sequences.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.backends import MatrixBackend, NativeBackend
+from repro.core import compiler as compiler_module
+from repro.core import equivalence
+from repro.core import syntax as s
+from repro.core.compiler import Compiler
+from repro.core.fdd import ops
+from repro.core.fdd.evaluator import dispatch_spine
+from repro.core.fdd.node import output_distribution
+from repro.core.interpreter import Interpreter, eval_predicate
+from repro.core.packet import DROP, Packet
+from repro.failure.models import independent_failure_program
+from repro.network import running_example
+from repro.network.model import build_model
+from repro.routing import downward_failable_ports, ecmp_policy, f10_model
+from repro.topology import ab_fat_tree, edge_switches, fat_tree
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+def monolithic(compiler: Compiler, parts) -> object:
+    """The oracle: every part compiled whole, multiplied left to right."""
+    return ops.reduce(ops.sequence_all([compiler.compile(part) for part in parts]))
+
+
+def loop_free_runs(policy: s.Policy) -> list[list[s.Policy]]:
+    """The sequences a query plan compiles: runs between loops, and loop bodies."""
+    runs: list[list[s.Policy]] = []
+    pending: list[s.Policy] = []
+    for part in policy.parts:
+        if isinstance(part, s.WhileDo):
+            runs.append(pending)
+            runs.append(list(part.body.parts))
+            pending = []
+        else:
+            pending.append(part)
+    runs.append(pending)
+    return [run for run in runs if run]
+
+
+def first_mention_order(policy: s.Policy) -> tuple[str, ...]:
+    """Field names in the order the program text first mentions them."""
+    order: dict[str, None] = {}
+    for node in policy.walk():
+        if isinstance(node, (s.Test, s.Assign)):
+            order.setdefault(node.field)
+    return tuple(order)
+
+
+def fattree_model(k: int, failures: bool):
+    topology = fat_tree(k)
+    dest = edge_switches(topology)[0]
+    failable = downward_failable_ports(topology) if failures else None
+    failure = (
+        independent_failure_program(failable, Fraction(1, 1000)) if failures else None
+    )
+    return build_model(
+        topology,
+        routing=ecmp_policy(topology, dest),
+        dest=dest,
+        failure=failure,
+        failable=failable,
+    )
+
+
+def f10_batch_model(k: int = 6):
+    topology = ab_fat_tree(k)
+    return f10_model(
+        topology,
+        edge_switches(topology)[1],
+        scheme="f10_3",
+        failure_probability=Fraction(1, 1000),
+        max_failures=3,
+    )
+
+
+# ---------------------------------------------------------------------------
+# (1) identity with the monolithic product
+# ---------------------------------------------------------------------------
+
+class TestSameDiagramsAsTheMonolithicProduct:
+    """The change alters how diagrams are built, never which diagrams."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: fattree_model(4, True), id="fattree4-failures"),
+            pytest.param(lambda: fattree_model(6, True), id="fattree6-failures"),
+            pytest.param(lambda: fattree_model(8, False), id="fattree8"),
+            pytest.param(lambda: fattree_model(10, False), id="fattree10"),
+            pytest.param(f10_batch_model, id="f10_3-k6-batch"),
+        ],
+    )
+    def test_plan_stages_are_the_oracles_interned_nodes(self, build):
+        model = build()
+        backend = MatrixBackend()
+        plan = backend.plan(model.policy)
+        # Fields were registered by the per-switch compile alone: the
+        # oracle below runs in the same manager, afterwards.
+        assert backend.manager.fields == first_mention_order(model.policy)
+        built = [
+            stage.fdd if hasattr(stage, "fdd") else stage.body_fdd
+            for stage in plan.stages
+        ]
+        oracles = [monolithic(backend.compiler, run) for run in loop_free_runs(model.policy)]
+        expected = [fdd for fdd in oracles if fdd is not backend.manager.true_leaf]
+        assert len(built) == len(expected)
+        for got, want in zip(built, expected):
+            assert got is want
+
+    def test_first_hop_and_loop_body_share_per_switch_tails(self):
+        """The loop body is planned from cache hits: no new ``sequence`` entries."""
+        model = fattree_model(4, True)
+        first_hop, body = loop_free_runs(model.policy)[:2]
+        compiler = Compiler()
+        compiler.compile(s.seq(*first_hop))
+        products = len(compiler.manager.op_cache("sequence"))
+        compiler.compile(s.seq(*body))
+        assert len(compiler.manager.op_cache("sequence")) == products
+
+
+# -- randomly generated spine-shaped sequences ---------------------------------
+
+DISPATCH = "sw"
+DOMAIN = {"sw": range(5), "pt": range(3), "up": range(3)}  # one unmentioned value each
+PACKETS = [
+    Packet(dict(zip(DOMAIN, values))) for values in itertools.product(*DOMAIN.values())
+]
+
+_tests = st.builds(
+    s.test, st.sampled_from(["sw", "pt", "up"]), st.sampled_from([0, 1])
+) | st.builds(s.test, st.just("sw"), st.sampled_from([0, 1, 2, 3]))
+_assigns = st.builds(
+    s.assign, st.sampled_from(["pt", "up"]), st.sampled_from([0, 1])
+) | st.builds(s.assign, st.just("sw"), st.sampled_from([0, 1, 2, 3]))
+_weights = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
+_steps = st.one_of(
+    _assigns,
+    _tests,
+    st.just(s.skip()),
+    st.just(s.drop()),
+    st.builds(lambda a, b, r: s.choice((a, r), (b, 1 - r)), _assigns, _assigns, _weights),
+    st.builds(s.ite, _tests, _assigns, st.one_of(_assigns, st.just(s.drop()))),
+    st.builds(lambda a, b: s.seq(a, b), _assigns, _assigns),
+)
+_cases = st.builds(
+    lambda branches, default: s.case(
+        [(s.test(DISPATCH, value), branch) for value, branch in branches], default
+    ),
+    # Values repeat (duplicate guards) and differ between tables.
+    st.lists(st.tuples(st.sampled_from([0, 1, 2, 3]), _steps), min_size=1, max_size=5),
+    st.one_of(st.just(s.drop()), st.just(s.skip()), _assigns),
+)
+_other_parts = st.one_of(
+    _steps,
+    st.builds(lambda a, b, c: s.disj(s.conj(a, b), c), _tests, _tests, _tests),
+    st.builds(s.neg, _tests),
+)
+_sequences = st.lists(st.one_of(_cases, _cases, _other_parts), min_size=2, max_size=5)
+
+
+def assert_agrees_with_oracle_and_interpreter(parts: list[s.Policy]) -> None:
+    compiler = Compiler(exact=True)
+    got = compiler.compile(s.Seq(tuple(parts)))
+    want = monolithic(compiler, parts)
+    reference = Interpreter(exact=True, compile_bodies=False)
+    for packet in PACKETS:
+        row = output_distribution(got, packet)
+        assert row == output_distribution(want, packet), packet
+        assert row == reference.run_packet(s.Seq(tuple(parts)), packet), packet
+        assert all(isinstance(mass, (Fraction, int)) for _, mass in row.items())
+
+
+class TestSpineShapedSequencesEvaluateLikeTheOracle:
+    """FDDs are not canonical under redundant multi-valued tests, so here
+    the demand is equal behaviour on every class of the joint domain."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_sequences)
+    def test_generated_sequences(self, parts):
+        assume(dispatch_spine(parts) is not None)
+        assert_agrees_with_oracle_and_interpreter(parts)
+
+    def sw_case(self, table: dict[int, s.Policy] | list, default: s.Policy = s.drop()):
+        items = table.items() if isinstance(table, dict) else table
+        return s.case([(s.test(DISPATCH, value), branch) for value, branch in items], default)
+
+    def test_dispatch_field_reassigned_before_a_later_case(self):
+        move = self.sw_case({0: s.assign("sw", 1), 1: s.assign("sw", 2)}, s.skip())
+        mark = self.sw_case({1: s.assign("pt", 1), 2: s.assign("pt", 0)})
+        spine = dispatch_spine([move, mark])
+        assert spine is not None and spine[1][1] is None and spine[2] == 1
+        assert_agrees_with_oracle_and_interpreter([move, mark])
+
+    def test_duplicate_guards_keep_the_first_branch(self):
+        first = self.sw_case([(0, s.assign("pt", 1)), (0, s.assign("pt", 0)), (1, s.drop())])
+        assert_agrees_with_oracle_and_interpreter([first, self.sw_case({0: s.assign("up", 1)})])
+
+    def test_value_present_in_only_one_table(self):
+        left = self.sw_case({0: s.assign("pt", 1), 1: s.assign("pt", 0)}, s.skip())
+        right = self.sw_case({1: s.assign("up", 1), 2: s.assign("up", 0)}, s.assign("up", 2))
+        assert_agrees_with_oracle_and_interpreter([left, right])
+
+    def test_destination_absent_from_routing_but_present_in_topology(self):
+        routing = self.sw_case({1: s.assign("pt", 1), 2: s.assign("pt", 0)})
+        topology = self.sw_case(
+            {
+                0: s.assign("sw", 1),
+                1: s.ite(s.test("pt", 1), s.assign("sw", 0), s.drop()),
+                2: s.assign("sw", 1),
+            }
+        )
+        assert_agrees_with_oracle_and_interpreter([routing, topology, s.assign("up", 1)])
+
+    def test_reachable_default(self):
+        half = Fraction(1, 2)
+        first = self.sw_case({0: s.assign("pt", 1)}, s.choice((s.assign("pt", 0), half), (s.drop(), half)))
+        second = self.sw_case({1: s.assign("up", 1)}, s.assign("up", 0))
+        assert_agrees_with_oracle_and_interpreter([first, second])
+
+    def test_other_parts_that_test_the_dispatch_field(self):
+        ingress = s.disj(s.conj(s.test("sw", 0), s.test("pt", 1)), s.test("sw", 2), s.test("sw", 4))
+        hop = self.sw_case({0: s.assign("sw", 2), 2: s.assign("sw", 3)}, s.assign("sw", 0))
+        arrived = s.neg(s.test("sw", 3))
+        assert_agrees_with_oracle_and_interpreter([s.assign("up", 1), ingress, hop, arrived])
+
+    def test_a_value_that_runs_like_the_default_adds_no_test(self):
+        """``sw=1`` behaves as every unlisted switch does: its test is not built."""
+        parts = [
+            self.sw_case({0: s.assign("pt", 1), 1: s.assign("pt", 0)}, s.assign("pt", 0)),
+            s.assign("up", 1),
+        ]
+        compiler = Compiler(exact=True)
+        got = compiler.compile(s.Seq(tuple(parts)))
+        assert got is monolithic(compiler, parts)
+        assert got.test == ("sw", 0) and got.lo.is_leaf()
+
+
+# ---------------------------------------------------------------------------
+# (2) exact arithmetic is untouched
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def whole_program_compile(monkeypatch):
+    """Switch the compiler to the pre-change behaviour: no sequence has a spine."""
+    def enable():
+        monkeypatch.setattr(compiler_module, "dispatch_spine", lambda parts: None)
+    return enable
+
+
+def weights(dist) -> dict:
+    return dict(dist.items())
+
+
+class TestExactModeIsFractionIdentical:
+    def test_compiler_on_the_running_example(self, whole_program_compile):
+        bundle = running_example.build()
+        models = [*bundle.models_naive.values(), *bundle.models_resilient.values()]
+        after = [
+            weights(output_distribution(Compiler(exact=True).compile(m), bundle.ingress_packet))
+            for m in models
+        ]
+        whole_program_compile()
+        before = [
+            weights(output_distribution(Compiler(exact=True).compile(m), bundle.ingress_packet))
+            for m in models
+        ]
+        assert after == before
+        assert all(isinstance(mass, Fraction) for row in after for mass in row.values())
+
+    def test_compiler_and_native_backend_on_f10_3_p4(self, whole_program_compile):
+        model = f10_model(
+            ab_fat_tree(4), 1, scheme="f10_3",
+            failure_probability=Fraction(1, 4), max_failures=2,
+        )
+        first_hop, body = (s.seq(*run) for run in loop_free_runs(model.policy)[:2])
+        locations = [
+            Packet({**packet.as_dict(), "fails": fails, "up1": 1, "up2": up})
+            for packet in model.ingress_packets
+            for fails in (0, 2)
+            for up in (0, 1)
+        ]
+
+        def measure():
+            compiler = Compiler(exact=True)
+            hop = compiler.compile(first_hop)
+            loop = compiler.compile(body)
+            rows = [weights(output_distribution(hop, pk)) for pk in model.ingress_packets]
+            rows += [weights(output_distribution(loop, pk)) for pk in locations]
+            native = NativeBackend(exact=True).output_distributions(
+                model.policy, model.ingress_packets
+            )
+            return rows, {pk: weights(dist) for pk, dist in native.items()}
+
+        after = measure()
+        whole_program_compile()
+        before = measure()
+        assert after == before
+        assert all(isinstance(mass, Fraction) for row in after[0] for mass in row.values())
+        assert all(
+            isinstance(mass, Fraction) for row in after[1].values() for mass in row.values()
+        )
+
+
+# ---------------------------------------------------------------------------
+# (3) work, counted
+# ---------------------------------------------------------------------------
+
+#: restrict_eq + restrict_ne + ite memo entries for one FatTree
+#: k=6-with-failures plan.  Whole-program compilation made 170 058 (the
+#: i-th switch carried i disequalities through every product); per-switch
+#: compilation makes 12 339.  The count is deterministic.
+COMPILE_OPS_CEILING = 16_000
+
+
+def compile_ops(manager) -> int:
+    return sum(len(manager.op_cache(name)) for name in ("restrict_eq", "restrict_ne", "ite"))
+
+
+def test_compile_work_for_fattree6_with_failures_stays_linear_in_switches():
+    backend = MatrixBackend()
+    backend.plan(fattree_model(6, True).policy)
+    assert compile_ops(backend.manager) < COMPILE_OPS_CEILING
+
+
+def test_the_count_repeats_and_separates_the_two_strategies(whole_program_compile):
+    def count() -> int:
+        backend = MatrixBackend()
+        backend.plan(fattree_model(4, True).policy)
+        return compile_ops(backend.manager)
+
+    per_switch = count()
+    assert count() == per_switch  # a count, not a timing: it repeats exactly
+    whole_program_compile()
+    assert count() > 4 * per_switch
+
+
+# ---------------------------------------------------------------------------
+# (4) wide predicates
+# ---------------------------------------------------------------------------
+
+class TestWidePredicates:
+    TERMS = 2000
+
+    def wide(self):
+        """One term per host port: 250 switches of 8, a fat-tree's ingress shape."""
+        return [s.conj(s.test("sw", i // 8), s.test("pt", i % 8)) for i in range(self.TERMS)]
+
+    def test_constructors_build_log_depth_trees(self):
+        def depth(pred) -> int:
+            levels = 0
+            while isinstance(pred, (s.And, s.Or)):
+                pred, levels = pred.left, levels + 1
+            return levels
+
+        assert depth(s.disj(*self.wide())) == 11 + 1  # ⌈log₂ 2000⌉ Ors over one And
+        assert depth(s.conj(*[s.neg(term) for term in self.wide()])) == 11
+        # Order and small cases are what they always were.
+        a, b, c = s.test("f", 1), s.test("g", 1), s.test("h", 1)
+        assert s.disj(a, b, c) == s.Or(s.Or(a, b), c)
+        assert s.conj(a, s.skip(), b) == s.And(a, b)
+        assert s.disj() == s.drop() and s.conj() == s.skip()
+        assert s.disj(s.drop(), a) is a
+
+    def test_two_thousand_terms_compile_and_interpret(self):
+        assert sys.getrecursionlimit() <= 1000
+        pred = s.disj(*self.wide())
+        inside, outside = Packet({"sw": 123, "pt": 5}), Packet({"sw": 123, "pt": 9})
+        fdd = Compiler().compile(pred)
+        assert output_distribution(fdd, inside).support() == frozenset([inside])
+        assert output_distribution(fdd, outside).support() == frozenset([DROP])
+        assert eval_predicate(pred, inside) and not eval_predicate(pred, outside)
+        interp = Interpreter()
+        program = s.seq(pred, s.assign("pt", 9))
+        assert interp.run_packet(program, inside).support() == frozenset([outside])
+        assert interp.run_packet(program, outside).support() == frozenset([DROP])
+        none_of = s.conj(*[s.neg(term) for term in self.wide()])
+        assert eval_predicate(none_of, outside) and not eval_predicate(none_of, inside)
+        assert output_distribution(Compiler().compile(none_of), inside).support() == frozenset([DROP])
+        assert sum(1 for _ in pred.walk()) == 3 * self.TERMS + self.TERMS - 1
+
+    def test_fattree14_plans_and_answers_every_ingress(self):
+        """679 ingress terms: a ``RecursionError`` in both engines before."""
+        model = fattree_model(14, False)
+        assert len(model.ingress_packets) == 679
+        matrix = MatrixBackend().delivery_probabilities(model)
+        interpreted = model.delivery_probabilities(interpreter=Interpreter())
+        assert matrix.keys() == interpreted.keys() == set(model.ingress_packets)
+        for packet, probability in matrix.items():
+            assert probability == pytest.approx(1.0, abs=1e-9)
+            assert interpreted[packet] == pytest.approx(probability, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# (5) compare evaluates each program once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("relation", ["compare", "strictly_refines"])
+def test_refinement_verdicts_run_each_program_once_per_input(monkeypatch, relation):
+    half = Fraction(1, 2)
+    weaker = s.seq(s.test("sw", 1), s.choice((s.assign("pt", 2), half), (s.drop(), half)))
+    stronger = s.seq(s.test("sw", 1), s.assign("pt", 2))
+    inputs = [Packet({"sw": 1, "pt": 1}), Packet({"sw": 2, "pt": 1})]
+    runs: list[tuple[int, Packet]] = []
+
+    class CountingInterpreter(Interpreter):
+        """Counts whole-program runs (``run_packet`` also recurses into sub-terms)."""
+
+        def run_packet(self, policy, packet):
+            if policy is weaker or policy is stronger:
+                runs.append((id(policy), packet))
+            return super().run_packet(policy, packet)
+
+    monkeypatch.setattr(equivalence, "Interpreter", CountingInterpreter)
+    verdict = getattr(equivalence, relation)(weaker, stronger, inputs, exact=True)
+    assert verdict == {"compare": "<", "strictly_refines": True}[relation]
+    assert Counter(runs) == Counter(
+        (id(program), packet) for program in (weaker, stronger) for packet in inputs
+    )
+    assert equivalence.compare(stronger, weaker, inputs) == ">"
+    assert equivalence.compare(weaker, weaker, inputs) == "≡"
+    other = s.seq(s.test("sw", 2), s.assign("pt", 2))
+    assert equivalence.compare(stronger, other, inputs) == "incomparable"
+
+
+# ---------------------------------------------------------------------------
+# the ride-alongs
+# ---------------------------------------------------------------------------
+
+def test_ports_index_matches_a_scan_of_every_port():
+    topology = ab_fat_tree(4)
+    for node in topology.graph.nodes:
+        scanned = {
+            port: peer
+            for (owner, port), (peer, _peer_port) in topology._ports.items()
+            if owner == node
+        }
+        assert topology.ports(node) == scanned
+        assert list(topology.ports(node)) == list(scanned)
+    ports = topology.ports(1)
+    ports.clear()  # a copy: callers cannot corrupt the index
+    assert topology.ports(1)
+    assert topology.ports("no such node") == {}
