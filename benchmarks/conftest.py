@@ -13,6 +13,7 @@ parameter sweeps, e.g. ``REPRO_SCALE=2 pytest benchmarks/``.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -46,6 +47,20 @@ def pytest_sessionfinish(session, exitstatus):
         print("\nbenchmark summaries written:")
         for path in paths:
             print(f"  {path}")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _settled_heap():
+    """Time each harness against its own garbage only.
+
+    Tier-1 runs the unit suite and the earlier figures in the same
+    process first; without this a full collection inside a timed section
+    also scans everything they left alive.
+    """
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

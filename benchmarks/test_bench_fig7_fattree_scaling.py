@@ -147,20 +147,25 @@ def test_interpreted_vs_compiled_construction(benchmark, p, failure_probability)
 
     Fresh interpreters on both sides (construction must include each
     path's full one-time work); distributions must agree within 1e-9.
+    Each arm is timed twice, cold both times, and keeps its faster run:
+    one 0.4 s stall of a shared box inside the compiled arm is worth more
+    than the whole margin between the measured ratio and the 3x floor.
     """
 
     def construct():
-        model = build(p, failure_probability)
-        t0 = time.perf_counter()
-        interpreted = model.output_distributions(
-            interpreter=Interpreter(compile_bodies=False)
-        )
-        interpreted_s = time.perf_counter() - t0
+        interpreted_s = compiled_s = float("inf")
+        for _ in range(2):
+            model = build(p, failure_probability)
+            t0 = time.perf_counter()
+            interpreted = model.output_distributions(
+                interpreter=Interpreter(compile_bodies=False)
+            )
+            interpreted_s = min(interpreted_s, time.perf_counter() - t0)
 
-        model = build(p, failure_probability)
-        t0 = time.perf_counter()
-        compiled = model.output_distributions(interpreter=Interpreter())
-        compiled_s = time.perf_counter() - t0
+            model = build(p, failure_probability)
+            t0 = time.perf_counter()
+            compiled = model.output_distributions(interpreter=Interpreter())
+            compiled_s = min(compiled_s, time.perf_counter() - t0)
         return interpreted, compiled, interpreted_s, compiled_s
 
     interpreted, compiled, interpreted_s, compiled_s = benchmark.pedantic(

@@ -82,9 +82,7 @@ def refinement_table(
             reference = model_factory(
                 left if left != "teleport" else right, bound
             )
-            left_policy = (
-                reference.teleport if left == "teleport" else model_factory(left, bound).policy
-            )
+            left_policy = reference.teleport if left == "teleport" else reference.policy
             right_policy = (
                 reference.teleport
                 if right == "teleport"

@@ -860,8 +860,6 @@ def _concretize(cls: SymbolicPacket, base: Packet) -> Packet:
     never created), so the packet keeps its own value — or stays without
     the field — exactly like the forward interpreter.
     """
-    values = base.as_dict()
-    for fieldname, value in cls.values:
-        if value is not None:
-            values[fieldname] = value
-    return Packet(values)
+    return base.set_many(
+        {fieldname: value for fieldname, value in cls.values if value is not None}
+    )

@@ -50,7 +50,7 @@ class Compiler:
         The FDD manager to intern nodes in.  All programs compared for
         equivalence must be compiled with the same manager.
     exact:
-        When ``True``, loops are solved with exact rational Gaussian
+        When ``True``, loops are solved with exact rational SCC-ordered
         elimination; otherwise the sparse float64 LU solver is used
         (the role UMFPACK plays in McNetKAT).
     class_limit:

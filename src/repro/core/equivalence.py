@@ -68,6 +68,18 @@ def output_distributions(
     return {packet: interp.run_packet(p, packet) for packet in inputs}
 
 
+def _paired_distributions(
+    p: s.Policy, q: s.Policy, inputs: Sequence[Packet], exact: bool
+) -> tuple[dict[Packet, Dist[Outcome]], dict[Packet, Dist[Outcome]]]:
+    """Evaluate both programs on one interpreter: one compiler, one FDD manager,
+    so the sub-diagrams the two share are interned and combined once."""
+    interpreter = Interpreter(exact=exact)
+    return (
+        output_distributions(p, inputs, interpreter=interpreter),
+        output_distributions(q, inputs, interpreter=interpreter),
+    )
+
+
 def output_equivalent(
     p: s.Policy,
     q: s.Policy,
@@ -77,8 +89,7 @@ def output_equivalent(
 ) -> bool:
     """Equivalence of ``p`` and ``q`` restricted to the given input packets."""
     inputs = list(inputs)
-    dists_p = output_distributions(p, inputs, exact=exact)
-    dists_q = output_distributions(q, inputs, exact=exact)
+    dists_p, dists_q = _paired_distributions(p, q, inputs, exact)
     for packet in inputs:
         if exact:
             if dists_p[packet] != dists_q[packet]:
@@ -115,9 +126,7 @@ def refines(
     excluded, following the paper: ``q`` delivers packets with higher
     probability than ``p``).
     """
-    inputs = list(inputs)
-    dists_p = output_distributions(p, inputs, exact=exact)
-    dists_q = output_distributions(q, inputs, exact=exact)
+    dists_p, dists_q = _paired_distributions(p, q, list(inputs), exact)
     return _dominated(dists_p, dists_q, tolerance)
 
 
@@ -145,9 +154,7 @@ def compare(
     entries used in Figure 11(c) of the paper.  Each program is evaluated
     once per input; both refinement directions read the same distributions.
     """
-    inputs = list(inputs)
-    dists_p = output_distributions(p, inputs, exact=exact)
-    dists_q = output_distributions(q, inputs, exact=exact)
+    dists_p, dists_q = _paired_distributions(p, q, list(inputs), exact)
     le = _dominated(dists_p, dists_q, tolerance)
     ge = _dominated(dists_q, dists_p, tolerance)
     if le and ge:

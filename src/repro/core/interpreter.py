@@ -20,8 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-import networkx as nx
-
 from repro.core import syntax as s
 from repro.core.compiler import Compiler, GuardedFragmentError
 from repro.core.distributions import Dist
@@ -101,6 +99,8 @@ class Interpreter:
         self._compiled: dict[int, tuple[s.Policy, CompiledBody | None]] = {}
         # Incremental absorption state, per loop.
         self._loop_solvers: dict[int, IncrementalAbsorptionSolver] = {}
+        # certain_outcomes of the loop body, per loop and loop-head state.
+        self._loop_possible: dict[int, dict[Packet, tuple[frozenset, bool]]] = {}
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -214,6 +214,7 @@ class Interpreter:
         self._loop_rows[key] = {}
         self._loop_solutions[key] = {}
         self._loop_solvers.pop(key, None)
+        self._loop_possible[key] = {}
 
     def body_compiler(self) -> Compiler:
         """The compiler used for loop bodies (created on first use)."""
@@ -405,8 +406,13 @@ class Interpreter:
     ) -> tuple[frozenset[Outcome], bool]:
         if not eval_predicate(loop.guard, packet):
             return frozenset([packet]), False
-        # Explore the support graph of the loop body over loop-head states.
-        graph = nx.DiGraph()
+        if self._loop_nodes.get(id(loop)) is not loop:
+            self._reset_loop(loop)
+        possible = self._loop_possible[id(loop)]
+        # Explore the support graph of the loop body over loop-head states;
+        # the body's verdict on a state is shared by every ingress reaching it.
+        predecessors: dict[Packet, list[Packet]] = {}
+        can_exit: list[Packet] = []
         outcomes: set[Outcome] = set()
         diverge = False
         seen: set[Packet] = set()
@@ -416,36 +422,28 @@ class Interpreter:
             if state in seen:
                 continue
             seen.add(state)
-            graph.add_node(state)
-            outs, d = self.certain_outcomes(loop.body, state)
-            diverge = diverge or d
-            for outcome in outs:
+            body = possible.get(state)
+            if body is None:
+                body = possible[state] = self.certain_outcomes(loop.body, state)
+            diverge = diverge or body[1]
+            for outcome in body[0]:
                 if isinstance(outcome, _DropType) or not eval_predicate(loop.guard, outcome):
                     outcomes.add(outcome)
-                    graph.add_edge(state, _EXIT)
+                    can_exit.append(state)
                 else:
-                    graph.add_edge(state, outcome)
+                    predecessors.setdefault(outcome, []).append(state)
                     if outcome not in seen:
                         frontier.append(outcome)
         # A loop diverges when some reachable loop-head state cannot exit.
-        can_exit = (
-            set(nx.ancestors(graph, _EXIT)) if graph.has_node(_EXIT) else set()
-        )
-        for state in seen:
-            if state not in can_exit:
-                diverge = True
-                break
-        return frozenset(outcomes), diverge
+        exiting = set(can_exit)
+        while can_exit:
+            for predecessor in predecessors.get(can_exit.pop(), ()):
+                if predecessor not in exiting:
+                    exiting.add(predecessor)
+                    can_exit.append(predecessor)
+        return frozenset(outcomes), diverge or len(exiting) < len(seen)
 
 
-class _Exit:
-    """Sentinel node marking loop exit in the possibility-analysis graph."""
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "EXIT"
-
-
-_EXIT = _Exit()
 _MISSING = object()
 
 

@@ -14,9 +14,9 @@ Three solvers are provided:
   factorization of ``I - Q`` so arbitrarily many right-hand sides can be
   solved against it in one batched call (the paper's "compile once,
   query many times" story at the linear-algebra level);
-* :func:`solve_absorption_exact` — exact rational Gaussian elimination
-  for small systems (mirrors the paper's use of exact arithmetic in the
-  frontend and is used by the reference semantics and unit tests).
+* :func:`solve_absorption_exact` — exact rational elimination in SCC
+  order of the transient graph (mirrors the paper's use of exact
+  arithmetic in the frontend; the interpreter's and compiler's exact mode).
 
 On top of these, :class:`IncrementalAbsorptionSolver` solves a chain that
 *grows* over time: each growth step factorizes only the newly discovered
@@ -660,6 +660,84 @@ def solve_absorption(
     return solve_absorption_batched(transient, absorbing, transitions).result()
 
 
+def _sccs_sinks_first(edges: Sequence[Mapping[int, object]]) -> list[list[int]]:
+    """Strongly connected components of the graph ``i -> edges[i]`` (Tarjan).
+
+    Iterative, so a long chain cannot exhaust the recursion limit.  The
+    components come out sinks first: every successor of a member lies in
+    its own component or in an earlier one.
+    """
+    n = len(edges)
+    # A node's index is its position on the stack; n once its component is out.
+    index: list[int | None] = [None] * n
+    low = [0] * n
+    pending: list = [None] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    for root in range(n):
+        work = [root] if index[root] is None else []
+        while work:
+            node = work[-1]
+            if index[node] is None:
+                index[node] = low[node] = len(stack)
+                stack.append(node)
+                pending[node] = iter(edges[node])
+            for succ in pending[node]:
+                if index[succ] is None:
+                    work.append(succ)
+                    break
+                low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[node])
+                if low[node] == index[node]:
+                    components.append(stack[index[node]:])
+                    del stack[index[node]:]
+                    for member in components[-1]:
+                        index[member] = n
+    return components
+
+
+def _solve_component_exact(
+    component: list[int],
+    q: Sequence[Mapping[int, Fraction]],
+    rhs: list[dict[int, Fraction]],
+) -> list[dict[int, Fraction]]:
+    """Solve ``(I - Q_cc) X = rhs`` for one strongly connected component.
+
+    Dense Gauss–Jordan over :class:`fractions.Fraction`, sized by the
+    component alone; ``rhs`` already holds the component's direct
+    absorption plus everything flowing through earlier components.
+    """
+    m = len(component)
+    local = {state: k for k, state in enumerate(component)}
+    columns = sorted({column for row in rhs for column in row})
+    matrix: list[list[Fraction]] = []
+    for k, state in enumerate(component):
+        row = [Fraction(0)] * m + [rhs[k].get(c, Fraction(0)) for c in columns]
+        row[k] = Fraction(1)
+        for succ, p in q[state].items():
+            if succ in local:
+                row[local[succ]] -= p
+        matrix.append(row)
+    for col in range(m):
+        pivot_row = next((r for r in range(col, m) if matrix[r][col] != 0), None)
+        if pivot_row is None:
+            raise ArithmeticError("I - Q is singular; the chain is not absorbing")
+        matrix[col], matrix[pivot_row] = matrix[pivot_row], matrix[col]
+        pivot = matrix[col][col]
+        if pivot != 1:
+            matrix[col] = [entry / pivot for entry in matrix[col]]
+        for r in range(m):
+            factor = matrix[r][col]
+            if r != col and factor != 0:
+                matrix[r] = [
+                    entry - factor * base for entry, base in zip(matrix[r], matrix[col])
+                ]
+    return [{c: v for c, v in zip(columns, row[m:]) if v != 0} for row in matrix]
+
+
 def solve_absorption_exact(
     transient: Sequence[State],
     absorbing: Sequence[State],
@@ -667,86 +745,66 @@ def solve_absorption_exact(
 ) -> AbsorptionResult:
     """Exact rational version of :func:`solve_absorption`.
 
-    Solves ``(I - Q) X = R`` by Gaussian elimination over
-    :class:`fractions.Fraction`.  Suitable for systems with at most a few
-    hundred transient states.
+    Solves ``(I - Q) X = R`` over :class:`fractions.Fraction` by
+    elimination in SCC order of the transient graph, sinks first.  A state
+    on no cycle is one sparse substitution ``x_i = r_i + Σ p_ij·x_j`` over
+    rows that are already final; only a non-trivial strongly connected
+    component is solved densely, and only at its own size.  The cost is
+    therefore linear in the number of nonzeros (times the row width) on
+    the acyclic part of the chain and cubic only in the largest SCC.
     """
     transient = list(transient)
     absorbing = list(absorbing)
-    if not transient:
-        return AbsorptionResult({}, {})
     reaching = _states_reaching_absorption(transient, absorbing, transitions)
-    doomed = [state for state in transient if state not in reaching]
-    doomed_set = set(doomed)
-    transient = [state for state in transient if state in reaching]
-    if not transient:
-        return AbsorptionResult(
-            {state: {} for state in doomed}, {state: Fraction(1) for state in doomed}
-        )
-    t_index = {state: i for i, state in enumerate(transient)}
+    doomed = {state for state in transient if state not in reaching}
+    live = [state for state in transient if state in reaching]
+    t_index = {state: i for i, state in enumerate(live)}
     a_index = {state: j for j, state in enumerate(absorbing)}
-    nt, na = len(transient), len(absorbing)
 
-    # Build the augmented matrix [I - Q | R] with exact fractions.
-    matrix: list[list[Fraction]] = [
-        [Fraction(0)] * (nt + na) for _ in range(nt)
-    ]
-    for i in range(nt):
-        matrix[i][i] = Fraction(1)
-    for state in transient:
-        i = t_index[state]
-        for succ, prob in transitions.get(state, {}).items():
+    # Sparse rows of Q and R over the live states, by index.
+    q: list[dict[int, Fraction]] = []
+    r: list[dict[int, Fraction]] = []
+    for state in live:
+        q_row: dict[int, Fraction] = {}
+        r_row: dict[int, Fraction] = {}
+        for succ, prob in transitions[state].items():
             p = Fraction(prob)
             if p == 0:
                 continue
             if succ in t_index:
-                matrix[i][t_index[succ]] -= p
+                q_row[t_index[succ]] = p
             elif succ in a_index:
-                matrix[i][nt + a_index[succ]] += p
-            elif succ in doomed_set:
-                continue  # mass entering a doomed state can never be absorbed
-            else:
+                r_row[a_index[succ]] = p
+            elif succ not in doomed:  # mass entering a doomed state is lost
                 raise KeyError(f"successor {succ!r} is neither transient nor absorbing")
+        q.append(q_row)
+        r.append(r_row)
 
-    # Gaussian elimination with partial (non-zero) pivoting.
-    for col in range(nt):
-        pivot_row = next(
-            (r for r in range(col, nt) if matrix[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise ArithmeticError("I - Q is singular; the chain is not absorbing")
-        if pivot_row != col:
-            matrix[col], matrix[pivot_row] = matrix[pivot_row], matrix[col]
-        pivot = matrix[col][col]
-        if pivot != 1:
-            matrix[col] = [entry / pivot for entry in matrix[col]]
-        for row in range(nt):
-            if row == col or matrix[row][col] == 0:
-                continue
-            factor = matrix[row][col]
-            matrix[row] = [
-                entry - factor * matrix[col][k] for k, entry in enumerate(matrix[row])
-            ]
+    solved: list[dict[int, Fraction]] = [{} for _ in live]
+    for component in _sccs_sinks_first(q):
+        rhs: list[dict[int, Fraction]] = []
+        for i in component:
+            row = dict(r[i])
+            for succ, p in q[i].items():
+                # A member of this component is still unsolved: empty, adds nothing.
+                for column, value in solved[succ].items():
+                    row[column] = row.get(column, 0) + p * value
+            rhs.append(row)
+        if len(component) > 1 or component[0] in q[component[0]]:
+            rhs = _solve_component_exact(component, q, rhs)
+        for i, row in zip(component, rhs):
+            solved[i] = row
 
     rows: dict[State, dict[State, Fraction]] = {}
     lost: dict[State, Fraction] = {}
-    for state in transient:
-        i = t_index[state]
-        row = {
-            absorbing[j]: matrix[i][nt + j]
-            for j in range(na)
-            if matrix[i][nt + j] != 0
-        }
-        for value in row.values():
-            if value < 0:
-                raise ArithmeticError(
-                    f"negative absorption probability {value} for {state!r}"
-                )
-        rows[state] = row
+    for state, solution in zip(live, solved):
+        rows[state] = row = {absorbing[j]: solution[j] for j in sorted(solution)}
+        if any(value < 0 for value in row.values()):
+            raise ArithmeticError(f"negative absorption probability for {state!r}: {row}")
         lost[state] = Fraction(1) - sum(row.values(), Fraction(0))
-    for state in doomed:
-        rows[state] = {}
-        lost[state] = Fraction(1)
+    for state in transient:
+        if state in doomed:
+            rows[state], lost[state] = {}, Fraction(1)
     return AbsorptionResult(rows, lost)
 
 

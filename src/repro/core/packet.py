@@ -11,6 +11,7 @@ used by the implementation, §5).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -47,6 +48,16 @@ DROP = _DropType()
 """The unique "packet was dropped" outcome."""
 
 
+def _check_item(name: object, value: object) -> None:
+    """Reject a ``(field, value)`` pair a packet cannot hold."""
+    if type(name) is str and type(value) is int:  # the common case, decided first
+        return
+    if not isinstance(name, str):
+        raise TypeError(f"field names must be strings, got {name!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"field values must be integers, got {name}={value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Packet:
     """An immutable packet: a mapping from field names to integer values.
@@ -76,12 +87,7 @@ class Packet:
         else:
             items = tuple(sorted(fields))
         for name, value in items:
-            if not isinstance(name, str):
-                raise TypeError(f"field names must be strings, got {name!r}")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(
-                    f"field values must be integers, got {name}={value!r}"
-                )
+            _check_item(name, value)
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_hash", hash(items))
 
@@ -144,17 +150,27 @@ class Packet:
     # -- functional updates ---------------------------------------------------
     def set(self, field: str, value: int) -> "Packet":
         """Return ``π[field := value]`` — a copy with one field updated."""
-        updated = dict(self._items)
-        updated[field] = value
-        return Packet(updated)
+        _check_item(field, value)
+        items = self._items
+        # (field,) sorts just before every (field, value): the slot of field.
+        index = end = bisect_left(items, (field,))
+        if index < len(items) and items[index][0] == field:
+            if items[index][1] == value:
+                return self
+            end = index + 1
+        return Packet._from_sorted_items(items[:index] + ((field, value),) + items[end:])
 
     def set_many(self, updates: Mapping[str, int]) -> "Packet":
         """Return a copy with several fields updated at once."""
         if not updates:
             return self
+        for field, value in updates.items():
+            _check_item(field, value)
         merged = dict(self._items)
         merged.update(updates)
-        return Packet(merged)
+        # Overwriting keeps a dict's (sorted) order; only new fields unsort it.
+        items = merged.items() if len(merged) == len(self._items) else sorted(merged.items())
+        return Packet._from_sorted_items(tuple(items))
 
     def test(self, field: str, value: int) -> bool:
         """Return ``True`` when the packet's ``field`` equals ``value``.
@@ -167,7 +183,7 @@ class Packet:
     def restrict(self, fields: Iterable[str]) -> "Packet":
         """Project the packet onto the given fields (missing ones ignored)."""
         wanted = set(fields)
-        return Packet({k: v for k, v in self._items if k in wanted})
+        return Packet._from_sorted_items(tuple(i for i in self._items if i[0] in wanted))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self._items)

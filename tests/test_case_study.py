@@ -6,6 +6,8 @@ the ordering of delivery probabilities, and the path-stretch behaviour on
 AB FatTree versus standard FatTree.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from repro.analysis import expected_hop_count, hop_count_cdf
@@ -28,54 +30,66 @@ def ft():
 
 def factory(topo):
     def build(scheme, k):
-        return f10_model(topo, 1, scheme=scheme, failure_probability=PR, max_failures=k)
+        # 0.25 is dyadic: Fraction(PR) is exactly 1/4, as the exact verdicts need.
+        return f10_model(
+            topo, 1, scheme=scheme, failure_probability=Fraction(PR), max_failures=k
+        )
 
     return build
 
 
 class TestFigure11b:
-    """k-resilience of the three schemes on the AB FatTree."""
+    """k-resilience of the three schemes on the AB FatTree, as published."""
+
+    BOUNDS = [0, 1, 2, 3, 4, None]
 
     @pytest.fixture(scope="class")
     def table(self, abft):
-        return resilience_table(
-            factory(abft), ["f10_0", "f10_3", "f10_3_5"], [0, 1, 2, 3, 4]
-        )
+        return resilience_table(factory(abft), ["f10_0", "f10_3", "f10_3_5"], self.BOUNDS)
+
+    def column(self, *cells):
+        return dict(zip(self.BOUNDS, cells))
 
     def test_f10_0_is_0_resilient(self, table):
-        assert table["f10_0"] == {0: True, 1: False, 2: False, 3: False, 4: False}
+        assert table["f10_0"] == self.column(True, False, False, False, False, False)
 
     def test_f10_3_is_2_resilient(self, table):
-        assert table["f10_3"] == {0: True, 1: True, 2: True, 3: False, 4: False}
+        assert table["f10_3"] == self.column(True, True, True, False, False, False)
 
     def test_f10_3_5_is_3_resilient(self, table):
-        assert table["f10_3_5"] == {0: True, 1: True, 2: True, 3: True, 4: False}
-
-    def test_unbounded_failures_break_every_scheme(self, abft):
-        build = factory(abft)
-        for scheme in ("f10_0", "f10_3", "f10_3_5"):
-            assert not build(scheme, None).certainly_delivers()
+        assert table["f10_3_5"] == self.column(True, True, True, True, False, False)
 
 
 class TestFigure11c:
-    """Refinement relationships between the schemes."""
+    """Refinement relationships between the schemes, decided exactly.
+
+    Every cell the paper prints for k = 0…4 (``bench/expected/fig11c.json``
+    holds the same transcription), in ``exact=True`` mode: the verdicts
+    compare :class:`~fractions.Fraction` distributions, no tolerance.
+    """
+
+    BOUNDS = [0, 1, 2, 3, 4]
 
     @pytest.fixture(scope="class")
     def table(self, abft):
         return refinement_table(
             factory(abft),
             [("f10_0", "f10_3"), ("f10_3", "f10_3_5"), ("f10_3_5", "teleport")],
-            [0, 1, 3, 4],
+            self.BOUNDS,
+            exact=True,
         )
 
+    def column(self, *cells):
+        return dict(zip(self.BOUNDS, cells))
+
     def test_f10_0_versus_f10_3(self, table):
-        assert table[("f10_0", "f10_3")] == {0: "≡", 1: "<", 3: "<", 4: "<"}
+        assert table[("f10_0", "f10_3")] == self.column("≡", "<", "<", "<", "<")
 
     def test_f10_3_versus_f10_3_5(self, table):
-        assert table[("f10_3", "f10_3_5")] == {0: "≡", 1: "≡", 3: "<", 4: "<"}
+        assert table[("f10_3", "f10_3_5")] == self.column("≡", "≡", "≡", "<", "<")
 
     def test_f10_3_5_versus_teleport(self, table):
-        assert table[("f10_3_5", "teleport")] == {0: "≡", 1: "≡", 3: "≡", 4: "<"}
+        assert table[("f10_3_5", "teleport")] == self.column("≡", "≡", "≡", "≡", "<")
 
 
 class TestFigure12a:

@@ -543,7 +543,16 @@ class TestRemoteHostFailover:
                 ]
                 assert healthy
                 assert all(r["ast_compilations"] == 0 for r in healthy)
-                assert any(r["reconnects"] >= 1 for r in healthy)
+                # A re-homed replica turns HEALTHY a moment after it leaves
+                # host A: poll, like every other post-failover condition here.
+                assert wait_until(
+                    lambda: any(
+                        r["reconnects"] >= 1
+                        for r in session.pool.worker_reports()
+                        if r["health"] == HEALTHY
+                    ),
+                    timeout=30.0,
+                )
         finally:
             for daemon in (daemon_a, daemon_b):
                 if daemon.is_alive():

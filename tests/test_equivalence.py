@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from repro.core import equivalence
 from repro.core import syntax as s
 from repro.core.equivalence import (
     compare,
@@ -120,3 +123,35 @@ class TestRefinement:
         assert refines(low, low, inputs)
         assert refines(low, mid, inputs) and refines(mid, high, inputs)
         assert refines(low, high, inputs)
+
+
+class TestOneInterpreterPerComparison:
+    """Both programs of a comparison run on one interpreter, one manager."""
+
+    @pytest.mark.parametrize("check", [compare, refines, output_equivalent])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_constructs_exactly_one_interpreter(self, monkeypatch, check, exact):
+        built = []
+
+        class Counted(equivalence.Interpreter):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "Interpreter", Counted)
+        step = s.choice((s.assign("f", 1), Fraction(1, 2)), (s.skip(), Fraction(1, 2)))
+        p = s.while_do(s.test("f", 0), step)
+        q = s.while_do(s.test("f", 0), s.assign("f", 1))
+        check(p, q, [Packet({"f": 0}), Packet({"f": 1})], exact=exact)
+        assert len(built) == 1
+        assert built[0].exact is exact
+        # Both loops were solved there, in one FDD manager.
+        assert built[0].loop_stats()["loops"] == 2
+
+    def test_shared_interpreter_keeps_the_programs_apart(self):
+        inputs = [Packet({"f": 0})]
+        exits = s.while_do(s.test("f", 0), s.assign("f", 1))
+        trapped = s.while_do(s.test("f", 0), s.skip())
+        assert compare(trapped, exits, inputs, exact=True) == "<"
+        assert compare(exits, trapped, inputs, exact=True) == ">"
+        assert not output_equivalent(exits, trapped, inputs, exact=True)

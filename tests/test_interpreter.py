@@ -177,6 +177,82 @@ class TestCertainOutcomes:
         assert outcomes == frozenset({DROP})
 
 
+def count_body_evaluations(interp: Interpreter, body: s.Policy) -> list[Packet]:
+    """Stub ``certain_outcomes`` to record every state ``body`` is analysed on."""
+    states: list[Packet] = []
+    inner = interp.certain_outcomes
+
+    def counting(policy, packet):
+        if policy is body:
+            states.append(packet)
+        return inner(policy, packet)
+
+    interp.certain_outcomes = counting
+    return states
+
+
+class TestPossibilityMemo:
+    """The possibility analysis visits a loop-head state once per interpreter."""
+
+    @pytest.fixture(scope="class")
+    def model(self, ab_fattree_4):
+        from repro.routing import f10_model
+
+        return f10_model(
+            ab_fattree_4, 1, scheme="f10_3",
+            failure_probability=Fraction(1, 4), max_failures=2,
+        )
+
+    def test_one_body_evaluation_per_loop_head_state(self, model):
+        interp = Interpreter()
+        states = count_body_evaluations(interp, model.body)
+        assert model.certainly_delivers(interp)
+        assert len(states) > len(model.ingress_packets)
+        assert len(states) == len(set(states))
+
+    def test_more_ingresses_cost_no_more_body_evaluations(self, model):
+        once, twice = Interpreter(), Interpreter()
+        states_once = count_body_evaluations(once, model.body)
+        states_twice = count_body_evaluations(twice, model.body)
+        verdicts = [once.certain_outcomes(model.policy, pk) for pk in model.ingress_packets]
+        doubled = [
+            twice.certain_outcomes(model.policy, pk) for pk in model.ingress_packets * 2
+        ]
+        assert doubled == verdicts * 2
+        assert sorted(states_twice, key=repr) == sorted(states_once, key=repr)
+
+    def test_memo_agrees_with_a_fresh_interpreter_per_ingress(self, model):
+        shared = Interpreter()
+        for packet in model.ingress_packets:
+            assert shared.certain_outcomes(model.policy, packet) == (
+                Interpreter().certain_outcomes(model.policy, packet)
+            )
+
+    def test_memo_is_not_served_to_a_different_loop(self, interp):
+        """Two loops, one interpreter: each gets its own body verdicts.
+
+        The second loop is also made to land on the first one's ``id`` —
+        the situation the ``_loop_nodes`` identity guard exists for.
+        """
+        packet = Packet({"f": 0})
+        exits = s.while_do(s.test("f", 0), s.assign("f", 1))
+        trapped = s.while_do(s.test("f", 0), s.skip())
+        assert interp.certain_outcomes(exits, packet) == (frozenset({Packet({"f": 1})}), False)
+        assert interp.certain_outcomes(trapped, packet) == (frozenset(), True)
+        # A stale entry under trapped's id, as if `exits` had lived there before.
+        interp._loop_nodes[id(trapped)] = exits
+        interp._loop_possible[id(trapped)] = dict(interp._loop_possible[id(exits)])
+        assert interp.certain_outcomes(trapped, packet) == (frozenset(), True)
+
+    def test_nested_loops(self, interp):
+        inner = s.while_do(s.test("g", 0), s.choice((s.assign("g", 1), 0.5), (s.skip(), 0.5)))
+        outer = s.while_do(s.test("f", 0), s.seq(s.assign("g", 0), inner, s.assign("f", 1)))
+        for _ in range(2):
+            outcomes, diverge = interp.certain_outcomes(outer, Packet({"f": 0, "g": 0}))
+            assert outcomes == frozenset({Packet({"f": 1, "g": 1})})
+            assert not diverge
+
+
 class TestIncrementalAbsorption:
     """The per-loop solver re-factorizes only when the chain grows."""
 

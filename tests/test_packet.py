@@ -62,6 +62,38 @@ class TestPacket:
     def test_as_dict_roundtrip(self, fields):
         assert Packet(fields).as_dict() == fields
 
+    @given(
+        st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 3)),
+        st.dictionaries(st.sampled_from(["", "a", "bb", "c", "e"]), st.integers(0, 3)),
+    )
+    def test_updates_equal_rebuilding_from_a_dict(self, fields, updates):
+        """set / set_many / restrict splice sorted items; the canonical form holds."""
+        packet = Packet(fields)
+        merged = Packet({**fields, **updates})
+        assert packet.set_many(updates) == merged
+        assert hash(packet.set_many(updates)) == hash(merged)
+        assert packet.set_many(updates).items() == merged.items()
+        stepwise = packet
+        for name, value in updates.items():
+            stepwise = stepwise.set(name, value)
+        assert stepwise.items() == merged.items()
+        kept = Packet({k: v for k, v in fields.items() if k in updates})
+        assert packet.restrict(updates).items() == kept.items()
+        assert hash(packet.restrict(updates)) == hash(kept)
+
+    def test_set_to_the_current_value_changes_nothing(self):
+        pk = Packet({"sw": 1, "pt": 2})
+        assert pk.set("pt", 2) == pk
+        assert pk.set_many({}) is pk
+
+    @pytest.mark.parametrize("name, value", [(1, 1), ("sw", "one"), ("sw", True), ("sw", 1.0)])
+    def test_updates_reject_what_the_constructor_rejects(self, name, value):
+        pk = Packet({"sw": 1, "pt": 2})
+        with pytest.raises(TypeError):
+            pk.set(name, value)
+        with pytest.raises(TypeError):
+            pk.set_many({"pt": 3, name: value})
+
 
 class TestDrop:
     def test_singleton(self):
