@@ -20,6 +20,8 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The reference kernels the harnesses time against live with the tests.
+sys.path.insert(1, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
 
 from bench_utils import scale, write_summaries  # noqa: E402
 

@@ -642,9 +642,12 @@ class MatrixBackend:
         stage of every cached or adopted plan (see
         :class:`~repro.core.markov.IncrementalAbsorptionSolver`);
         ``assembly_rows`` counts class rows written into transition
-        matrices by the vectorized assembly pass.  Worker processes ship
-        this dict home in their stats blob, so pool ``worker_reports()``
-        and CLI stats can show where replica time goes.
+        matrices by the vectorized assembly pass; ``fdd_nodes`` and
+        ``fdd_memo_<operation>`` flatten this replica's
+        :meth:`~repro.core.fdd.node.FddManager.stats`.  Worker processes
+        ship this dict home in their stats blob, so pool
+        ``worker_reports()`` and CLI stats can show where replica time
+        and memory go.
         """
         factorizations = 0
         schur_updates = 0
@@ -654,10 +657,13 @@ class MatrixBackend:
             for stage in plan.loop_stages:
                 factorizations += stage.factorizations
                 schur_updates += stage.schur_updates
+        fdd = self.manager.stats()
         return {
             "factorizations": factorizations,
             "schur_updates": schur_updates,
             "assembly_rows": self.assembly_rows,
+            "fdd_nodes": fdd["nodes"],
+            **{f"fdd_memo_{name}": size for name, size in fdd["memo"].items()},
         }
 
     @property

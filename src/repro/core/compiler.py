@@ -71,11 +71,7 @@ class Compiler:
         self.class_limit = class_limit
         # Memoisation keyed by AST node identity.  The policy object is kept
         # in the value so its id cannot be recycled for a different node.
-        self._cache: dict[int, tuple[s.Policy, FddNode]] = {}
         self._raw_cache: dict[int, tuple[s.Policy, FddNode]] = {}
-        # Depth counter: >0 while inside compile_unreduced, where nested
-        # compile() calls (sub-policies) also skip the reduce pass.
-        self._unreduced = 0
 
     # -- public API -----------------------------------------------------------
     def compile(self, policy: s.Policy) -> FddNode:
@@ -84,34 +80,29 @@ class Compiler:
         The result is normalised with :func:`repro.core.fdd.ops.reduce` so
         that semantically equal programs compile to the identical interned
         node, making FDD comparison a complete equivalence check.
+
+        Invariant: ``compile(p) is ops.reduce(compile_unreduced(p))`` —
+        the program is normalised once, its sub-terms not at all.
+        ``reduce`` only drops leaf modifications implied by the tests
+        above them, which every FDD operation carries down, so reducing
+        the operands first arrives at the same interned node.  (A loop's
+        guard and body *are* normalised first: its symbolic domain is
+        read off them.)  Both steps are memoised where they happen.
         """
-        if self._unreduced:
-            return self.compile_unreduced(policy)
-        cached = self._cache.get(id(policy))
-        if cached is not None and cached[0] is policy:
-            return cached[1]
-        result = ops.reduce(self._compile(policy))
-        self._cache[id(policy)] = (policy, result)
-        return result
+        return ops.reduce(self.compile_unreduced(policy))
 
     def compile_unreduced(self, policy: s.Policy) -> FddNode:
-        """Compile without the :func:`~repro.core.fdd.ops.reduce` passes.
+        """Compile without the :func:`~repro.core.fdd.ops.reduce` pass.
 
         The reduce normalisation only matters when FDDs are compared for
         semantic equality; evaluation-only consumers (the interpreter's
-        compiled-body fast path) skip it — for the whole subtree — as
-        redundant leaf modifications are harmless no-ops under action
-        application.  The two entry points keep separate memo tables but
-        share all interned structure through the manager.
+        compiled-body fast path) skip it, as redundant leaf modifications
+        are harmless no-ops under action application.
         """
         cached = self._raw_cache.get(id(policy))
         if cached is not None and cached[0] is policy:
             return cached[1]
-        self._unreduced += 1
-        try:
-            result = self._compile(policy)
-        finally:
-            self._unreduced -= 1
+        result = self._compile(policy)
         self._raw_cache[id(policy)] = (policy, result)
         return result
 
@@ -124,6 +115,7 @@ class Compiler:
     # -- translation ------------------------------------------------------------
     def _compile(self, policy: s.Policy) -> FddNode:
         manager = self.manager
+        sub = self.compile_unreduced
         if isinstance(policy, s.FalseP):
             return manager.false_leaf
         if isinstance(policy, s.TrueP):
@@ -133,36 +125,35 @@ class Compiler:
         if isinstance(policy, s.Assign):
             return manager.from_assign(policy.field, policy.value)
         if isinstance(policy, s.Not):
-            return ops.negate(self.compile(policy.pred))
+            return ops.negate(sub(policy.pred))
         if isinstance(policy, s.And):
-            return ops.conjoin(self.compile(policy.left), self.compile(policy.right))
+            return ops.conjoin(sub(policy.left), sub(policy.right))
         if isinstance(policy, s.Or):
-            return ops.disjoin(self.compile(policy.left), self.compile(policy.right))
+            return ops.disjoin(sub(policy.left), sub(policy.right))
         if isinstance(policy, s.Seq):
             return self._compile_seq(policy.parts)
         if isinstance(policy, s.Union):
             if all(isinstance(part, s.Predicate) for part in policy.parts):
                 result = manager.false_leaf
                 for part in policy.parts:
-                    result = ops.disjoin(result, self.compile(part))
+                    result = ops.disjoin(result, sub(part))
                 return result
             raise GuardedFragmentError(
                 "union of non-predicate policies is outside the guarded fragment; "
                 "use if/while/case instead"
             )
         if isinstance(policy, s.Choice):
-            parts = [(self.compile(branch), prob) for branch, prob in policy.branches]
+            parts = [(sub(branch), prob) for branch, prob in policy.branches]
             return ops.convex(manager, parts)
         if isinstance(policy, s.IfThenElse):
-            guard = self.compile(policy.guard)
-            return ops.ite(guard, self.compile(policy.then), self.compile(policy.otherwise))
+            return ops.ite(sub(policy.guard), sub(policy.then), sub(policy.otherwise))
         if isinstance(policy, s.Case):
             # Fold the branches iteratively (equivalent to case_to_ite):
             # a wide case (one branch per switch) must not consume stack
             # proportional to the number of branches.
-            result = self.compile(policy.default)
+            result = sub(policy.default)
             for guard, branch in reversed(policy.branches):
-                result = ops.ite(self.compile(guard), self.compile(branch), result)
+                result = ops.ite(sub(guard), sub(branch), result)
             return result
         if isinstance(policy, s.WhileDo):
             return self._compile_while(policy)
@@ -195,14 +186,25 @@ class Compiler:
         predicate) comes last — so a model's first hop and its loop
         body, which differ only in that lead-in, find each other's
         per-value tails in the ``sequence`` op cache.
+
+        Field order: a spine's dispatch field, then the other fields
+        written by the part that re-assigns it (``sw``, ``pt``: a packet's
+        location), are ranked before any part is compiled; every other
+        field ranks by first mention.  Each switch's diagram then hangs
+        off one test of the join, instead of the join being repeated
+        under every combination of the flags declared first.  A part
+        that is not a ``case`` is asked once for its diagram at every
+        value (:func:`~repro.core.fdd.ops.cofactors`): each node of an
+        n-value chain is visited once, not once per value.
         """
         spine = dispatch_spine(parts)
         if spine is None:
-            return ops.sequence_all([self.compile(part) for part in parts])
-        field, marked, stable = spine
+            return ops.sequence_all([self.compile_unreduced(part) for part in parts])
+        field, marked, stable, located = spine
+        self.manager.register_fields(located)
         first = next(i for i, table in enumerate(marked) if table is not None)
         whole = [
-            None if table is not None else self.compile(part)
+            None if table is not None else self.compile_unreduced(part)
             for part, table in zip(parts, marked)
         ]
         # Past ``stable`` the field may have been reassigned: those parts
@@ -214,21 +216,26 @@ class Compiler:
             return ops.sequence_all(head[:first] + [tail])
 
         default = run([
-            fdd if fdd is not None else self.compile(part.default)
+            fdd if fdd is not None else self.compile_unreduced(part.default)
             for part, fdd in zip(parts[:stable], whole)
         ])
         values = sorted({
             value for table in marked if table is not None for value in table
         })
+        whole_at = [
+            ops.cofactors(fdd, field, values) if fdd is not None else None
+            for fdd in whole[:stable]
+        ]
+        default_at = ops.cofactors(default, field, values)
         result = default
         for value in reversed(values):
             at_value = run([
-                ops.restrict_eq(fdd, field, value)
-                if fdd is not None
-                else self.compile(table.get(value, part.default))
-                for part, table, fdd in zip(parts[:stable], marked, whole)
+                at[value]
+                if at is not None
+                else self.compile_unreduced(table.get(value, part.default))
+                for part, table, at in zip(parts[:stable], marked, whole_at)
             ])
-            if at_value is not ops.restrict_eq(default, field, value):
+            if at_value is not default_at[value]:
                 guard = self.manager.from_test(field, value)
                 result = ops.ite(guard, at_value, result)
         return result

@@ -37,6 +37,22 @@ def _as_number(value: Number) -> Fraction | float:
     raise TypeError(f"unsupported probability type: {type(value)!r}")
 
 
+def _exact(masses: Iterable[object]) -> bool:
+    """Whether every mass is a :class:`Fraction`: inside a :class:`Dist`
+    those are positive (the constructor rejects negative and drops zero
+    ones) and closed under ``+`` and ``×``, so what is computed from them
+    needs no validation.  Floats — a tolerated tiny negative may cancel,
+    a product may underflow to zero — always go through the constructor.
+    """
+    for mass in masses:
+        if type(mass) is not Fraction:
+            return False
+    return True
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class Dist(Generic[T]):
     """A finitely-supported (sub)probability distribution.
 
@@ -92,10 +108,13 @@ class Dist(Generic[T]):
     def _from_weights(cls, weights: dict[T, "Fraction | float"]) -> "Dist[T]":
         """Wrap an already-clean weight dict without validation.
 
-        Internal hot-path constructor: the caller must own ``weights``
-        (it is stored, not copied) and guarantee positive, normalised
-        numeric masses — e.g. products of probabilities from validated
-        distributions.
+        Internal hot-path constructor.  Invariants the caller guarantees,
+        because nothing here checks them: it owns ``weights`` (stored,
+        not copied), and every mass is a positive :class:`Fraction` or
+        ``float`` — never zero, ``int`` or ``bool`` — i.e. exactly what
+        the validating constructor would have kept.  ``map``, ``bind``,
+        ``convex`` and ``product`` come here when all the masses they
+        combine are fractions (:func:`_exact`), else to the constructor.
         """
         dist = object.__new__(cls)
         dist._weights = weights
@@ -104,7 +123,7 @@ class Dist(Generic[T]):
     @staticmethod
     def point(outcome: T) -> "Dist[T]":
         """The Dirac (point-mass) distribution on ``outcome``."""
-        return Dist({outcome: Fraction(1)})
+        return Dist._from_weights({outcome: _ONE})
 
     @staticmethod
     def uniform(outcomes: Iterable[T]) -> "Dist[T]":
@@ -119,18 +138,28 @@ class Dist(Generic[T]):
     def convex(parts: Iterable[tuple["Dist[T]", Number]], check: bool = True) -> "Dist[T]":
         """Convex combination ``sum_i w_i * d_i`` of distributions."""
         acc: dict[T, Fraction | float] = {}
+        exact = not check  # a total to check is the constructor's job too
         for dist, weight in parts:
-            weight = _as_number(weight)
-            if weight == 0:
+            # A weight comes from outside, sign unknown.  A fraction's is
+            # read off its numerator (an ``int``, no rich comparison).
+            if type(weight) is Fraction:
+                sign = weight.numerator
+            else:
+                sign = weight = _as_number(weight)
+                exact = exact and type(weight) is Fraction
+            if sign == 0:
                 continue
-            for outcome, mass in dist.items():
-                acc[outcome] = acc.get(outcome, Fraction(0)) + weight * mass
-        return Dist(acc, check=check)
+            weights = dist._weights
+            exact = exact and sign > 0 and _exact(weights.values())
+            for outcome, mass in weights.items():
+                prior = acc.get(outcome)
+                acc[outcome] = weight * mass if prior is None else prior + weight * mass
+        return Dist._from_weights(acc) if exact else Dist(acc, check=check)
 
     # -- queries --------------------------------------------------------------
     def __call__(self, outcome: T) -> Fraction | float:
         """Probability mass assigned to ``outcome`` (0 when unsupported)."""
-        return self._weights.get(outcome, Fraction(0))
+        return self._weights.get(outcome, _ZERO)
 
     def prob(self, outcome: T) -> Fraction | float:
         """Alias for :meth:`__call__`."""
@@ -138,7 +167,7 @@ class Dist(Generic[T]):
 
     def prob_of(self, predicate: Callable[[T], bool]) -> Fraction | float:
         """Total mass of outcomes satisfying ``predicate``."""
-        total: Fraction | float = Fraction(0)
+        total: Fraction | float = _ZERO
         for outcome, mass in self._weights.items():
             if predicate(outcome):
                 total = total + mass
@@ -156,7 +185,7 @@ class Dist(Generic[T]):
 
     def total_mass(self) -> Fraction | float:
         """Total probability mass (1 for a proper distribution)."""
-        total: Fraction | float = Fraction(0)
+        total: Fraction | float = _ZERO
         for mass in self._weights.values():
             total = total + mass
         return total
@@ -180,23 +209,29 @@ class Dist(Generic[T]):
         acc: dict[S, Fraction | float] = {}
         for outcome, mass in self._weights.items():
             image = func(outcome)
-            acc[image] = acc.get(image, Fraction(0)) + mass
-        return Dist(acc, check=False)
+            prior = acc.get(image)
+            acc[image] = mass if prior is None else prior + mass
+        exact = _exact(self._weights.values())
+        return Dist._from_weights(acc) if exact else Dist(acc, check=False)
 
     def bind(self, kernel: Callable[[T], "Dist[S]"]) -> "Dist[S]":
         """Monadic bind (``kernel†`` applied to this distribution)."""
         acc: dict[S, Fraction | float] = {}
+        exact = _exact(self._weights.values())
         for outcome, mass in self._weights.items():
-            for image, inner in kernel(outcome).items():
-                acc[image] = acc.get(image, Fraction(0)) + mass * inner
-        return Dist(acc, check=False)
+            inner = kernel(outcome)._weights
+            exact = exact and _exact(inner.values())
+            for image, weight in inner.items():
+                prior = acc.get(image)
+                acc[image] = mass * weight if prior is None else prior + mass * weight
+        return Dist._from_weights(acc) if exact else Dist(acc, check=False)
 
     def product(self, other: "Dist[S]") -> "Dist[tuple[T, S]]":
         """Product measure of two independent distributions."""
         acc: dict[tuple[T, S], Fraction | float] = {}
         for a, pa in self._weights.items():
             for b, pb in other.items():
-                acc[(a, b)] = acc.get((a, b), Fraction(0)) + pa * pb
+                acc[(a, b)] = acc.get((a, b), _ZERO) + pa * pb
         return Dist(acc, check=False)
 
     def normalise(self) -> "Dist[T]":

@@ -72,9 +72,16 @@ class Action:
         """Compose with a later action (or drop)."""
         if other is DROP or isinstance(other, _DropType):
             return DROP
+        if not other.mods:
+            return self
         merged = dict(self.mods)
         merged.update(other.mods)
-        return Action(merged)
+        if len(merged) != len(self.mods):
+            return Action(merged)
+        # No new field: the dict kept this action's (sorted) field order.
+        composed = object.__new__(Action)
+        object.__setattr__(composed, "mods", tuple(merged.items()))
+        return composed
 
     def __repr__(self) -> str:
         if not self.mods:

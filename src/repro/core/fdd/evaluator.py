@@ -41,6 +41,7 @@ from repro.core.fdd.node import (
     FddManager,
     FddNode,
     Leaf,
+    chain_table,
     node_from_spec,
     node_to_spec,
 )
@@ -149,14 +150,7 @@ def materialize_class_row(node: FddNode, cls, leaf_cache: ClassRowCache) -> Clas
     while type(current) is Branch:
         entry = jumps.get(current.uid)
         if entry is None:
-            field = current.field
-            table = {}
-            chain = current
-            while type(chain) is Branch and chain.field == field:
-                if chain.value not in table:
-                    table[chain.value] = chain.hi
-                chain = chain.lo
-            entry = jumps[current.uid] = (field, table, chain)
+            entry = jumps[current.uid] = (current.field, *chain_table(current))
         field, table, default = entry
         current = table.get(lookup(field), default)
     cached = leaf_cache.get(current.uid)
@@ -516,16 +510,18 @@ class CompiledBody:
         return cls(segments, exact, manager)
 
 
-def _assigned_fields(policy: s.Policy) -> frozenset[str]:
-    """Fields that some execution of ``policy`` may assign."""
-    return frozenset(
+def _assigned_fields(policy: s.Policy) -> tuple[str, ...]:
+    """Fields that some execution of ``policy`` may assign, in program order."""
+    if isinstance(policy, s.Predicate):
+        return ()
+    return tuple(dict.fromkeys(
         node.field for node in policy.walk() if isinstance(node, s.Assign)
-    )
+    ))
 
 
 def dispatch_spine(
     parts: Sequence[s.Policy],
-) -> tuple[str, list[dict[int, s.Policy] | None], int] | None:
+) -> tuple[str, list[dict[int, s.Policy] | None], int, tuple[str, ...]] | None:
     """The per-value dispatch structure of a sequence, if it has one.
 
     Network-model programs are sequences of ``case`` nodes dispatching on
@@ -537,13 +533,16 @@ def dispatch_spine(
     compiler's per-switch compilation and :class:`CompiledBody`'s lazily
     specialized bodies both start from it.
 
-    Returns ``(field, marked, stable)``: ``field`` is the field of the
-    first single-field ``case``; ``parts[:stable]`` are the parts that
-    still see the *input* value of ``field`` (everything up to and
+    Returns ``(field, marked, stable, located)``: ``field`` is the field
+    of the first single-field ``case``; ``parts[:stable]`` are the parts
+    that still see the *input* value of ``field`` (everything up to and
     including the first part that may assign it — the topology step
-    assigns ``sw``); and ``marked[i]`` is the ``value -> branch`` table
-    of ``parts[i]`` when it is a ``case`` on ``field`` among those, else
-    ``None``.  ``None`` when no part qualifies.
+    assigns ``sw``); ``marked[i]`` is the ``value -> branch`` table of
+    ``parts[i]`` when it is a ``case`` on ``field`` among those, else
+    ``None``; and ``located`` is ``field`` followed by the other fields
+    that re-assigning part writes, in program order (``sw``, ``pt``: a
+    packet's location) — the fields the compiler ranks first.  ``None``
+    when no part qualifies.
     """
     dispatches = [
         _dispatch_table(part) if isinstance(part, s.Case) else None for part in parts
@@ -553,15 +552,18 @@ def dispatch_spine(
         return None
     marked: list[dict[int, s.Policy] | None] = [None] * len(parts)
     stable = len(parts)
+    located = (field,)
     for index, (part, dispatch) in enumerate(zip(parts, dispatches)):
         if dispatch is not None and dispatch[0] == field:
             marked[index] = dispatch[1]
-        if field in _assigned_fields(part):
+        assigned = _assigned_fields(part)
+        if field in assigned:
             stable = index + 1
+            located += tuple(name for name in assigned if name != field)
             break
     if not any(table is not None for table in marked):
         return None
-    return field, marked, stable
+    return field, marked, stable, located
 
 
 def _specialize_spine(
@@ -581,7 +583,7 @@ def _specialize_spine(
     spine = dispatch_spine(parts)
     if spine is None:
         return None
-    field, marked, _stable = spine
+    field, marked, _stable, _located = spine
     for part, table in zip(parts, marked):
         if table is None and isinstance(part, s.Case):
             dispatch = _dispatch_table(part)

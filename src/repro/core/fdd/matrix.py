@@ -23,8 +23,8 @@ pass, each class's transition row is materialized once as array segments
 triplets accumulate in geometrically grown flat numpy buffers so the
 sparse matrix is built with a single ``csr_matrix((data, (rows, cols)))``
 call — no Python-level ``list.append`` per nonzero.  The pre-vectorization
-per-row path survives as :func:`fdd_to_matrix_reference` for equivalence
-tests and the ``assembly_speedup`` benchmark.
+per-row path is the oracle of the equivalence tests
+(``tests/oracles.py``); it is not part of the library.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, MutableMapping, Sequence
+from collections.abc import Mapping  # typing.Mapping's isinstance is ~100x slower
+from typing import Callable, Iterable, MutableMapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -440,10 +441,6 @@ def fdd_to_matrix(
             row = class_row(node, cls, leaf_cache)
             if row_cache is not None:
                 row_cache[cls] = row
-        elif not isinstance(row, ClassRow):
-            # A caller-populated cache may hold legacy Dist rows.
-            row = ClassRow.from_items(row.items())
-            row_cache[cls] = row
         return row
 
     if seeds is None:
@@ -513,89 +510,6 @@ def fdd_to_matrix(
         matrix=matrix,
         domains={f: tuple(sorted(v)) for f, v in domains.items()},
         assembled_rows=len(classes),
-    )
-
-
-def fdd_to_matrix_reference(
-    node: FddNode,
-    extra_values: Mapping[str, Iterable[int]] | None = None,
-    limit: int | None = 1_000_000,
-    seeds: Iterable[SymbolicPacket] | None = None,
-    absorbing_when: Callable[[SymbolicPacket], bool] | None = None,
-    row_cache: MutableMapping[SymbolicPacket, Dist] | None = None,
-) -> TransitionMatrix:
-    """Pre-vectorization assembly, kept verbatim as a reference oracle.
-
-    Two passes (BFS exploration, then per-row assembly), ``Dist``-valued
-    rows via :func:`class_transition`, and per-nonzero ``list.append`` —
-    including the historical quirk that without a ``row_cache`` every
-    class's row is computed twice.  Used by the equivalence property
-    tests and the ``assembly_speedup`` benchmark; production callers use
-    :func:`fdd_to_matrix`.
-    """
-    domains = matrix_domains(node, extra_values)
-
-    if seeds is None:
-        classes = enumerate_classes(domains, limit=limit)
-    else:
-        frontier = [project_class(cls, domains) for cls in seeds]
-        seen: dict[SymbolicPacket, None] = dict.fromkeys(frontier)
-        order: list[SymbolicPacket] = list(seen)
-        cursor = 0
-        while cursor < len(order):
-            cls = order[cursor]
-            cursor += 1
-            if absorbing_when is not None and absorbing_when(cls):
-                continue
-            row = row_cache.get(cls) if row_cache is not None else None
-            if row is None:
-                row = class_transition(node, cls)
-                if row_cache is not None:
-                    row_cache[cls] = row
-            for outcome in row.support():
-                if isinstance(outcome, _DropType) or outcome in seen:
-                    continue
-                seen[outcome] = None
-                order.append(outcome)
-            if limit is not None and len(order) > limit:
-                raise DomainTooLargeError(
-                    f"reachable symbolic space exceeds the limit {limit}"
-                )
-        classes = order
-
-    index = {cls: i for i, cls in enumerate(classes)}
-    drop_index = len(classes)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i, cls in enumerate(classes):
-        if absorbing_when is not None and absorbing_when(cls):
-            rows.append(i)
-            cols.append(i)
-            data.append(1.0)
-            continue
-        row = row_cache.get(cls) if row_cache is not None else None
-        if row is None:
-            row = class_transition(node, cls)
-            if row_cache is not None:
-                row_cache[cls] = row
-        for outcome, prob in row.items():
-            j = drop_index if isinstance(outcome, _DropType) else index[outcome]
-            rows.append(i)
-            cols.append(j)
-            data.append(float(prob))
-    # The drop row is absorbing.
-    rows.append(drop_index)
-    cols.append(drop_index)
-    data.append(1.0)
-
-    size = len(classes) + 1
-    matrix = csr_matrix((data, (rows, cols)), shape=(size, size))
-    return TransitionMatrix(
-        classes=classes,
-        matrix=matrix,
-        domains={f: tuple(sorted(v)) for f, v in domains.items()},
     )
 
 

@@ -100,7 +100,7 @@ class FddManager:
         self._field_rank: dict[str, int] = {}
         for field in field_order:
             self._field_rank.setdefault(field, len(self._field_rank))
-        self._leaves: dict[tuple, Leaf] = {}
+        self._leaves: dict[frozenset, Leaf] = {}
         self._branches: dict[tuple, Branch] = {}
         self._next_uid = 0
         self.cache: dict[tuple, FddNode] = {}
@@ -139,8 +139,18 @@ class FddManager:
         return uid
 
     def leaf(self, dist: Dist[ActionOrDrop]) -> Leaf:
-        """Intern a leaf with the given action distribution."""
-        key = _dist_key(dist)
+        """Intern a leaf with the given action distribution.
+
+        The key is the *set* of ``(action, mass)`` pairs — a distribution
+        has no order to normalise — with each mass as its exact integer
+        ratio: ``Fraction(1, 2)``, ``0.5`` and ``Fraction(2, 4)`` all key
+        to ``(1, 2)``, because :class:`Dist` treats equal masses as equal
+        whatever their arithmetic type and mixed exact/float pipelines
+        must not duplicate diagrams.  Only equal numbers collide.
+        """
+        key = frozenset(
+            [(action, mass.as_integer_ratio()) for action, mass in dist.items()]
+        )
         node = self._leaves.get(key)
         if node is None:
             node = Leaf(self, self._fresh_uid(), dist)
@@ -190,6 +200,17 @@ class FddManager:
         """Total number of distinct nodes interned so far."""
         return len(self._leaves) + len(self._branches)
 
+    def stats(self) -> dict[str, object]:
+        """Nodes interned, each operation's memo-table size, and the field
+        order (root-most first) — the one thing two managers must share
+        for their diagrams to be the same diagrams."""
+        return {
+            "nodes": self.node_count(),
+            # A snapshot first: a serving thread may add a table meanwhile.
+            "memo": {name: len(cache) for name, cache in list(self._op_caches.items())},
+            "fields": self.fields,
+        }
+
     def op_cache(self, name: str) -> dict[tuple, FddNode]:
         """The dedicated memo table of one FDD operation (created on demand)."""
         cache = self._op_caches.get(name)
@@ -202,35 +223,6 @@ class FddManager:
         self.cache.clear()
         for cache in self._op_caches.values():
             cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-def _action_key(action: ActionOrDrop) -> tuple:
-    if isinstance(action, _DropType):
-        return ("drop",)
-    return ("act", action.mods)
-
-
-def _dist_key(dist: Dist[ActionOrDrop]) -> tuple:
-    return tuple(sorted(
-        ((_action_key(action), _num_key(prob)) for action, prob in dist.items()),
-    ))
-
-
-def _num_key(value) -> tuple[int, int]:
-    """A numeric interning key independent of the representation.
-
-    ``Fraction(1, 2)``, ``0.5``, and ``Fraction(2, 4)`` all key to
-    ``(1, 2)``: :class:`Dist` treats equal masses as equal regardless of
-    their arithmetic type, so leaves holding them must hash-cons to the
-    same node or mixed exact/float pipelines would duplicate diagrams.
-    Floats key by their exact binary ratio, so only genuinely equal
-    numbers collide.
-    """
-    return value.as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +250,22 @@ def output_distribution(node: FddNode, packet: Packet) -> Dist[Packet | _DropTyp
     from repro.core.fdd.actions import apply_action
 
     return evaluate(node, packet).map(lambda action: apply_action(action, packet))
+
+
+def chain_table(node: Branch) -> tuple[dict[int, FddNode], FddNode]:
+    """The run of ``lo``-linked tests on ``node``'s field, as a jump table.
+
+    Ordered diagrams test one field as a linear chain of value branches
+    (one per switch, say).  Returns ``value -> hi`` over that chain and
+    the first node past it, which every other value falls through to.
+    """
+    field = node.field
+    table: dict[int, FddNode] = {}
+    rest: FddNode = node
+    while type(rest) is Branch and rest.field == field:
+        table.setdefault(rest.value, rest.hi)
+        rest = rest.lo
+    return table, rest
 
 
 def iter_nodes(node: FddNode) -> Iterator[FddNode]:

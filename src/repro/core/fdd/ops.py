@@ -18,8 +18,8 @@ the same number share cache entries.
 The operations provided here are exactly those needed to compile the
 guarded fragment of ProbNetKAT:
 
-* :func:`restrict_eq` / :func:`restrict_ne` — partial evaluation given
-  knowledge about one field;
+* :func:`restrict_eq` / :func:`restrict_ne` / :func:`cofactors` — partial
+  evaluation given knowledge about one field;
 * :func:`convex` — convex combination (probabilistic choice);
 * :func:`ite` — conditional on a 0/1-valued predicate FDD;
 * :func:`negate`, :func:`conjoin`, :func:`disjoin` — predicate algebra;
@@ -30,11 +30,11 @@ guarded fragment of ProbNetKAT:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import Action, ActionOrDrop
-from repro.core.fdd.node import Branch, FddManager, FddNode, Leaf
+from repro.core.fdd.node import Branch, FddManager, FddNode, Leaf, chain_table
 from repro.core.packet import _DropType
 
 
@@ -47,14 +47,33 @@ def restrict_eq(node: FddNode, field: str, value: int) -> FddNode:
 
     Every test on ``field`` is resolved (to true when it tests ``value``,
     to false otherwise).
+
+    Invariants: diagrams are ordered, so a leaf, or a test on a
+    later-ranked field, is its own restriction and gets no memo entry.
+    A run of ``lo``-linked tests on ``field`` (one per switch, in a
+    network model) is walked in a plain loop to the ``hi`` child of the
+    test on ``value`` or to the first node past the run, and only the
+    node the walk started from is memoised.  What the walk arrives at is
+    restricted in turn: a hand-built ``hi`` child may test ``field`` again.
     """
+    if type(node) is Leaf:
+        return node
     manager = node.manager
     cache = manager.op_cache("restrict_eq")
-    root_key = (node.uid, field, value)
-    cached = cache.get(root_key)
-    if cached is not None:
-        return cached
-    rank = manager.field_rank(field)
+    field_rank = manager.field_rank
+    rank = field_rank(field)
+
+    def settled(current: FddNode) -> FddNode | None:
+        """The restriction of ``current`` if no work is needed to know it."""
+        if type(current) is Leaf or (
+            current.field != field and field_rank(current.field) > rank
+        ):
+            return current
+        return cache.get((current.uid, field, value))
+
+    result = settled(node)
+    if result is not None:
+        return result
     stack = [node]
     while stack:
         current = stack[-1]
@@ -62,26 +81,23 @@ def restrict_eq(node: FddNode, field: str, value: int) -> FddNode:
         if key in cache:
             stack.pop()
             continue
-        if isinstance(current, Leaf):
-            cache[key] = current
-            stack.pop()
-            continue
         assert isinstance(current, Branch)
         if current.field == field:
-            child = current.hi if current.value == value else current.lo
-            result = cache.get((child.uid, field, value))
+            child: FddNode = current
+            while type(child) is Branch and child.field == field:
+                if child.value == value:
+                    child = child.hi
+                    break
+                child = child.lo
+            result = settled(child)
             if result is None:
                 stack.append(child)
                 continue
             cache[key] = result
             stack.pop()
-        elif manager.field_rank(current.field) > rank:
-            # Ordered diagrams cannot test `field` below this point.
-            cache[key] = current
-            stack.pop()
         else:
-            hi = cache.get((current.hi.uid, field, value))
-            lo = cache.get((current.lo.uid, field, value))
+            hi = settled(current.hi)
+            lo = settled(current.lo)
             if hi is None or lo is None:
                 if hi is None:
                     stack.append(current.hi)
@@ -90,22 +106,65 @@ def restrict_eq(node: FddNode, field: str, value: int) -> FddNode:
                 continue
             cache[key] = manager.branch(current.field, current.value, hi, lo)
             stack.pop()
-    return cache[root_key]
+    return cache[(node.uid, field, value)]
+
+
+def cofactors(node: FddNode, field: str, values: Iterable[int]) -> dict[int, FddNode]:
+    """``restrict_eq(node, field, v)`` for every ``v`` in ``values``, in one pass.
+
+    A diagram that tests ``field`` first does so in one run of
+    ``lo``-linked tests, which :func:`restrict_eq` walks once per value
+    asked; here it is walked once for all of them.  The results are the
+    very nodes :func:`restrict_eq` returns.  When other fields are
+    tested above ``field`` there is no single run to walk, and each
+    value is restricted on its own.
+    """
+    manager = node.manager
+    if type(node) is Leaf or (
+        node.field != field and manager.field_rank(node.field) > manager.field_rank(field)
+    ):
+        return dict.fromkeys(values, node)
+    if node.field != field:
+        return {value: restrict_eq(node, field, value) for value in values}
+    his, rest = chain_table(node)
+    # ``rest`` is past every test on ``field``; a ``hi`` child need not be.
+    return {
+        value: restrict_eq(his[value], field, value) if value in his else rest
+        for value in values
+    }
 
 
 def restrict_ne(node: FddNode, field: str, value: int) -> FddNode:
     """Partially evaluate ``node`` under the knowledge ``field != value``.
 
     Only tests of exactly ``field = value`` are resolved (to false); other
-    tests on the same field remain undetermined.
+    tests on the same field remain undetermined.  As in
+    :func:`restrict_eq`, a node that cannot test ``field = value`` (a
+    leaf, or a test that sorts after it) is its own restriction and gets
+    no memo entry.
     """
+    if type(node) is Leaf:
+        return node
     manager = node.manager
     cache = manager.op_cache("restrict_ne")
-    root_key = (node.uid, field, value)
-    cached = cache.get(root_key)
-    if cached is not None:
-        return cached
-    rank = manager.field_rank(field)
+    field_rank = manager.field_rank
+    rank = field_rank(field)
+
+    def settled(current: FddNode) -> FddNode | None:
+        """The restriction of ``current`` if no work is needed to know it."""
+        if type(current) is Leaf:
+            return current
+        if current.field == field:
+            # Tests increase strictly along paths.
+            if current.value >= value:
+                return current.lo if current.value == value else current
+        elif field_rank(current.field) > rank:
+            return current
+        return cache.get((current.uid, field, value))
+
+    result = settled(node)
+    if result is not None:
+        return result
     stack = [node]
     while stack:
         current = stack[-1]
@@ -113,40 +172,26 @@ def restrict_ne(node: FddNode, field: str, value: int) -> FddNode:
         if key in cache:
             stack.pop()
             continue
-        if isinstance(current, Leaf):
-            cache[key] = current
-            stack.pop()
-            continue
         assert isinstance(current, Branch)
-        if current.field == field and current.value == value:
-            cache[key] = current.lo
-            stack.pop()
-        elif current.field == field and current.value > value:
-            # Tests increase strictly along paths, so `field = value`
-            # cannot occur below.
-            cache[key] = current
-            stack.pop()
-        elif current.field != field and manager.field_rank(current.field) > rank:
-            cache[key] = current
-            stack.pop()
-        else:
-            hi = cache.get((current.hi.uid, field, value))
-            lo = cache.get((current.lo.uid, field, value))
-            if hi is None or lo is None:
-                if hi is None:
-                    stack.append(current.hi)
-                if lo is None:
-                    stack.append(current.lo)
-                continue
-            cache[key] = manager.branch(current.field, current.value, hi, lo)
-            stack.pop()
-    return cache[root_key]
+        hi = settled(current.hi)
+        lo = settled(current.lo)
+        if hi is None or lo is None:
+            if hi is None:
+                stack.append(current.hi)
+            if lo is None:
+                stack.append(current.lo)
+            continue
+        cache[key] = manager.branch(current.field, current.value, hi, lo)
+        stack.pop()
+    return cache[(node.uid, field, value)]
 
 
 def restrict_action(node: FddNode, action: Action) -> FddNode:
     """Partially evaluate ``node`` after the modifications of ``action``."""
     result = node
     for field, value in action.mods:
+        if type(result) is Leaf:
+            break
         result = restrict_eq(result, field, value)
     return result
 
@@ -168,78 +213,54 @@ def _min_test(manager: FddManager, nodes: Sequence[FddNode]) -> tuple[str, int] 
     return best_test
 
 
-def _weight_key(weight) -> tuple[int, int]:
-    """Representation-independent cache key of a probability weight."""
-    return weight.as_integer_ratio()
-
-
 # ---------------------------------------------------------------------------
 # convex combination and conditionals
 # ---------------------------------------------------------------------------
 
-_Parts = tuple[tuple[FddNode, object], ...]
-
-
-def _convex_key(parts: _Parts) -> tuple:
-    return tuple((node.uid, _weight_key(weight)) for node, weight in parts)
-
-
-def _convex_resolve(cache: dict, parts: _Parts) -> FddNode | None:
-    if len(parts) == 1 and parts[0][1] == 1:
-        return parts[0][0]
-    return cache.get(_convex_key(parts))
-
-
 def convex(manager: FddManager, parts: Sequence[tuple[FddNode, object]]) -> FddNode:
     """Convex combination ``Σ_i w_i · d_i`` of FDDs (weights sum to 1)."""
-    filtered: _Parts = tuple(
-        (node, weight) for node, weight in parts if weight != 0
-    )
+    filtered = [(node, weight) for node, weight in parts if weight != 0]
     if not filtered:
         raise ValueError("convex combination of an empty family")
-    quick = _convex_resolve(manager.op_cache("convex"), filtered)
-    if quick is not None:
-        return quick
+    if len(filtered) == 1 and filtered[0][1] == 1:
+        return filtered[0][0]
+    # The weights stay put while the diagrams are split: frames are
+    # tuples of nodes, and the weights' keys are computed once.
+    weights = [weight for _, weight in filtered]
+    ratios = tuple(weight.as_integer_ratio() for weight in weights)
     cache = manager.op_cache("convex")
-    stack: list[_Parts] = [filtered]
+
+    def key(nodes: tuple[FddNode, ...]) -> tuple:
+        return (tuple(node.uid for node in nodes), ratios)
+
+    root = tuple(node for node, _ in filtered)
+    stack = [root]
     while stack:
         current = stack[-1]
-        key = _convex_key(current)
-        if key in cache:
+        current_key = key(current)
+        if current_key in cache:
             stack.pop()
             continue
-        test = _min_test(manager, [node for node, _ in current])
+        test = _min_test(manager, current)
         if test is None:
-            dists = [(node.dist, weight) for node, weight in current]  # type: ignore[union-attr]
-            cache[key] = manager.leaf(Dist.convex(dists, check=False))
+            dists = [(node.dist, weight) for node, weight in zip(current, weights)]  # type: ignore[union-attr]
+            cache[current_key] = manager.leaf(Dist.convex(dists, check=False))
             stack.pop()
             continue
         field, value = test
-        hi_parts: _Parts = tuple(
-            (restrict_eq(node, field, value), weight) for node, weight in current
-        )
-        lo_parts: _Parts = tuple(
-            (restrict_ne(node, field, value), weight) for node, weight in current
-        )
-        hi = _convex_resolve(cache, hi_parts)
-        lo = _convex_resolve(cache, lo_parts)
+        hi_nodes = tuple(restrict_eq(node, field, value) for node in current)
+        lo_nodes = tuple(restrict_ne(node, field, value) for node in current)
+        hi = cache.get(key(hi_nodes))
+        lo = cache.get(key(lo_nodes))
         if hi is None or lo is None:
             if hi is None:
-                stack.append(hi_parts)
+                stack.append(hi_nodes)
             if lo is None:
-                stack.append(lo_parts)
+                stack.append(lo_nodes)
             continue
-        cache[key] = manager.branch(field, value, hi, lo)
+        cache[current_key] = manager.branch(field, value, hi, lo)
         stack.pop()
-    return cache[_convex_key(filtered)]
-
-
-def _is_true_leaf(manager: FddManager, node: FddNode) -> bool:
-    return node is manager.true_leaf
-
-
-def _is_false_leaf(manager: FddManager, node: FddNode) -> bool:
-    return node is manager.false_leaf
+    return cache[key(root)]
 
 
 def _ite_shortcut(
@@ -344,11 +365,12 @@ def is_predicate_fdd(node: FddNode) -> bool:
 def map_leaves(
     node: FddNode,
     func: Callable[[Dist[ActionOrDrop]], Dist[ActionOrDrop]],
-    _cache: dict[int, FddNode] | None = None,
 ) -> FddNode:
     """Apply ``func`` to every leaf distribution, rebuilding the diagram."""
     manager = node.manager
-    cache = _cache if _cache is not None else {}
+    if type(node) is Leaf:
+        return manager.leaf(func(node.dist))
+    cache: dict[int, FddNode] = {}
     stack = [node]
     while stack:
         current = stack[-1]
@@ -433,10 +455,11 @@ def _sequence_leaf(
     eqs: _Eqs,
     neqs: _Neqs,
 ) -> FddNode:
-    parts: list[tuple[FddNode, object]] = []
+    # (``second`` as the action leaves it, the action still to prepend, weight)
+    pending: list[tuple[FddNode, Action | None, object]] = []
     for action, prob in dist.items():
         if isinstance(action, _DropType):
-            parts.append((manager.false_leaf, prob))
+            pending.append((manager.false_leaf, None, prob))
             continue
         # Knowledge about the intermediate packet: the action's writes win;
         # unmodified fields keep what the path through `first` tells us.
@@ -447,14 +470,26 @@ def _sequence_leaf(
         for field, value in neqs:
             if not action.modifies(field):
                 restricted = restrict_ne(restricted, field, value)
-        composed = map_leaves(
-            restricted,
-            lambda leaf_dist, action=action: leaf_dist.map(
-                lambda after: action.then(after)
-            ),
+        pending.append((restricted, action if action.mods else None, prob))
+    if len(pending) > 1 and all(type(node) is Leaf for node, _, _ in pending):
+        # Nothing left to split on: the result is one leaf, and its
+        # summands need not be interned on the way to it.
+        return manager.leaf(Dist.convex(
+            [
+                (node.dist if action is None else node.dist.map(action.then), prob)
+                for node, action, prob in pending
+            ],
+            check=False,
+        ))
+    return convex(manager, [
+        (
+            node
+            if action is None
+            else map_leaves(node, lambda after, then=action.then: after.map(then)),
+            prob,
         )
-        parts.append((composed, prob))
-    return convex(manager, parts)
+        for node, action, prob in pending
+    ])
 
 
 def reduce(node: FddNode) -> FddNode:

@@ -84,10 +84,12 @@ class Policy:
         return ()
 
     def walk(self) -> Iterator["Policy"]:
-        """Pre-order traversal of the syntax tree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Pre-order traversal of the syntax tree (one generator, explicit stack)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def size(self) -> int:
         """Number of AST nodes."""

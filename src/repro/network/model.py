@@ -181,10 +181,12 @@ def build_model(
     pieces.append(routing)
     pieces.append(link_program)
 
-    # Collect the local bookkeeping fields used by the model.
-    mentioned = set()
+    # Collect the local bookkeeping fields used by the model.  This one
+    # walk per piece also serves the field table built below.
+    mentioned: dict[str, set[int]] = {}
     for piece in pieces:
-        mentioned |= piece.fields()
+        for name, values in piece.field_values().items():
+            mentioned.setdefault(name, set()).update(values)
     up_fields = sorted(name for name in mentioned if name.startswith(up_prefix)
                        and name != up_prefix and name[len(up_prefix):].isdigit())
     detour_fields = sorted(name for name in mentioned if name == "detour")
@@ -192,27 +194,32 @@ def build_model(
 
     # Re-initialise flags after each hop so loop-head states depend only on
     # the packet location (see module docstring).
+    resets: list[s.Policy] = []
     if up_fields:
-        pieces.append(sugar.set_all(up_fields, 1))
+        resets.append(sugar.set_all(up_fields, 1))
     if count_hops:
-        pieces.append(sugar.increment(hops_field, max_hops))
-    body = s.seq(*pieces)
-
-    core = s.seq(
-        ingress_predicate,
-        body,
-        s.while_do(s.neg(out_predicate), body),
-        s.assign(pt_field, 0),
-    )
-    if count_hops:
-        core = s.seq(s.assign(hops_field, 0), core)
+        resets.append(sugar.increment(hops_field, max_hops))
+    body = s.seq(*pieces, *resets)
 
     bindings = [(name, 1) for name in up_fields]
     bindings += [(name, 0) for name in detour_fields]
     bindings += [(name, 0) for name in counter_fields]
     declared = {name for name, _ in bindings}
     bindings += [(name, init) for name, init in extra_locals if name not in declared]
-    policy = sugar.locals_in(bindings, core) if bindings else core
+
+    def around(hop: s.Policy) -> s.Policy:
+        """The model program around one hop: ``in ; hop ; while ¬out do hop``."""
+        core = s.seq(
+            ingress_predicate,
+            hop,
+            s.while_do(s.neg(out_predicate), hop),
+            s.assign(pt_field, 0),
+        )
+        if count_hops:
+            core = s.seq(s.assign(hops_field, 0), core)
+        return sugar.locals_in(bindings, core) if bindings else core
+
+    policy = around(body)
 
     teleport_core = s.seq(ingress_predicate, s.assign(sw_field, dest), s.assign(pt_field, 0))
     teleport = sugar.locals_in(bindings, teleport_core) if bindings else teleport_core
@@ -221,7 +228,10 @@ def build_model(
         Packet({sw_field: switch, pt_field: port}) for switch, port in ingress
     ]
 
-    table = FieldTable.from_policy(policy)
+    # The frame around a hop of resets is small; the pieces were walked above.
+    table = FieldTable.from_policy(around(s.seq(*resets)))
+    for name, values in mentioned.items():
+        table.declare(name, min(0, min(values)), max(values))
     return NetworkModel(
         topology=topology,
         dest=dest,

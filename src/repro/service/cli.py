@@ -551,7 +551,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(
                 f"solver: {solver.get('factorizations', 0)} factorization(s), "
                 f"{solver.get('schur_updates', 0)} Schur update(s), "
-                f"{solver.get('assembly_rows', 0)} row(s) assembled"
+                f"{solver.get('assembly_rows', 0)} row(s) assembled, "
+                f"{solver.get('fdd_nodes', 0)} FDD node(s)"
             )
 
         if args.output:

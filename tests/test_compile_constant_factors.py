@@ -1,0 +1,339 @@
+"""The compile's constant factors, checked without a clock.
+
+Four shortcuts came out of the FDD compile wall: ``Dist`` operations
+that skip the validating constructor when their inputs make validation
+moot, one ``reduce`` per program instead of one per sub-term, one pass
+over a same-field chain instead of one ``restrict_eq`` per value, and
+the location fields ranked first.  Each is held here to the slow path it
+replaced — kept in this file as the oracle — by identity (``is``) or
+exact equality, never by timing.
+
+The exact-mode refinement verdicts of Figure 11(c) are pinned cell by
+cell in ``test_case_study.py`` and the plan stages' identity with the
+monolithic product in ``test_compile_per_switch.py``; both pass
+unmodified and are not repeated here.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.backends import MatrixBackend
+from repro.core import syntax as s
+from repro.core.compiler import Compiler
+from repro.core.distributions import Dist
+from repro.core.fdd import ops
+from repro.core.fdd.node import Branch, FddManager, FddNode, Leaf, iter_nodes
+from repro.core.interpreter import Interpreter
+
+from test_compile_per_switch import f10_batch_model, fattree_model, loop_free_runs
+from test_properties import guarded_programs
+
+
+# ---------------------------------------------------------------------------
+# (i) Dist fast paths == the validating constructor
+# ---------------------------------------------------------------------------
+
+ZERO = Fraction(0)
+
+
+def slow_map(dist: Dist, func) -> Dist:
+    acc: dict = {}
+    for outcome, mass in dist.items():
+        acc[func(outcome)] = acc.get(func(outcome), ZERO) + mass
+    return Dist(acc, check=False)
+
+
+def slow_bind(dist: Dist, kernel) -> Dist:
+    acc: dict = {}
+    for outcome, mass in dist.items():
+        for image, inner in kernel(outcome).items():
+            acc[image] = acc.get(image, ZERO) + mass * inner
+    return Dist(acc, check=False)
+
+
+def slow_convex(parts, check: bool) -> Dist:
+    acc: dict = {}
+    for dist, weight in parts:
+        if isinstance(weight, bool) or not isinstance(weight, (int, Fraction, float)):
+            raise TypeError(weight)
+        weight = Fraction(weight) if isinstance(weight, int) else weight
+        if weight == 0:
+            continue
+        for outcome, mass in dist.items():
+            acc[outcome] = acc.get(outcome, ZERO) + weight * mass
+    return Dist(acc, check=check)
+
+
+def outcome_of(call):
+    """What a call did: its weights with their exact types, or the error it raised."""
+    try:
+        dist = call()
+    except (TypeError, ValueError) as error:
+        return type(error)
+    return {outcome: (type(mass), mass) for outcome, mass in dist.items()}
+
+
+_fractions = st.fractions(min_value=Fraction(1, 50), max_value=1, max_denominator=50)
+_floats = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
+#: Everything the constructor lets into a distribution: positive fractions and
+#: floats, a float so small that products underflow to 0.0, a tolerated
+#: tiny-negative float, and (dropped on the way in) zero of either type.
+_masses = st.one_of(
+    _fractions,
+    _fractions,
+    _floats,
+    st.sampled_from([1e-200, -1e-10, -5e-10, 0.0, Fraction(0)]),
+)
+_outcomes = st.integers(min_value=0, max_value=4)
+_dists = st.dictionaries(_outcomes, _masses, max_size=5).map(
+    lambda weights: Dist(weights, check=False)
+)
+_weights = st.one_of(
+    _masses,
+    st.sampled_from([0, 1, 2, -1, Fraction(-1, 3), -0.25, True, "1/2"]),
+)
+_many = settings(max_examples=120, deadline=None)
+
+
+class TestDistFastPathsEqualTheValidatingConstructor:
+    @_many
+    @given(_dists, st.sampled_from([lambda o: o, lambda o: o % 2, lambda o: 0]))
+    def test_map(self, dist, func):
+        assert outcome_of(lambda: dist.map(func)) == outcome_of(lambda: slow_map(dist, func))
+
+    @_many
+    @given(_dists, st.lists(_dists, min_size=5, max_size=5))
+    def test_bind(self, dist, images):
+        def kernel(outcome):
+            return images[outcome]
+
+        assert outcome_of(lambda: dist.bind(kernel)) == outcome_of(lambda: slow_bind(dist, kernel))
+
+    @_many
+    @given(st.lists(st.tuples(_dists, _weights), max_size=4), st.booleans())
+    def test_convex(self, parts, check):
+        assert outcome_of(lambda: Dist.convex(parts, check=check)) == outcome_of(
+            lambda: slow_convex(parts, check)
+        )
+
+    def test_the_cases_by_name(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        exact = Dist({0: half, 1: third, 2: Fraction(1, 6)})
+        # Duplicate images merge, and the sums are the constructor's fractions.
+        assert outcome_of(lambda: exact.map(lambda o: o % 2)) == {
+            0: (Fraction, Fraction(2, 3)), 1: (Fraction, third),
+        }
+        # A tolerated tiny-negative float may cancel: only the constructor may drop it.
+        shaky = Dist({0: 1e-10, 1: -1e-10, 2: 1.0}, check=False)
+        assert shaky.map(lambda o: min(o, 1)).support() == slow_map(
+            shaky, lambda o: min(o, 1)
+        ).support()
+        # Two of them together are no longer tolerable.
+        worse = Dist({0: -9e-10, 1: -9e-10, 2: 1.0}, check=False)
+        with pytest.raises(ValueError):
+            worse.map(lambda o: 0 if o < 2 else 1)
+        # A product of positive floats that underflows is a zero mass: dropped.
+        tiny = Dist({0: 1e-200, 1: 0.5}, check=False)
+        assert tiny.bind(lambda o: Dist({o: tiny(o)}, check=False)).support() == frozenset({1})
+        # Weights are outside input.
+        for weight in (True, "1/2", None):
+            with pytest.raises(TypeError):
+                Dist.convex([(exact, weight)])
+        with pytest.raises(ValueError):
+            Dist.convex([(exact, Fraction(-1, 2))], check=False)
+        # ... and only the sums are judged, as before.
+        assert Dist.convex([(exact, Fraction(-1, 2)), (exact, Fraction(3, 2))]) == exact
+        with pytest.raises(ValueError):
+            Dist.convex([(exact, half)])  # check=True: mass 1/2
+        assert Dist.convex([(exact, 0), (exact, 1)]) == exact
+        assert outcome_of(lambda: Dist.point("a")) == {"a": (Fraction, Fraction(1))}
+        with pytest.raises(TypeError):
+            Dist.point([])  # unhashable, as before
+
+
+# ---------------------------------------------------------------------------
+# (ii) reduce once is reduce everywhere; one pass over a chain is restrict_eq
+# ---------------------------------------------------------------------------
+
+class ReducesEverySubTerm(Compiler):
+    """The compile this change replaced: each sub-term normalised as compiled."""
+
+    def compile_unreduced(self, policy: s.Policy) -> FddNode:
+        return ops.reduce(super().compile_unreduced(policy))
+
+
+def generic_restrict_eq(node: FddNode, field: str, value: int) -> FddNode:
+    """``restrict_eq`` as it was: every node visited and memoised, no chain walk."""
+    manager = node.manager
+    rank = manager.field_rank(field)
+    memo: dict[int, FddNode] = {}
+    stack = [node]
+    while stack:
+        current = stack[-1]
+        if current.uid in memo:
+            stack.pop()
+        elif isinstance(current, Leaf):
+            memo[current.uid] = current
+        elif current.field == field:
+            child = current.hi if current.value == value else current.lo
+            if child.uid in memo:
+                memo[current.uid] = memo[child.uid]
+            else:
+                stack.append(child)
+        elif manager.field_rank(current.field) > rank:
+            memo[current.uid] = current
+        elif current.hi.uid in memo and current.lo.uid in memo:
+            memo[current.uid] = manager.branch(
+                current.field, current.value, memo[current.hi.uid], memo[current.lo.uid]
+            )
+        else:
+            stack.extend(child for child in (current.hi, current.lo) if child.uid not in memo)
+    return memo[node.uid]
+
+
+def assert_restrictions_are_the_generic_ones(node: FddNode) -> None:
+    """Every field, every value in and out of the diagram, both entry points."""
+    tested: dict[str, set[int]] = {}
+    for current in iter_nodes(node):
+        if isinstance(current, Branch):
+            tested.setdefault(current.field, set()).add(current.value)
+    for field, values in tested.items():
+        probes = sorted(values | {min(values) - 1, max(values) + 1})
+        table = ops.cofactors(node, field, probes)
+        assert list(table) == probes
+        for value in probes:
+            want = generic_restrict_eq(node, field, value)
+            assert ops.restrict_eq(node, field, value) is want
+            assert table[value] is want
+
+
+NETWORK_MODELS = [
+    pytest.param(lambda: fattree_model(4, True), id="fattree4-failures"),
+    pytest.param(lambda: fattree_model(6, True), id="fattree6-failures"),
+    pytest.param(f10_batch_model, id="f10_3-k6"),
+]
+
+
+class TestNormaliseOnceAndWalkOnce:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(guarded_programs())
+    def test_generated_programs(self, policy):
+        manager = FddManager()
+        once = Compiler(manager, exact=True).compile(policy)
+        assert once is ReducesEverySubTerm(manager, exact=True).compile(policy)
+        assert_restrictions_are_the_generic_ones(once)
+        assert_restrictions_are_the_generic_ones(
+            Compiler(manager, exact=True).compile_unreduced(policy)
+        )
+
+    @pytest.mark.parametrize("build", NETWORK_MODELS)
+    def test_network_models(self, build):
+        model = build()
+        backend = MatrixBackend()
+        plan = backend.plan(model.policy)
+        everywhere = ReducesEverySubTerm(backend.manager)
+        runs = [s.seq(*run) for run in loop_free_runs(model.policy)]
+        stages = [
+            stage.fdd if hasattr(stage, "fdd") else stage.body_fdd for stage in plan.stages
+        ]
+        oracles = [everywhere.compile(run) for run in runs]
+        expected = [fdd for fdd in oracles if fdd is not backend.manager.true_leaf]
+        assert len(stages) == len(expected)
+        for got, want in zip(stages, expected):
+            assert got is want
+            assert_restrictions_are_the_generic_ones(got)
+
+    def test_a_hi_child_that_tests_the_field_again_is_restricted(self):
+        """Hand-built, not canonical: nothing in ``branch`` forbids it."""
+        manager = FddManager(["sw", "pt"])
+        a, b, c = (manager.from_assign("pt", n) for n in (1, 2, 3))
+        inner = manager.branch("sw", 2, a, b)             # sw=2 ? a : b
+        outer = manager.branch("sw", 1, inner, c)         # sw=1 ? inner : c
+        chain = manager.branch("sw", 0, manager.false_leaf, outer)
+        for node in (outer, chain):
+            table = ops.cofactors(node, "sw", [0, 1, 2, 3])
+            assert table[1] is ops.restrict_eq(node, "sw", 1) is b  # not ``inner``
+            assert table[2] is ops.restrict_eq(node, "sw", 2) is c
+            assert table[3] is c
+        assert ops.cofactors(chain, "sw", [0])[0] is manager.false_leaf
+        assert_restrictions_are_the_generic_ones(chain)
+
+    def test_a_field_tested_below_others_has_no_chain_to_walk(self):
+        manager = FddManager(["up", "sw"])
+        low = manager.branch("sw", 1, manager.true_leaf, manager.false_leaf)
+        node = manager.branch("up", 1, low, manager.false_leaf)
+        table = ops.cofactors(node, "sw", [0, 1])
+        assert table[1] is manager.branch("up", 1, manager.true_leaf, manager.false_leaf)
+        assert table[0] is manager.false_leaf
+        assert_restrictions_are_the_generic_ones(node)
+
+
+# ---------------------------------------------------------------------------
+# (iii) same answers under the new field order
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "k,failures,sample",
+    [(4, True, None), (6, True, None), (8, False, 12), (10, False, 6)],
+)
+def test_fig7_models_answer_like_the_ast_interpreter(k, failures, sample):
+    model = fattree_model(k, failures)
+    backend = MatrixBackend()
+    answers = backend.output_distributions(model.policy, model.ingress_packets)
+    assert backend.manager.fields[:2] == ("sw", "pt")
+    reference = Interpreter(compile_bodies=False)
+    step = 1 if sample is None else len(model.ingress_packets) // sample
+    for packet in model.ingress_packets[::step]:
+        want = reference.run_packet(model.policy, packet)
+        got = answers[packet]
+        for outcome in set(want.support()) | set(got.support()):
+            assert float(got(outcome)) == pytest.approx(float(want(outcome)), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# (iv) the restriction step is linear in the chain
+# ---------------------------------------------------------------------------
+
+def restriction_step_visits(monkeypatch, k: int) -> tuple[int, int]:
+    """(chain nodes ``_compile_seq``'s restriction step walked, dispatch values)
+    for one cold plan of FatTree ``k``, which also never falls back to
+    asking ``restrict_eq`` for one value at a time."""
+    visits = values_seen = 0
+    real = ops.cofactors
+
+    def counting(node, field, values):
+        nonlocal visits, values_seen
+        values = list(values)
+        if field == "sw":
+            values_seen = max(values_seen, len(values))
+            assert not (
+                isinstance(node, Branch)
+                and node.field != "sw"
+                and node.manager.field_rank(node.field) < node.manager.field_rank("sw")
+            ), "the dispatch field is ranked first: every whole part starts with its chain"
+            rest = node
+            while isinstance(rest, Branch) and rest.field == "sw":
+                visits += 1
+                rest = rest.lo
+        return real(node, field, values)
+
+    monkeypatch.setattr(ops, "cofactors", counting)
+    backend = MatrixBackend()
+    backend.plan(fattree_model(k, False).policy)
+    return visits, values_seen
+
+
+def test_one_cold_k10_plan_walks_each_chain_once(monkeypatch):
+    small_visits, small_n = restriction_step_visits(monkeypatch, 6)
+    visits, n = restriction_step_visits(monkeypatch, 10)
+    assert (small_n, n) == (45, 125)  # one dispatch value per switch
+    # A handful of whole parts (ingress predicate, the run of defaults), each
+    # a chain of at most n tests, walked once: O(n), where one
+    # ``restrict_eq`` per value walked n(n+1)/2 nodes of each.
+    assert visits <= 8 * n
+    assert visits * small_n <= 2 * small_visits * n  # and it grows like n

@@ -24,13 +24,14 @@ from repro.core.fdd.matrix import (
     enumerate_classes,
     evaluate_class,
     fdd_to_matrix,
-    fdd_to_matrix_reference,
     fresh_values,
     matrix_domains,
     matrix_to_fdd,
 )
 from repro.core.fdd.node import FddManager, output_distribution
 from repro.core.packet import DROP, Packet
+
+from oracles import fdd_to_matrix_reference, matrices_identical
 
 
 class TestSymbolicPacket:
@@ -251,26 +252,6 @@ class TestSinglePassAssembly:
         assert calls == first  # second assembly served entirely from the cache
 
 
-def _matrices_identical(vectorized, reference, tolerance=1e-12):
-    """Entry-identical as functions of (source class, target class).
-
-    Seeded class *discovery order* is not part of the contract: the
-    reference BFS expands ``Dist.support()`` (a frozenset, hash-ordered)
-    while the vectorized pass expands outcomes in row order, so the same
-    class set may be indexed differently.  Align the reference onto the
-    vectorized indexing (drop column last in both) before demanding
-    entry-identity within ``tolerance``.
-    """
-    assert set(vectorized.classes) == set(reference.classes)
-    assert vectorized.domains == reference.domains
-    assert vectorized.matrix.shape == reference.matrix.shape
-    ref_index = {cls: i for i, cls in enumerate(reference.classes)}
-    perm = [ref_index[cls] for cls in vectorized.classes] + [len(reference.classes)]
-    aligned = reference.matrix[perm, :][:, perm]
-    delta = (vectorized.matrix - aligned).toarray()
-    assert np.abs(delta).max(initial=0.0) <= tolerance
-
-
 _FIELDS = ["f", "g"]
 _VALUES = [0, 1, 2]
 _tests_st = st.builds(s.test, st.sampled_from(_FIELDS), st.sampled_from(_VALUES))
@@ -299,7 +280,7 @@ class TestVectorizedAssemblyEquivalence:
     @given(policy=_programs(2))
     def test_full_domain_assembly_identical(self, policy):
         fdd = compile_policy(policy, exact=True)
-        _matrices_identical(fdd_to_matrix(fdd), fdd_to_matrix_reference(fdd))
+        matrices_identical(fdd_to_matrix(fdd), fdd_to_matrix_reference(fdd))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(policy=_programs(2), data=st.data())
@@ -316,7 +297,7 @@ class TestVectorizedAssemblyEquivalence:
             return cls.value("f") == absorb_value
 
         predicate = None if absorb_value is None else absorbing
-        _matrices_identical(
+        matrices_identical(
             fdd_to_matrix(fdd, seeds=seeds, absorbing_when=predicate),
             fdd_to_matrix_reference(fdd, seeds=seeds, absorbing_when=predicate),
         )
