@@ -213,6 +213,11 @@ def test_matrix_backend_scaling(benchmark, p, failure_probability):
     label = f"matrix_k{p}_f{'1000' if failure_probability else '0'}"
     MATRIX_PHASES[f"{label}_compile_s"] = compile_s
     MATRIX_PHASES[f"{label}_query_s"] = query_s
+    # What is left of a query once the three kernels are taken out: FDD
+    # stages, class → packet decoding, the per-ingress merge.  Recorded, not gated.
+    MATRIX_PHASES[f"{label}_decode_s"] = query_s - sum(
+        timings.get(kernel, 0.0) for kernel in ("assemble", "factorize", "solve")
+    )
     MATRIX_PHASES[f"{label}_peak_rss_mb"] = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     )

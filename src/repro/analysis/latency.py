@@ -15,7 +15,6 @@ from typing import Mapping
 from repro.analysis.queries import _distribution_engine, _with_session
 from repro.core.distributions import Dist
 from repro.core.interpreter import Interpreter
-from repro.core.packet import _DropType
 from repro.network.model import NetworkModel
 
 
@@ -55,9 +54,7 @@ def hop_count_distribution(
         interp = interpreter if interpreter is not None else Interpreter(exact=exact)
         output = interp.run(model.policy, Dist.uniform(model.ingress_packets))
     return output.map(
-        lambda out: None
-        if isinstance(out, _DropType) or out.get("sw") != model.dest
-        else out.get(hops_field)
+        lambda out: out.get(hops_field) if model.is_delivered(out) else None
     )
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Sequence
 
 from repro.core import syntax as s
@@ -112,13 +113,16 @@ class _LoopStage:
         # repeated batch queries never re-sort the whole seed set.
         self._seed_order: list[SymbolicPacket] = []
         self._sort_keys: dict[SymbolicPacket, tuple] = {}
-        # Per-field membership sets and a packet->class memo: classification
-        # runs once per distinct outcome packet, not once per occurrence.
+        # Per-field membership sets and a packet -> (class, residual) memo:
+        # classification runs once per distinct outcome packet, not once
+        # per occurrence.
         self._domain_sets = {field: frozenset(values) for field, values in domains.items()}
-        self._class_cache: dict[Packet, SymbolicPacket] = {}
-        # (solution class, input packet) -> concrete output packet, so
-        # repeated batches replay loop solutions without rebuilding packets.
+        self._class_cache: dict[Packet, tuple[SymbolicPacket, Packet]] = {}
+        # (solution class, residual) -> concrete output packet and entering
+        # packet -> decoded solution row (see _concretize): packets are
+        # built once per distinct outcome, rows decoded once per packet.
         self._concrete_cache: dict[tuple[SymbolicPacket, Packet], Packet] = {}
+        self._decoded: dict[Packet, tuple[tuple[Outcome, float], ...]] = {}
 
     @property
     def factorizations(self) -> int:
@@ -153,14 +157,18 @@ class _LoopStage:
 
     def classify_packet(self, packet: Packet) -> SymbolicPacket:
         """The symbolic class of a concrete packet over this loop's domain."""
+        return self._classified(packet)[0]
+
+    def _classified(self, packet: Packet) -> tuple[SymbolicPacket, Packet]:
+        """The class of ``packet`` and its residual (see :func:`_concretize`)."""
         cached = self._class_cache.get(packet)
         if cached is None:
             values: dict[str, int | None] = {}
             for field, members in self._domain_sets.items():
                 value = packet.get(field)
                 values[field] = value if value in members else None
-            cached = SymbolicPacket(values)
-            self._class_cache[packet] = cached
+            residual = packet.restrict(name for name in packet if values.get(name) is None)
+            cached = self._class_cache[packet] = (SymbolicPacket(values), residual)
         return cached
 
     def sort_key(self, cls: SymbolicPacket) -> tuple:
@@ -184,13 +192,23 @@ class _LoopStage:
         return self._seed_order
 
     def concretize(self, cls: SymbolicPacket, base: Packet) -> Packet:
-        """Memoised :func:`_concretize`: the output packet of ``cls`` on ``base``."""
-        key = (cls, base)
-        cached = self._concrete_cache.get(key)
+        """Memoised :func:`_concretize`, keyed by ``cls`` and ``base``'s residual."""
+        residual = self._classified(base)[1]
+        cached = self._concrete_cache.get((cls, residual))
         if cached is None:
-            cached = _concretize(cls, base)
-            self._concrete_cache[key] = cached
+            cached = self._concrete_cache[cls, residual] = _concretize(cls, residual)
         return cached
+
+    def decoded(self, packet: Packet) -> tuple[tuple[Outcome, float], ...]:
+        """The solved loop's output on an entering packet, as ``(outcome, mass)`` pairs."""
+        row = self._decoded.get(packet)
+        if row is None:
+            solution = self.solutions[self.classify_packet(packet)]
+            row = self._decoded[packet] = tuple(
+                (DROP if cls is DROP else self.concretize(cls, packet), weight)
+                for cls, weight in solution.items()
+            )
+        return row
 
 
 @dataclass
@@ -601,15 +619,8 @@ class MatrixBackend:
     def delivery_probabilities(self, model) -> dict[Packet, float]:
         """Per-ingress delivery probability of a network model (batched)."""
         outputs = self.output_distributions(model.policy, model.ingress_packets)
-        return {
-            packet: float(
-                dist.prob_of(
-                    lambda out: not isinstance(out, _DropType)
-                    and out.get("sw") == model.dest
-                )
-            )
-            for packet, dist in outputs.items()
-        }
+        delivered = cache(model.is_delivered)  # once per distinct outcome packet
+        return {packet: float(dist.prob_of(delivered)) for packet, dist in outputs.items()}
 
     def certainly_delivers(self, model, tolerance: float = 1e-9) -> bool:
         """Whether every ingress packet is delivered with probability one.
@@ -746,51 +757,59 @@ class MatrixBackend:
     def _apply_fdd_stage(
         self, stage: _FddStage, dists: list[dict[Outcome, object]]
     ) -> list[dict[Outcome, object]]:
-        cache: dict[Packet, Dist] = {}
+        # One descent per distinct packet of the batch; its row of
+        # (successor, weight) pairs is floated once more if a float mass
+        # (one that has been through a loop) ever reaches it.
+        rows: dict[Packet, tuple] = {}
+        float_rows: dict[Packet, tuple] = {}
         advanced: list[dict[Outcome, object]] = []
         for dist in dists:
             acc: dict[Outcome, object] = {}
             for outcome, mass in dist.items():
-                if isinstance(outcome, _DropType):
+                if outcome is DROP:
                     acc[DROP] = acc.get(DROP, 0) + mass
                     continue
-                row = cache.get(outcome)
+                row = rows.get(outcome)
                 if row is None:
-                    row = fdd_output_distribution(stage.fdd, outcome)
-                    cache[outcome] = row
-                for successor, weight in row.items():
-                    acc[successor] = acc.get(successor, 0) + mass * weight
+                    row = rows[outcome] = tuple(
+                        fdd_output_distribution(stage.fdd, outcome).items()
+                    )
+                if type(mass) is float:
+                    row = float_rows.get(outcome)
+                    if row is None:
+                        row = float_rows[outcome] = tuple(
+                            (successor, float(weight)) for successor, weight in rows[outcome]
+                        )
+                unit = type(mass) is int and mass == 1  # an ingress: 1 × w is w
+                for successor, weight in row:
+                    term = weight if unit else mass * weight
+                    prior = acc.get(successor)
+                    acc[successor] = term if prior is None else prior + term
             advanced.append(acc)
         return advanced
 
     def _apply_loop_stage(
         self, stage: _LoopStage, dists: list[dict[Outcome, object]]
     ) -> list[dict[Outcome, object]]:
-        entries: set[Packet] = set()
-        for dist in dists:
-            for outcome in dist:
-                if isinstance(outcome, _DropType):
-                    continue
-                if stage.entered_by(outcome):
-                    entries.add(outcome)
-        self._solve_loop(stage, entries)
+        # Everything but the final merge happens once per distinct outcome
+        # packet of the batch: guard, solve, decode.  A packet (or drop)
+        # without a row does not enter the loop, which is then the identity.
+        distinct = dict.fromkeys(outcome for dist in dists for outcome in dist)
+        entering = [
+            packet for packet in distinct if packet is not DROP and stage.entered_by(packet)
+        ]
+        self._solve_loop(stage, entering)
+        rows = {packet: stage.decoded(packet) for packet in entering}
         advanced: list[dict[Outcome, object]] = []
         for dist in dists:
             acc: dict[Outcome, object] = {}
             for outcome, mass in dist.items():
-                if isinstance(outcome, _DropType):
-                    acc[DROP] = acc.get(DROP, 0) + mass
-                    continue
-                if outcome not in entries:  # guard already false: loop is identity
+                row = rows.get(outcome)
+                if row is None:
                     acc[outcome] = acc.get(outcome, 0) + mass
                     continue
-                solution = stage.solutions[stage.classify_packet(outcome)]
-                for cls, weight in solution.items():
-                    successor: Outcome = (
-                        DROP
-                        if isinstance(cls, _DropType)
-                        else stage.concretize(cls, outcome)
-                    )
+                mass = float(mass)  # what ``mass * weight`` does to a Fraction
+                for successor, weight in row:
                     acc[successor] = acc.get(successor, 0) + mass * weight
             advanced.append(acc)
         return advanced
@@ -847,7 +866,8 @@ class MatrixBackend:
             if lost:
                 # Diverging mass is assigned to drop (guarded limit semantics).
                 row[DROP] = row.get(DROP, 0) + lost
-            stage.solutions[cls] = Dist(row, check=False)
+            # Solver rows hold only positive floats: nothing to validate.
+            stage.solutions[cls] = Dist._from_weights(row)
 
 
 def _class_sort_key(cls: SymbolicPacket) -> tuple:
@@ -865,6 +885,15 @@ def _concretize(cls: SymbolicPacket, base: Packet) -> Packet:
     fields were untouched by the loop (a wildcard can only be preserved,
     never created), so the packet keeps its own value — or stays without
     the field — exactly like the forward interpreter.
+
+    Actions write only mentioned values, so a field that ``base``'s own
+    class holds concretely is concrete in every class the loop reaches
+    from it and is overwritten here.  The result therefore depends on
+    ``base`` only through its *residual* — ``base`` restricted to the
+    fields its class holds as wildcards or not at all (one and the same
+    for every ingress of a network model) — and may be computed from, and
+    memoised by, the residual alone.  That holds for the classes of
+    ``base``'s own solution, which is all a loop stage ever asks for.
     """
     return base.set_many(
         {fieldname: value for fieldname, value in cls.values if value is not None}

@@ -82,12 +82,14 @@ class Compiler:
         node, making FDD comparison a complete equivalence check.
 
         Invariant: ``compile(p) is ops.reduce(compile_unreduced(p))`` —
-        the program is normalised once, its sub-terms not at all.
-        ``reduce`` only drops leaf modifications implied by the tests
-        above them, which every FDD operation carries down, so reducing
-        the operands first arrives at the same interned node.  (A loop's
-        guard and body *are* normalised first: its symbolic domain is
-        read off them.)  Both steps are memoised where they happen.
+        the program is normalised once, its loop-free sub-terms not at
+        all.  ``reduce`` only drops leaf modifications implied by the
+        tests above them, which every FDD operation carries down, so
+        reducing the operands first arrives at the same interned node
+        (or, where ``reduce`` is incomplete, at a less canonical one).
+        A loop normalises its guard and body first (its symbolic domain
+        is read off them) *and its result*, whose leaves write every
+        field of a class.  Both steps are memoised where they happen.
         """
         return ops.reduce(self.compile_unreduced(policy))
 
@@ -298,7 +300,10 @@ class Compiler:
         domain_map: Mapping[str, tuple[int, ...]] = {
             field: tuple(sorted(values)) for field, values in domains.items()
         }
-        return matrix_to_fdd(manager, domain_map, rows, default=manager.false_leaf)
+        # The rows write every concrete field of their output class, tested
+        # above or not: normalise here, or a sequence built on this diagram
+        # keeps tests that the program's one final ``reduce`` cannot remove.
+        return ops.reduce(matrix_to_fdd(manager, domain_map, rows, default=manager.false_leaf))
 
 
 def ops_evaluate_bool(manager: FddManager, pred_fdd: FddNode, cls: SymbolicPacket) -> bool:

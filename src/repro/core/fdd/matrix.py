@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import Action, ActionOrDrop
 from repro.core.fdd.evaluator import ClassRow, ClassRowCache, materialize_class_row
-from repro.core.fdd.node import Branch, FddManager, FddNode, Leaf, mentioned_values
+from repro.core.fdd.node import FddManager, FddNode, leaf_of, mentioned_values
 from repro.core.packet import DROP, Packet, _DropType
 
 #: Marker for "any value not explicitly mentioned by the program".
@@ -223,14 +223,7 @@ def evaluate_class(node: FddNode, cls: SymbolicPacket) -> Dist[ActionOrDrop]:
     Well-defined because the class fixes the outcome of every test the FDD
     can perform (the domain includes every mentioned value).
     """
-    current = node
-    while isinstance(current, Branch):
-        if cls.satisfies_test(current.field, current.value):
-            current = current.hi
-        else:
-            current = current.lo
-    assert isinstance(current, Leaf)
-    return current.dist
+    return leaf_of(node, dict(cls.values).get).dist
 
 
 def class_transition(node: FddNode, cls: SymbolicPacket) -> Dist["SymbolicPacket | _DropType"]:

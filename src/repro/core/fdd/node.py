@@ -16,7 +16,7 @@ redundant tests, which keeps them canonical.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import DROP, IDENTITY, Action, ActionOrDrop
@@ -108,6 +108,8 @@ class FddManager:
         # plain tuples without an operation tag: smaller keys, no repeated
         # hashing of operation-name strings on the hot compile paths.
         self._op_caches: dict[str, dict[tuple, FddNode]] = {}
+        # Branch uid -> (field, chain_table): the jump tables of leaf_of.
+        self._jump_memo: dict[int, tuple[str, dict[int, FddNode], FddNode]] = {}
         # Frequently used constants.
         self.true_leaf = self.leaf(Dist.point(IDENTITY))
         self.false_leaf = self.leaf(Dist.point(DROP))
@@ -230,19 +232,8 @@ class FddManager:
 # ---------------------------------------------------------------------------
 
 def evaluate(node: FddNode, packet: Packet) -> Dist[ActionOrDrop]:
-    """Evaluate an FDD on a concrete packet, returning its action distribution.
-
-    A test on a field the packet does not carry is treated as false,
-    matching the interpreter and the reference semantics.
-    """
-    current = node
-    while isinstance(current, Branch):
-        if packet.get(current.field) == current.value:
-            current = current.hi
-        else:
-            current = current.lo
-    assert isinstance(current, Leaf)
-    return current.dist
+    """Evaluate an FDD on a concrete packet, returning its action distribution."""
+    return leaf_of(node, dict(packet.items()).get).dist
 
 
 def output_distribution(node: FddNode, packet: Packet) -> Dist[Packet | _DropType]:
@@ -266,6 +257,35 @@ def chain_table(node: Branch) -> tuple[dict[int, FddNode], FddNode]:
         table.setdefault(rest.value, rest.hi)
         rest = rest.lo
     return table, rest
+
+
+def leaf_of(node: FddNode, lookup: Callable[[str], int | None]) -> Leaf:
+    """The leaf of ``node`` selected by the packet (or class) behind ``lookup``.
+
+    ``lookup(field)`` is the value the input holds in ``field``, or
+    ``None`` when it holds none the diagram could test — a packet without
+    the field, a class's wildcard — which fails every test, as in the
+    interpreter and the reference semantics.
+
+    This is the one descent every evaluation shares.  It does not compare
+    the input against each test of a same-field chain in turn: a chain is
+    entered through its :func:`chain_table`, built on first use and kept
+    on the manager (diagrams are immutable, uids unique per manager), so a
+    descent costs one ``lookup`` and one dict probe per chain — O(fields)
+    on a reduced diagram, however many switches a chain lists.  A value
+    the table lacks (``None`` included) takes the chain's fall-through,
+    exactly like failing each test; on an unreduced diagram whose ``hi``
+    child tests the field again, that child is simply the next chain.
+    """
+    jumps = node.manager._jump_memo
+    current = node
+    while type(current) is Branch:
+        entry = jumps.get(current.uid)
+        if entry is None:
+            entry = jumps[current.uid] = (current.field, *chain_table(current))
+        field, table, default = entry
+        current = table.get(lookup(field), default)
+    return current
 
 
 def iter_nodes(node: FddNode) -> Iterator[FddNode]:

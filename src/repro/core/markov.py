@@ -40,6 +40,7 @@ from typing import Hashable, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
 State = TypeVar("State", bound=Hashable)
@@ -211,22 +212,25 @@ class AbsorptionSystem:
         :func:`solve_absorption`.
         """
         absorption = self.absorption_matrix()
-        rows: dict[State, dict[State, float]] = {}
+        negative = np.argwhere(absorption < -1e-6)
+        if len(negative):
+            i, j = negative[0]
+            raise ArithmeticError(
+                f"negative absorption probability {absorption[i, j]} for {self.transient[i]!r}"
+            )
+        # Only the nonzeros of the clamped matrix are visited, row-major
+        # like the rows they fill.
+        clamped = np.clip(absorption, 0.0, 1.0)
+        filled: list[dict[State, float]] = [{} for _ in self.transient]
+        nz_rows, nz_cols = np.nonzero(clamped)
+        absorbing = self.absorbing
+        for i, j, value in zip(
+            nz_rows.tolist(), nz_cols.tolist(), clamped[nz_rows, nz_cols].tolist()
+        ):
+            filled[i][absorbing[j]] = value
+        rows: dict[State, dict[State, float]] = dict(zip(self.transient, filled))
         lost: dict[State, float] = {}
-        for state in self.transient:
-            i = self._t_index[state]
-            row: dict[State, float] = {}
-            for j, a_state in enumerate(self.absorbing):
-                value = float(absorption[i, j])
-                if value < 0.0:
-                    if value < -1e-6:
-                        raise ArithmeticError(
-                            f"negative absorption probability {value} for {state!r}"
-                        )
-                    value = 0.0
-                if value > 0.0:
-                    row[a_state] = min(value, 1.0)
-            rows[state] = row
+        for state, row in rows.items():
             deficit = 1.0 - sum(row.values())
             lost[state] = deficit if deficit > SOLVER_TOLERANCE else 0.0
         for state in self.doomed:
@@ -252,51 +256,73 @@ def solve_absorption_batched(
         For each transient state, a mapping from successor state to
         transition probability.  Successors may be transient or
         absorbing; rows may be sub-stochastic (mass can be lost).
+
+    The row dicts are read once, into index arrays; reachability, the
+    Q/R split and ``I - Q`` are array operations on those.  What is
+    checked is what always was: states that cannot reach absorption are
+    set aside as :attr:`~AbsorptionSystem.doomed` (in the caller's order,
+    like :attr:`~AbsorptionSystem.transient`) and the mass entering them
+    is dropped, a zero-probability edge is no edge, and a successor of a
+    solvable state that is neither transient nor absorbing is a
+    :class:`KeyError`.
     """
     transient = list(transient)
     absorbing = list(absorbing)
+    n, na = len(transient), len(absorbing)
     if not transient:
-        return AbsorptionSystem([], absorbing, [], None, csc_matrix((0, len(absorbing))))
-    reaching = _states_reaching_absorption(transient, absorbing, transitions)
-    doomed = [state for state in transient if state not in reaching]
-    transient = [state for state in transient if state in reaching]
-    nt, na = len(transient), len(absorbing)
-    if not transient:
-        return AbsorptionSystem([], absorbing, doomed, None, csc_matrix((0, na)))
-    t_index = {state: i for i, state in enumerate(transient)}
-    a_index = {state: j for j, state in enumerate(absorbing)}
-
-    q_rows: list[int] = []
-    q_cols: list[int] = []
-    q_data: list[float] = []
-    r_rows: list[int] = []
-    r_cols: list[int] = []
-    r_data: list[float] = []
-    doomed_set = set(doomed)
-    for state in transient:
-        i = t_index[state]
+        return AbsorptionSystem([], absorbing, [], None, csc_matrix((0, na)))
+    # One index over all states, absorbing ones from n up; -1 is unknown.
+    index = {state: n + j for j, state in enumerate(absorbing)}
+    index.update((state, i) for i, state in enumerate(transient))
+    edge_rows: list[int] = []
+    edge_cols: list[int] = []
+    edge_data: list[float] = []
+    unknown: list[State] = []
+    for i, state in enumerate(transient):
         for succ, prob in transitions.get(state, {}).items():
             p = float(prob)
             if p == 0.0:
                 continue
-            if succ in t_index:
-                q_rows.append(i)
-                q_cols.append(t_index[succ])
-                q_data.append(p)
-            elif succ in a_index:
-                r_rows.append(i)
-                r_cols.append(a_index[succ])
-                r_data.append(p)
-            elif succ in doomed_set:
-                continue  # mass entering a doomed state can never be absorbed
-            else:
-                raise KeyError(f"successor {succ!r} is neither transient nor absorbing")
-
-    q_mat = csc_matrix((q_data, (q_rows, q_cols)), shape=(nt, nt))
-    r_mat = csc_matrix((r_data, (r_rows, r_cols)), shape=(nt, na))
-    system = (identity(nt, format="csc") - q_mat).tocsc()
-    lu = splu(system)
-    return AbsorptionSystem(transient, absorbing, doomed, lu, r_mat)
+            j = index.get(succ, -1)
+            if j < 0:
+                unknown.append(succ)
+            edge_rows.append(i)
+            edge_cols.append(j)
+            edge_data.append(p)
+    rows, cols = np.array(edge_rows, dtype=np.int64), np.array(edge_cols, dtype=np.int64)
+    data = np.array(edge_data, dtype=np.float64)
+    known = cols >= 0
+    # Backward reachability from node n, which stands for every absorbing
+    # state: the transient states it does not reach are doomed.
+    sources, targets = rows[known], np.minimum(cols[known], n)
+    back = csr_matrix((np.ones(len(sources)), (targets, sources)), shape=(n + 1, n + 1))
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[breadth_first_order(back, n, return_predecessors=False)] = True
+    live = reached[:n]
+    if unknown and (reachable := live[rows[~known]]).any():
+        succ = unknown[int(reachable.argmax())]
+        raise KeyError(f"successor {succ!r} is neither transient nor absorbing")
+    doomed = [state for state, ok in zip(transient, live) if not ok]
+    transient = [state for state, ok in zip(transient, live) if ok]
+    nt = len(transient)
+    if not transient:
+        return AbsorptionSystem([], absorbing, doomed, None, csc_matrix((0, na)))
+    # Rows of live states only; mass entering a doomed state can never be
+    # absorbed and is dropped.  ``compact`` renumbers the live states.
+    compact = np.cumsum(live) - 1
+    to_r = live[rows] & (cols >= n)
+    to_q = live[rows] & known & (cols < n)
+    to_q[to_q] = live[cols[to_q]]
+    q_rows, q_cols, diagonal = compact[rows[to_q]], compact[cols[to_q]], np.arange(nt)
+    system = csc_matrix(
+        (
+            np.concatenate([np.ones(nt), -data[to_q]]),
+            (np.concatenate([diagonal, q_rows]), np.concatenate([diagonal, q_cols])),
+        ),
+        shape=(nt, nt),
+    )  # I - Q: a self-loop's entry adds onto its diagonal one
+    r_mat = csc_matrix((data[to_r], (compact[rows[to_r]], cols[to_r] - n)), shape=(nt, na))
+    return AbsorptionSystem(transient, absorbing, doomed, splu(system), r_mat)
 
 
 class IncrementalAbsorptionSolver:
@@ -473,6 +499,10 @@ class IncrementalAbsorptionSolver:
             self.system = system
         self.factorizations += 1
 
+        if not gateways:  # nothing to compose: the rows are final as solved
+            solutions.update((state, result[state]) for state in new)
+            self._lost.update((state, result.lost_mass[state]) for state in new)
+            return
         zero: Fraction | float = Fraction(0) if self.exact else 0.0
         for state in new:
             raw = result.get(state, {})

@@ -23,14 +23,15 @@ packet locations, which is what makes forward exploration scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from repro.core import sugar
 from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.fields import FieldTable
-from repro.core.interpreter import Interpreter, Outcome
-from repro.core.packet import Packet, _DropType
+from repro.core.interpreter import Interpreter, Outcome, eval_predicate
+from repro.core.packet import DROP, Packet
 from repro.topology.graph import Topology
 
 
@@ -67,6 +68,15 @@ class NetworkModel:
     fields: FieldTable = field(default_factory=FieldTable)
 
     # -- analyses -------------------------------------------------------------
+    def is_delivered(self, outcome: Outcome) -> bool:
+        """Whether ``outcome`` is a packet satisfying :attr:`delivered`.
+
+        The one reading of "delivered" (the model may name its switch field
+        anything); a batch wraps it in :func:`functools.cache`, so it runs
+        once per distinct outcome packet, not per ingress × outcome.
+        """
+        return outcome is not DROP and eval_predicate(self.delivered, outcome)
+
     def output_distributions(
         self, exact: bool = False, interpreter: Interpreter | None = None
     ) -> dict[Packet, Dist[Outcome]]:
@@ -82,14 +92,8 @@ class NetworkModel:
     ) -> dict[Packet, float]:
         """Per-ingress probability that the packet reaches the destination."""
         outputs = self.output_distributions(exact=exact, interpreter=interpreter)
-        return {
-            packet: float(
-                dist.prob_of(
-                    lambda out: not isinstance(out, _DropType) and out.get("sw") == self.dest
-                )
-            )
-            for packet, dist in outputs.items()
-        }
+        delivered = cache(self.is_delivered)
+        return {packet: float(dist.prob_of(delivered)) for packet, dist in outputs.items()}
 
     def delivery_probability(
         self, exact: bool = False, interpreter: Interpreter | None = None
@@ -105,13 +109,11 @@ class NetworkModel:
         (no numerical tolerance involved).
         """
         interp = interpreter if interpreter is not None else Interpreter()
+        delivered = cache(self.is_delivered)
         for packet in self.ingress_packets:
             outcomes, may_diverge = interp.certain_outcomes(self.policy, packet)
-            if may_diverge:
+            if may_diverge or not all(map(delivered, outcomes)):
                 return False
-            for outcome in outcomes:
-                if isinstance(outcome, _DropType) or outcome.get("sw") != self.dest:
-                    return False
         return True
 
 

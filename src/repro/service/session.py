@@ -901,7 +901,7 @@ class AnalysisSession:
             total = 0.0
             mass = 0.0
             for outcome, prob in dist.items():
-                if isinstance(outcome, _DropType) or outcome.get("sw") != model.dest:
+                if not _is_delivered(outcome, model.delivered):
                     continue
                 hops = outcome.get(hops_field)
                 if hops is None:

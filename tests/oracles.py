@@ -4,7 +4,8 @@ The library has one implementation of each kernel; what it replaced
 lives here, verbatim, so the tests (and the fig7 harness, which records
 both kernels' absolute seconds) can hold the fast path to the slow
 one's answers.  The dense Gauss–Jordan oracle of the exact absorption
-solver sits beside its tests in ``test_exact_solver.py``.
+solver sits beside its tests in ``test_exact_solver.py``; the float
+solver's dict-based construction is :func:`solve_absorption_reference`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, MutableMapping
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse.linalg import splu
 
 from repro.core.distributions import Dist
 from repro.core.fdd.matrix import (
@@ -25,6 +27,7 @@ from repro.core.fdd.matrix import (
     project_class,
 )
 from repro.core.fdd.node import FddNode
+from repro.core.markov import SOLVER_TOLERANCE, AbsorptionResult, _states_reaching_absorption
 from repro.core.packet import _DropType
 
 
@@ -128,3 +131,75 @@ def matrices_identical(vectorized, reference, tolerance=1e-12):
     aligned = reference.matrix[perm, :][:, perm]
     delta = (vectorized.matrix - aligned).toarray()
     assert np.abs(delta).max(initial=0.0) <= tolerance
+
+
+def solve_absorption_reference(transient, absorbing, transitions):
+    """The dict-and-set construction :func:`repro.core.markov.solve_absorption_batched`
+    and :meth:`~repro.core.markov.AbsorptionSystem.result` had before they
+    went to index arrays, kept verbatim as their oracle.
+
+    Set-based backward reachability over the row dicts, a second pass
+    over the same dicts into Q/R triplet lists, ``identity - Q``, and the
+    dense answer read back cell by cell.  Returns ``(transient, doomed,
+    result)``: the solvable and the doomed states in the caller's order,
+    and the :class:`AbsorptionResult`.
+    """
+    transient = list(transient)
+    absorbing = list(absorbing)
+    if not transient:
+        return [], [], AbsorptionResult({}, {})
+    reaching = _states_reaching_absorption(transient, absorbing, transitions)
+    doomed = [state for state in transient if state not in reaching]
+    transient = [state for state in transient if state in reaching]
+    nt, na = len(transient), len(absorbing)
+    t_index = {state: i for i, state in enumerate(transient)}
+    a_index = {state: j for j, state in enumerate(absorbing)}
+
+    q_rows, q_cols, q_data = [], [], []
+    r_rows, r_cols, r_data = [], [], []
+    doomed_set = set(doomed)
+    for state in transient:
+        i = t_index[state]
+        for succ, prob in transitions.get(state, {}).items():
+            p = float(prob)
+            if p == 0.0:
+                continue
+            if succ in t_index:
+                q_rows.append(i)
+                q_cols.append(t_index[succ])
+                q_data.append(p)
+            elif succ in a_index:
+                r_rows.append(i)
+                r_cols.append(a_index[succ])
+                r_data.append(p)
+            elif succ in doomed_set:
+                continue  # mass entering a doomed state can never be absorbed
+            else:
+                raise KeyError(f"successor {succ!r} is neither transient nor absorbing")
+
+    absorption = np.zeros((nt, na))
+    if nt and na:
+        q_mat = csc_matrix((q_data, (q_rows, q_cols)), shape=(nt, nt))
+        r_mat = csc_matrix((r_data, (r_rows, r_cols)), shape=(nt, na))
+        absorption = splu((identity(nt, format="csc") - q_mat).tocsc()).solve(r_mat.toarray())
+
+    rows, lost = {}, {}
+    for i, state in enumerate(transient):
+        row = {}
+        for j, a_state in enumerate(absorbing):
+            value = float(absorption[i, j])
+            if value < 0.0:
+                if value < -1e-6:
+                    raise ArithmeticError(
+                        f"negative absorption probability {value} for {state!r}"
+                    )
+                value = 0.0
+            if value > 0.0:
+                row[a_state] = min(value, 1.0)
+        rows[state] = row
+        deficit = 1.0 - sum(row.values())
+        lost[state] = deficit if deficit > SOLVER_TOLERANCE else 0.0
+    for state in doomed:
+        rows[state] = {}
+        lost[state] = 1.0
+    return transient, doomed, AbsorptionResult(rows, lost)

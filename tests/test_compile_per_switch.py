@@ -34,6 +34,8 @@ from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy, f10_model
 from repro.topology import ab_fat_tree, edge_switches, fat_tree
 
+from test_properties import examples
+
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -206,7 +208,7 @@ class TestSpineShapedSequencesEvaluateLikeTheOracle:
     """FDDs are not canonical under redundant multi-valued tests, so here
     the demand is equal behaviour on every class of the joint domain."""
 
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_sequences)
     def test_generated_sequences(self, parts):
         assume(dispatch_spine(parts) is not None)

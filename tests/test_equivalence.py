@@ -70,6 +70,27 @@ class TestFddEquivalence:
         unrolled = s.ite(guard, s.seq(body, loop), s.skip())
         assert fdd_equivalent(loop, unrolled)
 
+    def test_a_loop_that_never_runs_is_skip_wherever_it_stands(self):
+        """``p ; while ⊥ do q ≡ p``: a loop's diagram writes every field of a
+        class, and must be normalised before it is sequenced (found at random
+        by ``test_compile_constant_factors``; pinned there as an ``@example``)."""
+        p = s.choice((s.assign("f", 0), Fraction(1, 4)), (s.skip(), Fraction(3, 4)))
+        never = s.conj(s.drop(), s.neg(s.test("f", 2)))
+        q = s.choice((s.assign("f", 2), Fraction(1, 2)), (s.assign("f", 0), Fraction(1, 2)))
+        assert fdd_equivalent(s.seq(p, s.while_do(never, q)), p)
+        assert fdd_equivalent(s.seq(s.while_do(never, q), p), p)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="reduce has no rule for a test whose hi equals its lo restricted to "
+        "that value: the loop keeps a test on the value it assigns (ROADMAP item 5)",
+    )
+    def test_completeness_gap_a_loop_tests_the_value_it_assigns(self):
+        loop = s.while_do(s.test("f", 5), s.assign("f", 0))
+        cond = s.ite(s.test("f", 5), s.assign("f", 0), s.skip())
+        assert output_equivalent(loop, cond, [Packet({"f": n}) for n in (0, 5, 7)], exact=True)
+        assert fdd_equivalent(loop, cond)
+
     def test_inequivalent_programs_detected(self):
         assert not fdd_equivalent(s.assign("f", 1), s.assign("f", 2))
         assert not fdd_equivalent(

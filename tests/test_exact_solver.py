@@ -26,6 +26,8 @@ from repro.core.markov import (
 )
 from repro.routing import f10_model
 
+from test_properties import examples
+
 
 def dense_oracle(transient, absorbing, transitions) -> AbsorptionResult:
     """Gauss–Jordan over the whole augmented matrix ``[I - Q | R]``.
@@ -155,7 +157,7 @@ def sparse_chains(draw):
     return list(range(n)), transitions, stochastic
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(300), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(sparse_chains())
 def test_equals_dense_oracle_on_random_sparse_chains(chain):
     transient, transitions, stochastic = chain
@@ -249,7 +251,7 @@ def test_long_cycle_is_one_component():
     assert sorted(map(len, _sccs_sinks_first(ring))) == [n]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(
     st.integers(min_value=1, max_value=12).flatmap(
         lambda n: st.lists(

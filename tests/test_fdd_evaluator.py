@@ -28,6 +28,8 @@ from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP, Packet, PacketUniverse
 from repro.core.semantics.denotational import eval_policy
 
+from test_properties import examples
+
 FIELDS = ["f", "g"]
 VALUES = [0, 1, 2]
 UNIVERSE = PacketUniverse({"f": VALUES, "g": VALUES})
@@ -84,7 +86,7 @@ def reference_output(policy: s.Policy, packet: Packet):
 
 
 class TestAgreementProperties:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(body=bodies(2), packet=st.sampled_from(list(UNIVERSE.packets)))
     def test_compiled_matches_interpreter_and_reference_exact(self, body, packet):
         compiled = compile_body(body, exact=True)
@@ -94,7 +96,7 @@ class TestAgreementProperties:
         assert via_compiled.total_mass() == 1
         assert via_compiled.close_to(reference_output(body, packet), tolerance=1e-9)
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(body=bodies(2), packet=st.sampled_from(list(UNIVERSE.packets)))
     def test_compiled_float_path_matches_interpreter(self, body, packet):
         compiled = compile_body(body, exact=False)
@@ -103,7 +105,7 @@ class TestAgreementProperties:
         assert via_compiled.close_to(via_interp, tolerance=1e-9)
         assert float(via_compiled.total_mass()) == pytest.approx(1.0, abs=1e-9)
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(40), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(body=bodies(2), packet=st.sampled_from(list(UNIVERSE.packets)))
     def test_guarded_loop_agrees_through_interpreter(self, body, packet):
         """Full-loop check: compiled-body exploration vs pure AST interpretation."""

@@ -32,6 +32,7 @@ from repro.core.fdd.node import FddManager, output_distribution
 from repro.core.packet import DROP, Packet
 
 from oracles import fdd_to_matrix_reference, matrices_identical
+from test_properties import examples
 
 
 class TestSymbolicPacket:
@@ -276,13 +277,13 @@ def _programs(depth: int = 2):
 class TestVectorizedAssemblyEquivalence:
     """Vectorized single-pass assembly ≡ the old per-row reference path."""
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(policy=_programs(2))
     def test_full_domain_assembly_identical(self, policy):
         fdd = compile_policy(policy, exact=True)
         matrices_identical(fdd_to_matrix(fdd), fdd_to_matrix_reference(fdd))
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(policy=_programs(2), data=st.data())
     def test_seeded_assembly_identical(self, policy, data):
         fdd = compile_policy(policy, exact=True)

@@ -12,6 +12,8 @@ from repro.core.markov import (
     solve_absorption_exact,
 )
 
+from test_properties import examples
+
 
 class TestFloatSolver:
     def test_simple_two_state_chain(self):
@@ -285,7 +287,7 @@ class TestSchurGrowthUpdates:
 
 
 @given(data=st.data())
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(80), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_incremental_growth_matches_from_scratch(data):
     """Randomized growth schedules ≡ a from-scratch batched solve (≤1e-9).
 

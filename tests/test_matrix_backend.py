@@ -390,6 +390,65 @@ class TestMatrixBackendEquivalence:
         )
 
 
+class TestOneDeliveredPredicate:
+    """A model may name its switch field anything: every path reads ``model.delivered``."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        topo = fat_tree(4)
+        failable = downward_failable_ports(topo)
+        return build_model(
+            topo,
+            routing=ecmp_policy(topo, 1, sw_field="node"),
+            dest=1,
+            failure=independent_failure_program(failable, 1 / 100, sw_field="node"),
+            failable=failable,
+            count_hops=True,
+            sw_field="node",
+        )
+
+    def test_backend_model_session_and_interpreter_agree(self, model):
+        from repro.service import AnalysisSession, Query
+
+        oracle = Interpreter(compile_bodies=False)
+        delivered = Packet({"node": 1, "pt": 0})
+        want = {
+            packet: float(
+                oracle.run_packet(model.policy, packet).prob_of(
+                    lambda out: out is not DROP and out.restrict(["node", "pt"]) == delivered
+                )
+            )
+            for packet in model.ingress_packets
+        }
+        assert 0.9 < min(want.values()) < 1.0  # neither of the answers a wrong field gives
+        backend = MatrixBackend()
+        with AnalysisSession(models=[model]) as session:
+            answers = session.query_batch(
+                [Query.delivery(packet, 1) for packet in model.ingress_packets]
+            )
+            hops = session.query_batch([Query.hops(model.ingress_packets[0], 1)]).values[0]
+        for got in (
+            backend.delivery_probabilities(model),
+            model.delivery_probabilities(),
+            dict(zip(model.ingress_packets, answers.values)),
+        ):
+            assert got == pytest.approx(want, abs=1e-9)
+        assert not backend.certainly_delivers(model) and not model.certainly_delivers()
+        # Hop counts are conditioned on the same predicate.
+        assert expected_hop_count(model, backend=backend) == pytest.approx(
+            expected_hop_count(model), abs=1e-9
+        )
+        assert 2.0 <= hops <= 4.5
+
+    def test_certain_delivery_without_failures(self):
+        topo = fat_tree(4)
+        model = build_model(
+            topo, routing=ecmp_policy(topo, 1, sw_field="node"), dest=1, sw_field="node"
+        )
+        assert MatrixBackend().certainly_delivers(model) and model.certainly_delivers()
+        assert set(MatrixBackend().delivery_probabilities(model).values()) == {1.0}
+
+
 class TestBackendThreading:
     """backend= reaches the analysis entry points."""
 

@@ -30,6 +30,13 @@ from repro.core.semantics.denotational import eval_policy
 FIELDS = ["f", "g"]
 VALUES = [0, 1, 2]
 
+
+def examples(count: int) -> int:
+    """A property test's ``max_examples``: ``count`` by default, scaled by
+    the loaded profile's own factor (4× under ``explore``, see conftest.py)."""
+    return count * settings.default.max_examples // settings.get_profile("tier1").max_examples
+
+
 tests = st.builds(s.test, st.sampled_from(FIELDS), st.sampled_from(VALUES))
 assigns = st.builds(s.assign, st.sampled_from(FIELDS), st.sampled_from(VALUES))
 
@@ -83,7 +90,7 @@ def reference_output(policy: s.Policy, packet: Packet):
     return dist.map(lambda outputs: next(iter(outputs)) if outputs else DROP)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(policy=loop_free(2), packet=st.sampled_from(list(UNIVERSE.packets)))
 def test_loop_free_semantics_agree(policy, packet):
     via_fdd = fdd_output(compile_policy(policy, exact=True), packet)
@@ -94,7 +101,7 @@ def test_loop_free_semantics_agree(policy, packet):
     assert via_fdd.total_mass() == 1
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(30), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(policy=guarded_programs(), packet=st.sampled_from(list(UNIVERSE.packets)))
 def test_guarded_semantics_agree(policy, packet):
     via_fdd = fdd_output(compile_policy(policy, exact=True), packet)
@@ -105,7 +112,7 @@ def test_guarded_semantics_agree(policy, packet):
     assert via_fdd.close_to(via_reference, tolerance=1e-6)
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(40), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(policy=loop_free(2))
 def test_compilation_is_deterministic_and_canonical(policy):
     manager = FddManager()
@@ -114,7 +121,7 @@ def test_compilation_is_deterministic_and_canonical(policy):
     assert first is second
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(40), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(policy=loop_free(2), packet=st.sampled_from(list(UNIVERSE.packets)))
 def test_sequencing_with_skip_and_drop(policy, packet):
     interp = Interpreter(exact=True)
@@ -124,7 +131,7 @@ def test_sequencing_with_skip_and_drop(policy, packet):
     )
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(40), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     policy=loop_free(1),
     other=loop_free(1),
