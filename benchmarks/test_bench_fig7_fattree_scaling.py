@@ -27,24 +27,33 @@ and were retired with the change that did so.
 The matrix backend sweeps further, reporting its one-time FDD
 compilation separately from the batched all-ingress query, plus the
 process's peak RSS after each configuration (memory is the paper's other
-axis): FatTree k=4…12 with and without failures, and k=32 without
-(1 280 switches, 8 176 ingresses).  Sizes are fixed; ``REPRO_SCALE``
-does not change them.  ``peak_rss_mb`` is ``ru_maxrss``, the process's
-high-water mark, so it is monotone along the sweep and, inside a full
-tier-1 run, starts from whatever the earlier tests left; run this module
-alone for a clean curve.
+axis): FatTree k=4…12 with and without failures, k=14 and k=16 with
+failures, and k=32 without (1 280 switches, 8 176 ingresses).  Sizes are
+fixed; ``REPRO_SCALE`` does not change them.  Every configuration's
+answers are asserted against the closed form (below); ``peak_rss_mb`` is
+``ru_maxrss``, the process's high-water mark, so it is monotone along
+the sweep and, inside a full tier-1 run, starts from whatever the
+earlier tests left — the k=16-with-failures configuration asserts it
+under 1 GiB all the same; run this module alone for a clean curve.
 
-k=16 *with* failures is still out of reach, and not for constant
-factors: a switch with m failable ports samples m independent flags,
-and its diagram is their 2^m-leaf product (m = k/2 on an aggregation
-switch, and the join keeps one such product per switch).  k=14 with
-failures is tens of seconds and over a gigabyte.  Compiling one diagram
-per switch *role* and sharing the failure model's structure (ROADMAP
-item 1(b)) is what moves that wall.
+With failures, a core switch samples k independent flags; multiplied
+out, they are a 2^k-leaf product per switch (k=12: 5 s and 360 MiB a
+plan, k=16 out of reach).  The compiler does not multiply them out: each
+flag is composed onto the routing/topology/reset product that tests and
+then overwrites it before it meets the other flags, and one diagram is
+compiled per switch *role* (seven per FatTree stage, at every k) and
+renamed for every switch of the role.  A cold k=12-with-failures plan is
+0.1 s, k=16 0.3 s and under 120 MiB.  k=32 with failures plans in 4.8 s
+and answers its 8 176 ingresses in 9.8 s at 758 MiB; 15 s would make
+this module half as long again, so that configuration is measured by
+hand (the numbers above), not swept.
 
-``compile_ops_k8_f1000`` — the ``restrict_eq`` + ``restrict_ne`` +
-``ite`` memo entries one cold FatTree k=8-with-failures plan creates, a
-count that repeats exactly — is gated by CI as a lower-is-better metric.
+``compile_ops_k8_f1000`` (the ``restrict_eq`` + ``restrict_ne`` + ``ite``
+memo entries), ``leaf_actions_composed_k8_f1000``, ``compile_roles_k8_f1000``
+and ``role_instances_k8_f1000`` are one cold FatTree k=8-with-failures
+plan's work, counted.  They repeat exactly and are asserted equal to
+their pinned values; the first is also gated by CI as a lower-is-better
+metric.
 """
 
 from __future__ import annotations
@@ -68,14 +77,27 @@ FAILURES = 1 / 1000
 NATIVE_SIZES = [4, 6, 8]
 #: ``(k, failure probability)`` swept by the matrix backend, cheapest
 #: first so ``peak_rss_mb`` (a high-water mark) tracks the curve: the
-#: native sizes, then k=10 and k=12 (180 switches; with failures that
-#: is seconds of per-switch FDD compile), then k=32 without failures
+#: native sizes, then k=10 and k=12, then k=14 and k=16 with failures
+#: (320 switches, 16 flags per core switch), then k=32 without failures
 #: (1 280 switches), where assembly and the solve dominate.
-MATRIX_CONFIGS = [
-    (k, failures) for k in NATIVE_SIZES + [10, 12] for failures in (None, FAILURES)
-] + [(32, None)]
+MATRIX_CONFIGS = (
+    [(k, failures) for k in NATIVE_SIZES + [10, 12] for failures in (None, FAILURES)]
+    + [(14, FAILURES), (16, FAILURES)]
+    + [(32, None)]
+)
 #: The FDD operations whose memo-table sizes make up ``compile_ops_*``.
 COMPILE_OPS = ("restrict_eq", "restrict_ne", "ite")
+#: One cold FatTree k=8-with-failures plan's work: memo entries, actions
+#: of the leaves ``sequence`` composed, runs compiled, diagrams renamed.
+#: (Before roles and sampler-first: 2 888, 8 046, and 160 runs compiled.)
+K8_F1000_WORK = {
+    "compile_ops": 1410,
+    "leaf_actions_composed": 248,
+    "compile_roles": 14,
+    "role_instances": 160,
+}
+#: The ceiling ROADMAP item 1 set for k=16 with failures, in MiB.
+K16_RSS_CEILING_MB = 1024
 #: The PRISM pipeline explores the full product state space and is kept small.
 PRISM_SIZES = [4]
 #: Timed repetitions per loop stage of the assembly-kernel comparison.
@@ -126,7 +148,7 @@ def prism_construct(p: int, failure_probability: float | None):
 
 
 def matrix_construct(p: int, failure_probability: float | None):
-    """All-ingress answers plus this configuration's own phase seconds.
+    """The model, its all-ingress answers, and this configuration's own phase seconds.
 
     The sweep shares one backend, whose stopwatch accumulates: the
     configuration's cost is the difference across the call.
@@ -135,12 +157,25 @@ def matrix_construct(p: int, failure_probability: float | None):
     backend = shared_backend("fig7", "matrix")
     before = backend.timings()
     outputs = backend.output_distributions(model.policy, model.ingress_packets)
-    assert len(outputs) == len(model.ingress_packets)
     timings = {
         phase: seconds - before.get(phase, 0.0)
         for phase, seconds in backend.timings().items()
     }
-    return outputs, timings
+    return model, outputs, timings
+
+
+def expected_delivery(model, failure_probability: float | None) -> dict:
+    """The closed form: only core-to-aggregation links fail, and ECMP takes one.
+
+    A packet entering in the destination's pod never climbs to the core;
+    any other crosses exactly one failable link, once.
+    """
+    pod = lambda switch: model.topology.attributes(switch)["pod"]
+    crossing = 1.0 - (failure_probability or 0.0)
+    return {
+        packet: 1.0 if pod(packet.get("sw")) == pod(model.dest) else crossing
+        for packet in model.ingress_packets
+    }
 
 
 @pytest.mark.parametrize("p", NATIVE_SIZES)
@@ -201,7 +236,7 @@ def test_interpreted_vs_compiled_construction(benchmark, p, failure_probability)
 )
 def test_matrix_backend_scaling(benchmark, p, failure_probability):
     start = time.perf_counter()
-    outputs, timings = benchmark.pedantic(
+    model, outputs, timings = benchmark.pedantic(
         matrix_construct, args=(p, failure_probability), rounds=1, iterations=1
     )
     elapsed = time.perf_counter() - start
@@ -218,9 +253,8 @@ def test_matrix_backend_scaling(benchmark, p, failure_probability):
     MATRIX_PHASES[f"{label}_decode_s"] = query_s - sum(
         timings.get(kernel, 0.0) for kernel in ("assemble", "factorize", "solve")
     )
-    MATRIX_PHASES[f"{label}_peak_rss_mb"] = (
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    )
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    MATRIX_PHASES[f"{label}_peak_rss_mb"] = peak_rss_mb
     RESULTS.append(
         [
             "matrix",
@@ -232,36 +266,43 @@ def test_matrix_backend_scaling(benchmark, p, failure_probability):
             f"{query_s:.2f}s",
         ]
     )
-    assert len(outputs) > 0
+    expected = expected_delivery(model, failure_probability)
+    assert outputs.keys() == expected.keys()
+    for packet, want in expected.items():
+        assert float(outputs[packet].prob_of(model.is_delivered)) == pytest.approx(want, abs=1e-9)
+    if (p, failure_probability) == (16, FAILURES):
+        assert peak_rss_mb < K16_RSS_CEILING_MB
 
 
 def test_matrix_compile_work_count(benchmark):
-    """The compile's work, counted: the metric CI can gate without a clock.
+    """The compile's work, counted: what CI can gate without a clock.
 
     One cold FatTree k=8-with-failures plan on a fresh backend (the
     shared one would carry the sweep's memo tables).  Whole-program
-    compilation made 1 497 939 of these entries and per-switch
-    compilation 63 922; with the location fields on top, one pass over
-    each chain and no entries for nodes that are their own restriction
-    it is 2 888, every run.
+    compilation made 1 497 939 memo entries, per-switch compilation
+    63 922, the location fields on top 2 888; one run per role with the
+    samplers composed from the right makes 1 410, and composes 248 leaf
+    actions where one run per switch composed 8 046 — every run.
     """
     from repro.backends import MatrixBackend
 
-    def plan_cold() -> int:
+    def plan_cold() -> dict[str, int]:
         with MatrixBackend() as backend:
             backend.plan(build(8, FAILURES).policy)
-            return sum(len(backend.manager.op_cache(name)) for name in COMPILE_OPS)
+            work = backend.solver_stats()
+            work["compile_ops"] = sum(work[f"fdd_memo_{name}"] for name in COMPILE_OPS)
+            return {name: work[name] for name in K8_F1000_WORK}
 
-    entries = benchmark.pedantic(plan_cold, rounds=1, iterations=1)
+    work = benchmark.pedantic(plan_cold, rounds=1, iterations=1)
     record(
         "fig7",
         TITLE,
         HEADER,
         RESULTS,
         phases=MATRIX_PHASES,
-        metrics={"compile_ops_k8_f1000": float(entries)},
+        metrics={f"{name}_k8_f1000": float(count) for name, count in work.items()},
     )
-    assert entries > 0
+    assert work == K8_F1000_WORK
 
 
 @pytest.mark.parametrize("p", PRISM_SIZES)

@@ -413,7 +413,8 @@ def test_remote_transport_overhead(benchmark, workload):
     reply; its throughput loss versus the pipe path is recorded as the
     lower-is-better ``remote_overhead_pct`` metric and gated by CI
     against the committed baseline, so the wire path cannot silently
-    grow per-query cost.  Answers must still agree to 1e-9 and the
+    grow per-query cost.  The test itself asserts no clock: answers must
+    agree to 1e-9 and the
     remote workers must stay spec-fed (0 AST compilations), the same
     exactness bar the unit suite holds.
     """
@@ -494,13 +495,11 @@ def test_remote_transport_overhead(benchmark, workload):
     for result in remote_passes:
         for query, expected in zip(batch, reference.values):
             assert result.value(query) == pytest.approx(expected, abs=1e-9)
-    # Generous in-test ceiling (the CI gate against the committed
-    # baseline is the real watchdog): localhost framing of a
-    # solver-bound batch must never cost over half the throughput.
-    assert overhead_pct < 60.0, (
-        f"remote hosting cost {overhead_pct:.1f}% of throughput "
-        f"({pipe_qps:.1f} → {remote_qps:.1f} q/s)"
-    )
+    # The percentage is recorded, not asserted: a quotient of two 3-pass
+    # windows over ~20 ms passes reads 0-37 % alone and 60+ after the
+    # unit suite, on one commit.  Its gate is CI's benchmark-smoke job
+    # (check_regression.py against the committed baseline), which does
+    # not run the unit suite first.
 
 
 @pytest.mark.chaos

@@ -653,9 +653,10 @@ class MatrixBackend:
         stage of every cached or adopted plan (see
         :class:`~repro.core.markov.IncrementalAbsorptionSolver`);
         ``assembly_rows`` counts class rows written into transition
-        matrices by the vectorized assembly pass; ``fdd_nodes`` and
-        ``fdd_memo_<operation>`` flatten this replica's
-        :meth:`~repro.core.fdd.node.FddManager.stats`.  Worker processes
+        matrices by the vectorized assembly pass; ``fdd_nodes``,
+        ``fdd_memo_<operation>`` and the compile's work counts
+        (``leaf_actions_composed``, ``compile_roles``, ``role_instances``)
+        flatten this replica's :meth:`~repro.core.fdd.node.FddManager.stats`.  Worker processes
         ship this dict home in their stats blob, so pool
         ``worker_reports()`` and CLI stats can show where replica time
         and memory go.
@@ -675,6 +676,7 @@ class MatrixBackend:
             "assembly_rows": self.assembly_rows,
             "fdd_nodes": fdd["nodes"],
             **{f"fdd_memo_{name}": size for name, size in fdd["memo"].items()},
+            **self.manager.counters,
         }
 
     @property

@@ -19,12 +19,14 @@ McNetKAT's pragmatic restrictions (§5).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.fdd import ops
+from repro.core.fdd.actions import Action, ActionOrDrop
 from repro.core.fdd.evaluator import dispatch_spine
 from repro.core.fdd.matrix import (
     SymbolicPacket,
@@ -32,13 +34,165 @@ from repro.core.fdd.matrix import (
     enumerate_classes,
     matrix_to_fdd,
 )
-from repro.core.fdd.node import FddManager, FddNode, mentioned_values
+from repro.core.fdd.node import FddManager, FddNode, Leaf, mentioned_values
 from repro.core.markov import solve_absorption, solve_absorption_exact
 from repro.core.packet import DROP, _DropType
 
 
 class GuardedFragmentError(ValueError):
     """Raised when a program falls outside the guarded fragment (§3, §5)."""
+
+
+@dataclass(frozen=True)
+class _Placeholder:
+    """Stands for a constant in the leaf modifications of a role's template.
+
+    A private value type, not a reserved integer: it only ever sits where
+    an assignment's value would, compares equal to no integer a program
+    can test, and is gone from every diagram :meth:`Compiler._compile_seq`
+    returns.
+    """
+
+    index: int
+
+
+class _NoRole(Exception):
+    """The branch cannot be abstracted (see :func:`_role`)."""
+
+
+def _samples(node: FddNode) -> bool:
+    """Whether ``node`` is a sampler: one leaf with more than one action."""
+    return type(node) is Leaf and len(node.dist) > 1
+
+
+def _fold(steps: Sequence[FddNode]) -> FddNode:
+    """The product of ``steps``, samplers composed from the right.
+
+    Non-samplers multiply left to right, as :func:`~repro.core.fdd.ops.sequence_all`
+    does; a sampler is composed onto the product of everything after it,
+    so what it samples is tested (and overwritten) before it is
+    multiplied with the samplers before it.  With fewer than two
+    samplers there is no product of samplers to avoid, and the fold is
+    the plain left fold (an F10 switch's one routing sampler costs a
+    sixth more memo entries from the right).  Folding *every* leading
+    leaf from the right, single-action ones included, makes F10 plans
+    twice as expensive: a leaf of one action costs nothing to carry.
+    """
+    steps = list(steps)
+    if sum(map(_samples, steps)) < 2:
+        return ops.sequence_all(steps)
+    for index in range(len(steps) - 2, -1, -1):
+        if _samples(steps[index]):
+            steps[index:] = [ops.sequence(steps[index], ops.sequence_all(steps[index + 1:]))]
+    return ops.sequence_all(steps)
+
+
+def _tests_any(parts: Sequence[s.Policy], fields: Sequence[str]) -> bool:
+    """Whether any of ``parts`` tests one of ``fields``."""
+    return any(
+        isinstance(node, s.Test) and node.field in fields
+        for part in parts
+        for node in part.walk()
+    )
+
+
+def _role(
+    head: list[FddNode | s.Policy],
+    mover: int,
+    located: Sequence[str],
+    own: tuple[str, int],
+) -> tuple[tuple, list[int]] | None:
+    """The role of one dispatch value: ``(key, constants)``, or ``None``.
+
+    ``head`` is the value's run, ``head[mover]`` the branch of the
+    ``case`` that re-assigns the dispatch field.  The key is ``head``
+    with the constants that branch assigns to the ``located`` fields
+    replaced by placeholders, numbered by first occurrence, placeholder
+    zero being the value itself (``own``: a self-loop link assigns it);
+    ``constants[i]`` is what placeholder ``i`` stands for.  Two values
+    with equal keys run the same program up to that renaming.
+
+    ``None`` when the branch cannot stand for its role: a test of a
+    located field follows an assignment to it on some path (the test
+    would meet a placeholder), or the branch holds a loop, star or union.
+    The caller has checked that nothing after the ``case`` tests a
+    located field.
+    """
+    numbering: dict[tuple[str, int], _Placeholder] = {own: _Placeholder(0)}
+
+    def check(pred: s.Predicate, assigned: frozenset[str]) -> None:
+        if assigned and _tests_any((pred,), assigned):
+            raise _NoRole
+
+    def abstract(node: s.Policy, assigned: frozenset[str]) -> tuple[s.Policy, frozenset[str]]:
+        """``node`` over placeholders, and the located fields assigned after it."""
+        if isinstance(node, s.Predicate):
+            check(node, assigned)
+            return node, assigned
+        if isinstance(node, s.Assign):
+            if node.field not in located:
+                return node, assigned
+            constant = (node.field, node.value)
+            placeholder = numbering.get(constant)
+            if placeholder is None:
+                placeholder = numbering[constant] = _Placeholder(len(numbering))
+            if node.field not in assigned:
+                assigned = assigned | {node.field}
+            return s.Assign(node.field, placeholder), assigned
+        if isinstance(node, s.Seq):
+            done = []
+            for part in node.parts:
+                part, assigned = abstract(part, assigned)
+                done.append(part)
+            return s.Seq(tuple(done)), assigned
+        if isinstance(node, s.Choice):
+            branches = [(abstract(branch, assigned), prob) for branch, prob in node.branches]
+            return (
+                s.Choice(tuple((branch, prob) for (branch, _), prob in branches)),
+                assigned.union(*(after for (_, after), _ in branches)),
+            )
+        if isinstance(node, s.IfThenElse):
+            check(node.guard, assigned)
+            then, after_then = abstract(node.then, assigned)
+            otherwise, after_otherwise = abstract(node.otherwise, assigned)
+            return s.IfThenElse(node.guard, then, otherwise), after_then | after_otherwise
+        if isinstance(node, s.Case):
+            branches = []
+            after = assigned
+            for guard, branch in node.branches:
+                check(guard, assigned)
+                branch, after_branch = abstract(branch, assigned)
+                branches.append((guard, branch))
+                after |= after_branch
+            default, after_default = abstract(node.default, assigned)
+            return s.Case(tuple(branches), default), after | after_default
+        raise _NoRole
+
+    try:
+        template, _ = abstract(head[mover], frozenset())
+    except _NoRole:
+        return None
+    key = (*head[:mover], template, *head[mover + 1:])
+    return key, [constant for _field, constant in numbering]
+
+
+def _renaming(constants: Sequence[int]):
+    """The leaf map that puts ``constants`` back where their placeholders sit."""
+
+    def concrete(action: ActionOrDrop) -> ActionOrDrop:
+        if isinstance(action, _DropType) or not any(
+            type(value) is _Placeholder for _, value in action.mods
+        ):
+            return action
+        return Action(
+            (name, constants[value.index] if type(value) is _Placeholder else value)
+            for name, value in action.mods
+        )
+
+    def rename(dist: Dist[ActionOrDrop]) -> Dist[ActionOrDrop]:
+        return dist.map(concrete)
+
+    return rename
 
 
 class Compiler:
@@ -90,6 +244,13 @@ class Compiler:
         A loop normalises its guard and body first (its symbolic domain
         is read off them) *and its result*, whose leaves write every
         field of a class.  Both steps are memoised where they happen.
+
+        How a sequence is multiplied out (:meth:`_compile_seq`: one run
+        per dispatch value, samplers composed from the right, one run
+        compiled per switch role and renamed for every switch of it)
+        decides the work, never the node: sequential composition is
+        associative on diagrams, and a role's renamed template is the
+        interned node the switch's own parts compile to.
         """
         return ops.reduce(self.compile_unreduced(policy))
 
@@ -181,13 +342,39 @@ class Compiler:
         A value whose run is just the default run restricted to it adds
         no test (the monolithic product would not have one either).
 
-        A run associates as ``lead ; ((case₁ ; … ; caseₘ) ; suffix)``:
-        the value-independent ``suffix`` (flag resets, hop counter) is
-        multiplied out once and meets each value's cases once, and what
-        precedes the first ``case`` (local initialisations, the ingress
-        predicate) comes last — so a model's first hop and its loop
-        body, which differ only in that lead-in, find each other's
-        per-value tails in the ``sequence`` op cache.
+        Association order.  A run is ``lead ; (steps ; suffix)``: the
+        value-independent ``suffix`` (flag resets, hop counter) is
+        multiplied out once, and what precedes the first ``case`` (local
+        initialisations, the ingress predicate) comes last — so a model's
+        first hop and its loop body, which differ only in that lead-in,
+        find each other's per-value tails in the ``sequence`` op cache.
+        The ``steps`` are the value's branches, a ``Seq`` branch spliced
+        in part by part, and every product is a :func:`_fold`: left to
+        right, except that where there are several *samplers* — diagrams
+        that are one leaf of more than one action, ``up_i <- 0 ⊕ up_i <- 1``
+        — each is composed onto the product of everything after it.
+        Each flag thus meets
+        the routing/topology/reset product that tests and then overwrites
+        it before it meets the switch's other m − 1 flags, and their
+        2^m-action leaf is never built.
+
+        One diagram per role.  Switches of one role (a fat-tree has
+        seven, whatever its size) run the same program up to the
+        constants their link program assigns.  A value's run is keyed by
+        its :meth:`_role` — the cofactor nodes of its non-``case`` parts,
+        the branch ASTs of its ``case`` parts, and, in the branch of the
+        ``case`` that re-assigns the dispatch field, the constants
+        assigned to the located fields replaced by placeholders — and
+        compiled once per key, by the same ``run`` that serves a value
+        without a role; every value of the role is that template with the
+        placeholders renamed back by one :func:`~repro.core.fdd.ops.map_leaves`.
+        The renamed template *is* the node a compile of the value's own
+        parts interns: no FDD operation looks at a value a leaf assigns
+        except to restrict what follows by it, the role's precondition
+        (read off the program, see :meth:`_role`) is that nothing that
+        follows tests a located field, and the renaming is injective per
+        field, so actions are equal after it exactly when they were
+        before.
 
         Field order: a spine's dispatch field, then the other fields
         written by the part that re-assigns it (``sw``, ``pt``: a packet's
@@ -201,9 +388,10 @@ class Compiler:
         """
         spine = dispatch_spine(parts)
         if spine is None:
-            return ops.sequence_all([self.compile_unreduced(part) for part in parts])
+            return _fold([self.compile_unreduced(part) for part in parts])
         field, marked, stable, located = spine
-        self.manager.register_fields(located)
+        manager = self.manager
+        manager.register_fields(located)
         first = next(i for i, table in enumerate(marked) if table is not None)
         whole = [
             None if table is not None else self.compile_unreduced(part)
@@ -211,14 +399,21 @@ class Compiler:
         ]
         # Past ``stable`` the field may have been reassigned: those parts
         # run whole, and their product is the same for every value.
-        suffix = [ops.sequence_all(whole[stable:])] if stable < len(parts) else []
+        suffix = [_fold(whole[stable:])] if stable < len(parts) else []
 
-        def run(head: list[FddNode]) -> FddNode:
-            tail = ops.sequence_all(head[first:] + suffix)
-            return ops.sequence_all(head[:first] + [tail])
+        def run(head: Sequence[FddNode | s.Policy]) -> FddNode:
+            """One value's product: per part, its cofactor or its ``case`` branch."""
+            steps: list[FddNode] = []
+            for item in head[first:]:
+                if isinstance(item, FddNode):
+                    steps.append(item)
+                else:
+                    branch = item.parts if isinstance(item, s.Seq) else (item,)
+                    steps.extend(map(self.compile_unreduced, branch))
+            return _fold([*head[:first], _fold(steps + suffix)])
 
         default = run([
-            fdd if fdd is not None else self.compile_unreduced(part.default)
+            fdd if fdd is not None else part.default
             for part, fdd in zip(parts[:stable], whole)
         ])
         values = sorted({
@@ -229,16 +424,30 @@ class Compiler:
             for fdd in whole[:stable]
         ]
         default_at = ops.cofactors(default, field, values)
+        # Roles abstract the ``case`` that moves the packet, if there is
+        # one and nothing after it tests where the packet is.
+        mover = stable - 1
+        roles = marked[mover] is not None and not _tests_any(parts[stable:], located)
+        templates: dict[tuple, FddNode] = {}
         result = default
         for value in reversed(values):
-            at_value = run([
-                at[value]
-                if at is not None
-                else self.compile_unreduced(table.get(value, part.default))
+            head = [
+                at[value] if at is not None else table.get(value, part.default)
                 for part, table, at in zip(parts[:stable], marked, whole_at)
-            ])
+            ]
+            role = _role(head, mover, located, (field, value)) if roles else None
+            if role is None:
+                at_value = run(head)
+            else:
+                key, constants = role
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = run(key)
+                    manager.counters["compile_roles"] += 1
+                at_value = ops.map_leaves(template, _renaming(constants))
+                manager.counters["role_instances"] += 1
             if at_value is not default_at[value]:
-                guard = self.manager.from_test(field, value)
+                guard = manager.from_test(field, value)
                 result = ops.ite(guard, at_value, result)
         return result
 

@@ -110,6 +110,10 @@ class FddManager:
         self._op_caches: dict[str, dict[tuple, FddNode]] = {}
         # Branch uid -> (field, chain_table): the jump tables of leaf_of.
         self._jump_memo: dict[int, tuple[str, dict[int, FddNode], FddNode]] = {}
+        # Compile work the memo tables do not see (see :meth:`stats`).
+        self.counters = dict.fromkeys(
+            ("leaf_actions_composed", "compile_roles", "role_instances"), 0
+        )
         # Frequently used constants.
         self.true_leaf = self.leaf(Dist.point(IDENTITY))
         self.false_leaf = self.leaf(Dist.point(DROP))
@@ -203,14 +207,21 @@ class FddManager:
         return len(self._leaves) + len(self._branches)
 
     def stats(self) -> dict[str, object]:
-        """Nodes interned, each operation's memo-table size, and the field
+        """Nodes interned, each operation's memo-table size, the field
         order (root-most first) — the one thing two managers must share
-        for their diagrams to be the same diagrams."""
+        for their diagrams to be the same diagrams — and the compile's
+        exact work counts: ``leaf_actions_composed`` (actions of the
+        leaves that :func:`~repro.core.fdd.ops.sequence` composed onto a
+        diagram: what a product of samplers costs, which no memo table
+        counts), ``compile_roles`` (per-value runs compiled) and
+        ``role_instances`` (per-value diagrams obtained from one by
+        renaming), see :meth:`~repro.core.compiler.Compiler._compile_seq`."""
         return {
             "nodes": self.node_count(),
             # A snapshot first: a serving thread may add a table meanwhile.
             "memo": {name: len(cache) for name, cache in list(self._op_caches.items())},
             "fields": self.fields,
+            **self.counters,
         }
 
     def op_cache(self, name: str) -> dict[tuple, FddNode]:

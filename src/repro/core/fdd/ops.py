@@ -455,6 +455,7 @@ def _sequence_leaf(
     eqs: _Eqs,
     neqs: _Neqs,
 ) -> FddNode:
+    manager.counters["leaf_actions_composed"] += len(dist)
     # (``second`` as the action leaves it, the action still to prepend, weight)
     pending: list[tuple[FddNode, Action | None, object]] = []
     for action, prob in dist.items():
@@ -464,11 +465,12 @@ def _sequence_leaf(
         # Knowledge about the intermediate packet: the action's writes win;
         # unmodified fields keep what the path through `first` tells us.
         restricted = restrict_action(second, action)
+        written = dict(action.mods)
         for field, value in eqs:
-            if not action.modifies(field):
+            if field not in written:
                 restricted = restrict_eq(restricted, field, value)
         for field, value in neqs:
-            if not action.modifies(field):
+            if field not in written:
                 restricted = restrict_ne(restricted, field, value)
         pending.append((restricted, action if action.mods else None, prob))
     if len(pending) > 1 and all(type(node) is Leaf for node, _, _ in pending):

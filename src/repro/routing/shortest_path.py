@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.topology.graph import Topology
 
 
 def distances_to(topology: Topology, dest: int) -> dict[int, int]:
-    """Hop distance from every switch to ``dest`` (unreachable switches omitted)."""
-    graph = topology.switch_graph()
-    if dest not in graph:
+    """Hop distance from every switch to ``dest`` (unreachable switches omitted).
+
+    A breadth-first search over the switches' adjacency; hosts relay nothing.
+    """
+    if dest not in topology.switches():
         raise KeyError(f"destination switch {dest!r} is not in the topology")
-    return dict(nx.single_source_shortest_path_length(graph, dest))
+    distance = {dest: 0}
+    frontier = [dest]
+    while frontier:
+        reached = []
+        for node in frontier:
+            for peer in topology.neighbors(node):
+                if peer not in distance and topology.is_switch(peer):
+                    distance[peer] = distance[node] + 1
+                    reached.append(peer)
+        frontier = reached
+    return distance
 
 
 def shortest_path_ports(topology: Topology, dest: int) -> dict[int, list[int]]:

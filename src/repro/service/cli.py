@@ -552,7 +552,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"solver: {solver.get('factorizations', 0)} factorization(s), "
                 f"{solver.get('schur_updates', 0)} Schur update(s), "
                 f"{solver.get('assembly_rows', 0)} row(s) assembled, "
-                f"{solver.get('fdd_nodes', 0)} FDD node(s)"
+                f"{solver.get('fdd_nodes', 0)} FDD node(s); compile: "
+                f"{solver.get('leaf_actions_composed', 0)} leaf action(s) composed, "
+                f"{solver.get('compile_roles', 0)} role(s), "
+                f"{solver.get('role_instances', 0)} instance(s)"
             )
 
         if args.output:

@@ -110,7 +110,7 @@ def chain_model(diamonds: int, pfail: float | Fraction = Fraction(1, 1000)) -> C
     # Only the lower-path links (S2 -- S3) can fail.
     failable = {}
     for link in topo.switch_links():
-        if topo.graph.edges[link.node, link.peer].get("failable") and \
+        if topo.link_attributes(link.node, link.peer).get("failable") and \
                 topo.attributes(link.node)["role"] == "lower":
             failable.setdefault(link.node, []).append(link.port)
     failure = failure_program(failable, probability=pfail)

@@ -17,7 +17,7 @@ from repro.topology.graph import Topology
 def to_dot(topo: Topology) -> str:
     """Render a topology as a Graphviz graph with port annotations."""
     lines = [f'graph "{topo.name}" {{']
-    for node in sorted(topo.graph.nodes, key=str):
+    for node in sorted(topo.nodes(), key=str):
         attrs = topo.attributes(node)
         kind = attrs.get("kind", "switch")
         extra = "".join(

@@ -12,11 +12,12 @@ links that may fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from repro.core import syntax as s
+
+if TYPE_CHECKING:  # networkx is imported only by the callers that ask for a graph
+    import networkx as nx
 
 Node = Hashable
 
@@ -42,7 +43,10 @@ class Topology:
 
     def __init__(self, name: str = "topology"):
         self.name = name
-        self.graph = nx.Graph(name=name)
+        # node -> attributes ("kind" among them), in insertion order
+        self._nodes: dict[Node, dict] = {}
+        # node -> {neighbour: link attributes}; both ends share one dict
+        self._adjacency: dict[Node, dict[Node, dict]] = {}
         # (node, port) -> (peer node, peer port)
         self._ports: dict[tuple[Node, int], tuple[Node, int]] = {}
         # node -> {port: peer node}, the per-node index behind ports()
@@ -50,13 +54,17 @@ class Topology:
         self._next_port: dict[Node, int] = {}
 
     # -- construction ------------------------------------------------------------
+    def _add_node(self, node: Node, kind: str, attrs: dict) -> None:
+        self._nodes.setdefault(node, {}).update(attrs, kind=kind)
+        self._adjacency.setdefault(node, {})
+
     def add_switch(self, switch: Node, **attrs) -> None:
         """Add a switch node (attributes: level, pod, index, subtree type...)."""
-        self.graph.add_node(switch, kind="switch", **attrs)
+        self._add_node(switch, "switch", attrs)
 
     def add_host(self, host: Node, **attrs) -> None:
         """Add a host (end-point) node."""
-        self.graph.add_node(host, kind="host", **attrs)
+        self._add_node(host, "host", attrs)
 
     def _allocate_port(self, node: Node) -> int:
         port = self._next_port.get(node, 1)
@@ -72,13 +80,15 @@ class Topology:
         **attrs,
     ) -> tuple[int, int]:
         """Add a bidirectional link, allocating port numbers when omitted."""
-        if a not in self.graph or b not in self.graph:
+        if a not in self._nodes or b not in self._nodes:
             raise KeyError("both endpoints must be added before linking them")
         port_a = self._allocate_port(a) if port_a is None else port_a
         port_b = self._allocate_port(b) if port_b is None else port_b
         if (a, port_a) in self._ports or (b, port_b) in self._ports:
             raise ValueError(f"port already in use on link {a}:{port_a} -- {b}:{port_b}")
-        self.graph.add_edge(a, b, ports={a: port_a, b: port_b}, **attrs)
+        link = self._adjacency[a].setdefault(b, {})
+        link.update(attrs, ports={a: port_a, b: port_b})
+        self._adjacency[b][a] = link
         self._ports[(a, port_a)] = (b, port_b)
         self._ports[(b, port_b)] = (a, port_a)
         self._node_ports.setdefault(a, {})[port_a] = b
@@ -89,33 +99,41 @@ class Topology:
 
     # -- queries -------------------------------------------------------------------
     def is_switch(self, node: Node) -> bool:
-        return self.graph.nodes[node].get("kind") == "switch"
+        return self._nodes[node].get("kind") == "switch"
 
     def is_host(self, node: Node) -> bool:
-        return self.graph.nodes[node].get("kind") == "host"
+        return self._nodes[node].get("kind") == "host"
+
+    def nodes(self) -> list[Node]:
+        """Every node, switches and hosts, in the order they were added."""
+        return list(self._nodes)
 
     def switches(self) -> list[Node]:
-        return [n for n, data in self.graph.nodes(data=True) if data.get("kind") == "switch"]
+        return [n for n, data in self._nodes.items() if data.get("kind") == "switch"]
 
     def hosts(self) -> list[Node]:
-        return [n for n, data in self.graph.nodes(data=True) if data.get("kind") == "host"]
+        return [n for n, data in self._nodes.items() if data.get("kind") == "host"]
 
     def attributes(self, node: Node) -> dict:
-        return dict(self.graph.nodes[node])
+        return dict(self._nodes[node])
+
+    def link_attributes(self, a: Node, b: Node) -> dict:
+        """Attributes of the link between ``a`` and ``b`` (``ports`` among them)."""
+        return dict(self._adjacency[a][b])
 
     def neighbors(self, node: Node) -> list[Node]:
-        return list(self.graph.neighbors(node))
+        return list(self._adjacency[node])
 
     def degree(self, node: Node) -> int:
-        return self.graph.degree(node)
+        peers = self._adjacency[node]
+        return len(peers) + (node in peers)  # a self-loop has two ends here
 
     def max_degree(self) -> int:
-        return max((self.graph.degree(n) for n in self.graph.nodes), default=0)
+        return max(map(self.degree, self._nodes), default=0)
 
     def port_to(self, a: Node, b: Node) -> int:
         """The local port number at ``a`` of the link towards ``b``."""
-        ports = self.graph.edges[a, b]["ports"]
-        return ports[a]
+        return self._adjacency[a][b]["ports"][a]
 
     def peer(self, node: Node, port: int) -> tuple[Node, int]:
         """The remote end ``(peer, peer_port)`` of a local ``(node, port)``."""
@@ -138,15 +156,32 @@ class Topology:
             if self.is_switch(link.node) and self.is_switch(link.peer):
                 yield link
 
-    def switch_graph(self) -> nx.Graph:
-        """The switch-only subgraph (hosts removed)."""
+    @property
+    def graph(self) -> "nx.Graph":
+        """The topology as a new ``networkx.Graph``, for callers that want one.
+
+        Nodes and links carry their attributes.  Nothing in this package
+        needs a graph object — adjacency and node kinds live in plain
+        dicts — so networkx is imported here, on request, not with the
+        package.
+        """
+        import networkx as nx
+
+        graph = nx.Graph(name=self.name)
+        graph.add_nodes_from(self._nodes.items())
+        for node, peers in self._adjacency.items():
+            graph.add_edges_from((node, peer, link) for peer, link in peers.items())
+        return graph
+
+    def switch_graph(self) -> "nx.Graph":
+        """The switch-only subgraph (hosts removed), as a ``networkx.Graph``."""
         return self.graph.subgraph(self.switches()).copy()
 
     def link_count(self) -> int:
-        return self.graph.number_of_edges()
+        return sum(map(self.degree, self._nodes)) // 2
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._nodes)
 
     def __repr__(self) -> str:
         return (

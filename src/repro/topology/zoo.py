@@ -106,7 +106,7 @@ def to_gml(topo: Topology) -> str:
     """Render a topology in (minimal) GML, the Topology Zoo format."""
     lines = ["graph [", f'  label "{topo.name}"']
     ids: dict[object, int] = {}
-    for index, node in enumerate(sorted(topo.graph.nodes, key=str)):
+    for index, node in enumerate(sorted(topo.nodes(), key=str)):
         ids[node] = index
         attrs = topo.attributes(node)
         lines.append("  node [")

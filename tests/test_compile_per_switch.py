@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.backends import MatrixBackend, NativeBackend
 from repro.core import compiler as compiler_module
 from repro.core import equivalence
+from repro.core import sugar
 from repro.core import syntax as s
 from repro.core.compiler import Compiler
 from repro.core.fdd import ops
@@ -270,7 +272,7 @@ class TestSpineShapedSequencesEvaluateLikeTheOracle:
 
 
 # ---------------------------------------------------------------------------
-# (2) exact arithmetic is untouched
+# (2) roles and sampler-first change how a run is built, never what is built
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -279,6 +281,260 @@ def whole_program_compile(monkeypatch):
     def enable():
         monkeypatch.setattr(compiler_module, "dispatch_spine", lambda parts: None)
     return enable
+
+
+@pytest.fixture
+def one_run_per_switch(monkeypatch):
+    """A context in which every value compiles its own run, folded left to right.
+
+    Roles and sampler-first off: the per-switch compile as it was before
+    either.  A context manager, not a switch, so one test can compile
+    both ways in one manager.
+    """
+    @contextmanager
+    def active():
+        with monkeypatch.context() as patch:
+            patch.setattr(compiler_module, "_samples", lambda node: False)
+            patch.setattr(compiler_module, "_role", lambda *args: None)
+            yield
+    return active
+
+
+NET_SWITCHES = (0, 1, 2, 3)
+NET_PORTS = (0, 1, 2)
+NET_FLAGS = ("up0", "up1", "up2")  # up0 is shared; a switch samples a subset
+NET_INGRESS = [
+    Packet({"sw": sw, "pt": pt, **dict.fromkeys(NET_FLAGS, up), "hops": 0})
+    for sw in (*NET_SWITCHES, 4)  # one switch no part mentions
+    for pt in (*NET_PORTS, 3)
+    for up in (1, 0)
+]
+_probabilities = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 1000)])
+
+
+@st.composite
+def _switch_kinds(draw):
+    """What switches of one role share: everything but where their links lead."""
+    flags = draw(st.lists(st.sampled_from(NET_FLAGS), unique=True, max_size=3))
+    pr = draw(_probabilities)
+    routed = draw(st.lists(st.sampled_from(NET_PORTS), unique=True, max_size=3))
+    return {
+        "samplers": [s.choice((s.assign(up, 0), pr), (s.assign(up, 1), 1 - pr)) for up in flags],
+        "routing": s.uniform(*[s.assign("pt", port) for port in routed]) if routed else s.drop(),
+        # port -> the flag guarding its link, or None for a link that cannot fail
+        "links": {
+            port: draw(st.sampled_from([None, *NET_FLAGS]))
+            for port in draw(st.lists(st.sampled_from(NET_PORTS), unique=True, min_size=1))
+        },
+        # What a link does after it has moved the packet (the last two make
+        # the branch unfit for a role: a located field is tested after it is set).
+        "after_move": draw(st.sampled_from(
+            [s.skip()] * 4 + [s.assign("up0", 1), s.test("pt", 1), s.neg(s.test("sw", 2))]
+        )),
+    }
+
+
+@st.composite
+def network_programs(draw):
+    """Sequences shaped like a network model: lead, ``case sw`` parts, suffix.
+
+    Switches draw their kind from two, so roles are shared, and their
+    peers freely, so a link may lead back to its own switch.
+    """
+    kinds = draw(st.lists(_switch_kinds(), min_size=1, max_size=2))
+    kind_of = {sw: draw(st.sampled_from(kinds)) for sw in NET_SWITCHES}
+    failure, routing, topology = [], [], []
+    for sw, kind in kind_of.items():
+        failure.append((s.test("sw", sw), s.seq(*kind["samplers"])))
+        routing.append((s.test("sw", sw), kind["routing"]))
+        ports = []
+        for port, flag in kind["links"].items():
+            peer, peer_port = draw(st.sampled_from(NET_SWITCHES)), draw(st.sampled_from(NET_PORTS))
+            move = s.seq(s.assign("sw", peer), s.assign("pt", peer_port), kind["after_move"])
+            rule = move if flag is None else s.ite(s.test(flag, 1), move, s.drop())
+            ports.append((s.test("pt", port), rule))
+        topology.append((s.test("sw", sw), s.case(ports, s.drop())))
+    parts = [s.case(routing, s.drop()), s.case(topology, s.drop())]
+    if draw(st.booleans()):
+        parts.insert(0, s.case(failure, s.skip()))
+    if draw(st.booleans()):  # a lead: local initialisation and an ingress predicate
+        ingress = draw(st.lists(
+            st.tuples(st.sampled_from(NET_SWITCHES), st.sampled_from(NET_PORTS)), min_size=1
+        ))
+        parts[:0] = [
+            s.assign("up1", 1),
+            s.disj(*[s.conj(s.test("sw", sw), s.test("pt", pt)) for sw, pt in ingress]),
+        ]
+    if draw(st.booleans()):
+        parts.append(sugar.set_all(NET_FLAGS, 1))
+    if draw(st.booleans()):
+        parts.append(sugar.increment("hops", 2))
+    # A sampler of its own, or a test of a located field: no value of a
+    # sequence with the latter has a role.
+    half = Fraction(1, 2)
+    parts.append(draw(st.sampled_from(
+        [s.skip()] * 3 + [
+            s.choice((s.assign("up2", 0), half), (s.assign("up2", 1), half)),
+            s.neg(s.test("sw", 1)),
+            s.ite(s.test("pt", 0), s.assign("pt", 2)),
+        ]
+    )))
+    return [part for part in parts if part != s.skip()]
+
+
+def assert_same_node_either_way(parts, one_run_per_switch) -> None:
+    """(a) the node the plain per-switch compile interns; (b) the interpreter's answers."""
+    program = s.Seq(tuple(parts))
+    compiler = Compiler(exact=True)
+    got = compiler.compile(program)
+    with one_run_per_switch():
+        # A second compiler (the first remembers the program), the same manager.
+        want = Compiler(manager=compiler.manager, exact=True).compile(program)
+    assert got is want
+    reference = Interpreter(exact=True, compile_bodies=False)
+    for packet in NET_INGRESS:
+        assert output_distribution(got, packet) == reference.run_packet(program, packet), packet
+
+
+class TestRolesAndSamplerFirstBuildTheSameNodes:
+    @settings(
+        max_examples=examples(100),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(network_programs())
+    def test_generated_network_programs(self, one_run_per_switch, parts):
+        assert_same_node_either_way(parts, one_run_per_switch)
+
+    def network(self, topology: dict[int, s.Policy], suffix: s.Policy = s.skip()):
+        """Four switches sampling two flags each, ECMP over two ports, ``topology``, resets."""
+        half = Fraction(1, 2)
+        sample = s.seq(*[s.choice((s.assign(up, 0), half), (s.assign(up, 1), half)) for up in ("up0", "up1")])
+        route = s.uniform(s.assign("pt", 0), s.assign("pt", 1))
+        sw_case = lambda table, default: s.case(
+            [(s.test("sw", sw), branch) for sw, branch in table.items()], default
+        )
+        return [
+            sw_case(dict.fromkeys(topology, sample), s.skip()),
+            sw_case(dict.fromkeys(topology, route), s.drop()),
+            sw_case(topology, s.drop()),
+            sugar.set_all(("up0", "up1"), 1),
+            suffix,
+        ]
+
+    def links(self, *peers: tuple[int, int]) -> s.Policy:
+        """Port ``i`` leads to ``peers[i]`` while ``up<i>`` holds."""
+        return s.case(
+            [
+                (s.test("pt", port), s.ite(s.test(f"up{port}", 1), s.seq(s.assign("sw", sw), s.assign("pt", pt)), s.drop()))
+                for port, (sw, pt) in enumerate(peers)
+            ],
+            s.drop(),
+        )
+
+    def roles(self, parts) -> tuple[int, int]:
+        compiler = Compiler(exact=True)
+        compiler.compile(s.Seq(tuple(parts)))
+        counters = compiler.manager.counters
+        return counters["compile_roles"], counters["role_instances"]
+
+    def test_switches_that_differ_in_their_peers_share_one_role(self, one_run_per_switch):
+        parts = self.network({
+            0: self.links((1, 2), (2, 0)),
+            1: self.links((2, 1), (3, 0)),
+            2: self.links((3, 0), (0, 2)),
+            3: self.links((0, 1), (1, 0)),
+        })
+        assert self.roles(parts) == (1, 4)
+        assert_same_node_either_way(parts, one_run_per_switch)
+
+    def test_a_self_loop_is_a_role_of_its_own(self, one_run_per_switch):
+        """``sw <- v`` at switch ``v`` is placeholder zero: the join's ``reduce`` drops it."""
+        parts = self.network({
+            0: self.links((0, 2), (2, 0)),  # port 0 leads back to switch 0
+            1: self.links((1, 2), (3, 0)),  # and port 0 of switch 1 to switch 1
+            2: self.links((3, 2), (0, 0)),
+            3: self.links((0, 1), (1, 0)),
+        })
+        assert self.roles(parts) == (2, 4)
+        assert_same_node_either_way(parts, one_run_per_switch)
+
+    def test_two_ports_with_one_peer_are_not_two_ports_with_two(self, one_run_per_switch):
+        """The renaming is injective per field: equal constants, equal placeholders."""
+        parts = self.network({0: self.links((1, 1), (1, 1)), 2: self.links((1, 1), (3, 1))})
+        assert self.roles(parts) == (2, 2)
+        assert_same_node_either_way(parts, one_run_per_switch)
+
+    def test_a_suffix_that_tests_a_located_field_leaves_no_roles(self, one_run_per_switch):
+        topology = {0: self.links((1, 2), (2, 0)), 1: self.links((2, 1), (3, 1))}
+        for suffix in (s.neg(s.test("sw", 2)), s.ite(s.test("pt", 1), s.assign("up0", 0))):
+            parts = self.network(topology, suffix)
+            assert self.roles(parts) == (0, 0)
+            assert_same_node_either_way(parts, one_run_per_switch)
+
+    def test_assign_then_test_inside_the_moving_part_leaves_that_value_without_a_role(
+        self, one_run_per_switch
+    ):
+        arrived = s.seq(s.assign("sw", 2), s.assign("pt", 1), s.test("pt", 1))
+        parts = self.network({
+            0: self.links((1, 2), (2, 0)),
+            1: s.case([(s.test("pt", 0), arrived)], s.drop()),
+            3: self.links((2, 1), (0, 2)),
+        })
+        assert self.roles(parts) == (1, 2)
+        assert_same_node_either_way(parts, one_run_per_switch)
+
+    def test_a_branch_with_a_loop_takes_the_plain_run(self, one_run_per_switch):
+        spin = s.seq(s.while_do(s.test("up0", 0), s.assign("up0", 1)), s.assign("sw", 1))
+        parts = self.network({0: self.links((1, 2), (2, 0)), 1: spin})
+        assert self.roles(parts) == (1, 1)
+        assert_same_node_either_way(parts, one_run_per_switch)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: fattree_model(4, True), id="fattree4-failures"),
+            pytest.param(lambda: fattree_model(6, True), id="fattree6-failures"),
+            pytest.param(lambda: fattree_model(8, False), id="fattree8"),
+            pytest.param(lambda: fattree_model(10, False), id="fattree10"),
+            pytest.param(lambda: f10_batch_model(6), id="f10_3-k6"),
+            pytest.param(
+                lambda: f10_model(
+                    ab_fat_tree(4), 1, scheme="f10_3_5",
+                    failure_probability=Fraction(1, 1000), max_failures=3,
+                ),
+                id="f10_3_5-k4",
+            ),
+            pytest.param(
+                lambda: f10_model(
+                    ab_fat_tree(4), 1, scheme="f10_3_5",
+                    failure_probability=Fraction(1, 4), count_hops=True, max_hops=14,
+                ),
+                id="fig12-hop-count",
+            ),
+        ],
+    )
+    def test_models_plan_to_the_same_nodes_and_the_same_key(self, build, one_run_per_switch):
+        model = build()
+        backend = MatrixBackend()
+        plan = backend.plan(model.policy)
+        built = [
+            stage.fdd if hasattr(stage, "fdd") else stage.body_fdd for stage in plan.stages
+        ]
+        with one_run_per_switch():
+            plain = Compiler(manager=backend.manager)
+            runs = [plain.compile(s.seq(*run)) for run in loop_free_runs(model.policy)]
+            plain_key = MatrixBackend().plan_key(model.policy)
+        expected = [fdd for fdd in runs if fdd is not backend.manager.true_leaf]
+        assert len(built) == len(expected)
+        for got, want in zip(built, expected):
+            assert got is want
+        assert backend.plan_key(model.policy) == plain_key
+
+
+# ---------------------------------------------------------------------------
+# (3) exact arithmetic is untouched
+# ---------------------------------------------------------------------------
 
 
 def weights(dist) -> dict:
@@ -336,7 +592,7 @@ class TestExactModeIsFractionIdentical:
 
 
 # ---------------------------------------------------------------------------
-# (3) work, counted
+# (4) work, counted
 # ---------------------------------------------------------------------------
 
 #: restrict_eq + restrict_ne + ite memo entries for one FatTree
@@ -363,13 +619,33 @@ def test_the_count_repeats_and_separates_the_two_strategies(whole_program_compil
         backend.plan(fattree_model(4, True).policy)
         return compile_ops(backend.manager)
 
-    assert count() == count() == 373  # a count, not a timing: it repeats exactly
+    assert count() == count() == 237  # a count, not a timing: it repeats exactly
     whole_program_compile()
     assert count() == 6_329  # no spine: every product is whole, and no field is ranked first
 
 
+#: What ``restrict``/``ite`` memo entries do not see: they read 9 523 on a
+#: FatTree k=12-with-failures plan that composed 233 930 leaf actions.
+COMPILE_COUNTERS = ("leaf_actions_composed", "compile_roles", "role_instances")
+
+
+def test_the_compile_counters_repeat_and_reach_solver_stats(one_run_per_switch):
+    def count(k: int) -> tuple[int, ...]:
+        backend = MatrixBackend()
+        backend.plan(fattree_model(k, True).policy)
+        stats = backend.solver_stats()
+        assert all(stats[name] == backend.manager.stats()[name] for name in COMPILE_COUNTERS)
+        return tuple(stats[name] for name in COMPILE_COUNTERS)
+
+    # Seven roles per stage at every k: the first hop's, and the loop body's.
+    assert count(4) == count(4) == (78, 14, 40)
+    assert count(6) == (143, 14, 90)
+    with one_run_per_switch():
+        assert count(6) == (1_598, 0, 0)  # a 2^k-action leaf per core switch
+
+
 # ---------------------------------------------------------------------------
-# (4) wide predicates
+# (5) wide predicates
 # ---------------------------------------------------------------------------
 
 class TestWidePredicates:
@@ -425,7 +701,7 @@ class TestWidePredicates:
 
 
 # ---------------------------------------------------------------------------
-# (5) compare evaluates each program once
+# (6) compare evaluates each program once
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("relation", ["compare", "strictly_refines"])

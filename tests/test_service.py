@@ -587,6 +587,19 @@ class TestServiceCli:
         assert int(match.group(1)) >= 1
         assert int(match.group(3)) > 0
 
+    def test_solver_line_carries_the_compile_counters(self, capsys):
+        code = service_main(
+            ["--topology", "fattree:4", "--scheme", "ecmp", "--failure-prob", "0.001",
+             "--dest", "1", "--all-pairs", "--workers", "1"]
+        )
+        assert code == 0
+        match = re.search(
+            r"compile: (\d+) leaf action\(s\) composed, (\d+) role\(s\), (\d+) instance\(s\)",
+            capsys.readouterr().out,
+        )
+        assert match is not None
+        assert tuple(map(int, match.groups())) == (78, 14, 40)
+
     def test_batch_file_run(self, tmp_path):
         batch = tmp_path / "batch.json"
         batch.write_text(
