@@ -63,7 +63,7 @@ def shared_backend(fig: str, name: str, **options):
     """One registry backend shared by every configuration of ``fig``.
 
     Same contract as :func:`shared_interpreter`, for registry backends
-    (``"native"``, ``"matrix"``, ``"parallel"``): plans, transition
+    (``"native"``, ``"matrix"``): plans, transition
     matrices, and loop factorizations persist across the sweep unless
     cold mode is active.
     """

@@ -30,7 +30,7 @@ from repro.core.packet import DROP
 from repro.topology import chain_model
 
 PFAIL = Fraction(1, 1000)
-SIZES = [1, 2, 4, 8, 16]
+SIZES = [1, 2, 4, 6]
 BASELINE_LIMIT = 4  # the baseline becomes impractically slow beyond this
 
 

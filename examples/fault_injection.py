@@ -107,6 +107,9 @@ def main() -> None:
                   f"{len(results)} answers, zero caller-visible errors")
             print_supervision(session)
             for report in session.pool.worker_reports():
+                if report["health"] != "healthy":  # respawn still in flight
+                    print(f"    worker {report['index']}: {report['health']}")
+                    continue
                 print(f"    worker {report['index']} pid {report['pid']}: "
                       f"{report['plans']} plan(s) adopted, "
                       f"{report['ast_compilations']} AST compiles")

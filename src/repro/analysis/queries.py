@@ -18,7 +18,7 @@ from repro.core.packet import Packet, _DropType
 from repro.network.model import NetworkModel
 
 #: Type accepted by the ``backend=`` parameter of the analysis entry
-#: points: a registry name ("native", "matrix", "parallel"), a backend
+#: points: a registry name ("native", "matrix"), a backend
 #: instance with an ``output_distribution`` method, or ``None`` for the
 #: classic per-query forward interpreter.  The PRISM backend exposes a
 #: probability-oriented API and cannot serve distribution queries.
@@ -62,7 +62,7 @@ def _distribution_engine(backend, exact: bool):
     if not hasattr(engine, "output_distribution"):
         raise TypeError(
             f"backend {type(engine).__name__} does not support distribution "
-            "queries; use 'native', 'matrix', or 'parallel' (the PRISM backend "
+            "queries; use 'native' or 'matrix' (the PRISM backend "
             "answers via its probability() API)"
         )
     return engine

@@ -48,7 +48,7 @@ def resilience_table(
     if engine is not None and not hasattr(engine, "certainly_delivers"):
         raise TypeError(
             f"backend {type(engine).__name__} does not support resilience "
-            "queries; use 'native', 'matrix', or 'parallel'"
+            "queries; use 'native' or 'matrix'"
         )
     table: dict[str, dict[int | None, bool]] = {}
     for scheme in schemes:

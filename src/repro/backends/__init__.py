@@ -1,11 +1,10 @@
 """Analysis backends and the backend registry (§5–§6).
 
-Four backends answer queries about compiled network models:
+Three backends answer queries about compiled network models:
 
 * ``native`` — FDD compilation plus the forward interpreter ("PNK");
 * ``matrix`` — the batched sparse-matrix engine: compile once, factorize
   ``I - Q`` once, answer every ingress query by multi-RHS solves;
-* ``parallel`` — the native backend with multi-core loop exploration;
 * ``prism`` — the ProbNetKAT→PRISM translation with a mini DTMC engine
   ("PPNK"; note its query API is probability-oriented, see
   :class:`repro.backends.prism.PrismBackend`).
@@ -21,14 +20,12 @@ plan specs with its siblings (see :mod:`repro.service.pool`).
 
 from repro.backends.matrix import MatrixBackend, PlanSpecStore, QueryPlan
 from repro.backends.native import NativeBackend
-from repro.backends.parallel import ParallelBackend, ParallelInterpreter, transition_rows
 from repro.backends.prism import PrismBackend
 
 #: Registry of backend names to backend classes.
 BACKENDS = {
     "native": NativeBackend,
     "matrix": MatrixBackend,
-    "parallel": ParallelBackend,
     "prism": PrismBackend,
 }
 
@@ -63,12 +60,9 @@ __all__ = [
     "BACKENDS",
     "MatrixBackend",
     "NativeBackend",
-    "ParallelBackend",
-    "ParallelInterpreter",
     "PlanSpecStore",
     "PrismBackend",
     "QueryPlan",
     "get_backend",
     "resolve_backend",
-    "transition_rows",
 ]

@@ -72,10 +72,7 @@ class _LoopStage:
     classes act as absorbing gateways whose final distributions are
     composed in (:class:`~repro.core.markov.IncrementalAbsorptionSolver`)
     — so subsequent queries are pure cache hits and no class ever
-    participates in more than one factorization.  Small growth steps
-    (below ``schur_crossover`` of the solved space) skip even that and
-    run the solver's Schur-complement low-rank update, counted by
-    :attr:`schur_updates` instead of :attr:`factorizations`.
+    participates in more than one factorization.
     """
 
     def __init__(
@@ -85,7 +82,6 @@ class _LoopStage:
         body_fdd: FddNode,
         domains: dict[str, tuple[int, ...]],
         manager: FddManager,
-        schur_crossover: float = 0.25,
         watch: Stopwatch | None = None,
     ):
         #: The source AST of the loop, when this stage was built from one.
@@ -98,14 +94,11 @@ class _LoopStage:
         self.body_fdd = body_fdd
         self.domains = domains
         self.manager = manager
-        self.schur_crossover = schur_crossover
         self.watch = watch
         self.row_cache: dict[SymbolicPacket, ClassRow] = {}
         self.solutions: dict[SymbolicPacket, Dist] = {}
         self.matrix: TransitionMatrix | None = None
-        self.solver = IncrementalAbsorptionSolver(
-            schur_crossover=schur_crossover, watch=watch
-        )
+        self.solver = IncrementalAbsorptionSolver(watch=watch)
         self._guard_cache: dict[SymbolicPacket, bool] = {}
         self._seeds: set[SymbolicPacket] = set()
         # Seeds kept in class order incrementally (one bisect per *new*
@@ -126,12 +119,12 @@ class _LoopStage:
 
     @property
     def factorizations(self) -> int:
-        """Full subsystem factorizations performed so far."""
+        """Growth steps (one factorization each) performed so far."""
         return self.solver.factorizations
 
     @property
     def schur_updates(self) -> int:
-        """Growth steps answered by the low-rank Schur update instead."""
+        """The growth steps among them that extended an already-solved chain."""
         return self.solver.schur_updates
 
     def guard_holds(self, cls: SymbolicPacket) -> bool:
@@ -290,15 +283,10 @@ class MatrixBackend:
         Accepted for registry symmetry with the native backend but must
         stay ``False``: the batched solver is float64 by design (use the
         native backend for exact rational loop solving).
-    schur_crossover:
-        Growth fraction above which a loop's incremental solver prefers a
-        fresh subsystem factorization over the Schur-complement low-rank
-        update (see :class:`~repro.core.markov.IncrementalAbsorptionSolver`).
     """
 
     exact: bool = False
     class_limit: int = 1_000_000
-    schur_crossover: float = 0.25
     watch: Stopwatch = field(default_factory=Stopwatch)
 
     def __post_init__(self) -> None:
@@ -399,11 +387,7 @@ class MatrixBackend:
             store = self._spec_store = PlanSpecStore()
             for policy, plan in self._plans.values():
                 store.publish(policy, self.manager.fields, self._stage_specs(plan))
-        replica = MatrixBackend(
-            exact=self.exact,
-            class_limit=self.class_limit,
-            schur_crossover=self.schur_crossover,
-        )
+        replica = MatrixBackend(exact=self.exact, class_limit=self.class_limit)
         replica._spec_store = store
         replica.manager.register_fields(self.manager.fields)
         return replica
@@ -471,7 +455,6 @@ class MatrixBackend:
                         node_from_spec(self.manager, body_spec),
                         dict(domains),
                         self.manager,
-                        schur_crossover=self.schur_crossover,
                         watch=self.watch,
                     )
                 )
@@ -551,7 +534,6 @@ class MatrixBackend:
                         body_fdd,
                         {f: tuple(sorted(v)) for f, v in domains.items()},
                         self.manager,
-                        schur_crossover=self.schur_crossover,
                         watch=self.watch,
                     )
                 )
@@ -751,7 +733,6 @@ class MatrixBackend:
                         stage.body_fdd,
                         stage.domains,
                         stage.manager,
-                        schur_crossover=stage.schur_crossover,
                         watch=stage.watch,
                     )
 

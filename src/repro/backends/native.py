@@ -86,22 +86,6 @@ class NativeBackend:
         """
         return model.certainly_delivers(interpreter=self._interpreter)
 
-    # -- lifecycle -----------------------------------------------------------
-    def close(self) -> None:
-        """Release pooled resources (the interpreter's worker pool, if any).
-
-        Sessions and long-lived callers own the backend's lifetime: the
-        parallel interpreter keeps one persistent worker pool alive until
-        its owner closes it.
-        """
-        self._interpreter.close()
-
-    def __enter__(self) -> "NativeBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     @property
     def interpreter(self) -> Interpreter:
         return self._interpreter

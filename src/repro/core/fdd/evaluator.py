@@ -20,10 +20,6 @@ replaces that walk:
 * when ``exact`` is off, leaf action distributions are cached with
   pre-converted ``float`` weights, so exploration performs no
   ``Fraction`` arithmetic at all.
-
-Compiled bodies serialize into manager-independent *specs*
-(:meth:`CompiledBody.to_spec`) so the parallel backend can ship the
-compiled FDDs — not the pickled AST — to worker processes.
 """
 
 from __future__ import annotations
@@ -36,14 +32,7 @@ import numpy as np
 from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import ActionOrDrop, apply_action
-from repro.core.fdd.node import (
-    FddManager,
-    FddNode,
-    Leaf,
-    leaf_of,
-    node_from_spec,
-    node_to_spec,
-)
+from repro.core.fdd.node import FddManager, FddNode, Leaf, leaf_of
 from repro.core.packet import DROP, Packet, _DropType
 
 Outcome = Packet | _DropType
@@ -264,21 +253,19 @@ class _CaseSegment(_Segment):
     def __init__(
         self,
         field: str,
-        branch_policies: dict[int, s.Policy] | None,
-        default_policy: s.Policy | None,
+        branch_policies: dict[int, s.Policy],
+        default_policy: s.Policy,
         compiler,
         exact: bool,
         leaf_cache: _LeafCache,
-        branch_fdds: dict[int, FddNode] | None = None,
-        default_fdd: FddNode | None = None,
     ):
         super().__init__(exact, leaf_cache)
         self.field = field
         self._branch_policies = branch_policies
         self._default_policy = default_policy
         self._compiler = compiler
-        self._branch_fdds: dict[int, FddNode] = dict(branch_fdds or {})
-        self._default_fdd = default_fdd
+        self._branch_fdds: dict[int, FddNode] = {}
+        self._default_fdd: FddNode | None = None
 
     def _fdd_for(self, packet: Packet) -> FddNode:
         value = packet.get(self.field)
@@ -286,25 +273,13 @@ class _CaseSegment(_Segment):
             fdd = self._branch_fdds.get(value)
             if fdd is not None:
                 return fdd
-            if self._branch_policies is not None and value in self._branch_policies:
+            if value in self._branch_policies:
                 fdd = self._compiler.compile_unreduced(self._branch_policies[value])
                 self._branch_fdds[value] = fdd
                 return fdd
-        return self._require_default()
-
-    def _require_default(self) -> FddNode:
         if self._default_fdd is None:
-            assert self._compiler is not None and self._default_policy is not None
             self._default_fdd = self._compiler.compile_unreduced(self._default_policy)
         return self._default_fdd
-
-    def compile_all(self) -> None:
-        """Force compilation of every branch (and the default)."""
-        if self._branch_policies is not None:
-            for value, policy in self._branch_policies.items():
-                if value not in self._branch_fdds:
-                    self._branch_fdds[value] = self._compiler.compile_unreduced(policy)
-        self._require_default()
 
     @property
     def compiled_branches(self) -> int:
@@ -315,8 +290,8 @@ class CompiledBody:
     """A loop body compiled into FDD segments for fast row computation.
 
     Build with :meth:`try_compile` (returns ``None`` when the body is
-    not eligible, e.g. it contains a nested loop) or :meth:`from_spec`
-    (worker processes).  The central operation is :meth:`run_packet`:
+    not eligible, e.g. it contains a nested loop).  The central
+    operation is :meth:`run_packet`:
     the output distribution of the body on one concrete packet, computed
     purely by FDD evaluation.
     """
@@ -417,64 +392,6 @@ class CompiledBody:
             ),
             "cached_rows": sum(len(segment._rows) for segment in self._segments),
         }
-
-    # -- worker serialization ----------------------------------------------------
-    def to_spec(self) -> tuple:
-        """A picklable, manager-independent spec of this compiled body.
-
-        Lazily pending ``case`` branches are force-compiled first, so the
-        spec is complete: workers rebuilt from it never need the AST.
-        """
-        seg_specs: list[tuple] = []
-        for segment in self._segments:
-            if isinstance(segment, _CaseSegment):
-                segment.compile_all()
-                seg_specs.append((
-                    "case",
-                    segment.field,
-                    tuple(
-                        (value, node_to_spec(fdd))
-                        for value, fdd in sorted(segment._branch_fdds.items())
-                    ),
-                    node_to_spec(segment._require_default()),
-                ))
-            else:
-                assert isinstance(segment, _FddSegment)
-                seg_specs.append(("fdd", node_to_spec(segment.fdd)))
-        return ("compiled-body/v1", self.exact, self.manager.fields, tuple(seg_specs))
-
-    @classmethod
-    def from_spec(cls, spec: tuple) -> "CompiledBody":
-        """Rebuild a compiled body (in a fresh manager) from its spec."""
-        tag, exact, field_order, seg_specs = spec
-        if tag != "compiled-body/v1":
-            raise ValueError(f"unknown compiled-body spec tag {tag!r}")
-        manager = FddManager(field_order)
-        leaf_cache: _LeafCache = {}
-        segments: list[_Segment] = []
-        for entry in seg_specs:
-            if entry[0] == "fdd":
-                segments.append(
-                    _FddSegment(node_from_spec(manager, entry[1]), exact, leaf_cache)
-                )
-            else:
-                _, field, branch_specs, default_spec = entry
-                segments.append(
-                    _CaseSegment(
-                        field,
-                        branch_policies=None,
-                        default_policy=None,
-                        compiler=None,
-                        exact=exact,
-                        leaf_cache=leaf_cache,
-                        branch_fdds={
-                            value: node_from_spec(manager, fdd_spec)
-                            for value, fdd_spec in branch_specs
-                        },
-                        default_fdd=node_from_spec(manager, default_spec),
-                    )
-                )
-        return cls(segments, exact, manager)
 
 
 def _assigned_fields(policy: s.Policy) -> tuple[str, ...]:

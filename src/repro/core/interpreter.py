@@ -102,22 +102,6 @@ class Interpreter:
         # certain_outcomes of the loop body, per loop and loop-head state.
         self._loop_possible: dict[int, dict[Packet, tuple[frozenset, bool]]] = {}
 
-    # -- lifecycle -------------------------------------------------------------
-    def close(self) -> None:
-        """Release pooled resources owned by this interpreter.
-
-        A no-op for the sequential interpreter; subclasses that own
-        worker pools (:class:`repro.backends.parallel.ParallelInterpreter`)
-        override it.  Backends and analysis sessions call ``close()`` on
-        the interpreters they own, tying pool lifetime to their own.
-        """
-
-    def __enter__(self) -> "Interpreter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- public API -----------------------------------------------------------
     def run(self, policy: s.Policy, inputs: Dist[Outcome] | Packet) -> Dist[Outcome]:
         """Run ``policy`` on an input packet or distribution over packets."""
@@ -240,10 +224,6 @@ class Interpreter:
         self._compiled[id(policy)] = (policy, compiled)
         return compiled
 
-    def _compiled_body(self, loop: s.WhileDo) -> CompiledBody | None:
-        """The loop's compiled body, or ``None`` when it must be interpreted."""
-        return self._compiled_policy(loop.body)
-
     def _explore_loop(self, loop: s.WhileDo, seed: Packet) -> None:
         """Explore the reachable loop-head states starting from ``seed``.
 
@@ -252,7 +232,7 @@ class Interpreter:
         interpretation of the body per state.
         """
         rows = self._loop_rows.setdefault(id(loop), {})
-        compiled = self._compiled_body(loop)
+        compiled = self._compiled_policy(loop.body)
         frontier = [seed]
         while frontier:
             state = frontier.pop()
@@ -330,12 +310,12 @@ class Interpreter:
     def loop_stats(self) -> dict[str, int]:
         """Aggregate statistics over every loop this interpreter has solved.
 
-        ``factorizations`` counts full linear-system factorizations
-        (growth events); repeated seeds over an already-solved state
-        space do not increase it, and small growth steps answered by the
-        Schur-complement low-rank path count under ``schur_updates``
-        instead.  ``compiled_loops`` counts loops whose bodies run on
-        the compiled-FDD fast path.
+        ``factorizations`` counts growth steps (one factorization of the
+        new states each); repeated seeds over an already-solved state
+        space do not increase it.  ``schur_updates`` counts the steps
+        among them that extended an already-solved chain.
+        ``compiled_loops`` counts loops whose bodies run on the
+        compiled-FDD fast path.
         """
         return {
             "loops": len(self._loop_nodes),

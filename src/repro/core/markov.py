@@ -19,10 +19,9 @@ Three solvers are provided:
   arithmetic in the frontend; the interpreter's and compiler's exact mode).
 
 On top of these, :class:`IncrementalAbsorptionSolver` solves a chain that
-*grows* over time: each growth step factorizes only the newly discovered
-states, and small steps (m new states on n solved, m ≪ n) skip the full
-subsystem machinery entirely via a Schur-complement low-rank update that
-factors just the m×m block ``I − Q_new``.
+*grows* over time by one rule: each growth step solves only the newly
+discovered states, with the states solved earlier as absorbing gateways
+whose final rows are composed in.
 
 All accept the chain in a sparse "dict of rows" form; the dict-returning
 solvers produce dense row dictionaries mapping absorbing states to
@@ -39,7 +38,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
@@ -211,7 +210,15 @@ class AbsorptionSystem:
         mass deficit is reported as lost (diverging) mass, exactly like
         :func:`solve_absorption`.
         """
-        absorption = self.absorption_matrix()
+        return self.read(self.absorbing, self.absorption_matrix())
+
+    def read(self, absorbing: list[State], absorption: np.ndarray) -> AbsorptionResult:
+        """Row dicts and lost mass of a dense ``transient x absorbing`` array.
+
+        :meth:`result` reads the system's own absorption matrix this way;
+        a caller that has composed its columns onto other outcomes reads
+        the composed array (doomed states are added either way).
+        """
         negative = np.argwhere(absorption < -1e-6)
         if len(negative):
             i, j = negative[0]
@@ -223,7 +230,6 @@ class AbsorptionSystem:
         clamped = np.clip(absorption, 0.0, 1.0)
         filled: list[dict[State, float]] = [{} for _ in self.transient]
         nz_rows, nz_cols = np.nonzero(clamped)
-        absorbing = self.absorbing
         for i, j, value in zip(
             nz_rows.tolist(), nz_cols.tolist(), clamped[nz_rows, nz_cols].tolist()
         ):
@@ -343,58 +349,42 @@ class IncrementalAbsorptionSolver:
     small — factorization, instead of the whole chain being re-solved
     from scratch on every new seed.
 
-    Small growth steps go further: when m new states join an n-state
-    solved chain with ``m <= schur_crossover * n``, the float path runs a
-    *Schur-complement growth update* (:meth:`_schur_update`) instead of a
-    fresh subsystem factorization.  Because exploration closes forward
-    reachability, the old→new coupling block ``C`` of the bordered system
-    is structurally zero, so the Schur complement
-    ``I − Q_new − B·(I−Q_old)^{-1}·C`` collapses to the m×m block
-    ``I − Q_new``; the update factors only that block and composes the
-    gateway distributions by one dense matrix product ``B·G`` rather than
-    per-entry Python dict loops.  Successful updates increment
-    :attr:`schur_updates` and leave :attr:`factorizations` untouched — the
-    counter pair backends and telemetry export.  When a solve shows
-    degraded conditioning (negative mass or row sums above one beyond the
-    LU tolerance), the solver warns once and falls back to a fresh
-    subsystem factorization for that step.
+    Every step is the same code whatever its size:
+    :func:`solve_absorption_batched` (float) or
+    :func:`solve_absorption_exact` (exact) over the new states, with the
+    absorbing targets and the gateways as columns.  The float path then
+    composes the gateway columns onto the gateways' final rows by one
+    array product; the exact path composes :class:`~fractions.Fraction`
+    row dicts.  A gateway's own lost mass shrinks its final row, so a new
+    state's deficit ``1 − Σ row`` already includes mass forwarded into
+    diverging gateways.
 
     Attributes
     ----------
     factorizations:
-        Number of full subsystem factorizations performed.  Callers use
-        this to assert that repeated seeds over an already-solved state
-        space perform no linear algebra at all, and that small growth
-        steps avoid full factorizations entirely.
+        Number of growth steps, each one factorization of the new
+        states' ``I − Q`` block.  Callers use this to assert that
+        repeated seeds over an already-solved state space perform no
+        linear algebra at all.
     schur_updates:
-        Number of growth steps answered by the low-rank Schur path.
-    schur_crossover:
-        Growth fraction above which a fresh factorization is cheaper than
-        the Schur update (default ``0.25``): the update runs only while
-        ``m <= schur_crossover * n_solved``.
+        The steps among those that grew an already-solved chain (every
+        step of a solver but its first).
     system:
-        The :class:`AbsorptionSystem` of the most recent full subsystem
-        solve (``None`` before the first solve and in exact mode; Schur
-        updates do not replace it).  Its LU factor is already released —
-        the solver may be dropped on any thread — so it carries the
-        subsystem's shape and absorption matrix, not a live factorization.
+        The :class:`AbsorptionSystem` of the most recent step (``None``
+        before the first solve and in exact mode).  Its LU factor is
+        already released — the solver may be dropped on any thread — so
+        it carries the subsystem's shape and absorption matrix, not a
+        live factorization.
     """
 
-    def __init__(
-        self,
-        exact: bool = False,
-        schur_crossover: float = 0.25,
-        watch=None,
-    ):
+    def __init__(self, exact: bool = False, watch=None):
         self.exact = exact
-        self.schur_crossover = schur_crossover
         self.watch = watch
         self.factorizations = 0
         self.schur_updates = 0
         self.system: AbsorptionSystem | None = None
         self._solutions: dict[State, dict[State, Fraction | float]] = {}
         self._lost: dict[State, Fraction | float] = {}
-        self._schur_warned = False
 
     def _measure(self, name: str):
         """A ``watch.measure`` section, or a no-op without a stopwatch."""
@@ -435,232 +425,111 @@ class IncrementalAbsorptionSolver:
         solutions = self._solutions
         new = [state for state in transient if state not in solutions]
         if new:
-            self._solve_subsystem(new, transitions)
+            self._solve_growth(new, transitions)
         rows = {state: solutions[state] for state in transient}
         lost = {state: self._lost[state] for state in transient}
         return AbsorptionResult(rows, lost)
 
-    def _solve_subsystem(
+    def _solve_growth(
         self,
         new: list[State],
         transitions: Mapping[State, Mapping[State, float | Fraction]],
     ) -> None:
         solutions = self._solutions
         new_set = set(new)
-        gateways: list[State] = []
-        gateway_set: set[State] = set()
-        targets: list[State] = []
-        target_set: set[State] = set()
+        # Successors outside the step, in discovery order: solved states
+        # are gateways, everything else is an absorbing target.
+        gateways: dict[State, None] = {}
+        targets: dict[State, None] = {}
         for state in new:
             for successor in transitions[state]:
-                if successor in new_set:
-                    continue
-                if successor in solutions:
-                    if successor not in gateway_set:
-                        gateway_set.add(successor)
-                        gateways.append(successor)
-                elif successor not in target_set:
-                    target_set.add(successor)
-                    targets.append(successor)
-        if (
-            not self.exact
-            and solutions
-            and len(new) <= self.schur_crossover * len(solutions)
-        ):
-            if self._schur_update(new, transitions, gateways, targets):
-                return
-            if not self._schur_warned:
-                self._schur_warned = True
-                warnings.warn(
-                    "Schur-complement growth update detected degraded "
-                    "conditioning; falling back to a fresh subsystem "
-                    "factorization",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        sub_absorbing = targets + gateways
+                if successor not in new_set:
+                    (gateways if successor in solutions else targets)[successor] = None
+        absorbing = [*targets, *gateways]
         sub_transitions = {state: transitions[state] for state in new}
         if self.exact:
             with self._measure("factorize"):
-                result = solve_absorption_exact(new, sub_absorbing, sub_transitions)
+                result = solve_absorption_exact(new, absorbing, sub_transitions)
             self.system = None
+            if gateways:
+                result = self._compose_exact(result, gateways)
         else:
             with self._measure("factorize"):
-                system = solve_absorption_batched(
-                    new, sub_absorbing, sub_transitions
-                )
+                system = solve_absorption_batched(new, absorbing, sub_transitions)
             try:
                 with self._measure("solve"):
-                    result = system.result()
+                    result = self._read_composed(system, list(targets), gateways)
             finally:
                 # The factor dies here, on the thread that made it: this
                 # solver (or a traceback) may be dropped on any thread.
                 system.release()
             self.system = system
         self.factorizations += 1
+        self.schur_updates += bool(solutions)
+        solutions.update(result)
+        self._lost.update(result.lost_mass)
 
-        if not gateways:  # nothing to compose: the rows are final as solved
-            solutions.update((state, result[state]) for state in new)
-            self._lost.update((state, result.lost_mass[state]) for state in new)
-            return
-        zero: Fraction | float = Fraction(0) if self.exact else 0.0
-        for state in new:
-            raw = result.get(state, {})
-            lost = result.lost_mass.get(state, zero)
-            final: dict[State, Fraction | float] = {}
-            for target, probability in raw.items():
-                if target in gateway_set:
-                    # Mass entering an already-solved state follows that
-                    # state's final absorption distribution.
-                    for outcome, weight in solutions[target].items():
-                        final[outcome] = final.get(outcome, zero) + probability * weight
-                    lost = lost + probability * self._lost[target]
-                else:
-                    final[target] = final.get(target, zero) + probability
-            solutions[state] = final
-            self._lost[state] = lost
-
-    def _schur_update(
-        self,
-        new: list[State],
-        transitions: Mapping[State, Mapping[State, float | Fraction]],
-        gateways: list[State],
-        targets: list[State],
-    ) -> bool:
-        """Solve a small growth step via the Schur complement, in place.
-
-        Forward exploration closes reachability, so solved states never
-        point back into the growth block: the old→new coupling ``C`` of
-        the bordered system is structurally zero and the Schur complement
-        ``I − Q_new − B·(I−Q_old)^{-1}·C`` is just the m×m block
-        ``I − Q_new``.  The final absorption rows are then
-
-            ``A_new = (I − Q_new)^{-1} · (R_new + B · G)``
-
-        where ``B`` couples new states to solved gateways and ``G``
-        stacks the gateways' (final) absorption rows — one sparse-dense
-        product instead of per-entry dict composition.  Lost mass falls
-        out of the same algebra: a gateway's divergence shrinks its row
-        sum of ``G``, so each new state's deficit ``1 − Σ A_new`` already
-        includes mass forwarded into diverging gateways.
-
-        Returns ``True`` after committing solutions for every new state.
-        Returns ``False`` — leaving the solver untouched — when the solve
-        shows degraded conditioning, so the caller can redo the step with
-        a fresh full factorization.
-        """
+    def _compose_exact(
+        self, result: AbsorptionResult, gateways: Mapping[State, None]
+    ) -> AbsorptionResult:
+        """``result`` with mass entering a gateway spread over its final row."""
         solutions = self._solutions
-        sub_transitions = {state: transitions[state] for state in new}
-        reaching = _states_reaching_absorption(
-            new, targets + gateways, sub_transitions
-        )
-        live = [state for state in new if state in reaching]
-        doomed = [state for state in new if state not in reaching]
-        doomed_set = set(doomed)
-
-        outcome_index: dict[State, int] = {}
-        outcomes: list[State] = []
-
-        def outcome_id(outcome: State) -> int:
-            j = outcome_index.get(outcome)
-            if j is None:
-                j = outcome_index[outcome] = len(outcomes)
-                outcomes.append(outcome)
-            return j
-
-        m = len(live)
-        if m == 0:
-            for state in doomed:
-                solutions[state] = {}
-                self._lost[state] = 1.0
-            self.schur_updates += 1
-            return True
-
-        t_index = {state: i for i, state in enumerate(live)}
-        g_index = {gateway: k for k, gateway in enumerate(gateways)}
-        q_rows: list[int] = []
-        q_cols: list[int] = []
-        q_data: list[float] = []
-        b_rows: list[int] = []
-        b_cols: list[int] = []
-        b_data: list[float] = []
-        r_entries: list[tuple[int, int, float]] = []
-        for state in live:
-            i = t_index[state]
-            for succ, prob in transitions[state].items():
-                p = float(prob)
-                if p == 0.0:
-                    continue
-                if succ in t_index:
-                    q_rows.append(i)
-                    q_cols.append(t_index[succ])
-                    q_data.append(p)
-                elif succ in g_index:
-                    b_rows.append(i)
-                    b_cols.append(g_index[succ])
-                    b_data.append(p)
-                elif succ in doomed_set:
-                    continue  # mass entering a doomed state can never be absorbed
+        rows: dict[State, dict[State, Fraction]] = {}
+        lost: dict[State, Fraction] = {}
+        for state, raw in result.items():
+            deficit = result.lost_mass[state]
+            final: dict[State, Fraction] = {}
+            for target, probability in raw.items():
+                if target in gateways:
+                    for outcome, weight in solutions[target].items():
+                        final[outcome] = final.get(outcome, 0) + probability * weight
+                    deficit = deficit + probability * self._lost[target]
                 else:
-                    r_entries.append((i, outcome_id(succ), p))
+                    final[target] = final.get(target, 0) + probability
+            rows[state], lost[state] = final, deficit
+        return AbsorptionResult(rows, lost)
 
-        # Gateway absorption rows register their outcomes too, so the
-        # outcome index is complete only after this pass.
-        gateway_rows = [
-            [(outcome_id(outcome), float(weight)) for outcome, weight in solutions[g].items()]
-            for g in gateways
-        ]
-        n_out = len(outcomes)
+    def _read_composed(
+        self, system: AbsorptionSystem, outcomes: list[State], gateways: Mapping[State, None]
+    ) -> AbsorptionResult:
+        """Final rows and lost mass of one float step.
 
-        rhs = np.zeros((m, n_out))
-        for i, j, p in r_entries:
-            rhs[i, j] += p
+        The gateway columns of the step's absorption matrix are
+        multiplied onto ``G``, the gateways' final rows over
+        ``outcomes`` (the step's targets on entry, extended by whatever
+        else a gateway reaches), and the rows are read off the sum by
+        :meth:`AbsorptionSystem.read`, like :meth:`~AbsorptionSystem.result`'s.
+        """
+        absorption = system.absorption_matrix()
+        n_targets = len(outcomes)
         if gateways:
-            g_dense = np.zeros((len(gateways), n_out))
-            for k, row in enumerate(gateway_rows):
-                for j, weight in row:
-                    g_dense[k, j] += weight
-            b_mat = csr_matrix(
-                (b_data, (b_rows, b_cols)), shape=(m, len(gateways))
+            index = {outcome: j for j, outcome in enumerate(outcomes)}
+            g_rows: list[int] = []
+            g_cols: list[int] = []
+            g_data: list[float] = []
+            for k, gateway in enumerate(gateways):
+                for outcome, weight in self._solutions[gateway].items():
+                    j = index.get(outcome)
+                    if j is None:
+                        j = index[outcome] = len(outcomes)
+                        outcomes.append(outcome)
+                    g_rows.append(k)
+                    g_cols.append(j)
+                    g_data.append(weight)
+            g_mat = csr_matrix(
+                (g_data, (g_rows, g_cols)), shape=(len(gateways), len(outcomes))
             )
-            rhs += b_mat @ g_dense
-
-        i_minus_q = (
-            identity(m, format="csc")
-            - csc_matrix((q_data, (q_rows, q_cols)), shape=(m, m))
-        ).tocsc()
-        try:
-            with self._measure("factorize"):
-                lu = splu(i_minus_q)
-            with self._measure("solve"):
-                absorption = lu.solve(rhs) if n_out else np.zeros((m, 0))
-        except RuntimeError:
-            return False
-
-        # Validate before committing anything: a detected deficit means
-        # the update is numerically untrustworthy for this step.
-        if n_out and absorption.min(initial=0.0) < -1e-6:
-            return False
-        row_sums = absorption.sum(axis=1) if n_out else np.zeros(m)
-        if row_sums.max(initial=0.0) > 1.0 + 1e-6:
-            return False
-        if n_out:
-            np.clip(absorption, 0.0, 1.0, out=absorption)
-
-        for state in live:
-            i = t_index[state]
-            row = absorption[i]
-            final: dict[State, float] = {
-                outcomes[j]: float(row[j]) for j in np.nonzero(row)[0]
-            }
-            deficit = 1.0 - float(row.sum())
-            solutions[state] = final
-            self._lost[state] = deficit if deficit > SOLVER_TOLERANCE else 0.0
-        for state in doomed:
-            solutions[state] = {}
-            self._lost[state] = 1.0
-        self.schur_updates += 1
-        return True
+            composed = absorption[:, n_targets:] @ g_mat
+            composed[:, :n_targets] += absorption[:, :n_targets]
+            absorption = composed
+        if absorption.sum(axis=1).max(initial=0.0) > 1.0 + 1e-6:
+            warnings.warn(
+                "absorption rows sum to more than one: the growth step is "
+                "numerically degraded (or a transition row was not sub-stochastic)",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        return system.read(outcomes, absorption)
 
 
 def solve_absorption(

@@ -301,8 +301,8 @@ class Case(Policy):
     """N-ary disjoint branching (§6, added for parallel compilation).
 
     ``case t1 then p1 else case t2 then p2 ... else default``.  Semantically
-    identical to a cascade of conditionals, but the native backend may
-    compile the branches in parallel.
+    identical to a cascade of conditionals, but a ``case`` on one field
+    compiles branch by branch (per switch) instead of as one product.
     """
     __slots__ = ("branches", "default")
     branches: tuple[tuple[Predicate, Policy], ...]

@@ -52,8 +52,8 @@ class NetworkModel:
     delivered:
         Predicate satisfied exactly by delivered packets (``sw = dest``).
     body:
-        One hop of the model (``f ; p ; t`` plus bookkeeping), useful for
-        parallel row computation.
+        One hop of the model (``f ; p ; t`` plus bookkeeping): the loop
+        body, and the unrolled first hop that precedes the loop.
     """
 
     topology: Topology

@@ -530,8 +530,7 @@ class WorkerHandle(ReplicaClient):
         )
         self._process.start()
         child_conn.close()
-        # Safety net mirroring ParallelInterpreter's finalizer: an
-        # abandoned handle must not leak a worker process.
+        # Safety net: an abandoned handle must not leak a worker process.
         self._finalizer = weakref.finalize(
             self, _terminate_process, self._process, self._transport.connection
         )

@@ -20,7 +20,9 @@ This module abstracts the carrier:
   (frames above ``max_frame_bytes`` are refused *before* reading the
   body), and the checksum catches corruption that TCP's 16-bit checksum
   misses — a garbled frame surfaces as a typed :class:`FrameError`, not
-  a pickle exception deep inside the unpickler.
+  a pickle exception deep inside the unpickler.  The payload is decoded
+  by an unpickler that resolves three classes and refuses every other
+  global, so a frame cannot make its reader run code.
 
 Failure taxonomy (what supervision keys off):
 
@@ -71,8 +73,9 @@ class TransportClosed(TransportError, EOFError):
 
 class FrameError(TransportError):
     """The framed stream is corrupt; ``reason`` is one of ``"truncated"``,
-    ``"checksum"``, ``"magic"``, or ``"oversize"``.  The connection cannot
-    be resynchronised and must be torn down."""
+    ``"checksum"``, ``"magic"``, ``"oversize"``, or ``"payload"`` (the
+    bytes arrived intact but are not a message of this protocol).  The
+    connection cannot be trusted and must be torn down."""
 
     def __init__(self, message: str, *, reason: str):
         super().__init__(message)
@@ -111,14 +114,43 @@ def decode_header(header: bytes, *, max_frame_bytes: int = DEFAULT_MAX_FRAME) ->
     return length, crc
 
 
+#: The only classes a frame payload may name.  Everything else the worker
+#: protocol sends is tuples, strs, ints, floats, bools, ``None``, dicts
+#: and lists — plan specs carry no AST objects.
+_WIRE_CLASSES = frozenset({
+    ("fractions", "Fraction"),
+    ("repro.service.wire", "QuerySpec"),
+    ("repro.service.wire", "ResultSpec"),
+})
+
+
+class _WireUnpickler(pickle.Unpickler):
+    """An unpickler that resolves :data:`_WIRE_CLASSES` and nothing else.
+
+    The bytes come from a TCP peer: a pickle naming any other global
+    (``os.system``, ``builtins.eval``, another ``repro`` class) would run
+    code of the peer's choosing on load, so it is refused unresolved.
+    """
+
+    def find_class(self, module: str, name: str):
+        if (module, name) in _WIRE_CLASSES:
+            return super().find_class(module, name)
+        raise pickle.UnpicklingError(
+            f"frame payload names {module}.{name}, which the wire protocol never sends"
+        )
+
+
 def decode_payload(payload: bytes, crc: int) -> object:
-    """Checksum-verify and unpickle one frame payload."""
+    """Checksum-verify and decode one frame payload."""
     if zlib.crc32(payload) != crc:
         raise FrameError(
             "frame checksum mismatch (payload corrupted in transit)",
             reason="checksum",
         )
-    return pickle.loads(payload)
+    try:
+        return _WireUnpickler(io.BytesIO(payload)).load()
+    except Exception as exc:  # whatever a crafted pickle stream can raise
+        raise FrameError(f"undecodable frame payload: {exc}", reason="payload") from exc
 
 
 def decode_message(frame: bytes, *, max_frame_bytes: int = DEFAULT_MAX_FRAME) -> object:

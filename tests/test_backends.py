@@ -1,9 +1,8 @@
-"""Tests for the native backend facade and the parallel backend."""
+"""Tests for the native backend facade."""
 
 import pytest
 
-from repro.backends import NativeBackend, ParallelInterpreter, transition_rows
-from repro.core import syntax as s
+from repro.backends import NativeBackend
 from repro.core.packet import DROP, Packet
 from repro.network import running_example as ex
 
@@ -52,184 +51,3 @@ class TestNativeBackend:
         )
         assert not diverge
         assert all(o is not DROP for o in outcomes)
-
-
-class TestParallelBackend:
-    def test_transition_rows_sequential_fallback(self):
-        body = s.ite(s.test("sw", 1), s.assign("sw", 2), s.drop())
-        rows = transition_rows(body, [Packet({"sw": 1}), Packet({"sw": 9})], workers=1)
-        assert rows[Packet({"sw": 1})](Packet({"sw": 2})) == 1
-        assert rows[Packet({"sw": 9})](DROP) == 1
-
-    def test_transition_rows_parallel_agrees_with_sequential(self):
-        body = s.case(
-            [(s.test("sw", i), s.choice((s.assign("sw", i + 1), 0.5), (s.drop(), 0.5)))
-             for i in range(1, 7)],
-            s.drop(),
-        )
-        packets = [Packet({"sw": i}) for i in range(1, 7)]
-        sequential = transition_rows(body, packets, workers=1)
-        parallel = transition_rows(body, packets, workers=2)
-        for packet in packets:
-            assert sequential[packet].close_to(parallel[packet])
-
-    def test_parallel_interpreter_matches_sequential(self, example):
-        from repro.core.interpreter import Interpreter
-
-        model = example.models_resilient["f2"]
-        sequential = Interpreter().run_packet(model, example.ingress_packet)
-        parallel = ParallelInterpreter(workers=2).run_packet(model, example.ingress_packet)
-        assert sequential.close_to(parallel, tolerance=1e-9)
-
-
-class TestParallelExactness:
-    """ParallelBackend(exact=True) must not degrade weights to floats."""
-
-    def exact_body(self):
-        from fractions import Fraction
-
-        return s.case(
-            [
-                (s.test("sw", i), s.choice(
-                    (s.assign("sw", i + 1), Fraction(1, 3)),
-                    (s.assign("sw", 0), Fraction(2, 3)),
-                ))
-                for i in range(1, 7)
-            ],
-            s.drop(),
-        )
-
-    def test_transition_rows_preserve_fractions(self):
-        from fractions import Fraction
-
-        packets = [Packet({"sw": i}) for i in range(1, 7)]
-        rows = transition_rows(self.exact_body(), packets, workers=2, exact=True)
-        for dist in rows.values():
-            assert all(isinstance(prob, Fraction) for _, prob in dist.items())
-
-    def test_exact_parallel_backend_loop(self):
-        from fractions import Fraction
-
-        from repro.backends import ParallelBackend
-
-        body = s.case(
-            [
-                (s.test("sw", i), s.choice(
-                    (s.assign("sw", i + 1), Fraction(1, 2)),
-                    (s.assign("sw", i), Fraction(1, 2)),
-                ))
-                for i in range(1, 5)
-            ],
-            s.drop(),
-        )
-        policy = s.seq(s.test("sw", 1), s.while_do(s.neg(s.test("sw", 5)), body))
-        backend = ParallelBackend(exact=True, workers=2)
-        dist = backend.output_distribution(policy, Packet({"sw": 1}))
-        assert dist(Packet({"sw": 5})) == 1
-        assert all(isinstance(prob, Fraction) for _, prob in dist.items())
-
-
-class TestParallelCompiledShipping:
-    """Workers evaluate the shipped compiled-body spec, not the AST."""
-
-    def test_transition_rows_with_precompiled_body(self):
-        from repro.core.compiler import Compiler
-        from repro.core.fdd.evaluator import CompiledBody
-
-        body = s.case(
-            [(s.test("sw", i), s.choice((s.assign("sw", i + 1), 0.5), (s.drop(), 0.5)))
-             for i in range(1, 7)],
-            s.drop(),
-        )
-        compiled = CompiledBody.try_compile(body, Compiler())
-        assert compiled is not None
-        packets = [Packet({"sw": i}) for i in range(1, 7)]
-        via_spec = transition_rows(body, packets, workers=2, compiled=compiled)
-        via_ast = transition_rows(body, packets, workers=1)
-        for packet in packets:
-            assert via_spec[packet].close_to(via_ast[packet])
-
-    def test_parallel_interpreter_uses_compiled_loops(self, example):
-        interp = ParallelInterpreter(workers=2)
-        model = example.models_resilient["f2"]
-        interp.run_packet(model, example.ingress_packet)
-        assert interp.loop_stats()["compiled_loops"] >= 1
-
-
-class TestPersistentPool:
-    """The parallel interpreter reuses one worker pool until close()."""
-
-    def wide_loop(self, n: int = 20):
-        # Each state fans out to four successors, so exploration waves are
-        # wide enough (>= 4 states) to engage the worker pool.
-        body = s.case(
-            [
-                (
-                    s.test("sw", i),
-                    s.choice(
-                        *[(s.assign("sw", min(i + step, n)), 0.25) for step in (1, 2, 3, 4)]
-                    ),
-                )
-                for i in range(1, n)
-            ],
-            s.drop(),
-        )
-        return s.while_do(s.neg(s.test("sw", n)), body)
-
-    def test_pool_reused_across_seeds_and_loops(self):
-        loop = self.wide_loop()
-        # Two distinct loop objects over the SAME body AST: the pool is
-        # keyed by the body, so both explorations share one pool.
-        sibling = s.while_do(loop.guard, loop.body)
-        with ParallelInterpreter(workers=2) as interp:
-            interp.run_packet(loop, Packet({"sw": 1}))
-            assert interp.pools_started == 1
-            assert interp._pool is not None
-            interp.run_packet(loop, Packet({"sw": 2}))  # incremental seed
-            interp.run_packet(sibling, Packet({"sw": 1}))
-            assert interp.pools_started == 1
-        assert interp._pool is None  # context exit closed the pool
-
-    def test_close_is_idempotent_and_explicit(self):
-        interp = ParallelInterpreter(workers=2)
-        interp.run_packet(self.wide_loop(), Packet({"sw": 1}))
-        assert interp.pools_started == 1
-        interp.close()
-        interp.close()
-        assert interp._pool is None
-        # A closed interpreter can still serve: the pool restarts on demand.
-        interp.run_packet(self.wide_loop(), Packet({"sw": 1}))
-        assert interp.pools_started == 2
-        interp.close()
-
-    def test_backend_close_tears_down_interpreter_pool(self, example):
-        from repro.backends import ParallelBackend
-
-        with ParallelBackend(workers=2) as backend:
-            model = example.models_resilient["f2"]
-            backend.output_distribution(model, example.ingress_packet)
-        assert backend.interpreter._pool is None
-
-    def test_sequential_interpreter_close_is_noop(self, example):
-        from repro.core.interpreter import Interpreter
-
-        with Interpreter() as interp:
-            dist = interp.run_packet(example.naive, example.ingress_packet)
-        assert sum(float(prob) for _, prob in dist.items()) == pytest.approx(1.0)
-
-    def test_dropped_interpreter_finalizes_its_pool(self):
-        import gc
-        import weakref
-
-        interp = ParallelInterpreter(workers=2)
-        interp.run_packet(self.wide_loop(), Packet({"sw": 1}))
-        assert interp._pool is not None
-        finalizer = interp._pool_finalizer
-        assert finalizer is not None and finalizer.alive
-        # Dropping the interpreter without close() (the throwaway
-        # backend="parallel" pattern) must still reap the workers.
-        ref = weakref.ref(interp)
-        del interp
-        gc.collect()
-        assert ref() is None
-        assert not finalizer.alive  # finalizer ran: pool terminated

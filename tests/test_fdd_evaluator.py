@@ -5,13 +5,12 @@ The central claim: for every eligible body and every concrete packet,
 interpreter computes (and, transitively via the existing compiler tests,
 the reference denotational semantics).  Property tests generate random
 guarded programs to check this; unit tests cover lazy per-branch
-compilation, spine specialization, worker-spec round-trips, and the
-deep-body no-recursion guarantee.
+compilation, spine specialization, and the deep-body no-recursion
+guarantee.
 """
 
 from __future__ import annotations
 
-import pickle
 import sys
 from fractions import Fraction
 
@@ -228,42 +227,6 @@ class TestSpineSpecialization:
         assert out == Dist.point(Packet({"sw": 2, "seen": 1}))
         out = Interpreter(exact=True).run_packet(body, Packet({"sw": 1, "seen": 0}))
         assert out == Dist.point(Packet({"sw": 2, "seen": 1}))
-
-
-class TestWorkerSpecs:
-    def body(self) -> s.Policy:
-        pr = Fraction(1, 8)
-        return s.seq(
-            s.case(
-                [
-                    (s.test("sw", i), s.choice(
-                        (s.assign("sw", i + 1), 1 - pr), (s.drop(), pr)
-                    ))
-                    for i in range(4)
-                ],
-                s.drop(),
-            ),
-            s.assign("pt", 7),
-        )
-
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_spec_round_trip_preserves_rows(self, exact):
-        compiled = CompiledBody.try_compile(self.body(), Compiler(), exact=exact)
-        spec = pickle.loads(pickle.dumps(compiled.to_spec()))
-        rebuilt = CompiledBody.from_spec(spec)
-        for value in range(5):
-            pk = Packet({"sw": value, "pt": 0})
-            assert rebuilt.run_packet(pk) == compiled.run_packet(pk)
-
-    def test_spec_preserves_exact_weights(self):
-        compiled = CompiledBody.try_compile(self.body(), Compiler(), exact=True)
-        rebuilt = CompiledBody.from_spec(compiled.to_spec())
-        out = rebuilt.run_packet(Packet({"sw": 0, "pt": 0}))
-        assert all(isinstance(prob, Fraction) for _, prob in out.items())
-
-    def test_unknown_spec_tag_rejected(self):
-        with pytest.raises(ValueError):
-            CompiledBody.from_spec(("bogus/v9", False, (), ()))
 
 
 class TestDeepBodies:

@@ -193,54 +193,60 @@ class TestIncrementalAbsorptionSolver:
 
 
 class TestSchurGrowthUpdates:
-    """Small growth steps run the Schur-complement low-rank path."""
+    """Growth steps: one code path, counted by ``(factorizations, schur_updates)``."""
 
     chain = TestIncrementalAbsorptionSolver.chain
 
-    def test_small_growth_uses_schur_not_factorization(self):
+    def test_small_growth_factorizes_only_the_new_states(self):
         from repro.core.markov import IncrementalAbsorptionSolver
 
         transitions = self.chain(40)
         solver = IncrementalAbsorptionSolver()
         solver.solve(list(range(8, 40)), transitions)  # 32 states solved
-        assert solver.factorizations == 1
-        assert solver.schur_updates == 0
-        # Growing by 8 on 32 solved states is exactly the 25% crossover:
-        # the step must be answered by the Schur update, with zero full
-        # factorizations.
+        assert (solver.factorizations, solver.schur_updates) == (1, 0)
+        # Growing by 8 factorizes the 8 new states only, and counts as a
+        # step that grew an already-solved chain.
         result = solver.solve(list(range(40)), transitions)
-        assert solver.factorizations == 1
-        assert solver.schur_updates == 1
+        assert (solver.factorizations, solver.schur_updates) == (2, 1)
+        assert len(solver.system.transient) == 8
         reference = solve_absorption(list(range(40)), ["win"], transitions)
         for state in range(40):
             assert result[state]["win"] == pytest.approx(
                 reference[state]["win"], abs=1e-9
             )
-        # Re-solving is a pure cache hit on both counters.
-        solver.solve(list(range(40)), transitions)
-        assert solver.factorizations == 1
-        assert solver.schur_updates == 1
 
-    def test_large_growth_falls_back_to_fresh_factorization(self):
+    def test_second_solve_over_a_solved_space_moves_neither_counter(self):
         from repro.core.markov import IncrementalAbsorptionSolver
 
         transitions = self.chain(12)
         solver = IncrementalAbsorptionSolver()
-        solver.solve(list(range(8, 12)), transitions)
-        # 8 new on 4 solved exceeds the crossover: full factorization.
-        solver.solve(list(range(12)), transitions)
-        assert solver.factorizations == 2
-        assert solver.schur_updates == 0
+        solver.solve(list(range(4, 12)), transitions)
+        first = solver.solve(list(range(12)), transitions)
+        counters = (solver.factorizations, solver.schur_updates)
+        system = solver.system
+        # No linear algebra on a cache hit: same rows, same counters.
+        again = solver.solve(list(range(12)), {})
+        assert (solver.factorizations, solver.schur_updates) == counters == (2, 1)
+        assert solver.system is system
+        assert all(again[state] is first[state] for state in range(12))
 
-    def test_crossover_zero_disables_schur(self):
+    @pytest.mark.parametrize("solved_first", [4, 29])
+    def test_large_and_small_steps_take_the_same_path(self, solved_first):
         from repro.core.markov import IncrementalAbsorptionSolver
 
+        # 26 new states on 4 solved, or 1 new on 29: no size picks a
+        # different routine, so the counters read alike.
         transitions = self.chain(30)
-        solver = IncrementalAbsorptionSolver(schur_crossover=0.0)
-        solver.solve(list(range(29, 30)), transitions)
-        solver.solve(list(range(30)), transitions)
-        assert solver.factorizations == 2
-        assert solver.schur_updates == 0
+        solver = IncrementalAbsorptionSolver()
+        solver.solve(list(range(30 - solved_first, 30)), transitions)
+        result = solver.solve(list(range(30)), transitions)
+        assert (solver.factorizations, solver.schur_updates) == (2, 1)
+        assert len(solver.system.transient) == 30 - solved_first
+        reference = solve_absorption(list(range(30)), ["win"], transitions)
+        for state in range(30):
+            assert result[state]["win"] == pytest.approx(
+                reference[state]["win"], abs=1e-9
+            )
 
     def test_schur_lost_mass_through_diverging_gateway(self):
         from repro.core.markov import IncrementalAbsorptionSolver
@@ -251,12 +257,11 @@ class TestSchurGrowthUpdates:
             1: {2: 1.0},
             0: {1: 0.5, "out": 0.5},
         }
-        solver = IncrementalAbsorptionSolver(schur_crossover=1.0)
+        solver = IncrementalAbsorptionSolver()
         first = solver.solve([1, 2], transitions)
         assert first.lost_mass[1] == pytest.approx(1.0)
         result = solver.solve([0, 1, 2], transitions)
-        assert solver.schur_updates == 1
-        assert solver.factorizations == 1
+        assert (solver.factorizations, solver.schur_updates) == (2, 1)
         assert result[0]["out"] == pytest.approx(0.5)
         assert result.lost_mass[0] == pytest.approx(0.5)
 
@@ -268,12 +273,11 @@ class TestSchurGrowthUpdates:
         solver = IncrementalAbsorptionSolver()
         solver.solve(list(range(20)), transitions)
         result = solver.solve(list(range(20)) + ["stuck"], transitions)
-        assert solver.schur_updates == 1
-        assert solver.factorizations == 1
+        assert (solver.factorizations, solver.schur_updates) == (2, 1)
         assert result["stuck"] == {}
         assert result.lost_mass["stuck"] == pytest.approx(1.0)
 
-    def test_schur_update_preserves_solved_rows(self):
+    def test_growth_preserves_solved_rows(self):
         from repro.core.markov import IncrementalAbsorptionSolver
 
         transitions = self.chain(40)
@@ -285,6 +289,18 @@ class TestSchurGrowthUpdates:
         for state, row in before.items():
             assert solver.solution(state) is row
 
+    def test_row_sum_above_one_warns(self):
+        from repro.core.markov import IncrementalAbsorptionSolver
+
+        # Detection, not repair: a row that absorbs more than its mass is
+        # reported and clipped, a negative one is an error.
+        solver = IncrementalAbsorptionSolver()
+        with pytest.warns(RuntimeWarning, match="more than one"):
+            result = solver.solve([0], {0: {"a": 0.75, "b": 0.75}})
+        assert result[0] == {"a": 0.75, "b": 0.75}
+        with pytest.raises(ArithmeticError, match="negative absorption"):
+            IncrementalAbsorptionSolver().solve([0], {0: {"a": -0.5}})
+
 
 @given(data=st.data())
 @settings(max_examples=examples(80), deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -292,8 +308,8 @@ def test_incremental_growth_matches_from_scratch(data):
     """Randomized growth schedules ≡ a from-scratch batched solve (≤1e-9).
 
     Chains include sub-stochastic rows (lost mass) and states that cannot
-    reach absorption (doomed), across crossover settings that force the
-    Schur path, the legacy path, and the default mix.
+    reach absorption (doomed); a drawn prefix makes the first gateways
+    sub-stochastic, so lost mass is composed through two growth steps.
     """
     from repro.core.markov import IncrementalAbsorptionSolver
 
@@ -324,9 +340,18 @@ def test_incremental_growth_matches_from_scratch(data):
         for successor, weight in zip(successors, weights):
             row[successor] = row.get(successor, 0.0) + weight / denominator
         transitions[i] = row
-    crossover = data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="crossover")
-    solver = IncrementalAbsorptionSolver(schur_crossover=crossover)
+    solver = IncrementalAbsorptionSolver()
     cursor = 0
+    leak = data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="gateway leak")
+    if leak:
+        # 0 loses ``leak`` of its mass, 1 inherits that through gateway 0,
+        # 2 inherits half of it through gateway 1: one state per step.
+        transitions[0] = {"a": 1.0 - leak}
+        transitions[1] = {0: 1.0}
+        transitions[2] = {1: 0.5, "b": 0.5}
+        for cursor in (1, 2, 3):
+            solver.solve(list(range(cursor)), transitions)
+        assert solver.lost_mass(2) == pytest.approx(leak / 2, abs=1e-12)
     while cursor < n:
         step = data.draw(st.integers(min_value=1, max_value=n - cursor))
         cursor += step

@@ -1,7 +1,8 @@
 """Tests for the framed wire transport (``repro.service.transport``).
 
 Covers the codec round trip (hypothesis), every corruption class of the
-frame format — truncation, checksum mismatch, bad magic, oversize — and
+frame format — truncation, checksum mismatch, bad magic, oversize, a
+payload naming a global the protocol never sends — and
 the contract that matters to supervision: each of them surfaces as a
 typed ``FrameError`` (and, through a remote worker handle, as
 ``ReplicaFailure(kind="transport")``), never as a hang or a pickle
@@ -10,9 +11,13 @@ exception.
 
 from __future__ import annotations
 
+import os
+import pickle
 import socket
 import struct
 import threading
+import zlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,6 +38,7 @@ from repro.service.transport import (
     decode_message,
     encode_message,
 )
+from repro.service.wire import QuerySpec, ResultSpec
 
 # Messages shaped like the worker protocol: tuples of primitives and
 # small containers, all picklable.
@@ -106,6 +112,42 @@ class TestFrameCodec:
         with pytest.raises(FrameError) as excinfo:
             encode_message(b"x" * 2048, max_frame_bytes=1024)
         assert excinfo.value.reason == "oversize"
+
+    @staticmethod
+    def _frame(payload: bytes) -> bytes:
+        return HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
+
+    def test_exploit_frame_runs_nothing(self, tmp_path):
+        """A well-formed frame whose pickle calls a function on load is
+        refused before the call: the wire carries data, never code."""
+        marker = tmp_path / "executed"
+
+        class Exploit:
+            def __reduce__(self):
+                return (os.mkdir, (str(marker),))
+
+        with pytest.raises(FrameError) as excinfo:
+            decode_message(self._frame(pickle.dumps(("query", Exploit()))))
+        assert excinfo.value.reason == "payload"
+        assert not marker.exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [pickle.dumps(eval), pickle.dumps(("plan", PlanDirectory)), b"not a pickle"],
+        ids=["builtins.eval", "repro-class-off-the-list", "garbage"],
+    )
+    def test_foreign_payloads_are_typed_errors(self, payload):
+        with pytest.raises(FrameError) as excinfo:
+            decode_message(self._frame(payload))
+        assert excinfo.value.reason == "payload"
+
+    def test_the_three_wire_classes_pass(self):
+        ingress = (("sw", 1),)
+        message = (
+            QuerySpec(7, "distributions", (ingress,)),
+            ResultSpec(7, ((ingress, ((None, Fraction(1, 3)),)),)),
+        )
+        assert decode_message(encode_message(message)) == message
 
     def test_header_layout_is_stable(self):
         # The wire format is a compatibility surface: magic, u32 length,
