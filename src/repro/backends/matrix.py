@@ -17,8 +17,11 @@ system for every new ingress seed), the matrix backend:
 * converts loop bodies to sparse transition matrices over the symbolic
   classes *reachable* from the query's ingress set (dynamic domain
   reduction restricted to the reachable subspace, §5.1);
-* solves all absorption columns with one factorization via
-  :func:`repro.core.markov.solve_absorption_batched`.
+* keeps, per loop, one indexed chain (:class:`~repro.core.fdd.matrix.ClassChain`)
+  whose rows go to the solver by index
+  (:meth:`repro.core.markov.IncrementalAbsorptionSolver.grow`): all
+  absorption columns from one factorization, a row decoded when a query
+  enters through it.
 
 Loop-free stages are evaluated exactly (rational leaf distributions);
 loop solutions are float64, like the native backend's LU path.
@@ -33,16 +36,23 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from repro.core import syntax as s
-from repro.core.compiler import Compiler, ops_evaluate_bool
+from repro.core.compiler import Compiler, leaf_holds
 from repro.core.distributions import Dist
-from repro.core.fdd.evaluator import ClassRow
 from repro.core.fdd.matrix import (
+    ClassChain,
     SymbolicPacket,
     TransitionMatrix,
     fdd_to_matrix,
     matrix_domains,
 )
-from repro.core.fdd.node import FddManager, FddNode, node_from_spec, node_size, node_to_spec
+from repro.core.fdd.node import (
+    FddManager,
+    FddNode,
+    leaf_of,
+    node_from_spec,
+    node_size,
+    node_to_spec,
+)
 from repro.core.fdd.node import output_distribution as fdd_output_distribution
 from repro.core.interpreter import Outcome
 from repro.core.markov import IncrementalAbsorptionSolver
@@ -58,21 +68,21 @@ class _FddStage:
 
 
 class _LoopStage:
-    """A ``while`` loop with its cached matrices and absorption solutions.
+    """A ``while`` loop with its one indexed chain and what was solved on it.
 
-    The stage owns three caches that persist across queries:
-
-    * ``row_cache`` — symbolic class → one-step body transition row
-      (:class:`~repro.core.fdd.evaluator.ClassRow` array segments);
-    * ``solutions`` — transient class → absorption distribution;
-    * ``matrix`` — the most recent reachable :class:`TransitionMatrix`.
-
-    New ingress classes extend the explored space; when that happens only
-    the *newly discovered* subsystem is factorized — already-solved
-    classes act as absorbing gateways whose final distributions are
-    composed in (:class:`~repro.core.markov.IncrementalAbsorptionSolver`)
-    — so subsequent queries are pure cache hits and no class ever
-    participates in more than one factorization.
+    ``chain`` (:class:`~repro.core.fdd.matrix.ClassChain`) owns the
+    ``class -> int`` index: the classes reached from every seed so far,
+    their body rows as CSR buffers over those ints, a transient flag per
+    class (the guard holds).  ``solver``
+    (:class:`~repro.core.markov.IncrementalAbsorptionSolver`) is fed the
+    rows each exploration appended, by index, and keeps the solved rows as
+    arrays over its outcome index — so new ingress classes cost their own
+    exploration and one factorization of the newly discovered subsystem,
+    already-solved classes acting as absorbing gateways, and no class is
+    expanded, indexed or factorized twice.  ``solutions`` holds a row
+    decoded to ``(outcome class, mass)`` pairs, from the first time a
+    packet entered through its class.  All of it dies with the stage
+    (:meth:`MatrixBackend.reset_solutions`).
     """
 
     def __init__(
@@ -81,7 +91,6 @@ class _LoopStage:
         guard_fdd: FddNode,
         body_fdd: FddNode,
         domains: dict[str, tuple[int, ...]],
-        manager: FddManager,
         watch: Stopwatch | None = None,
     ):
         #: The source AST of the loop, when this stage was built from one.
@@ -93,13 +102,11 @@ class _LoopStage:
         self.guard_fdd = guard_fdd
         self.body_fdd = body_fdd
         self.domains = domains
-        self.manager = manager
         self.watch = watch
-        self.row_cache: dict[SymbolicPacket, ClassRow] = {}
-        self.solutions: dict[SymbolicPacket, Dist] = {}
-        self.matrix: TransitionMatrix | None = None
+        self.chain = ClassChain(body_fdd, domains)
         self.solver = IncrementalAbsorptionSolver(watch=watch)
-        self._guard_cache: dict[SymbolicPacket, bool] = {}
+        self.solutions: dict[SymbolicPacket, Dist] = {}
+        self._guard_leaves: dict[int, bool] = {}
         self._seeds: set[SymbolicPacket] = set()
         # Seeds kept in class order incrementally (one bisect per *new*
         # seed), with per-class sort keys memoised, so growth steps and
@@ -118,6 +125,12 @@ class _LoopStage:
         self._decoded: dict[Packet, tuple[tuple[Outcome, float], ...]] = {}
 
     @property
+    def matrix(self) -> TransitionMatrix | None:
+        """The chain explored so far as a :class:`TransitionMatrix` (a view
+        built on request; ``None`` before the first seed)."""
+        return self.chain.matrix() if len(self.chain.states) > 1 else None
+
+    @property
     def factorizations(self) -> int:
         """Growth steps (one factorization each) performed so far."""
         return self.solver.factorizations
@@ -128,11 +141,12 @@ class _LoopStage:
         return self.solver.schur_updates
 
     def guard_holds(self, cls: SymbolicPacket) -> bool:
-        cached = self._guard_cache.get(cls)
-        if cached is None:
-            cached = ops_evaluate_bool(self.manager, self.guard_fdd, cls)
-            self._guard_cache[cls] = cached
-        return cached
+        """The guard on a class: the boolean of the guard diagram's leaf."""
+        leaf = leaf_of(self.guard_fdd, dict(cls.values).get)
+        holds = self._guard_leaves.get(leaf.uid)
+        if holds is None:
+            holds = self._guard_leaves[leaf.uid] = leaf_holds(leaf)
+        return holds
 
     def entered_by(self, packet: Packet) -> bool:
         """Whether a concrete packet enters the loop (guard holds on it).
@@ -186,20 +200,39 @@ class _LoopStage:
 
     def concretize(self, cls: SymbolicPacket, base: Packet) -> Packet:
         """Memoised :func:`_concretize`, keyed by ``cls`` and ``base``'s residual."""
-        residual = self._classified(base)[1]
+        return self._concrete(cls, self._classified(base)[1])
+
+    def _concrete(self, cls: SymbolicPacket, residual: Packet) -> Packet:
         cached = self._concrete_cache.get((cls, residual))
         if cached is None:
             cached = self._concrete_cache[cls, residual] = _concretize(cls, residual)
         return cached
 
+    def solution(self, cls: SymbolicPacket) -> Dist:
+        """The absorption distribution of a solved class, decoded on first use.
+
+        Mass that reaches no absorbing class diverges; the guarded limit
+        semantics assigns it to drop.
+        """
+        row = self.solutions.get(cls)
+        if row is None:
+            states = self.chain.states
+            outcomes, masses, lost = self.solver.absorbed(self.chain.index[cls])
+            weights = {states[j]: mass for j, mass in zip(outcomes, masses)}
+            if lost:
+                weights[DROP] = weights.get(DROP, 0) + lost
+            # Solver rows hold only positive floats: nothing to validate.
+            row = self.solutions[cls] = Dist._from_weights(weights)
+        return row
+
     def decoded(self, packet: Packet) -> tuple[tuple[Outcome, float], ...]:
         """The solved loop's output on an entering packet, as ``(outcome, mass)`` pairs."""
         row = self._decoded.get(packet)
         if row is None:
-            solution = self.solutions[self.classify_packet(packet)]
+            entered, residual = self._classified(packet)
             row = self._decoded[packet] = tuple(
-                (DROP if cls is DROP else self.concretize(cls, packet), weight)
-                for cls, weight in solution.items()
+                (DROP if cls is DROP else self._concrete(cls, residual), weight)
+                for cls, weight in self.solution(entered).items()
             )
         return row
 
@@ -297,9 +330,9 @@ class MatrixBackend:
             )
         self.manager = FddManager()
         self._compiler = Compiler(manager=self.manager, class_limit=self.class_limit)
-        #: Class rows written into transition matrices by this backend
-        #: (the vectorized-assembly work counter exported via
-        #: :meth:`solver_stats` and worker reports).
+        #: Classes written onto chains and matrices by this backend (the
+        #: assembly work counter exported via :meth:`solver_stats` and
+        #: worker reports).
         self.assembly_rows = 0
         #: How many plans this backend built by *compiling an AST* (the
         #: expensive path).  Plans rebuilt from published specs and adopted
@@ -454,7 +487,6 @@ class MatrixBackend:
                         node_from_spec(self.manager, guard_spec),
                         node_from_spec(self.manager, body_spec),
                         dict(domains),
-                        self.manager,
                         watch=self.watch,
                     )
                 )
@@ -533,7 +565,6 @@ class MatrixBackend:
                         guard_fdd,
                         body_fdd,
                         {f: tuple(sorted(v)) for f, v in domains.items()},
-                        self.manager,
                         watch=self.watch,
                     )
                 )
@@ -634,8 +665,9 @@ class MatrixBackend:
         ``factorizations``/``schur_updates`` aggregate over every loop
         stage of every cached or adopted plan (see
         :class:`~repro.core.markov.IncrementalAbsorptionSolver`);
-        ``assembly_rows`` counts class rows written into transition
-        matrices by the vectorized assembly pass; ``fdd_nodes``,
+        ``assembly_rows`` counts the classes written onto a loop stage's
+        chain (or into a full-domain matrix), each once however the seeds
+        arrived; ``fdd_nodes``,
         ``fdd_memo_<operation>`` and the compile's work counts
         (``leaf_actions_composed``, ``compile_roles``, ``role_instances``)
         flatten this replica's :meth:`~repro.core.fdd.node.FddManager.stats`.  Worker processes
@@ -715,12 +747,13 @@ class MatrixBackend:
         """Drop per-loop solver state while keeping compiled plans.
 
         Every cached plan keeps its compiled stage FDDs, but each loop
-        stage is rebuilt empty: transition-row caches, absorption
-        solutions, and the incremental ``splu`` factorizations are
-        released.  This bounds solver memory for long-lived sessions
-        without paying recompilation, and gives benchmarks a repeatable
-        solver-path measurement (every pass after a reset re-runs matrix
-        construction and factorization, not just cache lookups).
+        stage is rebuilt empty: its chain (classes, index, rows), the
+        solved rows and every per-packet memo go with the old stage —
+        nothing keyed by plan survives.  This bounds solver memory for
+        long-lived sessions without paying recompilation, and gives
+        benchmarks a repeatable solver-path measurement (every pass after
+        a reset re-runs exploration and factorization, not just cache
+        lookups).
         """
         plans = [plan for _policy, plan in self._plans.values()]
         plans.extend(self._adopted.values())
@@ -732,7 +765,6 @@ class MatrixBackend:
                         stage.guard_fdd,
                         stage.body_fdd,
                         stage.domains,
-                        stage.manager,
                         watch=stage.watch,
                     )
 
@@ -798,59 +830,37 @@ class MatrixBackend:
         return advanced
 
     def _solve_loop(self, stage: _LoopStage, entries: Iterable[Packet]) -> None:
-        """Ensure absorption solutions exist for all entry packets' classes.
+        """Ensure every entry packet's class is on the stage's chain, solved.
 
-        The reachable class space is (re)explored from the union of all
-        seeds seen so far (transition rows are memoised, so only genuinely
-        new classes are expanded).  When growth is discovered, only the
-        subsystem of the *new* transient classes is factorized: classes
-        solved by an earlier seed are treated as absorbing gateways whose
-        final absorption distributions are composed in afterwards
-        (:class:`~repro.core.markov.IncrementalAbsorptionSolver`), so each
-        class participates in exactly one — small — factorization instead
-        of the whole reachable system being re-solved on every growth.
+        Entry classes the chain does not hold are its new seeds (in class
+        order): exploration appends them and what they newly reach, and
+        the solver factorizes exactly the rows that were appended — classes
+        solved for an earlier seed are absorbing gateways whose final rows
+        are composed in — so each class is expanded once and participates
+        in one, small, factorization however the seeds arrive.  Solved
+        rows are final: exploration closes forward reachability, so a
+        solved class never gains a successor.
         """
-        entry_classes = {stage.classify_packet(packet) for packet in entries}
-        if entry_classes <= stage.solutions.keys():
+        chain = stage.chain
+        seeds = {stage.classify_packet(packet) for packet in entries} - chain.index.keys()
+        if not seeds:
             return
-        stage.add_seeds(entry_classes)
+        new = sorted(seeds, key=stage.sort_key)
+        stage.add_seeds(new)
+        known = len(chain.states)
         with self.watch.measure("assemble"):
-            matrix = fdd_to_matrix(
-                stage.body_fdd,
-                extra_values=stage.domains,
-                limit=self.class_limit,
-                seeds=stage.seed_order,
+            stored = chain.explore(
+                new,
                 absorbing_when=lambda cls: not stage.guard_holds(cls),
-                row_cache=stage.row_cache,
+                limit=self.class_limit,
             )
-        self.assembly_rows += matrix.assembled_rows
-        stage.matrix = matrix
-        transient = [cls for cls in matrix.classes if stage.guard_holds(cls)]
-        # The incremental solver only reads rows of not-yet-solved states
-        # (solved distributions are final; exploration closes forward
-        # reachability, so a solved class can never gain a successor).
-        solved = stage.solver.solved_states
-        transitions = {
-            cls: dict(stage.row_cache[cls].items())
-            for cls in transient
-            if cls not in solved
-        }
-        if not transitions:
-            return
+            rows = chain.rows_from(stored)
+        self.assembly_rows += len(chain.states) - known
         # The solver reports its own "factorize"/"solve" sections on this
         # backend's stopwatch (it was constructed with watch=self.watch),
         # so no outer measurement wraps it — the phases stay disjoint.
-        result = stage.solver.solve(transient, transitions)
-        for cls in transient:
-            if cls in stage.solutions:
-                continue
-            row = dict(result.get(cls, {}))
-            lost = result.lost_mass.get(cls, 0)
-            if lost:
-                # Diverging mass is assigned to drop (guarded limit semantics).
-                row[DROP] = row.get(DROP, 0) + lost
-            # Solver rows hold only positive floats: nothing to validate.
-            stage.solutions[cls] = Dist._from_weights(row)
+        if len(rows[0]):
+            stage.solver.grow(*rows)
 
 
 def _class_sort_key(cls: SymbolicPacket) -> tuple:

@@ -34,7 +34,7 @@ from repro.core.fdd.matrix import (
     enumerate_classes,
     matrix_to_fdd,
 )
-from repro.core.fdd.node import FddManager, FddNode, Leaf, mentioned_values
+from repro.core.fdd.node import FddManager, FddNode, Leaf, leaf_of, mentioned_values
 from repro.core.markov import solve_absorption, solve_absorption_exact
 from repro.core.packet import DROP, _DropType
 
@@ -515,21 +515,22 @@ class Compiler:
         return ops.reduce(matrix_to_fdd(manager, domain_map, rows, default=manager.false_leaf))
 
 
-def ops_evaluate_bool(manager: FddManager, pred_fdd: FddNode, cls: SymbolicPacket) -> bool:
-    """Evaluate a predicate FDD on a symbolic class (must be boolean-leaved)."""
-    from repro.core.fdd.matrix import evaluate_class
-    from repro.core.fdd.actions import Action
-
-    dist = evaluate_class(pred_fdd, cls)
-    support = dist.support()
+def leaf_holds(leaf: Leaf) -> bool:
+    """The boolean a predicate diagram's leaf stands for."""
+    support = leaf.dist.support()
     if len(support) != 1:
         raise GuardedFragmentError("loop guard compiled to a non-deterministic FDD")
     (outcome,) = support
     if isinstance(outcome, _DropType):
         return False
-    if isinstance(outcome, Action) and outcome.is_identity():
+    if outcome.is_identity():
         return True
     raise GuardedFragmentError("loop guard FDD has a non-boolean leaf")
+
+
+def ops_evaluate_bool(manager: FddManager, pred_fdd: FddNode, cls: SymbolicPacket) -> bool:
+    """Evaluate a predicate FDD on a symbolic class (must be boolean-leaved)."""
+    return leaf_holds(leaf_of(pred_fdd, dict(cls.values).get))
 
 
 def compile_policy(

@@ -27,11 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from repro.core import syntax as s
 from repro.core.distributions import Dist
-from repro.core.fdd.actions import ActionOrDrop, apply_action
+from repro.core.fdd.actions import Action, ActionOrDrop, apply_action
 from repro.core.fdd.node import FddManager, FddNode, Leaf, leaf_of
 from repro.core.packet import DROP, Packet, _DropType
 
@@ -42,30 +40,69 @@ Outcome = Packet | _DropType
 _LeafCache = dict[int, tuple[tuple[ActionOrDrop, object], ...]]
 
 
-#: Leaf-uid -> (prepared actions tuple, float64 weight array); the
-#: vectorized analogue of :data:`_LeafCache`, used by the matrix-assembly
-#: hot path.  Each prepared action is ``None`` (identity), :data:`DROP`,
-#: or ``(action, mods_dict, len(mods))`` ready for in-place substitution
-#: over a class's sorted field pairs.  Uids are only unique within one
-#: :class:`FddManager`, so callers must scope a cache to a single FDD
-#: (``fdd_to_matrix`` keeps one per call).
-ClassRowCache = dict[int, tuple[tuple, "np.ndarray"]]
+class ClassRowCache:
+    """The prepared leaves of one diagram, for classes of one field layout.
+
+    ``leaves`` maps a leaf uid to ``(prepared, probs)``: the leaf's float
+    weights and, per action, what :func:`materialize_class_row` does with
+    it — ``None`` (identity: the class itself), a constant outcome
+    (:data:`DROP`, or the successor class of an action that overwrites
+    every field of the layout), a tuple of ``(position, pair)``
+    substitutions over a class's sorted pairs, or the
+    :class:`~repro.core.fdd.actions.Action` itself when it writes a field
+    outside the layout (the generic ``apply_action``).  Uids are unique
+    within one :class:`FddManager` and positions within one layout, so a
+    cache serves one diagram and classes over exactly ``fields`` (sorted,
+    as :class:`~repro.core.fdd.matrix.SymbolicPacket` keeps them);
+    whoever walks a chain keeps one for that chain.
+    """
+
+    __slots__ = ("position", "leaves")
+
+    def __init__(self, fields):
+        self.position: dict[str, int] = {name: i for i, name in enumerate(fields)}
+        self.leaves: dict[int, tuple[tuple, tuple[float, ...]]] = {}
+
+    def prepare(self, leaf: Leaf, make) -> tuple[tuple, tuple[float, ...]]:
+        """Prepare ``leaf`` (``make`` builds a class from sorted pairs)."""
+        position = self.position
+        pairs = list(leaf.dist.items())
+        prepared: list = []
+        for action, _ in pairs:
+            if isinstance(action, _DropType):
+                prepared.append(DROP)
+            elif action.is_identity():
+                prepared.append(None)
+            else:
+                try:
+                    places = [position[name] for name, _ in action.mods]
+                except KeyError:
+                    prepared.append(action)
+                    continue
+                if len(places) == len(position):
+                    prepared.append(make(action.mods))
+                else:
+                    prepared.append(tuple(zip(places, action.mods)))
+        entry = self.leaves[leaf.uid] = (
+            tuple(prepared),
+            tuple(float(prob) for _, prob in pairs),
+        )
+        return entry
 
 
 class ClassRow:
-    """A transition row as parallel array segments instead of a ``Dist``.
+    """A transition row as parallel tuples instead of a ``Dist``.
 
     ``outcomes[k]`` is the symbolic class (or :data:`DROP`) reached with
-    probability ``probs[k]`` (float64).  Duplicate outcomes are merged at
-    construction, so ``dict(row.items())`` is lossless — the property the
-    matrix backend relies on when handing rows to the absorption solver.
-    The :class:`~repro.core.distributions.Dist` API remains available for
+    probability ``probs[k]`` (a float).  Duplicate outcomes are merged at
+    construction, so ``dict(row.items())`` is lossless.  The
+    :class:`~repro.core.distributions.Dist` API remains available for
     callers that want it via :meth:`to_dist`.
     """
 
     __slots__ = ("outcomes", "probs")
 
-    def __init__(self, outcomes: tuple, probs: np.ndarray):
+    def __init__(self, outcomes: tuple, probs: tuple[float, ...]):
         self.outcomes = outcomes
         self.probs = probs
 
@@ -74,19 +111,12 @@ class ClassRow:
         """Build (merging duplicates) from ``(outcome, prob)`` pairs."""
         merged: dict = {}
         for outcome, prob in items:
-            value = float(prob)
-            if outcome in merged:
-                merged[outcome] += value
-            else:
-                merged[outcome] = value
-        return cls(
-            tuple(merged),
-            np.fromiter(merged.values(), dtype=np.float64, count=len(merged)),
-        )
+            merged[outcome] = merged.get(outcome, 0.0) + float(prob)
+        return cls(tuple(merged), tuple(merged.values()))
 
     def items(self):
         """Iterate ``(outcome, float)`` pairs, mirroring ``Dist.items``."""
-        return zip(self.outcomes, self.probs.tolist())
+        return zip(self.outcomes, self.probs)
 
     def support(self):
         return self.outcomes
@@ -95,84 +125,42 @@ class ClassRow:
         return Dist(dict(self.items()), check=False)
 
 
-def materialize_class_row(node: FddNode, cls, leaf_cache: ClassRowCache) -> ClassRow:
-    """Vectorized one-step transition row of symbolic class ``cls``.
+def materialize_class_row(node: FddNode, cls, cache: ClassRowCache) -> ClassRow:
+    """The one-step transition row of symbolic class ``cls`` under ``node``.
 
     Walks ``node`` to the leaf selected by the class (:func:`leaf_of`: a
-    wildcard takes every chain's fall-through), converts the leaf's
-    weight tuple to a cached float64 array plus *prepared* actions once
-    per distinct leaf, and applies those actions by in-place substitution
-    over the field pairs — no intermediate ``Dist``, no ``Fraction``
-    arithmetic, and no per-action dict rebuild on the hot path.
+    wildcard takes every chain's fall-through), reading the class's
+    values by position, and applies the leaf's prepared actions
+    (:class:`ClassRowCache`): no intermediate ``Dist``, no ``Fraction``
+    arithmetic, no dict of the class, and one successor object for every
+    class that meets an action overwriting the whole layout.
     """
-    current = leaf_of(node, dict(cls.values).get)
-    cached = leaf_cache.get(current.uid)
-    if cached is None:
-        pairs = list(current.dist.items())
-        prepared = []
-        for action, _ in pairs:
-            if isinstance(action, _DropType):
-                prepared.append(DROP)
-            elif action.is_identity():
-                prepared.append(None)
-            else:
-                # [action, substitution] — the substitution slot starts
-                # unset (None) and is filled on first application: every
-                # class in one assembly shares the same sorted field
-                # sequence, so each modified field sits at a fixed index.
-                prepared.append([action, None])
-        cached = (
-            tuple(prepared),
-            np.array([float(prob) for _, prob in pairs], dtype=np.float64),
-        )
-        leaf_cache[current.uid] = cached
-    prepared_actions, probs = cached
     values = cls.values
-    from_sorted = type(cls)._from_sorted
+    position = cache.position
+
+    def lookup(field):
+        at = position.get(field)
+        return None if at is None else values[at][1]
+
+    leaf = leaf_of(node, lookup)
+    make = type(cls)._from_sorted
+    prepared, probs = cache.leaves.get(leaf.uid) or cache.prepare(leaf, make)
     outcomes_list = []
     append = outcomes_list.append
-    for prep in prepared_actions:
-        if prep is None:
-            append(cls)
-            continue
-        if prep is DROP:
-            append(DROP)
-            continue
-        action, subst = prep
-        if subst is None:
-            names = [field for field, _ in values]
-            positions = []
-            for field, modded in dict(action.mods).items():
-                if field in names:
-                    positions.append((names.index(field), (field, modded)))
-                else:
-                    positions = None  # a mod outside the class's fields
-                    break
-            subst = prep[1] = False if positions is None else tuple(positions)
-        if subst is False:
-            append(cls.apply_action(action))
-            continue
-        updated = list(values)
-        valid = True
-        for i, pair in subst:
-            if updated[i][0] != pair[0]:
-                valid = False  # field layout changed: generic fallback
-                break
-            updated[i] = pair
-        if not valid:
-            append(cls.apply_action(action))
-            continue
-        append(from_sorted(tuple(updated)))
+    for prep in prepared:
+        kind = type(prep)
+        if kind is tuple:
+            updated = list(values)
+            for at, pair in prep:
+                updated[at] = pair
+            append(make(tuple(updated)))
+        elif kind is Action:
+            append(cls.apply_action(prep))
+        else:
+            append(cls if prep is None else prep)
     outcomes = tuple(outcomes_list)
     if len(outcomes) > 1 and len(set(outcomes)) != len(outcomes):
-        merged: dict = {}
-        for outcome, prob in zip(outcomes, probs):
-            if outcome in merged:
-                merged[outcome] += prob
-            else:
-                merged[outcome] = prob
-        outcomes = tuple(merged)
-        probs = np.fromiter(merged.values(), dtype=np.float64, count=len(merged))
+        return ClassRow.from_items(zip(outcomes, probs))
     return ClassRow(outcomes, probs)
 
 

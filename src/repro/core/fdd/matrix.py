@@ -10,21 +10,24 @@ every relevant field either one of those mentioned values or the wildcard
 
 The main entry points are:
 
-* :func:`fdd_to_matrix` — convert an FDD into a sparse stochastic matrix
-  over symbolic packet classes (plus the drop outcome);
+* :class:`ClassChain` — the chain an FDD induces over the classes
+  reachable from some seeds: it owns the ``class -> int`` index and the
+  rows, as CSR buffers over those ints, and only ever appends;
+* :func:`fdd_to_matrix` — its one-shot front door: convert an FDD into a
+  sparse stochastic matrix over symbolic packet classes (plus the drop
+  outcome);
 * :func:`matrix_to_fdd` — convert class-indexed transition rows back into
   a canonical FDD (used after solving loops);
 * :func:`enumerate_classes` — enumerate the symbolic domain.
 
-Assembly is *vectorized*: BFS exploration and matrix assembly share one
-pass, each class's transition row is materialized once as array segments
-(:func:`class_row`, backed by
-:func:`repro.core.fdd.evaluator.materialize_class_row`), and the COO
-triplets accumulate in geometrically grown flat numpy buffers so the
-sparse matrix is built with a single ``csr_matrix((data, (rows, cols)))``
-call — no Python-level ``list.append`` per nonzero.  The pre-vectorization
-per-row path is the oracle of the equivalence tests
-(``tests/oracles.py``); it is not part of the library.
+Exploration and assembly are one pass: each class's transition row is
+materialized once (:func:`class_row`, backed by
+:func:`repro.core.fdd.evaluator.materialize_class_row`) and its column
+indices and probabilities are appended to Python lists — no array is
+built per row; the arrays a solver or a :class:`TransitionMatrix` needs
+are built once per call from the lists.  The per-row path this replaced
+is the oracle of the equivalence tests (``tests/oracles.py``); it is not
+part of the library.
 """
 
 from __future__ import annotations
@@ -241,16 +244,18 @@ def class_row(
     cls: SymbolicPacket,
     leaf_cache: ClassRowCache | None = None,
 ) -> ClassRow:
-    """The float64 transition row of ``cls`` as array segments.
+    """The float transition row of ``cls`` as parallel tuples.
 
-    The vectorized counterpart of :func:`class_transition`: one FDD walk,
-    the leaf's weights converted to a cached float64 array, and the
-    class's action applications materialized as parallel outcome/prob
-    arrays with duplicates merged.  ``leaf_cache`` (keyed by leaf uid, so
-    it must not be shared across FDD managers) amortises the weight
-    conversion across the classes of one assembly pass.
+    The float counterpart of :func:`class_transition`: one FDD walk, the
+    leaf's weights floated once per leaf, and the leaf's prepared actions
+    applied to the class, duplicates merged.  ``leaf_cache`` holds what
+    was prepared per leaf; it serves one diagram and classes over one set
+    of fields (:class:`~repro.core.fdd.evaluator.ClassRowCache`), and a
+    call without one prepares the leaf for this class alone.
     """
-    return materialize_class_row(node, cls, {} if leaf_cache is None else leaf_cache)
+    if leaf_cache is None:
+        leaf_cache = ClassRowCache(cls.fields)
+    return materialize_class_row(node, cls, leaf_cache)
 
 
 @dataclass
@@ -259,9 +264,8 @@ class TransitionMatrix:
 
     The last column/row index (``len(classes)``) represents the drop
     outcome, which is absorbing by convention.  ``assembled_rows`` counts
-    the class rows materialized while building this matrix (rows served
-    from a caller's ``row_cache`` count too — they still had to be written
-    into the triplet buffers).
+    the classes written into this matrix, each once (rows served from a
+    caller's ``row_cache`` count too — they still had to be written).
     """
 
     classes: list[SymbolicPacket]
@@ -342,56 +346,140 @@ def project_class(cls: SymbolicPacket, domains: Mapping[str, Iterable[int]]) -> 
     return SymbolicPacket(values)
 
 
-class _TripletBuffer:
-    """Flat COO triplet buffers grown geometrically (the assembly arena).
+class ClassChain:
+    """The chain a diagram induces over the classes reachable from some seeds.
 
-    Row/column indices and probabilities are written by slice assignment
-    into preallocated int64/float64 arrays; the arrays double when full.
-    One :func:`csr_matrix` call consumes them at the end of assembly.
+    This object owns the ``class -> int`` index everything downstream is
+    written over.  ``states`` is append-only: state 0 is the drop outcome
+    (absorbing by convention), every other state a symbolic class in
+    discovery order, and ``index`` maps each back to its position.  The
+    rows of the *transient* states — the ones ``absorbing_when`` did not
+    freeze — are CSR buffers over those ints: row ``r`` belongs to state
+    ``rows[r]`` and holds ``indices[indptr[r]:indptr[r + 1]]`` with
+    probabilities ``data[...]``, in the order the leaf lists its actions.
+    An absorbing state has no stored row (its self-loop exists only in
+    :meth:`matrix`).  Nothing is ever rewritten: :meth:`explore` expands
+    the classes it has not expanded and appends, so a chain fed its seeds
+    in several calls holds the same rows as one fed them at once, up to
+    the order of discovery, and an index handed out stays valid.
     """
 
-    __slots__ = ("rows", "cols", "data", "size")
+    def __init__(
+        self,
+        node: FddNode,
+        domains: Mapping[str, Iterable[int]],
+        row_cache: MutableMapping[SymbolicPacket, ClassRow] | None = None,
+    ):
+        self.node = node
+        self.domains = domains
+        self.row_cache = row_cache
+        self.states: list[SymbolicPacket | _DropType] = [DROP]
+        self.index: dict[SymbolicPacket | _DropType, int] = {DROP: 0}
+        self.transient: list[bool] = [False]
+        self.rows: list[int] = []
+        self.indptr: list[int] = [0]
+        self.indices: list[int] = []
+        self.data: list[float] = []
+        self._leaves = ClassRowCache(sorted(domains))
 
-    def __init__(self, capacity: int = 1024):
-        self.rows = np.empty(capacity, dtype=np.int64)
-        self.cols = np.empty(capacity, dtype=np.int64)
-        self.data = np.empty(capacity, dtype=np.float64)
-        self.size = 0
+    def explore(
+        self,
+        seeds: Iterable[SymbolicPacket],
+        absorbing_when: Callable[[SymbolicPacket], bool] | None = None,
+        limit: int | None = None,
+    ) -> int:
+        """Append ``seeds`` (classes over ``domains``) and all they reach.
 
-    def _reserve(self, extra: int) -> None:
-        need = self.size + extra
-        capacity = self.rows.shape[0]
-        if need <= capacity:
-            return
-        while capacity < need:
-            capacity *= 2
-        for name in ("rows", "cols", "data"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=old.dtype)
-            grown[: self.size] = old[: self.size]
-            setattr(self, name, grown)
+        Breadth-first from the seeds the chain does not hold yet; each new
+        class is expanded exactly once — its row materialized by
+        :func:`class_row` (or served from ``row_cache``), its unseen
+        outcomes appended to ``states`` — unless ``absorbing_when`` holds
+        on it.  Returns the number of rows stored before the call, for
+        :meth:`rows_from`.  On an error (``limit`` exceeded) the chain is
+        left as it was.
+        """
+        states, index, transient = self.states, self.index, self.transient
+        rows, indptr, indices, data = self.rows, self.indptr, self.indices, self.data
+        node, row_cache, leaves = self.node, self.row_cache, self._leaves
+        cursor = mark = len(states)
+        stored = len(rows)
+        for cls in seeds:
+            if cls not in index:
+                index[cls] = len(states)
+                states.append(cls)
+        try:
+            while cursor < len(states):
+                cls = states[cursor]
+                if absorbing_when is not None and absorbing_when(cls):
+                    transient.append(False)
+                    cursor += 1
+                    continue
+                row = row_cache.get(cls) if row_cache is not None else None
+                if row is None:
+                    row = class_row(node, cls, leaves)
+                    if row_cache is not None:
+                        row_cache[cls] = row
+                for outcome in row.outcomes:
+                    j = index.get(outcome)
+                    if j is None:
+                        j = index[outcome] = len(states)
+                        states.append(outcome)
+                    indices.append(j)
+                data += row.probs
+                indptr.append(len(indices))
+                rows.append(cursor)
+                transient.append(True)
+                cursor += 1
+                if limit is not None and len(states) - 1 > limit:
+                    raise DomainTooLargeError(
+                        f"reachable symbolic space exceeds the limit {limit}"
+                    )
+        except BaseException:
+            for cls in states[mark:]:
+                del index[cls]
+            del states[mark:], transient[mark:], rows[stored:], indptr[stored + 1:]
+            del indices[indptr[-1]:], data[indptr[-1]:]
+            raise
+        return stored
 
-    def append_row(self, row_index: int, cols: np.ndarray, probs: np.ndarray) -> None:
-        count = len(cols)
-        self._reserve(count)
-        start, end = self.size, self.size + count
-        self.rows[start:end] = row_index
-        self.cols[start:end] = cols
-        self.data[start:end] = probs
-        self.size = end
+    def rows_from(self, stored: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows stored since ``stored``, as arrays for the solver.
 
-    def append_one(self, row_index: int, col_index: int, value: float) -> None:
-        self._reserve(1)
-        self.rows[self.size] = row_index
-        self.cols[self.size] = col_index
-        self.data[self.size] = value
-        self.size += 1
+        ``(states, indptr, successors, probabilities)``: the transient
+        states the rows belong to and their CSR slice (``indptr`` starting
+        at 0), successors as state indices.  One array build per call.
+        """
+        start = self.indptr[stored]
+        return (
+            np.array(self.rows[stored:], dtype=np.int64),
+            np.array(self.indptr[stored:], dtype=np.int64) - start,
+            np.array(self.indices[start:], dtype=np.int64),
+            np.array(self.data[start:], dtype=np.float64),
+        )
 
-
-#: Column sentinel for the drop outcome while its index (``len(classes)``)
-#: is still unknown during seeded BFS; patched in bulk before the final
-#: ``csr_matrix`` call.
-_DROP_SENTINEL = -1
+    def matrix(self) -> "TransitionMatrix":
+        """The chain as a :class:`TransitionMatrix` (drop last, self-loops in)."""
+        n = len(self.states) - 1
+        row_of = np.repeat(np.array(self.rows, dtype=np.int64), np.diff(self.indptr)) - 1
+        col_of = np.array(self.indices, dtype=np.int64) - 1
+        col_of[col_of < 0] = n
+        loops = np.array(
+            [i - 1 for i, moves in enumerate(self.transient) if not moves and i] + [n],
+            dtype=np.int64,
+        )
+        matrix = csr_matrix(
+            (
+                np.concatenate([np.array(self.data, dtype=np.float64), np.ones(len(loops))]),
+                (np.concatenate([row_of, loops]), np.concatenate([col_of, loops])),
+            ),
+            shape=(n + 1, n + 1),
+        )
+        return TransitionMatrix(
+            classes=self.states[1:],
+            matrix=matrix,
+            domains={f: tuple(sorted(set(v))) for f, v in self.domains.items()},
+            assembled_rows=n,
+        )
 
 
 def fdd_to_matrix(
@@ -416,94 +504,20 @@ def fdd_to_matrix(
     — they receive a self-loop row, turning the matrix into the absorbing
     chain of a loop whose exit condition is the predicate.  ``row_cache``
     memoises class transition rows (:class:`ClassRow` values) across
-    repeated incremental calls.
+    repeated calls.
 
-    Exploration and assembly share one pass: each class's row is
-    materialized exactly once (via :func:`class_row`), written straight
-    into flat triplet buffers, and its previously unseen outcomes join
-    the BFS frontier.  Drop outcomes are recorded under a ``-1`` sentinel
-    column and patched to the final drop index in one vectorized store.
+    This is the one-shot front door of :class:`ClassChain`: one chain,
+    one :meth:`~ClassChain.explore` over the seeds (or over the whole
+    enumerated domain), read back as a :class:`TransitionMatrix`.  A
+    caller whose seed set grows keeps the chain instead.
     """
     domains = matrix_domains(node, extra_values)
-    leaf_cache: ClassRowCache = {}
-    buffer = _TripletBuffer()
-
-    def row_of(cls: SymbolicPacket) -> ClassRow:
-        row = row_cache.get(cls) if row_cache is not None else None
-        if row is None:
-            row = class_row(node, cls, leaf_cache)
-            if row_cache is not None:
-                row_cache[cls] = row
-        return row
-
+    chain = ClassChain(node, domains, row_cache)
     if seeds is None:
-        classes = enumerate_classes(domains, limit=limit)
-        index = {cls: i for i, cls in enumerate(classes)}
-        for i, cls in enumerate(classes):
-            if absorbing_when is not None and absorbing_when(cls):
-                buffer.append_one(i, i, 1.0)
-                continue
-            row = row_of(cls)
-            outcomes = row.outcomes
-            cols = np.empty(len(outcomes), dtype=np.int64)
-            for k, outcome in enumerate(outcomes):
-                cols[k] = (
-                    _DROP_SENTINEL
-                    if isinstance(outcome, _DropType)
-                    else index[outcome]
-                )
-            buffer.append_row(i, cols, row.probs)
+        chain.explore(enumerate_classes(domains, limit=limit), absorbing_when)
     else:
-        frontier = [project_class(cls, domains) for cls in seeds]
-        index = {}
-        classes = []
-        for cls in frontier:
-            if cls not in index:
-                index[cls] = len(classes)
-                classes.append(cls)
-        cursor = 0
-        while cursor < len(classes):
-            cls = classes[cursor]
-            i = cursor
-            cursor += 1
-            if absorbing_when is not None and absorbing_when(cls):
-                buffer.append_one(i, i, 1.0)
-                continue
-            row = row_of(cls)
-            outcomes = row.outcomes
-            cols = np.empty(len(outcomes), dtype=np.int64)
-            for k, outcome in enumerate(outcomes):
-                if isinstance(outcome, _DropType):
-                    cols[k] = _DROP_SENTINEL
-                    continue
-                j = index.get(outcome)
-                if j is None:
-                    j = index[outcome] = len(classes)
-                    classes.append(outcome)
-                cols[k] = j
-            buffer.append_row(i, cols, row.probs)
-            if limit is not None and len(classes) > limit:
-                raise DomainTooLargeError(
-                    f"reachable symbolic space exceeds the limit {limit}"
-                )
-
-    drop_index = len(classes)
-    # The drop row is absorbing.
-    buffer.append_one(drop_index, drop_index, 1.0)
-
-    rows_arr = buffer.rows[: buffer.size]
-    cols_arr = buffer.cols[: buffer.size]
-    data_arr = buffer.data[: buffer.size]
-    cols_arr[cols_arr < 0] = drop_index
-
-    size = len(classes) + 1
-    matrix = csr_matrix((data_arr, (rows_arr, cols_arr)), shape=(size, size))
-    return TransitionMatrix(
-        classes=classes,
-        matrix=matrix,
-        domains={f: tuple(sorted(v)) for f, v in domains.items()},
-        assembled_rows=len(classes),
-    )
+        chain.explore((project_class(cls, domains) for cls in seeds), absorbing_when, limit)
+    return chain.matrix()
 
 
 def matrix_to_fdd(

@@ -23,9 +23,17 @@ On top of these, :class:`IncrementalAbsorptionSolver` solves a chain that
 discovered states, with the states solved earlier as absorbing gateways
 whose final rows are composed in.
 
-All accept the chain in a sparse "dict of rows" form; the dict-returning
-solvers produce dense row dictionaries mapping absorbing states to
-probabilities.  Probability mass that cannot reach any absorbing state
+There is one float kernel and it works on index arrays
+(:func:`_reaching_absorption`, :func:`_factorize`): edges ``rows[e] ->
+cols[e]`` over ints, never dicts.  Who owns the ``state -> int`` index
+depends on who calls: a caller that already has one (a loop stage's
+:class:`~repro.core.fdd.matrix.ClassChain`) feeds
+:meth:`IncrementalAbsorptionSolver.grow` its rows as they are; the
+functions that take the chain in "dict of rows" form
+(:func:`solve_absorption_batched`, :meth:`IncrementalAbsorptionSolver.solve`)
+are front doors that build an index of their own, call the same kernel
+and read the answer back into row dictionaries mapping absorbing states
+to probabilities.  Probability mass that cannot reach any absorbing state
 (non-termination) is reported separately so callers can assign it to the
 drop outcome, which is the correct limit semantics for guarded loops.
 """
@@ -138,18 +146,7 @@ class AbsorptionSystem:
         self.doomed = doomed
         self._lu = lu
         self._r = r_mat
-        self._t_index = {state: i for i, state in enumerate(transient)}
-        self._a_index = {state: j for j, state in enumerate(absorbing)}
         self._absorption: np.ndarray | None = None
-
-    # -- indexing ------------------------------------------------------------
-    def transient_index(self, state: State) -> int:
-        """Row index of a (solvable) transient state."""
-        return self._t_index[state]
-
-    def absorbing_index(self, state: State) -> int:
-        """Column index of an absorbing state."""
-        return self._a_index[state]
 
     # -- batched solves --------------------------------------------------------
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -210,21 +207,8 @@ class AbsorptionSystem:
         mass deficit is reported as lost (diverging) mass, exactly like
         :func:`solve_absorption`.
         """
-        return self.read(self.absorbing, self.absorption_matrix())
-
-    def read(self, absorbing: list[State], absorption: np.ndarray) -> AbsorptionResult:
-        """Row dicts and lost mass of a dense ``transient x absorbing`` array.
-
-        :meth:`result` reads the system's own absorption matrix this way;
-        a caller that has composed its columns onto other outcomes reads
-        the composed array (doomed states are added either way).
-        """
-        negative = np.argwhere(absorption < -1e-6)
-        if len(negative):
-            i, j = negative[0]
-            raise ArithmeticError(
-                f"negative absorption probability {absorption[i, j]} for {self.transient[i]!r}"
-            )
+        absorption = self.absorption_matrix()
+        _check_absorption(absorption, self.transient)
         # Only the nonzeros of the clamped matrix are visited, row-major
         # like the rows they fill.
         clamped = np.clip(absorption, 0.0, 1.0)
@@ -233,7 +217,7 @@ class AbsorptionSystem:
         for i, j, value in zip(
             nz_rows.tolist(), nz_cols.tolist(), clamped[nz_rows, nz_cols].tolist()
         ):
-            filled[i][absorbing[j]] = value
+            filled[i][self.absorbing[j]] = value
         rows: dict[State, dict[State, float]] = dict(zip(self.transient, filled))
         lost: dict[State, float] = {}
         for state, row in rows.items():
@@ -243,6 +227,69 @@ class AbsorptionSystem:
             rows[state] = {}
             lost[state] = 1.0
         return AbsorptionResult(rows, lost)
+
+
+def _check_absorption(absorption: np.ndarray, transient: Sequence, names: Sequence = ()) -> None:
+    """An LU solve may undershoot zero by rounding, not by 1e-6.
+
+    ``transient`` lists the rows' states — as indices into ``names`` when
+    the caller keeps names for them.
+    """
+    negative = np.argwhere(absorption < -1e-6)
+    if len(negative):
+        i, j = negative[0]
+        state = names[transient[i]] if names else transient[i]
+        raise ArithmeticError(
+            f"negative absorption probability {absorption[i, j]} for {state!r}"
+        )
+
+
+def _reaching_absorption(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Which of the transient states ``0..n-1`` can reach an absorbing one.
+
+    ``rows[e] -> cols[e]`` are the chain's edges over one index: transient
+    states below ``n``, absorbing ones from ``n`` up, ``-1`` for a
+    successor the caller could not index (ignored here).  Backward
+    reachability by one ``breadth_first_order`` from a node that stands
+    for every absorbing state; a state it does not reach is doomed.
+    """
+    known = cols >= 0
+    sources, targets = rows[known], np.minimum(cols[known], n)
+    back = csr_matrix((np.ones(len(sources)), (targets, sources)), shape=(n + 1, n + 1))
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[breadth_first_order(back, n, return_predecessors=False)] = True
+    return reached[:n]
+
+
+def _factorize(
+    live: np.ndarray, na: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+):
+    """``splu(I - Q)`` and ``R`` of the live states of an indexed chain.
+
+    The index is :func:`_reaching_absorption`'s, ``live`` its answer and
+    ``na`` the number of absorbing states.  Only rows of live states
+    enter; mass entering a doomed state can never be absorbed and is
+    dropped with the edge.  The live states are renumbered in order, so
+    row ``i`` of the factor is the ``i``-th live state.  Returns ``(lu,
+    r_mat)``, the factor ``None`` when no state is live.
+    """
+    n, nt = len(live), int(live.sum())
+    if not nt:
+        return None, csc_matrix((0, na))
+    compact = np.cumsum(live) - 1
+    to_r = live[rows] & (cols >= n)
+    to_q = live[rows] & (cols >= 0) & (cols < n)
+    to_q[to_q] = live[cols[to_q]]
+    q_rows, q_cols, diagonal = compact[rows[to_q]], compact[cols[to_q]], np.arange(nt)
+    system = csc_matrix(
+        (
+            np.concatenate([np.ones(nt), -data[to_q]]),
+            (np.concatenate([diagonal, q_rows]), np.concatenate([diagonal, q_cols])),
+        ),
+        shape=(nt, nt),
+    )  # I - Q: a self-loop's entry adds onto its diagonal one
+    r_mat = csc_matrix((data[to_r], (compact[rows[to_r]], cols[to_r] - n)), shape=(nt, na))
+    return splu(system), r_mat
 
 
 def solve_absorption_batched(
@@ -263,12 +310,16 @@ def solve_absorption_batched(
         transition probability.  Successors may be transient or
         absorbing; rows may be sub-stochastic (mass can be lost).
 
-    The row dicts are read once, into index arrays; reachability, the
-    Q/R split and ``I - Q`` are array operations on those.  What is
-    checked is what always was: states that cannot reach absorption are
-    set aside as :attr:`~AbsorptionSystem.doomed` (in the caller's order,
-    like :attr:`~AbsorptionSystem.transient`) and the mass entering them
-    is dropped, a zero-probability edge is no edge, and a successor of a
+    This is the front door for callers that hold states, not indices: it
+    owns the index (transient states first, in the caller's order, then
+    the absorbing ones), reads the row dicts once into edge arrays, and
+    hands those to the array kernel (:func:`_reaching_absorption`,
+    :func:`_factorize`) that :meth:`IncrementalAbsorptionSolver.grow`
+    feeds directly.  What is checked is what always was: states that
+    cannot reach absorption are set aside as
+    :attr:`~AbsorptionSystem.doomed` (in the caller's order, like
+    :attr:`~AbsorptionSystem.transient`) and the mass entering them is
+    dropped, a zero-probability edge is no edge, and a successor of a
     solvable state that is neither transient nor absorbing is a
     :class:`KeyError`.
     """
@@ -277,7 +328,6 @@ def solve_absorption_batched(
     n, na = len(transient), len(absorbing)
     if not transient:
         return AbsorptionSystem([], absorbing, [], None, csc_matrix((0, na)))
-    # One index over all states, absorbing ones from n up; -1 is unknown.
     index = {state: n + j for j, state in enumerate(absorbing)}
     index.update((state, i) for i, state in enumerate(transient))
     edge_rows: list[int] = []
@@ -296,39 +346,14 @@ def solve_absorption_batched(
             edge_cols.append(j)
             edge_data.append(p)
     rows, cols = np.array(edge_rows, dtype=np.int64), np.array(edge_cols, dtype=np.int64)
-    data = np.array(edge_data, dtype=np.float64)
-    known = cols >= 0
-    # Backward reachability from node n, which stands for every absorbing
-    # state: the transient states it does not reach are doomed.
-    sources, targets = rows[known], np.minimum(cols[known], n)
-    back = csr_matrix((np.ones(len(sources)), (targets, sources)), shape=(n + 1, n + 1))
-    reached = np.zeros(n + 1, dtype=bool)
-    reached[breadth_first_order(back, n, return_predecessors=False)] = True
-    live = reached[:n]
-    if unknown and (reachable := live[rows[~known]]).any():
+    live = _reaching_absorption(n, rows, cols)
+    if unknown and (reachable := live[rows[cols < 0]]).any():
         succ = unknown[int(reachable.argmax())]
         raise KeyError(f"successor {succ!r} is neither transient nor absorbing")
+    lu, r_mat = _factorize(live, na, rows, cols, np.array(edge_data, dtype=np.float64))
     doomed = [state for state, ok in zip(transient, live) if not ok]
     transient = [state for state, ok in zip(transient, live) if ok]
-    nt = len(transient)
-    if not transient:
-        return AbsorptionSystem([], absorbing, doomed, None, csc_matrix((0, na)))
-    # Rows of live states only; mass entering a doomed state can never be
-    # absorbed and is dropped.  ``compact`` renumbers the live states.
-    compact = np.cumsum(live) - 1
-    to_r = live[rows] & (cols >= n)
-    to_q = live[rows] & known & (cols < n)
-    to_q[to_q] = live[cols[to_q]]
-    q_rows, q_cols, diagonal = compact[rows[to_q]], compact[cols[to_q]], np.arange(nt)
-    system = csc_matrix(
-        (
-            np.concatenate([np.ones(nt), -data[to_q]]),
-            (np.concatenate([diagonal, q_rows]), np.concatenate([diagonal, q_cols])),
-        ),
-        shape=(nt, nt),
-    )  # I - Q: a self-loop's entry adds onto its diagonal one
-    r_mat = csc_matrix((data[to_r], (compact[rows[to_r]], cols[to_r] - n)), shape=(nt, na))
-    return AbsorptionSystem(transient, absorbing, doomed, splu(system), r_mat)
+    return AbsorptionSystem(transient, absorbing, doomed, lu, r_mat)
 
 
 class IncrementalAbsorptionSolver:
@@ -349,15 +374,20 @@ class IncrementalAbsorptionSolver:
     small — factorization, instead of the whole chain being re-solved
     from scratch on every new seed.
 
-    Every step is the same code whatever its size:
-    :func:`solve_absorption_batched` (float) or
-    :func:`solve_absorption_exact` (exact) over the new states, with the
-    absorbing targets and the gateways as columns.  The float path then
-    composes the gateway columns onto the gateways' final rows by one
-    array product; the exact path composes :class:`~fractions.Fraction`
-    row dicts.  A gateway's own lost mass shrinks its final row, so a new
-    state's deficit ``1 − Σ row`` already includes mass forwarded into
-    diverging gateways.
+    Every step is the same code whatever its size.  The float step is
+    :meth:`grow`, fed index arrays: the caller owns the ``state -> int``
+    index (a :class:`~repro.core.fdd.matrix.ClassChain` its own, and
+    :meth:`solve` — the front door for callers that hold states — one it
+    keeps here), the solver owns what it appends to: one slot per solved
+    state, and the *outcome index*, the absorbing states in the order
+    they were first reached, over which every solved row is an array.
+    Gateway columns are composed onto the gateways' final rows by one
+    array product (:meth:`_compose`).  The exact step solves by
+    :func:`solve_absorption_exact` and composes
+    :class:`~fractions.Fraction` row dicts (:meth:`_compose_exact`).  A
+    gateway's own lost mass shrinks its final row, so a new state's
+    deficit ``1 − Σ row`` already includes mass forwarded into diverging
+    gateways.
 
     Attributes
     ----------
@@ -370,11 +400,12 @@ class IncrementalAbsorptionSolver:
         The steps among those that grew an already-solved chain (every
         step of a solver but its first).
     system:
-        The :class:`AbsorptionSystem` of the most recent step (``None``
-        before the first solve and in exact mode).  Its LU factor is
-        already released — the solver may be dropped on any thread — so
-        it carries the subsystem's shape and absorption matrix, not a
-        live factorization.
+        The :class:`AbsorptionSystem` of the most recent step, over the
+        state indices the step was fed (``None`` before the first solve
+        and in exact mode).  Its LU factor is already released — the
+        solver may be dropped on any thread — so it carries the
+        subsystem's shape and absorption matrix, not a live
+        factorization.
     """
 
     def __init__(self, exact: bool = False, watch=None):
@@ -383,8 +414,18 @@ class IncrementalAbsorptionSolver:
         self.factorizations = 0
         self.schur_updates = 0
         self.system: AbsorptionSystem | None = None
+        # What solve() keeps for callers that hold states: their index
+        # (float mode), and every solved row as a dict.
+        self._names: list[State] = []
+        self._ids: dict[State, int] = {}
         self._solutions: dict[State, dict[State, Fraction | float]] = {}
         self._lost: dict[State, Fraction | float] = {}
+        # What grow() appends to: state index -> slot (-1 unsolved), the
+        # solved row of each slot, and the outcome index with its inverse.
+        self._slot = np.full(64, -1, dtype=np.int64)
+        self._rows: list[np.ndarray] = []
+        self._outcomes: list[int] = []
+        self._column: dict[int, int] = {}
 
     def _measure(self, name: str):
         """A ``watch.measure`` section, or a no-op without a stopwatch."""
@@ -392,8 +433,11 @@ class IncrementalAbsorptionSolver:
 
     @property
     def solved_states(self) -> frozenset:
-        """The transient states whose absorption rows are already final."""
-        return frozenset(self._solutions)
+        """The transient states whose absorption rows are already final
+        (state indices when the solver was fed by :meth:`grow` alone)."""
+        if self.exact or self._names:
+            return frozenset(self._solutions)
+        return frozenset(np.flatnonzero(self._slot >= 0).tolist())
 
     def needs_solve(self, transient: Sequence[State]) -> bool:
         """Whether ``transient`` contains states not yet solved."""
@@ -424,13 +468,15 @@ class IncrementalAbsorptionSolver:
         """
         solutions = self._solutions
         new = [state for state in transient if state not in solutions]
-        if new:
-            self._solve_growth(new, transitions)
+        if new and self.exact:
+            self._grow_exact(new, transitions)
+        elif new:
+            self._grow_named(new, transitions)
         rows = {state: solutions[state] for state in transient}
         lost = {state: self._lost[state] for state in transient}
         return AbsorptionResult(rows, lost)
 
-    def _solve_growth(
+    def _grow_exact(
         self,
         new: list[State],
         transitions: Mapping[State, Mapping[State, float | Fraction]],
@@ -447,23 +493,10 @@ class IncrementalAbsorptionSolver:
                     (gateways if successor in solutions else targets)[successor] = None
         absorbing = [*targets, *gateways]
         sub_transitions = {state: transitions[state] for state in new}
-        if self.exact:
-            with self._measure("factorize"):
-                result = solve_absorption_exact(new, absorbing, sub_transitions)
-            self.system = None
-            if gateways:
-                result = self._compose_exact(result, gateways)
-        else:
-            with self._measure("factorize"):
-                system = solve_absorption_batched(new, absorbing, sub_transitions)
-            try:
-                with self._measure("solve"):
-                    result = self._read_composed(system, list(targets), gateways)
-            finally:
-                # The factor dies here, on the thread that made it: this
-                # solver (or a traceback) may be dropped on any thread.
-                system.release()
-            self.system = system
+        with self._measure("factorize"):
+            result = solve_absorption_exact(new, absorbing, sub_transitions)
+        if gateways:
+            result = self._compose_exact(result, gateways)
         self.factorizations += 1
         self.schur_updates += bool(solutions)
         solutions.update(result)
@@ -489,47 +522,167 @@ class IncrementalAbsorptionSolver:
             rows[state], lost[state] = final, deficit
         return AbsorptionResult(rows, lost)
 
-    def _read_composed(
-        self, system: AbsorptionSystem, outcomes: list[State], gateways: Mapping[State, None]
-    ) -> AbsorptionResult:
-        """Final rows and lost mass of one float step.
+    def _grow_named(
+        self,
+        new: list[State],
+        transitions: Mapping[State, Mapping[State, float | Fraction]],
+    ) -> None:
+        """Index the rows of ``new``, :meth:`grow`, and read the rows back as dicts."""
+        names, ids = self._names, self._ids
 
-        The gateway columns of the step's absorption matrix are
-        multiplied onto ``G``, the gateways' final rows over
-        ``outcomes`` (the step's targets on entry, extended by whatever
-        else a gateway reaches), and the rows are read off the sum by
-        :meth:`AbsorptionSystem.read`, like :meth:`~AbsorptionSystem.result`'s.
+        def index(state: State) -> int:
+            i = ids.get(state)
+            if i is None:
+                i = ids[state] = len(names)
+                names.append(state)
+            return i
+
+        states = [index(state) for state in new]
+        indptr, successors, probabilities = [0], [], []
+        for state in new:
+            for successor, probability in transitions[state].items():
+                successors.append(index(successor))
+                probabilities.append(float(probability))
+            indptr.append(len(successors))
+        self.grow(
+            np.array(states, dtype=np.int64),
+            np.array(indptr, dtype=np.int64),
+            np.array(successors, dtype=np.int64),
+            np.array(probabilities, dtype=np.float64),
+        )
+        for state, i in zip(new, states):
+            outcomes, masses, self._lost[state] = self.absorbed(i)
+            self._solutions[state] = {names[j]: mass for j, mass in zip(outcomes, masses)}
+
+    def grow(
+        self,
+        states: np.ndarray,
+        indptr: np.ndarray,
+        successors: np.ndarray,
+        probabilities: np.ndarray,
+    ) -> None:
+        """One float growth step, fed the new rows as index arrays.
+
+        ``states`` are the indices of the new transient states (none
+        solved before) and ``indptr`` / ``successors`` / ``probabilities``
+        their rows in CSR form, successors by state index.  A successor
+        outside ``states`` is a gateway if it was solved by an earlier
+        step and an absorbing target otherwise; the step's columns are
+        the targets, then the gateways, each in order of first occurrence
+        (row-major).  Doomed states are detected, a zero-probability
+        edge is no edge, and the LU is freed before this returns, on the
+        thread that made it.
         """
-        absorption = system.absorption_matrix()
-        n_targets = len(outcomes)
-        if gateways:
-            index = {outcome: j for j, outcome in enumerate(outcomes)}
-            g_rows: list[int] = []
-            g_cols: list[int] = []
-            g_data: list[float] = []
-            for k, gateway in enumerate(gateways):
-                for outcome, weight in self._solutions[gateway].items():
-                    j = index.get(outcome)
-                    if j is None:
-                        j = index[outcome] = len(outcomes)
-                        outcomes.append(outcome)
-                    g_rows.append(k)
-                    g_cols.append(j)
-                    g_data.append(weight)
-            g_mat = csr_matrix(
-                (g_data, (g_rows, g_cols)), shape=(len(gateways), len(outcomes))
+        n, base = len(states), len(self._rows)
+        highest = int(max(states.max(initial=0), successors.max(initial=0)))
+        if highest >= len(self._slot):
+            grown = np.full(2 * highest + 2, -1, dtype=np.int64)
+            grown[: len(self._slot)] = self._slot
+            self._slot = grown
+        slot, slots = self._slot, np.arange(base, base + n)
+        # The new states take their slots for the gather only; they are
+        # committed once the step has succeeded.
+        slot[states] = slots
+        at = slot[successors]
+        slot[states] = -1
+        inside = at >= base
+        outside, first, inverse = np.unique(
+            successors[~inside], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        solved = slot[outside[order]] >= 0
+        order = np.concatenate([order[~solved], order[solved]])
+        absorbing, n_targets = outside[order], len(solved) - int(solved.sum())
+        column = np.empty(len(order), dtype=np.int64)
+        column[order] = np.arange(n, n + len(order))
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        cols = at - base
+        cols[~inside] = column[inverse]
+        edges = probabilities != 0.0
+        if not edges.all():
+            rows, cols, probabilities = rows[edges], cols[edges], probabilities[edges]
+        with self._measure("factorize"):
+            live = _reaching_absorption(n, rows, cols)
+            system = AbsorptionSystem(
+                states[live].tolist(),
+                absorbing.tolist(),
+                states[~live].tolist(),
+                *_factorize(live, len(absorbing), rows, cols, probabilities),
             )
-            composed = absorption[:, n_targets:] @ g_mat
-            composed[:, :n_targets] += absorption[:, :n_targets]
-            absorption = composed
-        if absorption.sum(axis=1).max(initial=0.0) > 1.0 + 1e-6:
+        try:
+            with self._measure("solve"):
+                final = self._compose(
+                    system.absorption_matrix(), absorbing[:n_targets], absorbing[n_targets:]
+                )
+        finally:
+            # The factor dies here, on the thread that made it: this
+            # solver (or a traceback) may be dropped on any thread.
+            system.release()
+        if final.sum(axis=1).max(initial=0.0) > 1.0 + 1e-6:
             warnings.warn(
                 "absorption rows sum to more than one: the growth step is "
                 "numerically degraded (or a transition row was not sub-stochastic)",
                 RuntimeWarning,
                 stacklevel=4,
             )
-        return system.read(outcomes, absorption)
+        _check_absorption(final, system.transient, self._names)
+        # One block per step; a doomed state's row stays zero: all lost.
+        block = np.zeros((n, final.shape[1]))
+        block[live] = np.clip(final, 0.0, 1.0)
+        slot[states] = slots
+        self._rows.extend(block)
+        self.system = system
+        self.factorizations += 1
+        self.schur_updates += bool(base)
+
+    def _compose(
+        self, absorption: np.ndarray, targets: np.ndarray, gateways: np.ndarray
+    ) -> np.ndarray:
+        """A step's absorption matrix over the outcome index.
+
+        The target columns land on the targets' outcome columns (appended
+        on first sight); the gateway columns are multiplied onto ``G``,
+        the gateways' final rows, by one array product.
+        """
+        outcomes, column = self._outcomes, self._column
+        landing = []
+        for target in targets.tolist():
+            if target not in column:
+                column[target] = len(outcomes)
+                outcomes.append(target)
+            landing.append(column[target])
+        final = np.zeros((len(absorption), len(outcomes)))
+        final[:, landing] = absorption[:, : len(targets)]
+        if len(gateways):
+            g_mat = np.zeros((len(gateways), len(outcomes)))
+            for k, at in enumerate(self._slot[gateways].tolist()):
+                row = self._rows[at]
+                g_mat[k, : len(row)] = row
+            final += absorption[:, len(targets):] @ g_mat
+        return final
+
+    def absorbed(self, state: int) -> tuple[list[int], list[float], float]:
+        """Where a solved state's mass ends up: outcomes, masses, lost mass.
+
+        The outcomes (state indices) with nonzero mass in outcome-index
+        order, their masses, and the deficit ``1 − Σ`` — the mass that
+        reaches no absorbing state — or ``0.0`` when it is within
+        :data:`SOLVER_TOLERANCE`.  This is the one place a solved row is
+        decoded; callers ask when a query needs the row.
+        """
+        slot = int(self._slot[state])
+        if slot < 0:
+            raise KeyError(f"state {state} is not solved")
+        row = self._rows[slot]  # over the outcome index as it was at its step
+        at = np.flatnonzero(row)
+        masses = row[at].tolist()
+        deficit = 1.0 - sum(masses)
+        outcomes = self._outcomes
+        return (
+            [outcomes[j] for j in at.tolist()],
+            masses,
+            deficit if deficit > SOLVER_TOLERANCE else 0.0,
+        )
 
 
 def solve_absorption(

@@ -550,7 +550,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if solver:
             print(
                 f"solver: {solver.get('factorizations', 0)} factorization(s), "
-                f"{solver.get('schur_updates', 0)} Schur update(s), "
+                f"{solver.get('schur_updates', 0)} growth step(s) on a solved chain, "
                 f"{solver.get('assembly_rows', 0)} row(s) assembled, "
                 f"{solver.get('fdd_nodes', 0)} FDD node(s); compile: "
                 f"{solver.get('leaf_actions_composed', 0)} leaf action(s) composed, "

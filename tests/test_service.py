@@ -579,7 +579,7 @@ class TestServiceCli:
         assert "served 14 queries" in printed
         # The stats line surfaces the solver counters of the replica pool.
         match = re.search(
-            r"solver: (\d+) factorization\(s\), (\d+) Schur update\(s\), "
+            r"solver: (\d+) factorization\(s\), (\d+) growth step\(s\) on a solved chain, "
             r"(\d+) row\(s\) assembled",
             printed,
         )
