@@ -9,7 +9,11 @@ A second pass decides the table exactly (``exact=True``, rational failure
 probability), one cell at a time: each cell's seconds land in ``phases``,
 and ``exact_largest_scc`` records the largest strongly connected component
 the exact absorption solver had to eliminate densely — its cubic term.
-Everything outside an SCC is a sparse substitution.
+Everything outside an SCC is a sparse substitution.  The same pass counts
+the interpreter's work over the 15 cells: compiled bodies built
+(``compiled_bodies``), packets run through them (``body_runs``) and the
+per-switch runs their diagrams came from (``compile_roles`` templates
+renamed into ``role_instances`` switches) — counts that repeat exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import time
 from fractions import Fraction
 
 from repro.analysis.resilience import refinement_table
-from repro.core import markov
+from repro.core import equivalence, markov
 from repro.routing import f10_model
 from repro.topology import ab_fat_tree
 
@@ -68,6 +72,14 @@ def test_figure11c_exact_cells(monkeypatch):
         return components
 
     monkeypatch.setattr(markov, "_sccs_sinks_first", measuring)
+    interpreters = []
+
+    class Recorded(equivalence.Interpreter):
+        def __init__(self, *args, **kwargs):
+            interpreters.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "Interpreter", Recorded)
     table, phases = {pair: {} for pair in PAIRS}, {}
     for pair in PAIRS:
         for bound in BOUNDS:
@@ -76,12 +88,22 @@ def test_figure11c_exact_cells(monkeypatch):
             phases[f"exact_{pair[0]}_vs_{pair[1]}_k{bound}_s"] = time.perf_counter() - start
             table[pair][bound] = cell[pair][bound]
     assert table == EXPECTED
+    assert len(interpreters) == len(PAIRS) * len(BOUNDS)  # one per comparison
+    work = {
+        name: sum(interpreter.loop_stats()[name] for interpreter in interpreters)
+        for name in ("compiled_bodies", "body_runs")
+    }
+    for name in ("compile_roles", "role_instances"):
+        work[name] = sum(
+            interpreter.body_compiler().manager.counters[name] for interpreter in interpreters
+        )
     print(f"\nlargest SCC over {len(sizes) - 1} exact solves: {max(sizes)} states")
+    print("interpreter work over the table: " + ", ".join(f"{k} {v}" for k, v in work.items()))
     record(
         "fig11c",
         TITLE,
         HEADER,
         rows_of(table),
         phases=phases,
-        metrics={"exact_largest_scc": max(sizes)},
+        metrics={"exact_largest_scc": max(sizes), **work},
     )

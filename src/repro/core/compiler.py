@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.core import syntax as s
 from repro.core.distributions import Dist
@@ -49,8 +49,8 @@ class _Placeholder:
 
     A private value type, not a reserved integer: it only ever sits where
     an assignment's value would, compares equal to no integer a program
-    can test, and is gone from every diagram :meth:`Compiler._compile_seq`
-    returns.
+    can test, and is gone from every diagram
+    :meth:`Compiler.runs_per_value` hands out.
     """
 
     index: int
@@ -245,7 +245,7 @@ class Compiler:
         is read off them) *and its result*, whose leaves write every
         field of a class.  Both steps are memoised where they happen.
 
-        How a sequence is multiplied out (:meth:`_compile_seq`: one run
+        How a sequence is multiplied out (:meth:`runs_per_value`: one run
         per dispatch value, samplers composed from the right, one run
         compiled per switch role and renamed for every switch of it)
         decides the work, never the node: sequential composition is
@@ -334,13 +334,40 @@ class Compiler:
         multiplying the n-switch diagrams of its parts drags every
         switch's disequalities through every product.  When the parts
         dispatch on one field (:func:`~repro.core.fdd.evaluator.dispatch_spine`)
-        each value ``v`` instead gets its own small product
-        ``p₁|v ; … ; pₙ|v`` — a ``case`` contributes its ``v``-branch, any
-        other part its diagram restricted to ``field = v`` while the
-        field still holds its input value — and the per-value runs are
-        joined once, with one ``ite`` each, over the run of the defaults.
-        A value whose run is just the default run restricted to it adds
-        no test (the monolithic product would not have one either).
+        each value instead gets its own small product
+        (:meth:`runs_per_value`, asked here for every value), and the
+        per-value runs are joined once, with one ``ite`` each, over the
+        run of the defaults.  A value whose run is just the default run
+        restricted to it adds no test (the monolithic product would not
+        have one either).
+        """
+        spine = dispatch_spine(parts)
+        if spine is None:
+            return _fold([self.compile_unreduced(part) for part in parts])
+        field, values, at, default = self.runs_per_value(parts, spine)
+        default_at = ops.cofactors(default, field, values)
+        result = default
+        for value in reversed(values):
+            at_value = at(value)
+            if at_value is not default_at[value]:
+                guard = self.manager.from_test(field, value)
+                result = ops.ite(guard, at_value, result)
+        return result
+
+    def runs_per_value(
+        self, parts: Sequence[s.Policy], spine: tuple
+    ) -> tuple[str, list[int], Callable[[int], FddNode], FddNode]:
+        """A spine-shaped sequence as ``(field, values, value → run, default run)``.
+
+        ``spine`` is ``dispatch_spine(parts)``.  The run of value ``v`` is
+        the diagram of ``p₁|v ; … ; pₙ|v`` — a ``case`` contributes its
+        ``v``-branch, any other part its diagram restricted to
+        ``field = v`` while the field still holds its input value — and is
+        built when ``v`` is asked for: :meth:`_compile_seq` asks for every
+        value and joins them, a :class:`~repro.core.fdd.evaluator.CompiledBody`
+        for the values its packets visit.  This is the one definition of
+        a switch's run; ``values`` are the dispatch values some ``case``
+        names, sorted, and every other value runs ``default``.
 
         Association order.  A run is ``lead ; (steps ; suffix)``: the
         value-independent ``suffix`` (flag resets, hop counter) is
@@ -361,7 +388,7 @@ class Compiler:
         One diagram per role.  Switches of one role (a fat-tree has
         seven, whatever its size) run the same program up to the
         constants their link program assigns.  A value's run is keyed by
-        its :meth:`_role` — the cofactor nodes of its non-``case`` parts,
+        its :func:`_role` — the cofactor nodes of its non-``case`` parts,
         the branch ASTs of its ``case`` parts, and, in the branch of the
         ``case`` that re-assigns the dispatch field, the constants
         assigned to the located fields replaced by placeholders — and
@@ -371,7 +398,7 @@ class Compiler:
         The renamed template *is* the node a compile of the value's own
         parts interns: no FDD operation looks at a value a leaf assigns
         except to restrict what follows by it, the role's precondition
-        (read off the program, see :meth:`_role`) is that nothing that
+        (read off the program, see :func:`_role`) is that nothing that
         follows tests a located field, and the renaming is injective per
         field, so actions are equal after it exactly when they were
         before.
@@ -386,9 +413,6 @@ class Compiler:
         value (:func:`~repro.core.fdd.ops.cofactors`): each node of an
         n-value chain is visited once, not once per value.
         """
-        spine = dispatch_spine(parts)
-        if spine is None:
-            return _fold([self.compile_unreduced(part) for part in parts])
         field, marked, stable, located = spine
         manager = self.manager
         manager.register_fields(located)
@@ -423,33 +447,29 @@ class Compiler:
             ops.cofactors(fdd, field, values) if fdd is not None else None
             for fdd in whole[:stable]
         ]
-        default_at = ops.cofactors(default, field, values)
         # Roles abstract the ``case`` that moves the packet, if there is
         # one and nothing after it tests where the packet is.
         mover = stable - 1
         roles = marked[mover] is not None and not _tests_any(parts[stable:], located)
         templates: dict[tuple, FddNode] = {}
-        result = default
-        for value in reversed(values):
+
+        def at(value: int) -> FddNode:
             head = [
-                at[value] if at is not None else table.get(value, part.default)
-                for part, table, at in zip(parts[:stable], marked, whole_at)
+                cofactor[value] if cofactor is not None else table.get(value, part.default)
+                for part, table, cofactor in zip(parts[:stable], marked, whole_at)
             ]
             role = _role(head, mover, located, (field, value)) if roles else None
             if role is None:
-                at_value = run(head)
-            else:
-                key, constants = role
-                template = templates.get(key)
-                if template is None:
-                    template = templates[key] = run(key)
-                    manager.counters["compile_roles"] += 1
-                at_value = ops.map_leaves(template, _renaming(constants))
-                manager.counters["role_instances"] += 1
-            if at_value is not default_at[value]:
-                guard = manager.from_test(field, value)
-                result = ops.ite(guard, at_value, result)
-        return result
+                return run(head)
+            key, constants = role
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = run(key)
+                manager.counters["compile_roles"] += 1
+            manager.counters["role_instances"] += 1
+            return ops.map_leaves(template, _renaming(constants))
+
+        return field, values, at, default
 
     # -- loops --------------------------------------------------------------------
     def _compile_while(self, loop: s.WhileDo) -> FddNode:

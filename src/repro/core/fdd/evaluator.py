@@ -1,20 +1,21 @@
-"""Compiled loop bodies: one-shot FDD compilation for fast exploration.
+"""Compiled bodies: a loop-free program as diagrams walked per packet.
 
 McNetKAT's scalability rests on compiling each switch's policy to an FDD
-*once* and never re-interpreting the AST (§5–§6).  The forward
-interpreter's loop exploration used to re-run the loop body AST for
-every reachable loop-head state — a full tree walk with per-node
-:class:`~repro.core.distributions.Dist` allocation and
-:class:`~fractions.Fraction` arithmetic.  A :class:`CompiledBody`
-replaces that walk:
+*once* and never re-interpreting the AST (§5–§6).  A :class:`CompiledBody`
+is how the forward interpreter does that for a loop body, and for every
+loop-free run of a sequence around a loop:
 
-* the body is split into *segments*: maximal loop-free runs compile
-  eagerly into one canonical FDD each, while ``case`` nodes dispatching
-  on a single field (the per-switch shape produced by the network model
-  builders) keep their branches separate and compile each branch
-  *lazily*, on the first packet that reaches it — so no global product
-  of all switches' class spaces is ever built, mirroring McNetKAT's
-  per-switch compilation;
+* a switch's run has one definition,
+  :meth:`repro.core.compiler.Compiler.runs_per_value`, shared with the
+  compiler: a :func:`dispatch_spine`-shaped body is one lazy
+  ``value → diagram`` segment that asks that method for the run of each
+  switch a packet visits — the diagram the compiler joins into the whole
+  program's, one per switch role and renamed per switch — so no product
+  of all switches' class spaces is ever built and no per-switch program
+  is synthesised here;
+* any other body is a pipeline of segments: maximal runs compiled
+  eagerly into one diagram each, and a lone single-field ``case`` as the
+  same lazy segment over its branches;
 * a transition row is computed by FDD evaluation (walk to a leaf, apply
   its actions) instead of AST interpretation;
 * when ``exact`` is off, leaf action distributions are cached with
@@ -25,7 +26,7 @@ replaces that walk:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core import syntax as s
 from repro.core.distributions import Dist
@@ -221,73 +222,62 @@ class _FddSegment(_Segment):
 
 
 class _CaseSegment(_Segment):
-    """A single-field ``case`` whose branches compile lazily, per value.
+    """One field's lazy ``value → diagram`` segment.
 
-    This is the per-switch compilation of the paper: each branch of
-    ``case sw=1 … case sw=n`` becomes its own small FDD the first time a
-    packet at that switch is explored.  The branches never merge into
-    one diagram, so the symbolic class space stays per-switch.
+    This is the per-switch compilation of the paper: ``at(value)`` builds
+    the diagram of a value in ``values`` the first time a packet holding
+    it arrives (a switch's whole run, or one branch of a lone ``case``);
+    every other packet walks ``default``.  The diagrams never merge into
+    one, so the symbolic class space stays per-switch.
     """
 
-    __slots__ = (
-        "field",
-        "_branch_fdds",
-        "_default_fdd",
-        "_branch_policies",
-        "_default_policy",
-        "_compiler",
-    )
+    __slots__ = ("field", "_values", "_at", "_default", "_fdds")
 
     def __init__(
         self,
         field: str,
-        branch_policies: dict[int, s.Policy],
-        default_policy: s.Policy,
-        compiler,
+        values: Iterable[int],
+        at: Callable[[int], FddNode],
+        default: FddNode,
         exact: bool,
         leaf_cache: _LeafCache,
     ):
         super().__init__(exact, leaf_cache)
         self.field = field
-        self._branch_policies = branch_policies
-        self._default_policy = default_policy
-        self._compiler = compiler
-        self._branch_fdds: dict[int, FddNode] = {}
-        self._default_fdd: FddNode | None = None
+        self._values = frozenset(values)
+        self._at = at
+        self._default = default
+        self._fdds: dict[int, FddNode] = {}
 
     def _fdd_for(self, packet: Packet) -> FddNode:
         value = packet.get(self.field)
-        if value is not None:
-            fdd = self._branch_fdds.get(value)
-            if fdd is not None:
-                return fdd
-            if value in self._branch_policies:
-                fdd = self._compiler.compile_unreduced(self._branch_policies[value])
-                self._branch_fdds[value] = fdd
-                return fdd
-        if self._default_fdd is None:
-            self._default_fdd = self._compiler.compile_unreduced(self._default_policy)
-        return self._default_fdd
+        fdd = self._fdds.get(value)
+        if fdd is None:
+            if value not in self._values:
+                return self._default
+            fdd = self._fdds[value] = self._at(value)
+        return fdd
 
     @property
     def compiled_branches(self) -> int:
-        return len(self._branch_fdds)
+        return len(self._fdds)
 
 
 class CompiledBody:
-    """A loop body compiled into FDD segments for fast row computation.
+    """A loop-free program compiled into FDD segments for fast row computation.
 
-    Build with :meth:`try_compile` (returns ``None`` when the body is
-    not eligible, e.g. it contains a nested loop).  The central
-    operation is :meth:`run_packet`:
-    the output distribution of the body on one concrete packet, computed
-    purely by FDD evaluation.
+    Build with :meth:`try_compile` (returns ``None`` when the program is
+    not eligible, e.g. it contains a loop).  The central operation is
+    :meth:`run_packet`: the output distribution of the program on one
+    concrete packet, computed purely by FDD evaluation.
     """
 
     def __init__(self, segments: list[_Segment], exact: bool, manager: FddManager):
         self._segments = segments
         self.exact = exact
         self.manager = manager
+        #: Packets run through this body (:meth:`run_packet` calls).
+        self.runs = 0
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -301,56 +291,58 @@ class CompiledBody:
         where the compiler could handle it, so the fast path accepts
         exactly the programs the interpreter accepts.
         """
-        for node in body.walk():
-            if isinstance(node, (s.WhileDo, s.Star, s.Union)):
-                return None
+        if not body.shape()[0]:
+            return None
         from repro.core.compiler import GuardedFragmentError
 
-        parts = list(body.parts) if isinstance(body, s.Seq) else [body]
-        leaf_cache: _LeafCache = {}
-        segments: list[_Segment] = []
-        pending: list[s.Policy] = []
-
-        spine = _specialize_spine(parts)
-        if spine is not None:
-            # The whole body specializes per value of one dispatch field
-            # (per switch, for network models): each value's body is a
-            # single FDD composing that switch's failure/routing/topology
-            # branches, compiled on the first packet that reaches it.
-            field, table, default = spine
-            segments.append(
-                _CaseSegment(field, table, default, compiler, exact, leaf_cache)
-            )
-            return cls(segments, exact, compiler.manager)
-
-        def flush() -> None:
-            if not pending:
-                return
-            fdd = compiler.compile_unreduced(s.seq(*pending))
-            segments.append(_FddSegment(fdd, exact, leaf_cache))
-            pending.clear()
-
+        parts = body.parts if isinstance(body, s.Seq) else (body,)
         try:
-            for part in parts:
-                dispatch = _dispatch_table(part) if isinstance(part, s.Case) else None
-                if dispatch is not None:
-                    flush()
-                    field, table = dispatch
-                    segments.append(
-                        _CaseSegment(
-                            field, table, part.default, compiler, exact, leaf_cache
-                        )
-                    )
-                else:
-                    pending.append(part)
-            flush()
+            segments = cls._segments_of(parts, compiler, exact)
         except GuardedFragmentError:
             return None
         return cls(segments, exact, compiler.manager)
 
+    @staticmethod
+    def _segments_of(parts: Sequence[s.Policy], compiler, exact: bool) -> list[_Segment]:
+        leaf_cache: _LeafCache = {}
+        spine = dispatch_spine(parts)
+        if spine is not None and not _leaves_a_wide_case_whole(parts, spine[1]):
+            # The whole body runs per value of one dispatch field (per
+            # switch, for network models): the compiler's own run of that
+            # switch, built on the first packet that reaches it.
+            runs = compiler.runs_per_value(parts, spine)
+            return [_CaseSegment(*runs, exact, leaf_cache)]
+        segments: list[_Segment] = []
+        pending: list[s.Policy] = []
+
+        def flush() -> None:
+            if pending:
+                fdd = compiler.compile_unreduced(s.seq(*pending))
+                segments.append(_FddSegment(fdd, exact, leaf_cache))
+                pending.clear()
+
+        for part in parts:
+            dispatch = _dispatch_table(part) if isinstance(part, s.Case) else None
+            if dispatch is None:
+                pending.append(part)
+                continue
+            flush()
+            field, table = dispatch
+            segments.append(_CaseSegment(
+                field,
+                table,
+                lambda value, table=table: compiler.compile_unreduced(table[value]),
+                compiler.compile_unreduced(part.default),
+                exact,
+                leaf_cache,
+            ))
+        flush()
+        return segments
+
     # -- evaluation -------------------------------------------------------------
     def run_packet(self, packet: Packet) -> Dist[Outcome]:
         """Output distribution of the compiled body on one input packet."""
+        self.runs += 1
         one: object = Fraction(1) if self.exact else 1.0
         acc: dict[Outcome, object] = {packet: one}
         for segment in self._segments:
@@ -382,15 +374,6 @@ class CompiledBody:
         }
 
 
-def _assigned_fields(policy: s.Policy) -> tuple[str, ...]:
-    """Fields that some execution of ``policy`` may assign, in program order."""
-    if isinstance(policy, s.Predicate):
-        return ()
-    return tuple(dict.fromkeys(
-        node.field for node in policy.walk() if isinstance(node, s.Assign)
-    ))
-
-
 def dispatch_spine(
     parts: Sequence[s.Policy],
 ) -> tuple[str, list[dict[int, s.Policy] | None], int, tuple[str, ...]] | None:
@@ -401,9 +384,9 @@ def dispatch_spine(
     do not dispatch (ingress predicate, flag resets, hop counter).  For a
     packet at switch ``v`` such a sequence collapses to
     ``failure_v ; routing_v ; topology_v ; …`` — one small per-switch
-    program.  This is the single definition of that shape; the
-    compiler's per-switch compilation and :class:`CompiledBody`'s lazily
-    specialized bodies both start from it.
+    program.  This is the single definition of that shape;
+    :meth:`repro.core.compiler.Compiler.runs_per_value`, the single
+    definition of a value's run, takes it from here.
 
     Returns ``(field, marked, stable, located)``: ``field`` is the field
     of the first single-field ``case``; ``parts[:stable]`` are the parts
@@ -428,7 +411,7 @@ def dispatch_spine(
     for index, (part, dispatch) in enumerate(zip(parts, dispatches)):
         if dispatch is not None and dispatch[0] == field:
             marked[index] = dispatch[1]
-        assigned = _assigned_fields(part)
+        assigned = part.shape()[1]
         if field in assigned:
             stable = index + 1
             located += tuple(name for name in assigned if name != field)
@@ -438,46 +421,23 @@ def dispatch_spine(
     return field, marked, stable, located
 
 
-def _specialize_spine(
-    parts: list[s.Policy],
-) -> tuple[str, dict[int, s.Policy], s.Policy] | None:
-    """Specialize a whole body per value of one dispatch field.
+def _leaves_a_wide_case_whole(
+    parts: Sequence[s.Policy], marked: Sequence[dict[int, s.Policy] | None]
+) -> bool:
+    """Whether a per-value run of ``parts`` would compile a wide ``case`` whole.
 
-    For a :func:`dispatch_spine`-shaped body, the program a packet at
-    value ``v`` runs is one small sequence whose FDD composes that
-    value's branches and integrates the intermediate flag samples out
-    symbolically, so a transition row costs a single diagram walk
-    instead of enumerating every flag combination as a concrete packet.
-    Returns ``(field, value -> specialized body, default body)``, or
-    ``None`` when the body does not have this shape (the caller falls
-    back to segment-pipeline evaluation).
+    A ``case`` the spine does not specialise (another field's, or one
+    past the part that re-assigns the dispatch field) goes into every
+    run as one diagram of all its branches; over 64 of them, the lazy
+    segment pipeline serves it better.
     """
-    spine = dispatch_spine(parts)
-    if spine is None:
-        return None
-    field, marked, _stable, _located = spine
-    for part, table in zip(parts, marked):
-        if table is None and isinstance(part, s.Case):
-            dispatch = _dispatch_table(part)
-            if dispatch is not None and len(dispatch[1]) > 64:
-                # An unspecialized wide case would compile into one huge
-                # FDD; the lazy segment pipeline handles it better.
-                return None
-
-    values = sorted({
-        value for table in marked if table is not None for value in table
-    })
-    specialized: dict[int, s.Policy] = {}
-    for value in values:
-        specialized[value] = s.seq(*[
-            table.get(value, part.default) if table is not None else part
-            for part, table in zip(parts, marked)
-        ])
-    default = s.seq(*[
-        part.default if table is not None else part
+    return any(
+        table is None
+        and isinstance(part, s.Case)
+        and (dispatch := _dispatch_table(part)) is not None
+        and len(dispatch[1]) > 64
         for part, table in zip(parts, marked)
-    ])
-    return field, specialized, default
+    )
 
 
 def _dispatch_table(policy: s.Case) -> tuple[str, dict[int, s.Policy]] | None:

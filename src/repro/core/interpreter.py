@@ -18,6 +18,7 @@ numerical computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
 from repro.core import syntax as s
@@ -60,12 +61,15 @@ class Interpreter:
     max_loop_states:
         Safety bound on the number of reachable states explored per loop.
     compile_bodies:
-        Compile loop bodies once into FDD segments and compute transition
-        rows by FDD evaluation instead of AST interpretation (the
-        McNetKAT fast path; see :mod:`repro.core.fdd.evaluator`).  Bodies
-        the compiler cannot handle — e.g. nested loops — silently fall
-        back to AST interpretation, so the flag is always safe to leave
-        on; turn it off to measure the interpreted baseline.
+        Compile loop bodies, and every maximal loop-free run of a
+        sequence's parts, once into FDD segments and compute their rows
+        by FDD evaluation instead of AST interpretation (the McNetKAT
+        fast path; see :mod:`repro.core.fdd.evaluator`) — a model
+        ``in ; hop ; while … do hop ; out`` is evaluated stage by stage,
+        the way :class:`~repro.backends.matrix.MatrixBackend` plans it.
+        Programs the compiler cannot handle — e.g. nested loops —
+        silently fall back to AST interpretation, so the flag is always
+        safe to leave on; turn it off to measure the interpreted baseline.
     compiler:
         Optional :class:`~repro.core.compiler.Compiler` to compile loop
         bodies with (shared with a backend, so FDDs intern in one
@@ -88,14 +92,16 @@ class Interpreter:
         self._dispatch: dict[
             int, tuple[s.Case, tuple[str, dict[int, s.Policy], s.Policy] | None]
         ] = {}
+        # Per-Seq stages: id(seq) -> (seq, stages); see :meth:`_stages`.
+        self._seq_stages: dict[int, tuple[s.Seq, tuple[s.Policy, ...]]] = {}
         # Per-loop caches: explored transition rows and solved absorption rows.
         self._loop_nodes: dict[int, s.WhileDo] = {}
         self._loop_rows: dict[int, dict[Packet, Dist[Outcome]]] = {}
         self._loop_solutions: dict[int, dict[Packet, Dist[Outcome]]] = {}
         # Compiled-policy fast path: id(policy) -> (policy, CompiledBody|None).
-        # Keyed by the *body* AST node, so a loop body and the unrolled
-        # first hop preceding the loop (the same node in network models)
-        # share one compiled body.
+        # Keyed by the AST node a body was compiled from (a loop's body, a
+        # stage of a sequence, a part), so it is compiled once wherever it
+        # is met again.
         self._compiled: dict[int, tuple[s.Policy, CompiledBody | None]] = {}
         # Incremental absorption state, per loop.
         self._loop_solvers: dict[int, IncrementalAbsorptionSolver] = {}
@@ -117,8 +123,8 @@ class Interpreter:
             return Dist.point(packet.set(policy.field, policy.value))
         if isinstance(policy, s.Seq):
             dist: Dist[Outcome] = Dist.point(packet)
-            for part in policy.parts:
-                dist = self._bind(part, dist)
+            for stage in self._stages(policy):
+                dist = self._bind(stage, dist)
             return dist
         if isinstance(policy, s.Union):
             raise GuardedFragmentError(
@@ -153,6 +159,33 @@ class Interpreter:
             else:
                 parts.append((self.run_packet(policy, outcome), mass))
         return Dist.convex(parts, check=False)
+
+    def _stages(self, policy: s.Seq) -> tuple[s.Policy, ...]:
+        """The stages ``policy`` is evaluated in, decided once per node.
+
+        A maximal run of loop-free parts is one stage — one compiled body,
+        so ``locals ; in ; failure ; routing ; topology ; resets`` ahead
+        of a loop is one diagram walk per ingress instead of a bind per
+        part over intermediate flag packets — and a part holding a loop
+        stands alone.  A run without a compiled body (``compile_bodies``
+        off, or the compiler rejects it) contributes its parts one by
+        one: a stage is only ever ``policy`` itself or a compiled run, so
+        evaluating one never comes back here for the same parts.
+        """
+        entry = self._seq_stages.get(id(policy))
+        if entry is not None and entry[0] is policy:
+            return entry[1]
+        stages: list[s.Policy] = []
+        for loop_free, group in groupby(policy.parts, key=lambda part: part.shape()[0]):
+            run = tuple(group)
+            if loop_free and len(run) > 1:
+                whole = policy if len(run) == len(policy.parts) else s.Seq(run)
+                if self._compiled_policy(whole) is not None:
+                    stages.append(whole)
+                    continue
+            stages.extend(run)
+        entry = self._seq_stages[id(policy)] = (policy, tuple(stages))
+        return entry[1]
 
     def _select_case(self, policy: s.Case, packet: Packet) -> s.Policy:
         """Select the branch of a ``case`` for a packet, using fast dispatch.
@@ -315,8 +348,11 @@ class Interpreter:
         space do not increase it.  ``schur_updates`` counts the steps
         among them that extended an already-solved chain.
         ``compiled_loops`` counts loops whose bodies run on the
-        compiled-FDD fast path.
+        compiled-FDD fast path, ``compiled_bodies`` every body built for
+        it (loop bodies and stages of sequences) and ``body_runs`` the
+        packets pushed through them.
         """
+        bodies = [body for _, body in self._compiled.values() if body is not None]
         return {
             "loops": len(self._loop_nodes),
             "states": sum(len(rows) for rows in self._loop_rows.values()),
@@ -332,6 +368,8 @@ class Interpreter:
                 if (entry := self._compiled.get(id(loop.body))) is not None
                 and entry[1] is not None
             ),
+            "compiled_bodies": len(bodies),
+            "body_runs": sum(body.runs for body in bodies),
         }
 
     # -- structural possibility analysis ----------------------------------------

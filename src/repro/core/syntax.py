@@ -59,7 +59,8 @@ def as_prob(value: float | int | Fraction) -> Fraction:
 class Policy:
     """Base class of all ProbNetKAT programs."""
 
-    __slots__ = ()
+    # Not a dataclass field: the memo of :meth:`shape`, absent until asked for.
+    __slots__ = ("_shape",)
 
     # operators -------------------------------------------------------------
     def __rshift__(self, other: "Policy") -> "Policy":
@@ -114,6 +115,37 @@ class Policy:
             if isinstance(node, (Test, Assign)):
                 values.setdefault(node.field, set()).add(node.value)
         return {name: frozenset(vals) for name, vals in values.items()}
+
+    def shape(self) -> tuple[bool, tuple[str, ...]]:
+        """``(loop_free, assigned)``, decided once per node and kept on it.
+
+        ``loop_free``: no ``while``, star or union anywhere below — what
+        one diagram walk can stand for.  ``assigned``: the fields some
+        execution may assign, in program order.  Both are what the
+        interpreter, the compiled bodies and the compiler's per-switch
+        runs ask of every part of a sequence, each time they meet it; a
+        node is immutable, so the one walk that answers both is made
+        once, without descending into predicates.
+        """
+        try:
+            return self._shape
+        except AttributeError:
+            pass
+        loop_free = True
+        assigned: dict[str, None] = {}
+        stack: list[Policy] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Predicate):
+                continue
+            if isinstance(node, Assign):
+                assigned[node.field] = None
+            elif isinstance(node, (WhileDo, Star, Union)):
+                loop_free = False
+            stack.extend(reversed(node.children()))
+        shape = (loop_free, tuple(assigned))
+        object.__setattr__(self, "_shape", shape)
+        return shape
 
     def is_predicate(self) -> bool:
         return isinstance(self, Predicate)

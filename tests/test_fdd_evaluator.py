@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import syntax as s
 from repro.core.compiler import Compiler
 from repro.core.distributions import Dist
-from repro.core.fdd.evaluator import CompiledBody, _dispatch_table, _specialize_spine
+from repro.core.fdd.evaluator import CompiledBody, _dispatch_table, dispatch_spine
 from repro.core.fdd.node import FddManager
 from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP, Packet, PacketUniverse
@@ -199,11 +199,12 @@ class TestSpineSpecialization:
 
     def test_spine_detected(self):
         body = self.network_like_body()
-        spine = _specialize_spine(list(body.parts))
+        spine = dispatch_spine(body.parts)
         assert spine is not None
-        field, table, _default = spine
+        field, values, at, default = Compiler().runs_per_value(body.parts, spine)
         assert field == "sw"
-        assert sorted(table) == [1, 2]
+        assert values == [1, 2]
+        assert at(1) is not at(2) and default.is_leaf()
 
     def test_spine_rows_match_interpreter(self):
         body = self.network_like_body()
