@@ -92,7 +92,6 @@ def workload():
         models=models.values(),
         planner="destination",
         workers=4,
-        pool_size=2,
         cache=False,
     ) as session:
         session.query_batch(batch)  # untimed warm pass: compile + first solve

@@ -87,8 +87,8 @@ def main() -> None:
               f"{stats['shards']} shards, backend={stats['backend']}")
 
     # Process-hosted replicas: the same session API, but every replica is
-    # a worker process fed by manager-independent plan specs, so matrix
-    # assembly and splu overlap across cores, not just the splu phase.
+    # a worker process fed by manager-independent plan specs, so plan
+    # rebuild, matrix assembly and splu overlap across cores.
     with AnalysisSession(
         model_factory=factory,
         planner="destination",

@@ -10,15 +10,15 @@ Three backends answer queries about compiled network models:
   :class:`repro.backends.prism.PrismBackend`).
 
 :func:`get_backend` instantiates a backend by name so analyses and
-benchmarks can select one with a plain string.  Backends that implement
-``fork()`` (currently the matrix backend) can serve as replica pools for
-parallel sharded execution: a fork is a fully independent instance — its
-own FDD manager, plan caches, and ``splu`` factorizations — sharing only
-the immutable :class:`~repro.backends.matrix.PlanSpecStore` of compiled
-plan specs with its siblings (see :mod:`repro.service.pool`).
+benchmarks can select one with a plain string.  The matrix backend also
+ships compiled plans as manager-independent specs
+(:meth:`~repro.backends.matrix.MatrixBackend.plan_payload` /
+:meth:`~repro.backends.matrix.MatrixBackend.adopt_plan`), which is how
+worker processes serve parallel sharded execution
+(see :mod:`repro.service.procpool`).
 """
 
-from repro.backends.matrix import MatrixBackend, PlanSpecStore, QueryPlan
+from repro.backends.matrix import MatrixBackend, QueryPlan
 from repro.backends.native import NativeBackend
 from repro.backends.prism import PrismBackend
 
@@ -60,7 +60,6 @@ __all__ = [
     "BACKENDS",
     "MatrixBackend",
     "NativeBackend",
-    "PlanSpecStore",
     "PrismBackend",
     "QueryPlan",
     "get_backend",

@@ -29,11 +29,10 @@ loop solutions are float64, like the native backend's LU path.
 
 from __future__ import annotations
 
-import threading
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core import syntax as s
 from repro.core.compiler import Compiler, leaf_holds
@@ -96,8 +95,8 @@ class _LoopStage:
         #: The source AST of the loop, when this stage was built from one.
         #: Purely informational: query evaluation only ever consults the
         #: compiled ``guard_fdd`` (see :meth:`entered_by`), so stages
-        #: rebuilt from manager-independent specs — in a forked replica or
-        #: a worker process — carry ``None`` here and behave identically.
+        #: rebuilt from manager-independent specs — in a worker process —
+        #: carry ``None`` here and behave identically.
         self.loop = loop
         self.guard_fdd = guard_fdd
         self.body_fdd = body_fdd
@@ -242,8 +241,9 @@ class QueryPlan:
     """A policy decomposed into alternating FDD and loop stages.
 
     ``specs`` caches the manager-independent serialization of the stages
-    (see :meth:`MatrixBackend.plan_key` and :class:`PlanSpecStore`); it is
-    filled lazily the first time the plan is published or keyed.
+    (see :meth:`MatrixBackend.plan_key` and
+    :meth:`MatrixBackend.plan_payload`); it is filled lazily the first
+    time the plan is shipped or keyed.
     """
 
     policy: s.Policy | None
@@ -255,52 +255,34 @@ class QueryPlan:
         return [stage for stage in self.stages if isinstance(stage, _LoopStage)]
 
 
-class PlanSpecStore:
-    """Compiled-plan specs shared by all replicas forked from one backend.
+def mix_outputs(
+    inputs: Packet | Dist[Outcome] | Iterable[Packet],
+    solve: Callable[[list[Packet]], dict[Packet, Dist[Outcome]]],
+) -> Dist[Outcome]:
+    """The output distribution on a packet, a distribution, or a uniform ingress set.
 
-    A backend replica pool (:class:`repro.service.pool.BackendPool`) must
-    not share mutable compiled state between replicas — each replica owns
-    its own :class:`~repro.core.fdd.node.FddManager`, plan caches, and
-    ``splu`` factorizations.  What *can* be shared is the immutable
-    serialized form of a compiled plan: per-stage FDD specs produced by
-    :func:`~repro.core.fdd.node.node_to_spec` (plus the loop AST and its
-    symbolic domains, both read-only).  The first replica to plan a policy
-    publishes its specs here; every other replica rebuilds the plan into
-    its own manager via :func:`~repro.core.fdd.node.node_from_spec`
-    (linear in diagram size) instead of re-running AST compilation.
-
-    The store's lock is a *leaf* lock in the service lock hierarchy: it is
-    held only for dict operations, never while compiling or solving, so it
-    can safely be taken while a replica lease is held.
+    ``solve(packets)`` answers every proper input packet with its own
+    output distribution in one batched call; the input masses mix them
+    (a dropped input stays dropped).
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # id(policy) -> (policy, manager field order, stage specs).  The
-        # policy is retained so a recycled id cannot alias a different
-        # program (same discipline as the per-backend plan cache).
-        self._entries: dict[int, tuple[s.Policy, tuple[str, ...], tuple]] = {}
-
-    def get(self, policy: s.Policy) -> tuple[tuple[str, ...], tuple] | None:
-        """The published ``(field_order, stage_specs)`` of ``policy``, if any."""
-        with self._lock:
-            entry = self._entries.get(id(policy))
-            if entry is not None and entry[0] is policy:
-                return entry[1], entry[2]
-        return None
-
-    def publish(
-        self, policy: s.Policy, fields: tuple[str, ...], stage_specs: tuple
-    ) -> None:
-        """Publish the compiled specs of ``policy`` (first writer wins)."""
-        with self._lock:
-            entry = self._entries.get(id(policy))
-            if entry is None or entry[0] is not policy:
-                self._entries[id(policy)] = (policy, fields, stage_specs)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    if isinstance(inputs, Packet):
+        weighted: list[tuple[Outcome, object]] = [(inputs, 1)]
+    elif isinstance(inputs, Dist):
+        weighted = list(inputs.items())
+    else:
+        packets = list(inputs)
+        if not packets:
+            raise ValueError("cannot build a uniform distribution over no outcomes")
+        share = s.as_prob(1) / len(packets)
+        weighted = [(packet, share) for packet in packets]
+    outputs = solve([pk for pk, _ in weighted if not isinstance(pk, _DropType)])
+    parts: list[tuple[Dist[Outcome], object]] = []
+    for outcome, mass in weighted:
+        if isinstance(outcome, _DropType):
+            parts.append((Dist.point(DROP), mass))
+        else:
+            parts.append((outputs[outcome], mass))
+    return Dist.convex(parts, check=False)
 
 
 @dataclass
@@ -335,8 +317,8 @@ class MatrixBackend:
         #: worker reports).
         self.assembly_rows = 0
         #: How many plans this backend built by *compiling an AST* (the
-        #: expensive path).  Plans rebuilt from published specs and adopted
-        #: plans do not count — worker processes assert this stays 0.
+        #: expensive path).  Adopted plans (rebuilt from shipped specs) do
+        #: not count — worker processes assert this stays 0.
         self.ast_compilations = 0
         # Plan cache keyed by policy object identity (the policy is kept in
         # the value so a recycled id cannot alias a different program).
@@ -349,9 +331,6 @@ class MatrixBackend:
         self._matrices: dict[FddNode, TransitionMatrix] = {}
         # Manager-independent canonical stage keys (see plan_key).
         self._plan_keys: dict[int, tuple[s.Policy, tuple]] = {}
-        # Shared plan-spec store, created on the first fork() and shared by
-        # every replica forked from this backend (or from its forks).
-        self._spec_store: PlanSpecStore | None = None
 
     # -- compilation ----------------------------------------------------------
     def compile(self, policy: s.Policy) -> FddNode:
@@ -379,51 +358,14 @@ class MatrixBackend:
         return cached
 
     def plan(self, policy: s.Policy) -> QueryPlan:
-        """Decompose ``policy`` into compiled stages (cached per policy).
-
-        A backend that belongs to a replica pool first consults the shared
-        :class:`PlanSpecStore`: when another replica already compiled this
-        policy, its stages are rebuilt from their manager-independent
-        specs (cheap, linear in diagram size) instead of re-running AST
-        compilation; otherwise the freshly built plan is published so the
-        other replicas can skip the compile in turn.
-        """
+        """Decompose ``policy`` into compiled stages (cached per policy)."""
         cached = self._plans.get(id(policy))
         if cached is not None and cached[0] is policy:
             return cached[1]
-        store = self._spec_store
-        published = store.get(policy) if store is not None else None
         with self.watch.measure("compile"):
-            if published is not None:
-                plan = self._plan_from_spec(policy, *published)
-            else:
-                plan = self._build_plan(policy)
-                if store is not None:
-                    store.publish(policy, self.manager.fields, self._stage_specs(plan))
+            plan = self._build_plan(policy)
         self._plans[id(policy)] = (policy, plan)
         return plan
-
-    def fork(self) -> "MatrixBackend":
-        """A fresh, independent replica of this backend (for pooled serving).
-
-        The replica has its *own* :class:`~repro.core.fdd.node.FddManager`,
-        compiler, plan/matrix caches, and ``splu`` factorizations — no
-        mutable state is shared, so replicas may serve queries from
-        different threads without any cross-replica locking.  The only
-        shared object is the immutable :class:`PlanSpecStore` (created on
-        the first fork), through which already-compiled plans propagate as
-        manager-independent specs.  The replica registers this manager's
-        field order up front so rebuilt diagrams stay canonical.
-        """
-        store = self._spec_store
-        if store is None:
-            store = self._spec_store = PlanSpecStore()
-            for policy, plan in self._plans.values():
-                store.publish(policy, self.manager.fields, self._stage_specs(plan))
-        replica = MatrixBackend(exact=self.exact, class_limit=self.class_limit)
-        replica._spec_store = store
-        replica.manager.register_fields(self.manager.fields)
-        return replica
 
     def plan_key(self, policy: s.Policy) -> tuple:
         """A canonical, manager-independent cache key for ``policy``.
@@ -431,7 +373,7 @@ class MatrixBackend:
         The key serializes the compiled stage FDDs via
         :func:`~repro.core.fdd.node.node_to_spec`, so it is structural:
         two semantically equal policies — or the same policy compiled by
-        two different replicas (different managers, different node ids) —
+        two different backends (different managers, different node ids) —
         produce the *same* key.  Session result caches key on this, which
         is what lets a replica pool share one result cache.
         """
@@ -452,8 +394,8 @@ class MatrixBackend:
         domain values — with **no AST objects**: loop stages serialize only
         their compiled guard/body diagrams and domains, which is all query
         evaluation needs (:meth:`_LoopStage.entered_by`).  This is what
-        lets the same payload rebuild a plan in a forked replica *or* ship
-        to a worker process.
+        lets the payload ship to a worker process and rebuild the plan
+        there.
         """
         if plan.specs is None:
             entries: list[tuple] = []
@@ -470,10 +412,8 @@ class MatrixBackend:
             plan.specs = tuple(entries)
         return plan.specs
 
-    def _plan_from_spec(
-        self, policy: s.Policy | None, fields: tuple[str, ...], stage_specs: tuple
-    ) -> QueryPlan:
-        """Rebuild a plan from published specs into this backend's manager."""
+    def _plan_from_spec(self, fields: tuple[str, ...], stage_specs: tuple) -> QueryPlan:
+        """Rebuild a plan from shipped specs into this backend's manager."""
         self.manager.register_fields(fields)
         stages: list[_FddStage | _LoopStage] = []
         for entry in stage_specs:
@@ -490,7 +430,7 @@ class MatrixBackend:
                         watch=self.watch,
                     )
                 )
-        return QueryPlan(policy, stages, specs=stage_specs)
+        return QueryPlan(None, stages, specs=stage_specs)
 
     # -- spec-shipped plans (worker processes) ----------------------------------
     def plan_payload(self, policy: s.Policy) -> tuple[tuple[str, ...], tuple]:
@@ -517,7 +457,7 @@ class MatrixBackend:
         plan = self._adopted.get(plan_id)
         if plan is None:
             with self.watch.measure("adopt"):
-                plan = self._plan_from_spec(None, fields, stage_specs)
+                plan = self._plan_from_spec(fields, stage_specs)
             self._adopted[plan_id] = plan
         return plan
 
@@ -608,25 +548,7 @@ class MatrixBackend:
         self, policy: s.Policy, inputs: Packet | Dist[Outcome] | Iterable[Packet]
     ) -> Dist[Outcome]:
         """Output distribution on a packet, a distribution, or a uniform ingress set."""
-        if isinstance(inputs, Packet):
-            weighted: list[tuple[Outcome, object]] = [(inputs, 1)]
-        elif isinstance(inputs, Dist):
-            weighted = list(inputs.items())
-        else:
-            packets = list(inputs)
-            if not packets:
-                raise ValueError("cannot build a uniform distribution over no outcomes")
-            share = s.as_prob(1) / len(packets)
-            weighted = [(packet, share) for packet in packets]
-        proper = [pk for pk, _ in weighted if not isinstance(pk, _DropType)]
-        outputs = self.output_distributions(policy, proper)
-        parts: list[tuple[Dist[Outcome], object]] = []
-        for outcome, mass in weighted:
-            if isinstance(outcome, _DropType):
-                parts.append((Dist.point(DROP), mass))
-            else:
-                parts.append((outputs[outcome], mass))
-        return Dist.convex(parts, check=False)
+        return mix_outputs(inputs, lambda packets: self.output_distributions(policy, packets))
 
     # -- network-model conveniences ------------------------------------------------
     def delivery_probabilities(self, model) -> dict[Packet, float]:
@@ -734,9 +656,7 @@ class MatrixBackend:
         A shared backend accumulates one plan (plus loop caches) per
         distinct policy queried; long-lived sweeps over many models can
         call this between batches to bound memory.  Compiled FDD nodes
-        stay interned in the manager, and the shared :class:`PlanSpecStore`
-        (if this backend is a pool replica) keeps its published specs —
-        those are the pool's compile-once artifact, not per-query state.
+        stay interned in the manager.
         """
         self._plans.clear()
         self._matrices.clear()

@@ -14,15 +14,16 @@ Architecture (**session → shards → pool → backend**):
   and a pool of backend replicas;
 * :mod:`repro.service.pool` — the :class:`BackendPool`: N independent
   backend replicas (own FDD manager, plan caches, and ``splu``
-  factorizations each; only immutable compiled-plan specs are shared),
-  leased exclusively per shard with destination affinity routing and
-  work-stealing — the layer that makes sharded execution genuinely
-  parallel instead of serialising on one session-wide solver lock;
-* :mod:`repro.service.procpool` — the :class:`ProcessBackendPool`:
-  the same lease protocol, but every replica lives in its own worker
-  process fed by the manager-independent wire format of
-  :mod:`repro.service.wire`, so the GIL-bound compile-rebuild and
-  matrix-assembly phases parallelise too (``pool_mode="process"``);
+  factorizations each), leased exclusively per shard with destination
+  affinity routing, work-stealing, and in-place respawn of failed
+  replicas — whatever replica source it is given;
+* :mod:`repro.service.procpool` — the replica sources: the in-process
+  backend (``pool_mode="thread"``, one replica, called directly), and
+  worker processes (:class:`ProcessReplicas`, ``pool_mode="process"``)
+  or remote host workers (:class:`RemoteReplicas`,
+  ``pool_mode="remote"``) driven by one :class:`ReplicaClient` over the
+  manager-independent wire format of :mod:`repro.service.wire`, so the
+  GIL-bound compile-rebuild and matrix-assembly phases parallelise too;
 * :mod:`repro.service.shards` — pluggable :class:`ShardPlanner`
   strategies (by destination, by ingress block, round-robin) that cut a
   batch into exact partitions and tag shards with affinity hints;
@@ -41,17 +42,18 @@ Architecture (**session → shards → pool → backend**):
   streaming front end with per-reply correlation ids, graceful lossless
   drain, and a queue-depth :class:`PoolAutoscaler`;
 * :mod:`repro.service.transport` — the :class:`Transport` abstraction
-  under process-hosted replicas: :class:`PipeTransport` wraps today's
-  duplex pipe, :class:`SocketTransport` speaks length-prefixed,
-  CRC-checksummed frames over TCP, with typed failures
-  (:class:`TransportClosed`, :class:`FrameError`) instead of hangs or
-  pickle errors;
+  under worker replicas, which also owns worker liveness:
+  :class:`PipeTransport` wraps a duplex pipe and watches the worker's
+  process sentinel, :class:`SocketTransport` speaks length-prefixed,
+  CRC-checksummed frames over TCP and watches host heartbeats, with
+  typed failures (:class:`TransportClosed`, :class:`FrameError`)
+  instead of hangs or pickle errors;
 * :mod:`repro.service.host` — the worker-host daemon
   (``python -m repro.service host``): serves locally-supervised worker
-  replicas over TCP to a :class:`RemoteBackendPool`
-  (``pool_mode="remote"``), which runs the *same* lease/affinity/steal
-  protocol across machines with heartbeat-based partition detection,
-  reconnect with exponential backoff, and transparent host failover;
+  replicas over TCP to ``pool_mode="remote"`` sessions, which run the
+  *same* lease/affinity/steal protocol across machines with
+  heartbeat-based partition detection, reconnect with exponential
+  backoff, and transparent host failover;
 * :mod:`repro.service.faults` — the :class:`FaultPlan` fault-injection
   harness (``REPRO_FAULTS``): deterministic worker kills, reply delays,
   dropped pipes, and transport-level network faults (partitions,
@@ -105,11 +107,10 @@ from repro.service.pool import (
     ReplicaFailure,
 )
 from repro.service.procpool import (
-    ProcessBackendPool,
-    RemoteBackendPool,
-    RemoteWorkerHandle,
+    ProcessReplicas,
+    RemoteReplicas,
     ReplicaClient,
-    WorkerHandle,
+    open_pool,
 )
 from repro.service.results import (
     QUERY_KINDS,
@@ -166,14 +167,13 @@ __all__ = [
     "PipeTransport",
     "PoolAutoscaler",
     "PoolUnavailable",
-    "ProcessBackendPool",
+    "ProcessReplicas",
     "Query",
     "QueryRejected",
     "QueryResult",
     "QuerySpec",
     "QueryServer",
-    "RemoteBackendPool",
-    "RemoteWorkerHandle",
+    "RemoteReplicas",
     "Replica",
     "ReplicaClient",
     "ReplicaFailure",
@@ -194,8 +194,8 @@ __all__ = [
     "TransportClosed",
     "TransportError",
     "Unavailable",
-    "WorkerHandle",
     "get_planner",
+    "open_pool",
     "span_tree",
     "validate_partition",
 ]

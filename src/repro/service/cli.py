@@ -20,7 +20,7 @@ Example::
 
     python -m repro.service --topology fattree:4 --scheme ecmp \\
         --dest 1 --dest 2 --all-pairs --planner destination \\
-        --workers 4 --pool-size 4 --output results.json
+        --workers 4 --pool-mode process --pool-size 4 --output results.json
 
 ``python -m repro.service serve ...`` instead starts the asyncio
 streaming front end (:mod:`repro.service.server`): newline-delimited
@@ -31,8 +31,8 @@ streams" section.
 ``python -m repro.service host ...`` runs a worker-host daemon
 (:mod:`repro.service.host`): it serves replica capacity over TCP to
 sessions started elsewhere with ``--pool-mode remote --remote-host
-HOST:PORT`` — see ``host --help`` and the README's "Remote replica
-hosts" section.
+HOST:PORT`` — see ``host --help`` and the README's "Replica hosting"
+section.
 """
 
 from __future__ import annotations
@@ -109,18 +109,18 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="independent backend replicas; shards lease one each, so "
-        "N>1 enables true parallel solves (default 1; remote mode "
-        "defaults to two replicas per host)",
+        "N>1 (process or remote mode) enables parallel solves (default 1; "
+        "remote mode defaults to two replicas per host)",
     )
     parser.add_argument(
         "--pool-mode",
         default="thread",
         choices=("thread", "process", "remote"),
-        help="replica hosting: 'thread' shares the process (parallel in the "
-        "GIL-releasing splu phase); 'process' gives every replica its own "
-        "worker process fed by spec shipping, parallelising plan rebuild + "
-        "matrix assembly + solve end-to-end; 'remote' leases replicas from "
-        "worker-host daemons over TCP (needs --remote-host) (default thread)",
+        help="replica hosting: 'thread' serves from the one backend in this "
+        "process; 'process' gives every replica its own worker process fed "
+        "by spec shipping, parallelising plan rebuild + matrix assembly + "
+        "solve end-to-end; 'remote' leases replicas from worker-host daemons "
+        "over TCP (needs --remote-host) (default thread)",
     )
     parser.add_argument(
         "--remote-host",
@@ -135,7 +135,7 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         "--shard-timeout",
         type=float,
         default=None,
-        help="per-shard wall-clock watchdog in seconds (process pools): a "
+        help="per-shard wall-clock watchdog in seconds (worker replicas): a "
         "worker that does not answer in time is killed, respawned, and the "
         "shard retried on a healthy replica (default: no watchdog)",
     )
@@ -352,6 +352,13 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
     """Open the session both entry points (batch and serve) share."""
     if args.pool_size is not None and args.pool_size < 1:
         raise SystemExit("--pool-size must be >= 1")
+    wanted = max(args.pool_size or 1, getattr(args, "autoscale_max", None) or 1)
+    if args.pool_mode == "thread" and wanted > 1:
+        raise SystemExit(
+            "--pool-mode thread serves from one in-process replica; "
+            "--pool-size/--autoscale-max above 1 need --pool-mode process "
+            "(or remote)"
+        )
     if args.pool_mode == "remote" and not args.remote_host:
         raise SystemExit("--pool-mode remote needs at least one --remote-host")
     if args.remote_host and args.pool_mode != "remote":
@@ -390,6 +397,17 @@ def export_telemetry(session: AnalysisSession, args: argparse.Namespace) -> None
         print(f"trace written to {args.trace_out} ({count} span(s))")
     if args.metrics:
         print(session.metrics_text(), end="")
+
+
+def print_supervision(stats: dict) -> None:
+    """The ``supervision:`` line, when a replica failed during serving."""
+    pool = stats["pool"]
+    if pool["failures"] or stats["retried_shards"]:
+        print(
+            f"supervision: {pool['failures']} replica failure(s), "
+            f"{pool['restarts']} worker restart(s), "
+            f"{stats['retried_shards']} shard(s) transparently retried"
+        )
 
 
 def serve_main(
@@ -465,13 +483,7 @@ async def _run_server(args: argparse.Namespace, started_cb=None) -> int:
         f"{coalescer['deadline_exceeded']} deadline-exceeded, "
         f"{coalescer['overloaded']} overloaded)"
     )
-    pool = stats["pool"]
-    if pool["failures"] or stats["retried_shards"]:
-        print(
-            f"supervision: {pool['failures']} replica failure(s), "
-            f"{pool['restarts']} worker restart(s), "
-            f"{stats['retried_shards']} shard(s) transparently retried"
-        )
+    print_supervision(stats)
     export_telemetry(session, args)
     return 0
 
@@ -536,12 +548,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{pool.get('remote_reconnects', 0)} reconnect(s), "
                 f"{sum(pool['heartbeat_misses'])} heartbeat miss(es)"
             )
-        if pool["failures"] or stats["retried_shards"]:
-            print(
-                f"supervision: {pool['failures']} replica failure(s), "
-                f"{pool['restarts']} worker restart(s), "
-                f"{stats['retried_shards']} shard(s) transparently retried"
-            )
+        print_supervision(stats)
         timings = stats["backend_timings"]
         if timings:
             phases = ", ".join(f"{name}={value:.3f}s" for name, value in sorted(timings.items()))

@@ -5,22 +5,20 @@ module *runs* the shards.  One :class:`ShardExecutor` lives as long as
 its owning :class:`~repro.service.session.AnalysisSession`: its thread
 pool is started lazily on the first multi-shard batch and then reused by
 every subsequent batch, so steady-state serving pays no pool start-up
-cost per batch (the thread-level analogue of the parallel interpreter's
-persistent process pool, which the session also keeps alive by holding
-its backend replicas for its whole lifetime).
+cost per batch (the session likewise keeps its backend replicas alive
+for its whole lifetime).
 
-Executor workers are always *threads*, in both pool modes: the session
+Executor workers are always *threads*, in every pool mode: the session
 result cache is shared in-place, merge needs no serialisation, and each
 shard leases its *own* backend replica from the session's
 :class:`~repro.service.pool.BackendPool` — there is no session-wide
 solver lock, so shards on different replicas contend on nothing.  Where
 the replica's solve actually *runs* is the pool's concern, not the
-executor's: a thread-hosted replica overlaps wherever the work releases
-the GIL (SciPy ``splu``), while a process-hosted replica
-(:class:`~repro.service.procpool.ProcessBackendPool`) runs the whole
-solve in its worker process and the executor thread merely waits on the
-pipe — which is why the same thread executor drives full multi-core
-parallelism in process mode.  Executor threads only ever block on pool
+executor's: the in-process replica runs it on the executor thread, while
+a worker replica (:class:`~repro.service.procpool.ProcessReplicas`) runs
+the whole solve in its worker process and the executor thread merely
+waits on the pipe — which is why the same thread executor drives full
+multi-core parallelism in process mode.  Executor threads only ever block on pool
 *capacity* (every replica busy), never on another replica's solver
 lock.  Size ``workers >= pool_size`` to be able to drive every replica
 at once.  Closing the executor (or its owning session) tears the thread

@@ -2,16 +2,17 @@
 
 ``python -m repro.service host --bind HOST:PORT --workers N`` runs a
 :class:`HostServer`: a small TCP daemon that turns this machine into
-replica capacity for a :class:`~repro.service.procpool.RemoteBackendPool`
-on some other machine.  The paper's scalability claim is near-linear
-speedup across *machines*; this is the machine-side half.
+replica capacity for ``pool_mode="remote"`` sessions
+(:class:`~repro.service.procpool.RemoteReplicas`) on some other machine.
+The paper's scalability claim is near-linear speedup across *machines*;
+this is the machine-side half.
 
 Design — one worker process per attached client connection:
 
-* a pool-side :class:`~repro.service.procpool.RemoteWorkerHandle` dials
-  in and sends ``("attach", {"replica": i})``; the daemon spawns a fresh
-  local worker process (the *same* :func:`~repro.service.procpool.worker_main`
-  loop local pools use, fed over a duplex pipe) and answers
+* a pool-side :func:`~repro.service.procpool.attach` dials in and sends
+  ``("attach", {"replica": i})``; the daemon spawns a fresh local worker
+  process (the *same* :func:`~repro.service.procpool.worker_main` loop
+  process replicas use, fed over a duplex pipe) and answers
   ``("attached", {"pid", "host", "capacity", "workers"})``;
 * a per-connection **relay thread** then bridges the two worlds: framed,
   checksummed TCP messages (:class:`~repro.service.transport.SocketTransport`)
@@ -19,10 +20,11 @@ Design — one worker process per attached client connection:
   socket, the worker pipe, and the worker's OS sentinel through one
   ``selectors`` loop, so client requests, worker replies, and worker
   death are all event-driven;
-* **heartbeats**: the relay emits ``("heartbeat", seq)`` frames on an
-  interval *independently of the worker* — a mid-solve worker keeps the
-  wire warm, so the pool's monitor can tell "slow but alive" from
-  "host unreachable";
+* **heartbeats**: while a request is outstanding the relay emits
+  ``("heartbeat", seq)`` frames on an interval *independently of the
+  worker* — a mid-solve worker keeps the wire warm, so the client's
+  transport can tell "slow but alive" from "host unreachable" (an idle
+  connection stays silent);
 * **local supervision**: a worker that dies gets reported as
   ``("worker-died", exitcode)`` before the connection closes; a client
   that vanishes (or times out and drops the connection on purpose) gets
@@ -62,11 +64,7 @@ import threading
 import time
 
 from repro.service.faults import FaultPlan, WorkerFaults
-from repro.service.procpool import (
-    _importable_package_path,
-    _pick_start_method,
-    worker_main,
-)
+from repro.service.procpool import _pick_start_method, worker_main
 from repro.service.transport import (
     DEFAULT_MAX_FRAME,
     SocketTransport,
@@ -85,28 +83,6 @@ _INDEFINITE = float("inf")
 #: other spawns, so each child would inherit half-built pipes; one fork
 #: at a time keeps every child's fd snapshot coherent.
 _SPAWN_LOCK = threading.Lock()
-
-
-def _worker_entry(connection, index: int, stale_fds) -> None:
-    """Worker-process entry: shed inherited daemon fds, then serve.
-
-    A forked worker inherits the daemon's whole fd table: the listener,
-    every other connection's socket and pipe, and — fatally — the
-    daemon's *own* end of this worker's pipe.  Holding that last fd
-    means the pipe can never reach EOF, so a worker orphaned by
-    SIGKILLing the daemon would block in ``recv()`` forever instead of
-    self-terminating (and keep the listener port bound).  Close them
-    all before entering the serve loop.
-    """
-    keep = connection.fileno()
-    for fd in stale_fds:
-        if fd == keep:  # pragma: no cover - defensive
-            continue
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-    worker_main(connection, index)
 
 
 class _ConnectionDone(Exception):
@@ -131,7 +107,8 @@ class HostServer:
         ``None`` (default) = unbounded, so failover from a dead peer
         host can over-subscribe this one instead of failing the batch.
     heartbeat_interval:
-        Seconds between ``("heartbeat", seq)`` frames per connection.
+        Seconds between ``("heartbeat", seq)`` frames on a connection
+        with a request outstanding.
     start_method:
         Worker process start method (same default as the local pool).
     max_frame_bytes:
@@ -341,7 +318,7 @@ class HostServer:
             stale_fds: list[int] = []
             if self._start_method == "fork":
                 # Everything the fork will drag along that the worker
-                # must not hold open (see _worker_entry).
+                # must not hold open (see worker_main).
                 stale_fds.append(conn.fileno())
                 listener = self._listener
                 if listener is not None:
@@ -352,14 +329,13 @@ class HostServer:
                             stale_fds.append(other.fileno())
                         except OSError:  # closed under us: nothing to shed
                             pass
-            with _importable_package_path(self._start_method):
-                process = self._context.Process(
-                    target=_worker_entry,
-                    args=(child_conn, index, stale_fds),
-                    name=f"repro-host-worker-{index}",
-                    daemon=True,
-                )
-                process.start()
+            process = self._context.Process(
+                target=worker_main,
+                args=(child_conn, index, stale_fds),
+                name=f"repro-host-worker-{index}",
+                daemon=True,
+            )
+            process.start()
             child_conn.close()
         with self._lock:
             self._pipes.add(conn)
@@ -379,13 +355,17 @@ class HostServer:
         sel.register(process.sentinel, selectors.EVENT_READ, "sentinel")
         served = 0
         seq = 0
+        # Requests relayed to the worker and not yet answered: heartbeats
+        # flow only while the client is waiting for one.
+        outstanding = 0
         next_beat = time.monotonic() + self._heartbeat
         try:
             while not self._stop.is_set():
                 now = time.monotonic()
                 if now >= next_beat:
-                    seq += 1
-                    transport.send(("heartbeat", seq))
+                    if outstanding:
+                        seq += 1
+                        transport.send(("heartbeat", seq))
                     next_beat = now + self._heartbeat
                 events = sel.select(timeout=max(0.0, next_beat - now))
                 tags = {key.data for key, _ in events}
@@ -399,6 +379,7 @@ class HostServer:
                         self._report_worker_death(transport, process)
                         raise _ConnectionDone
                     served = self._forward_reply(transport, reply, faults, served)
+                    outstanding = max(0, outstanding - 1)
                     # Faults may have blackholed the wire for a while;
                     # resume heartbeats on a fresh schedule.
                     next_beat = min(next_beat, time.monotonic() + self._heartbeat)
@@ -408,6 +389,7 @@ class HostServer:
                     except TransportClosed:
                         raise _ConnectionDone  # client gone: reap the worker
                     conn.send(message)
+                    outstanding += 1
                 if "sentinel" in tags and "pipe" not in tags:
                     if conn.poll(0):
                         continue  # drain the final reply first
@@ -444,7 +426,7 @@ class HostServer:
         """An injected partition: no relaying, no heartbeats, no reads.
 
         ``ms == 0`` means indefinite — hold until the client gives up
-        and drops the connection (its watchdog/heartbeat monitor will),
+        and drops the connection (its watchdog or heartbeat check will),
         which is exactly what a real blackholed link looks like.  The
         peer socket is only *peeked* (never read) so the partition also
         stops acking at the application layer.
@@ -525,13 +507,12 @@ def start_host_process(
     method = _pick_start_method(start_method)
     context = multiprocessing.get_context(method)
     channel, child_channel = context.Pipe(duplex=False)
-    with _importable_package_path(method):
-        process = context.Process(
-            target=_host_process_main,
-            args=(child_channel, host, workers, heartbeat_interval, start_method),
-            name="repro-host-daemon",
-        )
-        process.start()
+    process = context.Process(
+        target=_host_process_main,
+        args=(child_channel, host, workers, heartbeat_interval, start_method),
+        name="repro-host-daemon",
+    )
+    process.start()
     child_channel.close()
     if not channel.poll(30.0):
         process.kill()
@@ -546,7 +527,7 @@ def host_main(argv=None) -> int:
     """``python -m repro.service host``: run one worker-host daemon."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service host",
-        description="Serve worker replicas to remote RemoteBackendPools over TCP.",
+        description="Serve worker replicas to remote sessions (--pool-mode remote) over TCP.",
     )
     parser.add_argument(
         "--bind",

@@ -1,18 +1,20 @@
 """Backend replica pools: per-destination solver instances, leased per shard.
 
 Architecture: in the **session → shards → pool → backend** pipeline this
-module owns the *replicas*.  Before the pool existed, every shard of a
-batch funnelled through one backend instance guarded by a session-wide
-lock — sharded "concurrency" was cooperative scheduling, because all
-shards shared one FDD manager and one family of ``splu`` factorizations.
-A :class:`BackendPool` instead owns N independent backend replicas
-(created with ``backend.fork()``: each replica has its own manager, plan
-caches, and factorizations, sharing only the immutable
-:class:`~repro.backends.matrix.PlanSpecStore` of compiled plan specs) and
-leases exactly one replica to each shard for the duration of its
-execution.  Shards leasing *different* replicas never contend on any
-solver state, so they genuinely run in parallel wherever the work
-releases the GIL (SciPy's ``splu`` factorizations and solves do).
+module owns the *replicas*.  A :class:`BackendPool` holds N independent
+replicas — each with its own FDD manager, plan caches, and ``splu``
+factorizations — and leases exactly one replica to each shard for the
+duration of its execution, so shards leasing *different* replicas never
+contend on any solver state.
+
+Where a replica lives is not the pool's concern: the pool takes a
+*replica source*, ``spawn(index, dead) -> backend``, and drives whatever
+it returns through the same lease, routing, and supervision code.  The
+sources (:mod:`repro.service.procpool`) are the in-process one — exactly
+one replica, the session's own backend, called directly — and the
+process and remote ones, whose replicas are
+:class:`~repro.service.procpool.ReplicaClient` objects speaking the
+worker protocol over a pipe or a socket.
 
 Routing is **affinity first, work-stealing second**: a lease request
 carries an optional affinity key (the shard's destination, set by the
@@ -24,10 +26,10 @@ planners), and
   destination's factorizations — as long as that replica is free;
 * when the preferred replica is busy but another replica is idle, the
   idle replica *steals* the shard (rebuilding the destination's state
-  from the shared plan specs) rather than queueing behind a busy solver
-  — but the affinity binding stays with the original replica, so
-  overflow work runs one-off on spare capacity while subsequent shards
-  keep routing to the warm replica;
+  from shipped plan specs) rather than queueing behind a busy solver —
+  but the affinity binding stays with the original replica, so overflow
+  work runs one-off on spare capacity while subsequent shards keep
+  routing to the warm replica;
 * only when every replica is busy does the request wait.
 
 Supervision: replica failure is a *recoverable* event, not a
@@ -39,34 +41,33 @@ session-killing one.  Every replica carries a health state::
     restarting ──(respawn impossible)──────▶ dead  (permanent)
 
 A lease body that raises :class:`ReplicaFailure` (worker crash, hung
-worker killed by the watchdog, broken pipe) quarantines its replica: the
-replica is marked suspect, probed once (backends with a ``ping`` — a
-transient transport blip on a live backend recovers in place), and on a
-failed probe a background thread respawns the backend *in place at the
-same index* — so the affinity map and ``lease_replica`` indices stay
-valid and the destination bindings transparently re-attach to the fresh
-backend.  Process pools re-publish the dead worker's adopted plans from
-the parent-side plan directory during respawn (see
-:class:`~repro.service.procpool.ProcessBackendPool`), so respawned
-workers never recompile.  Only when respawn is impossible (no healthy
-replica to fork from, or the pool is closing) does a replica go
-permanently ``dead``: its affinities are unbound and, once *every*
-replica is dead, lease requests fail with :class:`PoolUnavailable`
-instead of waiting forever.
+worker killed by the watchdog, broken transport) quarantines its
+replica: the replica is marked suspect, probed once (backends with a
+``ping`` — a transient transport blip on a live backend recovers in
+place), and on a failed probe a background thread asks the source for a
+replacement *in place at the same index* — so the affinity map and
+``lease_replica`` indices stay valid and the destination bindings
+transparently re-attach to the fresh backend.  Process and remote
+sources re-publish the dead worker's adopted plans as specs, so
+respawned workers never recompile.  Only when the source cannot build a
+replacement (or the pool is closing) does a replica go permanently
+``dead``: its affinities are unbound and, once *every* replica is dead,
+lease requests fail with :class:`PoolUnavailable` instead of waiting
+forever.
 
 Lock hierarchy (strict, never nested the other way around)::
 
-    replica lease (pool condition + per-replica lock)
+    replica lease (pool condition + per-replica busy flag)
         > session state lock (result cache, counters, model registry)
-        > plan-spec store lock (leaf: dict ops only)
+        > plan directory lock (leaf: compiles a policy once, parent-side)
 
-A thread may take the session state lock or the spec-store lock *while
-holding* a replica lease (that is how computed distributions enter the
-shared result cache), but never acquires a lease while holding either of
-the inner locks, and never holds two leases at once.  This makes the
-hierarchy acyclic, so the pool cannot deadlock.  Respawn threads touch
-only the pool condition and the dead/fresh backends — never a session
-lock — so they sit at the top of the same hierarchy.
+A thread may take the session state lock or the plan directory lock
+*while holding* a replica lease (that is how computed distributions
+enter the shared result cache), but never acquires a lease while holding
+either of the inner locks, and never holds two leases at once.  This
+makes the hierarchy acyclic, so the pool cannot deadlock.  Respawn
+threads touch only the pool condition and the dead/fresh backends —
+never a session lock — so they sit at the top of the same hierarchy.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 #: Replica health states (see the supervision diagram in the module doc).
 HEALTHY = "healthy"
@@ -98,8 +99,9 @@ class ReplicaFailure(RuntimeError):
     replica:
         Index of the failed replica, when known.
     kind:
-        ``"crash"`` (process died / transport broke) or ``"timeout"``
-        (hung worker killed by the per-shard watchdog).
+        ``"crash"`` (process died / transport closed), ``"timeout"``
+        (hung worker stopped by the per-shard watchdog) or
+        ``"transport"`` (corrupt frame, suspected partition).
     exit_code:
         The dead worker's exit code, when known (negative = signal).
     """
@@ -131,18 +133,15 @@ class PoolUnavailable(RuntimeError):
 class Replica:
     """One pooled backend instance plus its lease + health bookkeeping.
 
-    ``lock`` is the replica's solver lock: it is held exactly while the
-    replica is leased, so all raw backend access happens under it.  The
-    pool's condition variable guarantees the lock is only ever acquired
-    uncontended (a replica is picked only when free), which means a shard
-    never *blocks* on another replica's solver lock — it either gets a
-    free replica or waits for pool capacity.
+    ``busy`` is set exactly while the replica is leased, so all raw
+    backend access happens under a lease; the pool hands out only free
+    replicas, which means a shard never *blocks* on another replica's
+    solver — it either gets a free replica or waits for pool capacity.
     """
 
     __slots__ = (
         "index",
         "backend",
-        "lock",
         "busy",
         "leases",
         "affinities",
@@ -156,7 +155,6 @@ class Replica:
     def __init__(self, index: int, backend: object):
         self.index = index
         self.backend = backend
-        self.lock = threading.Lock()
         self.busy = False
         #: Total leases granted (introspection / load balancing tiebreak).
         self.leases = 0
@@ -168,7 +166,7 @@ class Replica:
         self.failures = 0
         #: How many times this slot's backend was respawned in place.
         self.restarts = 0
-        #: Exit code of the last dead backend (process pools; negative = signal).
+        #: Exit code of the last dead backend (worker replicas; negative = signal).
         self.exit_code: int | None = None
         #: Short description of the last failure (for reports).
         self.last_error: str | None = None
@@ -178,49 +176,53 @@ class Replica:
         return f"Replica(#{self.index}, {state}, {self.health}, leases={self.leases})"
 
 
+#: A replica source: ``spawn(index, dead)`` builds the backend of slot
+#: ``index`` — a new slot when ``dead`` is ``None``, else a replacement
+#: for the failed backend ``dead`` (``None`` back = cannot replace).  A
+#: source may declare ``mode`` (how it hosts replicas, default
+#: ``"thread"``), ``owns_replicas`` (whether the pool closes what it
+#: spawned, default ``True``) and ``stats()`` (keys merged into the
+#: pool's stats).
+ReplicaSource = Callable[[int, object], object]
+
+
 class BackendPool:
     """N independent backend replicas with affinity-routed exclusive leases.
 
     Parameters
     ----------
-    backend:
-        The base backend (replica 0).  Additional replicas are created
-        with ``backend.fork()``; a backend without ``fork`` support (the
-        native family) degrades to a single-replica pool, which behaves
-        exactly like the historical session-wide solver lock.
+    spawn:
+        The replica source (see :data:`ReplicaSource`).  It builds every
+        replica — at construction, on :meth:`resize` growth, and on
+        respawn after a failure.  Its ``mode`` is reported by
+        :meth:`stats` and shard reports; the in-process source hands out
+        the session's own backend, which stays the session's to close
+        (``owns_replicas = False``).
     size:
-        Requested number of replicas (≥ 1).  Clamped to 1 when the
-        backend cannot fork.
-    owns_base:
-        Whether closing the pool should also close replica 0 (forked
-        replicas are always pool-owned and closed with it).
+        Number of replicas (≥ 1).
     telemetry:
         Optional :class:`~repro.service.telemetry.Telemetry` bundle.
         When present, supervision transitions (quarantine, revive,
         respawn) update its metrics and attach span events to whatever
         span is current on the failing lease's thread; when tracing is
-        on, thread-hosted replica backends get a stopwatch listener so
-        solver phases appear as spans.  ``None`` keeps the pool entirely
-        telemetry-free (the historical behaviour).
+        on, in-process backends get a stopwatch listener so solver phases
+        appear as spans.  ``None`` keeps the pool entirely
+        telemetry-free.
     """
-
-    #: How replicas are hosted: ``"thread"`` replicas share the process
-    #: (parallelism where work releases the GIL), ``"process"`` replicas
-    #: (see :class:`~repro.service.procpool.ProcessBackendPool`) each live
-    #: in their own worker process (full-pipeline parallelism).
-    mode = "thread"
 
     def __init__(
         self,
-        backend: object,
+        spawn: ReplicaSource,
         size: int = 1,
         *,
-        owns_base: bool = False,
         telemetry=None,
     ):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        self._owns_base = owns_base
+        #: How replicas are hosted: ``"thread"``, ``"process"``, ``"remote"``.
+        self.mode = getattr(spawn, "mode", "thread")
+        self._spawn = spawn
+        self._owns_replicas = getattr(spawn, "owns_replicas", True)
         self._closed = False
         self._cv = threading.Condition()
         # affinity key -> index of the replica holding that key's state.
@@ -243,33 +245,23 @@ class BackendPool:
                 "repro_replica_restarts_total",
                 "Replica backends respawned in place",
             )
-        self.replicas: list[Replica] = self._create_replicas(backend, size)
-        for replica in self.replicas:
-            self._instrument_backend(replica.backend)
-
-    def _create_replicas(self, backend: object, size: int) -> list[Replica]:
-        """Build the replica list (subclass hook: process pools spawn here).
-
-        The base pool keeps ``backend`` as replica 0 and forks the rest;
-        a backend without ``fork`` support degrades to a single replica.
-        """
-        fork = getattr(backend, "fork", None)
-        if fork is None:
-            size = 1
-        replicas = [Replica(0, backend)]
-        for index in range(1, size):
-            replicas.append(Replica(index, fork()))
-        return replicas
+        self.replicas: list[Replica] = []
+        try:
+            for index in range(size):
+                backend = self._instrument_backend(spawn(index, None))
+                self.replicas.append(Replica(index, backend))
+        except BaseException:
+            self._close_backends([replica.backend for replica in self.replicas])
+            raise
 
     def _instrument_backend(self, backend: object) -> object:
         """Attach a phase-span listener to a backend's stopwatch (if traced).
 
-        Thread-hosted replicas are instrumented in the parent: each
-        measured backend section (``compile``/``build``/``solve``/...)
-        becomes a ``phase:<name>`` span under whatever span is current on
-        the leasing thread.  Process-hosted replicas are
-        :class:`~repro.service.procpool.WorkerHandle` objects without a
-        stopwatch — their phases are traced worker-side and shipped back,
+        In-process replicas are instrumented here: each measured backend
+        section (``compile``/``build``/``solve``/...) becomes a
+        ``phase:<name>`` span under whatever span is current on the
+        leasing thread.  Worker replicas have no stopwatch in this
+        process — their phases are traced worker-side and shipped back —
         so this hook is a no-op for them.
         """
         telemetry = self._telemetry
@@ -309,18 +301,12 @@ class BackendPool:
         before the failure propagates — so the pool self-heals while the
         caller retries the shard on a healthy replica.
         """
-        replica = self._acquire(affinity)
-        try:
+        with self._held(self._acquire(affinity)) as replica:
             yield replica
-        except ReplicaFailure as failure:
-            self._quarantine(replica, failure)
-            raise
-        finally:
-            self._release(replica)
 
     @contextmanager
     def lease_replica(self, index: int) -> Iterator[Replica]:
-        """Exclusively lease a *specific* replica (used by pool-wide warmup).
+        """Exclusively lease a *specific* replica (used by pool-wide walks).
 
         The replica is re-fetched by index on every wake-up, so a
         concurrent :meth:`resize` that retires and replaces pool tails
@@ -350,6 +336,12 @@ class BackendPool:
                     break
                 self._cv.wait()
             self._grant(replica)
+        with self._held(replica):
+            yield replica
+
+    @contextmanager
+    def _held(self, replica: Replica) -> Iterator[Replica]:
+        """The body of a granted lease: failures quarantine, exit releases."""
         try:
             yield replica
         except ReplicaFailure as failure:
@@ -358,25 +350,31 @@ class BackendPool:
         finally:
             self._release(replica)
 
-    def lease_each(self) -> Iterator[Replica]:
-        """Lease every live replica in turn (sequentially, one at a time).
+    def for_each(self, body: Callable[[Replica], object]) -> dict[int, object]:
+        """Run ``body(replica)`` under every live replica's lease, in turn.
 
-        This is the warmup path: pre-planning must reach each replica's
-        private caches, and taking the ordinary lease path (instead of
-        touching backends directly) is what makes warmup safe against
-        concurrent ``query_batch`` traffic on the same destination.  The
-        pool size is re-read per step, so a concurrent :meth:`resize`
-        shrink simply ends the walk early rather than leasing a retired
-        replica; permanently dead replicas are skipped.
+        This is the pool-wide walk (warmup, cache clearing): pre-planning
+        must reach each replica's private caches, and taking the ordinary
+        lease path (instead of touching backends directly) is what makes
+        it safe against concurrent ``query_batch`` traffic on the same
+        destination.  Returns ``{index: body's result}`` for the replicas
+        reached.  A replica that is dead — or dies under ``body``, which
+        quarantines it through the lease's own exception path — is
+        skipped; the pool size is re-read per step, so a concurrent
+        :meth:`resize` shrink or a close simply ends the walk early.
         """
+        results: dict[int, object] = {}
         index = 0
         while index < len(self.replicas):
             try:
                 with self.lease_replica(index) as replica:
-                    yield replica
+                    results[index] = body(replica)
             except ReplicaFailure:
-                pass  # dead slot: skip it, keep walking the live ones
+                pass  # dead or dying slot: skip it, keep walking the live ones
+            except RuntimeError:
+                break  # pool closed (or shrank past index) mid-walk
             index += 1
+        return results
 
     def _acquire(self, affinity: object | None) -> Replica:
         with self._cv:
@@ -435,17 +433,13 @@ class BackendPool:
         return min(free, key=lambda r: (len(r.affinities), r.leases, r.index))
 
     def _grant(self, replica: Replica) -> None:
-        # Guaranteed uncontended: ``busy`` excludes concurrent grants, so
-        # this acquire never blocks (asserted, not assumed).
-        acquired = replica.lock.acquire(blocking=False)
-        assert acquired, "replica lock held outside a lease"
+        assert not replica.busy, "replica leased twice"
         replica.busy = True
         replica.leases += 1
 
     def _release(self, replica: Replica) -> None:
         with self._cv:
             replica.busy = False
-            replica.lock.release()
             self._cv.notify_all()
 
     # -- supervision -----------------------------------------------------------
@@ -479,7 +473,7 @@ class BackendPool:
                 exit_code=replica.exit_code,
             )
         alive = False
-        if kind != "timeout":  # a watchdog-killed worker is dead by design
+        if kind != "timeout":  # a watchdog-stopped worker is dead by design
             probe = getattr(replica.backend, "ping", None)
             if probe is not None:
                 try:
@@ -516,13 +510,12 @@ class BackendPool:
         affinity map and ``lease_replica`` indices stay valid and bound
         destinations re-attach transparently.  When the slot was retired
         (resize shrink) or the pool closed mid-respawn, the fresh backend
-        is torn down instead of installed; when no backend can be built
-        (every peer dead, or an unforkable base), the replica goes
-        permanently dead and its affinities are unbound so future leases
-        re-route.
+        is torn down instead of installed; when the source cannot build a
+        replacement, the replica goes permanently dead and its
+        affinities are unbound so future leases re-route.
         """
         try:
-            backend = self._respawn_backend(replica.index, replica.backend)
+            backend = self._spawn(replica.index, replica.backend)
         except Exception:  # noqa: BLE001 - a failed respawn = permanent death
             backend = None
         old = replica.backend
@@ -539,7 +532,7 @@ class BackendPool:
                     self._affinity.pop(key, None)
                 replica.affinities.clear()
                 close_new = backend is not None
-                close_old = current and self._owns_replica(replica)
+                close_old = current
             else:
                 replica.backend = self._instrument_backend(backend)
                 replica.health = HEALTHY
@@ -547,76 +540,38 @@ class BackendPool:
                 self._restarts += 1
                 if self._restart_counter is not None:
                     self._restart_counter.inc()
-                close_old = self._owns_replica(replica)
+                close_old = old is not backend
             self._cv.notify_all()
-        if close_new:
-            self._close_replica_backend(backend)
-        if close_old:
-            self._close_replica_backend(old)
-
-    def _respawn_backend(self, index: int, dead: object) -> object | None:
-        """Build a replacement backend for slot ``index`` (subclass hook).
-
-        The base pool forks from any healthy replica; process pools spawn
-        a fresh worker and re-publish the dead worker's plans.  Returns
-        ``None`` when no replacement can be built (permanent death).
-        """
-        return self._fork_healthy()
-
-    def _fork_healthy(self) -> object | None:
-        """Fork a new backend from any healthy replica (under its lease)."""
-        with self._cv:
-            candidates = [
-                replica.index
-                for replica in self.replicas
-                if replica.health == HEALTHY
-            ]
-        for index in candidates:
-            try:
-                with self.lease_replica(index) as source:
-                    fork = getattr(source.backend, "fork", None)
-                    if fork is None:
-                        return None
-                    return fork()
-            except (ReplicaFailure, RuntimeError):
-                continue  # that replica died / pool closed; try the next
-        return None
+        self._close_backends(
+            ([backend] if close_new else []) + ([old] if close_old else [])
+        )
 
     # -- elasticity ------------------------------------------------------------
-    def _spawn_backend(self, index: int) -> object | None:
-        """Create the backend of a new replica ``index`` (subclass hook).
-
-        The base pool forks from a healthy replica *under its lease*, so
-        growth never races an in-flight solve.  Returns ``None`` when the
-        backend cannot fork (the pool then stays at its current size,
-        mirroring the constructor's degradation rule).
-        """
-        return self._fork_healthy()
-
     def resize(self, size: int) -> int:
         """Grow or shrink the pool to ``size`` replicas; returns the new size.
 
-        Growth appends fresh replicas (forked in thread mode, spawned
-        worker processes in process mode) and makes them leasable
-        immediately.  Shrinking retires replicas from the *tail* of the
-        pool — replica indices are positions in the replica list, so the
-        affinity map and ``lease_replica`` stay valid throughout — and
-        waits for a busy tail replica's lease to finish before closing
-        its backend, so downsizing never rips state out from under an
-        in-flight solve.  A dead or restarting tail is retired without
-        waiting (its respawn thread notices the retired slot and discards
-        the fresh backend).  Affinities bound to a retired replica are
-        unbound; the next query for such a destination re-routes (and
-        rebuilds from the shared plan specs) like any unassigned key.
+        Growth asks the source for fresh replicas and makes them
+        leasable immediately; a remote source that reaches no host stops
+        the growth at the current size.  Shrinking retires replicas from
+        the *tail* of the pool — replica indices are positions in the
+        replica list, so the affinity map and ``lease_replica`` stay
+        valid throughout — and waits for a busy tail replica's lease to
+        finish before closing its backend, so downsizing never rips
+        state out from under an in-flight solve.  A dead or restarting
+        tail is retired without waiting (its respawn thread notices the
+        retired slot and discards the fresh backend).  Affinities bound
+        to a retired replica are unbound; the next query for such a
+        destination re-routes (and rebuilds from shipped plan specs)
+        like any unassigned key.
 
-        Unforkable backends (the native family) stay at one replica, and
-        the pool never shrinks below one.  Safe to call concurrently with
+        The pool never shrinks below one replica, and the in-process
+        source refuses to grow past one.  Safe to call concurrently with
         leasing; concurrent ``resize`` calls serialise on the pool lock.
         """
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        # Grow: spawn outside the condition variable (forking may itself
-        # lease a replica; process workers take real time to start).
+        # Grow: spawn outside the condition variable (process workers and
+        # remote attachments take real time to start).
         while True:
             with self._cv:
                 if self._closed:
@@ -624,12 +579,13 @@ class BackendPool:
                 current = len(self.replicas)
             if current >= size:
                 break
-            backend = self._spawn_backend(current)
-            if backend is None:
-                break  # cannot fork: degrade exactly like the constructor
+            try:
+                backend = self._spawn(current, None)
+            except PoolUnavailable:
+                break  # no host reachable: stay at the current size
             with self._cv:
                 if self._closed:
-                    self._close_replica_backend(backend)
+                    self._close_backends([backend])
                     raise RuntimeError("pool is closed")
                 self.replicas.append(
                     Replica(len(self.replicas), self._instrument_backend(backend))
@@ -654,18 +610,19 @@ class BackendPool:
                 tail.affinities.clear()
                 retired.append(tail)
             self._cv.notify_all()
-        for replica in retired:
-            # Closing a dead backend is a cheap no-op-ish reap (handles are
-            # idempotent), so retiring a crashed tail neither hangs nor
-            # double-joins.
-            self._close_replica_backend(replica.backend)
+        # Closing a dead backend is a cheap reap (clients are idempotent),
+        # so retiring a crashed tail neither hangs nor double-joins.
+        self._close_backends([replica.backend for replica in retired])
         return self.size
 
-    def _close_replica_backend(self, backend: object) -> None:
-        """Tear down one retired (always pool-owned, index > 0) backend."""
-        closer = getattr(backend, "close", None)
-        if closer is not None:
-            closer()
+    def _close_backends(self, backends: list[object]) -> None:
+        """Tear down pool-owned backends (a no-op for the in-process one)."""
+        if not self._owns_replicas:
+            return
+        for backend in backends:
+            closer = getattr(backend, "close", None)
+            if closer is not None:
+                closer()
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -674,31 +631,19 @@ class BackendPool:
         Waiting lease requests fail with ``RuntimeError``; leases already
         *held* (e.g. an engine-protocol call mid-solve on another thread)
         are drained first — backends are only torn down once every
-        replica is free, so ``close()`` never rips a worker pool or
+        replica is free, so ``close()`` never rips a worker or a
         factorization out from under an in-flight solve.  In-flight
         respawn threads are joined (a respawn finishing after the close
-        began discards its fresh backend).  Forked replicas (index ≥ 1)
-        are always owned by the pool; the base backend is closed only
-        when ``owns_base`` was set (the session passes its usual
-        ownership rule through).
+        began discards its fresh backend).
         """
         if not self._drain():
             return
-        for thread in self._join_respawns():
-            thread.join(timeout=30.0)
-        for replica in self.replicas:
-            if not self._owns_replica(replica):
-                continue
-            closer = getattr(replica.backend, "close", None)
-            if closer is not None:
-                closer()
-        self._close_base()
-
-    def _join_respawns(self) -> list[threading.Thread]:
         with self._cv:
             threads = list(self._respawns)
             self._respawns.clear()
-        return threads
+        for thread in threads:
+            thread.join(timeout=30.0)
+        self._close_backends([replica.backend for replica in self.replicas])
 
     def _drain(self) -> bool:
         """Mark the pool closed and wait for every held lease to finish.
@@ -719,13 +664,6 @@ class BackendPool:
                     self._cv.wait()
         return True
 
-    def _owns_replica(self, replica: Replica) -> bool:
-        """Whether closing the pool should close this replica's backend."""
-        return replica.index > 0 or self._owns_base
-
-    def _close_base(self) -> None:
-        """Subclass hook: tear down non-replica base state after the drain."""
-
     def clear_caches(self, keep_plans: bool = False) -> None:
         """Clear every live replica's backend caches (under its lease).
 
@@ -735,39 +673,33 @@ class BackendPool:
         replica that dies mid-clear is quarantined and skipped — its
         respawned backend starts with empty caches anyway.
         """
-        if self._closed:
-            return
-        index = 0
-        while index < len(self.replicas):
-            try:
-                with self.lease_replica(index) as replica:
-                    backend = replica.backend
-                    if keep_plans:
-                        resetter = getattr(backend, "reset_solutions", None)
-                        if resetter is not None:
-                            resetter()
-                            index += 1
-                            continue
-                    clearer = getattr(backend, "clear_caches", None)
-                    if clearer is not None:
-                        clearer()
-            except ReplicaFailure:
-                pass  # quarantined; the respawn starts from empty caches
-            except RuntimeError:
-                return  # pool closed (or shrank past index) mid-walk
-            index += 1
+
+        def clear(replica: Replica) -> None:
+            backend = replica.backend
+            resetter = getattr(backend, "reset_solutions", None) if keep_plans else None
+            clearer = resetter or getattr(backend, "clear_caches", None)
+            if clearer is not None:
+                clearer()
+
+        if not self._closed:
+            self.for_each(clear)
 
     # -- introspection ---------------------------------------------------------
     def worker_reports(self) -> list[dict]:
         """Per-replica introspection snapshots, uniform across pool modes.
 
-        Thread-hosted replicas are sampled in-process under their lease:
-        each report carries ``index``, ``health``, ``pid``, the backend's
-        phase ``timings`` and — for backends that expose it — the
+        A healthy replica is sampled under its lease: worker replicas
+        answer a ``ping`` with their stats blob (``pid``,
+        ``ast_compilations``, ``plans``, ``queries``), every replica adds
+        its phase ``timings`` and — for backends that expose it — the
         ``solver`` counter dict (``factorizations`` / ``schur_updates`` /
-        ``assembly_rows``).  Process and remote pools override this with
-        a wire probe that returns the same shape, so CLI stats and tests
-        read one format regardless of where replicas live.
+        ``assembly_rows``).  A dead or restarting replica is reported as
+        its status (``exit_code``, ``error``) instead of raising through
+        the lease path, so introspection keeps working while the pool is
+        healing; a worker found dead *by* the probe is quarantined as a
+        side effect (the ordinary supervision path).  Every report
+        carries ``index``, ``health`` and the placement columns of
+        :meth:`stats`.
         """
         reports: list[dict] = []
         index = 0
@@ -775,39 +707,60 @@ class BackendPool:
             with self._cv:
                 if index >= len(self.replicas):
                     break
-            report: dict = {"health": DEAD}
-            try:
-                with self.lease_replica(index) as replica:
-                    backend = replica.backend
-                    report = {
-                        "health": replica.health,
-                        "pid": self.worker_id(index),
-                        "host": getattr(backend, "host", "local"),
-                        "transport": getattr(backend, "transport_kind", "inproc"),
-                        "reconnects": getattr(backend, "reconnects", 0),
-                        "heartbeat_misses": getattr(backend, "heartbeat_misses", 0),
-                    }
-                    timer = getattr(backend, "timings", None)
-                    if timer is not None:
-                        report["timings"] = timer()
-                    solver = getattr(backend, "solver_stats", None)
-                    if solver is not None:
-                        report["solver"] = solver()
-            except ReplicaFailure:
-                pass  # quarantined under the probe; report the bare health
-            except RuntimeError:
-                break  # pool closed (or shrank past index) mid-walk
+                healthy = self.replicas[index].health == HEALTHY
+            report = None
+            if healthy:
+                try:
+                    with self.lease_replica(index) as replica:
+                        probed = self._probe(replica.backend)
+                        report = {**self._report(replica), **probed}
+                except ReplicaFailure:
+                    pass  # died under the probe: fall through to a status report
+                except RuntimeError:
+                    break  # pool closed (or shrank past index) mid-walk
+            if report is None:
+                with self._cv:
+                    if index >= len(self.replicas):
+                        break
+                    replica = self.replicas[index]
+                    report = self._report(replica)
+                    report.update(exit_code=replica.exit_code, error=replica.last_error)
             report["index"] = index
             reports.append(report)
             index += 1
         return reports
 
+    def _report(self, replica: Replica) -> dict:
+        """A replica's health and placement (its transport's, if it has one)."""
+        transport = getattr(replica.backend, "transport", None)
+        return {
+            "health": replica.health,
+            "pid": self.worker_id(replica.index),
+            "host": getattr(transport, "host", "local"),
+            "transport": getattr(transport, "kind", "inproc"),
+            "reconnects": getattr(transport, "reconnects", 0),
+            "heartbeat_misses": getattr(transport, "heartbeat_misses", 0),
+        }
+
+    @staticmethod
+    def _probe(backend: object) -> dict:
+        """A leased backend's live stats: ping blob, phase timings, solver counters."""
+        ping = getattr(backend, "ping", None)
+        report = dict(ping()) if ping is not None else {}
+        timer = getattr(backend, "timings", None)
+        if timer is not None:
+            report["timings"] = timer()
+        solver = getattr(backend, "solver_stats", None)
+        if solver is not None:
+            report["solver"] = solver()
+        return report
+
     def worker_id(self, index: int) -> int:
         """The OS pid hosting replica ``index``.
 
-        Thread-hosted replicas all live in the current process; a
-        process-hosted replica reports its worker's pid, so benchmark
-        artifacts carry direct evidence of cross-process execution.
+        The in-process replica lives in the current process; a worker
+        replica reports its worker's pid, so benchmark artifacts carry
+        direct evidence of cross-process execution.
         """
         pid = getattr(self.replicas[index].backend, "pid", None)
         return os.getpid() if pid is None else pid
@@ -816,14 +769,16 @@ class BackendPool:
         """Pool shape, health, per-replica lease counts, and the affinity map.
 
         The per-replica ``hosts`` / ``transports`` / ``reconnects`` /
-        ``heartbeat_misses`` columns are uniform across pool modes:
-        thread replicas report ``local``/``inproc`` and zeros, process
-        replicas ``local``/``pipe``, and remote replicas their
+        ``heartbeat_misses`` columns are uniform across pool modes: the
+        in-process replica reports ``local``/``inproc`` and zeros,
+        process replicas ``local``/``pipe``, and remote replicas their
         ``HOST:PORT`` and wire-liveness counters — so dashboards and the
-        CLI read one shape regardless of where replicas live.
+        CLI read one shape regardless of where replicas live.  A source
+        with a ``stats()`` method adds its own keys (the remote source's
+        ``hosts_configured`` and failover counters).
         """
         with self._cv:
-            return {
+            stats = {
                 "mode": self.mode,
                 "size": self.size,
                 "steals": self._steals,
@@ -831,29 +786,25 @@ class BackendPool:
                 "restarts": self._restarts,
                 "health": [replica.health for replica in self.replicas],
                 "leases": [replica.leases for replica in self.replicas],
-                "workers": [self.worker_id(i) for i in range(len(self.replicas))],
-                "hosts": [
-                    getattr(replica.backend, "host", "local")
-                    for replica in self.replicas
-                ],
-                "transports": [
-                    getattr(replica.backend, "transport_kind", "inproc")
-                    for replica in self.replicas
-                ],
-                "reconnects": [
-                    getattr(replica.backend, "reconnects", 0)
-                    for replica in self.replicas
-                ],
-                "heartbeat_misses": [
-                    getattr(replica.backend, "heartbeat_misses", 0)
-                    for replica in self.replicas
-                ],
                 "affinities": {
                     key: index for key, index in sorted(
                         self._affinity.items(), key=lambda item: repr(item[0])
                     )
                 },
             }
+            placement = [self._report(replica) for replica in self.replicas]
+        for column, key in (
+            ("workers", "pid"),
+            ("hosts", "host"),
+            ("transports", "transport"),
+            ("reconnects", "reconnects"),
+            ("heartbeat_misses", "heartbeat_misses"),
+        ):
+            stats[column] = [entry[key] for entry in placement]
+        source_stats = getattr(self._spawn, "stats", None)
+        if source_stats is not None:
+            stats.update(source_stats())
+        return stats
 
 
 __all__ = [
@@ -865,4 +816,5 @@ __all__ = [
     "PoolUnavailable",
     "Replica",
     "ReplicaFailure",
+    "ReplicaSource",
 ]

@@ -1,22 +1,27 @@
-"""Process-hosted backend replicas: full-pipeline parallel serving.
+"""Replica sources: where a pool's replicas live, and the one client for workers.
 
-Architecture: the thread-hosted :class:`~repro.service.pool.BackendPool`
-only parallelises the phases of a shard that release the GIL (SciPy's
-``splu`` factorizations and solves); the GIL-bound phases — plan
-rebuilds, reachable-matrix assembly, FDD stage application — still
-serialise, so thread-pool speedup saturates well below core count.  A
-:class:`ProcessBackendPool` removes that ceiling by hosting each replica
-in its **own worker process**: every worker owns a complete
-:class:`~repro.backends.matrix.MatrixBackend` (its own FDD manager, plan
-caches, and ``splu`` family), so compile-free plan rebuilds, matrix
-assembly, and solving all overlap across cores.
+A :class:`~repro.service.pool.BackendPool` leases, routes, and
+supervises replicas; the *source* it is given builds them.  There are
+three, picked by :func:`open_pool` from the session's ``pool_mode``:
 
-Nothing manager-bound and no ASTs cross the process boundary
-(:mod:`repro.service.wire`):
+* :class:`InProcess` (``"thread"``) — exactly one replica, the session's
+  own backend, called directly: no codec, no copy;
+* :class:`ProcessReplicas` (``"process"``) — one :func:`worker_main`
+  process per replica, driven over a
+  :class:`~repro.service.transport.PipeTransport`, so compile-free plan
+  rebuilds, matrix assembly, and solving all overlap across cores;
+* :class:`RemoteReplicas` (``"remote"``) — one worker per replica on a
+  :class:`~repro.service.host.HostServer`, driven over a
+  :class:`~repro.service.transport.SocketTransport`, with home-host-first
+  reconnect, host failover, and local fallback.
 
-* the parent keeps one *planner backend* (replica 0's role in the thread
-  pool) whose only job is compiling policies once and producing their
-  manager-independent ``(fields, stage_specs)`` payloads and canonical
+Worker replicas, local or remote, are one :class:`ReplicaClient` over
+their transport.  Nothing manager-bound and no ASTs cross the process
+boundary (:mod:`repro.service.wire`):
+
+* the parent keeps one *planner backend* whose only job is compiling
+  policies once and producing their manager-independent ``(fields,
+  stage_specs)`` payloads and canonical
   :meth:`~repro.backends.matrix.MatrixBackend.plan_key` cache keys;
 * a :class:`PlanDirectory` assigns each policy a small integer plan id
   and hands the payload to every worker that has not seen it yet — ship
@@ -29,68 +34,53 @@ Nothing manager-bound and no ASTs cross the process boundary
   :class:`~repro.service.wire.ResultSpec` answers: plain floats and
   exact :class:`~fractions.Fraction` masses keyed by packet spec.
 
-The pool plugs into the exact lease/affinity/steal protocol of the
-thread pool (it *is* a :class:`BackendPool` subclass): destination
-affinity now also means "the worker process holding that destination's
-factorizations keeps serving it", warmup pre-plans every worker through
-the ordinary lease path, and ``close()`` drains held leases, then stops
-and joins every worker.  Because plan payloads are per-task data, one
-long-lived worker serves any number of destinations and loop bodies
-without restarting.
+Because plan payloads are per-task data, one long-lived worker serves
+any number of destinations and loop bodies without restarting.
 
-Lock note: a :class:`WorkerHandle` is only ever driven under its
-replica's exclusive lease, so the pipe protocol needs no lock of its
-own; the :class:`PlanDirectory` lock is the process-pool analogue of the
-:class:`~repro.backends.matrix.PlanSpecStore` leaf lock, except that it
-*may* compile (parent-side, first time a policy is seen) — it is
-therefore only ever taken from inside a lease or from warmup, never
-while holding the session state lock.
+Lock note: a :class:`ReplicaClient` is only ever driven under its
+replica's exclusive lease, so the worker protocol needs no lock of its
+own; the :class:`PlanDirectory` lock *may* compile (parent-side, first
+time a policy is seen) — it is therefore only ever taken from inside a
+lease or from warmup, never while holding the session state lock.
 
-Supervision: worker death is detected *immediately* — every request
-waits on both the reply pipe and the worker's ``Process.sentinel`` via
-:func:`multiprocessing.connection.wait`, so a crash surfaces as a
-structured :class:`~repro.service.pool.ReplicaFailure` the instant the
-process exits (not after a poll interval).  A ``shard_timeout`` arms a
-per-request wall-clock watchdog: a worker that does not answer in time
-is killed and reported as ``kind="timeout"`` — hung workers are replaced
-exactly like crashed ones.  The pool's quarantine/respawn machinery (see
-:mod:`repro.service.pool`) then spawns a fresh worker at the same index
-and re-publishes every plan the dead worker had adopted from the
-parent-side :class:`PlanDirectory` — as specs, so respawned workers
-still report 0 AST compilations.  Fault injection for all of this lives
-in :mod:`repro.service.faults` (``REPRO_FAULTS``), which
+Supervision: worker liveness is the transport's job — the pipe waits on
+the worker's OS sentinel, the socket on host heartbeats and the host's
+``worker-died`` notice — and the client's one request loop turns what
+the transport reports into a :class:`~repro.service.pool.ReplicaFailure`.
+A ``shard_timeout`` arms a per-request watchdog: a worker that does not
+answer in time is killed (or its connection dropped, so its host reaps
+it) and reported as ``kind="timeout"``.  The pool's quarantine/respawn
+machinery then asks the source for a fresh worker at the same index,
+which re-adopts every plan the dead worker had from the parent-side
+:class:`PlanDirectory` — as specs, so respawned workers still report 0
+AST compilations.  Fault injection for all of this lives in
+:mod:`repro.service.faults` (``REPRO_FAULTS``), which
 :func:`worker_main` consults around query requests only.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
-import queue
 import random
 import threading
 import time
 import traceback
-import weakref
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Iterable
 
 from repro.service.faults import FaultPlan
-from repro.service.pool import (
-    HEALTHY,
-    BackendPool,
-    PoolUnavailable,
-    Replica,
-    ReplicaFailure,
-)
+from repro.service.pool import BackendPool, PoolUnavailable, ReplicaFailure
 from repro.service.telemetry import Telemetry, Tracer
 from repro.service.transport import (
     DEFAULT_MAX_FRAME,
     FrameError,
     PipeTransport,
     SocketTransport,
+    Transport,
     TransportClosed,
     TransportError,
+    TransportTimeout,
 )
 from repro.service.wire import QuerySpec, ResultSpec
 
@@ -105,9 +95,10 @@ def _pick_start_method(requested: str | None) -> str:
     """The multiprocessing start method for worker processes.
 
     ``fork`` (when the platform offers it) makes workers available in
-    milliseconds and inherits ``sys.path``; ``spawn`` is the portable
-    fallback.  The ``REPRO_POOL_START_METHOD`` environment variable and
-    the ``start_method=`` parameter both override.
+    milliseconds; ``spawn`` is the portable fallback (it hands the
+    parent's ``sys.path`` to the child, so a source-tree checkout works
+    either way).  The ``REPRO_POOL_START_METHOD`` environment variable
+    and the ``start_method=`` parameter both override.
     """
     choice = requested or os.environ.get(START_METHOD_ENV)
     available = multiprocessing.get_all_start_methods()
@@ -128,7 +119,7 @@ def _worker_stats(
     ``spans`` — present only on traced queries — carries the worker-side
     finished span records (already parented into the caller's trace via
     the propagated :attr:`~repro.service.wire.QuerySpec.trace` context),
-    which the parent-side handle ingests into its tracer.
+    which the parent-side client ingests into its tracer.
     """
     stats = {
         "pid": os.getpid(),
@@ -143,7 +134,7 @@ def _worker_stats(
     return stats
 
 
-def worker_main(connection, index: int = 0) -> None:
+def worker_main(connection, index: int = 0, stale_fds: Iterable[int] = ()) -> None:
     """The worker process: one backend replica, driven over one pipe.
 
     The worker owns a full :class:`~repro.backends.matrix.MatrixBackend`
@@ -163,6 +154,14 @@ def worker_main(connection, index: int = 0) -> None:
     traceback)`` — the worker survives and keeps serving, so one bad
     query cannot take a replica (and its warm factorizations) down.
 
+    ``stale_fds`` are closed before serving.  A worker forked by a host
+    daemon inherits the daemon's whole fd table: the listener, every
+    other connection's socket and pipe, and — fatally — the daemon's
+    *own* end of this worker's pipe.  Holding that last fd means the
+    pipe can never reach EOF, so a worker orphaned by SIGKILLing the
+    daemon would block in ``recv()`` forever instead of self-terminating
+    (and keep the listener port bound).
+
     Fault injection (chaos testing): when ``REPRO_FAULTS`` names this
     worker's ``index``, the :mod:`repro.service.faults` hooks run around
     **query** requests only — plan shipping and the respawn path stay
@@ -171,6 +170,13 @@ def worker_main(connection, index: int = 0) -> None:
     """
     import signal
 
+    keep = connection.fileno()
+    for fd in stale_fds:
+        if fd != keep:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
     # The parent handles interrupts and tears workers down via "stop";
     # a Ctrl-C must not kill workers mid-protocol.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -267,13 +273,13 @@ def worker_main(connection, index: int = 0) -> None:
 class PlanDirectory:
     """Parent-side registry: policy → (plan id, wire payload, cache key).
 
-    One directory is shared by every worker handle of a pool.  The first
+    One directory is shared by every client of a source.  The first
     request for a policy compiles it *once* on the parent's planner
     backend and caches the manager-independent payload; all later
-    requests (from any worker handle, any thread) are dictionary hits.
-    The lock is held across that first compile, which serialises plan
-    compilation exactly like the thread pool's spec store does — replicas
-    then rebuild from specs, they never re-compile.
+    requests (from any client, any thread) are dictionary hits.  The
+    lock is held across that first compile, which serialises plan
+    compilation — replicas then rebuild from specs, they never
+    re-compile.
     """
 
     def __init__(self, planner: "MatrixBackend"):
@@ -286,10 +292,6 @@ class PlanDirectory:
         # dead worker's adopted plans by id, without the policy objects.
         self._by_id: dict[int, tuple] = {}
         self._next_id = 0
-
-    @property
-    def planner(self) -> "MatrixBackend":
-        return self._planner
 
     def entry(self, policy) -> tuple[int, tuple, tuple, object]:
         """The ``(plan_id, fields, stage_specs, plan_key)`` of ``policy``."""
@@ -318,43 +320,56 @@ class PlanDirectory:
         with self._lock:
             return self._by_id.get(plan_id)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+
+#: ``_request``'s default: the client's own per-shard budget.
+_SHARD_BUDGET = object()
 
 
 class ReplicaClient:
-    """The shared parent-side surface of one worker replica.
+    """The parent-side face of one worker replica, over any transport.
 
     Implements exactly the backend surface a leased replica is driven
     through (``plan`` / ``plan_key`` / ``output_distributions`` /
     ``certainly_delivers`` / ``reset_solutions`` / ``clear_caches`` /
-    ``timings`` / ``close``), translating each call into wire messages —
-    so sessions, warmup, and benchmarks are drop-in between thread,
-    process, and remote pools.  Subclasses supply ``_request`` (one
-    message round trip over their transport) plus lifecycle; everything
-    protocol-shaped lives here.  A handle is only ever driven under its
-    replica's exclusive lease, hence one outstanding request at a time.
-    """
+    ``timings`` / ``close``), translating each call into worker protocol
+    messages — so sessions, warmup, and benchmarks are drop-in between
+    pool modes.  The transport carries the messages and watches the
+    worker (see :mod:`repro.service.transport`); :meth:`_request`, the
+    one request loop, maps what it reports onto
+    :class:`~repro.service.pool.ReplicaFailure`:
 
-    #: Where the replica runs ("local" or "HOST:PORT") and over what wire.
-    host = "local"
-    transport_kind = "pipe"
-    #: Transport re-establishments for this slot (remote handles count up).
-    reconnects = 0
-    #: Heartbeat staleness observations (remote handles count up).
-    heartbeat_misses = 0
+    * :class:`~repro.service.transport.TransportClosed` (the worker
+      exited, the connection was lost, the host reported the worker
+      dead) → ``kind="crash"``;
+    * :class:`~repro.service.transport.TransportTimeout` (no answer
+      within ``shard_timeout``) → the transport's watchdog action — kill
+      the process, or drop the connection so the host reaps the worker
+      — then ``kind="timeout"``;
+    * any other :class:`~repro.service.transport.TransportError` (a
+      corrupt frame, a suspected partition) → ``kind="transport"``.
+
+    A failed client is permanently dead; the pool's supervision replaces
+    it with a fresh client at the same replica index.  Semantic worker
+    errors (bad query, unknown plan) come back as ordinary
+    ``RuntimeError`` — the worker survives those, nothing restarts.  A
+    client is only ever driven under its replica's exclusive lease,
+    hence one outstanding request at a time.
+    """
 
     def __init__(
         self,
         index: int,
         directory: PlanDirectory,
+        transport: Transport,
         *,
+        shard_timeout: float | None = None,
         telemetry: Telemetry | None = None,
         carry_timings: dict | None = None,
     ):
         self.index = index
+        self.transport = transport
         self._directory = directory
+        self._timeout = shard_timeout
         self._telemetry = telemetry
         # Phase timings accumulated by this slot's *previous* worker
         # incarnations (injected by the respawn path).  timings() adds the
@@ -362,21 +377,85 @@ class ReplicaClient:
         # slot's cumulative phase time go backwards.
         self._carry_timings: dict[str, float] = dict(carry_timings or {})
         self._closed = False
-        #: The failure that killed this handle, when dead (sticky).
+        #: The failure that killed this client, when dead (sticky).
         self._failure: ReplicaFailure | None = None
         #: Plan ids this worker has adopted (ship-once bookkeeping).
         self._shipped: set[int] = set()
         #: Latest stats blob returned by the worker (refreshed per reply).
         self.worker_stats: dict = {}
 
-    # -- wire plumbing ---------------------------------------------------------
-    pid: int | None = None
+    # -- placement (read by pool stats and worker reports) ---------------------
+    @property
+    def pid(self) -> int | None:
+        """The worker's process id (evidence of cross-process execution)."""
+        return self.transport.pid
 
-    def _request(self, message: tuple) -> tuple:
-        raise NotImplementedError
+    @property
+    def host(self) -> str:
+        return self.transport.host
 
-    def _accept(self, reply: tuple, op: str) -> tuple:
-        """Common reply handling: semantic errors raise, stats refresh."""
+    @property
+    def exit_code(self) -> int | None:
+        """The worker's exit code once dead, when known (negative = signal)."""
+        return self.transport.exit_code
+
+    @property
+    def alive(self) -> bool:
+        return self._failure is None and not self._closed
+
+    @property
+    def failure(self) -> ReplicaFailure | None:
+        """The sticky failure that condemned this client, if any."""
+        return self._failure
+
+    # -- the request loop ------------------------------------------------------
+    def _mark_dead(self, kind: str, detail: str, cause: BaseException) -> ReplicaFailure:
+        """Record this client as permanently dead; the first failure sticks."""
+        if self._failure is None:
+            failure = ReplicaFailure(
+                f"worker {self.index} on {self.host} (pid {self.pid}) {detail}",
+                replica=self.index,
+                kind=kind,
+                exit_code=self.exit_code,
+            )
+            failure.__cause__ = cause
+            self._failure = failure
+        return self._failure
+
+    def _request(self, message: tuple, timeout=_SHARD_BUDGET) -> tuple:
+        """One message round trip; transport trouble becomes a ReplicaFailure."""
+        if self._closed:
+            raise RuntimeError("replica client is closed")
+        if self._failure is not None:
+            raise self._failure
+        budget = self._timeout if timeout is _SHARD_BUDGET else timeout
+        op = message[0]
+        try:
+            self.transport.send(message)
+            reply = self.transport.recv(budget)
+        except TransportTimeout as exc:
+            # Watchdog: the worker is hung (or stalling) past the budget.
+            # Stop it so the caller can retry on a healthy replica instead
+            # of waiting forever.
+            self.transport.kill()
+            if self._telemetry is not None:
+                self._telemetry.tracer.event(
+                    "watchdog-kill",
+                    replica=self.index,
+                    pid=self.pid,
+                    op=op,
+                    budget=budget,
+                    host=self.host,
+                )
+            raise self._mark_dead(
+                "timeout", f"did not answer {op!r} in time ({exc}) and was stopped", exc
+            )
+        except TransportClosed as exc:
+            raise self._mark_dead("crash", f"died while serving {op!r} ({exc})", exc)
+        except FrameError as exc:
+            raise self._mark_dead("transport", f"received a corrupt frame ({exc})", exc)
+        except TransportError as exc:
+            raise self._mark_dead("transport", f"lost its transport ({exc})", exc)
         if reply[0] == "error":
             _, summary, trace = reply
             raise RuntimeError(
@@ -386,20 +465,30 @@ class ReplicaClient:
         return reply
 
     def adopt(self, plan_id: int, fields, stage_specs) -> None:
-        """Ship one plan payload by id (the respawn re-publication path)."""
+        """Ship one plan payload by id."""
         self._request(("plan", plan_id, fields, stage_specs))
         self._shipped.add(plan_id)
 
-    def _ensure_plan(self, policy) -> int:
+    def reship(self, dead: "ReplicaClient") -> None:
+        """Re-adopt every plan ``dead`` had shipped (the respawn path).
+
+        The payloads come straight from the parent-side
+        :class:`PlanDirectory` — as manager-independent specs, never as
+        ASTs — so the replacement serves its destinations immediately
+        and its ``ast_compilations`` counter stays 0.
+        """
+        for plan_id in sorted(dead._shipped):
+            payload = self._directory.payload(plan_id)
+            if payload is not None:
+                self.adopt(plan_id, *payload)
+
+    # -- backend surface (driven under a replica lease) ------------------------
+    def plan(self, policy) -> int:
+        """Ship ``policy``'s payload to the worker once; returns its plan id."""
         plan_id, fields, stage_specs, _key = self._directory.entry(policy)
         if plan_id not in self._shipped:
             self.adopt(plan_id, fields, stage_specs)
         return plan_id
-
-    # -- backend surface (driven under a replica lease) ------------------------
-    def plan(self, policy) -> int:
-        """Ship ``policy``'s payload to the worker (the warmup hook)."""
-        return self._ensure_plan(policy)
 
     def plan_key(self, policy) -> object:
         """The canonical manager-independent cache key (parent-side)."""
@@ -414,7 +503,7 @@ class ReplicaClient:
         blob, where they are ingested into the caller's tracer — one
         trace tree across the process boundary.
         """
-        plan_id = self._ensure_plan(policy)
+        plan_id = self.plan(policy)
         trace = None
         telemetry = self._telemetry
         if telemetry is not None and telemetry.tracer.enabled:
@@ -487,483 +576,63 @@ class ReplicaClient:
         return dict(self.worker_stats.get("solver") or {})
 
     def close(self) -> None:
-        raise NotImplementedError
-
-
-class WorkerHandle(ReplicaClient):
-    """The parent-side face of one *local* worker process.
-
-    The transport is a :class:`~repro.service.transport.PipeTransport`
-    over the worker's duplex pipe.  Failure detection: every request
-    waits on the reply pipe *and* the worker's ``Process.sentinel``
-    simultaneously, so a dead worker is noticed the moment the OS reaps
-    it — not after a poll interval.  Death (and a ``shard_timeout``
-    expiry, which kills the hung worker first) raises
-    :class:`~repro.service.pool.ReplicaFailure`; the handle is then
-    permanently dead and the pool's supervision replaces it with a fresh
-    handle at the same replica index.  Semantic worker errors (bad
-    query, unknown plan) still come back as ordinary ``RuntimeError`` —
-    the worker survives those, nothing restarts.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        directory: PlanDirectory,
-        context,
-        *,
-        shard_timeout: float | None = None,
-        telemetry: Telemetry | None = None,
-        carry_timings: dict | None = None,
-    ):
-        super().__init__(
-            index, directory, telemetry=telemetry, carry_timings=carry_timings
-        )
-        self._timeout = shard_timeout
-        conn, child_conn = context.Pipe(duplex=True)
-        self._transport = PipeTransport(conn)
-        self._process = context.Process(
-            target=worker_main,
-            args=(child_conn, index),
-            name=f"repro-worker-{index}",
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        # Safety net: an abandoned handle must not leak a worker process.
-        self._finalizer = weakref.finalize(
-            self, _terminate_process, self._process, self._transport.connection
-        )
-
-    # -- wire plumbing ---------------------------------------------------------
-    @property
-    def pid(self) -> int | None:
-        """The worker process id (evidence of cross-process execution)."""
-        return self._process.pid
-
-    @property
-    def alive(self) -> bool:
-        return self._failure is None and self._process.is_alive()
-
-    @property
-    def exit_code(self) -> int | None:
-        """The worker's exit code once dead (negative = killed by signal)."""
-        return self._process.exitcode
-
-    def _mark_dead(
-        self, kind: str, detail: str, cause: BaseException | None = None
-    ) -> ReplicaFailure:
-        """Record this handle as permanently dead; returns the failure."""
-        exit_code = self._process.exitcode
-        hint = ""
-        if kind == "crash":
-            hint = (
-                "; with the spawn start method this usually means the 'repro' "
-                "package is not importable in child processes"
-            )
-        failure = ReplicaFailure(
-            f"worker {self.index} (pid {self.pid}) {detail} "
-            f"(exit code {exit_code}){hint}",
-            replica=self.index,
-            kind=kind,
-            exit_code=exit_code,
-        )
-        if cause is not None:
-            failure.__cause__ = cause
-        self._failure = failure
-        return failure
-
-    def _request(self, message: tuple) -> tuple:
-        if self._closed:
-            raise RuntimeError("worker handle is closed")
-        if self._failure is not None:
-            raise self._failure
-        op = message[0]
-        try:
-            self._transport.send(message)
-        except (TransportError, ValueError) as exc:
-            self._process.join(timeout=1.0)
-            raise self._mark_dead("crash", f"pipe broke while sending {op!r}", exc)
-        deadline = None if self._timeout is None else time.monotonic() + self._timeout
-        sentinel = self._process.sentinel
-        pipe = self._transport.connection
-        while True:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Watchdog: the worker is hung (or stalling) past the
-                    # per-shard budget.  Kill it so the caller can retry on
-                    # a healthy replica instead of waiting forever.
-                    self._process.kill()
-                    self._process.join(timeout=5.0)
-                    if self._telemetry is not None:
-                        self._telemetry.tracer.event(
-                            "watchdog-kill",
-                            replica=self.index,
-                            pid=self.pid,
-                            op=op,
-                            budget=self._timeout,
-                        )
-                    raise self._mark_dead(
-                        "timeout",
-                        f"did not answer {op!r} within {self._timeout:.3f}s "
-                        "and was killed",
-                    )
-            ready = multiprocessing.connection.wait(
-                [pipe, sentinel], timeout=remaining
-            )
-            if pipe in ready:
-                try:
-                    reply = self._transport.recv()
-                except TransportError as exc:
-                    self._process.join(timeout=1.0)
-                    raise self._mark_dead(
-                        "crash", f"pipe closed mid-reply to {op!r}", exc
-                    )
-                break
-            if sentinel in ready:
-                # The worker exited.  A final reply may still sit in the
-                # pipe buffer (reply raced the exit) — drain it first.
-                if pipe.poll(0):
-                    continue
-                self._process.join(timeout=1.0)
-                raise self._mark_dead("crash", f"died while serving {op!r}")
-        return self._accept(reply, op)
-
-    def close(self) -> None:
-        """Stop the worker and join it (idempotent)."""
+        """Stop the worker and release the transport (idempotent)."""
         if self._closed:
             return
-        self._closed = True
-        pipe = self._transport.connection
-        try:
-            if self._process.is_alive():
-                pipe.send(("stop",))
-                if pipe.poll(5.0):
-                    reply = pipe.recv()
-                    if reply and reply[0] == "ok":
-                        self.worker_stats = reply[-1]
-        except (OSError, BrokenPipeError, EOFError):
-            pass
-        self._process.join(timeout=5.0)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.terminate()
-            self._process.join(timeout=5.0)
-        self._transport.close()
-        self._finalizer.detach()
-
-
-def _terminate_process(process, connection) -> None:
-    """Finalizer: reap a worker whose handle was dropped without close()."""
-    try:
-        connection.close()
-    except OSError:  # pragma: no cover - defensive
-        pass
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=5.0)
-
-
-class RemoteWorkerHandle(ReplicaClient):
-    """The parent-side face of one worker hosted by a remote host daemon.
-
-    Speaks the identical worker protocol as :class:`WorkerHandle`, but
-    over a checksummed, length-prefixed TCP transport
-    (:class:`~repro.service.transport.SocketTransport`) to a
-    :class:`~repro.service.host.HostServer`, which spawns and locally
-    supervises the actual worker process.
-
-    Liveness is **wire-driven** (there is no OS sentinel to wait on):
-
-    * a dedicated receive thread owns the inbound side of the socket —
-      host heartbeats and replies both refresh ``last_heartbeat``, reply
-      frames land in a queue for the (single) outstanding request, and a
-      ``("worker-died", exitcode)`` notification from the host's local
-      supervision surfaces as ``ReplicaFailure(kind="crash")``;
-    * a corrupt frame (truncated, bad checksum, oversize) poisons the
-      connection and surfaces as ``ReplicaFailure(kind="transport")`` —
-      framing cannot be trusted to resynchronise, so the pool reconnects;
-    * a ``shard_timeout`` expiry *drops the connection* instead of
-      killing a process it cannot reach — the host daemon kills the hung
-      worker the moment its relay loses the client, so the cleanup
-      contract matches the local watchdog.
-
-    Like every handle, a failed ``RemoteWorkerHandle`` is permanently
-    dead; the pool's respawn machinery replaces it (same host, failover
-    host, or local fallback) and re-ships its plans as specs.
-    """
-
-    transport_kind = "tcp"
-
-    #: Queue sentinel: the receive thread died, the sticky failure is set.
-    _FAILED = object()
-
-    def __init__(
-        self,
-        index: int,
-        directory: PlanDirectory,
-        address: tuple[str, int],
-        *,
-        shard_timeout: float | None = None,
-        telemetry: Telemetry | None = None,
-        carry_timings: dict | None = None,
-        reconnects: int = 0,
-        heartbeat_misses: int = 0,
-        connect_timeout: float = 5.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME,
-    ):
-        super().__init__(
-            index, directory, telemetry=telemetry, carry_timings=carry_timings
-        )
-        self._timeout = shard_timeout
-        self.address = (str(address[0]), int(address[1]))
-        self.host = f"{self.address[0]}:{self.address[1]}"
-        self.reconnects = reconnects
-        # Cumulative for the slot, carried across respawns like
-        # ``reconnects`` — a partition's misses must survive the very
-        # teardown they caused.
-        self.heartbeat_misses = heartbeat_misses
-        self.last_heartbeat = time.monotonic()
-        self._exit_code: int | None = None
-        self._pid: int | None = None
-        # Reentrant: the monitor's probe() takes it non-blocking, then
-        # _request takes it again on the same thread.
-        self._io_lock = threading.RLock()
-        self._replies: queue.SimpleQueue = queue.SimpleQueue()
-        self._transport = SocketTransport.connect(
-            self.address[0],
-            self.address[1],
-            timeout=connect_timeout,
-            max_frame_bytes=max_frame_bytes,
-        )
-        try:
-            self._transport.send(("attach", {"replica": index}))
-            hello = self._transport.recv(timeout=connect_timeout)
-        except TransportError:
-            self._transport.close()
-            raise
-        if not (isinstance(hello, tuple) and hello and hello[0] == "attached"):
-            self._transport.close()
-            detail = hello[1] if isinstance(hello, tuple) and len(hello) > 1 else hello
-            raise TransportError(f"host {self.host} refused attach: {detail!r}")
-        #: Host-reported attachment facts (worker pid, host id, capacity).
-        self.attach_info: dict = dict(hello[1])
-        self._pid = self.attach_info.get("pid")
-        self.last_heartbeat = time.monotonic()
-        self._rx = threading.Thread(
-            target=self._recv_loop, name=f"repro-remote-rx-{index}", daemon=True
-        )
-        self._rx.start()
-
-    # -- wire plumbing ---------------------------------------------------------
-    @property
-    def pid(self) -> int | None:
-        """The *remote* worker's process id (from the attach handshake)."""
-        return self._pid
-
-    @property
-    def alive(self) -> bool:
-        return self._failure is None and not self._closed
-
-    @property
-    def exit_code(self) -> int | None:
-        """The remote worker's exit code, when its host reported death."""
-        return self._exit_code
-
-    @property
-    def failure(self) -> ReplicaFailure | None:
-        """The sticky failure that condemned this handle, if any."""
-        return self._failure
-
-    def _mark_dead(
-        self, kind: str, detail: str, cause: BaseException | None = None
-    ) -> ReplicaFailure:
-        """Record this handle as permanently dead; first failure sticks."""
-        failure = ReplicaFailure(
-            f"remote worker {self.index} on {self.host} (pid {self._pid}) {detail}",
-            replica=self.index,
-            kind=kind,
-            exit_code=self._exit_code,
-        )
-        if cause is not None:
-            failure.__cause__ = cause
         if self._failure is None:
-            self._failure = failure
-        return self._failure
-
-    def _fail_async(
-        self, kind: str, detail: str, cause: BaseException | None = None
-    ) -> None:
-        """Receive-thread failure path: condemn, tear down, wake the waiter."""
-        self._mark_dead(kind, detail, cause)
-        self._transport.close()
-        self._replies.put(self._FAILED)
-
-    def _recv_loop(self) -> None:
-        """Own the inbound socket: heartbeats, replies, death notices."""
-        while True:
             try:
-                message = self._transport.recv()
-            except FrameError as exc:
-                self._fail_async("transport", f"received a corrupt frame ({exc})", exc)
-                return
-            except TransportError as exc:
-                if self._closed:
-                    return
-                kind = "crash" if isinstance(exc, TransportClosed) else "transport"
-                self._fail_async(kind, f"lost the host connection ({exc})", exc)
-                return
-            # Any frame is proof of liveness — heartbeats keep flowing
-            # from the host relay even while the worker is mid-solve.
-            self.last_heartbeat = time.monotonic()
-            op = message[0] if isinstance(message, tuple) and message else None
-            if op == "heartbeat":
-                continue
-            if op == "worker-died":
-                self._exit_code = message[1]
-                self._fail_async(
-                    "crash", f"died remotely (exit code {message[1]})"
-                )
-                return
-            self._replies.put(message)
-
-    def _request(self, message: tuple, *, timeout: float | None = -1.0) -> tuple:
-        budget = self._timeout if timeout == -1.0 else timeout
-        with self._io_lock:
-            if self._closed:
-                raise RuntimeError("worker handle is closed")
-            if self._failure is not None:
-                raise self._failure
-            op = message[0]
-            try:
-                self._transport.send(message)
-            except TransportError as exc:
-                failure = self._mark_dead(
-                    "transport", f"send failed for {op!r} ({exc})", exc
-                )
-                self._transport.close()
-                raise failure
-            deadline = None if budget is None else time.monotonic() + budget
-            while True:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        # Wire watchdog: drop the connection.  The host
-                        # daemon kills the (possibly hung) worker the
-                        # moment its relay loses this client, so remote
-                        # timeouts clean up exactly like local ones.
-                        if self._telemetry is not None:
-                            self._telemetry.tracer.event(
-                                "watchdog-kill",
-                                replica=self.index,
-                                pid=self.pid,
-                                op=op,
-                                budget=budget,
-                                host=self.host,
-                            )
-                        failure = self._mark_dead(
-                            "timeout",
-                            f"did not answer {op!r} within {budget:.3f}s; "
-                            "connection dropped",
-                        )
-                        self._transport.close()
-                        raise failure
-                try:
-                    reply = self._replies.get(timeout=remaining)
-                except queue.Empty:
-                    continue
-                if reply is self._FAILED:
-                    raise self._failure
-                return self._accept(reply, op)
-
-    def probe(self, timeout: float = 1.0) -> bool:
-        """Monitor-side liveness probe (never blocks behind a request).
-
-        A handle whose io lock is held has a request in flight — report
-        it alive and let that request's own deadline (or a stale-
-        heartbeat teardown) decide.  Otherwise round-trip a ``ping``
-        with its own short budget.
-        """
-        if self._failure is not None:
-            return False
-        if not self._io_lock.acquire(timeout=0.05):
-            return True
-        try:
-            self._request(("ping",), timeout=timeout)
-            return True
-        except (ReplicaFailure, RuntimeError):
-            return False
-        finally:
-            self._io_lock.release()
-
-    def fail_stale(self, stale: float) -> ReplicaFailure:
-        """Condemn a handle whose heartbeats stopped (partition suspected).
-
-        Closing the transport wakes the receive thread (which wakes any
-        in-flight request) and makes the host daemon — if it is still
-        alive on the far side of a one-way partition — kill the worker.
-        """
-        failure = self._mark_dead(
-            "transport", f"no heartbeat for {stale:.2f}s (partition suspected)"
-        )
-        self._transport.close()
-        return failure
-
-    def close(self) -> None:
-        """Stop the remote worker and drop the connection (idempotent)."""
-        if self._closed:
-            return
-        with self._io_lock:
-            if self._closed:
-                return
-            if self._failure is None:
-                try:
-                    self._transport.send(("stop",))
-                    deadline = time.monotonic() + 5.0
-                    while True:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        try:
-                            reply = self._replies.get(timeout=remaining)
-                        except queue.Empty:
-                            break
-                        if reply is self._FAILED:
-                            break
-                        if reply and reply[0] == "ok":
-                            self.worker_stats = reply[-1]
-                            break
-                except TransportError:
-                    pass
-            self._closed = True
-        self._transport.close()
-        self._rx.join(timeout=5.0)
+                self._request(("stop",), timeout=5.0)
+            except RuntimeError:
+                pass  # it died on the way out; the transport reaps it
+        self._closed = True
+        self.transport.close()
 
 
-class ProcessBackendPool(BackendPool):
-    """N worker processes, each hosting a full backend replica.
+class InProcess:
+    """The in-process replica source: one replica, ``backend`` itself.
 
-    Drop-in for :class:`~repro.service.pool.BackendPool` — same exclusive
-    leases, same affinity-first/steal-second routing, same ``stats()``
-    shape — but every replica is a :class:`WorkerHandle` fronting a
-    worker process, so *all* phases of shard execution (plan rebuild,
-    matrix assembly, factorization, solve) run outside the parent's GIL.
+    Queries reach the backend by a direct call — no codec, no copy — so
+    this is the path every single-process caller runs.  A failed lease
+    re-installs the same backend (the call was in-process: there is no
+    worker to lose), and a second replica is refused: replicas in one
+    interpreter share its GIL, so parallel serving is what the process
+    and remote sources are for.  The backend stays its owner's to close.
+    """
+
+    mode = "thread"
+    owns_replicas = False
+
+    def __init__(self, backend: object):
+        self.backend = backend
+
+    def __call__(self, index: int, dead: object) -> object:
+        if index:
+            raise ValueError(
+                "pool_mode='thread' hosts exactly one in-process replica; "
+                "use pool_mode='process' (or 'remote') for more"
+            )
+        return self.backend
+
+
+class ProcessReplicas:
+    """The process replica source: one worker process per replica.
+
+    Each replica is a :class:`ReplicaClient` over a
+    :class:`~repro.service.transport.PipeTransport` to a fresh
+    :func:`worker_main` process, which owns a complete
+    :class:`~repro.backends.matrix.MatrixBackend` (its own FDD manager,
+    plan caches, and ``splu`` family), so *all* phases of shard execution
+    — plan rebuild, matrix assembly, factorization, solve — run outside
+    the parent's GIL.
 
     Parameters
     ----------
-    backend:
+    planner:
         The parent-side planner backend.  It never serves shard queries;
         it compiles each policy once and produces the wire payloads and
         canonical cache keys workers and sessions share.  Must support
         spec shipping (``plan_payload``/``plan_key`` — the matrix
-        backend; the native family cannot host process replicas).
-    size:
-        Number of worker processes (≥ 1).
-    owns_base:
-        Whether closing the pool also closes the planner backend
-        (workers are always pool-owned and always joined on close).
+        backend; the native family cannot host worker replicas).
     start_method:
         Multiprocessing start method; default ``fork`` where available
         (fast, inherits ``sys.path``), else ``spawn``.  Also overridable
@@ -975,173 +644,308 @@ class ProcessBackendPool(BackendPool):
         and respawned — so a hung worker degrades into a retried shard
         instead of a stuck batch.  ``None`` (default) disables the
         watchdog.
+    telemetry:
+        Carried into every client (watchdog events, trace propagation).
     """
 
     mode = "process"
 
     def __init__(
         self,
-        backend: object,
-        size: int = 1,
+        planner: object,
         *,
-        owns_base: bool = False,
         start_method: str | None = None,
         shard_timeout: float | None = None,
         telemetry: Telemetry | None = None,
     ):
-        if not hasattr(backend, "plan_payload") or not hasattr(backend, "plan_key"):
+        if not hasattr(planner, "plan_payload") or not hasattr(planner, "plan_key"):
             raise TypeError(
-                f"backend {type(backend).__name__} cannot host process replicas: "
+                f"backend {type(planner).__name__} cannot host worker replicas: "
                 "spec shipping needs plan_payload()/plan_key() (use the matrix "
                 "backend, or pool_mode='thread')"
             )
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive (or None)")
-        self._start_method = _pick_start_method(start_method)
-        self._shard_timeout = shard_timeout
-        self._directory = PlanDirectory(backend)
-        super().__init__(backend, size, owns_base=owns_base, telemetry=telemetry)
+        self.start_method = _pick_start_method(start_method)
+        self.shard_timeout = shard_timeout
+        #: The shared plan directory (parent-side compile-once registry).
+        self.directory = PlanDirectory(planner)
+        self._telemetry = telemetry
+        self._context = multiprocessing.get_context(self.start_method)
 
-    def _new_handle(self, index: int, carry_timings: dict | None = None) -> WorkerHandle:
-        return WorkerHandle(
-            index,
-            self._directory,
-            self._context,
-            shard_timeout=self._shard_timeout,
-            telemetry=self._telemetry,
-            carry_timings=carry_timings,
+    def __call__(self, index: int, dead: ReplicaClient | None = None) -> ReplicaClient:
+        """Start a worker for slot ``index`` (replacing ``dead``, if given)."""
+        conn, child_conn = self._context.Pipe(duplex=True)
+        process = self._context.Process(
+            target=worker_main,
+            args=(child_conn, index),
+            name=f"repro-worker-{index}",
+            daemon=True,
         )
+        process.start()
+        child_conn.close()
+        return self.client(index, PipeTransport(conn, process), dead)
 
-    def _create_replicas(self, backend: object, size: int) -> list[Replica]:
-        self._context = multiprocessing.get_context(self._start_method)
-        with _importable_package_path(self._start_method):
-            return [Replica(index, self._new_handle(index)) for index in range(size)]
-
-    def _spawn_backend(self, index: int) -> WorkerHandle:
-        """Start one more worker process (the ``resize`` growth hook).
+    def client(
+        self, index: int, transport: Transport, dead: ReplicaClient | None = None
+    ) -> ReplicaClient:
+        """A client for slot ``index`` over ``transport``.
 
         New workers join with empty plan caches; the shared
-        :class:`PlanDirectory` re-ships each compiled plan payload the
-        first time the fresh worker is asked about the policy, so growth
-        needs no parent-side recompilation.
+        :class:`PlanDirectory` ships each compiled plan payload the first
+        time the worker is asked about the policy.  A replacement for
+        ``dead`` instead re-adopts the corpse's plans up front and takes
+        over its cumulative phase timings as carry, so the slot's
+        reported phase time never resets across restarts.
         """
-        with _importable_package_path(self._start_method):
-            return self._new_handle(index)
+        client = ReplicaClient(
+            index,
+            self.directory,
+            transport,
+            shard_timeout=self.shard_timeout,
+            telemetry=self._telemetry,
+            carry_timings=None if dead is None else dead.timings(),
+        )
+        if dead is not None:
+            try:
+                client.reship(dead)
+            except Exception:
+                client.close()  # the replacement died too: reap, then give up
+                raise
+        return client
 
-    def _respawn_backend(self, index: int, dead: object) -> WorkerHandle:
-        """Spawn a replacement worker and re-publish the corpse's plans.
 
-        The fresh worker re-adopts every plan id the dead worker had
-        shipped, straight from the parent-side :class:`PlanDirectory` —
-        as manager-independent specs, never as ASTs — so the respawned
-        replica serves its destinations immediately and its
-        ``ast_compilations`` counter stays 0.  The corpse's cumulative
-        phase timings (its own carry plus its last snapshot) are handed
-        to the replacement as carry, so the slot's reported phase time
-        never resets across restarts.
-        """
-        carry = dead.timings() if isinstance(dead, ReplicaClient) else None
-        with _importable_package_path(self._start_method):
-            handle = self._new_handle(index, carry_timings=carry)
-        try:
-            self._reship(handle, dead)
-        except Exception:
-            handle.close()  # the replacement died too: reap, then give up
-            raise
-        return handle
+def attach(
+    address: tuple[str, int],
+    replica: int,
+    *,
+    connect_timeout: float = 5.0,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME,
+) -> SocketTransport:
+    """Dial a host daemon and attach a fresh worker for slot ``replica``.
 
-    def _reship(self, handle: ReplicaClient, dead: object) -> None:
-        """Re-publish a corpse's adopted plans to its replacement, by id."""
-        for plan_id in sorted(getattr(dead, "_shipped", ())):
-            payload = self._directory.payload(plan_id)
-            if payload is not None:
-                handle.adopt(plan_id, *payload)
+    Returns the connected transport with the worker's ``host`` and
+    ``pid`` filled in from the ``("attached", info)`` handshake; a
+    refused attach (e.g. a host at its hard capacity) raises
+    :class:`~repro.service.transport.TransportError`.
+    """
+    host = _addr_str(address)
+    transport = SocketTransport.connect(
+        address[0], int(address[1]), timeout=connect_timeout, max_frame_bytes=max_frame_bytes
+    )
+    try:
+        transport.send(("attach", {"replica": replica}))
+        hello = transport.recv(timeout=connect_timeout)
+    except TransportError:
+        transport.close()
+        raise
+    if not (isinstance(hello, tuple) and hello and hello[0] == "attached"):
+        transport.close()
+        detail = hello[1] if isinstance(hello, tuple) and len(hello) > 1 else hello
+        raise TransportError(f"host {host} refused attach: {detail!r}")
+    transport.host = host
+    transport.pid = hello[1].get("pid")
+    return transport
+
+
+class RemoteReplicas:
+    """The remote replica source: workers leased from host daemons over TCP.
+
+    Each replica is a :class:`ReplicaClient` over a
+    :class:`~repro.service.transport.SocketTransport` attached
+    round-robin across one or more ``HOST:PORT`` host daemons
+    (:class:`~repro.service.host.HostServer`), which spawn and locally
+    supervise the actual worker processes.  Plans still compile once in
+    the parent's :class:`PlanDirectory` and ship once per (worker, plan)
+    as AST-free specs, so remote workers also report
+    ``ast_compilations == 0``, across any number of reconnects.
+
+    Robustness model, layered on the pool's health machine:
+
+    * **liveness** is wire-driven: host relays emit heartbeats while a
+      request is outstanding; the transport counts a silence of
+      ``suspect_after`` intervals as a heartbeat miss and condemns the
+      connection after ``condemn_after`` intervals (a suspected
+      partition), which the request loop reports as a replica failure;
+    * **reconnect** (the respawn of a failed slot) retries with
+      exponential backoff + full jitter, preferring the dead replica's
+      home host; a fresh connection re-ships the corpse's plan specs,
+      and because the replacement lands at the same replica index,
+      destination affinities re-attach untouched;
+    * **failover**: when the home host stays unreachable, the slot
+      re-homes onto a surviving host (counted, traced, and exported as
+      ``repro_host_failovers_total``); when *every* remote host is gone
+      the slot degrades to a local worker process
+      (``local_fallback=True``), all under the existing
+      ``max_attempts``/:class:`~repro.service.pool.PoolUnavailable`
+      contract — callers never see a new failure mode.
+
+    Every partition/reconnect/failover lands in the telemetry timeline
+    (``heartbeat-missed``, ``host-partition-suspected``,
+    ``remote-reconnect``, ``host-failover``, ``remote-local-fallback``)
+    and in the metrics registry (``repro_remote_reconnects_total``,
+    ``repro_host_failovers_total``).
+    """
+
+    mode = "remote"
+
+    def __init__(
+        self,
+        planner: object,
+        hosts,
+        *,
+        start_method: str | None = None,
+        shard_timeout: float | None = None,
+        telemetry: Telemetry | None = None,
+        heartbeat_interval: float = 0.2,
+        suspect_after: float = 3.0,
+        condemn_after: float = 15.0,
+        reconnect_attempts: int = 4,
+        reconnect_backoff: float = 0.05,
+        reconnect_max_backoff: float = 2.0,
+        local_fallback: bool = True,
+        connect_timeout: float = 5.0,
+        max_frame_bytes: int = DEFAULT_MAX_FRAME,
+    ):
+        self._addresses = parse_host_list(hosts)
+        if heartbeat_interval <= 0:
+            raise ValueError("heartbeat_interval must be positive")
+        if condemn_after <= suspect_after:
+            raise ValueError("condemn_after must exceed suspect_after")
+        # Local workers serve the fallback path and build every client.
+        self._local = ProcessReplicas(
+            planner,
+            start_method=start_method,
+            shard_timeout=shard_timeout,
+            telemetry=telemetry,
+        )
+        self._liveness = (heartbeat_interval, suspect_after, condemn_after)
+        self._reconnect_attempts = max(1, int(reconnect_attempts))
+        self._reconnect_backoff = reconnect_backoff
+        self._reconnect_max_backoff = reconnect_max_backoff
+        self._local_fallback = local_fallback
+        self._connect_timeout = connect_timeout
+        self._max_frame_bytes = max_frame_bytes
+        self._tracer = None if telemetry is None else telemetry.tracer
+        self._lock = threading.Lock()
+        #: replica index -> the host currently considered its home.
+        self._slot_home: dict[int, tuple[str, int]] = {}
+        self._failovers = 0
+        self._remote_reconnects = 0
+        self._local_fallbacks = 0
+        self._reconnect_counter = None
+        self._failover_counter = None
+        if telemetry is not None:
+            self._reconnect_counter = telemetry.metrics.counter(
+                "repro_remote_reconnects_total",
+                "Remote replica connections re-established after a failure",
+            )
+            self._failover_counter = telemetry.metrics.counter(
+                "repro_host_failovers_total",
+                "Replicas re-homed onto another host (or locally) after host loss",
+            )
 
     @property
-    def directory(self) -> PlanDirectory:
-        """The shared plan directory (parent-side compile-once registry)."""
-        return self._directory
+    def hosts(self) -> list[str]:
+        """The configured host daemons, as ``HOST:PORT`` strings."""
+        return [_addr_str(address) for address in self._addresses]
 
-    @property
-    def start_method(self) -> str:
-        return self._start_method
+    def __call__(self, index: int, dead: ReplicaClient | None = None) -> ReplicaClient | None:
+        """Connect slot ``index`` to a host; failover and fall back as needed.
 
-    @property
-    def shard_timeout(self) -> float | None:
-        return self._shard_timeout
-
-    def workers(self) -> list[WorkerHandle]:
-        """The worker handles, in replica order."""
-        return [replica.backend for replica in self.replicas]
-
-    def worker_reports(self) -> list[dict]:
-        """Fresh per-worker stats, fetched through the ordinary lease path.
-
-        Every report carries ``index`` and ``health``; a dead or
-        restarting replica is reported as ``{"index", "health", "pid",
-        "exit_code", "error"}`` instead of raising through the lease
-        path, so introspection keeps working while the pool is healing.
-        A worker found dead *by* the probe itself is quarantined as a
-        side effect (the ordinary supervision path) and reported in
-        whatever state that leaves it.
+        A new slot (``dead is None``) tries every host once and raises
+        :class:`~repro.service.pool.PoolUnavailable` when none answers
+        (unless local fallback is on).  A replacement for ``dead``
+        retries for ``reconnect_attempts`` rounds with exponential
+        backoff + full jitter between rounds, home host first, then
+        falls back locally (when enabled) or reports permanent death
+        with ``None``.
         """
-        reports: list[dict] = []
-        index = 0
-        while True:
-            with self._cv:
-                if index >= len(self.replicas):
-                    break
-                replica = self.replicas[index]
-                health = replica.health
-            report = None
-            if health == HEALTHY:
+        home = self._slot_home.get(index, self._addresses[index % len(self._addresses)])
+        candidates = [home] + [address for address in self._addresses if address != home]
+        last_error: Exception | None = None
+        for attempt in range(1 if dead is None else self._reconnect_attempts):
+            if attempt:
+                cap = min(
+                    self._reconnect_max_backoff,
+                    self._reconnect_backoff * (2 ** (attempt - 1)),
+                )
+                time.sleep(random.uniform(0.0, cap))  # full jitter
+            for address in candidates:
                 try:
-                    with self.lease_replica(index) as leased:
-                        backend = leased.backend
-                        report = dict(backend.ping())
-                        report["health"] = HEALTHY
-                        report["host"] = getattr(backend, "host", "local")
-                        report["transport"] = getattr(backend, "transport_kind", "pipe")
-                        report["reconnects"] = getattr(backend, "reconnects", 0)
-                        report["heartbeat_misses"] = getattr(
-                            backend, "heartbeat_misses", 0
-                        )
-                except ReplicaFailure:
-                    pass  # died under the probe: fall through to a status report
-                except RuntimeError:
-                    break  # pool closed (or shrank past index) mid-walk
-            if report is None:
-                with self._cv:
-                    if index >= len(self.replicas):
-                        break
-                    replica = self.replicas[index]
-                    backend = replica.backend
-                    report = {
-                        "health": replica.health,
-                        "pid": getattr(backend, "pid", None),
-                        "exit_code": replica.exit_code,
-                        "error": replica.last_error,
-                        "host": getattr(backend, "host", "local"),
-                        "transport": getattr(backend, "transport_kind", "pipe"),
-                        "reconnects": getattr(backend, "reconnects", 0),
-                        "heartbeat_misses": getattr(backend, "heartbeat_misses", 0),
-                    }
-            report["index"] = index
-            reports.append(report)
-            index += 1
-        return reports
+                    transport = attach(
+                        address,
+                        index,
+                        connect_timeout=self._connect_timeout,
+                        max_frame_bytes=self._max_frame_bytes,
+                    )
+                except (TransportError, OSError) as exc:
+                    last_error = exc
+                    continue
+                mark = partial(self._mark, replica=index, host=transport.host)
+                transport.expect_heartbeats(*self._liveness, mark=mark)
+                self._slot_home.setdefault(index, address)
+                if dead is not None:
+                    transport.reconnects = dead.transport.reconnects + 1
+                    # Cumulative for the slot: a partition's misses must
+                    # survive the very teardown they caused.
+                    transport.heartbeat_misses = dead.transport.heartbeat_misses
+                    self._note_recovery(index, home, address, transport)
+                return self._local.client(index, transport, dead)
+        if self._local_fallback:
+            client = self._local(index, dead)
+            with self._lock:
+                self._failovers += 1
+                self._local_fallbacks += 1
+            if self._failover_counter is not None:
+                self._failover_counter.inc()
+            self._mark("remote-local-fallback", replica=index, origin=_addr_str(home))
+            return client
+        if dead is not None:
+            return None  # permanent death: the pool marks the slot DEAD
+        raise PoolUnavailable(
+            f"no remote host reachable for replica {index} "
+            f"(tried {[_addr_str(a) for a in candidates]}): {last_error}"
+        )
 
-    def _owns_replica(self, replica: Replica) -> bool:
-        # Every replica fronts a pool-spawned worker process; all of them
-        # are stopped and joined on close, regardless of owns_base (which
-        # only governs the parent-side planner backend).
-        return True
+    def _note_recovery(
+        self,
+        index: int,
+        home: tuple[str, int],
+        address: tuple[str, int],
+        transport: SocketTransport,
+    ) -> None:
+        failover = address != home
+        with self._lock:
+            self._remote_reconnects += 1
+            if failover:
+                self._failovers += 1
+                self._slot_home[index] = address
+        if self._reconnect_counter is not None:
+            self._reconnect_counter.inc()
+        if failover and self._failover_counter is not None:
+            self._failover_counter.inc()
+        self._mark(
+            "host-failover" if failover else "remote-reconnect",
+            replica=index,
+            origin=_addr_str(home),
+            host=transport.host,
+            reconnects=transport.reconnects,
+        )
 
-    def _close_base(self) -> None:
-        if self._owns_base:
-            closer = getattr(self._directory.planner, "close", None)
-            if closer is not None:
-                closer()
+    def _mark(self, name: str, **attrs) -> None:
+        if self._tracer is not None:
+            self._tracer.mark(name, **attrs)
+
+    def stats(self) -> dict[str, object]:
+        """Failover counters, merged into the pool's ``stats()``."""
+        with self._lock:
+            return {
+                "hosts_configured": self.hosts,
+                "failovers": self._failovers,
+                "remote_reconnects": self._remote_reconnects,
+                "local_fallbacks": self._local_fallbacks,
+            }
 
 
 def parse_host_list(hosts) -> list[tuple[str, int]]:
@@ -1165,413 +969,57 @@ def _addr_str(address: tuple[str, int]) -> str:
     return f"{address[0]}:{address[1]}"
 
 
-class RemoteBackendPool(ProcessBackendPool):
-    """Replicas leased on remote worker hosts over TCP, with host failover.
+def open_pool(
+    mode: str,
+    backend: object,
+    size: int | None = None,
+    *,
+    hosts=None,
+    remote_options=None,
+    shard_timeout: float | None = None,
+    telemetry: Telemetry | None = None,
+) -> BackendPool:
+    """A :class:`~repro.service.pool.BackendPool` over the source for ``mode``.
 
-    Drop-in for :class:`ProcessBackendPool` — the *unchanged*
-    lease/affinity/steal protocol of :class:`~repro.service.pool.BackendPool`
-    drives :class:`RemoteWorkerHandle` replicas attached round-robin
-    across one or more ``HOST:PORT`` host daemons
-    (:class:`~repro.service.host.HostServer`).  Plans still compile once
-    in the parent's :class:`PlanDirectory` and ship once per (worker,
-    plan) as AST-free specs, so remote workers also assert
-    ``ast_compilations == 0`` forever, across any number of reconnects.
-
-    Robustness model, layered on the base pool's health machine:
-
-    * **liveness** is wire-driven: host relays emit heartbeats on an
-      interval; a monitor thread walks idle replicas and runs
-      missed-heartbeat → suspect (count a miss, probe with a short
-      ``ping``) → condemn (tear the connection down, quarantine) —
-      mirroring PR 7's sentinel-driven state machine for peers no OS
-      sentinel can see.  Busy replicas are covered by their request's
-      own ``shard_timeout`` and by the condemn-path teardown, which
-      wakes the in-flight waiter;
-    * **reconnect** (the ``_respawn_backend`` hook, on the pool's usual
-      respawn thread) retries with exponential backoff + full jitter,
-      preferring the dead replica's home host; a fresh connection
-      re-ships the corpse's plan specs, and because the replacement
-      lands at the same replica index, destination affinities re-attach
-      untouched;
-    * **failover**: when the home host stays unreachable, the slot
-      re-homes onto a surviving host (counted, traced, and exported as
-      ``repro_host_failovers_total``); when *every* remote host is gone
-      the slot degrades to a local :class:`WorkerHandle` process
-      (``local_fallback=True``), all under the existing
-      ``max_attempts``/:class:`~repro.service.pool.PoolUnavailable`
-      contract — callers never see a new failure mode.
-
-    Every partition/reconnect/failover lands in the telemetry timeline
-    (``heartbeat-missed``, ``host-partition-suspected``,
-    ``remote-reconnect``, ``host-failover``, ``remote-local-fallback``)
-    and in the metrics registry (``repro_remote_reconnects_total``,
-    ``repro_host_failovers_total``).
+    ``"thread"`` serves from ``backend`` itself (:class:`InProcess`, one
+    replica, which stays the caller's to close); ``"process"`` and
+    ``"remote"`` keep ``backend`` as the parent-side planner and host
+    ``size`` workers — default 1, or two per host in remote mode, where
+    ``remote_options`` tune :class:`RemoteReplicas`.
     """
-
-    mode = "remote"
-
-    def __init__(
-        self,
-        backend: object,
-        hosts,
-        size: int | None = None,
-        *,
-        owns_base: bool = False,
-        start_method: str | None = None,
-        shard_timeout: float | None = None,
-        telemetry: Telemetry | None = None,
-        heartbeat_interval: float = 0.2,
-        suspect_after: float = 3.0,
-        condemn_after: float = 15.0,
-        reconnect_attempts: int = 4,
-        reconnect_backoff: float = 0.05,
-        reconnect_max_backoff: float = 2.0,
-        local_fallback: bool = True,
-        connect_timeout: float = 5.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME,
-    ):
-        self._addresses = parse_host_list(hosts)
-        if not self._addresses:
-            raise ValueError("remote pool needs at least one HOST:PORT")
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if condemn_after <= suspect_after:
-            raise ValueError("condemn_after must exceed suspect_after")
-        self._heartbeat_interval = heartbeat_interval
-        self._suspect_after = suspect_after
-        self._condemn_after = condemn_after
-        self._reconnect_attempts = max(1, int(reconnect_attempts))
-        self._reconnect_backoff = reconnect_backoff
-        self._reconnect_max_backoff = reconnect_max_backoff
-        self._local_fallback = local_fallback
-        self._connect_timeout = connect_timeout
-        self._max_frame_bytes = max_frame_bytes
-        #: replica index -> the host currently considered its home.
-        self._slot_home: dict[int, tuple[str, int]] = {}
-        self._failovers = 0
-        self._remote_reconnects = 0
-        self._local_fallbacks = 0
-        self._stop_monitor = threading.Event()
-        self._monitor: threading.Thread | None = None
-        self._reconnect_counter = None
-        self._failover_counter = None
-        if telemetry is not None:
-            self._reconnect_counter = telemetry.metrics.counter(
-                "repro_remote_reconnects_total",
-                "Remote replica connections re-established after a failure",
+    if mode == "thread":
+        source = InProcess(backend)
+    elif mode == "process":
+        source = ProcessReplicas(backend, shard_timeout=shard_timeout, telemetry=telemetry)
+    elif mode == "remote":
+        if not hosts:
+            raise ValueError(
+                "pool_mode='remote' needs hosts=['HOST:PORT', ...] "
+                "(start them with `python -m repro.service host`)"
             )
-            self._failover_counter = telemetry.metrics.counter(
-                "repro_host_failovers_total",
-                "Replicas re-homed onto another host (or locally) after host loss",
-            )
-        if size is None:
-            size = 2 * len(self._addresses)
-        super().__init__(
+        source = RemoteReplicas(
             backend,
-            size,
-            owns_base=owns_base,
-            start_method=start_method,
+            list(hosts),
             shard_timeout=shard_timeout,
             telemetry=telemetry,
+            **dict(remote_options or {}),
         )
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-remote-monitor", daemon=True
+        size = 2 * len(source.hosts) if size is None else size
+    else:
+        raise ValueError(
+            f"unknown pool_mode {mode!r}; expected 'thread', 'process', or 'remote'"
         )
-        self._monitor.start()
-
-    # -- attachment ------------------------------------------------------------
-    @property
-    def hosts(self) -> list[str]:
-        """The configured host daemons, as ``HOST:PORT`` strings."""
-        return [_addr_str(address) for address in self._addresses]
-
-    def _create_replicas(self, backend: object, size: int) -> list[Replica]:
-        # The context exists for the local-fallback path only; remote
-        # replicas are attached, not spawned.
-        self._context = multiprocessing.get_context(self._start_method)
-        return [Replica(index, self._attach_handle(index)) for index in range(size)]
-
-    def _candidate_addresses(self, index: int) -> list[tuple[str, int]]:
-        """Connection order for slot ``index``: home host first, then the rest."""
-        home = self._slot_home.get(index, self._addresses[index % len(self._addresses)])
-        return [home] + [address for address in self._addresses if address != home]
-
-    def _attach_handle(
-        self,
-        index: int,
-        *,
-        dead: object | None = None,
-        carry_timings: dict | None = None,
-    ) -> ReplicaClient | None:
-        """Connect slot ``index`` to a host; failover and fall back as needed.
-
-        The construction path (``dead is None``) tries every host once
-        and raises :class:`~repro.service.pool.PoolUnavailable` when none
-        answers (unless local fallback is on).  The respawn path retries
-        for ``reconnect_attempts`` rounds with exponential backoff + full
-        jitter between rounds, then falls back locally (when enabled) or
-        reports permanent death with ``None``.
-        """
-        respawn = dead is not None
-        candidates = self._candidate_addresses(index)
-        home = candidates[0]
-        attempts = self._reconnect_attempts if respawn else 1
-        reconnects = getattr(dead, "reconnects", 0) + 1 if respawn else 0
-        heartbeat_misses = getattr(dead, "heartbeat_misses", 0)
-        last_error: Exception | None = None
-        for attempt in range(attempts):
-            if attempt:
-                cap = min(
-                    self._reconnect_max_backoff,
-                    self._reconnect_backoff * (2 ** (attempt - 1)),
-                )
-                time.sleep(random.uniform(0.0, cap))  # full jitter
-            for address in candidates:
-                try:
-                    handle = RemoteWorkerHandle(
-                        index,
-                        self._directory,
-                        address,
-                        shard_timeout=self._shard_timeout,
-                        telemetry=self._telemetry,
-                        carry_timings=carry_timings,
-                        reconnects=reconnects,
-                        heartbeat_misses=heartbeat_misses,
-                        connect_timeout=self._connect_timeout,
-                        max_frame_bytes=self._max_frame_bytes,
-                    )
-                except (TransportError, OSError) as exc:
-                    last_error = exc
-                    continue
-                self._slot_home.setdefault(index, address)
-                if respawn:
-                    self._note_recovery(index, home, address, handle)
-                return handle
-        if self._local_fallback:
-            with _importable_package_path(self._start_method):
-                handle = WorkerHandle(
-                    index,
-                    self._directory,
-                    self._context,
-                    shard_timeout=self._shard_timeout,
-                    telemetry=self._telemetry,
-                    carry_timings=carry_timings,
-                )
-            self._note_local_fallback(index, home)
-            return handle
-        if respawn:
-            return None  # permanent death: the base pool marks the slot DEAD
-        raise PoolUnavailable(
-            f"no remote host reachable for replica {index} "
-            f"(tried {[_addr_str(a) for a in candidates]}): {last_error}"
-        )
-
-    def _note_recovery(
-        self,
-        index: int,
-        home: tuple[str, int],
-        address: tuple[str, int],
-        handle: RemoteWorkerHandle,
-    ) -> None:
-        failover = address != home
-        with self._cv:
-            self._remote_reconnects += 1
-            if failover:
-                self._failovers += 1
-                self._slot_home[index] = address
-        if self._reconnect_counter is not None:
-            self._reconnect_counter.inc()
-        if failover and self._failover_counter is not None:
-            self._failover_counter.inc()
-        self._trace_mark(
-            "host-failover" if failover else "remote-reconnect",
-            replica=index,
-            origin=_addr_str(home),
-            host=handle.host,
-            reconnects=handle.reconnects,
-        )
-
-    def _note_local_fallback(self, index: int, home: tuple[str, int]) -> None:
-        with self._cv:
-            self._failovers += 1
-            self._local_fallbacks += 1
-        if self._failover_counter is not None:
-            self._failover_counter.inc()
-        self._trace_mark(
-            "remote-local-fallback", replica=index, origin=_addr_str(home)
-        )
-
-    def _trace_mark(self, name: str, **attrs) -> None:
-        """Record a supervision event as a (root) span in the trace tree.
-
-        Reconnect/failover work runs on respawn and monitor threads with
-        no current span, where ``tracer.event`` would be dropped — a
-        zero-length root span keeps the incident visible in the same
-        timeline as the request traffic around it.
-        """
-        if self._telemetry is None:
-            return
-        tracer = self._telemetry.tracer
-        if not tracer.enabled:
-            return
-        with tracer.span(name, **attrs):
-            pass
-
-    # -- supervision hooks -----------------------------------------------------
-    def _spawn_backend(self, index: int) -> ReplicaClient | None:
-        try:
-            return self._attach_handle(index)
-        except PoolUnavailable:
-            return None  # resize growth degrades, like the thread pool
-
-    def _respawn_backend(self, index: int, dead: object) -> ReplicaClient | None:
-        carry = dead.timings() if isinstance(dead, ReplicaClient) else None
-        handle = self._attach_handle(index, dead=dead, carry_timings=carry)
-        if handle is None:
-            return None
-        try:
-            self._reship(handle, dead)
-        except Exception:
-            handle.close()  # the replacement died too: reap, then give up
-            raise
-        return handle
-
-    def _monitor_loop(self) -> None:
-        """Heartbeat watcher: missed-heartbeat → suspect → probe → condemn."""
-        interval = self._heartbeat_interval
-        while not self._stop_monitor.wait(interval):
-            with self._cv:
-                if self._closed:
-                    return
-                snapshot = [
-                    replica for replica in self.replicas if replica.health == HEALTHY
-                ]
-            now = time.monotonic()
-            for replica in snapshot:
-                handle = replica.backend
-                if not isinstance(handle, RemoteWorkerHandle):
-                    continue  # local-fallback slots have OS-sentinel supervision
-                failure = handle.failure
-                if failure is not None:
-                    # The receive thread already condemned it; quarantine
-                    # an idle corpse now instead of at its next lease.
-                    self._condemn_idle(replica, failure)
-                    continue
-                stale = now - handle.last_heartbeat
-                if stale < interval * self._suspect_after:
-                    continue
-                handle.heartbeat_misses += 1
-                self._trace_mark(
-                    "heartbeat-missed",
-                    replica=replica.index,
-                    host=handle.host,
-                    stale=round(stale, 3),
-                    misses=handle.heartbeat_misses,
-                )
-                if stale >= interval * self._condemn_after:
-                    failure = handle.fail_stale(stale)
-                    self._trace_mark(
-                        "host-partition-suspected",
-                        replica=replica.index,
-                        host=handle.host,
-                        stale=round(stale, 3),
-                    )
-                    self._condemn_idle(replica, failure)
-                elif not handle.probe(timeout=max(interval * self._suspect_after, 0.5)):
-                    self._condemn_idle(
-                        replica,
-                        handle.failure
-                        or ReplicaFailure(
-                            f"replica {replica.index} failed its liveness probe",
-                            replica=replica.index,
-                            kind="transport",
-                        ),
-                    )
-
-    def _condemn_idle(self, replica: Replica, failure: ReplicaFailure) -> None:
-        """Quarantine a condemned replica that no lease is driving.
-
-        A busy replica's in-flight request fails on its own (the condemn
-        teardown wakes it) and quarantines through the ordinary lease
-        path; quarantining here too would double-count.  The health
-        check inside ``_quarantine`` makes the race (lease granted
-        between this check and the call) resolve to exactly one winner.
-        """
-        with self._cv:
-            if replica.health != HEALTHY or replica.busy:
-                return
-        self._quarantine(replica, failure)
-
-    # -- introspection / lifecycle ---------------------------------------------
-    def stats(self) -> dict[str, object]:
-        stats = super().stats()
-        with self._cv:
-            stats["hosts_configured"] = self.hosts
-            stats["failovers"] = self._failovers
-            stats["remote_reconnects"] = self._remote_reconnects
-            stats["local_fallbacks"] = self._local_fallbacks
-        return stats
-
-    def close(self) -> None:
-        self._stop_monitor.set()
-        super().close()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
-
-
-#: Serialises _importable_package_path: os.environ is process-global, so
-#: concurrent spawn-mode pool constructions must not interleave their
-#: save/mutate/restore of PYTHONPATH (interleaving could drop the
-#: variable mid-start or leak the mutated value permanently).
-_ENV_LOCK = threading.Lock()
-
-
-class _importable_package_path:
-    """Make ``repro`` importable in spawned children via ``PYTHONPATH``.
-
-    ``spawn``/``forkserver`` children re-import :func:`worker_main`'s
-    module from scratch; when the package is driven from a source tree
-    (``PYTHONPATH=src``) rather than installed, the child needs the same
-    path.  Temporarily prepending the package root to ``PYTHONPATH``
-    around process start covers both layouts.  ``fork`` children inherit
-    ``sys.path`` directly, so fork mode touches nothing.  The environment
-    mutation is process-global, hence guarded by a module lock for the
-    (short) duration of worker start-up.
-    """
-
-    def __init__(self, start_method: str):
-        self._active = start_method != "fork"
-
-    def __enter__(self) -> None:
-        if not self._active:
-            return
-        import repro
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        _ENV_LOCK.acquire()
-        self._previous = os.environ.get("PYTHONPATH")
-        parts = [root] + ([self._previous] if self._previous else [])
-        os.environ["PYTHONPATH"] = os.pathsep.join(parts)
-
-    def __exit__(self, *exc) -> None:
-        if not self._active:
-            return
-        try:
-            if self._previous is None:
-                os.environ.pop("PYTHONPATH", None)
-            else:
-                os.environ["PYTHONPATH"] = self._previous
-        finally:
-            _ENV_LOCK.release()
+    return BackendPool(source, 1 if size is None else size, telemetry=telemetry)
 
 
 __all__ = [
+    "InProcess",
     "PlanDirectory",
-    "ProcessBackendPool",
-    "RemoteBackendPool",
-    "RemoteWorkerHandle",
+    "ProcessReplicas",
+    "RemoteReplicas",
     "ReplicaClient",
-    "WorkerHandle",
+    "attach",
+    "open_pool",
     "parse_host_list",
     "worker_main",
 ]

@@ -5,8 +5,9 @@ backend**.  An :class:`AnalysisSession` is the long-lived top layer a
 production verifier would keep per tenant or per network: it owns a
 :class:`~repro.service.pool.BackendPool` of one or more independent
 backend replicas (each with its own FDD manager, compiled query plans,
-and family of ``splu`` factorizations — sharing only the immutable
-compiled-plan spec store), registers one compiled
+and family of ``splu`` factorizations — the in-process backend itself,
+or worker processes fed manager-independent plan specs), registers one
+compiled
 :class:`~repro.network.model.NetworkModel` per destination, and answers
 arbitrary streams of queries against that compiled state.
 
@@ -74,11 +75,12 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.backends import resolve_backend
+from repro.backends import BACKENDS, resolve_backend
+from repro.backends.matrix import mix_outputs
 from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.interpreter import Outcome
-from repro.core.packet import DROP, Packet, _DropType
+from repro.core.packet import Packet
 from repro.network.model import NetworkModel
 from repro.service.executor import ShardExecutor
 from repro.service.pool import (
@@ -87,6 +89,7 @@ from repro.service.pool import (
     Replica,
     ReplicaFailure,
 )
+from repro.service.procpool import open_pool
 from repro.service.results import (
     Query,
     QueryResult,
@@ -114,27 +117,25 @@ class AnalysisSession:
         up front; built models are compiled once and cached.
     backend:
         The base query engine: a registry name (default ``"matrix"``) or
-        a backend instance.  In thread mode it becomes replica 0 of the
-        session's backend pool (additional replicas are forked from it);
-        in process mode it stays in the parent as the planner backend
-        that compiles policies once and ships their specs to workers.
+        a backend instance.  In thread mode it is the session's one
+        replica, called directly; in process and remote mode it stays in
+        the parent as the planner backend that compiles policies once
+        and ships their specs to workers.
     pool_size:
         Number of independent backend replicas (default 1; in remote
-        mode the default is two replicas per host).  With N > 1
-        the backend must support ``fork()`` (the matrix backend does);
-        backends that cannot fork degrade to a single replica, which
-        behaves exactly like the historical one-backend session.
+        mode the default is two replicas per host).  Thread mode hosts
+        exactly one: asking it for more raises ``ValueError``.
     pool_mode:
-        ``"thread"`` (default) hosts replicas in this process — they
-        parallelise wherever the work releases the GIL (``splu``).
+        ``"thread"`` (default) serves from the backend in this process,
+        with no codec between the session and the solver.
         ``"process"`` hosts each replica in its own worker process
-        (:class:`~repro.service.procpool.ProcessBackendPool`): plans ship
+        (:class:`~repro.service.procpool.ProcessReplicas`): plans ship
         as manager-independent specs and *every* phase — plan rebuild,
         matrix assembly, factorization, solve — runs outside the
         parent's GIL, at the price of per-query IPC and per-worker
         memory.  Requires a spec-shipping backend (matrix).
         ``"remote"`` leases replicas on worker-host daemons over TCP
-        (:class:`~repro.service.procpool.RemoteBackendPool`): same
+        (:class:`~repro.service.procpool.RemoteReplicas`): same
         lease/affinity/steal protocol, same spec shipping, plus
         heartbeat-based partition detection, reconnect with backoff,
         and host-level failover.  Requires ``hosts``.
@@ -144,7 +145,7 @@ class AnalysisSession:
         repro.service host --bind HOST:PORT``).
     remote_options:
         Remote mode only: extra keyword arguments forwarded to
-        :class:`~repro.service.procpool.RemoteBackendPool` (heartbeat
+        :class:`~repro.service.procpool.RemoteReplicas` (heartbeat
         cadence, reconnect backoff, ``local_fallback``, ...).
     planner:
         Default shard planner: a name (``"destination"``, ``"ingress"``,
@@ -159,12 +160,13 @@ class AnalysisSession:
         Keep the canonical-spec-keyed result cache (default).  Disable to
         re-solve every query (e.g. for benchmarking the raw solver path).
     shard_timeout:
-        Per-shard wall-clock watchdog in seconds (process mode only): a
-        worker that does not answer a shard within the budget is killed,
-        respawned, and the shard retried on a healthy replica.  ``None``
-        (default) disables the watchdog; thread-mode replicas share the
-        session process and cannot be killed independently, so the value
-        is ignored there.
+        Per-shard wall-clock watchdog in seconds (process and remote
+        mode): a worker that does not answer a shard within the budget
+        is killed (or its connection dropped), respawned, and the shard
+        retried on a healthy replica.  ``None`` (default) disables the
+        watchdog; the in-process replica is the session process itself
+        and cannot be killed independently, so the value is ignored
+        there.
     max_attempts:
         How many replicas a shard may be attempted on before the query
         fails with :class:`~repro.service.pool.PoolUnavailable`
@@ -239,54 +241,28 @@ class AnalysisSession:
         if engine is None:
             raise ValueError("a session needs a backend (name or instance)")
         if not hasattr(engine, "output_distributions"):
+            batched = sorted(
+                name for name, cls in BACKENDS.items()
+                if hasattr(cls, "output_distributions")
+            )
             raise TypeError(
                 f"backend {type(engine).__name__} does not support batched "
-                "distribution queries; use 'native', 'matrix', or 'parallel'"
+                f"distribution queries; use {' or '.join(repr(n) for n in batched)}"
             )
         self._backend = engine
         # Registry names instantiate a fresh backend the session owns (and
         # closes); caller-supplied instances stay the caller's to close.
-        # Forked replicas and worker processes are always pool-owned.
+        # Worker replicas are always pool-owned.
         self._owns_backend = isinstance(backend, str)
-        if pool_mode == "thread":
-            self._pool = BackendPool(
-                engine,
-                1 if pool_size is None else pool_size,
-                owns_base=self._owns_backend,
-                telemetry=self._telemetry,
-            )
-        elif pool_mode == "process":
-            from repro.service.procpool import ProcessBackendPool
-
-            self._pool = ProcessBackendPool(
-                engine,
-                1 if pool_size is None else pool_size,
-                owns_base=self._owns_backend,
-                shard_timeout=shard_timeout,
-                telemetry=self._telemetry,
-            )
-        elif pool_mode == "remote":
-            from repro.service.procpool import RemoteBackendPool
-
-            if not hosts:
-                raise ValueError(
-                    "pool_mode='remote' needs hosts=['HOST:PORT', ...] "
-                    "(start them with `python -m repro.service host`)"
-                )
-            self._pool = RemoteBackendPool(
-                engine,
-                list(hosts),
-                pool_size,
-                owns_base=self._owns_backend,
-                shard_timeout=shard_timeout,
-                telemetry=self._telemetry,
-                **dict(remote_options or {}),
-            )
-        else:
-            raise ValueError(
-                f"unknown pool_mode {pool_mode!r}; expected 'thread', "
-                "'process', or 'remote'"
-            )
+        self._pool = open_pool(
+            pool_mode,
+            engine,
+            pool_size,
+            hosts=hosts,
+            remote_options=remote_options,
+            shard_timeout=shard_timeout,
+            telemetry=self._telemetry,
+        )
         self._planner = get_planner(planner)
         self._executor = ShardExecutor(workers)
         self._model_factory = model_factory
@@ -382,7 +358,7 @@ class AnalysisSession:
 
     @property
     def backend(self):
-        """The base backend (replica 0 of the session's pool)."""
+        """The base backend (the thread-mode replica, else the planner)."""
         return self._backend
 
     @property
@@ -392,7 +368,7 @@ class AnalysisSession:
 
     @property
     def pool_mode(self) -> str:
-        """How replicas are hosted: ``"thread"`` or ``"process"``."""
+        """How replicas are hosted: ``"thread"``, ``"process"``, or ``"remote"``."""
         return self._pool.mode
 
     @property
@@ -444,14 +420,13 @@ class AnalysisSession:
         complete :class:`ResultSet` instead of dying mid-batch); (3) the
         session is marked closed and the pool is torn down — which itself
         waits out any lease still held by an engine-protocol call before
-        closing backends (and, in process mode, stopping and joining
+        closing backends (and, in process and remote mode, stopping
         every worker).
 
         A backend *instance* passed by the caller is not closed — shared
         instances may serve other users (the documented shared-backend
-        pattern); only replica 0 instantiated from a registry name, plus
-        every forked replica and every worker process (always
-        pool-owned), are torn down.
+        pattern); only a backend instantiated from a registry name, plus
+        every worker (always pool-owned), is torn down.
         """
         with self._state_lock:
             if self._closed:
@@ -465,6 +440,9 @@ class AnalysisSession:
         self._executor.close()
         self._closed = True
         self._pool.close()
+        closer = getattr(self._backend, "close", None)
+        if self._owns_backend and closer is not None:
+            closer()
 
     def __enter__(self) -> "AnalysisSession":
         return self
@@ -630,29 +608,9 @@ class AnalysisSession:
         with self._serving():
             if isinstance(policy, NetworkModel):
                 policy = policy.policy
-            if isinstance(inputs, Packet):
-                weighted: list[tuple[Outcome, object]] = [(inputs, 1)]
-            elif isinstance(inputs, Dist):
-                weighted = list(inputs.items())
-            else:
-                packets = list(inputs)
-                if not packets:
-                    raise ValueError(
-                        "cannot build a uniform distribution over no outcomes"
-                    )
-                share = s.as_prob(1) / len(packets)
-                weighted = [(packet, share) for packet in packets]
-            proper = [pk for pk, _ in weighted if not isinstance(pk, _DropType)]
-            dists, _hits, _replica, _attempts, _failed = self._distributions(
-                policy, proper
+            return mix_outputs(
+                inputs, lambda packets: self._distributions(policy, packets)[0]
             )
-            parts: list[tuple[Dist[Outcome], object]] = []
-            for outcome, mass in weighted:
-                if isinstance(outcome, _DropType):
-                    parts.append((Dist.point(DROP), mass))
-                else:
-                    parts.append((dists[outcome], mass))
-            return Dist.convex(parts, check=False)
 
     def output_distributions(
         self, policy: s.Policy | NetworkModel, inputs: Iterable[Packet]
@@ -754,8 +712,8 @@ class AnalysisSession:
         Warmup takes the ordinary per-replica lease path — it never
         touches a backend outside a lease — so it is safe against
         concurrent :meth:`query_batch` traffic on the same destination.
-        Every replica gets the compiled plan (cheap after the first: the
-        stages rebuild from the shared spec store), then the full ingress
+        Every replica gets the compiled plan (cheap after the first: a
+        worker rebuilds it from shipped specs), then the full ingress
         set is solved once on the destination's affinity replica, which
         also populates the session result cache.  After warming, any
         batch over that destination's ingress packets is answered from
@@ -766,23 +724,16 @@ class AnalysisSession:
         with self._serving():
             model = self.model_for(dest)
             policy = model.policy
-            # Per-index leases rather than lease_each(): a replica dying
-            # *under the warmup call* must quarantine through the lease's
-            # own exception path (generator-mediated leases never see the
-            # caller's exceptions), and a dead slot is simply skipped —
-            # its respawn re-ships adopted plans anyway.
-            index = 0
-            while index < self._pool.size:
-                try:
-                    with self._pool.lease_replica(index) as replica:
-                        plan_fn = getattr(replica.backend, "plan", None)
-                        if plan_fn is not None:
-                            plan_fn(policy)
-                except ReplicaFailure:
-                    pass  # dead or dying slot: skip; supervision handles it
-                except RuntimeError:
-                    break  # pool closed or shrank mid-walk
-                index += 1
+
+            def plan(replica: Replica) -> None:
+                plan_fn = getattr(replica.backend, "plan", None)
+                if plan_fn is not None:
+                    plan_fn(policy)
+
+            # A replica dying under the warmup call quarantines through
+            # the lease's own exception path and is skipped — its respawn
+            # re-ships adopted plans anyway.
+            self._pool.for_each(plan)
             if solve:
                 self._distributions(
                     policy, model.ingress_packets, affinity=("dest", dest)

@@ -2,14 +2,16 @@
 
 The worker protocol of :mod:`repro.service.procpool` is a sequence of
 plain picklable messages (``("plan", ...)`` / ``("query", QuerySpec)`` /
-``("result", ResultSpec, stats)`` ...).  Historically those messages
-travelled over one duplex :class:`multiprocessing.connection.Connection`
-per worker; remote replica hosts need the same conversation over TCP.
-This module abstracts the carrier:
+``("result", ResultSpec, stats)`` ...) that one
+:class:`~repro.service.procpool.ReplicaClient` exchanges with one worker.
+This module abstracts the carrier — and, with it, the worker's
+*liveness*, which is the carrier's job:
 
-* :class:`PipeTransport` wraps today's duplex ``Pipe`` — zero framing of
-  its own (the ``Connection`` already length-prefixes), it only maps the
-  pipe's failure modes onto the typed :class:`TransportError` hierarchy;
+* :class:`PipeTransport` wraps a duplex ``Pipe`` to a local worker
+  process — zero framing of its own (the ``Connection`` already
+  length-prefixes); every receive also waits on the worker's OS
+  sentinel, so a dead worker is noticed the moment it exits, and the
+  watchdog action is to kill the process;
 * :class:`SocketTransport` speaks **length-prefixed framed messages with
   per-frame checksums** over a stream socket::
 
@@ -22,7 +24,12 @@ This module abstracts the carrier:
   misses — a garbled frame surfaces as a typed :class:`FrameError`, not
   a pickle exception deep inside the unpickler.  The payload is decoded
   by an unpickler that resolves three classes and refuses every other
-  global, so a frame cannot make its reader run code.
+  global, so a frame cannot make its reader run code.  At the replica
+  end it supervises the remote worker from the wire: the host relay's
+  ``("heartbeat", seq)`` frames prove liveness while a request is
+  outstanding, a ``("worker-died", exit_code)`` notice reads as a
+  close, and the watchdog action is to drop the connection (the host
+  then reaps the worker).
 
 Failure taxonomy (what supervision keys off):
 
@@ -36,8 +43,10 @@ Failure taxonomy (what supervision keys off):
   so callers tear the transport down and reconnect.
 * :class:`TransportTimeout` — ``recv(timeout=...)`` expired.
 
-All three map to ``ReplicaFailure(kind="transport")`` (or ``"crash"``
-for a clean close) in the remote worker handle, so the pool's
+The replica client's one request loop maps them onto
+``ReplicaFailure(kind="crash" | "timeout" | "transport")`` — a close is
+a crash, an expired budget a timeout, anything else (a corrupt frame, a
+suspected partition) a transport failure — so the pool's
 quarantine/respawn machinery treats wire trouble exactly like local
 worker death.
 """
@@ -45,6 +54,7 @@ worker death.
 from __future__ import annotations
 
 import io
+import multiprocessing.connection
 import pickle
 import select
 import socket
@@ -52,6 +62,7 @@ import struct
 import threading
 import time
 import zlib
+from typing import Callable
 
 #: Frame header: magic, payload length, CRC-32 of the payload (big-endian).
 HEADER = struct.Struct("!4sII")
@@ -174,9 +185,20 @@ class Transport:
     Both implementations expose ``fileno()`` so transports can sit in
     ``select``/``multiprocessing.connection.wait`` sets next to process
     sentinels — death detection stays select-driven, never poll-driven.
+    The placement attributes describe the worker at the far end, for
+    pool stats and worker reports.
     """
 
     kind = "abstract"
+    #: Where the worker runs: ``"local"`` or ``"HOST:PORT"``.
+    host = "local"
+    #: The worker's process id and (once dead) exit code, when known.
+    pid: int | None = None
+    exit_code: int | None = None
+    #: Connections re-established for this replica slot, and heartbeat
+    #: silences observed (both cumulative across the slot's respawns).
+    reconnects = 0
+    heartbeat_misses = 0
 
     def send(self, message: object) -> None:
         raise NotImplementedError
@@ -184,29 +206,44 @@ class Transport:
     def recv(self, timeout: float | None = None) -> object:
         raise NotImplementedError
 
-    def poll(self, timeout: float = 0.0) -> bool:
-        raise NotImplementedError
-
     def fileno(self) -> int:
         raise NotImplementedError
+
+    def kill(self) -> None:
+        """The watchdog action against a worker that stopped answering."""
+        self.close()
 
     def close(self) -> None:
         raise NotImplementedError
 
 
 class PipeTransport(Transport):
-    """Today's duplex ``Pipe``, behind the transport surface.
+    """A duplex ``Pipe``, optionally to the worker ``process`` it supervises.
 
     The wrapped :class:`~multiprocessing.connection.Connection` already
-    frames and pickles; this class only translates its failure modes
+    frames and pickles; this class translates its failure modes
     (``EOFError``/``OSError``/``BrokenPipeError``) into the typed
-    transport errors the supervision layer switches on.
+    transport errors the supervision layer switches on.  With a
+    ``process``, every ``recv`` waits on the reply pipe *and* the
+    worker's ``Process.sentinel``, so a worker that dies is a
+    :class:`TransportClosed` the instant the OS reaps it (not after a
+    poll interval); :meth:`kill` kills it and :meth:`close` joins it.
     """
 
     kind = "pipe"
 
-    def __init__(self, connection):
+    def __init__(self, connection, process=None):
         self.connection = connection
+        self.process = process
+
+    @property
+    def pid(self) -> int | None:
+        return None if self.process is None else self.process.pid
+
+    @property
+    def exit_code(self) -> int | None:
+        """The worker's exit code once dead (negative = killed by signal)."""
+        return None if self.process is None else self.process.exitcode
 
     def send(self, message: object) -> None:
         try:
@@ -215,27 +252,43 @@ class PipeTransport(Transport):
             raise TransportClosed(f"pipe closed while sending: {exc}") from exc
 
     def recv(self, timeout: float | None = None) -> object:
+        waitables = [self.connection]
+        if self.process is not None:
+            waitables.append(self.process.sentinel)
         try:
-            if timeout is not None and not self.connection.poll(timeout):
+            ready = multiprocessing.connection.wait(waitables, timeout)
+            if not ready:
                 raise TransportTimeout(f"no pipe message within {timeout:.3f}s")
-            return self.connection.recv()
+            # A final reply may sit in the pipe buffer when the worker
+            # exits right after it: drain it before reporting the death.
+            if self.connection in ready or self.connection.poll(0):
+                return self.connection.recv()
         except (EOFError, ConnectionResetError, OSError) as exc:
             raise TransportClosed(f"pipe closed while receiving: {exc}") from exc
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        try:
-            return self.connection.poll(timeout)
-        except (EOFError, OSError):
-            return True  # readable-and-broken: let recv surface the close
+        self.process.join(timeout=1.0)
+        raise TransportClosed(f"worker died (exit code {self.process.exitcode})")
 
     def fileno(self) -> int:
         return self.connection.fileno()
 
+    def kill(self) -> None:
+        if self.process is None:
+            self.close()
+            return
+        self.process.kill()
+        self.process.join(timeout=5.0)
+
     def close(self) -> None:
+        """Close the pipe and join the worker (idempotent)."""
         try:
             self.connection.close()
         except OSError:  # pragma: no cover - defensive
             pass
+        if self.process is not None:
+            self.process.join(timeout=5.0)
+            if self.process.is_alive():  # pragma: no cover - defensive
+                self.process.terminate()
+                self.process.join(timeout=5.0)
 
 
 class SocketTransport(Transport):
@@ -265,6 +318,8 @@ class SocketTransport(Transport):
         self._max_frame = max_frame_bytes
         self._send_lock = threading.Lock()
         self._closed = False
+        # (interval, suspect window, condemn window, mark) once armed.
+        self._liveness: tuple | None = None
 
     @classmethod
     def connect(
@@ -279,10 +334,6 @@ class SocketTransport(Transport):
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.settimeout(None)
         return cls(sock, max_frame_bytes=max_frame_bytes)
-
-    @property
-    def max_frame_bytes(self) -> int:
-        return self._max_frame
 
     def send(self, message: object) -> None:
         data = encode_message(message, max_frame_bytes=self._max_frame)
@@ -309,11 +360,71 @@ class SocketTransport(Transport):
             except (BrokenPipeError, ConnectionResetError, OSError) as exc:
                 raise TransportClosed(f"socket closed while sending: {exc}") from exc
 
+    def expect_heartbeats(
+        self,
+        interval: float,
+        suspect_after: float,
+        condemn_after: float,
+        mark: Callable[..., None] | None = None,
+    ) -> None:
+        """Arm wire liveness for :meth:`recv` (the replica end of a host link).
+
+        The host relay sends a heartbeat every ``interval`` seconds while
+        a request is outstanding, even mid-solve.  A silence of
+        ``suspect_after`` intervals counts a heartbeat miss (reported
+        through ``mark("heartbeat-missed", ...)``); a silence of
+        ``condemn_after`` intervals is a suspected partition
+        (``mark("host-partition-suspected", ...)``) and fails the
+        receive with :class:`TransportError`.
+        """
+        self._liveness = (
+            interval, interval * suspect_after, interval * condemn_after, mark
+        )
+
     def recv(self, timeout: float | None = None) -> object:
-        header = self._recv_exact(HEADER.size, timeout, at_boundary=True)
-        length, crc = decode_header(header, max_frame_bytes=self._max_frame)
-        payload = self._recv_exact(length, timeout, at_boundary=False)
-        return decode_payload(payload, crc)
+        """The next message; ``timeout`` bounds the whole wait.
+
+        Heartbeat frames are consumed here — they are proof of liveness,
+        not messages — and a ``("worker-died", exit_code)`` notice from
+        the host's local supervision raises :class:`TransportClosed`
+        with :attr:`exit_code` set.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        heard = time.monotonic()
+        while True:
+            wait = None if deadline is None else deadline - time.monotonic()
+            if wait is not None and wait <= 0:
+                raise TransportTimeout(f"no complete frame within {timeout:.3f}s")
+            if self._liveness is not None:
+                interval, _suspect, condemn, _mark = self._liveness
+                if not self.poll(interval if wait is None else min(wait, interval)):
+                    self._silence(time.monotonic() - heard)
+                    continue
+                # A frame that starts must finish within the condemn window.
+                wait = condemn if wait is None else min(wait, condemn)
+            header = self._recv_exact(HEADER.size, wait, at_boundary=True)
+            length, crc = decode_header(header, max_frame_bytes=self._max_frame)
+            message = decode_payload(self._recv_exact(length, wait, at_boundary=False), crc)
+            heard = time.monotonic()
+            op = message[0] if isinstance(message, tuple) and message else None
+            if op == "heartbeat":
+                continue
+            if op == "worker-died":
+                self.exit_code = message[1] if len(message) > 1 else None
+                raise TransportClosed(f"worker died on its host (exit code {self.exit_code})")
+            return message
+
+    def _silence(self, stale: float) -> None:
+        """Judge ``stale`` seconds without a frame: count a miss, or condemn."""
+        _interval, suspect, condemn, mark = self._liveness
+        if stale >= condemn:
+            if mark is not None:
+                mark("host-partition-suspected", stale=round(stale, 3))
+            raise TransportError(f"no heartbeat for {stale:.2f}s (partition suspected)")
+        if stale >= suspect:
+            self.heartbeat_misses += 1
+            if mark is not None:
+                mark("heartbeat-missed", stale=round(stale, 3), misses=self.heartbeat_misses)
 
     def _recv_exact(self, n: int, timeout: float | None, *, at_boundary: bool) -> bytes:
         """Read exactly ``n`` bytes.

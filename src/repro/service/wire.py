@@ -1,9 +1,9 @@
 """Manager-independent wire format for cross-process query serving.
 
 Architecture: in the **session → shards → pool → backend** pipeline this
-module defines what may *cross a process boundary*.  A
-:class:`~repro.service.procpool.ProcessBackendPool` hosts full backend
-replicas in worker processes; nothing manager-bound — FDD nodes, FDD
+module defines what may *cross a process boundary*.  Worker replicas
+(:class:`~repro.service.procpool.ReplicaClient`) are full backends in
+their own processes; nothing manager-bound — FDD nodes, FDD
 managers, compiled plans — and no policy ASTs are ever pickled.  Instead:
 
 * **plans** travel as the ``(fields, stage_specs)`` payloads of

@@ -1,0 +1,19 @@
+"""Condition waits for tests that watch background threads and processes.
+
+Respawns, reconnects and worker exits finish on their own threads; a
+test waits for the state it needs instead of for a fixed time.
+"""
+
+from __future__ import annotations
+
+import time
+
+
+def wait_until(predicate, timeout: float = 30.0, interval: float = 0.005) -> bool:
+    """Poll ``predicate`` until it holds; ``False`` if ``timeout`` passes first."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return bool(predicate())

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from polling import wait_until
 from repro.analysis.queries import delivery_probability
 from repro.backends import MatrixBackend
 from repro.failure.models import independent_failure_program
@@ -84,14 +85,9 @@ def per_call_values(all_models, all_pairs):
         ]
 
 
-def wait_until(predicate, timeout: float = 30.0, interval: float = 0.01) -> bool:
-    """Poll ``predicate`` until true (respawn threads finish asynchronously)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return bool(predicate())
+def workers(session: AnalysisSession) -> list:
+    """The session's worker clients, in replica order."""
+    return [replica.backend for replica in session.pool.replicas]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +157,7 @@ class TestCrashTransparentBatch:
         ) as session:
             for dest in all_models:
                 session.warm(dest, solve=False)
-            pids_before = {h.index: h.pid for h in session.pool.workers()}
+            pids_before = {h.index: h.pid for h in workers(session)}
             killed: list[int] = []
             stop = threading.Event()
 
@@ -330,10 +326,10 @@ class TestHealingIntrospection:
             model, pool_size=2, pool_mode="process", workers=1, max_attempts=3
         ) as session:
             session.warm(model.dest, solve=False)
-            victim = session.pool.workers()[1]
+            victim = workers(session)[1]
             old_pid = victim.pid
             os.kill(old_pid, signal.SIGKILL)
-            wait_until(lambda: not victim._process.is_alive(), timeout=10.0)
+            wait_until(lambda: not victim.transport.process.is_alive(), timeout=10.0)
 
             reports = session.pool.worker_reports()
             assert [r["index"] for r in reports] == [0, 1]
@@ -356,7 +352,7 @@ class TestHealingIntrospection:
             expected = delivery_probability(model, inputs=[model.ingress_packets[0]])
             value = session.query("delivery", model.ingress_packets[0], model.dest)
             assert value == pytest.approx(expected, abs=1e-9)
-            assert session.pool.workers()[1].pid != old_pid
+            assert workers(session)[1].pid != old_pid
 
     def test_cli_reports_supervision_counters(self, capsys, inject_faults, tmp_path):
         """The batch CLI prints the supervision summary when faults fired."""

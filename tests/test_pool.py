@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from polling import wait_until
 from repro.analysis.queries import delivery_probability
 from repro.backends import MatrixBackend
 from repro.failure.models import independent_failure_program
@@ -58,24 +59,32 @@ def per_call_values(models, all_pairs):
     ]
 
 
+def process_session(models, pool_size, **options) -> AnalysisSession:
+    """A session whose replicas are worker processes (the parallel mode)."""
+    return AnalysisSession(
+        models=models.values(), pool_mode="process", pool_size=pool_size, **options
+    )
+
+
+def adopted(planner: MatrixBackend, policy) -> tuple[MatrixBackend, object]:
+    """A fresh backend rebuilt the way workers rebuild: from shipped specs."""
+    replica = MatrixBackend()
+    return replica, replica.adopt_plan("shipped", *planner.plan_payload(policy))
+
+
 # ---------------------------------------------------------------------------
 # Cross-manager plan specs and cache keys (the satellite regression suite)
 # ---------------------------------------------------------------------------
 class TestCrossManagerKeys:
-    def test_fork_is_independent_but_shares_specs(self, models):
+    def test_adopted_plan_is_independent_of_the_planner(self, models):
         model = next(iter(models.values()))
         base = MatrixBackend()
         base.output_distributions(model.policy, model.ingress_packets[:2])
-        replica = base.fork()
-        # Fully independent mutable state...
+        replica, plan = adopted(base, model.policy)
+        # Fully independent mutable state, and no AST compilation: the
+        # adopted stage FDDs live in the replica's own manager.
         assert replica.manager is not base.manager
-        assert replica._plans is not base._plans
-        # ...but one shared spec store, already holding the base's plan.
-        assert replica._spec_store is base._spec_store
-        assert len(replica._spec_store) == 1
-        # The replica's plan rebuilds from specs: no AST compilation, and
-        # its stage FDDs live in the replica's own manager.
-        plan = replica.plan(model.policy)
+        assert replica.ast_compilations == 0
         for stage, base_stage in zip(plan.stages, base.plan(model.policy).stages):
             fdd = getattr(stage, "fdd", None) or stage.body_fdd
             base_fdd = getattr(base_stage, "fdd", None) or base_stage.body_fdd
@@ -83,14 +92,17 @@ class TestCrossManagerKeys:
             assert fdd.manager is replica.manager
 
     def test_plan_keys_identical_across_managers(self, models):
-        """Two replicas compiling the same model produce the same key."""
+        """Every manager holding the same model produces the same key."""
         model = next(iter(models.values()))
         base = MatrixBackend()
-        replica = base.fork()
-        independent = MatrixBackend()  # no shared store: compiles from the AST
+        independent = MatrixBackend()  # compiles from the AST on its own
         key = base.plan_key(model.policy)
-        assert replica.plan_key(model.policy) == key
         assert independent.plan_key(model.policy) == key
+        # A plan adopted into a third manager re-serializes to that key.
+        replica, plan = adopted(base, model.policy)
+        plan.specs = None
+        specs = replica._stage_specs(plan)
+        assert ("fdd-stages", tuple(entry[:3] for entry in specs)) == key
         # Spec-based, not id-based: no FDD node (manager-bound object) and
         # no raw id() may appear anywhere in the key.
         def flat(value):
@@ -107,14 +119,14 @@ class TestCrossManagerKeys:
         model = next(iter(models.values()))
         base = MatrixBackend()
         expected = base.output_distributions(model.policy, model.ingress_packets)
-        replica = base.fork()
-        served = replica.output_distributions(model.policy, model.ingress_packets)
+        replica, _plan = adopted(base, model.policy)
+        served = replica.query_plan("shipped", model.ingress_packets)
         for packet in model.ingress_packets:
             assert served[packet].close_to(expected[packet], tolerance=1e-12)
 
     def test_session_policy_key_shared_across_replicas(self, models):
         model = next(iter(models.values()))
-        with AnalysisSession(model, pool_size=2, workers=1) as session:
+        with process_session({model.dest: model}, 2, workers=1) as session:
             pool = session.pool
             with pool.lease_replica(0) as first:
                 key_a = session._policy_key(model.policy, first.backend)
@@ -139,16 +151,14 @@ class TestPooledAgreement:
             models=models.values(), planner=planner, workers=1, pool_size=1
         ) as single:
             baseline = single.query_batch(all_pairs).values
-        with AnalysisSession(
-            models=models.values(), planner=planner, workers=4, pool_size=3
-        ) as pooled:
+        with process_session(models, 3, planner=planner, workers=4) as pooled:
             served = pooled.query_batch(all_pairs).values
         for value, reference, expected in zip(served, baseline, per_call_values):
             assert value == pytest.approx(reference, abs=1e-9)
             assert value == pytest.approx(expected, abs=1e-9)
 
     def test_cached_repeat_leases_no_replica(self, models, all_pairs):
-        with AnalysisSession(models=models.values(), workers=4, pool_size=2) as session:
+        with process_session(models, 2, workers=4) as session:
             session.query_batch(all_pairs)
             repeat = session.query_batch(all_pairs)
             assert repeat.cache_hits == len(all_pairs)
@@ -157,7 +167,7 @@ class TestPooledAgreement:
 
     def test_results_cached_across_replicas(self, models, all_pairs):
         """A hit computed on one replica serves queries headed anywhere."""
-        with AnalysisSession(models=models.values(), workers=1, pool_size=3) as session:
+        with process_session(models, 3, workers=1) as session:
             first = session.query_batch(all_pairs, planner="destination")
             assert first.cache_hits == 0
             # Different planner, different shard->replica routing: still
@@ -173,9 +183,7 @@ class TestRouting:
     def test_affinity_sticks_sequentially(self, models, all_pairs):
         # workers=1: shards run one at a time, so the preferred replica is
         # always free and affinity routing is perfectly sticky.
-        with AnalysisSession(
-            models=models.values(), workers=1, pool_size=2, cache=False
-        ) as session:
+        with process_session(models, 2, workers=1, cache=False) as session:
             first = session.query_batch(all_pairs)
             serving = {r.label: r.replica for r in first.shards}
             again = session.query_batch(all_pairs)
@@ -184,33 +192,31 @@ class TestRouting:
             # Destinations spread over both replicas.
             assert len(set(serving.values())) == 2
 
-    def test_idle_replica_steals_bound_affinity(self, models):
-        model = next(iter(models.values()))
-        with AnalysisSession(model, pool_size=2, workers=1) as session:
-            pool = session.pool
-            with pool.lease(("dest", 7)) as holder:
-                bound = holder.index
-                grabbed: list[int] = []
+    def test_idle_replica_steals_bound_affinity(self):
+        pool = BackendPool(_stub_source()[0], 2)
+        with pool.lease(("dest", 7)) as holder:
+            bound = holder.index
+            grabbed: list[int] = []
 
-                def contend():
-                    with pool.lease(("dest", 7)) as thief:
-                        grabbed.append(thief.index)
+            def contend():
+                with pool.lease(("dest", 7)) as thief:
+                    grabbed.append(thief.index)
 
-                thread = threading.Thread(target=contend)
-                thread.start()
-                thread.join(timeout=5)
-                assert not thread.is_alive()
-            # The preferred replica was busy and the other was idle: the
-            # idle one must have served the request (no waiting) — but the
-            # binding stays with the warm replica, so concurrent shards of
-            # one destination cannot ping-pong it across the pool.
-            assert grabbed and grabbed[0] != bound
-            assert pool.steals == 1
-            assert pool.stats()["affinities"][("dest", 7)] == bound
+            thread = threading.Thread(target=contend)
+            thread.start()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        # The preferred replica was busy and the other was idle: the
+        # idle one must have served the request (no waiting) — but the
+        # binding stays with the warm replica, so concurrent shards of
+        # one destination cannot ping-pong it across the pool.
+        assert grabbed and grabbed[0] != bound
+        assert pool.steals == 1
+        assert pool.stats()["affinities"][("dest", 7)] == bound
+        pool.close()
 
     def test_leases_are_exclusive_under_contention(self):
-        backend = MatrixBackend()
-        pool = BackendPool(backend, 2)
+        pool = BackendPool(_stub_source()[0], 2)
         active = [0, 0]
         guard = threading.Lock()
         failures: list[str] = []
@@ -238,7 +244,7 @@ class TestRouting:
     def test_shard_windows_overlap(self, models, all_pairs):
         """The acceptance check: shard wall-clock windows overlap, i.e.
         no shard waited out another replica's solve before starting."""
-        with AnalysisSession(models=models.values(), workers=4, pool_size=3) as session:
+        with process_session(models, 3, workers=4) as session:
             result = session.query_batch(all_pairs)
         solved = [r for r in result.shards if r.replica >= 0]
         assert len({r.replica for r in solved}) > 1
@@ -258,19 +264,17 @@ class TestRouting:
 class TestWarm:
     def test_warm_preplans_every_replica(self, models):
         model = next(iter(models.values()))
-        with AnalysisSession(model, pool_size=3, workers=1) as session:
+        with process_session({model.dest: model}, 3, workers=1) as session:
             session.warm(model.dest)
-            for replica in session.pool.replicas:
-                assert len(replica.backend._plans) == 1
+            assert [r["plans"] for r in session.pool.worker_reports()] == [1, 1, 1]
             batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
             assert session.query_batch(batch).cache_hits == len(batch)
 
     def test_plan_only_warm(self, models):
         model = next(iter(models.values()))
-        with AnalysisSession(model, pool_size=2, workers=1) as session:
+        with process_session({model.dest: model}, 2, workers=1) as session:
             session.warm(model.dest, solve=False)
-            for replica in session.pool.replicas:
-                assert len(replica.backend._plans) == 1
+            assert [r["plans"] for r in session.pool.worker_reports()] == [1, 1]
             # Plans exist everywhere, but nothing was solved or cached.
             batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
             assert session.query_batch(batch).cache_hits == 0
@@ -281,7 +285,7 @@ class TestWarm:
         model = next(iter(models.values()))
         expected = delivery_probability(model, inputs=[model.ingress_packets[0]])
         errors: list[BaseException] = []
-        with AnalysisSession(model, pool_size=2, workers=2, cache=False) as session:
+        with process_session({model.dest: model}, 2, workers=2, cache=False) as session:
             batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
 
             def warm_loop():
@@ -322,11 +326,7 @@ class TestSolverReset:
     def test_clear_cache_keep_plans_resolves_without_recompiling(
         self, models, all_pairs
     ):
-        # workers=1: shards run sequentially, so affinity routing is
-        # perfectly sticky and no shard is ever stolen onto a replica
-        # that would (legitimately) rebuild the plan from its specs —
-        # the compile-time comparison below is only deterministic then.
-        with AnalysisSession(models=models.values(), workers=1, pool_size=2) as session:
+        with AnalysisSession(models=models.values(), workers=1) as session:
             first = session.query_batch(all_pairs)
             compiled = session.stats()["backend_timings"].get("compile", 0.0)
             session.clear_cache(keep_plans=True)
@@ -381,10 +381,13 @@ class TestSolverReset:
 # Lifecycle and degradation
 # ---------------------------------------------------------------------------
 class TestLifecycle:
-    def test_non_forkable_backend_degrades_to_one_replica(self, models):
+    def test_thread_mode_hosts_one_replica(self, models):
         model = next(iter(models.values()))
-        with AnalysisSession(model, backend="native", pool_size=4, workers=2) as session:
+        with pytest.raises(ValueError, match="pool_mode='process'"):
+            AnalysisSession(model, backend="native", pool_size=4, workers=2)
+        with AnalysisSession(model, backend="native", workers=2) as session:
             assert session.pool.size == 1
+            assert session.pool.replicas[0].backend is session.backend
             packet = model.ingress_packets[0]
             value = session.query("delivery", packet, model.dest)
             assert value == pytest.approx(
@@ -393,22 +396,26 @@ class TestLifecycle:
 
     def test_close_tears_down_forked_replicas_only_plus_owned_base(self, models):
         model = next(iter(models.values()))
-        closed: list[int] = []
+        closed: list[str] = []
         shared = MatrixBackend()
-        shared.close = lambda: closed.append(0)  # type: ignore[method-assign]
-        session = AnalysisSession(model, backend=shared, pool_size=3, workers=1)
-        forks = session.pool.replicas[1:]
-        for replica in forks:
-            replica.backend.close = (  # type: ignore[method-assign]
-                lambda index=replica.index: closed.append(index)
+        shared.close = lambda: closed.append("shared")  # type: ignore[method-assign]
+        for mode, size in (("thread", 1), ("process", 2)):
+            session = AnalysisSession(
+                model, backend=shared, pool_mode=mode, pool_size=size, workers=1
             )
-        session.close()
-        # Caller-supplied base stays open; both forked replicas close.
-        assert sorted(closed) == [1, 2]
+            workers = [replica.backend for replica in session.pool.replicas[1:]]
+            session.close()
+            # Worker replicas are pool-owned; the caller's backend is not.
+            assert all(not worker.alive for worker in workers)
+        assert closed == []
+        named = AnalysisSession(model, backend="matrix", workers=1)
+        named.backend.close = lambda: closed.append("named")  # type: ignore[method-assign]
+        named.close()
+        assert closed == ["named"]
 
     def test_closed_pool_rejects_leases(self, models):
         model = next(iter(models.values()))
-        session = AnalysisSession(model, pool_size=2, workers=1)
+        session = AnalysisSession(model, workers=1)
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             with session.pool.lease():
@@ -418,6 +425,13 @@ class TestLifecycle:
         model = next(iter(models.values()))
         with pytest.raises(ValueError, match="pool size"):
             AnalysisSession(model, pool_size=0)
+
+    def test_unbatched_backend_names_the_registered_alternatives(self, models):
+        """The refusal names exactly the registered batched backends."""
+        model = next(iter(models.values()))
+        with pytest.raises(TypeError) as excinfo:
+            AnalysisSession(model, backend="prism")
+        assert str(excinfo.value).endswith("use 'matrix' or 'native'")
 
     def test_backend_missing_answer_fails_fast(self, models):
         """A backend that drops a requested packet must raise, not spin."""
@@ -444,7 +458,7 @@ class TestLifecycle:
     def test_close_drains_active_leases(self, models):
         """close() waits for in-flight leases before tearing backends down."""
         model = next(iter(models.values()))
-        session = AnalysisSession(model, pool_size=2, workers=1)
+        session = AnalysisSession(model, workers=1)
         pool = session.pool
         events: list[str] = []
         release = threading.Event()
@@ -454,7 +468,7 @@ class TestLifecycle:
             with pool.lease():
                 leased.set()
                 release.wait(timeout=5)
-            events.append("released")
+                events.append("released")
 
         holder = threading.Thread(target=hold)
         holder.start()
@@ -466,7 +480,8 @@ class TestLifecycle:
 
         closer = threading.Thread(target=close)
         closer.start()
-        time.sleep(0.05)
+        # The pool is marked closed before its drain waits on the lease.
+        assert wait_until(lambda: pool._closed, timeout=5)
         assert "closed" not in events  # still draining the held lease
         release.set()
         holder.join(timeout=5)
@@ -474,7 +489,7 @@ class TestLifecycle:
         assert events == ["released", "closed"]
 
     def test_stats_expose_pool(self, models, all_pairs):
-        with AnalysisSession(models=models.values(), workers=2, pool_size=2) as session:
+        with process_session(models, 2, workers=2) as session:
             session.query_batch(all_pairs)
             stats = session.stats()
         assert stats["pool"]["size"] == 2
@@ -487,12 +502,12 @@ class TestLifecycle:
 # ---------------------------------------------------------------------------
 class TestResize:
     def test_grow_spawns_independent_replicas(self, models, all_pairs, per_call_values):
-        with AnalysisSession(models=models.values(), workers=4, pool_size=1) as session:
+        with process_session(models, 1, workers=4) as session:
             before = session.query_batch(all_pairs).values
             assert session.resize_pool(3) == 3
             assert session.pool_size == 3
-            backends = [replica.backend for replica in session.pool.replicas]
-            assert len({id(backend) for backend in backends}) == 3
+            pids = {replica.backend.pid for replica in session.pool.replicas}
+            assert len(pids) == 3
             session.clear_cache(keep_plans=True)
             after = session.query_batch(all_pairs).values
         for value, reference, expected in zip(after, before, per_call_values):
@@ -500,14 +515,16 @@ class TestResize:
             assert value == pytest.approx(expected, abs=1e-9)
 
     def test_shrink_retires_tails_and_their_affinities(self, models, all_pairs):
-        with AnalysisSession(models=models.values(), workers=1, pool_size=3) as session:
+        with process_session(models, 3, workers=1) as session:
             pool = session.pool
             # workers=1 routes shards sequentially: affinities bind across
             # all three replicas (one destination each).
             session.query_batch(all_pairs, planner="destination")
             assert {pool._affinity[key] for key in pool._affinity} == {0, 1, 2}
+            retired = [replica.backend for replica in pool.replicas[1:]]
             assert session.resize_pool(1) == 1
             assert [replica.index for replica in pool.replicas] == [0]
+            assert all(not worker.alive for worker in retired)
             # No affinity entry may point at a retired replica index.
             assert all(index == 0 for index in pool._affinity.values())
             # The survivor still answers the whole batch correctly.
@@ -515,46 +532,47 @@ class TestResize:
             repeat = session.query_batch(all_pairs)
             assert all(report.replica == 0 for report in repeat.shards)
 
-    def test_shrink_waits_for_busy_tail(self, models):
-        model = next(iter(models.values()))
-        with AnalysisSession(model, workers=1, pool_size=2) as session:
-            pool = session.pool
-            release = threading.Event()
-            leased = threading.Event()
-            events: list[str] = []
+    def test_shrink_waits_for_busy_tail(self):
+        pool = BackendPool(_stub_source()[0], 2)
+        release = threading.Event()
+        leased = threading.Event()
+        events: list[str] = []
 
-            def hold_tail():
-                with pool.lease_replica(1):
-                    leased.set()
-                    release.wait(timeout=5)
+        def hold_tail():
+            with pool.lease_replica(1):
+                leased.set()
+                release.wait(timeout=5)
                 events.append("released")
 
-            holder = threading.Thread(target=hold_tail)
-            holder.start()
-            assert leased.wait(timeout=5)
+        holder = threading.Thread(target=hold_tail)
+        holder.start()
+        assert leased.wait(timeout=5)
 
-            def shrink():
-                session.resize_pool(1)
-                events.append("shrunk")
+        def shrink():
+            pool.resize(1)
+            events.append("shrunk")
 
-            shrinker = threading.Thread(target=shrink)
-            shrinker.start()
-            time.sleep(0.05)
-            assert "shrunk" not in events  # the tail lease is still live
-            release.set()
-            holder.join(timeout=5)
-            shrinker.join(timeout=5)
-            assert events == ["released", "shrunk"]
-            assert pool.size == 1
+        shrinker = threading.Thread(target=shrink)
+        shrinker.start()
+        # The shrink parks on the pool condition until the tail drains.
+        assert wait_until(lambda: pool._cv._waiters, timeout=5)
+        assert "shrunk" not in events and pool.size == 2
+        release.set()
+        holder.join(timeout=5)
+        shrinker.join(timeout=5)
+        assert events == ["released", "shrunk"]
+        assert pool.size == 1
+        pool.close()
 
     def test_resize_validation_and_non_forkable_cap(self, models):
         model = next(iter(models.values()))
-        with AnalysisSession(model, workers=1, pool_size=2) as session:
+        with AnalysisSession(model, workers=1) as session:
             with pytest.raises(ValueError, match="pool size"):
                 session.resize_pool(0)
-        # A non-forkable backend cannot grow: resize returns the real size.
-        with AnalysisSession(model, backend="native", workers=1, pool_size=1) as session:
-            assert session.resize_pool(3) == 1
+            # The in-process replica is the only one thread mode hosts.
+            with pytest.raises(ValueError, match="pool_mode='process'"):
+                session.resize_pool(3)
+            assert session.pool_size == 1
         session = AnalysisSession(model, workers=1, pool_size=1)
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -562,7 +580,7 @@ class TestResize:
 
     def test_grow_under_concurrent_serving(self, models, all_pairs, per_call_values):
         """resize() during in-flight query_batch calls never corrupts answers."""
-        with AnalysisSession(models=models.values(), workers=4, pool_size=1) as session:
+        with process_session(models, 1, workers=4) as session:
             errors: list[Exception] = []
             outputs: list[list[float]] = []
 
@@ -597,32 +615,14 @@ from repro.service.pool import (  # noqa: E402 - section-local imports
 )
 
 
-def _wait_until(predicate, timeout: float = 10.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return bool(predicate())
-
-
 class _StubBackend:
-    """A forkable in-memory backend with armable failure behaviour."""
+    """An in-memory replica backend whose probe can be made to answer."""
 
-    def __init__(self, family=None, *, pingable=False, forkable=True, fork_delay=0.0):
-        self.family = [] if family is None else family
+    def __init__(self, family, *, pingable=False):
+        self.family = family
         self.family.append(self)
         self.pingable = pingable
-        self.forkable = forkable
-        self.fork_delay = fork_delay
         self.closed = False
-
-    def fork(self):
-        if not self.forkable:
-            raise RuntimeError("fork disabled")
-        if self.fork_delay:
-            time.sleep(self.fork_delay)
-        return _StubBackend(self.family, pingable=self.pingable)
 
     def ping(self):
         if not self.pingable:
@@ -633,20 +633,36 @@ class _StubBackend:
         self.closed = True
 
 
+def _stub_source(*, pingable=False, replaceable=True, gate=None):
+    """A replica source of stubs, plus the list of every stub it built.
+
+    ``replaceable=False`` refuses every replacement (permanent death);
+    a ``gate`` event holds replacements until it is set.
+    """
+    family: list[_StubBackend] = []
+
+    def spawn(index, dead):
+        if dead is not None:
+            if not replaceable:
+                return None
+            if gate is not None:
+                gate.wait(timeout=10)
+        return _StubBackend(family, pingable=pingable)
+
+    return spawn, family
+
+
 class _CrashingBackend:
     """Wraps a real backend; raises ReplicaFailure while the bomb is armed.
 
-    The bomb is shared across forks, so "disarm after the first crash"
-    models a single worker death with healthy peers, while a bomb that
-    never disarms models a pool where every replica keeps dying.
+    "Disarm after the first crash" models a single failure the in-process
+    replica recovers from, while a bomb that never disarms models a
+    replica that keeps dying.
     """
 
     def __init__(self, inner, bomb):
         self._inner = inner
         self._bomb = bomb
-
-    def fork(self):
-        return _CrashingBackend(self._inner.fork(), self._bomb)
 
     def output_distributions(self, policy, inputs):
         if self._bomb["armed"]:
@@ -661,14 +677,14 @@ class _CrashingBackend:
 
 class TestSupervision:
     def test_failure_respawns_in_place_and_keeps_affinity(self):
-        family: list = []
-        pool = BackendPool(_StubBackend(family), 2, owns_base=True)
+        spawn, family = _stub_source()
+        pool = BackendPool(spawn, 2)
         first = pool.replicas[1].backend
         with pytest.raises(ReplicaFailure):
             with pool.lease(("dest", 7)) as replica:
                 bound = replica.index
                 raise ReplicaFailure("backend fell over")
-        assert _wait_until(lambda: pool.replicas[bound].health == HEALTHY)
+        assert wait_until(lambda: pool.replicas[bound].health == HEALTHY, timeout=10)
         stats = pool.stats()
         assert stats["failures"] == 1
         assert stats["restarts"] == 1
@@ -683,7 +699,7 @@ class TestSupervision:
         pool.close()
 
     def test_transient_blip_revives_without_respawn(self):
-        pool = BackendPool(_StubBackend(pingable=True), 2, owns_base=True)
+        pool = BackendPool(_stub_source(pingable=True)[0], 2)
         survivor = pool.replicas[0].backend
         with pytest.raises(ReplicaFailure):
             with pool.lease_replica(0):
@@ -698,12 +714,12 @@ class TestSupervision:
     def test_timeout_failure_skips_the_probe(self):
         """A watchdog kill is death by definition — even a backend whose
         ping would succeed is respawned, not revived."""
-        pool = BackendPool(_StubBackend(pingable=True), 2, owns_base=True)
+        pool = BackendPool(_stub_source(pingable=True)[0], 2)
         victim = pool.replicas[1].backend
         with pytest.raises(ReplicaFailure):
             with pool.lease_replica(1):
                 raise ReplicaFailure("hung and killed", kind="timeout")
-        assert _wait_until(lambda: pool.replicas[1].health == HEALTHY)
+        assert wait_until(lambda: pool.replicas[1].health == HEALTHY, timeout=10)
         assert pool.replicas[1].backend is not victim
         assert pool.restarts == 1
         pool.close()
@@ -711,14 +727,11 @@ class TestSupervision:
     def test_unrespawnable_pool_goes_dead_and_unavailable(self):
         """When no replacement can be built, the replica dies for good:
         affinities unbind and leases fail typed instead of hanging."""
-        backend = _StubBackend(forkable=False)
-        backend.fork = None  # wholly unforkable: single-replica pool
-        del backend.fork
-        pool = BackendPool(backend, 1, owns_base=True)
+        pool = BackendPool(_stub_source(replaceable=False)[0], 1)
         with pytest.raises(ReplicaFailure):
             with pool.lease(("dest", 3)):
                 raise ReplicaFailure("backend fell over")
-        assert _wait_until(lambda: pool.replicas[0].health == DEAD)
+        assert wait_until(lambda: pool.replicas[0].health == DEAD, timeout=10)
         assert pool.stats()["affinities"] == {}
         with pytest.raises(PoolUnavailable):
             with pool.lease():
@@ -729,27 +742,26 @@ class TestSupervision:
         pool.close()
 
     def test_lease_each_skips_dead_slots(self):
-        family: list = []
-        pool = BackendPool(_StubBackend(family), 3, owns_base=True)
-        for backend in family:
-            backend.forkable = False  # no peer can supply a replacement
+        pool = BackendPool(_stub_source(replaceable=False)[0], 3)
         with pytest.raises(ReplicaFailure):
             with pool.lease_replica(1):
                 raise ReplicaFailure("backend fell over")
-        assert _wait_until(lambda: pool.replicas[1].health == DEAD)
-        visited = [replica.index for replica in pool.lease_each()]
-        assert visited == [0, 2]
+        assert wait_until(lambda: pool.replicas[1].health == DEAD, timeout=10)
+        visited = pool.for_each(lambda replica: replica.index)
+        assert list(visited) == [0, 2]
         pool.close()
 
     def test_double_failure_in_one_lease_quarantines_once(self):
-        # fork_delay keeps the respawn in flight while the second failure
+        # The gate keeps the respawn in flight while the second failure
         # of the same lease arrives: it must not re-quarantine the slot.
-        pool = BackendPool(_StubBackend(fork_delay=0.3), 2, owns_base=True)
+        gate = threading.Event()
+        pool = BackendPool(_stub_source(gate=gate)[0], 2)
         with pytest.raises(ReplicaFailure):
             with pool.lease_replica(1) as replica:
                 pool._quarantine(replica, ReplicaFailure("first"))
                 raise ReplicaFailure("second")
-        assert _wait_until(lambda: pool.replicas[1].health == HEALTHY)
+        gate.set()
+        assert wait_until(lambda: pool.replicas[1].health == HEALTHY, timeout=10)
         assert pool.failures == 1
         assert pool.restarts == 1
         pool.close()
@@ -757,14 +769,14 @@ class TestSupervision:
 
 class TestSessionRetry:
     def test_crashed_shard_is_retried_transparently(self, models, all_pairs):
-        """One replica crash mid-batch: the shard re-runs on a healthy
-        replica, answers stay exact, and the retry is counted."""
+        """One replica crash mid-batch: the shard re-runs once the replica
+        is back, answers stay exact, and the retry is counted."""
         model = next(iter(models.values()))
         bomb = {"armed": True, "once": True}
         backend = _CrashingBackend(MatrixBackend(), bomb)
         batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
         with AnalysisSession(
-            model, backend=backend, pool_size=2, workers=1, max_attempts=2
+            model, backend=backend, workers=1, max_attempts=2
         ) as session:
             result = session.query_batch(batch)
             expected = delivery_probability(model, inputs=[model.ingress_packets[0]])
@@ -775,10 +787,10 @@ class TestSessionRetry:
 
     def test_exhausted_retries_surface_pool_unavailable(self, models):
         model = next(iter(models.values()))
-        bomb = {"armed": True}  # never disarms: every replica keeps dying
+        bomb = {"armed": True}  # never disarms: the replica keeps dying
         backend = _CrashingBackend(MatrixBackend(), bomb)
         with AnalysisSession(
-            model, backend=backend, pool_size=2, workers=1, max_attempts=2
+            model, backend=backend, workers=1, max_attempts=2
         ) as session:
             with pytest.raises(PoolUnavailable, match="retries exhausted"):
                 session.query("delivery", model.ingress_packets[0], model.dest)

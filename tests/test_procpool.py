@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polling import wait_until
 from repro.analysis.queries import delivery_probability
 from repro.backends import MatrixBackend, NativeBackend
 from repro.core import syntax as s
@@ -19,7 +20,7 @@ from repro.core.packet import DROP, Packet
 from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy
-from repro.service import AnalysisSession, ProcessBackendPool, Query
+from repro.service import AnalysisSession, BackendPool, ProcessReplicas, Query
 from repro.service.cli import main as service_main
 from repro.service.wire import (
     QuerySpec,
@@ -30,6 +31,16 @@ from repro.service.wire import (
     packet_to_spec,
 )
 from repro.topology import edge_switches, fat_tree
+
+
+def process_pool(size: int) -> BackendPool:
+    """A bare pool of worker processes behind a fresh planner backend."""
+    return BackendPool(ProcessReplicas(MatrixBackend()), size)
+
+
+def workers(session: AnalysisSession) -> list:
+    """The session's worker clients, in replica order."""
+    return [replica.backend for replica in session.pool.replicas]
 
 
 def ecmp_model(topo, dest: int):
@@ -145,7 +156,7 @@ class TestWireFormat:
 
 
 # ---------------------------------------------------------------------------
-# ProcessBackendPool: spec-shipped workers
+# Process replicas: spec-shipped workers
 # ---------------------------------------------------------------------------
 class TestProcessPool:
     def test_all_pairs_agreement_across_planners(
@@ -153,13 +164,11 @@ class TestProcessPool:
     ):
         """The acceptance criterion: the 112-pair batch, three planners.
 
-        Process-pool answers must match the thread pool and per-call
-        analysis within 1e-9 under every planner, and the workers must
-        have served the whole batch without ever compiling an AST.
+        Process-pool answers must match the in-process session and
+        per-call analysis within 1e-9 under every planner, and the workers
+        must have served the whole batch without ever compiling an AST.
         """
-        with AnalysisSession(
-            models=all_models.values(), pool_size=4, workers=4
-        ) as threaded:
+        with AnalysisSession(models=all_models.values(), workers=4) as threaded:
             thread_values = threaded.query_batch(all_pairs).values
 
         for planner in ("destination", "ingress:8", "round-robin:4"):
@@ -222,7 +231,7 @@ class TestProcessPool:
         )
         packet = Packet({"sw": 1})
         expected = MatrixBackend().output_distributions(policy, [packet])[packet]
-        pool = ProcessBackendPool(MatrixBackend(), size=2, owns_base=True)
+        pool = process_pool(2)
         try:
             with pool.lease() as replica:
                 served = replica.backend.output_distributions(policy, [packet])[packet]
@@ -234,7 +243,7 @@ class TestProcessPool:
 
     def test_certainly_delivers_through_worker(self, topo):
         model = build_model(topo, routing=ecmp_policy(topo, 1), dest=1)
-        pool = ProcessBackendPool(MatrixBackend(), size=1, owns_base=True)
+        pool = process_pool(1)
         try:
             with pool.lease() as replica:
                 assert replica.backend.certainly_delivers(model) is True
@@ -245,7 +254,7 @@ class TestProcessPool:
         model = next(iter(all_models.values()))
         session = AnalysisSession(model, pool_size=2, pool_mode="process", workers=2)
         session.query_batch([Query.delivery(pk, model.dest) for pk in model.ingress_packets])
-        handles = session.pool.workers()
+        handles = workers(session)
         assert all(handle.alive for handle in handles)
         session.close()
         assert all(not handle.alive for handle in handles)
@@ -270,7 +279,7 @@ class TestProcessPool:
                 )
 
     def test_worker_error_does_not_kill_worker(self):
-        pool = ProcessBackendPool(MatrixBackend(), size=1, owns_base=True)
+        pool = process_pool(1)
         try:
             with pool.lease() as replica:
                 handle = replica.backend
@@ -283,7 +292,7 @@ class TestProcessPool:
 
     def test_native_backend_rejected_for_process_mode(self):
         with pytest.raises(TypeError, match="spec shipping"):
-            ProcessBackendPool(NativeBackend(), size=2)
+            ProcessReplicas(NativeBackend())
 
     def test_session_rejects_unknown_pool_mode(self, all_models):
         model = next(iter(all_models.values()))
@@ -312,18 +321,19 @@ class TestProcessTeardown:
             thread.start()
             # Wait until the batch is genuinely in flight (a lease granted),
             # then close out from under it.
-            deadline = time.time() + 10.0
-            while time.time() < deadline:
-                if sum(session.pool.stats()["leases"]) > 0 or not thread.is_alive():
-                    break
-                time.sleep(0.001)
+            wait_until(
+                lambda: sum(session.pool.stats()["leases"]) > 0
+                or not thread.is_alive(),
+                timeout=10.0,
+                interval=0.001,
+            )
             session.close()
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             assert "error" not in outcome, f"in-flight batch died: {outcome.get('error')}"
             assert len(outcome["result"]) == len(all_pairs)
             # Workers are joined once the drain completes.
-            assert all(not handle.alive for handle in session.pool.workers())
+            assert all(not handle.alive for handle in workers(session))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +390,15 @@ class TestCrashLifecycleRaces:
         model = next(iter(all_models.values()))
         session = AnalysisSession(model, pool_size=2, pool_mode="process", workers=1)
         session.warm(model.dest, solve=False)
-        victim = session.pool.workers()[1]
+        victim = workers(session)[1]
         os.kill(victim.pid, signal.SIGKILL)
-        victim._process.join(timeout=10.0)
+        victim.transport.process.join(timeout=10.0)
         started = time.monotonic()
         session.close()
         assert time.monotonic() - started < 20.0
-        assert all(not handle._process.is_alive() for handle in session.pool.workers())
+        assert all(
+            not handle.transport.process.is_alive() for handle in workers(session)
+        )
 
     def test_resize_retires_crashed_tail(self, all_models):
         """Shrinking over a dead tail replica reaps it without waiting."""
@@ -401,9 +413,9 @@ class TestCrashLifecycleRaces:
             max_attempts=3,
         ) as session:
             session.warm(model.dest, solve=False)
-            tail = session.pool.workers()[2]
+            tail = workers(session)[2]
             os.kill(tail.pid, signal.SIGKILL)
-            tail._process.join(timeout=10.0)
+            tail.transport.process.join(timeout=10.0)
             assert session.resize_pool(1) == 1
             assert [replica.index for replica in session.pool.replicas] == [0]
             # The survivor still answers.
@@ -437,13 +449,13 @@ class TestCrashLifecycleRaces:
         thread.start()
         # Wait for a busy worker, kill it, then close out from under the
         # in-flight batch while the supervision machinery is reacting.
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline and thread.is_alive():
-            busy = [r for r in session.pool.replicas if r.busy and r.health == "healthy"]
-            if busy:
-                os.kill(busy[0].backend.pid, signal.SIGKILL)
-                break
-            time.sleep(0.0005)
+        def busy():
+            return [r for r in session.pool.replicas if r.busy and r.health == "healthy"]
+
+        wait_until(lambda: busy() or not thread.is_alive(), interval=0.0005)
+        serving = busy()
+        if serving:
+            os.kill(serving[0].backend.pid, signal.SIGKILL)
         session.close()
         thread.join(timeout=60.0)
         assert not thread.is_alive()
@@ -453,4 +465,6 @@ class TestCrashLifecycleRaces:
             assert isinstance(outcome["error"], RuntimeError)
         else:
             assert len(outcome["result"]) == len(all_pairs)
-        assert all(not handle._process.is_alive() for handle in session.pool.workers())
+        assert all(
+            not handle.transport.process.is_alive() for handle in workers(session)
+        )

@@ -1,5 +1,5 @@
 """Tests for remote replica hosts (``repro.service.host`` +
-``RemoteBackendPool``), happy path.
+``RemoteReplicas``), happy path.
 
 Everything here runs against in-process :class:`HostServer` instances on
 localhost TCP — real sockets, real worker processes, but no induced
@@ -21,7 +21,7 @@ from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy
 from repro.service import AnalysisSession, HostServer, Query
-from repro.service.procpool import RemoteBackendPool, parse_host_list
+from repro.service.procpool import open_pool, parse_host_list
 from repro.topology import edge_switches, fat_tree
 
 
@@ -186,11 +186,11 @@ class TestRemoteIntrospection:
     def test_local_pools_report_placement_defaults(self, all_models):
         """The new per-replica stats columns exist for every pool mode."""
         model = next(iter(all_models.values()))
-        with AnalysisSession(model, pool_size=2, workers=2) as session:
+        with AnalysisSession(model, workers=2) as session:
             stats = session.pool.stats()
-            assert stats["hosts"] == ["local", "local"]
-            assert stats["transports"] == ["inproc", "inproc"]
-            assert stats["reconnects"] == [0, 0]
+            assert stats["hosts"] == ["local"]
+            assert stats["transports"] == ["inproc"]
+            assert stats["reconnects"] == [0]
         with AnalysisSession(
             model, pool_size=1, pool_mode="process", workers=1
         ) as session:
@@ -262,12 +262,12 @@ class TestRemoteConfiguration:
 
         with MatrixBackend() as backend:
             with pytest.raises(PoolUnavailable):
-                RemoteBackendPool(
+                open_pool(
+                    "remote",
                     backend,
-                    ["127.0.0.1:1"],  # reserved port: nothing listens
                     1,
-                    connect_timeout=0.2,
-                    local_fallback=False,
+                    hosts=["127.0.0.1:1"],  # reserved port: nothing listens
+                    remote_options={"connect_timeout": 0.2, "local_fallback": False},
                 )
 
     def test_at_capacity_host_refuses_attach(self, all_models):
@@ -276,11 +276,12 @@ class TestRemoteConfiguration:
         with HostServer(workers=1, max_workers=1).start() as server:
             with MatrixBackend() as backend:
                 with pytest.raises(PoolUnavailable):
-                    RemoteBackendPool(
+                    open_pool(
+                        "remote",
                         backend,
-                        [host_addr(server)],
                         2,  # one more than the hard cap
-                        local_fallback=False,
+                        hosts=[host_addr(server)],
+                        remote_options={"local_fallback": False},
                     )
 
     def test_cli_prints_hosts_line(self, host_daemon, capsys):

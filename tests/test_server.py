@@ -62,7 +62,7 @@ def per_call_values(models, all_pairs):
 
 @pytest.fixture()
 def session(models):
-    with AnalysisSession(models=models.values(), workers=4, pool_size=2) as session:
+    with AnalysisSession(models=models.values(), workers=4) as session:
         yield session
 
 
@@ -212,7 +212,7 @@ class TestCoalescer:
 
 
 # ---------------------------------------------------------------------------
-# QueryServer over TCP, thread- and process-hosted pools
+# QueryServer over TCP, in-process and process-hosted replicas
 # ---------------------------------------------------------------------------
 class TestServer:
     @pytest.mark.parametrize("pool_mode", ["thread", "process"])
@@ -239,7 +239,10 @@ class TestServer:
                 )
 
         with AnalysisSession(
-            models=models.values(), workers=4, pool_size=2, pool_mode=pool_mode
+            models=models.values(),
+            workers=4,
+            pool_size=2 if pool_mode == "process" else 1,
+            pool_mode=pool_mode,
         ) as session:
             outcomes = asyncio.run(run(session))
 
@@ -325,7 +328,7 @@ class TestServer:
             await conn.aclose()
             return replies
 
-        session = AnalysisSession(models=models.values(), workers=2, pool_size=1)
+        session = AnalysisSession(models=models.values(), workers=2)
         replies = asyncio.run(run(session))
         assert session._closed  # owns_session: drained, then closed
         for reply in replies:
@@ -356,7 +359,7 @@ class TestAutoscaler:
 
     def test_grow_is_immediate_shrink_needs_patience(self, models):
         with AnalysisSession(
-            models=models.values(), workers=4, pool_size=1
+            models=models.values(), workers=4, pool_size=1, pool_mode="process"
         ) as session:
             scaler = self.make(session)
             # Depth 35 over target 10 -> ceil = 4 replicas, immediately.
@@ -376,7 +379,7 @@ class TestAutoscaler:
 
     def test_plan_clamps_to_bounds(self, models):
         with AnalysisSession(
-            models=models.values(), workers=4, pool_size=2
+            models=models.values(), workers=4, pool_size=2, pool_mode="process"
         ) as session:
             scaler = self.make(session, min_size=2, max_size=3)
             assert scaler.plan(1000) == 3  # clamped to the ceiling
@@ -410,7 +413,9 @@ class TestAutoscaler:
             # Hold >= 2*target queries inside the long admission window so
             # several autoscaler observations see the queue depth.
             pending = [await conn.send(wire(query)) for query in all_pairs[:12]]
-            await asyncio.sleep(0.1)
+            deadline = time.monotonic() + 5.0
+            while session.pool_size < 3 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
             grown_size = session.pool_size
             replies = await asyncio.gather(*pending)
             await conn.aclose()
@@ -418,7 +423,7 @@ class TestAutoscaler:
             return grown_size, replies, server.autoscaler.stats()
 
         with AnalysisSession(
-            models=models.values(), workers=4, pool_size=1
+            models=models.values(), workers=4, pool_size=1, pool_mode="process"
         ) as session:
             grown_size, replies, stats = asyncio.run(run(session))
         assert grown_size == 3  # ceil(12 / 4) = 3, clamped by autoscale_max
@@ -446,8 +451,6 @@ class TestServeCommand:
                     "fattree:4",
                     "--dest",
                     "1",
-                    "--pool-size",
-                    "2",
                     "--window-ms",
                     "10",
                     "--deadline-ms",
@@ -488,6 +491,9 @@ class TestServeCommand:
             serve_main(["--window-ms", "-1"])
         with pytest.raises(SystemExit):
             serve_main(["--pool-size", "2", "--autoscale-max", "1"])
+        # More than one replica needs worker processes.
+        with pytest.raises(SystemExit, match="--pool-mode process"):
+            serve_main(["--autoscale-max", "3"])
 
     def test_main_dispatches_serve(self, monkeypatch):
         from repro.service import cli
@@ -604,7 +610,7 @@ class TestFailureClassification:
         stats = asyncio.run(run())
         assert stats["pool"]["failures"] == 0
         assert stats["pool"]["restarts"] == 0
-        assert stats["pool"]["health"] == ["healthy", "healthy"]
+        assert stats["pool"]["health"] == ["healthy"]
         assert stats["retried_shards"] == 0
 
 

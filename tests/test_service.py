@@ -633,32 +633,32 @@ class TestServiceCli:
 
     def test_pool_size_run(self, tmp_path, capsys):
         out = tmp_path / "results.json"
-        code = service_main(
-            [
-                "--topology",
-                "fattree:4",
-                "--scheme",
-                "ecmp",
-                "--dest",
-                "1",
-                "--dest",
-                "2",
-                "--all-pairs",
-                "--workers",
-                "2",
-                "--pool-size",
-                "2",
-                "--output",
-                str(out),
-            ]
-        )
+        args = [
+            "--topology",
+            "fattree:4",
+            "--scheme",
+            "ecmp",
+            "--dest",
+            "1",
+            "--dest",
+            "2",
+            "--all-pairs",
+            "--workers",
+            "2",
+            "--output",
+            str(out),
+        ]
+        # Thread mode serves from its one in-process replica...
+        with pytest.raises(SystemExit, match="--pool-mode process"):
+            service_main(args + ["--pool-size", "2"])
+        code = service_main(args + ["--pool-size", "1"])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["queries"] == 28
-        # The two destination shards were served by distinct replicas.
-        assert {shard["replica"] for shard in payload["shards"]} == {0, 1}
+        # ...which serves both destination shards.
+        assert {shard["replica"] for shard in payload["shards"]} == {0}
         assert all(shard["pool_mode"] == "thread" for shard in payload["shards"])
-        assert "pool: 2 thread-hosted replicas" in capsys.readouterr().out
+        assert "-hosted replicas" not in capsys.readouterr().out
 
     def test_pool_size_rejected(self):
         with pytest.raises(SystemExit, match="pool-size"):

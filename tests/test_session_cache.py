@@ -16,13 +16,14 @@ import sys
 import numpy as np
 import pytest
 
+from repro.backends import MatrixBackend
 from repro.core.distributions import Dist
 from repro.core.markov import solve_absorption_batched
 from repro.core.packet import Packet
 from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy
-from repro.service import AnalysisSession, Query
+from repro.service import AnalysisSession, HostServer, Query
 from repro.topology import edge_switches, fat_tree
 
 
@@ -45,6 +46,13 @@ def topo():
 @pytest.fixture(scope="module")
 def models(topo):
     return {dest: ecmp_model(topo, dest) for dest in edge_switches(topo)[:3]}
+
+
+@pytest.fixture(scope="module")
+def host_address():
+    """One in-process worker host on an ephemeral localhost port."""
+    with HostServer(workers=2).start() as server:
+        yield f"{server.address[0]}:{server.port}"
 
 
 @pytest.fixture(scope="module")
@@ -132,27 +140,45 @@ class TestCacheSharingSemantics:
             assert again.cache_hits == len(packets)
             assert session.stats()["cached_distributions"] == len(packets)
 
-    def test_thread_and_process_sessions_count_the_same_hits(
-        self, models, all_pairs
+    @pytest.mark.parametrize(
+        "mode, replicas", [("thread", 1), ("process", 2), ("remote", 2)]
+    )
+    def test_pooled_sessions_agree_and_count_the_same_hits(
+        self, models, all_pairs, host_address, mode, replicas
     ):
+        """Every pool mode counts the same cache hits and answers the k=4
+        all-pairs batch with the same distributions (``==``) as a plain
+        matrix backend."""
         half = all_pairs[: len(all_pairs) // 2]
-        sequences = {}
-        for mode in ("thread", "process"):
-            with AnalysisSession(
-                models=models.values(), pool_size=2, pool_mode=mode, workers=2
-            ) as session:
-                hits = [session.query_batch(half).cache_hits]
-                hits.append(session.query_batch(all_pairs).cache_hits)
-                hits.append(session.query_batch(all_pairs).cache_hits)
-                session.clear_cache(keep_plans=True)
-                hits.append(session.query_batch(all_pairs).cache_hits)
-                cached = session.stats()["cached_distributions"]
-            sequences[mode] = (hits, cached)
-        assert sequences["thread"] == sequences["process"]
-        assert sequences["thread"] == (
-            [0, len(half), len(all_pairs), 0],
-            len(all_pairs),
-        )
+        with AnalysisSession(
+            models=models.values(),
+            pool_mode=mode,
+            pool_size=replicas,
+            hosts=[host_address] if mode == "remote" else None,
+            workers=2,
+        ) as session:
+            hits = [session.query_batch(half).cache_hits]
+            hits.append(session.query_batch(all_pairs).cache_hits)
+            hits.append(session.query_batch(all_pairs).cache_hits)
+            session.clear_cache(keep_plans=True)
+            served = session.query_batch(
+                [Query.distribution(q.ingress, q.dest) for q in all_pairs]
+            )
+            hits.append(served.cache_hits)
+            cached = session.stats()["cached_distributions"]
+            assert session.pool.size == replicas
+        assert (hits, cached) == ([0, len(half), len(all_pairs), 0], len(all_pairs))
+        # The reference solves each destination in one call, as the
+        # destination planner's shards do after the solver reset.
+        reference = MatrixBackend()
+        expected = {}
+        for dest, model in models.items():
+            ingress = [q.ingress for q in all_pairs if q.dest == dest]
+            for packet, dist in reference.output_distributions(model.policy, ingress).items():
+                expected[dest, packet] = dist
+        for query, value in zip(all_pairs, served.values):
+            # Bit for bit: the same masses, not masses within a tolerance.
+            assert dict(value.items()) == dict(expected[query.dest, query.ingress].items())
 
     def test_stats_and_clear_cache_cover_every_table(self, models, all_pairs):
         with AnalysisSession(models=models.values(), workers=1) as session:

@@ -432,7 +432,7 @@ class TestThreadModeTracing:
             for packet in model.ingress_packets
         ]
         with AnalysisSession(
-            models=two_models.values(), workers=2, pool_size=2, telemetry=True
+            models=two_models.values(), workers=2, telemetry=True
         ) as session:
             result = session.query_batch(batch)
             assert len(result) == len(batch)
@@ -653,7 +653,7 @@ class TestCrossProcessTrace:
             before = session.stats()["backend_timings"]
             assert before.get("solve", 0.0) > 0.0
 
-            victim = session.pool.workers()[0]
+            victim = session.pool.replicas[0].backend
             old_pid = victim.pid
             os.kill(old_pid, signal.SIGKILL)
             # The corpse is only noticed on contact; probe it so the

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service.pool import ReplicaFailure
-from repro.service.procpool import PlanDirectory, RemoteWorkerHandle
+from repro.service.procpool import PlanDirectory, ReplicaClient, attach
 from repro.service.transport import (
     DEFAULT_MAX_FRAME,
     HEADER,
@@ -256,7 +256,7 @@ class TestPipeTransport:
 
 
 # ---------------------------------------------------------------------------
-# Corruption → ReplicaFailure(kind="transport") through a worker handle
+# Corruption → ReplicaFailure(kind="transport") through a replica client
 # ---------------------------------------------------------------------------
 class _FakeHost:
     """A minimal host daemon: accepts one client, runs ``script(transport)``."""
@@ -295,11 +295,16 @@ def _attach_then(script):
     return run
 
 
+def _client(host, shard_timeout: float = 5.0) -> ReplicaClient:
+    """A replica client attached to ``host`` the way remote sources attach."""
+    return ReplicaClient(
+        0, PlanDirectory(None), attach(host.address, 0), shard_timeout=shard_timeout
+    )
+
+
 class TestRemoteHandleFailureTaxonomy:
-    def _handle(self, host) -> RemoteWorkerHandle:
-        return RemoteWorkerHandle(
-            0, PlanDirectory(None), host.address, shard_timeout=5.0
-        )
+    def _handle(self, host) -> ReplicaClient:
+        return _client(host)
 
     def test_garbled_reply_is_transport_failure(self):
         def script(transport):
@@ -375,9 +380,7 @@ class TestRemoteHandleFailureTaxonomy:
                 pass
 
         host = _FakeHost(_attach_then(script))
-        handle = RemoteWorkerHandle(
-            0, PlanDirectory(None), host.address, shard_timeout=0.3
-        )
+        handle = _client(host, shard_timeout=0.3)
         try:
             with pytest.raises(ReplicaFailure) as excinfo:
                 handle.ping()
@@ -395,5 +398,5 @@ class TestRemoteHandleFailureTaxonomy:
 
         host = _FakeHost(script)
         with pytest.raises(TransportError, match="at-capacity"):
-            RemoteWorkerHandle(0, PlanDirectory(None), host.address)
+            attach(host.address, 0)
         host.close()
