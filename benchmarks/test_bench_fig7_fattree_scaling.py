@@ -42,11 +42,11 @@ plan, k=16 out of reach).  The compiler does not multiply them out: each
 flag is composed onto the routing/topology/reset product that tests and
 then overwrites it before it meets the other flags, and one diagram is
 compiled per switch *role* (seven per FatTree stage, at every k) and
-renamed for every switch of the role.  A cold k=12-with-failures plan is
-0.1 s, k=16 0.3 s and under 120 MiB.  k=32 with failures plans in 4.8 s
-and answers its 8 176 ingresses in 9.8 s at 758 MiB; 15 s would make
-this module half as long again, so that configuration is measured by
-hand (the numbers above), not swept.
+renamed for every switch of the role; the first hop is not compiled
+again (the plan's loop stage is a do-while).  A cold k=12-with-failures
+plan is 0.05 s, k=16 0.13 s and under 120 MiB.  k=32 with failures plans
+in 1.1 s and answers its 8 176 ingresses in 1.7 s at 298 MiB, measured
+by hand (2-core box), not swept.
 
 ``compile_ops_k8_f1000`` (the ``restrict_eq`` + ``restrict_ne`` + ``ite``
 memo entries), ``leaf_actions_composed_k8_f1000``, ``compile_roles_k8_f1000``
@@ -89,12 +89,14 @@ MATRIX_CONFIGS = (
 COMPILE_OPS = ("restrict_eq", "restrict_ne", "ite")
 #: One cold FatTree k=8-with-failures plan's work: memo entries, actions
 #: of the leaves ``sequence`` composed, runs compiled, diagrams renamed.
-#: (Before roles and sampler-first: 2 888, 8 046, and 160 runs compiled.)
+#: (Before roles and sampler-first: 2 888, 8 046, and 160 runs compiled;
+#: before the do-while loop stage and the one-pass ingress predicate,
+#: which compiled the first hop a second time: 1 410, 248, 14, 160.)
 K8_F1000_WORK = {
-    "compile_ops": 1410,
-    "leaf_actions_composed": 248,
-    "compile_roles": 14,
-    "role_instances": 160,
+    "compile_ops": 626,
+    "leaf_actions_composed": 81,
+    "compile_roles": 7,
+    "role_instances": 80,
 }
 #: The ceiling ROADMAP item 1 set for k=16 with failures, in MiB.
 K16_RSS_CEILING_MB = 1024
@@ -282,7 +284,9 @@ def test_matrix_compile_work_count(benchmark):
     compilation made 1 497 939 memo entries, per-switch compilation
     63 922, the location fields on top 2 888; one run per role with the
     samplers composed from the right makes 1 410, and composes 248 leaf
-    actions where one run per switch composed 8 046 — every run.
+    actions where one run per switch composed 8 046 — every run.  The
+    first hop compiled once, in the do-while loop stage, and the ingress
+    predicate built in one pass make 626 and 81.
     """
     from repro.backends import MatrixBackend
 

@@ -11,7 +11,10 @@ Compared with the native backend (which re-solves a growing absorption
 system for every new ingress seed), the matrix backend:
 
 * decomposes a guarded model ``in ; body ; while ¬out do body ; …`` into
-  loop-free *FDD stages* and *loop stages*;
+  loop-free *FDD stages* and *loop stages*; a run that ends in its loop's
+  own body parts is a *do-while* loop stage, ``body ; while ¬out do
+  body``, so the hop is compiled once (a packet the guard holds on enters
+  the chain directly, any other takes one body row first);
 * compiles each stage to a canonical FDD once (stages are shared across
   queries on the same policy object);
 * converts loop bodies to sparse transition matrices over the symbolic
@@ -90,6 +93,7 @@ class _LoopStage:
         guard_fdd: FddNode,
         body_fdd: FddNode,
         domains: dict[str, tuple[int, ...]],
+        do_while: bool = False,
         watch: Stopwatch | None = None,
     ):
         #: The source AST of the loop, when this stage was built from one.
@@ -101,6 +105,10 @@ class _LoopStage:
         self.guard_fdd = guard_fdd
         self.body_fdd = body_fdd
         self.domains = domains
+        #: The stage runs ``body ; while guard do body``: a packet the
+        #: guard fails on takes one ``body_fdd`` row before the loop (on
+        #: any other the loop already begins with the body).
+        self.do_while = do_while
         self.watch = watch
         self.chain = ClassChain(body_fdd, domains)
         self.solver = IncrementalAbsorptionSolver(watch=watch)
@@ -122,6 +130,34 @@ class _LoopStage:
         # built once per distinct outcome, rows decoded once per packet.
         self._concrete_cache: dict[tuple[SymbolicPacket, Packet], Packet] = {}
         self._decoded: dict[Packet, tuple[tuple[Outcome, float], ...]] = {}
+
+    def fresh(self) -> "_LoopStage":
+        """This stage's compiled loop with nothing explored, solved or memoised."""
+        return _LoopStage(
+            self.loop, self.guard_fdd, self.body_fdd, self.domains, self.do_while, self.watch
+        )
+
+    def spec(self) -> tuple:
+        """The manager-independent spec :meth:`from_spec` rebuilds this stage from."""
+        return (
+            "do-while" if self.do_while else "loop",
+            node_to_spec(self.guard_fdd),
+            node_to_spec(self.body_fdd),
+            tuple(sorted(self.domains.items())),
+        )
+
+    @classmethod
+    def from_spec(cls, manager: FddManager, spec: tuple, watch: Stopwatch | None) -> "_LoopStage":
+        """A fresh stage from :meth:`spec`, its diagrams interned in ``manager``."""
+        kind, guard_spec, body_spec, domains = spec
+        return cls(
+            None,
+            node_from_spec(manager, guard_spec),
+            node_from_spec(manager, body_spec),
+            dict(domains),
+            kind == "do-while",
+            watch,
+        )
 
     @property
     def matrix(self) -> TransitionMatrix | None:
@@ -381,8 +417,8 @@ class MatrixBackend:
         if cached is not None and cached[0] is policy:
             return cached[1]
         specs = self._stage_specs(self.plan(policy))
-        # Keep only the structural prefix of each stage spec: the loop AST
-        # and domain entries are derivable from the guard/body diagrams.
+        # Keep only the structural prefix of each stage spec (kind, guard,
+        # body): the domains are derivable from the guard/body diagrams.
         key = ("fdd-stages", tuple(entry[:3] for entry in specs))
         self._plan_keys[id(policy)] = (policy, key)
         return key
@@ -392,44 +428,27 @@ class MatrixBackend:
 
         Specs are plain picklable data — FDD node lists, field names, and
         domain values — with **no AST objects**: loop stages serialize only
-        their compiled guard/body diagrams and domains, which is all query
-        evaluation needs (:meth:`_LoopStage.entered_by`).  This is what
-        lets the payload ship to a worker process and rebuild the plan
-        there.
+        their kind (``"loop"`` or ``"do-while"``), compiled guard/body
+        diagrams and domains, which is all query evaluation needs
+        (:meth:`_LoopStage.spec`).  This is what lets the payload ship to a
+        worker process and rebuild the plan there.
         """
         if plan.specs is None:
-            entries: list[tuple] = []
-            for stage in plan.stages:
-                if isinstance(stage, _FddStage):
-                    entries.append(("fdd", node_to_spec(stage.fdd)))
-                else:
-                    entries.append((
-                        "loop",
-                        node_to_spec(stage.guard_fdd),
-                        node_to_spec(stage.body_fdd),
-                        tuple(sorted(stage.domains.items())),
-                    ))
-            plan.specs = tuple(entries)
+            plan.specs = tuple(
+                ("fdd", node_to_spec(stage.fdd)) if isinstance(stage, _FddStage) else stage.spec()
+                for stage in plan.stages
+            )
         return plan.specs
 
     def _plan_from_spec(self, fields: tuple[str, ...], stage_specs: tuple) -> QueryPlan:
         """Rebuild a plan from shipped specs into this backend's manager."""
         self.manager.register_fields(fields)
-        stages: list[_FddStage | _LoopStage] = []
-        for entry in stage_specs:
-            if entry[0] == "fdd":
-                stages.append(_FddStage(node_from_spec(self.manager, entry[1])))
-            else:
-                _, guard_spec, body_spec, domains = entry
-                stages.append(
-                    _LoopStage(
-                        None,
-                        node_from_spec(self.manager, guard_spec),
-                        node_from_spec(self.manager, body_spec),
-                        dict(domains),
-                        watch=self.watch,
-                    )
-                )
+        stages: list[_FddStage | _LoopStage] = [
+            _FddStage(node_from_spec(self.manager, entry[1]))
+            if entry[0] == "fdd"
+            else _LoopStage.from_spec(self.manager, entry, self.watch)
+            for entry in stage_specs
+        ]
         return QueryPlan(None, stages, specs=stage_specs)
 
     # -- spec-shipped plans (worker processes) ----------------------------------
@@ -478,6 +497,17 @@ class MatrixBackend:
         return self._run_plan(plan, list(inputs))
 
     def _build_plan(self, policy: s.Policy) -> QueryPlan:
+        """Loop-free runs become FDD stages, loops loop stages.
+
+        A run that ends in the loop's own body parts — the very objects,
+        as a network model's ``in ; hop ; while ¬out do hop`` has them —
+        is ``b ; while g do b``: the loop stage runs it as a *do-while*
+        (:attr:`_LoopStage.do_while`) and the run keeps only what comes
+        before the body, so the hop is compiled once.  Guard and body are
+        compiled before that run: the body's spine ranks the packet's
+        location first, where a head of local initialisations would
+        otherwise rank its flags.
+        """
         self.ast_compilations += 1
         parts: Sequence[s.Policy] = (
             policy.parts if isinstance(policy, s.Seq) else [policy]
@@ -494,22 +524,30 @@ class MatrixBackend:
             pending.clear()
 
         for part in parts:
-            if isinstance(part, s.WhileDo):
-                flush()
-                guard_fdd = self._compiler.compile(part.guard)
-                body_fdd = self._compiler.compile(part.body)
-                domains = matrix_domains(body_fdd, extra_values=matrix_domains(guard_fdd))
-                stages.append(
-                    _LoopStage(
-                        part,
-                        guard_fdd,
-                        body_fdd,
-                        {f: tuple(sorted(v)) for f, v in domains.items()},
-                        watch=self.watch,
-                    )
-                )
-            else:
+            if not isinstance(part, s.WhileDo):
                 pending.append(part)
+                continue
+            guard_fdd = self._compiler.compile(part.guard)
+            body_fdd = self._compiler.compile(part.body)
+            body = part.body.parts if isinstance(part.body, s.Seq) else (part.body,)
+            start = len(pending) - len(body)
+            do_while = start >= 0 and all(
+                mine is theirs for mine, theirs in zip(pending[start:], body)
+            )
+            if do_while:
+                del pending[start:]
+            flush()
+            domains = matrix_domains(body_fdd, extra_values=matrix_domains(guard_fdd))
+            stages.append(
+                _LoopStage(
+                    part,
+                    guard_fdd,
+                    body_fdd,
+                    {f: tuple(sorted(v)) for f, v in domains.items()},
+                    do_while,
+                    self.watch,
+                )
+            )
         flush()
         return QueryPlan(policy, stages)
 
@@ -536,7 +574,7 @@ class MatrixBackend:
             dists: list[dict[Outcome, object]] = [{packet: 1} for packet in packets]
             for stage in plan.stages:
                 if isinstance(stage, _FddStage):
-                    dists = self._apply_fdd_stage(stage, dists)
+                    dists = self._apply_fdd(stage.fdd, dists)
                 else:
                     dists = self._apply_loop_stage(stage, dists)
         return {
@@ -680,21 +718,19 @@ class MatrixBackend:
         for plan in plans:
             for position, stage in enumerate(plan.stages):
                 if isinstance(stage, _LoopStage):
-                    plan.stages[position] = _LoopStage(
-                        stage.loop,
-                        stage.guard_fdd,
-                        stage.body_fdd,
-                        stage.domains,
-                        watch=stage.watch,
-                    )
+                    plan.stages[position] = stage.fresh()
 
     # -- stage application ---------------------------------------------------------
-    def _apply_fdd_stage(
-        self, stage: _FddStage, dists: list[dict[Outcome, object]]
+    def _apply_fdd(
+        self,
+        fdd: FddNode,
+        dists: list[dict[Outcome, object]],
+        passes: Callable[[Packet], bool] | None = None,
     ) -> list[dict[Outcome, object]]:
         # One descent per distinct packet of the batch; its row of
         # (successor, weight) pairs is floated once more if a float mass
-        # (one that has been through a loop) ever reaches it.
+        # (one that has been through a loop) ever reaches it.  A packet
+        # ``passes`` holds on keeps its mass (its row is itself, weight 1).
         rows: dict[Packet, tuple] = {}
         float_rows: dict[Packet, tuple] = {}
         advanced: list[dict[Outcome, object]] = []
@@ -706,8 +742,10 @@ class MatrixBackend:
                     continue
                 row = rows.get(outcome)
                 if row is None:
-                    row = rows[outcome] = tuple(
-                        fdd_output_distribution(stage.fdd, outcome).items()
+                    row = rows[outcome] = (
+                        ((outcome, 1),)
+                        if passes is not None and passes(outcome)
+                        else tuple(fdd_output_distribution(fdd, outcome).items())
                     )
                 if type(mass) is float:
                     row = float_rows.get(outcome)
@@ -726,6 +764,11 @@ class MatrixBackend:
     def _apply_loop_stage(
         self, stage: _LoopStage, dists: list[dict[Outcome, object]]
     ) -> list[dict[Outcome, object]]:
+        # ``b ; while g do b`` is ``while g do b`` on a packet ``g`` holds
+        # on, whose class the chain holds as transient: only the others
+        # take a body row first.
+        if stage.do_while:
+            dists = self._apply_fdd(stage.body_fdd, dists, stage.entered_by)
         # Everything but the final merge happens once per distinct outcome
         # packet of the batch: guard, solve, decode.  A packet (or drop)
         # without a row does not enter the loop, which is then the identity.

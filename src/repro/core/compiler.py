@@ -195,6 +195,79 @@ def _renaming(constants: Sequence[int]):
     return rename
 
 
+def _operands(pred: s.Predicate, kind: type[s.And] | type[s.Or]) -> list[s.Predicate]:
+    """The operands of a ``kind`` tree, left to right (no recursion: any depth)."""
+    operands: list[s.Predicate] = []
+    stack = [pred]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
+def _cube(pred: s.Predicate) -> list[tuple[str, int]] | None:
+    """The tests of a conjunction of equality tests (``true`` has none), else ``None``."""
+    tests: list[tuple[str, int]] = []
+    for node in _operands(pred, s.And):
+        if isinstance(node, s.Test):
+            tests.append((node.field, node.value))
+        elif not isinstance(node, s.TrueP):
+            return None
+    return tests
+
+
+def _cube_union(
+    manager: FddManager, cubes: Sequence[Sequence[tuple[str, int]]]
+) -> FddNode | None:
+    """The predicate diagram of a union of test cubes, in one pass, or ``None``.
+
+    A cube that tests one field for two values is false and drops out, an
+    empty cube makes the union true, and the rest must test one and the
+    same set of fields (an ingress predicate: ``sw = i ; pt = j`` per host
+    port) — else ``None``.  Such a union is a trie: per field, from the
+    lowest-ranked up, the cubes that agree on every field above it become
+    one ``lo``-linked chain over its values, ascending, ending in false.
+
+    That is the node pairwise ``disjoin`` interns in any association:
+    ``ite`` splits on the smallest root test, and the diagram of any
+    sub-union of such cubes has its smallest test at the root (its
+    ``hi`` child never tests that field, its ``lo`` child tests it or is
+    false), so every fold splits where the trie does and hands
+    :meth:`FddManager.branch` the same children.  Fields must be
+    registered already.
+    """
+    rank = manager.field_rank
+    normal: set[tuple[tuple[str, int], ...]] = set()
+    for tests in cubes:
+        values: dict[str, int] = {}
+        if all(values.setdefault(field, value) == value for field, value in tests):
+            if not values:
+                return manager.true_leaf
+            normal.add(tuple(sorted(values.items(), key=lambda test: rank(test[0]))))
+    if not normal:
+        return manager.false_leaf
+    fields = {tuple(field for field, _ in cube) for cube in normal}
+    if len(fields) > 1:
+        return None
+    (order,) = fields
+    level = {tuple(value for _, value in cube): manager.true_leaf for cube in normal}
+    for depth in range(len(order) - 1, -1, -1):
+        chains: dict[tuple[int, ...], list[tuple[int, FddNode]]] = {}
+        for prefix, node in level.items():
+            chains.setdefault(prefix[:depth], []).append((prefix[depth], node))
+        level = {}
+        for prefix, chain in chains.items():
+            result: FddNode = manager.false_leaf
+            for value, node in sorted(chain, key=lambda link: link[0], reverse=True):
+                result = manager.branch(order[depth], value, node, result)
+            level[prefix] = result
+    return level[()]
+
+
 class Compiler:
     """Compiles guarded ProbNetKAT programs to probabilistic FDDs.
 
@@ -292,7 +365,7 @@ class Compiler:
         if isinstance(policy, s.And):
             return ops.conjoin(sub(policy.left), sub(policy.right))
         if isinstance(policy, s.Or):
-            return ops.disjoin(sub(policy.left), sub(policy.right))
+            return self._compile_disjunction(policy)
         if isinstance(policy, s.Seq):
             return self._compile_seq(policy.parts)
         if isinstance(policy, s.Union):
@@ -325,6 +398,37 @@ class Compiler:
                 "Kleene star is outside the guarded fragment; use while loops"
             )
         raise TypeError(f"unknown policy node {type(policy)!r}")
+
+    def _compile_disjunction(self, pred: s.Or) -> FddNode:
+        """An ``Or`` tree: one pass over test cubes, else pairwise ``disjoin``.
+
+        The tree is walked with a stack, so a chain of any depth compiles.
+        When every disjunct is a conjunction of equality tests over the
+        same fields :func:`_cube_union` builds the diagram without an
+        ``ite`` per term; otherwise the disjuncts are folded pairwise in
+        the tree's own association.  Either way the fields are registered
+        in the order the pairwise compile meets their tests, and the node
+        is the one it interns.
+        """
+        disjuncts = _operands(pred, s.Or)
+        cubes = [_cube(disjunct) for disjunct in disjuncts]
+        if all(cube is not None for cube in cubes):
+            self.manager.register_fields(field for cube in cubes for field, _ in cube)
+            union = _cube_union(self.manager, cubes)
+            if union is not None:
+                return union
+        done: list[FddNode] = []
+        stack: list[tuple[s.Predicate, bool]] = [(pred, False)]
+        while stack:
+            node, joined = stack.pop()
+            if not isinstance(node, s.Or):
+                done.append(self.compile_unreduced(node))
+            elif joined:
+                right = done.pop()
+                done.append(ops.disjoin(done.pop(), right))
+            else:
+                stack.extend([(node, True), (node.right, False), (node.left, False)])
+        return done[0]
 
     # -- sequences ----------------------------------------------------------------
     def _compile_seq(self, parts: Sequence[s.Policy]) -> FddNode:

@@ -27,7 +27,7 @@ from repro.core import syntax as s
 from repro.core.compiler import Compiler
 from repro.core.fdd import ops
 from repro.core.fdd.evaluator import dispatch_spine
-from repro.core.fdd.node import output_distribution
+from repro.core.fdd.node import FddManager, output_distribution
 from repro.core.interpreter import Interpreter, eval_predicate
 from repro.core.packet import DROP, Packet
 from repro.failure.models import independent_failure_program
@@ -49,18 +49,37 @@ def monolithic(compiler: Compiler, parts) -> object:
 
 
 def loop_free_runs(policy: s.Policy) -> list[list[s.Policy]]:
-    """The sequences a query plan compiles: runs between loops, and loop bodies."""
+    """The sequences a query plan compiles: runs between loops, and loop bodies.
+
+    A run that ends in its loop's own body parts (the same objects) loses
+    them: the loop stage runs ``body ; while guard do body`` as a do-while.
+    """
     runs: list[list[s.Policy]] = []
     pending: list[s.Policy] = []
     for part in policy.parts:
         if isinstance(part, s.WhileDo):
+            body = list(part.body.parts)
+            if len(pending) >= len(body) and all(
+                mine is theirs for mine, theirs in zip(pending[-len(body):], body)
+            ):
+                del pending[-len(body):]
             runs.append(pending)
-            runs.append(list(part.body.parts))
+            runs.append(body)
             pending = []
         else:
             pending.append(part)
     runs.append(pending)
     return [run for run in runs if run]
+
+
+def first_hop_and_body(policy: s.Policy) -> tuple[s.Policy, s.Policy]:
+    """What precedes a model's loop (its lead and first hop), and the loop's body.
+
+    The interpreter compiles both; the plan compiles only the body.
+    """
+    parts = policy.parts
+    loop = next(i for i, part in enumerate(parts) if isinstance(part, s.WhileDo))
+    return s.seq(*parts[:loop]), parts[loop].body
 
 
 def first_mention_order(policy: s.Policy) -> tuple[str, ...]:
@@ -144,13 +163,12 @@ class TestSameDiagramsAsTheMonolithicProduct:
             assert got is want
 
     def test_first_hop_and_loop_body_share_per_switch_tails(self):
-        """The loop body is planned from cache hits: no new ``sequence`` entries."""
-        model = fattree_model(4, True)
-        first_hop, body = loop_free_runs(model.policy)[:2]
+        """The loop body is compiled from cache hits: no new ``sequence`` entries."""
+        first_hop, body = first_hop_and_body(fattree_model(4, True).policy)
         compiler = Compiler()
-        compiler.compile(s.seq(*first_hop))
+        compiler.compile(first_hop)
         products = len(compiler.manager.op_cache("sequence"))
-        compiler.compile(s.seq(*body))
+        compiler.compile(body)
         assert len(compiler.manager.op_cache("sequence")) == products
 
 
@@ -562,7 +580,7 @@ class TestExactModeIsFractionIdentical:
             ab_fat_tree(4), 1, scheme="f10_3",
             failure_probability=Fraction(1, 4), max_failures=2,
         )
-        first_hop, body = (s.seq(*run) for run in loop_free_runs(model.policy)[:2])
+        first_hop, body = first_hop_and_body(model.policy)
         locations = [
             Packet({**packet.as_dict(), "fails": fails, "up1": 1, "up2": up})
             for packet in model.ingress_packets
@@ -619,9 +637,12 @@ def test_the_count_repeats_and_separates_the_two_strategies(whole_program_compil
         backend.plan(fattree_model(4, True).policy)
         return compile_ops(backend.manager)
 
-    assert count() == count() == 237  # a count, not a timing: it repeats exactly
+    # A count, not a timing: it repeats exactly.  237 while the plan
+    # compiled the first hop a second time and the ingress predicate by
+    # one ``disjoin`` (``ite``) per host port.
+    assert count() == count() == 148
     whole_program_compile()
-    assert count() == 6_329  # no spine: every product is whole, and no field is ranked first
+    assert count() == 2_277  # no spine: every product is whole, and no field is ranked first
 
 
 #: What ``restrict``/``ite`` memo entries do not see: they read 9 523 on a
@@ -637,11 +658,12 @@ def test_the_compile_counters_repeat_and_reach_solver_stats(one_run_per_switch):
         assert all(stats[name] == backend.manager.stats()[name] for name in COMPILE_COUNTERS)
         return tuple(stats[name] for name in COMPILE_COUNTERS)
 
-    # Seven roles per stage at every k: the first hop's, and the loop body's.
-    assert count(4) == count(4) == (78, 14, 40)
-    assert count(6) == (143, 14, 90)
+    # Seven roles at every k, the loop body's: the first hop is the loop
+    # stage's do-while, not a second per-switch compile (that was 14 roles).
+    assert count(4) == count(4) == (47, 7, 20)
+    assert count(6) == (64, 7, 45)
     with one_run_per_switch():
-        assert count(6) == (1_598, 0, 0)  # a 2^k-action leaf per core switch
+        assert count(6) == (1_432, 0, 0)  # a 2^k-action leaf per core switch
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +720,123 @@ class TestWidePredicates:
         for packet, probability in matrix.items():
             assert probability == pytest.approx(1.0, abs=1e-9)
             assert interpreted[packet] == pytest.approx(probability, abs=1e-9)
+
+
+# -- disjunctions of test cubes ---------------------------------------------------
+
+CUBE_FIELDS = ("f", "g", "h")
+
+
+def pairwise(manager: FddManager, pred: s.Predicate):
+    """The oracle: one ``conjoin`` / ``disjoin`` per node of the predicate tree."""
+    if isinstance(pred, s.Or):
+        return ops.disjoin(pairwise(manager, pred.left), pairwise(manager, pred.right))
+    if isinstance(pred, s.And):
+        return ops.conjoin(pairwise(manager, pred.left), pairwise(manager, pred.right))
+    if isinstance(pred, s.TrueP):
+        return manager.true_leaf
+    return manager.from_test(pred.field, pred.value)
+
+
+@st.composite
+def cube_disjunctions(draw):
+    """``(Or tree of equality-test cubes, whether they share one field set)``.
+
+    Both trees associate at random.  A shared field set is what an
+    ingress predicate has and what the one-pass union takes; those cubes
+    may repeat a test, contradict themselves (``f=1 ; f=2``) and list
+    their tests in any order.  Any cube may hold ``true``, and a ``true``
+    disjunct may join.
+    """
+
+    def tree(kind, items):
+        if len(items) == 1:
+            return items[0]
+        cut = draw(st.integers(min_value=1, max_value=len(items) - 1))
+        return kind(tree(kind, items[:cut]), tree(kind, items[cut:]))
+
+    values = st.integers(min_value=0, max_value=2)
+    shared = draw(st.lists(st.sampled_from(CUBE_FIELDS), unique=True, min_size=1))
+    uniform = draw(st.booleans())
+    disjuncts = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        if uniform:
+            atoms = [s.test(name, draw(values)) for name in shared]
+            if draw(st.booleans()):
+                atoms.append(draw(st.sampled_from(atoms)))
+            if draw(st.integers(min_value=0, max_value=3)) == 0:
+                atoms.append(s.test(shared[0], draw(values)))
+        else:
+            tests = st.builds(s.test, st.sampled_from(CUBE_FIELDS), values)
+            atoms = draw(st.lists(tests, max_size=3))
+        atoms += [s.skip()] * draw(st.integers(min_value=0, max_value=1))
+        atoms = draw(st.permutations(atoms))
+        disjuncts.append(tree(s.And, atoms) if atoms else s.skip())
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        disjuncts.append(s.skip())
+    return tree(s.Or, draw(st.permutations(disjuncts))), uniform
+
+
+class TestCubeDisjunctions:
+    """An ``Or`` of equality-test cubes over one field set compiles in one
+    pass to the node the pairwise fold interns, in any association."""
+
+    def assert_pairwise_node(self, pred, one_pass: bool, order=()) -> None:
+        manager = FddManager(order)
+        got = Compiler(manager).compile_unreduced(pred)
+        if one_pass:
+            assert not manager.op_cache("ite")  # not one ``ite`` per term
+        assert got is pairwise(manager, pred)
+        fresh = FddManager(order)
+        pairwise(fresh, pred)
+        assert manager.fields == fresh.fields
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(cube_disjunctions())
+    def test_generated_disjunctions(self, generated):
+        pred, uniform = generated
+        self.assert_pairwise_node(pred, one_pass=uniform)
+
+    @pytest.mark.parametrize(
+        "pred,order",
+        [
+            pytest.param(
+                s.Or(s.And(s.test("f", 1), s.test("f", 2)), s.test("g", 1)), (), id="contradictory"
+            ),
+            pytest.param(
+                s.Or(s.And(s.test("f", 1), s.test("f", 1)), s.test("f", 2)), (), id="repeated-field"
+            ),
+            pytest.param(
+                s.Or(s.And(s.test("f", 1), s.test("g", 2)), s.skip()), (), id="true-disjunct"
+            ),
+            pytest.param(
+                s.Or(s.And(s.test("g", 1), s.test("f", 2)), s.And(s.test("f", 0), s.test("g", 2))),
+                ("f", "g"),
+                id="mixed-field-order",
+            ),
+        ],
+    )
+    def test_named_cases(self, pred, order):
+        self.assert_pairwise_node(pred, one_pass=True, order=order)
+
+    def test_a_left_nested_chain_five_thousand_deep_compiles(self):
+        """Hand-rolled, unbalanced: the tree is walked with a stack, not recursion."""
+        assert sys.getrecursionlimit() <= 1000
+        cubes = [s.conj(s.test("sw", i // 8), s.test("pt", i % 8)) for i in range(5000)]
+        chain = cubes[0]
+        for cube in cubes[1:]:
+            chain = s.Or(chain, cube)
+        compiler = Compiler()
+        assert compiler.compile(chain) is compiler.compile(s.disj(*cubes))
+        # Not cubes: the pairwise fold, in the chain's own association.
+        mixed = s.test("f", 0)
+        for i in range(1, 5000):
+            mixed = s.Or(mixed, s.conj(s.test("f", i % 5), s.neg(s.test("g", i % 3))))
+        node = compiler.compile(mixed)
+        assert output_distribution(node, Packet({"f": 4, "g": 1})).support() == {
+            Packet({"f": 4, "g": 1})
+        }
+        assert output_distribution(node, Packet({"f": 7})).support() == {DROP}
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,9 @@ def test_a_descent_costs_lookups_per_field_not_per_switch():
     topology = fat_tree(16)
     model = build_model(topology, routing=ecmp_policy(topology, 1), dest=1)
     backend = MatrixBackend()
-    first_hop = backend.plan(model.policy).stages[0].fdd
-    switches = len({node.value for node in _branches(first_hop) if node.field == "sw"})
+    # The head stage: the ingress predicate (the hop runs in the loop stage).
+    head = backend.plan(model.policy).stages[0].fdd
+    switches = len({node.value for node in _branches(head) if node.field == "sw"})
     assert switches == 127  # every edge switch but the destination's
     for packet in (model.ingress_packets[0], model.ingress_packets[-1], Packet({"sw": 10**6})):
         asked = []
@@ -224,7 +225,7 @@ def test_a_descent_costs_lookups_per_field_not_per_switch():
             asked.append(field)
             return packet.get(field)
 
-        assert leaf_of(first_hop, lookup) is linear_leaf(first_hop, packet)
+        assert leaf_of(head, lookup) is linear_leaf(head, packet)
         assert len(asked) <= len(backend.manager.fields) < switches
 
 

@@ -28,6 +28,8 @@ from repro.service import (
 from repro.service.cli import serve_main
 from repro.topology import edge_switches, fat_tree
 
+from polling import wait_until
+
 
 def ecmp_model(topo, dest: int):
     return build_model(topo, routing=ecmp_policy(topo, dest), dest=dest)
@@ -318,7 +320,9 @@ class TestServer:
             # Admitted into a 5 s window that will never fire on its own:
             # only the shutdown drain can flush and answer these.
             pending = [await conn.send(wire(query)) for query in all_pairs[:6]]
-            await asyncio.sleep(0.05)  # let the server read every line
+            # The server has read every line once all six are admitted.
+            admitted = lambda: server.coalescer.stats()["submitted"] == 6
+            assert await asyncio.to_thread(wait_until, admitted)
             await server.stop()
             replies = await asyncio.gather(*pending)
             # The drained connection is closed once its replies are out:

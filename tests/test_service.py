@@ -598,7 +598,8 @@ class TestServiceCli:
             capsys.readouterr().out,
         )
         assert match is not None
-        assert tuple(map(int, match.groups())) == (78, 14, 40)
+        # The loop body's seven roles; the first hop runs in the do-while loop stage.
+        assert tuple(map(int, match.groups())) == (47, 7, 20)
 
     def test_batch_file_run(self, tmp_path):
         batch = tmp_path / "batch.json"

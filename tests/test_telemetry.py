@@ -41,6 +41,8 @@ from repro.service.telemetry import NOOP_SPAN
 from repro.topology import edge_switches, fat_tree
 from repro.utils.timing import Stopwatch
 
+from polling import wait_until
+
 
 def ecmp_model(topo, dest: int):
     return build_model(topo, routing=ecmp_policy(topo, dest), dest=dest)
@@ -658,15 +660,12 @@ class TestCrossProcessTrace:
             os.kill(old_pid, signal.SIGKILL)
             # The corpse is only noticed on contact; probe it so the
             # supervisor quarantines and respawns the slot.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
+            def respawned() -> bool:
                 session.pool.worker_reports()
                 replica = session.pool.replicas[0]
-                if replica.health == HEALTHY and replica.backend.pid != old_pid:
-                    break
-                time.sleep(0.05)
-            replica = session.pool.replicas[0]
-            assert replica.health == HEALTHY and replica.backend.pid != old_pid
+                return replica.health == HEALTHY and replica.backend.pid != old_pid
+
+            assert wait_until(respawned, interval=0.05)
 
             between = session.stats()["backend_timings"]
             for name, value in before.items():
