@@ -12,8 +12,9 @@ from typing import Callable, Iterable
 
 from repro.backends import resolve_backend
 from repro.core import syntax as s
+from repro.core.answer import delivered_mass
 from repro.core.distributions import Dist
-from repro.core.interpreter import Interpreter, Outcome, eval_predicate
+from repro.core.interpreter import Interpreter, Outcome
 from repro.core.packet import Packet, _DropType
 from repro.network.model import NetworkModel
 
@@ -110,7 +111,7 @@ def delivery_probability(
     dist = output_distribution(
         model, inputs=packets, exact=exact, backend=backend, session=session
     )
-    return float(dist.prob_of(lambda out: _is_delivered(out, delivered)))
+    return float(delivered_mass(dist, delivered))
 
 
 def field_distribution(dist: Dist[Outcome], field: str) -> Dist[int | None]:
@@ -143,16 +144,6 @@ def expected_value(
     if mass == 0.0:
         raise ZeroDivisionError("no probability mass satisfies the condition")
     return total / mass
-
-
-def _is_delivered(
-    outcome: Outcome, delivered: s.Predicate | Callable[[Packet], bool]
-) -> bool:
-    if isinstance(outcome, _DropType):
-        return False
-    if isinstance(delivered, s.Predicate):
-        return eval_predicate(delivered, outcome)
-    return bool(delivered(outcome))
 
 
 def _unpack(

@@ -26,24 +26,34 @@ system for every new ingress seed), the matrix backend:
   absorption columns from one factorization, a row decoded when a query
   enters through it.
 
-Loop-free stages are evaluated exactly (rational leaf distributions);
-loop solutions are float64, like the native backend's LU path.
+Every stage runs on symbolic classes: a packet is classified once, its
+class's row is taken once (a loop-free diagram walked, or a solved loop
+row decoded), and an outcome class is decoded to a packet once per
+batch.  A query returns one :class:`~repro.core.answer.Answer`, an
+ingress × outcome matrix built by one sparse product per stage; a
+``Dist`` is built only when a caller looks one up.  Loop solutions are
+float64, like the native backend's LU path, and so are the loop-free
+stages of a plan with a loop; a plan without one keeps the exact
+rational leaf weights.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core import syntax as s
+from repro.core.answer import Answer, delivered_mass
 from repro.core.compiler import Compiler, leaf_holds
 from repro.core.distributions import Dist
+from repro.core.fdd.evaluator import ClassRow, ClassRowCache
 from repro.core.fdd.matrix import (
     ClassChain,
     SymbolicPacket,
     TransitionMatrix,
+    class_row,
+    class_transition,
     fdd_to_matrix,
     matrix_domains,
 )
@@ -55,21 +65,118 @@ from repro.core.fdd.node import (
     node_size,
     node_to_spec,
 )
-from repro.core.fdd.node import output_distribution as fdd_output_distribution
 from repro.core.interpreter import Outcome
 from repro.core.markov import IncrementalAbsorptionSolver
 from repro.core.packet import DROP, Packet, _DropType
 from repro.utils.timing import Stopwatch
 
 
-@dataclass
-class _FddStage:
-    """A loop-free policy segment, compiled to one canonical FDD."""
+class _ClassStage:
+    """What both stage kinds share: packets in, symbolic classes through, packets out.
 
-    fdd: FddNode
+    A packet is classified over the stage's ``domains`` (its class and
+    its *residual*, see :func:`_concretize`), the stage's row of that
+    class (:meth:`row`, over classes and :data:`DROP`) says where its mass
+    goes, and an outcome class is decoded with the packet's residual back
+    into a packet.  Each of the three is memoised: classification once
+    per distinct packet, a row once per class, a decode once per (class,
+    residual).  The memos live as long as the stage:
+    :meth:`MatrixBackend.reset_solutions` replaces every stage with its
+    ``fresh()`` copy, which keeps only what belongs to the compiled
+    diagram — its prepared leaves
+    (:class:`~repro.core.fdd.evaluator.ClassRowCache`, one entry per leaf).
+    """
+
+    def __init__(self, domains: dict[str, tuple[int, ...]]):
+        self.domains = domains
+        # Per-field membership sets, the class layout (fields sorted, each
+        # with its wildcard pair) and a packet -> (class, residual) memo.
+        self._domain_sets = {field: frozenset(values) for field, values in domains.items()}
+        self._layout = {field: (field, None) for field in sorted(domains)}
+        self._class_cache: dict[Packet, tuple[SymbolicPacket, Packet]] = {}
+        # (class, residual) -> concrete output packet.
+        self._concrete_cache: dict[tuple[SymbolicPacket, Packet], Packet] = {}
+        self._rows: dict[SymbolicPacket, ClassRow] = {}
+
+    def row(self, cls: SymbolicPacket) -> ClassRow:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def classify_packet(self, packet: Packet) -> SymbolicPacket:
+        """The symbolic class of a concrete packet over this stage's domain."""
+        return self._classified(packet)[0]
+
+    def _classified(self, packet: Packet) -> tuple[SymbolicPacket, Packet]:
+        """The class of ``packet`` and its residual (see :func:`_concretize`)."""
+        cached = self._class_cache.get(packet)
+        if cached is None:
+            # A class shares its (field, value) pairs with the packet and
+            # the layout: classes of a large batch cost a tuple each.
+            pairs = self._layout.copy()
+            residual = []
+            domain = self._domain_sets
+            for item in packet.items():
+                members = domain.get(item[0])
+                if members is not None and item[1] in members:
+                    pairs[item[0]] = item
+                else:
+                    residual.append(item)
+            cached = self._class_cache[packet] = (
+                SymbolicPacket._from_sorted(tuple(pairs.values())),
+                Packet._from_sorted_items(tuple(residual)),
+            )
+        return cached
+
+    def concretize(self, cls: SymbolicPacket, base: Packet) -> Packet:
+        """Memoised :func:`_concretize`, keyed by ``cls`` and ``base``'s residual."""
+        return self._concrete(cls, self._classified(base)[1])
+
+    def _concrete(self, cls: SymbolicPacket, residual: Packet) -> Packet:
+        cached = self._concrete_cache.get((cls, residual))
+        if cached is None:
+            cached = self._concrete_cache[cls, residual] = _concretize(cls, residual)
+        return cached
 
 
-class _LoopStage:
+class _FddStage(_ClassStage):
+    """A loop-free policy segment, compiled to one canonical FDD.
+
+    It runs on classes over the values the diagram mentions: one walk per
+    class, its row kept until the stage is reset.  ``walks`` counts the
+    rows taken, across resets.  Rows are float64 (:func:`~repro.core.fdd.matrix.class_row`)
+    in a plan with a loop stage, which floats every mass anyway, and exact
+    leaf weights (:func:`~repro.core.fdd.matrix.class_transition`) in a
+    plan without one.
+    """
+
+    def __init__(self, fdd: FddNode, exact: bool, leaves: ClassRowCache | None = None):
+        domains = matrix_domains(fdd)
+        super().__init__({field: tuple(sorted(values)) for field, values in domains.items()})
+        self.fdd = fdd
+        self.exact = exact
+        self.walks = 0
+        self._leaves = leaves if leaves is not None else ClassRowCache(sorted(domains))
+
+    def fresh(self) -> "_FddStage":
+        """This stage's diagram and prepared leaves, nothing classified, walked or decoded."""
+        stage = _FddStage(self.fdd, self.exact, self._leaves)
+        stage.walks = self.walks
+        return stage
+
+    def row(self, cls: SymbolicPacket) -> ClassRow:
+        """Where the diagram sends ``cls``: one walk, the first time it is asked."""
+        row = self._rows.get(cls)
+        if row is None:
+            self.walks += 1
+            if self.exact:
+                pairs = list(class_transition(self.fdd, cls).items())
+                row = ClassRow(tuple(pair[0] for pair in pairs), tuple(pair[1] for pair in pairs))
+            else:
+                row = class_row(self.fdd, cls, self._leaves)
+            self._rows[cls] = row
+        return row
+
+
+class _LoopStage(_ClassStage):
     """A ``while`` loop with its one indexed chain and what was solved on it.
 
     ``chain`` (:class:`~repro.core.fdd.matrix.ClassChain`) owns the
@@ -81,9 +188,11 @@ class _LoopStage:
     arrays over its outcome index — so new ingress classes cost their own
     exploration and one factorization of the newly discovered subsystem,
     already-solved classes acting as absorbing gateways, and no class is
-    expanded, indexed or factorized twice.  ``solutions`` holds a row
-    decoded to ``(outcome class, mass)`` pairs, from the first time a
-    packet entered through its class.  All of it dies with the stage
+    expanded, indexed or factorized twice.  ``solutions`` holds a solved
+    row as a :class:`~repro.core.fdd.evaluator.ClassRow` over outcome
+    classes, from the first time a packet entered through its class, and
+    :meth:`row` the stage's row of any class it was asked about.  All of
+    it but the body's prepared leaves dies with the stage
     (:meth:`MatrixBackend.reset_solutions`).
     """
 
@@ -95,7 +204,9 @@ class _LoopStage:
         domains: dict[str, tuple[int, ...]],
         do_while: bool = False,
         watch: Stopwatch | None = None,
+        leaves: ClassRowCache | None = None,
     ):
+        super().__init__(domains)
         #: The source AST of the loop, when this stage was built from one.
         #: Purely informational: query evaluation only ever consults the
         #: compiled ``guard_fdd`` (see :meth:`entered_by`), so stages
@@ -104,15 +215,14 @@ class _LoopStage:
         self.loop = loop
         self.guard_fdd = guard_fdd
         self.body_fdd = body_fdd
-        self.domains = domains
-        #: The stage runs ``body ; while guard do body``: a packet the
+        #: The stage runs ``body ; while guard do body``: a class the
         #: guard fails on takes one ``body_fdd`` row before the loop (on
         #: any other the loop already begins with the body).
         self.do_while = do_while
         self.watch = watch
-        self.chain = ClassChain(body_fdd, domains)
+        self.chain = ClassChain(body_fdd, domains, leaves=leaves)
         self.solver = IncrementalAbsorptionSolver(watch=watch)
-        self.solutions: dict[SymbolicPacket, Dist] = {}
+        self.solutions: dict[SymbolicPacket, ClassRow] = {}
         self._guard_leaves: dict[int, bool] = {}
         self._seeds: set[SymbolicPacket] = set()
         # Seeds kept in class order incrementally (one bisect per *new*
@@ -120,21 +230,20 @@ class _LoopStage:
         # repeated batch queries never re-sort the whole seed set.
         self._seed_order: list[SymbolicPacket] = []
         self._sort_keys: dict[SymbolicPacket, tuple] = {}
-        # Per-field membership sets and a packet -> (class, residual) memo:
-        # classification runs once per distinct outcome packet, not once
-        # per occurrence.
-        self._domain_sets = {field: frozenset(values) for field, values in domains.items()}
-        self._class_cache: dict[Packet, tuple[SymbolicPacket, Packet]] = {}
-        # (solution class, residual) -> concrete output packet and entering
-        # packet -> decoded solution row (see _concretize): packets are
-        # built once per distinct outcome, rows decoded once per packet.
-        self._concrete_cache: dict[tuple[SymbolicPacket, Packet], Packet] = {}
-        self._decoded: dict[Packet, tuple[tuple[Outcome, float], ...]] = {}
+        # The do-while's first body row of a class the guard fails on.
+        self._first_rows: dict[SymbolicPacket, ClassRow] = {}
 
     def fresh(self) -> "_LoopStage":
-        """This stage's compiled loop with nothing explored, solved or memoised."""
+        """This stage's compiled loop and its body's prepared leaves, nothing
+        explored, solved or memoised."""
         return _LoopStage(
-            self.loop, self.guard_fdd, self.body_fdd, self.domains, self.do_while, self.watch
+            self.loop,
+            self.guard_fdd,
+            self.body_fdd,
+            self.domains,
+            self.do_while,
+            self.watch,
+            self.chain.leaves,
         )
 
     def spec(self) -> tuple:
@@ -197,22 +306,6 @@ class _LoopStage:
         """
         return self.guard_holds(self.classify_packet(packet))
 
-    def classify_packet(self, packet: Packet) -> SymbolicPacket:
-        """The symbolic class of a concrete packet over this loop's domain."""
-        return self._classified(packet)[0]
-
-    def _classified(self, packet: Packet) -> tuple[SymbolicPacket, Packet]:
-        """The class of ``packet`` and its residual (see :func:`_concretize`)."""
-        cached = self._class_cache.get(packet)
-        if cached is None:
-            values: dict[str, int | None] = {}
-            for field, members in self._domain_sets.items():
-                value = packet.get(field)
-                values[field] = value if value in members else None
-            residual = packet.restrict(name for name in packet if values.get(name) is None)
-            cached = self._class_cache[packet] = (SymbolicPacket(values), residual)
-        return cached
-
     def sort_key(self, cls: SymbolicPacket) -> tuple:
         """The memoised total-order key of a class (see :func:`_class_sort_key`)."""
         cached = self._sort_keys.get(cls)
@@ -233,42 +326,88 @@ class _LoopStage:
         """All seeds seen so far, in class order (maintained, never re-sorted)."""
         return self._seed_order
 
-    def concretize(self, cls: SymbolicPacket, base: Packet) -> Packet:
-        """Memoised :func:`_concretize`, keyed by ``cls`` and ``base``'s residual."""
-        return self._concrete(cls, self._classified(base)[1])
+    def entries(self, columns: Iterable[Outcome]) -> set[SymbolicPacket]:
+        """The classes ``columns`` enter the chain through, where :meth:`row`
+        has not answered them yet.
 
-    def _concrete(self, cls: SymbolicPacket, residual: Packet) -> Packet:
-        cached = self._concrete_cache.get((cls, residual))
-        if cached is None:
-            cached = self._concrete_cache[cls, residual] = _concretize(cls, residual)
-        return cached
+        A column the guard holds on enters through its own class; in a
+        do-while, one it fails on enters through the classes its first
+        body row reaches that the guard holds on.
+        """
+        wanted: set[SymbolicPacket] = set()
+        for column in columns:
+            if column is DROP:
+                continue
+            cls = self._classified(column)[0]
+            if cls in self._rows:
+                continue
+            if self.guard_holds(cls):
+                wanted.add(cls)
+            elif self.do_while:
+                wanted.update(
+                    successor
+                    for successor in self._first_row(cls).outcomes
+                    if successor is not DROP and self.guard_holds(successor)
+                )
+        return wanted
 
-    def solution(self, cls: SymbolicPacket) -> Dist:
-        """The absorption distribution of a solved class, decoded on first use.
+    def _first_row(self, cls: SymbolicPacket) -> ClassRow:
+        row = self._first_rows.get(cls)
+        if row is None:
+            row = self._first_rows[cls] = self.chain.row(cls)
+        return row
+
+    def solution(self, cls: SymbolicPacket) -> ClassRow:
+        """The absorption row of a solved class, decoded on first use."""
+        row = self.solutions.get(cls)
+        if row is None:
+            self.read_solutions([cls])
+            row = self.solutions[cls]
+        return row
+
+    def read_solutions(self, classes: Iterable[SymbolicPacket]) -> None:
+        """Decode the absorption rows of solved ``classes`` not decoded yet, in one read.
 
         Mass that reaches no absorbing class diverges; the guarded limit
         semantics assigns it to drop.
         """
-        row = self.solutions.get(cls)
-        if row is None:
-            states = self.chain.states
-            outcomes, masses, lost = self.solver.absorbed(self.chain.index[cls])
-            weights = {states[j]: mass for j, mass in zip(outcomes, masses)}
-            if lost:
-                weights[DROP] = weights.get(DROP, 0) + lost
-            # Solver rows hold only positive floats: nothing to validate.
-            row = self.solutions[cls] = Dist._from_weights(weights)
-        return row
+        pending = [cls for cls in classes if cls not in self.solutions]
+        if not pending:
+            return
+        states, index = self.chain.states, self.chain.index
+        rows = self.solver.absorbed_many([index[cls] for cls in pending])
+        for cls, (outcomes, masses, lost) in zip(pending, rows):
+            if lost:  # onto state 0, drop
+                if 0 in outcomes:
+                    masses[outcomes.index(0)] += lost
+                else:
+                    outcomes.append(0)
+                    masses.append(lost)
+            self.solutions[cls] = ClassRow(tuple([states[j] for j in outcomes]), tuple(masses))
 
-    def decoded(self, packet: Packet) -> tuple[tuple[Outcome, float], ...]:
-        """The solved loop's output on an entering packet, as ``(outcome, mass)`` pairs."""
-        row = self._decoded.get(packet)
+    def row(self, cls: SymbolicPacket) -> ClassRow:
+        """The stage's output on ``cls``, over outcome classes (see :meth:`entries`).
+
+        The absorption row when the guard holds; in a do-while, the first
+        body row with every successor the guard holds on replaced by its
+        absorption row; else the class itself (the loop does not run).
+        """
+        row = self._rows.get(cls)
         if row is None:
-            entered, residual = self._classified(packet)
-            row = self._decoded[packet] = tuple(
-                (DROP if cls is DROP else self._concrete(cls, residual), weight)
-                for cls, weight in self.solution(entered).items()
-            )
+            if self.guard_holds(cls):
+                row = self.solution(cls)
+            elif self.do_while:
+                weights: dict[SymbolicPacket | _DropType, float] = {}
+                for successor, weight in self._first_row(cls).items():
+                    if successor is not DROP and self.guard_holds(successor):
+                        for outcome, mass in self.solution(successor).items():
+                            weights[outcome] = weights.get(outcome, 0.0) + weight * mass
+                    else:
+                        weights[successor] = weights.get(successor, 0.0) + weight
+                row = ClassRow(tuple(weights), tuple(weights.values()))
+            else:
+                row = ClassRow((cls,), (1.0,))
+            self._rows[cls] = row
         return row
 
 
@@ -291,9 +430,18 @@ class QueryPlan:
         return [stage for stage in self.stages if isinstance(stage, _LoopStage)]
 
 
+def _stages(parts: list[FddNode | _LoopStage]) -> list[_FddStage | _LoopStage]:
+    """A plan's stages from its loop-free diagrams and loop stages, in order.
+
+    The diagrams run exactly when no loop stage will float the masses.
+    """
+    exact = not any(isinstance(part, _LoopStage) for part in parts)
+    return [part if isinstance(part, _LoopStage) else _FddStage(part, exact) for part in parts]
+
+
 def mix_outputs(
     inputs: Packet | Dist[Outcome] | Iterable[Packet],
-    solve: Callable[[list[Packet]], dict[Packet, Dist[Outcome]]],
+    solve: Callable[[list[Packet]], Mapping[Packet, Dist[Outcome]]],
 ) -> Dist[Outcome]:
     """The output distribution on a packet, a distribution, or a uniform ingress set.
 
@@ -443,13 +591,13 @@ class MatrixBackend:
     def _plan_from_spec(self, fields: tuple[str, ...], stage_specs: tuple) -> QueryPlan:
         """Rebuild a plan from shipped specs into this backend's manager."""
         self.manager.register_fields(fields)
-        stages: list[_FddStage | _LoopStage] = [
-            _FddStage(node_from_spec(self.manager, entry[1]))
+        parts = [
+            node_from_spec(self.manager, entry[1])
             if entry[0] == "fdd"
             else _LoopStage.from_spec(self.manager, entry, self.watch)
             for entry in stage_specs
         ]
-        return QueryPlan(None, stages, specs=stage_specs)
+        return QueryPlan(None, _stages(parts), specs=stage_specs)
 
     # -- spec-shipped plans (worker processes) ----------------------------------
     def plan_payload(self, policy: s.Policy) -> tuple[tuple[str, ...], tuple]:
@@ -485,10 +633,8 @@ class MatrixBackend:
         """Number of plans adopted from wire payloads (worker introspection)."""
         return len(self._adopted)
 
-    def query_plan(
-        self, plan_id: object, inputs: Iterable[Packet]
-    ) -> dict[Packet, Dist[Outcome]]:
-        """Batched per-ingress distributions of an adopted plan."""
+    def query_plan(self, plan_id: object, inputs: Iterable[Packet]) -> Answer:
+        """The batched answer of an adopted plan (see :meth:`output_distributions`)."""
         plan = self._adopted.get(plan_id)
         if plan is None:
             raise KeyError(
@@ -512,7 +658,7 @@ class MatrixBackend:
         parts: Sequence[s.Policy] = (
             policy.parts if isinstance(policy, s.Seq) else [policy]
         )
-        stages: list[_FddStage | _LoopStage] = []
+        stages: list[FddNode | _LoopStage] = []
         pending: list[s.Policy] = []
 
         def flush() -> None:
@@ -520,7 +666,7 @@ class MatrixBackend:
                 return
             fdd = self._compiler.compile(s.seq(*pending))
             if fdd is not self.manager.true_leaf:
-                stages.append(_FddStage(fdd))
+                stages.append(fdd)
             pending.clear()
 
         for part in parts:
@@ -549,38 +695,39 @@ class MatrixBackend:
                 )
             )
         flush()
-        return QueryPlan(policy, stages)
+        return QueryPlan(policy, _stages(stages))
 
     # -- queries ----------------------------------------------------------------
-    def output_distributions(
-        self, policy: s.Policy, inputs: Iterable[Packet]
-    ) -> dict[Packet, Dist[Outcome]]:
+    def output_distributions(self, policy: s.Policy, inputs: Iterable[Packet]) -> Answer:
         """Per-ingress output distributions, batched over the whole set.
 
         All ingress packets advance through the plan together, so every
         loop is factorized at most once for the union of their entry
         states (versus one incremental re-solve per packet in the
-        interpreter-based native path).
+        interpreter-based native path).  The result is one
+        :class:`~repro.core.answer.Answer`: a mapping from ingress packet
+        to :class:`Dist` whose rows are arrays over one outcome table; a
+        ``Dist`` is built when it is looked up.
         """
-        packets = list(inputs)
-        plan = self.plan(policy)
-        return self._run_plan(plan, packets)
+        return self._run_plan(self.plan(policy), list(inputs))
 
-    def _run_plan(
-        self, plan: QueryPlan, packets: list[Packet]
-    ) -> dict[Packet, Dist[Outcome]]:
-        """Advance a batch of ingress packets through a compiled plan."""
+    def _run_plan(self, plan: QueryPlan, packets: list[Packet]) -> Answer:
+        """Advance a batch of ingress packets through a compiled plan.
+
+        The batch is an ingress × outcome matrix from the start: each stage
+        maps the current outcome columns to its own (:func:`_advance`) and
+        the rows follow by one sparse product.  A loop stage first solves
+        the classes its columns enter through.
+        """
         with self.watch.measure("query"):
-            dists: list[dict[Outcome, object]] = [{packet: 1} for packet in packets]
+            answer = Answer.identity(packets)
             for stage in plan.stages:
-                if isinstance(stage, _FddStage):
-                    dists = self._apply_fdd(stage.fdd, dists)
-                else:
-                    dists = self._apply_loop_stage(stage, dists)
-        return {
-            packet: Dist(weights, check=False)
-            for packet, weights in zip(packets, dists)
-        }
+                if isinstance(stage, _LoopStage):
+                    entries = stage.entries(answer.outcomes)
+                    self._solve_loop(stage, entries - stage.chain.index.keys())
+                    stage.read_solutions(entries)
+                answer = _advance(answer, stage)
+        return answer
 
     def output_distribution(
         self, policy: s.Policy, inputs: Packet | Dist[Outcome] | Iterable[Packet]
@@ -591,9 +738,11 @@ class MatrixBackend:
     # -- network-model conveniences ------------------------------------------------
     def delivery_probabilities(self, model) -> dict[Packet, float]:
         """Per-ingress delivery probability of a network model (batched)."""
-        outputs = self.output_distributions(model.policy, model.ingress_packets)
-        delivered = cache(model.is_delivered)  # once per distinct outcome packet
-        return {packet: float(dist.prob_of(delivered)) for packet, dist in outputs.items()}
+        answer = self.output_distributions(model.policy, model.ingress_packets)
+        return {
+            packet: float(delivered_mass(answer.row(packet), model.delivered))
+            for packet in answer
+        }
 
     def certainly_delivers(self, model, tolerance: float = 1e-9) -> bool:
         """Whether every ingress packet is delivered with probability one.
@@ -627,7 +776,8 @@ class MatrixBackend:
         :class:`~repro.core.markov.IncrementalAbsorptionSolver`);
         ``assembly_rows`` counts the classes written onto a loop stage's
         chain (or into a full-domain matrix), each once however the seeds
-        arrived; ``fdd_nodes``,
+        arrived; ``loop_free_walks`` the class rows loop-free stages
+        took from their diagrams, across :meth:`reset_solutions`; ``fdd_nodes``,
         ``fdd_memo_<operation>`` and the compile's work counts
         (``leaf_actions_composed``, ``compile_roles``, ``role_instances``)
         flatten this replica's :meth:`~repro.core.fdd.node.FddManager.stats`.  Worker processes
@@ -637,9 +787,11 @@ class MatrixBackend:
         """
         factorizations = 0
         schur_updates = 0
+        walks = 0
         plans = [plan for _policy, plan in self._plans.values()]
         plans.extend(self._adopted.values())
         for plan in plans:
+            walks += sum(stage.walks for stage in plan.stages if isinstance(stage, _FddStage))
             for stage in plan.loop_stages:
                 factorizations += stage.factorizations
                 schur_updates += stage.schur_updates
@@ -648,6 +800,7 @@ class MatrixBackend:
             "factorizations": factorizations,
             "schur_updates": schur_updates,
             "assembly_rows": self.assembly_rows,
+            "loop_free_walks": walks,
             "fdd_nodes": fdd["nodes"],
             **{f"fdd_memo_{name}": size for name, size in fdd["memo"].items()},
             **self.manager.counters,
@@ -704,10 +857,12 @@ class MatrixBackend:
     def reset_solutions(self) -> None:
         """Drop per-loop solver state while keeping compiled plans.
 
-        Every cached plan keeps its compiled stage FDDs, but each loop
-        stage is rebuilt empty: its chain (classes, index, rows), the
-        solved rows and every per-packet memo go with the old stage —
-        nothing keyed by plan survives.  This bounds solver memory for
+        Every cached plan keeps its compiled stage FDDs and their
+        prepared leaves (one entry per diagram leaf), but each stage is
+        rebuilt empty (``fresh()``): a loop stage's chain (classes, index,
+        rows) and solved rows, a loop-free stage's class rows, and every
+        per-packet memo go with the old stage — nothing keyed by a packet
+        or a class survives.  This bounds solver memory for
         long-lived sessions without paying recompilation, and gives
         benchmarks a repeatable solver-path measurement (every pass after
         a reset re-runs exploration and factorization, not just cache
@@ -716,98 +871,25 @@ class MatrixBackend:
         plans = [plan for _policy, plan in self._plans.values()]
         plans.extend(self._adopted.values())
         for plan in plans:
-            for position, stage in enumerate(plan.stages):
-                if isinstance(stage, _LoopStage):
-                    plan.stages[position] = stage.fresh()
+            plan.stages[:] = [stage.fresh() for stage in plan.stages]
 
     # -- stage application ---------------------------------------------------------
-    def _apply_fdd(
-        self,
-        fdd: FddNode,
-        dists: list[dict[Outcome, object]],
-        passes: Callable[[Packet], bool] | None = None,
-    ) -> list[dict[Outcome, object]]:
-        # One descent per distinct packet of the batch; its row of
-        # (successor, weight) pairs is floated once more if a float mass
-        # (one that has been through a loop) ever reaches it.  A packet
-        # ``passes`` holds on keeps its mass (its row is itself, weight 1).
-        rows: dict[Packet, tuple] = {}
-        float_rows: dict[Packet, tuple] = {}
-        advanced: list[dict[Outcome, object]] = []
-        for dist in dists:
-            acc: dict[Outcome, object] = {}
-            for outcome, mass in dist.items():
-                if outcome is DROP:
-                    acc[DROP] = acc.get(DROP, 0) + mass
-                    continue
-                row = rows.get(outcome)
-                if row is None:
-                    row = rows[outcome] = (
-                        ((outcome, 1),)
-                        if passes is not None and passes(outcome)
-                        else tuple(fdd_output_distribution(fdd, outcome).items())
-                    )
-                if type(mass) is float:
-                    row = float_rows.get(outcome)
-                    if row is None:
-                        row = float_rows[outcome] = tuple(
-                            (successor, float(weight)) for successor, weight in rows[outcome]
-                        )
-                unit = type(mass) is int and mass == 1  # an ingress: 1 × w is w
-                for successor, weight in row:
-                    term = weight if unit else mass * weight
-                    prior = acc.get(successor)
-                    acc[successor] = term if prior is None else prior + term
-            advanced.append(acc)
-        return advanced
+    def _solve_loop(self, stage: _LoopStage, seeds: set[SymbolicPacket]) -> None:
+        """Put every seed class on the stage's chain, solved.
 
-    def _apply_loop_stage(
-        self, stage: _LoopStage, dists: list[dict[Outcome, object]]
-    ) -> list[dict[Outcome, object]]:
-        # ``b ; while g do b`` is ``while g do b`` on a packet ``g`` holds
-        # on, whose class the chain holds as transient: only the others
-        # take a body row first.
-        if stage.do_while:
-            dists = self._apply_fdd(stage.body_fdd, dists, stage.entered_by)
-        # Everything but the final merge happens once per distinct outcome
-        # packet of the batch: guard, solve, decode.  A packet (or drop)
-        # without a row does not enter the loop, which is then the identity.
-        distinct = dict.fromkeys(outcome for dist in dists for outcome in dist)
-        entering = [
-            packet for packet in distinct if packet is not DROP and stage.entered_by(packet)
-        ]
-        self._solve_loop(stage, entering)
-        rows = {packet: stage.decoded(packet) for packet in entering}
-        advanced: list[dict[Outcome, object]] = []
-        for dist in dists:
-            acc: dict[Outcome, object] = {}
-            for outcome, mass in dist.items():
-                row = rows.get(outcome)
-                if row is None:
-                    acc[outcome] = acc.get(outcome, 0) + mass
-                    continue
-                mass = float(mass)  # what ``mass * weight`` does to a Fraction
-                for successor, weight in row:
-                    acc[successor] = acc.get(successor, 0) + mass * weight
-            advanced.append(acc)
-        return advanced
-
-    def _solve_loop(self, stage: _LoopStage, entries: Iterable[Packet]) -> None:
-        """Ensure every entry packet's class is on the stage's chain, solved.
-
-        Entry classes the chain does not hold are its new seeds (in class
-        order): exploration appends them and what they newly reach, and
-        the solver factorizes exactly the rows that were appended — classes
+        The seeds (classes the chain does not hold, see
+        :meth:`_LoopStage.entries`) are taken in class order: exploration
+        appends them and what they newly reach, and the solver factorizes
+        exactly the rows that were appended — classes
         solved for an earlier seed are absorbing gateways whose final rows
         are composed in — so each class is expanded once and participates
         in one, small, factorization however the seeds arrive.  Solved
         rows are final: exploration closes forward reachability, so a
         solved class never gains a successor.
         """
-        chain = stage.chain
-        seeds = {stage.classify_packet(packet) for packet in entries} - chain.index.keys()
         if not seeds:
             return
+        chain = stage.chain
         new = sorted(seeds, key=stage.sort_key)
         stage.add_seeds(new)
         known = len(chain.states)
@@ -826,6 +908,48 @@ class MatrixBackend:
             stage.solver.grow(*rows)
 
 
+#: Where drop goes through any stage: nowhere else.
+_DROP_ROW = ClassRow((DROP,), (1.0,))
+
+
+def _advance(answer: Answer, stage: _ClassStage) -> Answer:
+    """``answer`` followed by ``stage``, one row per outcome column.
+
+    A column's row is its class's (:meth:`_ClassStage.row`), read off by
+    the column's residual; an outcome (class, residual) is decoded to a
+    packet once per batch and becomes one column of the result, however
+    many columns and ingresses reach it.
+    """
+    at_by_residual: dict[Packet | None, dict[SymbolicPacket | _DropType, int]] = {}
+    columns: dict[Outcome, int] = {}
+    outcomes: list[Outcome] = []
+    indptr, indices, data = [0], [], []
+    decoded = 0
+    for column in answer.outcomes:
+        if column is DROP:
+            row, residual = _DROP_ROW, None
+        else:
+            cls, residual = stage._classified(column)
+            row = stage.row(cls)
+        at = at_by_residual.get(residual)
+        if at is None:
+            at = at_by_residual[residual] = {}
+        for successor in row.outcomes:
+            if successor not in at:
+                if successor is DROP:
+                    outcome = DROP
+                else:
+                    outcome = stage._concrete(successor, residual)
+                    decoded += 1
+                at[successor] = columns.setdefault(outcome, len(outcomes))
+                if at[successor] == len(outcomes):
+                    outcomes.append(outcome)
+        indices.extend([at[successor] for successor in row.outcomes])
+        data.extend(row.probs)
+        indptr.append(len(indices))
+    return answer.then(outcomes, indptr, indices, data, decoded)
+
+
 def _class_sort_key(cls: SymbolicPacket) -> tuple:
     """A total order on symbolic classes (wildcards sort before values)."""
     return tuple(
@@ -838,18 +962,19 @@ def _concretize(cls: SymbolicPacket, base: Packet) -> Packet:
     """The concrete output packet of class ``cls`` for input packet ``base``.
 
     Concretely-valued class fields are written onto the packet; wildcard
-    fields were untouched by the loop (a wildcard can only be preserved,
+    fields were untouched by the stage (a wildcard can only be preserved,
     never created), so the packet keeps its own value — or stays without
     the field — exactly like the forward interpreter.
 
     Actions write only mentioned values, so a field that ``base``'s own
-    class holds concretely is concrete in every class the loop reaches
+    class holds concretely is concrete in every class the stage reaches
     from it and is overwritten here.  The result therefore depends on
     ``base`` only through its *residual* — ``base`` restricted to the
     fields its class holds as wildcards or not at all (one and the same
     for every ingress of a network model) — and may be computed from, and
     memoised by, the residual alone.  That holds for the classes of
-    ``base``'s own solution, which is all a loop stage ever asks for.
+    ``base``'s own row — a diagram's one step or a loop's solution —
+    which is all a stage ever asks for.
     """
     return base.set_many(
         {fieldname: value for fieldname, value in cls.values if value is not None}

@@ -362,6 +362,8 @@ class ClassChain:
     the classes it has not expanded and appends, so a chain fed its seeds
     in several calls holds the same rows as one fed them at once, up to
     the order of discovery, and an index handed out stays valid.
+    ``leaves`` are ``node``'s prepared leaves; a chain rebuilt over the
+    same diagram and domains may be handed the old chain's.
     """
 
     def __init__(
@@ -369,6 +371,7 @@ class ClassChain:
         node: FddNode,
         domains: Mapping[str, Iterable[int]],
         row_cache: MutableMapping[SymbolicPacket, ClassRow] | None = None,
+        leaves: ClassRowCache | None = None,
     ):
         self.node = node
         self.domains = domains
@@ -380,7 +383,7 @@ class ClassChain:
         self.indptr: list[int] = [0]
         self.indices: list[int] = []
         self.data: list[float] = []
-        self._leaves = ClassRowCache(sorted(domains))
+        self.leaves = leaves if leaves is not None else ClassRowCache(sorted(domains))
 
     def explore(
         self,
@@ -400,7 +403,7 @@ class ClassChain:
         """
         states, index, transient = self.states, self.index, self.transient
         rows, indptr, indices, data = self.rows, self.indptr, self.indices, self.data
-        node, row_cache, leaves = self.node, self.row_cache, self._leaves
+        node, row_cache, leaves = self.node, self.row_cache, self.leaves
         cursor = mark = len(states)
         stored = len(rows)
         for cls in seeds:
@@ -441,6 +444,11 @@ class ClassChain:
             del indices[indptr[-1]:], data[indptr[-1]:]
             raise
         return stored
+
+    def row(self, cls: SymbolicPacket) -> ClassRow:
+        """The diagram's row of ``cls`` (a class over ``domains``), whether or
+        not the chain holds it; nothing is appended."""
+        return class_row(self.node, cls, self.leaves)
 
     def rows_from(self, stored: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The rows stored since ``stored``, as arrays for the solver.

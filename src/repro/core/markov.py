@@ -550,8 +550,8 @@ class IncrementalAbsorptionSolver:
             np.array(successors, dtype=np.int64),
             np.array(probabilities, dtype=np.float64),
         )
-        for state, i in zip(new, states):
-            outcomes, masses, self._lost[state] = self.absorbed(i)
+        for state, (outcomes, masses, lost) in zip(new, self.absorbed_many(states)):
+            self._lost[state] = lost
             self._solutions[state] = {names[j]: mass for j, mass in zip(outcomes, masses)}
 
     def grow(
@@ -662,27 +662,41 @@ class IncrementalAbsorptionSolver:
         return final
 
     def absorbed(self, state: int) -> tuple[list[int], list[float], float]:
-        """Where a solved state's mass ends up: outcomes, masses, lost mass.
+        """Where a solved state's mass ends up (:meth:`absorbed_many` of one)."""
+        return self.absorbed_many([state])[0]
 
-        The outcomes (state indices) with nonzero mass in outcome-index
-        order, their masses, and the deficit ``1 − Σ`` — the mass that
-        reaches no absorbing state — or ``0.0`` when it is within
-        :data:`SOLVER_TOLERANCE`.  This is the one place a solved row is
+    def absorbed_many(self, states: Sequence[int]) -> list[tuple[list[int], list[float], float]]:
+        """Where each solved state's mass ends up: outcomes, masses, lost mass.
+
+        Per state, the outcomes (state indices) with nonzero mass in
+        outcome-index order, their masses, and the deficit ``1 − Σ`` — the
+        mass that reaches no absorbing state — or ``0.0`` when it is
+        within :data:`SOLVER_TOLERANCE`.  The rows are read as one block
+        over the outcome index.  This is the one place a solved row is
         decoded; callers ask when a query needs the row.
         """
-        slot = int(self._slot[state])
-        if slot < 0:
-            raise KeyError(f"state {state} is not solved")
-        row = self._rows[slot]  # over the outcome index as it was at its step
-        at = np.flatnonzero(row)
-        masses = row[at].tolist()
-        deficit = 1.0 - sum(masses)
-        outcomes = self._outcomes
-        return (
-            [outcomes[j] for j in at.tolist()],
-            masses,
-            deficit if deficit > SOLVER_TOLERANCE else 0.0,
-        )
+        slots = self._slot[np.asarray(states, dtype=np.int64)]
+        if (slots < 0).any():
+            raise KeyError(f"state {states[int(np.argmin(slots))]} is not solved")
+        block = np.zeros((len(slots), len(self._outcomes)))
+        for i, slot in enumerate(slots.tolist()):
+            row = self._rows[slot]  # over the outcome index as it was at its step
+            block[i, : len(row)] = row
+        rows, columns = np.nonzero(block)
+        masses = block[rows, columns]
+        # bincount adds each row's masses in order from zero, as ``sum`` does.
+        deficits = 1.0 - np.bincount(rows, weights=masses, minlength=len(slots))
+        bounds = np.searchsorted(rows, np.arange(len(slots) + 1)).tolist()
+        outcomes = np.array(self._outcomes, dtype=np.int64)[columns].tolist()
+        masses = masses.tolist()
+        return [
+            (
+                outcomes[bounds[i]:bounds[i + 1]],
+                masses[bounds[i]:bounds[i + 1]],
+                deficit if deficit > SOLVER_TOLERANCE else 0.0,
+            )
+            for i, deficit in enumerate(deficits.tolist())
+        ]
 
 
 def solve_absorption(

@@ -28,10 +28,11 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core import sugar
 from repro.core import syntax as s
+from repro.core.answer import delivered_mass, holds
 from repro.core.distributions import Dist
 from repro.core.fields import FieldTable
-from repro.core.interpreter import Interpreter, Outcome, eval_predicate
-from repro.core.packet import DROP, Packet
+from repro.core.interpreter import Interpreter, Outcome
+from repro.core.packet import Packet
 from repro.topology.graph import Topology
 
 
@@ -71,11 +72,11 @@ class NetworkModel:
     def is_delivered(self, outcome: Outcome) -> bool:
         """Whether ``outcome`` is a packet satisfying :attr:`delivered`.
 
-        The one reading of "delivered" (the model may name its switch field
-        anything); a batch wraps it in :func:`functools.cache`, so it runs
-        once per distinct outcome packet, not per ingress × outcome.
+        The model may name its switch field anything; this is
+        :func:`~repro.core.answer.holds` on :attr:`delivered`, the reading
+        every delivery query shares.
         """
-        return outcome is not DROP and eval_predicate(self.delivered, outcome)
+        return holds(self.delivered, outcome)
 
     def output_distributions(
         self, exact: bool = False, interpreter: Interpreter | None = None
@@ -92,8 +93,11 @@ class NetworkModel:
     ) -> dict[Packet, float]:
         """Per-ingress probability that the packet reaches the destination."""
         outputs = self.output_distributions(exact=exact, interpreter=interpreter)
+        # Once per distinct outcome packet, not per ingress x outcome.
         delivered = cache(self.is_delivered)
-        return {packet: float(dist.prob_of(delivered)) for packet, dist in outputs.items()}
+        return {
+            packet: float(delivered_mass(dist, delivered)) for packet, dist in outputs.items()
+        }
 
     def delivery_probability(
         self, exact: bool = False, interpreter: Interpreter | None = None

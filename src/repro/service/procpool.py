@@ -69,6 +69,7 @@ import traceback
 from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.answer import delivered_mass
 from repro.service.faults import FaultPlan
 from repro.service.pool import BackendPool, PoolUnavailable, ReplicaFailure
 from repro.service.telemetry import Telemetry, Tracer
@@ -520,15 +521,13 @@ class ReplicaClient:
         """Delivery check: distributions in the worker, predicate here.
 
         The delivered predicate is an AST, so it never crosses the wire;
-        the worker returns raw distributions and the parent applies the
-        same ``_is_delivered`` semantics as every other entry point.
+        the worker returns raw distributions and the parent reads them
+        with the same :func:`~repro.core.answer.delivered_mass` as every
+        other entry point.
         """
-        from repro.analysis.queries import _is_delivered
-
         dists = self.output_distributions(model.policy, model.ingress_packets)
         return all(
-            float(dist.prob_of(lambda out: _is_delivered(out, model.delivered)))
-            >= 1.0 - tolerance
+            float(delivered_mass(dist, model.delivered)) >= 1.0 - tolerance
             for dist in dists.values()
         )
 

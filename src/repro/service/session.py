@@ -47,7 +47,10 @@ are large (thousands of leaves, many of them ``Fraction``s) and tuples
 do not cache their hash, so the session hashes each one exactly once:
 it is interned to a small integer *plan token* when its policy object
 is first seen, and the cache is a two-level ``token -> {ingress packet
--> distribution}`` table — one dict probe per query on a hit.
+-> answer row}`` table — one dict probe per query on a hit.  A row
+(:class:`~repro.core.answer.AnswerRow`) is an ingress's row of the
+batched answer that solved it: a delivery query is a row reduction over
+it, and a distribution is built from it only for a query that asks.
 
 Sessions implement the analysis engine protocol
 (``output_distribution`` / ``certainly_delivers``), so every
@@ -78,6 +81,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.backends import BACKENDS, resolve_backend
 from repro.backends.matrix import mix_outputs
 from repro.core import syntax as s
+from repro.core.answer import Answer, AnswerRow, delivered_mass
 from repro.core.distributions import Dist
 from repro.core.interpreter import Outcome
 from repro.core.packet import Packet
@@ -292,8 +296,8 @@ class AnalysisSession:
         # id(policy) -> (policy, plan token).  The policy is retained so
         # a recycled id cannot alias a different program.
         self._keys: dict[int, tuple[s.Policy, int]] = {}
-        # plan token -> {ingress packet -> output distribution}.
-        self._dists: dict[int, dict[Packet, Dist[Outcome]]] = {}
+        # plan token -> {ingress packet -> its answer row}.
+        self._rows: dict[int, dict[Packet, AnswerRow]] = {}
         # plan token -> certainly_delivers verdict.
         self._verdicts: dict[int, bool] = {}
         self._max_attempts = max_attempts
@@ -459,7 +463,7 @@ class AnalysisSession:
         solver path, without recompiling anything.
         """
         with self._state_lock:
-            self._dists.clear()
+            self._rows.clear()
             self._verdicts.clear()
         # Replica caches are cleared under their own leases — never while
         # holding the state lock (lease > state lock in the hierarchy).
@@ -608,9 +612,7 @@ class AnalysisSession:
         with self._serving():
             if isinstance(policy, NetworkModel):
                 policy = policy.policy
-            return mix_outputs(
-                inputs, lambda packets: self._distributions(policy, packets)[0]
-            )
+            return mix_outputs(inputs, partial(self._distributions, policy))
 
     def output_distributions(
         self, policy: s.Policy | NetworkModel, inputs: Iterable[Packet]
@@ -619,10 +621,7 @@ class AnalysisSession:
         with self._serving():
             if isinstance(policy, NetworkModel):
                 policy = policy.policy
-            dists, _hits, _replica, _attempts, _failed = self._distributions(
-                policy, list(inputs)
-            )
-            return dists
+            return self._distributions(policy, list(inputs))
 
     def certainly_delivers(self, model: NetworkModel) -> bool:
         """Whether every ingress of ``model`` delivers with probability one.
@@ -675,7 +674,7 @@ class AnalysisSession:
                 for name, value in solver().items():
                     solver_totals[name] = solver_totals.get(name, 0) + int(value)
         with self._state_lock:
-            cached = sum(len(table) for table in self._dists.values())
+            cached = sum(len(table) for table in self._rows.values())
         return {
             "queries": self._queries_served,
             "batches": self._batches_served,
@@ -735,9 +734,7 @@ class AnalysisSession:
             # re-ships adopted plans anyway.
             self._pool.for_each(plan)
             if solve:
-                self._distributions(
-                    policy, model.ingress_packets, affinity=("dest", dest)
-                )
+                self._answer_rows(policy, model.ingress_packets, affinity=("dest", dest))
             return self
 
     # -- internals -------------------------------------------------------------
@@ -788,7 +785,7 @@ class AnalysisSession:
                 affinity = (
                     shard.affinity if shard.affinity is not None else ("dest", dest)
                 )
-                dists, hits, served_by, attempts, group_failed = self._distributions(
+                rows, hits, served_by, attempts, group_failed = self._answer_rows(
                     model.policy, [query.ingress for query in group], affinity=affinity
                 )
                 attempts_total += attempts
@@ -798,7 +795,7 @@ class AnalysisSession:
                 for query in group:
                     cached = query.ingress in hits
                     hits_total += 1 if cached else 0
-                    value = self._evaluate(query, model, dists[query.ingress])
+                    value = self._evaluate(query, model, rows[query.ingress])
                     results.append(QueryResult(query, value, shard.index, cached))
             span.set(
                 cache_hits=hits_total,
@@ -830,17 +827,11 @@ class AnalysisSession:
         )
         return report, results
 
-    def _evaluate(self, query: Query, model: NetworkModel, dist: Dist[Outcome]):
-        # The value logic is shared with repro.analysis.queries (imported
-        # lazily: repro.analysis re-exports this class, also lazily), so
-        # session answers cannot drift from the per-call entry points.
-        from repro.analysis.queries import _is_delivered
-
+    def _evaluate(self, query: Query, model: NetworkModel, row: AnswerRow):
         if query.kind == "delivery":
-            delivered = model.delivered
-            return float(dist.prob_of(lambda out: _is_delivered(out, delivered)))
+            return float(delivered_mass(row, model.delivered))
         if query.kind == "distribution":
-            return dist
+            return row.dist()
         if query.kind == "hops":
             hops_field = model.hops_field
             if hops_field is None:
@@ -851,9 +842,7 @@ class AnalysisSession:
             # delivered outcomes carrying a hop value contribute mass.
             total = 0.0
             mass = 0.0
-            for outcome, prob in dist.items():
-                if not _is_delivered(outcome, model.delivered):
-                    continue
+            for outcome, prob in row.items_where(model.delivered):
                 hops = outcome.get(hops_field)
                 if hops is None:
                     continue
@@ -867,14 +856,21 @@ class AnalysisSession:
         raise ValueError(f"unknown query kind {query.kind!r}")
 
     def _distributions(
+        self, policy: s.Policy, packets: Sequence[Packet]
+    ) -> dict[Packet, Dist[Outcome]]:
+        """Per-ingress distributions of ``policy``, built from cached answer rows."""
+        rows = self._answer_rows(policy, packets)[0]
+        return {packet: row.dist() for packet, row in rows.items()}
+
+    def _answer_rows(
         self,
         policy: s.Policy,
         packets: Sequence[Packet],
         affinity: object | None = None,
-    ) -> tuple[dict[Packet, Dist[Outcome]], set[Packet], int | None, int, tuple]:
-        """Per-ingress distributions of ``policy``, via the session cache.
+    ) -> tuple[dict[Packet, AnswerRow], set[Packet], int | None, int, tuple]:
+        """Per-ingress answer rows of ``policy``, via the session cache.
 
-        Returns ``(dists, hits, replica, attempts, failed)`` where
+        Returns ``(rows, hits, replica, attempts, failed)`` where
         ``hits`` are the packets answered from the cache, ``replica`` is
         the index of the leased replica that solved the misses (``None``
         when every packet hit — fully cached calls never lease, so
@@ -892,9 +888,9 @@ class AnalysisSession:
             # *entry points* refuse new work during the drain.
             raise RuntimeError("session is closed")
         if self._cache_enabled:
-            table = self._dists.get(self._known_token(policy))
+            table = self._rows.get(self._known_token(policy))
             if table is not None:
-                out: dict[Packet, Dist[Outcome]] = {}
+                out: dict[Packet, AnswerRow] = {}
                 for packet in packets:
                     found = table.get(packet)
                     if found is None:
@@ -903,13 +899,13 @@ class AnalysisSession:
                 else:
                     return out, set(out), None, 0, ()
 
-        def solve(replica: Replica) -> tuple[dict[Packet, Dist[Outcome]], set[Packet], int]:
-            dists, solved_hits = self._solve_on(replica, policy, packets)
-            return dists, solved_hits, replica.index
+        def solve(replica: Replica) -> tuple[dict[Packet, AnswerRow], set[Packet], int]:
+            rows, solved_hits = self._solve_on(replica, policy, packets)
+            return rows, solved_hits, replica.index
 
         result, attempts, failed = self._with_lease(affinity, solve)
-        dists, solved_hits, served_by = result
-        return dists, solved_hits, served_by, attempts, failed
+        rows, solved_hits, served_by = result
+        return rows, solved_hits, served_by, attempts, failed
 
     def _with_lease(self, affinity: object | None, body: Callable[[Replica], object]):
         """Run ``body`` under a pool lease, retrying replica failures.
@@ -963,20 +959,22 @@ class AnalysisSession:
 
     def _solve_on(
         self, replica: Replica, policy: s.Policy, packets: Sequence[Packet]
-    ) -> tuple[dict[Packet, Dist[Outcome]], set[Packet]]:
-        """Compute (cache-assisted) distributions on an already-leased replica.
+    ) -> tuple[dict[Packet, AnswerRow], set[Packet]]:
+        """Compute (cache-assisted) answer rows on an already-leased replica.
 
-        At most two cache probes per packet: one read, one publish.
+        At most two cache probes per packet: one read, one publish.  An
+        engine answering with a plain ``{packet: Dist}`` mapping is held
+        as an :class:`~repro.core.answer.Answer` of those distributions.
         """
         backend = replica.backend
         if not self._cache_enabled:
-            return dict(backend.output_distributions(policy, packets)), set()
+            return self._rows_of(backend, policy, packets), set()
         token = self._policy_key(policy, backend)
         # The read happens under the lease, immediately before the solve:
         # entries another shard (e.g. one stolen onto a different replica)
         # published while this one waited for its lease are hits here.
-        table = self._dists.get(token, {})
-        out: dict[Packet, Dist[Outcome]] = {}
+        table = self._rows.get(token, {})
+        out: dict[Packet, AnswerRow] = {}
         hits: set[Packet] = set()
         for packet in packets:
             found = table.get(packet)
@@ -988,24 +986,31 @@ class AnalysisSession:
         misses = [packet for packet, found in out.items() if found is None]
         if not misses:
             return out, hits
-        computed = backend.output_distributions(policy, misses)
-        # A packet the backend was asked about and did not answer is a
-        # contract violation: fail fast rather than hand back a None.
-        broken = [packet for packet in misses if computed.get(packet) is None]
-        if broken:
-            raise RuntimeError(
-                f"backend {type(backend).__name__} returned no distribution "
-                f"for {len(broken)} requested ingress packet(s), e.g. {broken[0]!r}"
-            )
+        computed = self._rows_of(backend, policy, misses)
         with self._state_lock:
             # Publish into the *live* table: a concurrent clear_cache() may
             # have dropped the one read above.  setdefault both publishes
             # and reads back, so every miss resolves to the entry the cache
             # actually holds (ours, or a racing shard's equal answer).
-            table = self._dists.setdefault(token, {})
+            table = self._rows.setdefault(token, {})
             for packet in misses:
                 out[packet] = table.setdefault(packet, computed[packet])
         return out, hits
+
+    @staticmethod
+    def _rows_of(backend, policy: s.Policy, packets: Sequence[Packet]) -> dict[Packet, AnswerRow]:
+        """One backend call's answer rows for ``packets``."""
+        answer = Answer.from_distributions(backend.output_distributions(policy, packets))
+        rows = {packet: answer.row(packet) for packet in packets}
+        # A packet the backend was asked about and did not answer is a
+        # contract violation: fail fast rather than hand back a None.
+        broken = [packet for packet, row in rows.items() if row is None]
+        if broken:
+            raise RuntimeError(
+                f"backend {type(backend).__name__} returned no distribution "
+                f"for {len(broken)} requested ingress packet(s), e.g. {broken[0]!r}"
+            )
+        return rows
 
     def _known_token(self, policy: s.Policy) -> int | None:
         """The plan token of an already-registered policy object, else ``None``."""

@@ -5,7 +5,9 @@ lives here, verbatim, so the tests (and the fig7 harness, which records
 both kernels' absolute seconds) can hold the fast path to the slow
 one's answers.  The dense Gauss–Jordan oracle of the exact absorption
 solver sits beside its tests in ``test_exact_solver.py``; the float
-solver's dict-based construction is :func:`solve_absorption_reference`.
+solver's dict-based construction is :func:`solve_absorption_reference`;
+the per-packet query path the batched answer replaced is
+:func:`per_packet_distributions`.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from repro.core.fdd.matrix import (
     matrix_domains,
     project_class,
 )
-from repro.core.fdd.node import FddNode
+from repro.core.fdd.node import FddNode, output_distribution
 from repro.core.markov import SOLVER_TOLERANCE, AbsorptionResult, _states_reaching_absorption
-from repro.core.packet import _DropType
+from repro.core.packet import DROP, _DropType
 
 
 def fdd_to_matrix_reference(
@@ -203,3 +205,47 @@ def solve_absorption_reference(transient, absorbing, transitions):
         rows[state] = {}
         lost[state] = 1.0
     return transient, doomed, AbsorptionResult(rows, lost)
+
+
+def per_packet_distributions(backend, policy, packets) -> dict:
+    """The matrix backend's query path before answers were arrays.
+
+    One dict per ingress, merged per (ingress, outcome): loop-free
+    stages by :func:`~repro.core.fdd.node.output_distribution` per packet
+    with exact weights, and each loop row decoded per entering packet.
+    The loops themselves are solved by ``backend`` (one batched call
+    first); what is held to this oracle is everything around the solve.
+    """
+    backend.output_distributions(policy, packets)
+    dists = [{packet: 1} for packet in packets]
+    for stage in backend.plan(policy).stages:
+        if hasattr(stage, "fdd"):
+            dists = [_fdd_step(stage.fdd, dist) for dist in dists]
+            continue
+        if stage.do_while:
+            dists = [_fdd_step(stage.body_fdd, dist, stage.entered_by) for dist in dists]
+        dists = [_loop_step(stage, dist) for dist in dists]
+    return {packet: Dist(weights, check=False) for packet, weights in zip(packets, dists)}
+
+
+def _fdd_step(fdd, dist, passes=None):
+    acc = {}
+    for outcome, mass in dist.items():
+        if outcome is DROP or (passes is not None and passes(outcome)):
+            acc[outcome] = acc.get(outcome, 0) + mass
+            continue
+        for successor, weight in output_distribution(fdd, outcome).items():
+            acc[successor] = acc.get(successor, 0) + mass * weight
+    return acc
+
+
+def _loop_step(stage, dist):
+    acc = {}
+    for outcome, mass in dist.items():
+        if outcome is DROP or not stage.entered_by(outcome):
+            acc[outcome] = acc.get(outcome, 0) + mass
+            continue
+        for cls, weight in stage.solution(stage.classify_packet(outcome)).items():
+            successor = DROP if cls is DROP else stage.concretize(cls, outcome)
+            acc[successor] = acc.get(successor, 0) + float(mass) * weight
+    return acc

@@ -6,6 +6,7 @@ test waits for the state it needs instead of for a fixed time.
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 
@@ -16,4 +17,16 @@ def wait_until(predicate, timeout: float = 30.0, interval: float = 0.005) -> boo
         if predicate():
             return True
         time.sleep(interval)
+    return bool(predicate())
+
+
+async def wait_until_async(
+    predicate, timeout: float = 30.0, interval: float = 0.005
+) -> bool:
+    """:func:`wait_until` inside an event loop: the loop runs while it polls."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        await asyncio.sleep(interval)
     return bool(predicate())

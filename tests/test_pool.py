@@ -444,7 +444,7 @@ class TestLifecycle:
 
             def output_distributions(self, policy, inputs):
                 packets = list(inputs)
-                answers = self.inner.output_distributions(policy, packets)
+                answers = dict(self.inner.output_distributions(policy, packets))
                 answers.pop(packets[-1], None)  # violate the contract
                 return answers
 

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import MatrixBackend
+from repro.backends.matrix import _LoopStage
 from repro.core import syntax as s
 from repro.core.compiler import Compiler
 from repro.core.fdd.node import (
@@ -36,8 +37,8 @@ from repro.network.model import build_model
 from repro.routing import ecmp_policy
 from repro.topology import fat_tree
 
-from oracles import solve_absorption_reference
-from test_compile_per_switch import f10_batch_model
+from oracles import per_packet_distributions, solve_absorption_reference
+from test_compile_per_switch import f10_batch_model, fattree_model
 from test_exact_solver import ABSORBING, SHAPES, sparse_chains
 from test_properties import examples, guarded_programs
 
@@ -80,7 +81,7 @@ def test_backend_equals_the_ast_interpreter_on_residual_batches(policy, batch, c
             assert got[packet].close_to(want[packet], tolerance=1e-9)
     # The same batch in two calls — a growth step of every cache — is one call.
     grown = MatrixBackend()
-    split = grown.output_distributions(policy, batch[:cut])
+    split = dict(grown.output_distributions(policy, batch[:cut]))
     split.update(grown.output_distributions(policy, batch[cut:]))
     assert {p: list(d.items()) for p, d in split.items()} == {
         p: list(d.items()) for p, d in got.items()
@@ -109,11 +110,68 @@ def test_concretisation_depends_on_the_packet_only_through_its_residual():
     # One packet per (absorbing class, residual): f=0 and f=1 share theirs.
     assert len(stage._concrete_cache) == 2 + 2 + 1
     for packet in batch:
-        for cls in stage.solutions[stage.classify_packet(packet)]:
+        for cls in stage.solutions[stage.classify_packet(packet)].outcomes:
             if cls is not DROP:
                 assert stage.concretize(cls, packet) == packet.set_many(
                     {name: value for name, value in cls.values if value is not None}
                 )
+
+
+# ---------------------------------------------------------------------------
+# (i') the batched answer == the per-packet path it replaced, and the interpreter
+# ---------------------------------------------------------------------------
+
+def assert_rows_are_distributions(answer) -> None:
+    """Every row carries mass one, drop included; its lazy ``Dist`` is the row."""
+    for index, packet in enumerate(answer.ingresses):
+        start, stop = answer.indptr[index], answer.indptr[index + 1]
+        masses = answer.data[start:stop].tolist()
+        assert float(sum(masses)) == pytest.approx(1, abs=1e-12)
+        columns = answer.indices[start:stop].tolist()
+        assert dict(answer[packet].items()) == {
+            answer.outcomes[column]: mass for column, mass in zip(columns, masses)
+        }
+        assert answer[packet] is answer[packet]  # built once
+
+
+def assert_same_answers(answer, reference, packets) -> None:
+    for packet in packets:
+        got, want = answer[packet], reference[packet]
+        assert got.support() == want.support()
+        assert got.tv_distance(want) <= 1e-12
+        assert got == want
+
+
+@settings(
+    max_examples=examples(120), deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(guarded_programs(), st.permutations(BATCH))
+def test_the_batched_answer_is_the_per_packet_path_on_residual_batches(policy, batch):
+    backend = MatrixBackend()
+    answer = backend.output_distributions(policy, batch)
+    assert_rows_are_distributions(answer)
+    assert_same_answers(answer, per_packet_distributions(MatrixBackend(), policy, batch), batch)
+    oracle = Interpreter(exact=True, compile_bodies=False)
+    assert_same_answers(answer, {p: oracle.run_packet(policy, p) for p in batch}, batch)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: fattree_model(4, True), f10_batch_model], ids=["fattree4-failures", "f10_3-k6"]
+)
+def test_the_batched_answer_is_the_per_packet_path_on_network_models(build):
+    model = build()
+    packets = model.ingress_packets
+    backend = MatrixBackend()
+    answer = backend.output_distributions(model.policy, packets)
+    assert_rows_are_distributions(answer)
+    assert_same_answers(answer, per_packet_distributions(MatrixBackend(), model.policy, packets), packets)
+    oracle = Interpreter(exact=True, compile_bodies=False)
+    assert_same_answers(answer, {p: oracle.run_packet(model.policy, p) for p in packets}, packets)
+    # Delivery is a row reduction; it is the distribution's delivered mass.
+    delivered = backend.delivery_probabilities(model)
+    for packet in packets:
+        want = answer[packet].prob_of(model.is_delivered)
+        assert delivered[packet] == pytest.approx(float(want), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +247,12 @@ def test_a_loop_stage_builds_one_packet_per_class_and_residual():
     backend = MatrixBackend()
     backend.output_distributions(model.policy, model.ingress_packets)
     (stage,) = backend.plan(model.policy).loop_stages
-    entering = list(stage._decoded)
+    # The packets the head stage handed the loop, each classified once.
+    entering = [packet for packet in stage._class_cache if stage.entered_by(packet)]
     absorbing = {
         cls
         for packet in entering
-        for cls in stage.solutions[stage.classify_packet(packet)]
+        for cls in stage.row(stage.classify_packet(packet)).outcomes
         if cls is not DROP
     }
     residuals = {stage._classified(packet)[1] for packet in entering}
@@ -203,11 +262,74 @@ def test_a_loop_stage_builds_one_packet_per_class_and_residual():
     built = len(stage._concrete_cache)
     assert 0 < built <= len(absorbing) * len(residuals)
     assert built < len(model.ingress_packets) == 51
-    # A second batch replays the decoded rows: nothing is built or decoded again.
-    rows = dict(stage._decoded)
+    # A second batch replays the class rows: nothing is built or decoded again.
+    rows = dict(stage._rows)
     backend.output_distributions(model.policy, model.ingress_packets)
     assert len(stage._concrete_cache) == built
-    assert all(stage._decoded[packet] is row for packet, row in rows.items())
+    assert stage._rows.keys() == rows.keys()
+    assert all(stage._rows[cls] is row for cls, row in rows.items())
+
+
+def through_the_loop(model) -> s.Policy:
+    """``model``'s policy up to and including its loop (the loop stage is last)."""
+    parts = model.policy.parts
+    last = max(i for i, part in enumerate(parts) if isinstance(part, s.WhileDo))
+    return s.seq(*parts[: last + 1])
+
+
+def test_a_stage_decodes_each_outcome_column_once():
+    model = f10_batch_model()
+    answer = MatrixBackend().output_distributions(through_the_loop(model), model.ingress_packets)
+    columns = [outcome for outcome in answer.outcomes if outcome is not DROP]
+    # 51 ingresses reach 12 (class, residual) outcomes over 558 row entries:
+    # the loop stage decodes each outcome once, not once per ingress or entry.
+    assert answer.decoded == len(columns) == 12
+    assert answer.indptr[-1] == 558
+    # The tail's resets send all 12 to one packet.  Its diagram mentions
+    # only the reset values, so each input keeps its own flags in its
+    # residual: one decode per input column, one column out.
+    whole = MatrixBackend().output_distributions(model.policy, model.ingress_packets)
+    assert whole.decoded == 12 and len(whole.outcomes) == 1
+
+
+def test_one_ingress_per_call_walks_no_more_loop_free_diagrams_than_one_call():
+    model = f10_batch_model()
+    whole, fed = MatrixBackend(), MatrixBackend()
+    whole.output_distributions(model.policy, model.ingress_packets)
+    for packet in model.ingress_packets:
+        fed.output_distributions(model.policy, [packet])
+    walks = whole.solver_stats()["loop_free_walks"]
+    # The head's 51 ingress classes and the tail's two.
+    assert fed.solver_stats()["loop_free_walks"] == walks == 53
+    # Asked again, a loop-free stage walks nothing; a reset drops its rows,
+    # so the next call walks every class again (the counter keeps counting).
+    whole.output_distributions(model.policy, model.ingress_packets)
+    assert whole.solver_stats()["loop_free_walks"] == walks
+    whole.reset_solutions()
+    whole.output_distributions(model.policy, model.ingress_packets)
+    assert whole.solver_stats()["loop_free_walks"] == 2 * walks
+
+
+def test_a_reset_keeps_prepared_leaves_and_nothing_per_packet():
+    model = f10_batch_model()
+    backend = MatrixBackend()
+    backend.output_distributions(model.policy, model.ingress_packets)
+    before = list(backend.plan(model.policy).stages)
+    backend.reset_solutions()
+    after = backend.plan(model.policy).stages
+    assert [type(stage) for stage in after] == [type(stage) for stage in before]
+    for old, new in zip(before, after):
+        assert new is not old and old._class_cache
+        assert not (new._class_cache or new._concrete_cache or new._rows)
+        old_leaves, new_leaves = (
+            (stage.chain.leaves if isinstance(stage, _LoopStage) else stage._leaves)
+            for stage in (old, new)
+        )
+        # One entry per diagram leaf, handed on as it is.
+        assert new_leaves is old_leaves and old_leaves.leaves
+    for stage in after:
+        if isinstance(stage, _LoopStage):
+            assert len(stage.chain.states) == 1 and not stage.solutions
 
 
 def test_a_descent_costs_lookups_per_field_not_per_switch():

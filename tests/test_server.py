@@ -28,7 +28,7 @@ from repro.service import (
 from repro.service.cli import serve_main
 from repro.topology import edge_switches, fat_tree
 
-from polling import wait_until
+from polling import wait_until, wait_until_async
 
 
 def ecmp_model(topo, dest: int):
@@ -417,9 +417,7 @@ class TestAutoscaler:
             # Hold >= 2*target queries inside the long admission window so
             # several autoscaler observations see the queue depth.
             pending = [await conn.send(wire(query)) for query in all_pairs[:12]]
-            deadline = time.monotonic() + 5.0
-            while session.pool_size < 3 and time.monotonic() < deadline:
-                await asyncio.sleep(0.01)
+            await wait_until_async(lambda: session.pool_size >= 3, timeout=5.0)
             grown_size = session.pool_size
             replies = await asyncio.gather(*pending)
             await conn.aclose()

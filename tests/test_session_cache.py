@@ -133,7 +133,7 @@ class TestCacheSharingSemantics:
             # table...
             served = session.query_batch([Query.delivery(pk) for pk in packets])
             assert served.cache_hits == half
-            assert len(session._tokens) == 1 and len(session._dists) == 1
+            assert len(session._tokens) == 1 and len(session._rows) == 1
             # ...which the first model then hits in turn.
             session.add_model(first, default=True)
             again = session.query_batch([Query.delivery(pk) for pk in packets])
@@ -184,7 +184,7 @@ class TestCacheSharingSemantics:
         with AnalysisSession(models=models.values(), workers=1) as session:
             session.query_batch(all_pairs)
             # One table per destination's plan; stats counts across them.
-            assert len(session._dists) == len(models)
+            assert len(session._rows) == len(models)
             assert session.stats()["cached_distributions"] == len(all_pairs)
             assert "repro_cached_distributions %d" % len(all_pairs) in (
                 session.metrics_text()
@@ -194,7 +194,7 @@ class TestCacheSharingSemantics:
             assert len(session._verdicts) == 1
             session.clear_cache()
             assert session.stats()["cached_distributions"] == 0
-            assert not session._dists and not session._verdicts
+            assert not session._rows and not session._verdicts
             assert session.query_batch(all_pairs).cache_hits == 0
 
     def test_identity_fallback_for_backends_without_plan_key(self, models):

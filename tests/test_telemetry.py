@@ -597,11 +597,8 @@ class TestCrossProcessTrace:
                         if replica.busy and replica.health == HEALTHY:
                             os.kill(replica.backend.pid, signal.SIGKILL)
                             killed.append(replica.index)
-                            settle = time.monotonic() + 2.0
-                            while time.monotonic() < settle:
-                                if session.pool.failures > 0:
-                                    return
-                                time.sleep(0.005)
+                            if wait_until(lambda: session.pool.failures > 0, timeout=2.0):
+                                return
                     time.sleep(0.0005)
 
             thread = threading.Thread(target=killer)
