@@ -20,7 +20,7 @@ matches, which is what the Figure 10 comparison is about.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core import syntax as s
 from repro.core.compiler import GuardedFragmentError
@@ -28,6 +28,9 @@ from repro.core.distributions import Dist
 from repro.core.fields import FieldTable
 from repro.core.interpreter import Outcome
 from repro.core.packet import DROP, Packet, PacketUniverse, _DropType
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UnrollLimitExceeded(RuntimeError):
@@ -69,6 +72,8 @@ class ExactInferenceBaseline:
         fields: FieldTable | None = None,
     ) -> Dist[Outcome]:
         """Exact output distribution of ``policy`` on ``input_packet``."""
+        import numpy as np
+
         table = fields if fields is not None else self._infer_fields(policy, input_packet)
         universe = PacketUniverse(table.as_domains())
         if universe.size > self.max_states:
@@ -134,6 +139,8 @@ class ExactInferenceBaseline:
                 vector = self._run(part, vector)
             return vector
         if isinstance(policy, s.Choice):
+            import numpy as np
+
             result = np.zeros_like(vector)
             for branch, prob in policy.branches:
                 result += float(prob) * self._run(branch, vector.copy())
@@ -154,6 +161,8 @@ class ExactInferenceBaseline:
         raise TypeError(f"unknown policy node {type(policy)!r}")
 
     def _mask(self, pred: s.Predicate) -> np.ndarray:
+        import numpy as np
+
         from repro.core.interpreter import eval_predicate
 
         mask = np.zeros(len(self._universe) + 1)
@@ -171,6 +180,8 @@ class ExactInferenceBaseline:
         return result
 
     def _assign(self, field: str, value: int, vector: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         result = np.zeros_like(vector)
         result[-1] = vector[-1]
         for i, packet in enumerate(self._universe):

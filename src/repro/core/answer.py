@@ -14,6 +14,11 @@ reduction (:meth:`Answer.masses`).  :func:`delivered_mass` is the one
 definition of "delivered mass" every query path uses.  A
 :class:`~repro.core.distributions.Dist` is built only for a caller that
 asks for one, once per row.
+
+Import rule: numpy is imported inside the methods that build or reduce
+the arrays, never at module level (annotations import it under
+``TYPE_CHECKING``), so :func:`delivered_mass` on a plain ``Dist`` (what
+the interpreter and the exact verdicts read) never loads it.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.interpreter import Outcome, eval_predicate
 from repro.core.packet import DROP, Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: What "delivered" may be given as: a predicate AST or a packet callable.
 Predicate = s.Predicate | Callable[[Packet], bool]
@@ -88,6 +94,8 @@ class Answer(Mapping):
     @classmethod
     def identity(cls, packets: Sequence[Packet]) -> "Answer":
         """Every distinct packet onto itself with mass one: where a plan starts."""
+        import numpy as np
+
         distinct = list(dict.fromkeys(packets))
         n = len(distinct)
         answer = cls(
@@ -105,6 +113,8 @@ class Answer(Mapping):
         """
         if isinstance(dists, Answer):
             return dists
+        import numpy as np
+
         column: dict[Outcome, int] = {}
         indptr, indices, data = [0], [], []
         for dist in dists.values():
@@ -140,6 +150,8 @@ class Answer(Mapping):
         dict merge would have them.  After :meth:`identity` the step's
         rows are the answer's, as they are (exact masses stay exact).
         """
+        import numpy as np
+
         step_ptr = np.array(indptr)
         step_columns = np.array(indices, dtype=np.int64)
         step = np.array(data)
@@ -207,6 +219,8 @@ class Answer(Mapping):
         """``predicate`` on every outcome column, evaluated once per column."""
         cached = self._masks.get(id(predicate))
         if cached is None or cached[0] is not predicate:
+            import numpy as np
+
             mask = np.fromiter(
                 (holds(predicate, outcome) for outcome in self.outcomes),
                 dtype=bool,
@@ -228,6 +242,8 @@ class Answer(Mapping):
                     for i in range(n)
                 ]
             else:
+                import numpy as np
+
                 rows = np.repeat(np.arange(n), np.diff(self.indptr))
                 values = np.bincount(rows[keep], weights=self.data[keep], minlength=n).tolist()
             cached = self._masses[id(predicate)] = (predicate, values)

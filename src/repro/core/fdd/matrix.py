@@ -28,6 +28,12 @@ built per row; the arrays a solver or a :class:`TransitionMatrix` needs
 are built once per call from the lists.  The per-row path this replaced
 is the oracle of the equivalence tests (``tests/oracles.py``); it is not
 part of the library.
+
+Import rule: numpy and SciPy are imported inside the functions that
+build arrays (:meth:`ClassChain.rows_from`, :meth:`ClassChain.matrix`),
+never at module level; annotations import them under ``TYPE_CHECKING``.
+Exploration and the exact paths stay on Python lists and never load the
+float stack.
 """
 
 from __future__ import annotations
@@ -36,16 +42,17 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Mapping  # typing.Mapping's isinstance is ~100x slower
-from typing import Callable, Iterable, MutableMapping, Sequence
-
-import numpy as np
-from scipy.sparse import csr_matrix
+from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
 
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import Action, ActionOrDrop
 from repro.core.fdd.evaluator import ClassRow, ClassRowCache, materialize_class_row
 from repro.core.fdd.node import FddManager, FddNode, leaf_of, mentioned_values
 from repro.core.packet import DROP, Packet, _DropType
+
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy.sparse import csr_matrix
 
 #: Marker for "any value not explicitly mentioned by the program".
 WILDCARD: None = None
@@ -457,6 +464,8 @@ class ClassChain:
         states the rows belong to and their CSR slice (``indptr`` starting
         at 0), successors as state indices.  One array build per call.
         """
+        import numpy as np
+
         start = self.indptr[stored]
         return (
             np.array(self.rows[stored:], dtype=np.int64),
@@ -467,6 +476,9 @@ class ClassChain:
 
     def matrix(self) -> "TransitionMatrix":
         """The chain as a :class:`TransitionMatrix` (drop last, self-loops in)."""
+        import numpy as np
+        from scipy.sparse import csr_matrix
+
         n = len(self.states) - 1
         row_of = np.repeat(np.array(self.rows, dtype=np.int64), np.diff(self.indptr)) - 1
         col_of = np.array(self.indices, dtype=np.int64) - 1

@@ -36,6 +36,13 @@ and read the answer back into row dictionaries mapping absorbing states
 to probabilities.  Probability mass that cannot reach any absorbing state
 (non-termination) is reported separately so callers can assign it to the
 drop outcome, which is the correct limit semantics for guarded loops.
+
+Import rule: numpy and SciPy are imported inside the functions that do
+float work, never at module level (annotations import them under
+``TYPE_CHECKING``).  The exact solver and an exact
+:class:`IncrementalAbsorptionSolver` never touch them, so an exact
+verifier runs in a process that never loads the float stack; a float
+path pays the import at its first solve.
 """
 
 from __future__ import annotations
@@ -43,12 +50,11 @@ from __future__ import annotations
 import warnings
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence, TypeVar
 
-import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import splu
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy.sparse import csc_matrix
 
 State = TypeVar("State", bound=Hashable)
 
@@ -156,6 +162,8 @@ class AbsorptionSystem:
         of columns may be supplied and all are solved against the single
         cached factorization.
         """
+        import numpy as np
+
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != len(self.transient):
             raise ValueError(
@@ -174,6 +182,8 @@ class AbsorptionSystem:
         if self._absorption is None:
             nt, na = len(self.transient), len(self.absorbing)
             if nt == 0 or na == 0:
+                import numpy as np
+
                 self._absorption = np.zeros((nt, na))
             else:
                 self._absorption = self._factor().solve(self._r.toarray())
@@ -207,6 +217,8 @@ class AbsorptionSystem:
         mass deficit is reported as lost (diverging) mass, exactly like
         :func:`solve_absorption`.
         """
+        import numpy as np
+
         absorption = self.absorption_matrix()
         _check_absorption(absorption, self.transient)
         # Only the nonzeros of the clamped matrix are visited, row-major
@@ -235,6 +247,8 @@ def _check_absorption(absorption: np.ndarray, transient: Sequence, names: Sequen
     ``transient`` lists the rows' states — as indices into ``names`` when
     the caller keeps names for them.
     """
+    import numpy as np
+
     negative = np.argwhere(absorption < -1e-6)
     if len(negative):
         i, j = negative[0]
@@ -253,6 +267,10 @@ def _reaching_absorption(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     reachability by one ``breadth_first_order`` from a node that stands
     for every absorbing state; a state it does not reach is doomed.
     """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     known = cols >= 0
     sources, targets = rows[known], np.minimum(cols[known], n)
     back = csr_matrix((np.ones(len(sources)), (targets, sources)), shape=(n + 1, n + 1))
@@ -273,6 +291,10 @@ def _factorize(
     row ``i`` of the factor is the ``i``-th live state.  Returns ``(lu,
     r_mat)``, the factor ``None`` when no state is live.
     """
+    import numpy as np
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     n, nt = len(live), int(live.sum())
     if not nt:
         return None, csc_matrix((0, na))
@@ -323,6 +345,9 @@ def solve_absorption_batched(
     solvable state that is neither transient nor absorbing is a
     :class:`KeyError`.
     """
+    import numpy as np
+    from scipy.sparse import csc_matrix
+
     transient = list(transient)
     absorbing = list(absorbing)
     n, na = len(transient), len(absorbing)
@@ -420,9 +445,10 @@ class IncrementalAbsorptionSolver:
         self._ids: dict[State, int] = {}
         self._solutions: dict[State, dict[State, Fraction | float]] = {}
         self._lost: dict[State, Fraction | float] = {}
-        # What grow() appends to: state index -> slot (-1 unsolved), the
-        # solved row of each slot, and the outcome index with its inverse.
-        self._slot = np.full(64, -1, dtype=np.int64)
+        # What grow() appends to: state index -> slot (-1 unsolved; no
+        # array before the first step), the solved row of each slot, and
+        # the outcome index with its inverse.
+        self._slot: np.ndarray | None = None
         self._rows: list[np.ndarray] = []
         self._outcomes: list[int] = []
         self._column: dict[int, int] = {}
@@ -435,8 +461,10 @@ class IncrementalAbsorptionSolver:
     def solved_states(self) -> frozenset:
         """The transient states whose absorption rows are already final
         (state indices when the solver was fed by :meth:`grow` alone)."""
-        if self.exact or self._names:
+        if self.exact or self._names or self._slot is None:
             return frozenset(self._solutions)
+        import numpy as np
+
         return frozenset(np.flatnonzero(self._slot >= 0).tolist())
 
     def needs_solve(self, transient: Sequence[State]) -> bool:
@@ -528,6 +556,8 @@ class IncrementalAbsorptionSolver:
         transitions: Mapping[State, Mapping[State, float | Fraction]],
     ) -> None:
         """Index the rows of ``new``, :meth:`grow`, and read the rows back as dicts."""
+        import numpy as np
+
         names, ids = self._names, self._ids
 
         def index(state: State) -> int:
@@ -573,8 +603,12 @@ class IncrementalAbsorptionSolver:
         edge is no edge, and the LU is freed before this returns, on the
         thread that made it.
         """
+        import numpy as np
+
         n, base = len(states), len(self._rows)
         highest = int(max(states.max(initial=0), successors.max(initial=0)))
+        if self._slot is None:
+            self._slot = np.full(64, -1, dtype=np.int64)
         if highest >= len(self._slot):
             grown = np.full(2 * highest + 2, -1, dtype=np.int64)
             grown[: len(self._slot)] = self._slot
@@ -644,6 +678,8 @@ class IncrementalAbsorptionSolver:
         on first sight); the gateway columns are multiplied onto ``G``,
         the gateways' final rows, by one array product.
         """
+        import numpy as np
+
         outcomes, column = self._outcomes, self._column
         landing = []
         for target in targets.tolist():
@@ -675,6 +711,12 @@ class IncrementalAbsorptionSolver:
         over the outcome index.  This is the one place a solved row is
         decoded; callers ask when a query needs the row.
         """
+        if self._slot is None:  # no growth step yet: nothing is solved
+            if len(states):
+                raise KeyError(f"state {states[0]} is not solved")
+            return []
+        import numpy as np
+
         slots = self._slot[np.asarray(states, dtype=np.int64)]
         if (slots < 0).any():
             raise KeyError(f"state {states[int(np.argmin(slots))]} is not solved")

@@ -1,5 +1,6 @@
 """Tests for the absorbing Markov chain solvers."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,27 @@ class TestIncrementalAbsorptionSolver:
         result = solver.solve([0, 1, 2], transitions)
         assert result[0]["out"] == Fraction(1, 2)
         assert result.lost_mass[0] == Fraction(1, 2)
+
+    def test_no_arrays_before_the_first_float_step(self, monkeypatch):
+        import numpy as np
+
+        from repro.core.markov import IncrementalAbsorptionSolver
+
+        # With numpy and SciPy unimportable, an exact solver still solves ...
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        exact = IncrementalAbsorptionSolver(exact=True)
+        assert exact.solve([0, 1], self.chain(2))[0] == {"win": 1}
+        assert exact.solved_states == {0, 1}
+        # ... and a float solver holds nothing until its first grow.
+        fresh = IncrementalAbsorptionSolver()
+        assert fresh.solved_states == frozenset()
+        with pytest.raises(KeyError):
+            fresh.absorbed_many([0])
+        monkeypatch.undo()
+        fresh.grow(np.array([0]), np.array([0, 1]), np.array([1]), np.array([1.0]))
+        assert fresh.solved_states == {0}
+        assert fresh.absorbed_many([0]) == [([1], [1.0], 0.0)]
 
 
 class TestSchurGrowthUpdates:
