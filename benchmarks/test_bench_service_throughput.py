@@ -38,17 +38,6 @@ gated by CI, so
 instrumentation creep on the serving path fails the build instead of
 silently taxing every query.
 
-A sixth claim landed with remote replica hosts: moving a worker to the
-other side of a TCP connection must cost framing, not throughput.  The
-same warmed steady-state solver passes are served once by a
-``pool_mode="process"`` session (pipe-attached workers) and once by a
-``pool_mode="remote"`` session whose replicas live in a worker-host
-daemon on localhost TCP (length-prefixed CRC-checksummed frames, the
-heartbeat/supervision machinery fully armed); the extra time is
-recorded as the lower-is-better ``remote_overhead_us`` metric (µs per
-query) and gated by CI, so creep in the framing/heartbeat path fails the build
-instead of silently taxing every remote deployment.
-
 A fourth claim rides along since the supervision layer landed: crash
 recovery must be cheap.  The same 112-pair batch is served twice by a
 warmed two-worker process pool — once cleanly, once while one worker is
@@ -76,7 +65,7 @@ from repro.backends import MatrixBackend
 from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy, f10_model
-from repro.service import AnalysisSession, HostServer, Query, Telemetry
+from repro.service import AnalysisSession, Query, Telemetry
 from repro.service.pool import HEALTHY
 from repro.topology import ab_fat_tree, edge_switches, fat_tree
 
@@ -95,8 +84,6 @@ POOL_PASSES = 3
 PROC_DESTS = 4
 #: Worker count of the crash-recovery measurement (one dies, one carries on).
 RECOVERY_POOL = 2
-#: Replica count of the remote-vs-pipe transport-overhead measurement.
-REMOTE_POOL = 2
 
 RESULTS: list[list[object]] = []
 MEASURED: dict[str, float] = {}
@@ -385,110 +372,6 @@ def test_telemetry_overhead(benchmark, workload):
             "traced_qps": on_qps,
         },
     )
-
-
-def test_remote_transport_overhead(benchmark, workload):
-    """Localhost-TCP replica hosting vs pipe hosting: frames must be cheap.
-
-    Two warmed two-replica sessions serve the same steady-state solver
-    passes as the pool benchmark — one ``pool_mode="process"`` (workers
-    attached over pipes, the in-machine baseline), one
-    ``pool_mode="remote"`` leasing its replicas from an in-process
-    :class:`HostServer` on an ephemeral localhost port (real sockets,
-    real worker processes, heartbeats and supervision fully armed).  The
-    remote path pays pickle framing + CRC + TCP on every request and
-    reply; its extra time over the pipe path is recorded per query, as
-    the lower-is-better ``remote_overhead_us`` metric, and gated by CI
-    against the committed baseline, so the wire path cannot silently
-    grow per-query cost.  The test itself asserts no clock: answers must
-    agree to 1e-9 and the
-    remote workers must stay spec-fed (0 AST compilations), the same
-    exactness bar the unit suite holds.
-    """
-    models, batch = workload
-
-    def passes(pool_mode, hosts=None):
-        with AnalysisSession(
-            models=models.values(),
-            planner="destination",
-            workers=REMOTE_POOL,
-            pool_size=REMOTE_POOL,
-            pool_mode=pool_mode,
-            hosts=hosts,
-        ) as session:
-            for dest in models:
-                session.warm(dest, solve=False)
-            session.query_batch(batch)  # untimed: plan ship + first solve
-            session.clear_cache(keep_plans=True)
-            results = []
-            start = time.perf_counter()
-            for _ in range(POOL_PASSES):
-                results.append(session.query_batch(batch))
-                session.clear_cache(keep_plans=True)
-            elapsed = time.perf_counter() - start
-            return elapsed, results, session.pool.worker_reports()
-
-    def both():
-        with _quiesced_gc():
-            with HostServer(workers=REMOTE_POOL).start() as server:
-                address = f"{server.address[0]}:{server.port}"
-                pipe = passes("process")
-                remote = passes("remote", hosts=[address])
-            return pipe, remote
-
-    pipe, remote = benchmark.pedantic(both, rounds=1, iterations=1)
-    pipe_time, pipe_passes, _pipe_reports = pipe
-    remote_time, remote_passes, remote_reports = remote
-    queries = len(batch) * POOL_PASSES
-    pipe_qps = queries / pipe_time
-    remote_qps = queries / remote_time
-    overhead_pct = max(0.0, (pipe_qps - remote_qps) / pipe_qps * 100.0)
-    overhead_us = max(0.0, (remote_time - pipe_time) / queries * 1e6)
-    MEASURED["remote_overhead_us"] = overhead_us
-    RESULTS.append(
-        [
-            f"pipe process pool={REMOTE_POOL}",
-            len(batch) * POOL_PASSES,
-            f"{pipe_time:.2f}s",
-            f"{pipe_qps:.1f}",
-            "transport reference",
-        ]
-    )
-    RESULTS.append(
-        [
-            f"remote host pool={REMOTE_POOL}",
-            len(batch) * POOL_PASSES,
-            f"{remote_time:.2f}s",
-            f"{remote_qps:.1f}",
-            f"+{overhead_us:.1f} us/query ({overhead_pct:.1f}%), localhost TCP",
-        ]
-    )
-    record(
-        "service",
-        "Service throughput — sharded session vs naive per-call analysis (FatTree k=4)",
-        ["path", "queries", "time", "q/s", "notes"],
-        RESULTS,
-        metrics={
-            "remote_overhead_us": overhead_us,
-            "remote_qps": remote_qps,
-            "pipe_pool_qps": pipe_qps,
-        },
-    )
-    # The wire evidence: every serving replica really sat behind TCP and
-    # stayed spec-fed across the plan ship.
-    assert remote_reports, "remote worker reports are empty"
-    assert all(report["transport"] == "tcp" for report in remote_reports)
-    assert all(report["ast_compilations"] == 0 for report in remote_reports)
-    # Exactness across the wire: every remote pass matches the pipe pass.
-    reference = pipe_passes[0]
-    for result in remote_passes:
-        for query, expected in zip(batch, reference.values):
-            assert result.value(query) == pytest.approx(expected, abs=1e-9)
-    # The overhead is recorded, not asserted: a difference of two 3-pass
-    # windows over ~20 ms passes swings by half a pass on one commit,
-    # more after the unit suite.  Its gate is CI's benchmark-smoke job
-    # (check_regression.py against the committed baseline), which does
-    # not run the unit suite first.
 
 
 @pytest.mark.chaos

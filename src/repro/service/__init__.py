@@ -19,11 +19,10 @@ Architecture (**session → shards → pool → backend**):
   replicas — whatever replica source it is given;
 * :mod:`repro.service.procpool` — the replica sources: the in-process
   backend (``pool_mode="thread"``, one replica, called directly), and
-  worker processes (:class:`ProcessReplicas`, ``pool_mode="process"``)
-  or remote host workers (:class:`RemoteReplicas`,
-  ``pool_mode="remote"``) driven by one :class:`ReplicaClient` over the
-  manager-independent wire format of :mod:`repro.service.wire`, so the
-  GIL-bound compile-rebuild and matrix-assembly phases parallelise too;
+  worker processes (:class:`ProcessReplicas`, ``pool_mode="process"``),
+  each driven by one :class:`ReplicaClient` over the manager-independent
+  wire format of :mod:`repro.service.wire`, so the GIL-bound
+  compile-rebuild and matrix-assembly phases parallelise too;
 * :mod:`repro.service.shards` — pluggable :class:`ShardPlanner`
   strategies (by destination, by ingress block, round-robin) that cut a
   batch into exact partitions and tag shards with affinity hints;
@@ -41,23 +40,14 @@ Architecture (**session → shards → pool → backend**):
   ``python -m repro.service serve``, an asyncio JSON-lines-over-TCP
   streaming front end with per-reply correlation ids, graceful lossless
   drain, and a queue-depth :class:`PoolAutoscaler`;
-* :mod:`repro.service.transport` — the :class:`Transport` abstraction
-  under worker replicas, which also owns worker liveness:
-  :class:`PipeTransport` wraps a duplex pipe and watches the worker's
-  process sentinel, :class:`SocketTransport` speaks length-prefixed,
-  CRC-checksummed frames over TCP and watches host heartbeats, with
-  typed failures (:class:`TransportClosed`, :class:`FrameError`)
-  instead of hangs or pickle errors;
-* :mod:`repro.service.host` — the worker-host daemon
-  (``python -m repro.service host``): serves locally-supervised worker
-  replicas over TCP to ``pool_mode="remote"`` sessions, which run the
-  *same* lease/affinity/steal protocol across machines with
-  heartbeat-based partition detection, reconnect with exponential
-  backoff, and transparent host failover;
+* :mod:`repro.service.transport` — the :class:`PipeTransport` under
+  worker replicas, which also owns worker liveness (it watches the
+  worker's process sentinel) and reports typed failures
+  (:class:`TransportClosed`) instead of hangs; plus a frame codec kept
+  for the benchmark's wire metrics;
 * :mod:`repro.service.faults` — the :class:`FaultPlan` fault-injection
   harness (``REPRO_FAULTS``): deterministic worker kills, reply delays,
-  dropped pipes, and transport-level network faults (partitions,
-  garbled frames, stalls) for chaos-testing the supervision layer;
+  and dropped pipes for chaos-testing the supervision layer;
 * :mod:`repro.service.telemetry` — zero-dependency observability: a
   :class:`Tracer` producing one span tree per request (``request →
   shard → lease → worker:query → phase:*``, propagated across the
@@ -99,7 +89,6 @@ from repro.service.coalesce import (
 )
 from repro.service.executor import ShardExecutor
 from repro.service.faults import Fault, FaultPlan
-from repro.service.host import HostServer
 from repro.service.pool import (
     BackendPool,
     PoolUnavailable,
@@ -108,7 +97,6 @@ from repro.service.pool import (
 )
 from repro.service.procpool import (
     ProcessReplicas,
-    RemoteReplicas,
     ReplicaClient,
     open_pool,
 )
@@ -141,8 +129,6 @@ from repro.service.telemetry import (
 from repro.service.transport import (
     FrameError,
     PipeTransport,
-    SocketTransport,
-    Transport,
     TransportClosed,
     TransportError,
 )
@@ -161,7 +147,6 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "FrameError",
-    "HostServer",
     "MetricsRegistry",
     "Overloaded",
     "PipeTransport",
@@ -173,7 +158,6 @@ __all__ = [
     "QueryResult",
     "QuerySpec",
     "QueryServer",
-    "RemoteReplicas",
     "Replica",
     "ReplicaClient",
     "ReplicaFailure",
@@ -185,12 +169,10 @@ __all__ = [
     "ShardPlanner",
     "ShardReport",
     "ShuttingDown",
-    "SocketTransport",
     "SpanContext",
     "StreamClient",
     "Telemetry",
     "Tracer",
-    "Transport",
     "TransportClosed",
     "TransportError",
     "Unavailable",

@@ -26,13 +26,8 @@ Example::
 streaming front end (:mod:`repro.service.server`): newline-delimited
 JSON queries over TCP, coalesced across concurrent clients by an
 admission window — see ``serve --help`` and the README's "Serving
-streams" section.
-
-``python -m repro.service host ...`` runs a worker-host daemon
-(:mod:`repro.service.host`): it serves replica capacity over TCP to
-sessions started elsewhere with ``--pool-mode remote --remote-host
-HOST:PORT`` — see ``host --help`` and the README's "Replica hosting"
-section.
+streams" section.  Replicas are hosted in this process (``--pool-mode
+thread``) or in local worker processes (``--pool-mode process``).
 """
 
 from __future__ import annotations
@@ -109,27 +104,16 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="independent backend replicas; shards lease one each, so "
-        "N>1 (process or remote mode) enables parallel solves (default 1; "
-        "remote mode defaults to two replicas per host)",
+        "N>1 (process mode) enables parallel solves (default 1)",
     )
     parser.add_argument(
         "--pool-mode",
         default="thread",
-        choices=("thread", "process", "remote"),
+        choices=("thread", "process"),
         help="replica hosting: 'thread' serves from the one backend in this "
         "process; 'process' gives every replica its own worker process fed "
         "by spec shipping, parallelising plan rebuild + matrix assembly + "
-        "solve end-to-end; 'remote' leases replicas from worker-host daemons "
-        "over TCP (needs --remote-host) (default thread)",
-    )
-    parser.add_argument(
-        "--remote-host",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="worker-host daemon to lease replicas from (repeatable; "
-        "remote mode only — start daemons with `python -m repro.service "
-        "host --bind HOST:PORT`)",
+        "solve end-to-end (default thread)",
     )
     parser.add_argument(
         "--shard-timeout",
@@ -356,13 +340,8 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
     if args.pool_mode == "thread" and wanted > 1:
         raise SystemExit(
             "--pool-mode thread serves from one in-process replica; "
-            "--pool-size/--autoscale-max above 1 need --pool-mode process "
-            "(or remote)"
+            "--pool-size/--autoscale-max above 1 need --pool-mode process"
         )
-    if args.pool_mode == "remote" and not args.remote_host:
-        raise SystemExit("--pool-mode remote needs at least one --remote-host")
-    if args.remote_host and args.pool_mode != "remote":
-        raise SystemExit("--remote-host only makes sense with --pool-mode remote")
     if args.shard_attempts < 1:
         raise SystemExit("--shard-attempts must be >= 1")
     if not 0.0 < args.trace_sample <= 1.0:
@@ -377,7 +356,6 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
         backend=args.backend,
         pool_size=args.pool_size,
         pool_mode=args.pool_mode,
-        hosts=args.remote_host,
         planner=args.planner,
         workers=args.workers,
         shard_timeout=args.shard_timeout,
@@ -493,10 +471,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "serve":
         return serve_main(list(argv[1:]))
-    if argv and argv[0] == "host":
-        from repro.service.host import host_main
-
-        return host_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     if args.repeat < 1:
         raise SystemExit("--repeat must be >= 1")
@@ -537,16 +511,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"pool: {pool['size']} {pool['mode']}-hosted replicas "
                 f"(pids {workers}), leases {pool['leases']}, "
                 f"{pool['steals']} steal(s), {pool['restarts']} restart(s)"
-            )
-        if pool["mode"] == "remote":
-            placement = ",".join(
-                f"{host}/{transport}"
-                for host, transport in zip(pool["hosts"], pool["transports"])
-            )
-            print(
-                f"hosts: {placement} — {pool.get('failovers', 0)} failover(s), "
-                f"{pool.get('remote_reconnects', 0)} reconnect(s), "
-                f"{sum(pool['heartbeat_misses'])} heartbeat miss(es)"
             )
         print_supervision(stats)
         timings = stats["backend_timings"]

@@ -17,32 +17,17 @@ boundary through the environment:
   every incarnation of worker 1 until the plan is deactivated;
 * spec grammar: ``;``-separated faults, each
   ``KIND@TARGET[:OPT=VALUE...]`` where ``KIND`` is ``kill`` / ``drop`` /
-  ``delay`` / ``partition`` / ``garble`` / ``stall``, ``TARGET`` is a
-  worker index or ``all``, and options are ``after=K`` (arm after K
-  served query requests, default 0), ``ms=M`` (duration for ``delay`` /
-  ``stall`` / ``partition``), and ``exit=N`` (kill exit status, default
+  ``delay``, ``TARGET`` is a worker index or ``all``, and options are
+  ``after=K`` (arm after K served query requests, default 0), ``ms=M``
+  (duration for ``delay``), and ``exit=N`` (kill exit status, default
   137 — the code a SIGKILLed process reports).
   Example: ``kill@1:after=5;delay@all:ms=30``.
 
-Process faults (``kill``/``drop``/``delay``) apply to **query** requests
-only: plan shipping, resets, pings, and the respawn path's plan
-re-publication are never sabotaged, so an injected crash exercises
-exactly the paths a real mid-solve crash would (and a respawned worker
-still comes up spec-fed, with 0 AST compilations).
-
-Network faults live one layer *below* the worker loop, at the framed TCP
-transport of remote replica hosts (:mod:`repro.service.transport` /
-:mod:`repro.service.host` — the worker never sees them):
-
-* ``partition@TARGET[:ms=M]`` — the host relay stops reading, relaying,
-  and heartbeating that worker's connection for M ms (one-shot; ``ms``
-  omitted or 0 = indefinite blackhole, held until the connection dies);
-* ``garble@TARGET`` — corrupt exactly one reply frame (one-shot): the
-  frame arrives complete and well-delimited with a failing checksum,
-  exercising the ``FrameError`` → ``ReplicaFailure(kind="transport")``
-  path;
-* ``stall@TARGET:ms=M`` — delay every reply frame by M ms at the
-  transport layer (the worker has already answered; the wire is slow).
+Faults apply to **query** requests only: plan shipping, resets, pings,
+and the respawn path's plan re-publication are never sabotaged, so an
+injected crash exercises exactly the paths a real mid-solve crash would
+(and a respawned worker still comes up spec-fed, with 0 AST
+compilations).
 """
 
 from __future__ import annotations
@@ -56,11 +41,8 @@ from typing import Iterable, Iterator, MutableMapping
 #: Environment variable holding the active fault spec.
 REPRO_FAULTS = "REPRO_FAULTS"
 
-#: Recognised fault kinds (process-level, then transport-level).
-KINDS = ("kill", "drop", "delay", "partition", "garble", "stall")
-
-#: The kinds honored by the remote-host transport relay, not the worker.
-NETWORK_KINDS = ("partition", "garble", "stall")
+#: Recognised fault kinds.
+KINDS = ("kill", "drop", "delay")
 
 #: Default kill status: what a SIGKILLed process reports (128 + 9).
 KILLED = 137
@@ -97,7 +79,7 @@ class Fault:
         parts = [f"{self.kind}@{target}"]
         if self.after:
             parts.append(f"after={self.after}")
-        if self.kind == "delay" or (self.kind in ("stall", "partition") and self.ms):
+        if self.kind == "delay":
             parts.append(f"ms={self.ms:g}")
         if self.kind == "kill" and self.exit_code != KILLED:
             parts.append(f"exit={self.exit_code}")
@@ -171,20 +153,10 @@ class WorkerFaults:
 
     def __init__(self, faults: Iterable[Fault]):
         self.faults = tuple(faults)
-        # One-shot bookkeeping: slots of faults that already fired
-        # (partition / garble strike exactly once per incarnation).
-        self._fired: set[int] = set()
 
     def _armed(self, kind: str, served: int) -> Fault | None:
         for fault in self.faults:
             if fault.kind == kind and served >= fault.after:
-                return fault
-        return None
-
-    def _armed_once(self, kind: str, served: int) -> Fault | None:
-        for slot, fault in enumerate(self.faults):
-            if fault.kind == kind and served >= fault.after and slot not in self._fired:
-                self._fired.add(slot)
                 return fault
         return None
 
@@ -209,21 +181,6 @@ class WorkerFaults:
         fault = self._armed("delay", served)
         if fault is not None and fault.ms > 0:
             time.sleep(fault.ms / 1000.0)
-
-    # -- transport-level hooks (consulted by the remote-host relay) ------------
-    def partition_ms(self, served: int) -> float | None:
-        """One-shot: blackhole duration in ms (``0.0`` = indefinite), or ``None``."""
-        fault = self._armed_once("partition", served)
-        return fault.ms if fault is not None else None
-
-    def garble_reply(self, served: int) -> bool:
-        """One-shot: whether to corrupt this reply frame's checksum."""
-        return self._armed_once("garble", served) is not None
-
-    def stall_ms(self, served: int) -> float | None:
-        """Per-reply wire delay in ms (the worker already answered), or ``None``."""
-        fault = self._armed("stall", served)
-        return fault.ms if fault is not None and fault.ms > 0 else None
 
 
 @contextmanager
@@ -251,7 +208,6 @@ def active(
 __all__ = [
     "KILLED",
     "KINDS",
-    "NETWORK_KINDS",
     "REPRO_FAULTS",
     "Fault",
     "FaultPlan",

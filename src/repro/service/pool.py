@@ -12,9 +12,9 @@ Where a replica lives is not the pool's concern: the pool takes a
 it returns through the same lease, routing, and supervision code.  The
 sources (:mod:`repro.service.procpool`) are the in-process one — exactly
 one replica, the session's own backend, called directly — and the
-process and remote ones, whose replicas are
+process one, whose replicas are
 :class:`~repro.service.procpool.ReplicaClient` objects speaking the
-worker protocol over a pipe or a socket.
+worker protocol over a pipe.
 
 Routing is **affinity first, work-stealing second**: a lease request
 carries an optional affinity key (the shard's destination, set by the
@@ -41,14 +41,13 @@ session-killing one.  Every replica carries a health state::
     restarting ──(respawn impossible)──────▶ dead  (permanent)
 
 A lease body that raises :class:`ReplicaFailure` (worker crash, hung
-worker killed by the watchdog, broken transport) quarantines its
-replica: the replica is marked suspect, probed once (backends with a
-``ping`` — a transient transport blip on a live backend recovers in
-place), and on a failed probe a background thread asks the source for a
-replacement *in place at the same index* — so the affinity map and
-``lease_replica`` indices stay valid and the destination bindings
-transparently re-attach to the fresh backend.  Process and remote
-sources re-publish the dead worker's adopted plans as specs, so
+worker killed by the watchdog) quarantines its replica: the replica is
+marked suspect, probed once (backends with a ``ping`` — a live backend
+recovers in place), and on a failed probe a background thread asks the
+source for a replacement *in place at the same index* — so the affinity
+map and ``lease_replica`` indices stay valid and the destination
+bindings transparently re-attach to the fresh backend.  The process
+source re-publishes the dead worker's adopted plans as specs, so
 respawned workers never recompile.  Only when the source cannot build a
 replacement (or the pool is closing) does a replica go permanently
 ``dead``: its affinities are unbound and, once *every* replica is dead,
@@ -85,7 +84,7 @@ DEAD = "dead"
 
 
 class ReplicaFailure(RuntimeError):
-    """A replica's backend failed mid-lease (crash, hang, broken transport).
+    """A replica's backend failed mid-lease (crash or hang).
 
     This is the *structured* crash signal the supervision layer acts on:
     raising it out of a lease body quarantines the replica (probe →
@@ -99,9 +98,8 @@ class ReplicaFailure(RuntimeError):
     replica:
         Index of the failed replica, when known.
     kind:
-        ``"crash"`` (process died / transport closed), ``"timeout"``
-        (hung worker stopped by the per-shard watchdog) or
-        ``"transport"`` (corrupt frame, suspected partition).
+        ``"crash"`` (process died / pipe closed) or ``"timeout"`` (hung
+        worker stopped by the per-shard watchdog).
     exit_code:
         The dead worker's exit code, when known (negative = signal).
     """
@@ -180,9 +178,8 @@ class Replica:
 #: ``index`` — a new slot when ``dead`` is ``None``, else a replacement
 #: for the failed backend ``dead`` (``None`` back = cannot replace).  A
 #: source may declare ``mode`` (how it hosts replicas, default
-#: ``"thread"``), ``owns_replicas`` (whether the pool closes what it
-#: spawned, default ``True``) and ``stats()`` (keys merged into the
-#: pool's stats).
+#: ``"thread"``) and ``owns_replicas`` (whether the pool closes what it
+#: spawned, default ``True``).
 ReplicaSource = Callable[[int, object], object]
 
 
@@ -219,7 +216,7 @@ class BackendPool:
     ):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        #: How replicas are hosted: ``"thread"``, ``"process"``, ``"remote"``.
+        #: How replicas are hosted: ``"thread"`` or ``"process"``.
         self.mode = getattr(spawn, "mode", "thread")
         self._spawn = spawn
         self._owns_replicas = getattr(spawn, "owns_replicas", True)
@@ -551,8 +548,7 @@ class BackendPool:
         """Grow or shrink the pool to ``size`` replicas; returns the new size.
 
         Growth asks the source for fresh replicas and makes them
-        leasable immediately; a remote source that reaches no host stops
-        the growth at the current size.  Shrinking retires replicas from
+        leasable immediately.  Shrinking retires replicas from
         the *tail* of the pool — replica indices are positions in the
         replica list, so the affinity map and ``lease_replica`` stay
         valid throughout — and waits for a busy tail replica's lease to
@@ -570,8 +566,8 @@ class BackendPool:
         """
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        # Grow: spawn outside the condition variable (process workers and
-        # remote attachments take real time to start).
+        # Grow: spawn outside the condition variable (process workers take
+        # real time to start).
         while True:
             with self._cv:
                 if self._closed:
@@ -579,10 +575,7 @@ class BackendPool:
                 current = len(self.replicas)
             if current >= size:
                 break
-            try:
-                backend = self._spawn(current, None)
-            except PoolUnavailable:
-                break  # no host reachable: stay at the current size
+            backend = self._spawn(current, None)
             with self._cv:
                 if self._closed:
                     self._close_backends([backend])
@@ -698,8 +691,7 @@ class BackendPool:
         the lease path, so introspection keeps working while the pool is
         healing; a worker found dead *by* the probe is quarantined as a
         side effect (the ordinary supervision path).  Every report
-        carries ``index``, ``health`` and the placement columns of
-        :meth:`stats`.
+        carries ``index``, ``health`` and ``pid``.
         """
         reports: list[dict] = []
         index = 0
@@ -731,16 +723,8 @@ class BackendPool:
         return reports
 
     def _report(self, replica: Replica) -> dict:
-        """A replica's health and placement (its transport's, if it has one)."""
-        transport = getattr(replica.backend, "transport", None)
-        return {
-            "health": replica.health,
-            "pid": self.worker_id(replica.index),
-            "host": getattr(transport, "host", "local"),
-            "transport": getattr(transport, "kind", "inproc"),
-            "reconnects": getattr(transport, "reconnects", 0),
-            "heartbeat_misses": getattr(transport, "heartbeat_misses", 0),
-        }
+        """A replica's health and the pid that hosts it."""
+        return {"health": replica.health, "pid": self.worker_id(replica.index)}
 
     @staticmethod
     def _probe(backend: object) -> dict:
@@ -766,17 +750,7 @@ class BackendPool:
         return os.getpid() if pid is None else pid
 
     def stats(self) -> dict[str, object]:
-        """Pool shape, health, per-replica lease counts, and the affinity map.
-
-        The per-replica ``hosts`` / ``transports`` / ``reconnects`` /
-        ``heartbeat_misses`` columns are uniform across pool modes: the
-        in-process replica reports ``local``/``inproc`` and zeros,
-        process replicas ``local``/``pipe``, and remote replicas their
-        ``HOST:PORT`` and wire-liveness counters — so dashboards and the
-        CLI read one shape regardless of where replicas live.  A source
-        with a ``stats()`` method adds its own keys (the remote source's
-        ``hosts_configured`` and failover counters).
-        """
+        """Pool shape, health, per-replica lease counts and pids, and the affinity map."""
         with self._cv:
             stats = {
                 "mode": self.mode,
@@ -791,19 +765,8 @@ class BackendPool:
                         self._affinity.items(), key=lambda item: repr(item[0])
                     )
                 },
+                "workers": [self.worker_id(replica.index) for replica in self.replicas],
             }
-            placement = [self._report(replica) for replica in self.replicas]
-        for column, key in (
-            ("workers", "pid"),
-            ("hosts", "host"),
-            ("transports", "transport"),
-            ("reconnects", "reconnects"),
-            ("heartbeat_misses", "heartbeat_misses"),
-        ):
-            stats[column] = [entry[key] for entry in placement]
-        source_stats = getattr(self._spawn, "stats", None)
-        if source_stats is not None:
-            stats.update(source_stats())
         return stats
 
 

@@ -2,22 +2,17 @@
 
 A :class:`~repro.service.pool.BackendPool` leases, routes, and
 supervises replicas; the *source* it is given builds them.  There are
-three, picked by :func:`open_pool` from the session's ``pool_mode``:
+two, picked by :func:`open_pool` from the session's ``pool_mode``:
 
 * :class:`InProcess` (``"thread"``) — exactly one replica, the session's
   own backend, called directly: no codec, no copy;
 * :class:`ProcessReplicas` (``"process"``) — one :func:`worker_main`
-  process per replica, driven over a
+  process per replica, driven by a :class:`ReplicaClient` over a
   :class:`~repro.service.transport.PipeTransport`, so compile-free plan
-  rebuilds, matrix assembly, and solving all overlap across cores;
-* :class:`RemoteReplicas` (``"remote"``) — one worker per replica on a
-  :class:`~repro.service.host.HostServer`, driven over a
-  :class:`~repro.service.transport.SocketTransport`, with home-host-first
-  reconnect, host failover, and local fallback.
+  rebuilds, matrix assembly, and solving all overlap across cores.
 
-Worker replicas, local or remote, are one :class:`ReplicaClient` over
-their transport.  Nothing manager-bound and no ASTs cross the process
-boundary (:mod:`repro.service.wire`):
+Nothing manager-bound and no ASTs cross the process boundary
+(:mod:`repro.service.wire`):
 
 * the parent keeps one *planner backend* whose only job is compiling
   policies once and producing their manager-independent ``(fields,
@@ -43,17 +38,15 @@ own; the :class:`PlanDirectory` lock *may* compile (parent-side, first
 time a policy is seen) — it is therefore only ever taken from inside a
 lease or from warmup, never while holding the session state lock.
 
-Supervision: worker liveness is the transport's job — the pipe waits on
-the worker's OS sentinel, the socket on host heartbeats and the host's
-``worker-died`` notice — and the client's one request loop turns what
-the transport reports into a :class:`~repro.service.pool.ReplicaFailure`.
-A ``shard_timeout`` arms a per-request watchdog: a worker that does not
-answer in time is killed (or its connection dropped, so its host reaps
-it) and reported as ``kind="timeout"``.  The pool's quarantine/respawn
-machinery then asks the source for a fresh worker at the same index,
-which re-adopts every plan the dead worker had from the parent-side
-:class:`PlanDirectory` — as specs, so respawned workers still report 0
-AST compilations.  Fault injection for all of this lives in
+Supervision: worker liveness is the pipe's job — it waits on the
+worker's OS sentinel — and the client's one request loop turns what the
+pipe reports into a :class:`~repro.service.pool.ReplicaFailure`.  A
+``shard_timeout`` arms a per-request watchdog: a worker that does not
+answer in time is killed and reported as ``kind="timeout"``.  The
+pool's quarantine/respawn machinery then asks the source for a fresh
+worker at the same index, which re-adopts every plan the dead worker had
+from the parent-side :class:`PlanDirectory` — as specs, so respawned
+workers still report 0 AST compilations.  Fault injection for all of this lives in
 :mod:`repro.service.faults` (``REPRO_FAULTS``), which
 :func:`worker_main` consults around query requests only.
 """
@@ -62,27 +55,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 import threading
-import time
 import traceback
-from functools import partial
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.answer import delivered_mass
 from repro.service.faults import FaultPlan
-from repro.service.pool import BackendPool, PoolUnavailable, ReplicaFailure
+from repro.service.pool import BackendPool, ReplicaFailure
 from repro.service.telemetry import Telemetry, Tracer
-from repro.service.transport import (
-    DEFAULT_MAX_FRAME,
-    FrameError,
-    PipeTransport,
-    SocketTransport,
-    Transport,
-    TransportClosed,
-    TransportError,
-    TransportTimeout,
-)
+from repro.service.transport import PipeTransport, TransportClosed, TransportTimeout
 from repro.service.wire import QuerySpec, ResultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -135,7 +116,7 @@ def _worker_stats(
     return stats
 
 
-def worker_main(connection, index: int = 0, stale_fds: Iterable[int] = ()) -> None:
+def worker_main(connection, index: int = 0) -> None:
     """The worker process: one backend replica, driven over one pipe.
 
     The worker owns a full :class:`~repro.backends.matrix.MatrixBackend`
@@ -155,14 +136,6 @@ def worker_main(connection, index: int = 0, stale_fds: Iterable[int] = ()) -> No
     traceback)`` — the worker survives and keeps serving, so one bad
     query cannot take a replica (and its warm factorizations) down.
 
-    ``stale_fds`` are closed before serving.  A worker forked by a host
-    daemon inherits the daemon's whole fd table: the listener, every
-    other connection's socket and pipe, and — fatally — the daemon's
-    *own* end of this worker's pipe.  Holding that last fd means the
-    pipe can never reach EOF, so a worker orphaned by SIGKILLing the
-    daemon would block in ``recv()`` forever instead of self-terminating
-    (and keep the listener port bound).
-
     Fault injection (chaos testing): when ``REPRO_FAULTS`` names this
     worker's ``index``, the :mod:`repro.service.faults` hooks run around
     **query** requests only — plan shipping and the respawn path stay
@@ -171,13 +144,6 @@ def worker_main(connection, index: int = 0, stale_fds: Iterable[int] = ()) -> No
     """
     import signal
 
-    keep = connection.fileno()
-    for fd in stale_fds:
-        if fd != keep:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
     # The parent handles interrupts and tears workers down via "stop";
     # a Ctrl-C must not kill workers mid-protocol.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -327,27 +293,23 @@ _SHARD_BUDGET = object()
 
 
 class ReplicaClient:
-    """The parent-side face of one worker replica, over any transport.
+    """The parent-side face of one worker process, over its pipe.
 
     Implements exactly the backend surface a leased replica is driven
     through (``plan`` / ``plan_key`` / ``output_distributions`` /
     ``certainly_delivers`` / ``reset_solutions`` / ``clear_caches`` /
     ``timings`` / ``close``), translating each call into worker protocol
     messages — so sessions, warmup, and benchmarks are drop-in between
-    pool modes.  The transport carries the messages and watches the
-    worker (see :mod:`repro.service.transport`); :meth:`_request`, the
-    one request loop, maps what it reports onto
+    pool modes.  The pipe carries the messages and watches the worker
+    (see :mod:`repro.service.transport`); :meth:`_request`, the one
+    request loop, maps what it reports onto
     :class:`~repro.service.pool.ReplicaFailure`:
 
     * :class:`~repro.service.transport.TransportClosed` (the worker
-      exited, the connection was lost, the host reported the worker
-      dead) → ``kind="crash"``;
+      exited, the pipe was lost) → ``kind="crash"``;
     * :class:`~repro.service.transport.TransportTimeout` (no answer
-      within ``shard_timeout``) → the transport's watchdog action — kill
-      the process, or drop the connection so the host reaps the worker
-      — then ``kind="timeout"``;
-    * any other :class:`~repro.service.transport.TransportError` (a
-      corrupt frame, a suspected partition) → ``kind="transport"``.
+      within ``shard_timeout``) → the worker is killed, then
+      ``kind="timeout"``.
 
     A failed client is permanently dead; the pool's supervision replaces
     it with a fresh client at the same replica index.  Semantic worker
@@ -361,7 +323,7 @@ class ReplicaClient:
         self,
         index: int,
         directory: PlanDirectory,
-        transport: Transport,
+        transport: PipeTransport,
         *,
         shard_timeout: float | None = None,
         telemetry: Telemetry | None = None,
@@ -392,10 +354,6 @@ class ReplicaClient:
         return self.transport.pid
 
     @property
-    def host(self) -> str:
-        return self.transport.host
-
-    @property
     def exit_code(self) -> int | None:
         """The worker's exit code once dead, when known (negative = signal)."""
         return self.transport.exit_code
@@ -414,7 +372,7 @@ class ReplicaClient:
         """Record this client as permanently dead; the first failure sticks."""
         if self._failure is None:
             failure = ReplicaFailure(
-                f"worker {self.index} on {self.host} (pid {self.pid}) {detail}",
+                f"worker {self.index} (pid {self.pid}) {detail}",
                 replica=self.index,
                 kind=kind,
                 exit_code=self.exit_code,
@@ -446,17 +404,12 @@ class ReplicaClient:
                     pid=self.pid,
                     op=op,
                     budget=budget,
-                    host=self.host,
                 )
             raise self._mark_dead(
                 "timeout", f"did not answer {op!r} in time ({exc}) and was stopped", exc
             )
         except TransportClosed as exc:
             raise self._mark_dead("crash", f"died while serving {op!r} ({exc})", exc)
-        except FrameError as exc:
-            raise self._mark_dead("transport", f"received a corrupt frame ({exc})", exc)
-        except TransportError as exc:
-            raise self._mark_dead("transport", f"lost its transport ({exc})", exc)
         if reply[0] == "error":
             _, summary, trace = reply
             raise RuntimeError(
@@ -595,7 +548,7 @@ class InProcess:
     re-installs the same backend (the call was in-process: there is no
     worker to lose), and a second replica is refused: replicas in one
     interpreter share its GIL, so parallel serving is what the process
-    and remote sources are for.  The backend stays its owner's to close.
+    source is for.  The backend stays its owner's to close.
     """
 
     mode = "thread"
@@ -608,7 +561,7 @@ class InProcess:
         if index:
             raise ValueError(
                 "pool_mode='thread' hosts exactly one in-process replica; "
-                "use pool_mode='process' (or 'remote') for more"
+                "use pool_mode='process' for more"
             )
         return self.backend
 
@@ -673,7 +626,15 @@ class ProcessReplicas:
         self._context = multiprocessing.get_context(self.start_method)
 
     def __call__(self, index: int, dead: ReplicaClient | None = None) -> ReplicaClient:
-        """Start a worker for slot ``index`` (replacing ``dead``, if given)."""
+        """Start a worker for slot ``index`` (replacing ``dead``, if given).
+
+        New workers join with empty plan caches; the shared
+        :class:`PlanDirectory` ships each compiled plan payload the first
+        time the worker is asked about the policy.  A replacement for
+        ``dead`` instead re-adopts the corpse's plans up front and takes
+        over its cumulative phase timings as carry, so the slot's
+        reported phase time never resets across restarts.
+        """
         conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=worker_main,
@@ -683,24 +644,10 @@ class ProcessReplicas:
         )
         process.start()
         child_conn.close()
-        return self.client(index, PipeTransport(conn, process), dead)
-
-    def client(
-        self, index: int, transport: Transport, dead: ReplicaClient | None = None
-    ) -> ReplicaClient:
-        """A client for slot ``index`` over ``transport``.
-
-        New workers join with empty plan caches; the shared
-        :class:`PlanDirectory` ships each compiled plan payload the first
-        time the worker is asked about the policy.  A replacement for
-        ``dead`` instead re-adopts the corpse's plans up front and takes
-        over its cumulative phase timings as carry, so the slot's
-        reported phase time never resets across restarts.
-        """
         client = ReplicaClient(
             index,
             self.directory,
-            transport,
+            PipeTransport(conn, process),
             shard_timeout=self.shard_timeout,
             telemetry=self._telemetry,
             carry_timings=None if dead is None else dead.timings(),
@@ -714,299 +661,28 @@ class ProcessReplicas:
         return client
 
 
-def attach(
-    address: tuple[str, int],
-    replica: int,
-    *,
-    connect_timeout: float = 5.0,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME,
-) -> SocketTransport:
-    """Dial a host daemon and attach a fresh worker for slot ``replica``.
-
-    Returns the connected transport with the worker's ``host`` and
-    ``pid`` filled in from the ``("attached", info)`` handshake; a
-    refused attach (e.g. a host at its hard capacity) raises
-    :class:`~repro.service.transport.TransportError`.
-    """
-    host = _addr_str(address)
-    transport = SocketTransport.connect(
-        address[0], int(address[1]), timeout=connect_timeout, max_frame_bytes=max_frame_bytes
-    )
-    try:
-        transport.send(("attach", {"replica": replica}))
-        hello = transport.recv(timeout=connect_timeout)
-    except TransportError:
-        transport.close()
-        raise
-    if not (isinstance(hello, tuple) and hello and hello[0] == "attached"):
-        transport.close()
-        detail = hello[1] if isinstance(hello, tuple) and len(hello) > 1 else hello
-        raise TransportError(f"host {host} refused attach: {detail!r}")
-    transport.host = host
-    transport.pid = hello[1].get("pid")
-    return transport
-
-
-class RemoteReplicas:
-    """The remote replica source: workers leased from host daemons over TCP.
-
-    Each replica is a :class:`ReplicaClient` over a
-    :class:`~repro.service.transport.SocketTransport` attached
-    round-robin across one or more ``HOST:PORT`` host daemons
-    (:class:`~repro.service.host.HostServer`), which spawn and locally
-    supervise the actual worker processes.  Plans still compile once in
-    the parent's :class:`PlanDirectory` and ship once per (worker, plan)
-    as AST-free specs, so remote workers also report
-    ``ast_compilations == 0``, across any number of reconnects.
-
-    Robustness model, layered on the pool's health machine:
-
-    * **liveness** is wire-driven: host relays emit heartbeats while a
-      request is outstanding; the transport counts a silence of
-      ``suspect_after`` intervals as a heartbeat miss and condemns the
-      connection after ``condemn_after`` intervals (a suspected
-      partition), which the request loop reports as a replica failure;
-    * **reconnect** (the respawn of a failed slot) retries with
-      exponential backoff + full jitter, preferring the dead replica's
-      home host; a fresh connection re-ships the corpse's plan specs,
-      and because the replacement lands at the same replica index,
-      destination affinities re-attach untouched;
-    * **failover**: when the home host stays unreachable, the slot
-      re-homes onto a surviving host (counted, traced, and exported as
-      ``repro_host_failovers_total``); when *every* remote host is gone
-      the slot degrades to a local worker process
-      (``local_fallback=True``), all under the existing
-      ``max_attempts``/:class:`~repro.service.pool.PoolUnavailable`
-      contract — callers never see a new failure mode.
-
-    Every partition/reconnect/failover lands in the telemetry timeline
-    (``heartbeat-missed``, ``host-partition-suspected``,
-    ``remote-reconnect``, ``host-failover``, ``remote-local-fallback``)
-    and in the metrics registry (``repro_remote_reconnects_total``,
-    ``repro_host_failovers_total``).
-    """
-
-    mode = "remote"
-
-    def __init__(
-        self,
-        planner: object,
-        hosts,
-        *,
-        start_method: str | None = None,
-        shard_timeout: float | None = None,
-        telemetry: Telemetry | None = None,
-        heartbeat_interval: float = 0.2,
-        suspect_after: float = 3.0,
-        condemn_after: float = 15.0,
-        reconnect_attempts: int = 4,
-        reconnect_backoff: float = 0.05,
-        reconnect_max_backoff: float = 2.0,
-        local_fallback: bool = True,
-        connect_timeout: float = 5.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME,
-    ):
-        self._addresses = parse_host_list(hosts)
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if condemn_after <= suspect_after:
-            raise ValueError("condemn_after must exceed suspect_after")
-        # Local workers serve the fallback path and build every client.
-        self._local = ProcessReplicas(
-            planner,
-            start_method=start_method,
-            shard_timeout=shard_timeout,
-            telemetry=telemetry,
-        )
-        self._liveness = (heartbeat_interval, suspect_after, condemn_after)
-        self._reconnect_attempts = max(1, int(reconnect_attempts))
-        self._reconnect_backoff = reconnect_backoff
-        self._reconnect_max_backoff = reconnect_max_backoff
-        self._local_fallback = local_fallback
-        self._connect_timeout = connect_timeout
-        self._max_frame_bytes = max_frame_bytes
-        self._tracer = None if telemetry is None else telemetry.tracer
-        self._lock = threading.Lock()
-        #: replica index -> the host currently considered its home.
-        self._slot_home: dict[int, tuple[str, int]] = {}
-        self._failovers = 0
-        self._remote_reconnects = 0
-        self._local_fallbacks = 0
-        self._reconnect_counter = None
-        self._failover_counter = None
-        if telemetry is not None:
-            self._reconnect_counter = telemetry.metrics.counter(
-                "repro_remote_reconnects_total",
-                "Remote replica connections re-established after a failure",
-            )
-            self._failover_counter = telemetry.metrics.counter(
-                "repro_host_failovers_total",
-                "Replicas re-homed onto another host (or locally) after host loss",
-            )
-
-    @property
-    def hosts(self) -> list[str]:
-        """The configured host daemons, as ``HOST:PORT`` strings."""
-        return [_addr_str(address) for address in self._addresses]
-
-    def __call__(self, index: int, dead: ReplicaClient | None = None) -> ReplicaClient | None:
-        """Connect slot ``index`` to a host; failover and fall back as needed.
-
-        A new slot (``dead is None``) tries every host once and raises
-        :class:`~repro.service.pool.PoolUnavailable` when none answers
-        (unless local fallback is on).  A replacement for ``dead``
-        retries for ``reconnect_attempts`` rounds with exponential
-        backoff + full jitter between rounds, home host first, then
-        falls back locally (when enabled) or reports permanent death
-        with ``None``.
-        """
-        home = self._slot_home.get(index, self._addresses[index % len(self._addresses)])
-        candidates = [home] + [address for address in self._addresses if address != home]
-        last_error: Exception | None = None
-        for attempt in range(1 if dead is None else self._reconnect_attempts):
-            if attempt:
-                cap = min(
-                    self._reconnect_max_backoff,
-                    self._reconnect_backoff * (2 ** (attempt - 1)),
-                )
-                time.sleep(random.uniform(0.0, cap))  # full jitter
-            for address in candidates:
-                try:
-                    transport = attach(
-                        address,
-                        index,
-                        connect_timeout=self._connect_timeout,
-                        max_frame_bytes=self._max_frame_bytes,
-                    )
-                except (TransportError, OSError) as exc:
-                    last_error = exc
-                    continue
-                mark = partial(self._mark, replica=index, host=transport.host)
-                transport.expect_heartbeats(*self._liveness, mark=mark)
-                self._slot_home.setdefault(index, address)
-                if dead is not None:
-                    transport.reconnects = dead.transport.reconnects + 1
-                    # Cumulative for the slot: a partition's misses must
-                    # survive the very teardown they caused.
-                    transport.heartbeat_misses = dead.transport.heartbeat_misses
-                    self._note_recovery(index, home, address, transport)
-                return self._local.client(index, transport, dead)
-        if self._local_fallback:
-            client = self._local(index, dead)
-            with self._lock:
-                self._failovers += 1
-                self._local_fallbacks += 1
-            if self._failover_counter is not None:
-                self._failover_counter.inc()
-            self._mark("remote-local-fallback", replica=index, origin=_addr_str(home))
-            return client
-        if dead is not None:
-            return None  # permanent death: the pool marks the slot DEAD
-        raise PoolUnavailable(
-            f"no remote host reachable for replica {index} "
-            f"(tried {[_addr_str(a) for a in candidates]}): {last_error}"
-        )
-
-    def _note_recovery(
-        self,
-        index: int,
-        home: tuple[str, int],
-        address: tuple[str, int],
-        transport: SocketTransport,
-    ) -> None:
-        failover = address != home
-        with self._lock:
-            self._remote_reconnects += 1
-            if failover:
-                self._failovers += 1
-                self._slot_home[index] = address
-        if self._reconnect_counter is not None:
-            self._reconnect_counter.inc()
-        if failover and self._failover_counter is not None:
-            self._failover_counter.inc()
-        self._mark(
-            "host-failover" if failover else "remote-reconnect",
-            replica=index,
-            origin=_addr_str(home),
-            host=transport.host,
-            reconnects=transport.reconnects,
-        )
-
-    def _mark(self, name: str, **attrs) -> None:
-        if self._tracer is not None:
-            self._tracer.mark(name, **attrs)
-
-    def stats(self) -> dict[str, object]:
-        """Failover counters, merged into the pool's ``stats()``."""
-        with self._lock:
-            return {
-                "hosts_configured": self.hosts,
-                "failovers": self._failovers,
-                "remote_reconnects": self._remote_reconnects,
-                "local_fallbacks": self._local_fallbacks,
-            }
-
-
-def parse_host_list(hosts) -> list[tuple[str, int]]:
-    """Normalise ``hosts`` (``"HOST:PORT"`` strings or pairs) to tuples."""
-    parsed: list[tuple[str, int]] = []
-    for entry in hosts:
-        if isinstance(entry, str):
-            host, sep, port = entry.rpartition(":")
-            if not sep or not host:
-                raise ValueError(f"host spec {entry!r} must be HOST:PORT")
-            parsed.append((host, int(port)))
-        else:
-            host, port = entry
-            parsed.append((str(host), int(port)))
-    if not parsed:
-        raise ValueError("a remote pool needs at least one HOST:PORT host")
-    return parsed
-
-
-def _addr_str(address: tuple[str, int]) -> str:
-    return f"{address[0]}:{address[1]}"
-
-
 def open_pool(
     mode: str,
     backend: object,
     size: int | None = None,
     *,
-    hosts=None,
-    remote_options=None,
     shard_timeout: float | None = None,
     telemetry: Telemetry | None = None,
 ) -> BackendPool:
     """A :class:`~repro.service.pool.BackendPool` over the source for ``mode``.
 
     ``"thread"`` serves from ``backend`` itself (:class:`InProcess`, one
-    replica, which stays the caller's to close); ``"process"`` and
-    ``"remote"`` keep ``backend`` as the parent-side planner and host
-    ``size`` workers — default 1, or two per host in remote mode, where
-    ``remote_options`` tune :class:`RemoteReplicas`.
+    replica, which stays the caller's to close); ``"process"`` keeps
+    ``backend`` as the parent-side planner and hosts ``size`` workers
+    (default 1).
     """
     if mode == "thread":
         source = InProcess(backend)
     elif mode == "process":
         source = ProcessReplicas(backend, shard_timeout=shard_timeout, telemetry=telemetry)
-    elif mode == "remote":
-        if not hosts:
-            raise ValueError(
-                "pool_mode='remote' needs hosts=['HOST:PORT', ...] "
-                "(start them with `python -m repro.service host`)"
-            )
-        source = RemoteReplicas(
-            backend,
-            list(hosts),
-            shard_timeout=shard_timeout,
-            telemetry=telemetry,
-            **dict(remote_options or {}),
-        )
-        size = 2 * len(source.hosts) if size is None else size
     else:
         raise ValueError(
-            f"unknown pool_mode {mode!r}; expected 'thread', 'process', or 'remote'"
+            f"unknown pool_mode {mode!r}; expected 'thread' or 'process'"
         )
     return BackendPool(source, 1 if size is None else size, telemetry=telemetry)
 
@@ -1015,10 +691,7 @@ __all__ = [
     "InProcess",
     "PlanDirectory",
     "ProcessReplicas",
-    "RemoteReplicas",
     "ReplicaClient",
-    "attach",
     "open_pool",
-    "parse_host_list",
     "worker_main",
 ]

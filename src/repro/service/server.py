@@ -202,7 +202,16 @@ class _Connection:
 
     async def send(self, payload: dict) -> None:
         """Write one JSON line; drain only under genuine buffer pressure."""
-        data = json.dumps(payload).encode("utf-8") + b"\n"
+        try:
+            text = json.dumps(payload)
+        except RecursionError:
+            # Only a client's id nests: it parsed, but writing it back
+            # needs the few stack frames more that the parser had left.
+            text = json.dumps({
+                "id": None,
+                "error": error_payload("bad-request", "id is nested too deeply to echo"),
+            })
+        data = text.encode("utf-8") + b"\n"
         self.writer.write(data)
         if self.writer.transport.get_write_buffer_size() > _DRAIN_THRESHOLD:
             async with self.lock:
@@ -446,7 +455,8 @@ class QueryServer:
     async def _serve_line(self, conn: _Connection, line: bytes) -> None:
         try:
             message = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Not JSON, not UTF-8, or nested deeper than the parser goes.
             await self._send_error(conn, None, "bad-request", f"invalid JSON: {exc}")
             return
         if not isinstance(message, dict):
@@ -461,10 +471,10 @@ class QueryServer:
             return
         try:
             query = coerce_stream_query(message)
-        except (TypeError, ValueError, KeyError) as exc:
+            deadline = self._deadline_for(message)
+        except (TypeError, ValueError, KeyError, ArithmeticError) as exc:
             await self._send_error(conn, qid, "bad-request", str(exc))
             return
-        deadline = self._deadline_for(message)
         try:
             answer = await self.coalescer.submit(query, deadline=deadline)
         except QueryRejected as exc:
@@ -518,7 +528,12 @@ class QueryServer:
     def _deadline_for(self, message: dict) -> float | None:
         deadline_ms = message.get("deadline_ms")
         if deadline_ms is not None:
-            return time.monotonic() + float(deadline_ms) / 1000.0
+            if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
+                raise ValueError(f"deadline_ms must be a number, not {deadline_ms!r}")
+            seconds = float(deadline_ms) / 1000.0
+            if not math.isfinite(seconds):
+                raise ValueError(f"deadline_ms must be finite, not {deadline_ms}")
+            return time.monotonic() + seconds
         if self.default_deadline is not None:
             return time.monotonic() + self.default_deadline
         return None

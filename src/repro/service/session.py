@@ -122,13 +122,12 @@ class AnalysisSession:
     backend:
         The base query engine: a registry name (default ``"matrix"``) or
         a backend instance.  In thread mode it is the session's one
-        replica, called directly; in process and remote mode it stays in
-        the parent as the planner backend that compiles policies once
-        and ships their specs to workers.
+        replica, called directly; in process mode it stays in the parent
+        as the planner backend that compiles policies once and ships
+        their specs to workers.
     pool_size:
-        Number of independent backend replicas (default 1; in remote
-        mode the default is two replicas per host).  Thread mode hosts
-        exactly one: asking it for more raises ``ValueError``.
+        Number of independent backend replicas (default 1).  Thread mode
+        hosts exactly one: asking it for more raises ``ValueError``.
     pool_mode:
         ``"thread"`` (default) serves from the backend in this process,
         with no codec between the session and the solver.
@@ -138,19 +137,6 @@ class AnalysisSession:
         matrix assembly, factorization, solve — runs outside the
         parent's GIL, at the price of per-query IPC and per-worker
         memory.  Requires a spec-shipping backend (matrix).
-        ``"remote"`` leases replicas on worker-host daemons over TCP
-        (:class:`~repro.service.procpool.RemoteReplicas`): same
-        lease/affinity/steal protocol, same spec shipping, plus
-        heartbeat-based partition detection, reconnect with backoff,
-        and host-level failover.  Requires ``hosts``.
-    hosts:
-        Remote mode only: the worker-host daemons to lease replicas on,
-        as ``"HOST:PORT"`` strings (start daemons with ``python -m
-        repro.service host --bind HOST:PORT``).
-    remote_options:
-        Remote mode only: extra keyword arguments forwarded to
-        :class:`~repro.service.procpool.RemoteReplicas` (heartbeat
-        cadence, reconnect backoff, ``local_fallback``, ...).
     planner:
         Default shard planner: a name (``"destination"``, ``"ingress"``,
         ``"round-robin"``, optionally ``"name:arg"``) or a
@@ -164,10 +150,9 @@ class AnalysisSession:
         Keep the canonical-spec-keyed result cache (default).  Disable to
         re-solve every query (e.g. for benchmarking the raw solver path).
     shard_timeout:
-        Per-shard wall-clock watchdog in seconds (process and remote
-        mode): a worker that does not answer a shard within the budget
-        is killed (or its connection dropped), respawned, and the shard
-        retried on a healthy replica.  ``None`` (default) disables the
+        Per-shard wall-clock watchdog in seconds (process mode): a
+        worker that does not answer a shard within the budget is killed,
+        respawned, and the shard retried on a healthy replica.  ``None`` (default) disables the
         watchdog; the in-process replica is the session process itself
         and cannot be killed independently, so the value is ignored
         there.
@@ -196,8 +181,6 @@ class AnalysisSession:
         backend: object | str | None = "matrix",
         pool_size: int | None = None,
         pool_mode: str = "thread",
-        hosts: Iterable[str] | None = None,
-        remote_options: Mapping[str, object] | None = None,
         planner: ShardPlanner | str | None = None,
         workers: int | None = None,
         cache: bool = True,
@@ -262,8 +245,6 @@ class AnalysisSession:
             pool_mode,
             engine,
             pool_size,
-            hosts=hosts,
-            remote_options=remote_options,
             shard_timeout=shard_timeout,
             telemetry=self._telemetry,
         )
@@ -372,7 +353,7 @@ class AnalysisSession:
 
     @property
     def pool_mode(self) -> str:
-        """How replicas are hosted: ``"thread"``, ``"process"``, or ``"remote"``."""
+        """How replicas are hosted: ``"thread"`` or ``"process"``."""
         return self._pool.mode
 
     @property
@@ -424,7 +405,7 @@ class AnalysisSession:
         complete :class:`ResultSet` instead of dying mid-batch); (3) the
         session is marked closed and the pool is torn down — which itself
         waits out any lease still held by an engine-protocol call before
-        closing backends (and, in process and remote mode, stopping
+        closing backends (and, in process mode, stopping
         every worker).
 
         A backend *instance* passed by the caller is not closed — shared

@@ -441,283 +441,3 @@ class TestStreamingRecovery:
             assert reply["value"] == pytest.approx(value, abs=1e-9)
         assert stats["pool"]["failures"] >= 1
         assert stats["retried_shards"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# Remote hosts: host death, partitions, garbled frames, wire stalls
-# ---------------------------------------------------------------------------
-class TestRemoteHostFailover:
-    def test_sigkill_host_daemon_mid_batch_is_invisible(
-        self, all_models, all_pairs, per_call_values
-    ):
-        """The remote acceptance criterion: a two-host deployment loses an
-        entire host daemon (SIGKILL) mid-way through the 112-pair batch —
-        zero caller-visible errors, every answer within 1e-9 of per-call
-        analysis, at least one host failover recorded in pool stats and
-        visible as trace events, and the surviving workers (including the
-        failed-over ones) report 0 AST compilations."""
-        from repro.service.host import start_host_process
-
-        daemon_a, addr_a = start_host_process(workers=2)
-        daemon_b, addr_b = start_host_process(workers=2)
-        hosts = [f"{addr_a[0]}:{addr_a[1]}", f"{addr_b[0]}:{addr_b[1]}"]
-        try:
-            with AnalysisSession(
-                models=all_models.values(),
-                pool_size=4,
-                pool_mode="remote",
-                hosts=hosts,
-                workers=4,
-                max_attempts=4,
-                telemetry=True,
-                remote_options={
-                    "heartbeat_interval": 0.1,
-                    "reconnect_backoff": 0.05,
-                    "connect_timeout": 2.0,
-                },
-            ) as session:
-                for dest in all_models:
-                    session.warm(dest, solve=False)
-                killed = threading.Event()
-
-                def killer():
-                    # Strike once a replica on host A is busy serving.
-                    deadline = time.monotonic() + 60.0
-                    while time.monotonic() < deadline and not killed.is_set():
-                        for replica in session.pool.replicas:
-                            busy_on_a = (
-                                replica.busy
-                                and replica.health == HEALTHY
-                                and getattr(replica.backend, "host", "") == hosts[0]
-                            )
-                            if busy_on_a:
-                                os.kill(daemon_a.pid, signal.SIGKILL)
-                                killed.set()
-                                return
-                        time.sleep(0.0005)
-
-                thread = threading.Thread(target=killer)
-                thread.start()
-                result = session.query_batch(all_pairs)
-                thread.join(timeout=10.0)
-                assert killed.is_set(), "the killer never caught host A busy"
-
-                # Zero caller-visible errors, exact answers.
-                for value, expected in zip(result.values, per_call_values):
-                    assert value == pytest.approx(expected, abs=1e-9)
-
-                # Host failover is recorded in stats...
-                assert wait_until(
-                    lambda: session.pool.stats()["failovers"] >= 1, timeout=30.0
-                )
-                stats = session.pool.stats()
-                assert stats["failures"] >= 1
-                # ...the orphaned slots re-homed onto the survivor (or a
-                # local fallback when the survivor was also refusing)...
-                assert wait_until(
-                    lambda: hosts[0]
-                    not in [
-                        r["host"]
-                        for r in session.pool.worker_reports()
-                        if r["health"] == HEALTHY
-                    ],
-                    timeout=30.0,
-                )
-                # ...and the partition/reconnect/failover story is in the
-                # telemetry timeline as spans.
-                span_names = {
-                    record["name"] for record in session.telemetry.tracer.spans()
-                }
-                assert "host-failover" in span_names or "remote-local-fallback" in span_names
-
-                # Failed-over workers rebuilt plans from re-shipped specs:
-                # still 0 AST compilations, across reconnects.
-                healthy = [
-                    r
-                    for r in session.pool.worker_reports()
-                    if r["health"] == HEALTHY
-                ]
-                assert healthy
-                assert all(r["ast_compilations"] == 0 for r in healthy)
-                # A re-homed replica turns HEALTHY a moment after it leaves
-                # host A: poll, like every other post-failover condition here.
-                assert wait_until(
-                    lambda: any(
-                        r["reconnects"] >= 1
-                        for r in session.pool.worker_reports()
-                        if r["health"] == HEALTHY
-                    ),
-                    timeout=30.0,
-                )
-        finally:
-            for daemon in (daemon_a, daemon_b):
-                if daemon.is_alive():
-                    daemon.kill()
-                daemon.join(timeout=10.0)
-
-    def test_all_hosts_gone_degrades_to_local_fallback(self, all_models):
-        """With every remote host dead, the pool degrades to local worker
-        processes instead of failing the caller."""
-        from repro.service.host import start_host_process
-
-        daemon, addr = start_host_process(workers=2)
-        model = next(iter(all_models.values()))
-        with AnalysisSession(
-            model,
-            pool_size=2,
-            pool_mode="remote",
-            hosts=[f"{addr[0]}:{addr[1]}"],
-            workers=2,
-            max_attempts=4,
-            remote_options={
-                "heartbeat_interval": 0.1,
-                "reconnect_attempts": 2,
-                "reconnect_backoff": 0.02,
-                "connect_timeout": 1.0,
-            },
-        ) as session:
-            session.warm(model.dest, solve=False)
-            os.kill(daemon.pid, signal.SIGKILL)
-            daemon.join(timeout=10.0)
-            expected = delivery_probability(model, inputs=[model.ingress_packets[0]])
-            value = session.query("delivery", model.ingress_packets[0], model.dest)
-            assert value == pytest.approx(expected, abs=1e-9)
-            assert wait_until(
-                lambda: session.pool.stats()["local_fallbacks"] >= 1, timeout=30.0
-            )
-            assert wait_until(
-                lambda: any(
-                    r["health"] == HEALTHY and r["host"] == "local"
-                    for r in session.pool.worker_reports()
-                ),
-                timeout=30.0,
-            )
-
-    def test_all_hosts_gone_without_fallback_is_pool_unavailable(self, all_models):
-        """local_fallback=False keeps the PoolUnavailable contract: retries
-        exhaust into the typed error, never a hang."""
-        from repro.service.host import start_host_process
-
-        daemon, addr = start_host_process(workers=2)
-        model = next(iter(all_models.values()))
-        with AnalysisSession(
-            model,
-            pool_size=2,
-            pool_mode="remote",
-            hosts=[f"{addr[0]}:{addr[1]}"],
-            workers=2,
-            max_attempts=2,
-            remote_options={
-                "heartbeat_interval": 0.1,
-                "reconnect_attempts": 1,
-                "reconnect_backoff": 0.02,
-                "connect_timeout": 0.5,
-                "local_fallback": False,
-            },
-        ) as session:
-            session.warm(model.dest, solve=False)
-            os.kill(daemon.pid, signal.SIGKILL)
-            daemon.join(timeout=10.0)
-            with pytest.raises(PoolUnavailable):
-                session.query("delivery", model.ingress_packets[0], model.dest)
-
-
-class TestRemoteNetworkFaults:
-    """The REPRO_FAULTS network kinds, injected at the host relay."""
-
-    def _remote_session(self, models, hosts, **remote_options):
-        options = {
-            "heartbeat_interval": 0.1,
-            "suspect_after": 3.0,
-            "condemn_after": 8.0,
-            "reconnect_backoff": 0.05,
-        }
-        options.update(remote_options)
-        return AnalysisSession(
-            models=models.values(),
-            pool_size=2,
-            pool_mode="remote",
-            hosts=hosts,
-            workers=2,
-            max_attempts=4,
-            telemetry=True,
-            remote_options=options,
-        )
-
-    def test_partition_blackhole_detected_and_reconnected(
-        self, all_models, all_pairs, per_call_values, inject_faults
-    ):
-        """A relay that stops reading/acking/heartbeating replica 0 for
-        1.5 s trips the missed-heartbeat → condemn path; the replica is
-        torn down mid-partition, reconnected, and the batch is exact."""
-        from repro.service import HostServer
-
-        inject_faults("partition@0:ms=1500")
-        with HostServer(workers=2, heartbeat_interval=0.1).start() as server:
-            hosts = [f"{server.address[0]}:{server.port}"]
-            with self._remote_session(all_models, hosts) as session:
-                result = session.query_batch(all_pairs)
-                for value, expected in zip(result.values, per_call_values):
-                    assert value == pytest.approx(expected, abs=1e-9)
-                assert wait_until(
-                    lambda: session.pool.stats()["remote_reconnects"] >= 1,
-                    timeout=30.0,
-                )
-                stats = session.pool.stats()
-                assert stats["failures"] >= 1
-                # The monitor counted misses before condemning...
-                assert sum(stats["heartbeat_misses"]) >= 1 or any(
-                    r["heartbeat_misses"] >= 1
-                    for r in session.pool.worker_reports()
-                )
-                # ...and the partition is on the telemetry timeline.
-                span_names = {
-                    record["name"] for record in session.telemetry.tracer.spans()
-                }
-                assert "heartbeat-missed" in span_names
-                assert "remote-reconnect" in span_names
-
-    def test_garbled_reply_frame_is_transport_failure_then_retry(
-        self, all_models, all_pairs, per_call_values, inject_faults
-    ):
-        """One corrupted reply frame (valid header, failing checksum) must
-        read as ReplicaFailure(kind="transport"), not a pickle error; the
-        shard retries and the batch stays exact."""
-        from repro.service import HostServer
-
-        inject_faults("garble@0")
-        with HostServer(workers=2, heartbeat_interval=0.1).start() as server:
-            hosts = [f"{server.address[0]}:{server.port}"]
-            with self._remote_session(all_models, hosts) as session:
-                result = session.query_batch(all_pairs)
-                for value, expected in zip(result.values, per_call_values):
-                    assert value == pytest.approx(expected, abs=1e-9)
-                assert session.pool.failures >= 1
-                assert session.retried_shards >= 1
-                failed = [r for r in session.pool.replicas if r.failures]
-                assert any(
-                    "corrupt frame" in (r.last_error or "") for r in failed
-                )
-
-    def test_stalled_wire_slows_but_stays_exact(self, all_models, inject_faults):
-        """A transport-layer stall delays replies without corrupting
-        anything: no failures, exact answers, visibly slower."""
-        from repro.service import HostServer
-
-        inject_faults("stall@all:ms=250")
-        model = next(iter(all_models.values()))
-        models = {model.dest: model}
-        with HostServer(workers=2, heartbeat_interval=0.1).start() as server:
-            hosts = [f"{server.address[0]}:{server.port}"]
-            with self._remote_session(models, hosts) as session:
-                started = time.monotonic()
-                expected = delivery_probability(
-                    model, inputs=[model.ingress_packets[0]]
-                )
-                value = session.query(
-                    "delivery", model.ingress_packets[0], model.dest
-                )
-                elapsed = time.monotonic() - started
-                assert value == pytest.approx(expected, abs=1e-9)
-                assert elapsed >= 0.25
-                assert session.pool.failures == 0

@@ -3,6 +3,7 @@ cross-manager (spec-based) cache-key semantics it depends on."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -174,6 +175,17 @@ class TestPooledAgreement:
             # answered entirely from the shared session cache.
             second = session.query_batch(all_pairs, planner="round-robin:3")
             assert second.cache_hits == len(all_pairs)
+
+    def test_local_pools_report_placement_defaults(self, models):
+        """Both pool modes report the pid hosting each replica."""
+        model = next(iter(models.values()))
+        with AnalysisSession(model, workers=2) as session:
+            assert session.pool.stats()["workers"] == [os.getpid()]
+        with process_session({model.dest: model}, 1, workers=1) as session:
+            (pid,) = session.pool.stats()["workers"]
+            (report,) = session.pool.worker_reports()
+            assert pid != os.getpid()
+            assert (report["pid"], report["health"]) == (pid, "healthy")
 
 
 # ---------------------------------------------------------------------------

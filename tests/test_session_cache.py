@@ -23,7 +23,7 @@ from repro.core.packet import Packet
 from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy
-from repro.service import AnalysisSession, HostServer, Query
+from repro.service import AnalysisSession, Query
 from repro.topology import edge_switches, fat_tree
 
 
@@ -46,13 +46,6 @@ def topo():
 @pytest.fixture(scope="module")
 def models(topo):
     return {dest: ecmp_model(topo, dest) for dest in edge_switches(topo)[:3]}
-
-
-@pytest.fixture(scope="module")
-def host_address():
-    """One in-process worker host on an ephemeral localhost port."""
-    with HostServer(workers=2).start() as server:
-        yield f"{server.address[0]}:{server.port}"
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +134,10 @@ class TestCacheSharingSemantics:
             assert session.stats()["cached_distributions"] == len(packets)
 
     @pytest.mark.parametrize(
-        "mode, replicas", [("thread", 1), ("process", 2), ("remote", 2)]
+        "mode, replicas", [("thread", 1), ("process", 2)]
     )
     def test_pooled_sessions_agree_and_count_the_same_hits(
-        self, models, all_pairs, host_address, mode, replicas
+        self, models, all_pairs, mode, replicas
     ):
         """Every pool mode counts the same cache hits and answers the k=4
         all-pairs batch with the same distributions (``==``) as a plain
@@ -154,7 +147,6 @@ class TestCacheSharingSemantics:
             models=models.values(),
             pool_mode=mode,
             pool_size=replicas,
-            hosts=[host_address] if mode == "remote" else None,
             workers=2,
         ) as session:
             hits = [session.query_batch(half).cache_hits]
