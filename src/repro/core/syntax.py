@@ -22,8 +22,10 @@ node constructors or with the small DSL helpers (:func:`test`,
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -92,29 +94,76 @@ class Policy:
             yield node
             stack.extend(reversed(node.children()))
 
+    def _scan(self) -> tuple[int, dict[str, set[int]], bool]:
+        """``(size, field values, guarded)`` from one pre-order pass.
+
+        An explicit stack dispatching on ``type(node)``: the generator of
+        :meth:`walk` and an ``isinstance`` per node cost more than the
+        visit itself, and a FatTree k=24 link program has 68 000 nodes.
+        Children are pushed in reverse so they pop in :meth:`walk`'s
+        order, which keeps the field names in order of first mention.
+        """
+        count = 0
+        values: dict[str, set[int]] = {}
+        guarded = True
+        stack: list[Policy] = [self]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            count += 1
+            kind = type(node)
+            if kind is Test or kind is Assign:
+                seen = values.get(node.field)
+                if seen is None:
+                    values[node.field] = {node.value}
+                else:
+                    seen.add(node.value)
+            elif kind is Seq:
+                stack.extend(node.parts[::-1])
+            elif kind is Case:
+                push(node.default)
+                for guard, branch in node.branches[::-1]:
+                    push(branch)
+                    push(guard)
+            elif kind is Choice:
+                for branch, _ in node.branches[::-1]:
+                    push(branch)
+            elif kind is IfThenElse:
+                push(node.otherwise)
+                push(node.then)
+                push(node.guard)
+            elif kind is And or kind is Or:
+                push(node.right)
+                push(node.left)
+            elif kind is TrueP or kind is FalseP:
+                pass
+            else:
+                if isinstance(node, (Test, Assign)):
+                    values.setdefault(node.field, set()).add(node.value)
+                elif isinstance(node, Star) or (
+                    isinstance(node, Union)
+                    and not all(isinstance(part, Predicate) for part in node.parts)
+                ):
+                    guarded = False
+                stack.extend(node.children()[::-1])
+        return count, values, guarded
+
     def size(self) -> int:
         """Number of AST nodes."""
-        return sum(1 for _ in self.walk())
+        return self._scan()[0]
 
     def fields(self) -> frozenset[str]:
         """All field names mentioned by tests or assignments."""
-        names: set[str] = set()
-        for node in self.walk():
-            if isinstance(node, (Test, Assign)):
-                names.add(node.field)
-        return frozenset(names)
+        return frozenset(self._scan()[1])
 
     def field_values(self) -> dict[str, frozenset[int]]:
         """Per-field sets of values mentioned by tests or assignments.
 
         This is the information used by *dynamic domain reduction* when
-        converting FDDs to sparse matrices (§5.1).
+        converting FDDs to sparse matrices (§5.1).  Keys come in order of
+        first mention in a pre-order walk.
         """
-        values: dict[str, set[int]] = {}
-        for node in self.walk():
-            if isinstance(node, (Test, Assign)):
-                values.setdefault(node.field, set()).add(node.value)
-        return {name: frozenset(vals) for name, vals in values.items()}
+        return {name: frozenset(vals) for name, vals in self._scan()[1].items()}
 
     def shape(self) -> tuple[bool, tuple[str, ...]]:
         """``(loop_free, assigned)``, decided once per node and kept on it.
@@ -163,14 +212,7 @@ class Policy:
         conditionals and while loops; predicates may still use
         disjunction.  ``Case`` branching counts as guarded.
         """
-        for node in self.walk():
-            if isinstance(node, Star):
-                return False
-            if isinstance(node, Union) and not all(
-                part.is_predicate() for part in node.parts
-            ):
-                return False
-        return True
+        return self._scan()[2]
 
     def __repr__(self) -> str:
         from repro.core.pretty import pretty
@@ -372,14 +414,28 @@ def drop() -> Predicate:
     return DROP_POLICY
 
 
+def _field_value(field: str, value: int) -> int:
+    """``value`` as an ``int``, or a ``TypeError`` naming the field.
+
+    :func:`operator.index` takes ``int`` and NumPy integers; ``bool``,
+    ``float`` and ``str`` would silently become a different program.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"field {field!r} takes an integer value, got {value!r}")
+
+
 def test(field: str, value: int) -> Predicate:
     """Field test ``field = value``."""
-    return Test(field, int(value))
+    return Test(field, value if type(value) is int else _field_value(field, value))
 
 
 def assign(field: str, value: int) -> Policy:
     """Field modification ``field <- value``."""
-    return Assign(field, int(value))
+    return Assign(field, value if type(value) is int else _field_value(field, value))
 
 
 def _balanced(
@@ -394,11 +450,12 @@ def _balanced(
     term at a time against an ever-growing accumulator.
     """
     kind = "conjunction" if node is And else "disjunction"
+    unit_type = type(unit)
     level: list[Predicate] = []
     for pred in preds:
         if not isinstance(pred, Predicate):
             raise TypeError(f"{kind} requires predicates, got {pred!r}")
-        if pred != unit:
+        if type(pred) is not unit_type:  # pred != unit: nodes of one class are equal
             level.append(pred)
     while len(level) > 1:
         paired = [node(left, right) for left, right in zip(level[::2], level[1::2])]
@@ -440,16 +497,17 @@ def seq(*policies: Policy) -> Policy:
     """
     parts: list[Policy] = []
     for policy in policies:
-        if not isinstance(policy, Policy):
-            raise TypeError(f"seq requires policies, got {policy!r}")
-        if isinstance(policy, TrueP):
-            continue
-        if isinstance(policy, FalseP):
-            return DROP_POLICY
-        if isinstance(policy, Seq):
+        kind = type(policy)
+        if kind is Seq:
             parts.extend(policy.parts)
-        else:
+        elif kind is TrueP:
+            continue
+        elif kind is FalseP:
+            return DROP_POLICY
+        elif isinstance(policy, Policy):
             parts.append(policy)
+        else:
+            raise TypeError(f"seq requires policies, got {policy!r}")
     if not parts:
         return SKIP
     if len(parts) == 1:
@@ -482,36 +540,50 @@ def choice(*branches: tuple[Policy, float | Fraction]) -> Policy:
     """Probabilistic choice from ``(policy, probability)`` pairs.
 
     The probabilities must sum to 1.  Branches with probability 0 are
-    removed and identical branches are merged.
+    removed and identical branches are merged.  The sum is checked in
+    integers over the least common denominator: a model has thousands
+    of choices, and a ``Fraction`` sum normalises at every step.
     """
     weighted: dict[Policy, Fraction] = {}
-    order: list[Policy] = []
     for policy, prob in branches:
         if not isinstance(policy, Policy):
             raise TypeError(f"choice requires policies, got {policy!r}")
-        p = as_prob(prob)
-        if p == 0:
-            continue
-        if policy not in weighted:
-            order.append(policy)
-            weighted[policy] = p
+        if type(prob) is Fraction and 0 <= prob.numerator <= prob.denominator:
+            p = prob
         else:
+            p = as_prob(prob)
+        if not p:
+            continue
+        if policy in weighted:
             weighted[policy] += p
-    total = sum(weighted.values(), Fraction(0))
-    if total != 1:
-        raise ValueError(f"choice probabilities sum to {total}, expected 1")
-    if len(order) == 1:
-        return order[0]
-    return Choice(tuple((policy, weighted[policy]) for policy in order))
+        else:
+            weighted[policy] = p
+    common = lcm(*[p.denominator for p in weighted.values()])
+    total = sum([p.numerator * (common // p.denominator) for p in weighted.values()])
+    if total != common:
+        raise ValueError(f"choice probabilities sum to {Fraction(total, common)}, expected 1")
+    if len(weighted) == 1:
+        return next(iter(weighted))
+    return Choice(tuple(weighted.items()))
 
 
 def uniform(*policies: Policy) -> Policy:
-    """Uniform probabilistic choice ``p1 ⊕ ... ⊕ pn``."""
+    """Uniform probabilistic choice ``p1 ⊕ ... ⊕ pn``.
+
+    Distinct branches make the :class:`Choice` directly: n shares of
+    ``1/n`` sum to 1 by construction.  Duplicates go through
+    :func:`choice`, which merges them.
+    """
     policies = tuple(policies)
     if not policies:
         raise ValueError("uniform choice over no policies")
     share = Fraction(1, len(policies))
-    return choice(*[(policy, share) for policy in policies])
+    typed = all(isinstance(policy, Policy) for policy in policies)
+    if not typed or len(set(policies)) < len(policies):
+        return choice(*[(policy, share) for policy in policies])
+    if len(policies) == 1:
+        return policies[0]
+    return Choice(tuple((policy, share) for policy in policies))
 
 
 def ite(guard: Predicate, then: Policy, otherwise: Policy = SKIP) -> Policy:
@@ -545,7 +617,7 @@ def case(branches: Sequence[tuple[Predicate, Policy]], default: Policy = DROP_PO
     for guard, policy in branches:
         if not isinstance(guard, Predicate):
             raise TypeError("case guards must be predicates")
-        if isinstance(guard, FalseP):
+        if type(guard) is FalseP:
             continue
         cleaned.append((guard, policy))
     if not cleaned:

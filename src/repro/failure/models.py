@@ -55,14 +55,13 @@ def independent_failure_program(
 ) -> s.Policy:
     """Independent failures with probability ``pr`` (the ``k = ∞`` model)."""
     pr = s.as_prob(probability)
+    stays_up = 1 - pr
     branches = []
     for switch in sorted(failable):
         steps = []
         for port in sorted(failable[switch]):
             up = _up_field(up_prefix, port)
-            steps.append(
-                s.choice((s.assign(up, 0), pr), (s.assign(up, 1), 1 - pr))
-            )
+            steps.append(s.choice((s.assign(up, 0), pr), (s.assign(up, 1), stays_up)))
         branches.append((s.test(sw_field, switch), s.seq(*steps)))
     return s.case(branches, s.skip())
 
@@ -88,6 +87,7 @@ def bounded_failure_program(
         raise ValueError("max_failures must be non-negative")
     if max_failures == 0:
         return failure_free(failable, up_prefix=up_prefix, sw_field=sw_field)
+    stays_up = 1 - pr
     below_budget = s.disj(*[s.test(counter_field, j) for j in range(max_failures)])
     branches = []
     for switch in sorted(failable):
@@ -95,7 +95,7 @@ def bounded_failure_program(
         for port in sorted(failable[switch]):
             up = _up_field(up_prefix, port)
             fail = s.seq(s.assign(up, 0), sugar.increment(counter_field, max_failures))
-            sample = s.choice((fail, pr), (s.assign(up, 1), 1 - pr))
+            sample = s.choice((fail, pr), (s.assign(up, 1), stays_up))
             steps.append(s.ite(below_budget, sample, s.assign(up, 1)))
         branches.append((s.test(sw_field, switch), s.seq(*steps)))
     return s.case(branches, s.skip())

@@ -173,11 +173,9 @@ def build_model(
     if not ingress:
         raise ValueError("the model needs at least one ingress location")
 
+    # s.conj of two tests is their And: neither is skip.
     ingress_predicate = s.disj(
-        *[
-            s.conj(s.test(sw_field, switch), s.test(pt_field, port))
-            for switch, port in ingress
-        ]
+        *[s.And(s.test(sw_field, switch), s.test(pt_field, port)) for switch, port in ingress]
     )
     out_predicate = s.test(sw_field, dest)
 
@@ -234,8 +232,20 @@ def build_model(
         Packet({sw_field: switch, pt_field: port}) for switch, port in ingress
     ]
 
-    # The frame around a hop of resets is small; the pieces were walked above.
-    table = FieldTable.from_policy(around(s.seq(*resets)))
+    # The frame around the hop, in the order ``policy`` first mentions its
+    # fields: the locals (set, then reset to 0), the hop counter, then the
+    # ingress and egress tests and ``pt <- 0``.  The resets mention only
+    # up flags and the counter, both declared here; the pieces were
+    # walked above.
+    table = FieldTable()
+    for name, init in bindings:
+        table.declare(name, min(0, init), max(0, init))
+    if count_hops:
+        table.declare(hops_field, 0, max_hops)
+    switches = [switch for switch, _ in ingress]
+    ports = [port for _, port in ingress]
+    table.declare(sw_field, min(0, dest, *switches), max(dest, *switches))
+    table.declare(pt_field, min(0, *ports), max(0, *ports))
     for name, values in mentioned.items():
         table.declare(name, min(0, min(values)), max(values))
     return NetworkModel(

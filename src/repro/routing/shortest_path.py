@@ -10,7 +10,8 @@ def distances_to(topology: Topology, dest: int) -> dict[int, int]:
 
     A breadth-first search over the switches' adjacency; hosts relay nothing.
     """
-    if dest not in topology.switches():
+    switches = set(topology.switches())
+    if dest not in switches:
         raise KeyError(f"destination switch {dest!r} is not in the topology")
     distance = {dest: 0}
     frontier = [dest]
@@ -18,7 +19,7 @@ def distances_to(topology: Topology, dest: int) -> dict[int, int]:
         reached = []
         for node in frontier:
             for peer in topology.neighbors(node):
-                if peer not in distance and topology.is_switch(peer):
+                if peer not in distance and peer in switches:
                     distance[peer] = distance[node] + 1
                     reached.append(peer)
         frontier = reached
@@ -37,11 +38,8 @@ def shortest_path_ports(topology: Topology, dest: int) -> dict[int, list[int]]:
         if switch not in distance:
             result[switch] = []
             continue
-        ports = []
-        for port, peer in sorted(topology.ports(switch).items()):
-            if not topology.is_switch(peer):
-                continue
-            if distance.get(peer, float("inf")) == distance[switch] - 1:
-                ports.append(port)
-        result[switch] = ports
+        # Only a switch is at a distance: hosts relay nothing.
+        closer = distance[switch] - 1
+        ports = topology.ports(switch)
+        result[switch] = [port for port in sorted(ports) if distance.get(ports[port]) == closer]
     return result

@@ -47,16 +47,18 @@ class Topology:
         self._nodes: dict[Node, dict] = {}
         # node -> {neighbour: link attributes}; both ends share one dict
         self._adjacency: dict[Node, dict[Node, dict]] = {}
-        # (node, port) -> (peer node, peer port)
-        self._ports: dict[tuple[Node, int], tuple[Node, int]] = {}
-        # node -> {port: peer node}, the per-node index behind ports()
+        # node -> {port: peer node} and node -> {port: peer's port}: every
+        # directed link endpoint, indexed by the node it leaves
         self._node_ports: dict[Node, dict[int, Node]] = {}
+        self._peer_ports: dict[Node, dict[int, int]] = {}
         self._next_port: dict[Node, int] = {}
 
     # -- construction ------------------------------------------------------------
     def _add_node(self, node: Node, kind: str, attrs: dict) -> None:
         self._nodes.setdefault(node, {}).update(attrs, kind=kind)
         self._adjacency.setdefault(node, {})
+        self._node_ports.setdefault(node, {})
+        self._peer_ports.setdefault(node, {})
 
     def add_switch(self, switch: Node, **attrs) -> None:
         """Add a switch node (attributes: level, pod, index, subtree type...)."""
@@ -65,11 +67,6 @@ class Topology:
     def add_host(self, host: Node, **attrs) -> None:
         """Add a host (end-point) node."""
         self._add_node(host, "host", attrs)
-
-    def _allocate_port(self, node: Node) -> int:
-        port = self._next_port.get(node, 1)
-        self._next_port[node] = port + 1
-        return port
 
     def add_link(
         self,
@@ -82,19 +79,27 @@ class Topology:
         """Add a bidirectional link, allocating port numbers when omitted."""
         if a not in self._nodes or b not in self._nodes:
             raise KeyError("both endpoints must be added before linking them")
-        port_a = self._allocate_port(a) if port_a is None else port_a
-        port_b = self._allocate_port(b) if port_b is None else port_b
-        if (a, port_a) in self._ports or (b, port_b) in self._ports:
+        next_port = self._next_port
+        if port_a is None:
+            port_a = next_port.get(a, 1)
+            next_port[a] = port_a + 1
+        if port_b is None:  # after a's: a self-loop gets two ports
+            port_b = next_port.get(b, 1)
+            next_port[b] = port_b + 1
+        ports_a, ports_b = self._node_ports[a], self._node_ports[b]
+        if port_a in ports_a or port_b in ports_b:
             raise ValueError(f"port already in use on link {a}:{port_a} -- {b}:{port_b}")
         link = self._adjacency[a].setdefault(b, {})
         link.update(attrs, ports={a: port_a, b: port_b})
         self._adjacency[b][a] = link
-        self._ports[(a, port_a)] = (b, port_b)
-        self._ports[(b, port_b)] = (a, port_a)
-        self._node_ports.setdefault(a, {})[port_a] = b
-        self._node_ports.setdefault(b, {})[port_b] = a
-        self._next_port[a] = max(self._next_port.get(a, 1), port_a + 1)
-        self._next_port[b] = max(self._next_port.get(b, 1), port_b + 1)
+        ports_a[port_a] = b
+        self._peer_ports[a][port_a] = port_b
+        ports_b[port_b] = a
+        self._peer_ports[b][port_b] = port_a
+        if next_port.get(a, 1) <= port_a:
+            next_port[a] = port_a + 1
+        if next_port.get(b, 1) <= port_b:
+            next_port[b] = port_b + 1
         return port_a, port_b
 
     # -- queries -------------------------------------------------------------------
@@ -137,7 +142,7 @@ class Topology:
 
     def peer(self, node: Node, port: int) -> tuple[Node, int]:
         """The remote end ``(peer, peer_port)`` of a local ``(node, port)``."""
-        return self._ports[(node, port)]
+        return self._node_ports[node][port], self._peer_ports[node][port]
 
     def ports(self, node: Node) -> dict[int, Node]:
         """All occupied ports of a node, mapping port number to neighbour."""
@@ -145,10 +150,14 @@ class Topology:
 
     def directed_links(self) -> Iterator[Port]:
         """All directed link endpoints (each undirected link appears twice)."""
-        for (node, port), (peer, peer_port) in sorted(
-            self._ports.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
-        ):
-            yield Port(node, port, peer, peer_port)
+        ends = [
+            (str(node), port, node)
+            for node, ports in self._node_ports.items()
+            for port in ports
+        ]
+        ends.sort(key=lambda end: end[:2])
+        for _, port, node in ends:
+            yield Port(node, port, *self.peer(node, port))
 
     def switch_links(self) -> Iterator[Port]:
         """Directed links whose both endpoints are switches."""
@@ -208,28 +217,33 @@ class Topology:
         so the forward interpreter can dispatch in constant time.
         """
         failable = {node: set(ports) for node, ports in (failable or {}).items()}
-        by_switch: dict[Node, list[Port]] = {}
-        for link in self.switch_links():
-            by_switch.setdefault(link.node, []).append(link)
-
+        ordered = sorted(self.switches(), key=str)
+        switches = set(ordered)
         switch_branches: list[tuple[s.Predicate, s.Policy]] = []
-        for node in sorted(by_switch, key=str):
+        # Each switch's own port map, not switch_links(): that sorts every
+        # (node, port) of the topology by str for the one switch it serves.
+        for node in ordered:
+            ports, peer_ports = self._node_ports[node], self._peer_ports[node]
+            guarded = failable.get(node, ())
             port_branches: list[tuple[s.Predicate, s.Policy]] = []
-            for link in sorted(by_switch[node], key=lambda l: l.port):
-                move = s.seq(
-                    s.assign(sw_field, self._switch_id(link.peer)),
-                    s.assign(pt_field, link.peer_port),
+            for port in sorted(ports):
+                peer = ports[port]
+                if peer not in switches:
+                    continue
+                peer_port = peer_ports[port]
+                # s.seq of two assignments, without its flattening checks
+                move = s.Seq(
+                    (s.assign(sw_field, self._switch_id(peer)), s.assign(pt_field, peer_port))
                 )
-                if link.port in failable.get(node, ()):  # guarded by link health
-                    rule: s.Policy = s.ite(
-                        s.test(f"{up_prefix}{link.port}", 1), move, s.drop()
-                    )
+                if port in guarded:  # guarded by link health
+                    rule: s.Policy = s.ite(s.test(f"{up_prefix}{port}", 1), move, s.drop())
                 else:
                     rule = move
-                port_branches.append((s.test(pt_field, link.port), rule))
-            switch_branches.append(
-                (s.test(sw_field, self._switch_id(node)), s.case(port_branches, s.drop()))
-            )
+                port_branches.append((s.test(pt_field, port), rule))
+            if port_branches:
+                switch_branches.append(
+                    (s.test(sw_field, self._switch_id(node)), s.case(port_branches, s.drop()))
+                )
         return s.case(switch_branches, s.drop())
 
     def _switch_id(self, node: Node) -> int:

@@ -7,17 +7,23 @@ one's answers.  The dense Gauss–Jordan oracle of the exact absorption
 solver sits beside its tests in ``test_exact_solver.py``; the float
 solver's dict-based construction is :func:`solve_absorption_reference`;
 the per-packet query path the batched answer replaced is
-:func:`per_packet_distributions`.
+:func:`per_packet_distributions`.  Model construction's one-pass
+builders (``Policy._scan``, integer-checked ``choice``, per-switch
+``Topology.program``) are held to the ``walk()``-based field scans,
+the ``Fraction``-summed :func:`choice_reference` and
+:func:`topology_program_reference`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, MutableMapping
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
+from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.fdd.matrix import (
     DomainTooLargeError,
@@ -31,6 +37,7 @@ from repro.core.fdd.matrix import (
 from repro.core.fdd.node import FddNode, output_distribution
 from repro.core.markov import SOLVER_TOLERANCE, AbsorptionResult, _states_reaching_absorption
 from repro.core.packet import DROP, _DropType
+from repro.topology.graph import Topology
 
 
 def fdd_to_matrix_reference(
@@ -249,3 +256,86 @@ def _loop_step(stage, dist):
             successor = DROP if cls is DROP else stage.concretize(cls, outcome)
             acc[successor] = acc.get(successor, 0) + float(mass) * weight
     return acc
+
+
+# -- model construction ---------------------------------------------------------
+
+def field_values_reference(policy: s.Policy) -> dict[str, frozenset[int]]:
+    """``Policy.field_values`` over the :meth:`~repro.core.syntax.Policy.walk` generator."""
+    values: dict[str, set[int]] = {}
+    for node in policy.walk():
+        if isinstance(node, (s.Test, s.Assign)):
+            values.setdefault(node.field, set()).add(node.value)
+    return {name: frozenset(vals) for name, vals in values.items()}
+
+
+def fields_reference(policy: s.Policy) -> frozenset[str]:
+    names: set[str] = set()
+    for node in policy.walk():
+        if isinstance(node, (s.Test, s.Assign)):
+            names.add(node.field)
+    return frozenset(names)
+
+
+def size_reference(policy: s.Policy) -> int:
+    return sum(1 for _ in policy.walk())
+
+
+def is_guarded_reference(policy: s.Policy) -> bool:
+    for node in policy.walk():
+        if isinstance(node, s.Star):
+            return False
+        if isinstance(node, s.Union) and not all(part.is_predicate() for part in node.parts):
+            return False
+    return True
+
+
+def choice_reference(*branches: tuple[s.Policy, float | Fraction]) -> s.Policy:
+    """:func:`repro.core.syntax.choice` with every weight through ``as_prob``
+    and the total as a ``Fraction`` sum."""
+    weighted: dict[s.Policy, Fraction] = {}
+    order: list[s.Policy] = []
+    for policy, prob in branches:
+        if not isinstance(policy, s.Policy):
+            raise TypeError(f"choice requires policies, got {policy!r}")
+        p = s.as_prob(prob)
+        if p == 0:
+            continue
+        if policy not in weighted:
+            order.append(policy)
+            weighted[policy] = p
+        else:
+            weighted[policy] += p
+    total = sum(weighted.values(), Fraction(0))
+    if total != 1:
+        raise ValueError(f"choice probabilities sum to {total}, expected 1")
+    if len(order) == 1:
+        return order[0]
+    return s.Choice(tuple((policy, weighted[policy]) for policy in order))
+
+
+def topology_program_reference(
+    topology: Topology,
+    failable: Mapping[object, Iterable[int]] | None = None,
+    sw_field: str = "sw",
+    pt_field: str = "pt",
+    up_prefix: str = "up",
+) -> s.Policy:
+    """``Topology.program`` built from ``switch_links()``, which sorts every
+    directed link of the topology by ``(str(node), port)``."""
+    failable = {node: set(ports) for node, ports in (failable or {}).items()}
+    by_switch: dict[object, list] = {}
+    for link in topology.switch_links():
+        by_switch.setdefault(link.node, []).append(link)
+    switch_branches = []
+    for node in sorted(by_switch, key=str):
+        port_branches = []
+        for link in sorted(by_switch[node], key=lambda l: l.port):
+            move = s.seq(s.assign(sw_field, link.peer), s.assign(pt_field, link.peer_port))
+            if link.port in failable.get(node, ()):
+                rule = s.ite(s.test(f"{up_prefix}{link.port}", 1), move, s.drop())
+            else:
+                rule = move
+            port_branches.append((s.test(pt_field, link.port), rule))
+        switch_branches.append((s.test(sw_field, node), s.case(port_branches, s.drop())))
+    return s.case(switch_branches, s.drop())

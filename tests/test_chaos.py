@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from polling import wait_until
+from polling import kill_busy_workers, wait_until
 from repro.analysis.queries import delivery_probability
 from repro.backends import MatrixBackend
 from repro.failure.models import independent_failure_program
@@ -161,23 +161,7 @@ class TestCrashTransparentBatch:
             killed: list[int] = []
             stop = threading.Event()
 
-            def killer():
-                # Kill the first worker caught mid-lease (busy = serving).
-                # If the SIGKILL races a reply that already left the pipe,
-                # no failure registers — strike the next busy worker too.
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline and not stop.is_set():
-                    for replica in session.pool.replicas:
-                        if replica.busy and replica.health == HEALTHY:
-                            os.kill(replica.backend.pid, signal.SIGKILL)
-                            killed.append(replica.index)
-                            if wait_until(
-                                lambda: session.pool.failures > 0, timeout=2.0
-                            ):
-                                return
-                    time.sleep(0.0005)
-
-            thread = threading.Thread(target=killer)
+            thread = threading.Thread(target=kill_busy_workers, args=(session.pool, stop, killed))
             thread.start()
             result = session.query_batch(all_pairs)
             stop.set()

@@ -877,14 +877,13 @@ def test_refinement_verdicts_run_each_program_once_per_input(monkeypatch, relati
 
 def test_ports_index_matches_a_scan_of_every_port():
     topology = ab_fat_tree(4)
+    links = list(topology.directed_links())
     for node in topology.graph.nodes:
-        scanned = {
-            port: peer
-            for (owner, port), (peer, _peer_port) in topology._ports.items()
-            if owner == node
-        }
+        scanned = {link.port: link.peer for link in links if link.node == node}
         assert topology.ports(node) == scanned
         assert list(topology.ports(node)) == list(scanned)
+        for port, peer in scanned.items():
+            assert topology.peer(peer, topology.peer(node, port)[1]) == (node, port)
     ports = topology.ports(1)
     ports.clear()  # a copy: callers cannot corrupt the index
     assert topology.ports(1)

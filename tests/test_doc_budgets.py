@@ -1,0 +1,34 @@
+"""Documents sized to be read: byte budgets for README.md and CHANGES.md.
+
+README.md may not grow past its size when the budget was set; a change
+that adds a paragraph trims another.  Every CHANGES.md entry (one line,
+``PR <n> ...``) from PR 12 on stays within 1.5 KiB: what a change did and
+what it measured, not its working notes.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+README_BUDGET = 43_718
+ENTRY_BUDGET = 1_536
+FIRST_BUDGETED_PR = 12
+
+
+def test_readme_within_budget():
+    size = (ROOT / "README.md").stat().st_size
+    assert size <= README_BUDGET, f"README.md is {size} B, budget {README_BUDGET} B"
+
+
+def test_changes_entries_within_budget():
+    entries = [
+        (int(match.group(1)), len(line.encode()))
+        for line in (ROOT / "CHANGES.md").read_text(encoding="utf-8").splitlines()
+        if (match := re.match(r"PR (\d+)\b", line))
+    ]
+    budgeted = [(pr, size) for pr, size in entries if pr >= FIRST_BUDGETED_PR]
+    assert budgeted, "no CHANGES.md entries from PR 12 on"
+    over = [(pr, size) for pr, size in budgeted if size > ENTRY_BUDGET]
+    assert not over, f"entries over {ENTRY_BUDGET} B (PR, bytes): {over}"

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 import pytest
 
@@ -232,15 +231,22 @@ class TestRouting:
         active = [0, 0]
         guard = threading.Lock()
         failures: list[str] = []
+        # Every round all six threads ask for a lease at once, and the two
+        # holders meet at ``both_held`` before either lets go: every lease
+        # overlaps the other replica's while four threads queue on the pool.
+        # Six leases a round pair up, so no holder waits for a partner alone.
+        each_round = threading.Barrier(6)
+        both_held = threading.Barrier(2)
 
         def hammer():
             for _ in range(25):
+                each_round.wait(timeout=30)
                 with pool.lease() as replica:
                     with guard:
                         active[replica.index] += 1
                         if active[replica.index] > 1:
                             failures.append(f"double lease of {replica.index}")
-                    time.sleep(0.0005)
+                    both_held.wait(timeout=30)
                     with guard:
                         active[replica.index] -= 1
 

@@ -41,7 +41,7 @@ from repro.service.telemetry import NOOP_SPAN
 from repro.topology import edge_switches, fat_tree
 from repro.utils.timing import Stopwatch
 
-from polling import wait_until
+from polling import kill_busy_workers, wait_until
 
 
 def ecmp_model(topo, dest: int):
@@ -590,18 +590,7 @@ class TestCrossProcessTrace:
             killed: list[int] = []
             stop = threading.Event()
 
-            def killer():
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline and not stop.is_set():
-                    for replica in session.pool.replicas:
-                        if replica.busy and replica.health == HEALTHY:
-                            os.kill(replica.backend.pid, signal.SIGKILL)
-                            killed.append(replica.index)
-                            if wait_until(lambda: session.pool.failures > 0, timeout=2.0):
-                                return
-                    time.sleep(0.0005)
-
-            thread = threading.Thread(target=killer)
+            thread = threading.Thread(target=kill_busy_workers, args=(session.pool, stop, killed))
             thread.start()
             result = session.query_batch(all_pairs)
             stop.set()
