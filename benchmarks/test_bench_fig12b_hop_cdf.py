@@ -110,7 +110,7 @@ def test_matrix_backend_batched_query(benchmark):
     warm_s = time.perf_counter() - start
     speedup = native_s / query_s if query_s else float("inf")
     loop_states = sum(
-        len(stage.chain.rows) for stage in backend.plan(model.policy).loop_stages
+        int(stage.chain.transient.sum()) for stage in backend.plan(model.policy).loop_stages
     )
     record(
         "fig12b",

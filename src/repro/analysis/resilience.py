@@ -34,13 +34,13 @@ def resilience_table(
     scheme under failure bound ``k`` (``None`` meaning unbounded).  The
     result maps scheme → {k → certainly-delivers}.
 
-    With the default ``backend=None`` the check is the interpreter's
-    structural possibility analysis (exact).  Passing a backend (e.g.
-    ``"matrix"``) delegates to its ``certainly_delivers`` — the matrix
-    backend answers numerically from one batched absorption solve per
-    model, within solver tolerance.  ``session`` serves the sweep from a
-    persistent :class:`~repro.service.AnalysisSession` (cached verdicts);
-    it is mutually exclusive with ``backend``.
+    The check is the interpreter's structural possibility analysis
+    (:meth:`~repro.network.model.NetworkModel.certainly_delivers`), which
+    is exact.  Passing a backend (e.g. ``"matrix"``) delegates to its
+    ``certainly_delivers``, and every backend answers with that same
+    analysis.  ``session`` serves the sweep from a persistent
+    :class:`~repro.service.AnalysisSession` (cached verdicts); it is
+    mutually exclusive with ``backend``.
     """
     from repro.analysis.queries import _with_session
 

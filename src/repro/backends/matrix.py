@@ -39,20 +39,18 @@ rational leaf weights.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core import syntax as s
 from repro.core.answer import Answer, delivered_mass
 from repro.core.compiler import Compiler, leaf_holds
 from repro.core.distributions import Dist
-from repro.core.fdd.evaluator import ClassRow, ClassRowCache
+from repro.core.fdd.flat import ClassLayout, ClassRow, Codes, FlatDiagram
 from repro.core.fdd.matrix import (
     ClassChain,
     SymbolicPacket,
     TransitionMatrix,
-    class_row,
     class_transition,
     fdd_to_matrix,
     matrix_domains,
@@ -74,106 +72,115 @@ from repro.utils.timing import Stopwatch
 class _ClassStage:
     """What both stage kinds share: packets in, symbolic classes through, packets out.
 
-    A packet is classified over the stage's ``domains`` (its class and
-    its *residual*, see :func:`_concretize`), the stage's row of that
-    class (:meth:`row`, over classes and :data:`DROP`) says where its mass
-    goes, and an outcome class is decoded with the packet's residual back
-    into a packet.  Each of the three is memoised: classification once
-    per distinct packet, a row once per class, a decode once per (class,
-    residual).  The memos live as long as the stage:
+    A class is a row of int codes over the stage's ``layout``
+    (:class:`~repro.core.fdd.flat.ClassLayout`, the ``domains`` fields
+    sorted).  A packet is classified over it (its class and its
+    *residual*, see :func:`_concretize`), the stage's row of that class
+    (over classes and :data:`DROP`) says where its mass goes, and an
+    outcome class is decoded with the packet's residual back into a
+    packet.  Each of the three is memoised: classification once per
+    distinct packet, a row once per class — the rows of all of one
+    batch's new classes from one call, :meth:`take_rows` — and a decode
+    once per (class, residual).  The memos live as long as the stage:
     :meth:`MatrixBackend.reset_solutions` replaces every stage with its
     ``fresh()`` copy, which keeps only what belongs to the compiled
-    diagram — its prepared leaves
-    (:class:`~repro.core.fdd.evaluator.ClassRowCache`, one entry per leaf).
+    diagrams — the layout and the diagrams flattened over it
+    (:class:`~repro.core.fdd.flat.FlatDiagram`).
     """
 
-    def __init__(self, domains: dict[str, tuple[int, ...]]):
+    def __init__(self, domains: dict[str, tuple[int, ...]], layout: ClassLayout | None = None):
         self.domains = domains
-        # Per-field membership sets, the class layout (fields sorted, each
-        # with its wildcard pair) and a packet -> (class, residual) memo.
-        self._domain_sets = {field: frozenset(values) for field, values in domains.items()}
-        self._layout = {field: (field, None) for field in sorted(domains)}
-        self._class_cache: dict[Packet, tuple[SymbolicPacket, Packet]] = {}
+        self.layout = layout if layout is not None else ClassLayout(domains)
+        self._class_cache: dict[Packet, tuple[Codes, Packet]] = {}
         # (class, residual) -> concrete output packet.
-        self._concrete_cache: dict[tuple[SymbolicPacket, Packet], Packet] = {}
-        self._rows: dict[SymbolicPacket, ClassRow] = {}
+        self._concrete_cache: dict[tuple[Codes, Packet], Packet] = {}
+        self._rows: dict[Codes, ClassRow] = {}
 
-    def row(self, cls: SymbolicPacket) -> ClassRow:  # pragma: no cover - abstract
+    def take_rows(self, classes: list[Codes]) -> None:  # pragma: no cover - abstract
+        """Put the rows of ``classes`` (none held yet) into ``_rows``."""
         raise NotImplementedError
 
-    def classify_packet(self, packet: Packet) -> SymbolicPacket:
-        """The symbolic class of a concrete packet over this stage's domain."""
+    def classify_packet(self, packet: Packet) -> Codes:
+        """The class of a concrete packet over this stage's layout."""
         return self._classified(packet)[0]
 
-    def _classified(self, packet: Packet) -> tuple[SymbolicPacket, Packet]:
+    def _classified(self, packet: Packet) -> tuple[Codes, Packet]:
         """The class of ``packet`` and its residual (see :func:`_concretize`)."""
         cached = self._class_cache.get(packet)
         if cached is None:
-            # A class shares its (field, value) pairs with the packet and
-            # the layout: classes of a large batch cost a tuple each.
-            pairs = self._layout.copy()
-            residual = []
-            domain = self._domain_sets
-            for item in packet.items():
-                members = domain.get(item[0])
-                if members is not None and item[1] in members:
-                    pairs[item[0]] = item
-                else:
-                    residual.append(item)
-            cached = self._class_cache[packet] = (
-                SymbolicPacket._from_sorted(tuple(pairs.values())),
-                Packet._from_sorted_items(tuple(residual)),
-            )
+            cached = self._class_cache[packet] = self.layout.classify(packet)
         return cached
 
-    def concretize(self, cls: SymbolicPacket, base: Packet) -> Packet:
+    def classify_columns(
+        self, columns: Sequence[Outcome]
+    ) -> tuple[list[tuple[Codes, Packet] | None], list[Codes]]:
+        """Each column's (class, residual) — ``None`` for drop — and the
+        distinct classes among them without a row yet, in column order."""
+        classified = [None if column is DROP else self._classified(column) for column in columns]
+        rows = self._rows
+        new = dict.fromkeys(
+            pair[0] for pair in classified if pair is not None and pair[0] not in rows
+        )
+        return classified, list(new)
+
+    def concretize(self, cls: Codes, base: Packet) -> Packet:
         """Memoised :func:`_concretize`, keyed by ``cls`` and ``base``'s residual."""
         return self._concrete(cls, self._classified(base)[1])
 
-    def _concrete(self, cls: SymbolicPacket, residual: Packet) -> Packet:
+    def _concrete(self, cls: Codes, residual: Packet) -> Packet:
         cached = self._concrete_cache.get((cls, residual))
         if cached is None:
-            cached = self._concrete_cache[cls, residual] = _concretize(cls, residual)
+            cached = self._concrete_cache[cls, residual] = _concretize(
+                self.layout.assignments(cls), residual
+            )
         return cached
 
 
 class _FddStage(_ClassStage):
     """A loop-free policy segment, compiled to one canonical FDD.
 
-    It runs on classes over the values the diagram mentions: one walk per
-    class, its row kept until the stage is reset.  ``walks`` counts the
-    rows taken, across resets.  Rows are float64 (:func:`~repro.core.fdd.matrix.class_row`)
-    in a plan with a loop stage, which floats every mass anyway, and exact
-    leaf weights (:func:`~repro.core.fdd.matrix.class_transition`) in a
+    It runs on classes over the values the diagram mentions, its rows kept
+    until the stage is reset.  ``walks`` counts the rows taken, across
+    resets.  Rows are float64 in a plan with a loop stage, which floats
+    every mass anyway — one walk of ``flat`` for all of a batch's new
+    classes — and exact leaf weights
+    (:func:`~repro.core.fdd.matrix.class_transition`, per class) in a
     plan without one.
     """
 
-    def __init__(self, fdd: FddNode, exact: bool, leaves: ClassRowCache | None = None):
+    def __init__(self, fdd: FddNode, exact: bool, flat: FlatDiagram | None = None):
         domains = matrix_domains(fdd)
-        super().__init__({field: tuple(sorted(values)) for field, values in domains.items()})
+        super().__init__(
+            {field: tuple(sorted(values)) for field, values in domains.items()},
+            flat.layout if flat is not None else None,
+        )
         self.fdd = fdd
         self.exact = exact
         self.walks = 0
-        self._leaves = leaves if leaves is not None else ClassRowCache(sorted(domains))
+        if flat is None and not exact:
+            flat = FlatDiagram(fdd, self.layout)
+        self.flat = flat
 
     def fresh(self) -> "_FddStage":
-        """This stage's diagram and prepared leaves, nothing classified, walked or decoded."""
-        stage = _FddStage(self.fdd, self.exact, self._leaves)
+        """This stage's diagram and flat form, nothing classified, walked or decoded."""
+        stage = _FddStage(self.fdd, self.exact, self.flat)
         stage.walks = self.walks
         return stage
 
-    def row(self, cls: SymbolicPacket) -> ClassRow:
-        """Where the diagram sends ``cls``: one walk, the first time it is asked."""
-        row = self._rows.get(cls)
-        if row is None:
-            self.walks += 1
-            if self.exact:
-                pairs = list(class_transition(self.fdd, cls).items())
-                row = ClassRow(tuple(pair[0] for pair in pairs), tuple(pair[1] for pair in pairs))
-            else:
-                row = class_row(self.fdd, cls, self._leaves)
-            self._rows[cls] = row
-        return row
+    def take_rows(self, classes: list[Codes]) -> None:
+        """Where the diagram sends each of ``classes``: one walk for all of them."""
+        self.walks += len(classes)
+        if not self.exact:
+            self._rows.update(zip(classes, self.flat.rows(classes)))
+            return
+        layout = self.layout
+        for cls in classes:
+            dist = class_transition(self.fdd, SymbolicPacket._from_sorted(layout.pairs(cls)))
+            outcomes, masses = zip(*dist.items())
+            self._rows[cls] = ClassRow(
+                tuple(DROP if out is DROP else layout.encode(out.values) for out in outcomes),
+                masses,
+            )
 
 
 class _LoopStage(_ClassStage):
@@ -182,17 +189,19 @@ class _LoopStage(_ClassStage):
     ``chain`` (:class:`~repro.core.fdd.matrix.ClassChain`) owns the
     ``class -> int`` index: the classes reached from every seed so far,
     their body rows as CSR buffers over those ints, a transient flag per
-    class (the guard holds).  ``solver``
+    class (the guard holds), explored one BFS frontier at a time over the
+    body flattened on the stage's layout; ``guard`` is the guard
+    flattened on it.  ``solver``
     (:class:`~repro.core.markov.IncrementalAbsorptionSolver`) is fed the
     rows each exploration appended, by index, and keeps the solved rows as
     arrays over its outcome index — so new ingress classes cost their own
     exploration and one factorization of the newly discovered subsystem,
     already-solved classes acting as absorbing gateways, and no class is
     expanded, indexed or factorized twice.  ``solutions`` holds a solved
-    row as a :class:`~repro.core.fdd.evaluator.ClassRow` over outcome
-    classes, from the first time a packet entered through its class, and
-    :meth:`row` the stage's row of any class it was asked about.  All of
-    it but the body's prepared leaves dies with the stage
+    row as a :class:`~repro.core.fdd.flat.ClassRow` over outcome classes,
+    from the first time a packet entered through its class, and ``_rows``
+    the stage's row of every class it was asked about.  All of it but the
+    layout and the flat diagrams dies with the stage
     (:meth:`MatrixBackend.reset_solutions`).
     """
 
@@ -204,9 +213,9 @@ class _LoopStage(_ClassStage):
         domains: dict[str, tuple[int, ...]],
         do_while: bool = False,
         watch: Stopwatch | None = None,
-        leaves: ClassRowCache | None = None,
+        flats: tuple[FlatDiagram, FlatDiagram] | None = None,
     ):
-        super().__init__(domains)
+        super().__init__(domains, flats[0].layout if flats is not None else None)
         #: The source AST of the loop, when this stage was built from one.
         #: Purely informational: query evaluation only ever consults the
         #: compiled ``guard_fdd`` (see :meth:`entered_by`), so stages
@@ -220,21 +229,23 @@ class _LoopStage(_ClassStage):
         #: any other the loop already begins with the body).
         self.do_while = do_while
         self.watch = watch
-        self.chain = ClassChain(body_fdd, domains, leaves=leaves)
+        body, self.guard = flats if flats is not None else (
+            FlatDiagram(body_fdd, self.layout),
+            FlatDiagram(guard_fdd, self.layout),
+        )
+        self.chain = ClassChain(body_fdd, self.layout, body)
         self.solver = IncrementalAbsorptionSolver(watch=watch)
-        self.solutions: dict[SymbolicPacket, ClassRow] = {}
+        self.solutions: dict[Codes, ClassRow] = {}
         self._guard_leaves: dict[int, bool] = {}
-        self._seeds: set[SymbolicPacket] = set()
-        # Seeds kept in class order incrementally (one bisect per *new*
-        # seed), with per-class sort keys memoised, so growth steps and
-        # repeated batch queries never re-sort the whole seed set.
-        self._seed_order: list[SymbolicPacket] = []
-        self._sort_keys: dict[SymbolicPacket, tuple] = {}
-        # The do-while's first body row of a class the guard fails on.
-        self._first_rows: dict[SymbolicPacket, ClassRow] = {}
+        self.seeds: set[Codes] = set()
+        # Per class asked about: whether the guard holds on it.
+        self._enters: dict[Codes, bool] = {}
+        # The do-while's first body row of a class the guard fails on, and
+        # per outcome whether it enters the loop.
+        self._first_rows: dict[Codes, tuple[ClassRow, tuple[bool, ...]]] = {}
 
     def fresh(self) -> "_LoopStage":
-        """This stage's compiled loop and its body's prepared leaves, nothing
+        """This stage's compiled loop and its flat diagrams, nothing
         explored, solved or memoised."""
         return _LoopStage(
             self.loop,
@@ -243,7 +254,7 @@ class _LoopStage(_ClassStage):
             self.domains,
             self.do_while,
             self.watch,
-            self.chain.leaves,
+            (self.chain.flat, self.guard),
         )
 
     def spec(self) -> tuple:
@@ -272,7 +283,7 @@ class _LoopStage(_ClassStage):
     def matrix(self) -> TransitionMatrix | None:
         """The chain explored so far as a :class:`TransitionMatrix` (a view
         built on request; ``None`` before the first seed)."""
-        return self.chain.matrix() if len(self.chain.states) > 1 else None
+        return self.chain.matrix() if len(self.chain) > 1 else None
 
     @property
     def factorizations(self) -> int:
@@ -285,7 +296,7 @@ class _LoopStage(_ClassStage):
         return self.solver.schur_updates
 
     def guard_holds(self, cls: SymbolicPacket) -> bool:
-        """The guard on a class: the boolean of the guard diagram's leaf."""
+        """The guard on a class a caller holds: the boolean of its leaf."""
         leaf = leaf_of(self.guard_fdd, dict(cls.values).get)
         holds = self._guard_leaves.get(leaf.uid)
         if holds is None:
@@ -304,68 +315,49 @@ class _LoopStage(_ClassStage):
         classifies as a wildcard, which fails every equality test, just
         as the concrete value would.
         """
-        return self.guard_holds(self.classify_packet(packet))
-
-    def sort_key(self, cls: SymbolicPacket) -> tuple:
-        """The memoised total-order key of a class (see :func:`_class_sort_key`)."""
-        cached = self._sort_keys.get(cls)
-        if cached is None:
-            cached = _class_sort_key(cls)
-            self._sort_keys[cls] = cached
-        return cached
-
-    def add_seeds(self, classes: Iterable[SymbolicPacket]) -> None:
-        """Insert new seed classes, keeping ``seed_order`` sorted incrementally."""
-        for cls in classes:
-            if cls not in self._seeds:
-                self._seeds.add(cls)
-                insort(self._seed_order, cls, key=self.sort_key)
+        return bool(self.guard.holds(self.layout.array([self.classify_packet(packet)]))[0])
 
     @property
     def seed_order(self) -> list[SymbolicPacket]:
-        """All seeds seen so far, in class order (maintained, never re-sorted)."""
-        return self._seed_order
+        """All seeds seen so far, in class order."""
+        return [self.chain.decode(cls) for cls in sorted(self.seeds)]
 
-    def entries(self, columns: Iterable[Outcome]) -> set[SymbolicPacket]:
-        """The classes ``columns`` enter the chain through, where :meth:`row`
-        has not answered them yet.
+    def entries(self, classes: list[Codes]) -> set[Codes]:
+        """The classes ``classes`` (none with a row yet) enter the chain through.
 
-        A column the guard holds on enters through its own class; in a
-        do-while, one it fails on enters through the classes its first
-        body row reaches that the guard holds on.
+        A class the guard holds on enters through itself; in a do-while,
+        one it fails on enters through the classes its first body row
+        reaches that the guard holds on.  One guard walk for ``classes``,
+        one body walk for the do-while's first rows and one guard walk for
+        their outcomes.
         """
-        wanted: set[SymbolicPacket] = set()
-        for column in columns:
-            if column is DROP:
-                continue
-            cls = self._classified(column)[0]
-            if cls in self._rows:
-                continue
-            if self.guard_holds(cls):
-                wanted.add(cls)
-            elif self.do_while:
+        enters = self.guard.holds(self.layout.array(classes)).tolist()
+        self._enters.update(zip(classes, enters))
+        wanted = {cls for cls, holds in zip(classes, enters) if holds}
+        if self.do_while:
+            failing = [cls for cls, holds in zip(classes, enters) if not holds]
+            self._take_first_rows(failing)
+            for cls in failing:
+                row, entering = self._first_rows[cls]
                 wanted.update(
-                    successor
-                    for successor in self._first_row(cls).outcomes
-                    if successor is not DROP and self.guard_holds(successor)
+                    successor for successor, holds in zip(row.outcomes, entering) if holds
                 )
         return wanted
 
-    def _first_row(self, cls: SymbolicPacket) -> ClassRow:
-        row = self._first_rows.get(cls)
-        if row is None:
-            row = self._first_rows[cls] = self.chain.row(cls)
-        return row
+    def _take_first_rows(self, classes: list[Codes]) -> None:
+        missing = [cls for cls in classes if cls not in self._first_rows]
+        if not missing:
+            return
+        rows = self.chain.flat.rows(missing)
+        successors = [outcome for row in rows for outcome in row.outcomes if outcome is not DROP]
+        holds = iter(self.guard.holds(self.layout.array(successors)).tolist())
+        for cls, row in zip(missing, rows):
+            self._first_rows[cls] = (
+                row,
+                tuple(outcome is not DROP and next(holds) for outcome in row.outcomes),
+            )
 
-    def solution(self, cls: SymbolicPacket) -> ClassRow:
-        """The absorption row of a solved class, decoded on first use."""
-        row = self.solutions.get(cls)
-        if row is None:
-            self.read_solutions([cls])
-            row = self.solutions[cls]
-        return row
-
-    def read_solutions(self, classes: Iterable[SymbolicPacket]) -> None:
+    def read_solutions(self, classes: Iterable[Codes]) -> None:
         """Decode the absorption rows of solved ``classes`` not decoded yet, in one read.
 
         Mass that reaches no absorbing class diverges; the guarded limit
@@ -374,8 +366,12 @@ class _LoopStage(_ClassStage):
         pending = [cls for cls in classes if cls not in self.solutions]
         if not pending:
             return
-        states, index = self.chain.states, self.chain.index
-        rows = self.solver.absorbed_many([index[cls] for cls in pending])
+        chain = self.chain
+        states = chain.states_of(self.layout.array(pending))
+        rows = self.solver.absorbed_many(states.tolist())
+        reached = sorted({j for outcomes, _masses, _lost in rows for j in outcomes if j})
+        outcome_of: dict[int, Codes | _DropType] = dict(zip(reached, chain.codes_of(reached)))
+        outcome_of[0] = DROP
         for cls, (outcomes, masses, lost) in zip(pending, rows):
             if lost:  # onto state 0, drop
                 if 0 in outcomes:
@@ -383,24 +379,26 @@ class _LoopStage(_ClassStage):
                 else:
                     outcomes.append(0)
                     masses.append(lost)
-            self.solutions[cls] = ClassRow(tuple([states[j] for j in outcomes]), tuple(masses))
+            self.solutions[cls] = ClassRow(tuple([outcome_of[j] for j in outcomes]), tuple(masses))
 
-    def row(self, cls: SymbolicPacket) -> ClassRow:
-        """The stage's output on ``cls``, over outcome classes (see :meth:`entries`).
+    def take_rows(self, classes: list[Codes]) -> None:
+        """The stage's output on each of ``classes``, over outcome classes.
 
         The absorption row when the guard holds; in a do-while, the first
         body row with every successor the guard holds on replaced by its
         absorption row; else the class itself (the loop does not run).
+        :meth:`entries` has classified ``classes`` and the classes they
+        enter through are solved and read.
         """
-        row = self._rows.get(cls)
-        if row is None:
-            if self.guard_holds(cls):
-                row = self.solution(cls)
+        for cls in classes:
+            if self._enters[cls]:
+                row = self.solutions[cls]
             elif self.do_while:
-                weights: dict[SymbolicPacket | _DropType, float] = {}
-                for successor, weight in self._first_row(cls).items():
-                    if successor is not DROP and self.guard_holds(successor):
-                        for outcome, mass in self.solution(successor).items():
+                first, entering = self._first_rows[cls]
+                weights: dict[Codes | _DropType, float] = {}
+                for successor, weight, enters in zip(first.outcomes, first.probs, entering):
+                    if enters:
+                        for outcome, mass in self.solutions[successor].items():
                             weights[outcome] = weights.get(outcome, 0.0) + weight * mass
                     else:
                         weights[successor] = weights.get(successor, 0.0) + weight
@@ -408,7 +406,6 @@ class _LoopStage(_ClassStage):
             else:
                 row = ClassRow((cls,), (1.0,))
             self._rows[cls] = row
-        return row
 
 
 @dataclass
@@ -712,22 +709,33 @@ class MatrixBackend:
         return self._run_plan(self.plan(policy), list(inputs))
 
     def _run_plan(self, plan: QueryPlan, packets: list[Packet]) -> Answer:
-        """Advance a batch of ingress packets through a compiled plan.
+        """Advance a batch of ingress packets through a compiled plan."""
+        with self.watch.measure("query"):
+            for answer in self._stagewise(plan, packets):
+                pass
+        return answer
+
+    def _stagewise(self, plan: QueryPlan, packets: list[Packet]) -> Iterator[Answer]:
+        """The batch before the first stage and after each stage, in turn.
 
         The batch is an ingress × outcome matrix from the start: each stage
         maps the current outcome columns to its own (:func:`_advance`) and
-        the rows follow by one sparse product.  A loop stage first solves
-        the classes its columns enter through.
+        the rows follow by one sparse product.  A stage first takes the rows
+        of the columns' new classes in one call; a loop stage solves the
+        classes they enter through before.
         """
-        with self.watch.measure("query"):
-            answer = Answer.identity(packets)
-            for stage in plan.stages:
+        answer = Answer.identity(packets)
+        yield answer
+        for stage in plan.stages:
+            classified, new = stage.classify_columns(answer.outcomes)
+            if new:
                 if isinstance(stage, _LoopStage):
-                    entries = stage.entries(answer.outcomes)
-                    self._solve_loop(stage, entries - stage.chain.index.keys())
+                    entries = stage.entries(new)
+                    self._solve_loop(stage, entries)
                     stage.read_solutions(entries)
-                answer = _advance(answer, stage)
-        return answer
+                stage.take_rows(new)
+            answer = _advance(answer, stage, classified)
+            yield answer
 
     def output_distribution(
         self, policy: s.Policy, inputs: Packet | Dist[Outcome] | Iterable[Packet]
@@ -744,17 +752,15 @@ class MatrixBackend:
             for packet in answer
         }
 
-    def certainly_delivers(self, model, tolerance: float = 1e-9) -> bool:
+    def certainly_delivers(self, model) -> bool:
         """Whether every ingress packet is delivered with probability one.
 
-        Numerical analogue of the interpreter's structural possibility
-        analysis: delivery mass must be within ``tolerance`` of 1 for all
-        ingresses.  All ingresses share one batched solve.
+        The model's own structural analysis
+        (:meth:`~repro.network.model.NetworkModel.certainly_delivers`):
+        exact, and no solve.  A solved probability cannot decide this —
+        a loss of 1e-10 is within any float tolerance.
         """
-        return all(
-            probability >= 1.0 - tolerance
-            for probability in self.delivery_probabilities(model).values()
-        )
+        return model.certainly_delivers()
 
     def timings(self) -> dict[str, float]:
         """Accumulated wall-clock time per phase.
@@ -777,7 +783,9 @@ class MatrixBackend:
         ``assembly_rows`` counts the classes written onto a loop stage's
         chain (or into a full-domain matrix), each once however the seeds
         arrived; ``loop_free_walks`` the class rows loop-free stages
-        took from their diagrams, across :meth:`reset_solutions`; ``fdd_nodes``,
+        took from their diagrams, across :meth:`reset_solutions`;
+        ``frontier_steps`` the BFS frontiers the loop stages' chains
+        expanded, one array step each (the chains' BFS depth); ``fdd_nodes``,
         ``fdd_memo_<operation>`` and the compile's work counts
         (``leaf_actions_composed``, ``compile_roles``, ``role_instances``)
         flatten this replica's :meth:`~repro.core.fdd.node.FddManager.stats`.  Worker processes
@@ -788,6 +796,7 @@ class MatrixBackend:
         factorizations = 0
         schur_updates = 0
         walks = 0
+        frontier_steps = 0
         plans = [plan for _policy, plan in self._plans.values()]
         plans.extend(self._adopted.values())
         for plan in plans:
@@ -795,12 +804,14 @@ class MatrixBackend:
             for stage in plan.loop_stages:
                 factorizations += stage.factorizations
                 schur_updates += stage.schur_updates
+                frontier_steps += stage.chain.frontier_steps
         fdd = self.manager.stats()
         return {
             "factorizations": factorizations,
             "schur_updates": schur_updates,
             "assembly_rows": self.assembly_rows,
             "loop_free_walks": walks,
+            "frontier_steps": frontier_steps,
             "fdd_nodes": fdd["nodes"],
             **{f"fdd_memo_{name}": size for name, size in fdd["memo"].items()},
             **self.manager.counters,
@@ -857,8 +868,8 @@ class MatrixBackend:
     def reset_solutions(self) -> None:
         """Drop per-loop solver state while keeping compiled plans.
 
-        Every cached plan keeps its compiled stage FDDs and their
-        prepared leaves (one entry per diagram leaf), but each stage is
+        Every cached plan keeps its compiled stage FDDs, their class
+        layouts and their flat diagrams, but each stage is
         rebuilt empty (``fresh()``): a loop stage's chain (classes, index,
         rows) and solved rows, a loop-free stage's class rows, and every
         per-packet memo go with the old stage — nothing keyed by a packet
@@ -874,33 +885,37 @@ class MatrixBackend:
             plan.stages[:] = [stage.fresh() for stage in plan.stages]
 
     # -- stage application ---------------------------------------------------------
-    def _solve_loop(self, stage: _LoopStage, seeds: set[SymbolicPacket]) -> None:
-        """Put every seed class on the stage's chain, solved.
+    def _solve_loop(self, stage: _LoopStage, entries: set[Codes]) -> None:
+        """Put every entry class on the stage's chain, solved.
 
-        The seeds (classes the chain does not hold, see
-        :meth:`_LoopStage.entries`) are taken in class order: exploration
-        appends them and what they newly reach, and the solver factorizes
-        exactly the rows that were appended — classes
-        solved for an earlier seed are absorbing gateways whose final rows
-        are composed in — so each class is expanded once and participates
-        in one, small, factorization however the seeds arrive.  Solved
-        rows are final: exploration closes forward reachability, so a
-        solved class never gains a successor.
+        The entries the chain does not hold are its new seeds, taken in
+        class order: exploration appends them and what they newly reach,
+        one BFS frontier per step, and the solver factorizes exactly the
+        rows that were appended — classes solved for an earlier seed are
+        absorbing gateways whose final rows are composed in — so each
+        class is expanded once and participates in one, small,
+        factorization however the seeds arrive.  Solved rows are final:
+        exploration closes forward reachability, so a solved class never
+        gains a successor.
         """
-        if not seeds:
+        if not entries:
             return
         chain = stage.chain
-        new = sorted(seeds, key=stage.sort_key)
-        stage.add_seeds(new)
-        known = len(chain.states)
+        ordered = sorted(entries)
+        codes = stage.layout.array(ordered)
+        fresh = chain.states_of(codes) < 0
+        if not fresh.any():
+            return
+        known = len(chain)
         with self.watch.measure("assemble"):
             stored = chain.explore(
-                new,
-                absorbing_when=lambda cls: not stage.guard_holds(cls),
+                codes[fresh],
+                absorbing=lambda rows: ~stage.guard.holds(rows),
                 limit=self.class_limit,
             )
             rows = chain.rows_from(stored)
-        self.assembly_rows += len(chain.states) - known
+        stage.seeds.update(cls for cls, new in zip(ordered, fresh.tolist()) if new)
+        self.assembly_rows += len(chain) - known
         # The solver reports its own "factorize"/"solve" sections on this
         # backend's stopwatch (it was constructed with watch=self.watch),
         # so no outer measurement wraps it — the phases stay disjoint.
@@ -912,25 +927,29 @@ class MatrixBackend:
 _DROP_ROW = ClassRow((DROP,), (1.0,))
 
 
-def _advance(answer: Answer, stage: _ClassStage) -> Answer:
+def _advance(
+    answer: Answer, stage: _ClassStage, classified: list[tuple[Codes, Packet] | None]
+) -> Answer:
     """``answer`` followed by ``stage``, one row per outcome column.
 
-    A column's row is its class's (:meth:`_ClassStage.row`), read off by
-    the column's residual; an outcome (class, residual) is decoded to a
+    ``classified`` is each column's (class, residual) —
+    :meth:`_ClassStage.classify_columns`, ``None`` for drop — and the
+    stage holds every class's row.  A column's row is read off by the
+    column's residual; an outcome (class, residual) is decoded to a
     packet once per batch and becomes one column of the result, however
     many columns and ingresses reach it.
     """
-    at_by_residual: dict[Packet | None, dict[SymbolicPacket | _DropType, int]] = {}
+    at_by_residual: dict[Packet | None, dict[Codes | _DropType, int]] = {}
     columns: dict[Outcome, int] = {}
     outcomes: list[Outcome] = []
     indptr, indices, data = [0], [], []
     decoded = 0
-    for column in answer.outcomes:
-        if column is DROP:
+    rows = stage._rows
+    for pair in classified:
+        if pair is None:
             row, residual = _DROP_ROW, None
         else:
-            cls, residual = stage._classified(column)
-            row = stage.row(cls)
+            row, residual = rows[pair[0]], pair[1]
         at = at_by_residual.get(residual)
         if at is None:
             at = at_by_residual[residual] = {}
@@ -950,21 +969,15 @@ def _advance(answer: Answer, stage: _ClassStage) -> Answer:
     return answer.then(outcomes, indptr, indices, data, decoded)
 
 
-def _class_sort_key(cls: SymbolicPacket) -> tuple:
-    """A total order on symbolic classes (wildcards sort before values)."""
-    return tuple(
-        (fieldname, value is not None, 0 if value is None else value)
-        for fieldname, value in cls.values
-    )
+def _concretize(assignments: Mapping[str, int], base: Packet) -> Packet:
+    """The concrete output packet of a class for input packet ``base``.
 
-
-def _concretize(cls: SymbolicPacket, base: Packet) -> Packet:
-    """The concrete output packet of class ``cls`` for input packet ``base``.
-
-    Concretely-valued class fields are written onto the packet; wildcard
-    fields were untouched by the stage (a wildcard can only be preserved,
-    never created), so the packet keeps its own value — or stays without
-    the field — exactly like the forward interpreter.
+    ``assignments`` are the class's concretely-valued fields
+    (:meth:`~repro.core.fdd.flat.ClassLayout.assignments`): they are
+    written onto the packet; wildcard fields were untouched by the stage
+    (a wildcard can only be preserved, never created), so the packet
+    keeps its own value — or stays without the field — exactly like the
+    forward interpreter.
 
     Actions write only mentioned values, so a field that ``base``'s own
     class holds concretely is concrete in every class the stage reaches
@@ -976,6 +989,6 @@ def _concretize(cls: SymbolicPacket, base: Packet) -> Packet:
     ``base``'s own row — a diagram's one step or a loop's solution —
     which is all a stage ever asks for.
     """
-    return base.set_many(
-        {fieldname: value for fieldname, value in cls.values if value is not None}
-    )
+    merged = dict(base.items())
+    merged.update(assignments)
+    return Packet._from_sorted_items(tuple(sorted(merged.items())))

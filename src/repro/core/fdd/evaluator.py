@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core import syntax as s
 from repro.core.distributions import Dist
-from repro.core.fdd.actions import Action, ActionOrDrop, apply_action
+from repro.core.fdd.actions import ActionOrDrop, apply_action
 from repro.core.fdd.node import FddManager, FddNode, Leaf, leaf_of
 from repro.core.packet import DROP, Packet, _DropType
 
@@ -39,130 +39,6 @@ Outcome = Packet | _DropType
 #: Leaf-uid -> tuple of (action, weight) pairs; shared across the
 #: segments of one compiled body so interned leaves convert only once.
 _LeafCache = dict[int, tuple[tuple[ActionOrDrop, object], ...]]
-
-
-class ClassRowCache:
-    """The prepared leaves of one diagram, for classes of one field layout.
-
-    ``leaves`` maps a leaf uid to ``(prepared, probs)``: the leaf's float
-    weights and, per action, what :func:`materialize_class_row` does with
-    it — ``None`` (identity: the class itself), a constant outcome
-    (:data:`DROP`, or the successor class of an action that overwrites
-    every field of the layout), a tuple of ``(position, pair)``
-    substitutions over a class's sorted pairs, or the
-    :class:`~repro.core.fdd.actions.Action` itself when it writes a field
-    outside the layout (the generic ``apply_action``).  Uids are unique
-    within one :class:`FddManager` and positions within one layout, so a
-    cache serves one diagram and classes over exactly ``fields`` (sorted,
-    as :class:`~repro.core.fdd.matrix.SymbolicPacket` keeps them);
-    whoever walks a chain keeps one for that chain.
-    """
-
-    __slots__ = ("position", "leaves")
-
-    def __init__(self, fields):
-        self.position: dict[str, int] = {name: i for i, name in enumerate(fields)}
-        self.leaves: dict[int, tuple[tuple, tuple[float, ...]]] = {}
-
-    def prepare(self, leaf: Leaf, make) -> tuple[tuple, tuple[float, ...]]:
-        """Prepare ``leaf`` (``make`` builds a class from sorted pairs)."""
-        position = self.position
-        pairs = list(leaf.dist.items())
-        prepared: list = []
-        for action, _ in pairs:
-            if isinstance(action, _DropType):
-                prepared.append(DROP)
-            elif action.is_identity():
-                prepared.append(None)
-            else:
-                try:
-                    places = [position[name] for name, _ in action.mods]
-                except KeyError:
-                    prepared.append(action)
-                    continue
-                if len(places) == len(position):
-                    prepared.append(make(action.mods))
-                else:
-                    prepared.append(tuple(zip(places, action.mods)))
-        entry = self.leaves[leaf.uid] = (
-            tuple(prepared),
-            tuple(float(prob) for _, prob in pairs),
-        )
-        return entry
-
-
-class ClassRow:
-    """A transition row as parallel tuples instead of a ``Dist``.
-
-    ``outcomes[k]`` is the symbolic class (or :data:`DROP`) reached with
-    probability ``probs[k]`` (a float).  Duplicate outcomes are merged at
-    construction, so ``dict(row.items())`` is lossless.  The
-    :class:`~repro.core.distributions.Dist` API remains available for
-    callers that want it via :meth:`to_dist`.
-    """
-
-    __slots__ = ("outcomes", "probs")
-
-    def __init__(self, outcomes: tuple, probs: tuple[float, ...]):
-        self.outcomes = outcomes
-        self.probs = probs
-
-    @classmethod
-    def from_items(cls, items) -> ClassRow:
-        """Build (merging duplicates) from ``(outcome, prob)`` pairs."""
-        merged: dict = {}
-        for outcome, prob in items:
-            merged[outcome] = merged.get(outcome, 0.0) + float(prob)
-        return cls(tuple(merged), tuple(merged.values()))
-
-    def items(self):
-        """Iterate ``(outcome, float)`` pairs, mirroring ``Dist.items``."""
-        return zip(self.outcomes, self.probs)
-
-    def support(self):
-        return self.outcomes
-
-    def to_dist(self) -> Dist:
-        return Dist(dict(self.items()), check=False)
-
-
-def materialize_class_row(node: FddNode, cls, cache: ClassRowCache) -> ClassRow:
-    """The one-step transition row of symbolic class ``cls`` under ``node``.
-
-    Walks ``node`` to the leaf selected by the class (:func:`leaf_of`: a
-    wildcard takes every chain's fall-through), reading the class's
-    values by position, and applies the leaf's prepared actions
-    (:class:`ClassRowCache`): no intermediate ``Dist``, no ``Fraction``
-    arithmetic, no dict of the class, and one successor object for every
-    class that meets an action overwriting the whole layout.
-    """
-    values = cls.values
-    position = cache.position
-
-    def lookup(field):
-        at = position.get(field)
-        return None if at is None else values[at][1]
-
-    leaf = leaf_of(node, lookup)
-    make = type(cls)._from_sorted
-    prepared, probs = cache.leaves.get(leaf.uid) or cache.prepare(leaf, make)
-    outcomes_list = []
-    append = outcomes_list.append
-    for prep in prepared:
-        kind = type(prep)
-        if kind is tuple:
-            updated = list(values)
-            for at, pair in prep:
-                updated[at] = pair
-            append(make(tuple(updated)))
-        elif kind is Action:
-            append(cls.apply_action(prep))
-        else:
-            append(cls if prep is None else prep)
-    outcomes = tuple(outcomes_list)
-    if len(outcomes) > 1 and len(set(outcomes)) != len(outcomes):
-        return ClassRow.from_items(zip(outcomes, probs))
-    return ClassRow(outcomes, probs)
 
 
 class _Segment:

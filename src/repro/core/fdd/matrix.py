@@ -20,20 +20,19 @@ The main entry points are:
   a canonical FDD (used after solving loops);
 * :func:`enumerate_classes` — enumerate the symbolic domain.
 
-Exploration and assembly are one pass: each class's transition row is
-materialized once (:func:`class_row`, backed by
-:func:`repro.core.fdd.evaluator.materialize_class_row`) and its column
-indices and probabilities are appended to Python lists — no array is
-built per row; the arrays a solver or a :class:`TransitionMatrix` needs
-are built once per call from the lists.  The per-row path this replaced
-is the oracle of the equivalence tests (``tests/oracles.py``); it is not
-part of the library.
+Exploration and assembly are one pass over whole BFS frontiers: a chain
+walks its diagram flattened over the class layout
+(:class:`~repro.core.fdd.flat.FlatDiagram`), a class is a row of int
+codes with one fixed-width key, and each frontier's rows are built and
+its successors looked up by array operations.  The per-class walk this
+replaced is the oracle of the equivalence tests (``tests/oracles.py``);
+it is not part of the library.
 
 Import rule: numpy and SciPy are imported inside the functions that
-build arrays (:meth:`ClassChain.rows_from`, :meth:`ClassChain.matrix`),
-never at module level; annotations import them under ``TYPE_CHECKING``.
-Exploration and the exact paths stay on Python lists and never load the
-float stack.
+build or walk arrays (a :class:`ClassChain`, :func:`class_row`), never at
+module level; annotations import them under ``TYPE_CHECKING``.  The exact
+paths (:func:`class_transition`, :func:`enumerate_classes`) never load
+the float stack.
 """
 
 from __future__ import annotations
@@ -42,11 +41,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Mapping  # typing.Mapping's isinstance is ~100x slower
-from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import Action, ActionOrDrop
-from repro.core.fdd.evaluator import ClassRow, ClassRowCache, materialize_class_row
+from repro.core.fdd.flat import ClassLayout, ClassRow, FlatDiagram
 from repro.core.fdd.node import FddManager, FddNode, leaf_of, mentioned_values
 from repro.core.packet import DROP, Packet, _DropType
 
@@ -56,6 +55,9 @@ if TYPE_CHECKING:
 
 #: Marker for "any value not explicitly mentioned by the program".
 WILDCARD: None = None
+
+#: The most classes of one frontier a chain steps at once.
+_CLASSES_PER_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,29 +242,34 @@ def class_transition(node: FddNode, cls: SymbolicPacket) -> Dist["SymbolicPacket
     """The distribution over successor classes induced by an FDD.
 
     Returns a :class:`Dist` (exact weights preserved) — the API exact-mode
-    callers rely on.  The float matrix-assembly hot path uses
-    :func:`class_row` instead.
+    callers rely on.  Float assembly walks whole frontiers instead
+    (:class:`ClassChain`).
     """
     return evaluate_class(node, cls).map(cls.apply_action)
 
 
-def class_row(
-    node: FddNode,
-    cls: SymbolicPacket,
-    leaf_cache: ClassRowCache | None = None,
-) -> ClassRow:
+def class_row(node: FddNode, cls: SymbolicPacket) -> ClassRow:
     """The float transition row of ``cls`` as parallel tuples.
 
-    The float counterpart of :func:`class_transition`: one FDD walk, the
-    leaf's weights floated once per leaf, and the leaf's prepared actions
-    applied to the class, duplicates merged.  ``leaf_cache`` holds what
-    was prepared per leaf; it serves one diagram and classes over one set
-    of fields (:class:`~repro.core.fdd.evaluator.ClassRowCache`), and a
-    call without one prepares the leaf for this class alone.
+    The float counterpart of :func:`class_transition`, taken by the walk
+    a chain takes for a whole frontier (:meth:`FlatDiagram.step`) over a
+    layout of the class's own fields: the leaf's weights floated, its
+    actions applied, duplicates merged.  The diagram must write only
+    fields the class has.
     """
-    if leaf_cache is None:
-        leaf_cache = ClassRowCache(cls.fields)
-    return materialize_class_row(node, cls, leaf_cache)
+    domains = {name: set() if value is None else {value} for name, value in cls.values}
+    for name, values in _mentioned_values_memo(node).items():
+        if name in domains:
+            domains[name] |= values
+    layout = ClassLayout(domains)
+    (row,) = FlatDiagram(node, layout).rows([layout.encode(cls.values)])
+    return ClassRow(
+        tuple(
+            outcome if outcome is DROP else SymbolicPacket._from_sorted(layout.pairs(outcome))
+            for outcome in row.outcomes
+        ),
+        row.probs,
+    )
 
 
 @dataclass
@@ -271,8 +278,7 @@ class TransitionMatrix:
 
     The last column/row index (``len(classes)``) represents the drop
     outcome, which is absorbing by convention.  ``assembled_rows`` counts
-    the classes written into this matrix, each once (rows served from a
-    caller's ``row_cache`` count too — they still had to be written).
+    the classes written into this matrix, each once.
     """
 
     classes: list[SymbolicPacket]
@@ -357,121 +363,193 @@ class ClassChain:
     """The chain a diagram induces over the classes reachable from some seeds.
 
     This object owns the ``class -> int`` index everything downstream is
-    written over.  ``states`` is append-only: state 0 is the drop outcome
-    (absorbing by convention), every other state a symbolic class in
-    discovery order, and ``index`` maps each back to its position.  The
-    rows of the *transient* states — the ones ``absorbing_when`` did not
-    freeze — are CSR buffers over those ints: row ``r`` belongs to state
-    ``rows[r]`` and holds ``indices[indptr[r]:indptr[r + 1]]`` with
-    probabilities ``data[...]``, in the order the leaf lists its actions.
-    An absorbing state has no stored row (its self-loop exists only in
-    :meth:`matrix`).  Nothing is ever rewritten: :meth:`explore` expands
-    the classes it has not expanded and appends, so a chain fed its seeds
-    in several calls holds the same rows as one fed them at once, up to
-    the order of discovery, and an index handed out stays valid.
-    ``leaves`` are ``node``'s prepared leaves; a chain rebuilt over the
-    same diagram and domains may be handed the old chain's.
+    written over.  States are append-only: state 0 is the drop outcome
+    (absorbing by convention), every other state a class over ``layout``
+    (a :class:`~repro.core.fdd.flat.ClassLayout` row of codes) in
+    discovery order; sorted class keys map a class back to its state.
+    The rows of the *transient* states — the ones ``absorbing`` did not
+    freeze — are CSR buffers over those ints, in the order the leaf lists
+    its actions (a class two actions reach is one entry).  An absorbing
+    state has no stored row (its self-loop exists only in :meth:`matrix`).
+    Nothing is ever rewritten: :meth:`explore` expands the classes it has
+    not expanded and appends, so a chain fed its seeds in several calls
+    holds the same rows as one fed them at once, up to the order of
+    discovery, and an index handed out stays valid.  ``flat`` is the
+    diagram flattened over the layout; a chain rebuilt over the same
+    diagram and layout may be handed the old chain's.
     """
 
-    def __init__(
-        self,
-        node: FddNode,
-        domains: Mapping[str, Iterable[int]],
-        row_cache: MutableMapping[SymbolicPacket, ClassRow] | None = None,
-        leaves: ClassRowCache | None = None,
-    ):
-        self.node = node
-        self.domains = domains
-        self.row_cache = row_cache
-        self.states: list[SymbolicPacket | _DropType] = [DROP]
-        self.index: dict[SymbolicPacket | _DropType, int] = {DROP: 0}
-        self.transient: list[bool] = [False]
-        self.rows: list[int] = []
-        self.indptr: list[int] = [0]
-        self.indices: list[int] = []
-        self.data: list[float] = []
-        self.leaves = leaves if leaves is not None else ClassRowCache(sorted(domains))
+    def __init__(self, node: FddNode, layout: ClassLayout, flat: FlatDiagram | None = None):
+        import numpy as np
+
+        self.layout = layout
+        self.flat = flat if flat is not None else FlatDiagram(node, layout)
+        #: BFS frontiers expanded so far (each one array step, see :meth:`explore`).
+        self.frontier_steps = 0
+        self._size = 1  # states, drop included
+        self._codes = np.zeros((16, len(self.layout.fields)), dtype=self.layout.dtype)
+        self._transient = np.zeros(16, dtype=bool)
+        self._keys = self.layout.keys(self._codes[:0])  # sorted
+        self._key_states = np.zeros(0, dtype=np.int64)
+        # One (first row, states, counts, successors, probabilities) per block
+        # of a frontier.
+        self._chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._stored = 0
+
+    def __len__(self) -> int:
+        """States on the chain, drop included."""
+        return self._size
+
+    @property
+    def states(self) -> list[SymbolicPacket | _DropType]:
+        """Every state as a class (drop first): a view built on request."""
+        return [DROP, *map(self.decode, self.codes_of(range(1, self._size)))]
+
+    def codes_of(self, states: Iterable[int]) -> list[tuple[int, ...]]:
+        """The code rows of (non-drop) ``states``."""
+        import numpy as np
+
+        picked = self._codes[np.fromiter(states, dtype=np.int64) - 1]
+        return list(map(tuple, picked.tolist()))
+
+    def decode(self, codes: tuple[int, ...]) -> SymbolicPacket:
+        """The class a code row stands for."""
+        return SymbolicPacket._from_sorted(self.layout.pairs(codes))
+
+    @property
+    def transient(self) -> np.ndarray:
+        """Per state, whether it was expanded (drop and absorbing states not)."""
+        return self._transient[: self._size]
+
+    def states_of(self, codes: np.ndarray) -> np.ndarray:
+        """The state of each row of ``codes``, ``-1`` where the chain has none."""
+        return self.lookup(self.layout.keys(codes))
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The state of each class key (:meth:`ClassLayout.keys`), ``-1`` where none."""
+        import numpy as np
+
+        if not len(self._keys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        at = np.searchsorted(self._keys, keys)
+        np.minimum(at, len(self._keys) - 1, out=at)
+        return np.where(self._keys[at] == keys, self._key_states[at], -1)
+
+    def _place(self, codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The states of the classes ``codes`` (with ``keys``), appending the
+        unknown ones in the order they first occur."""
+        import numpy as np
+
+        states = self.lookup(keys)
+        missing = np.flatnonzero(states < 0)
+        if len(missing):
+            unseen, first, inverse = np.unique(
+                keys[missing], return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            numbers = np.empty(len(unseen), dtype=np.int64)
+            numbers[order] = np.arange(self._size, self._size + len(unseen))
+            states[missing] = numbers[inverse]
+            self._append(codes[missing[first[order]]])
+            at = np.searchsorted(self._keys, unseen)
+            self._keys = np.insert(self._keys, at, unseen)
+            self._key_states = np.insert(self._key_states, at, numbers)
+        return states
+
+    def _append(self, codes: np.ndarray) -> None:
+        import numpy as np
+
+        size = self._size + len(codes)
+        if size > len(self._transient):
+            capacity = 2 * size
+            grown = np.zeros((capacity, self._codes.shape[1]), dtype=self._codes.dtype)
+            grown[: len(self._codes)] = self._codes
+            self._codes = grown
+            flags = np.zeros(capacity, dtype=bool)
+            flags[: len(self._transient)] = self._transient
+            self._transient = flags
+        self._codes[self._size - 1 : size - 1] = codes
+        self._transient[self._size : size] = False
+        self._size = size
 
     def explore(
         self,
-        seeds: Iterable[SymbolicPacket],
-        absorbing_when: Callable[[SymbolicPacket], bool] | None = None,
+        seeds: np.ndarray,
+        absorbing: Callable[[np.ndarray], np.ndarray] | None = None,
         limit: int | None = None,
     ) -> int:
-        """Append ``seeds`` (classes over ``domains``) and all they reach.
+        """Append ``seeds`` (an array of code rows) and all they reach.
 
-        Breadth-first from the seeds the chain does not hold yet; each new
-        class is expanded exactly once — its row materialized by
-        :func:`class_row` (or served from ``row_cache``), its unseen
-        outcomes appended to ``states`` — unless ``absorbing_when`` holds
-        on it.  Returns the number of rows stored before the call, for
+        Breadth-first, one whole frontier per step: the seeds the chain
+        does not hold yet, then the classes they newly reach, and so on.
+        A step takes the frontier's code rows, marks the ones ``absorbing``
+        holds on (called with those rows; it returns a boolean per row),
+        walks the rest through ``flat`` (:meth:`FlatDiagram.step`), finds
+        each successor's state by its key — appending the unknown ones in
+        the order they first occur — and appends the rows.  States and rows
+        come out in the order a class-by-class FIFO walk would give them.
+        Returns the number of rows stored before the call, for
         :meth:`rows_from`.  On an error (``limit`` exceeded) the chain is
         left as it was.
         """
-        states, index, transient = self.states, self.index, self.transient
-        rows, indptr, indices, data = self.rows, self.indptr, self.indices, self.data
-        node, row_cache, leaves = self.node, self.row_cache, self.leaves
-        cursor = mark = len(states)
-        stored = len(rows)
-        for cls in seeds:
-            if cls not in index:
-                index[cls] = len(states)
-                states.append(cls)
+        import numpy as np
+
+        mark, stored, chunks = self._size, self._stored, len(self._chunks)
+        saved = (self._keys, self._key_states, self.frontier_steps)
+        seeds = self.layout.array(seeds)
         try:
-            while cursor < len(states):
-                cls = states[cursor]
-                if absorbing_when is not None and absorbing_when(cls):
-                    transient.append(False)
-                    cursor += 1
-                    continue
-                row = row_cache.get(cls) if row_cache is not None else None
-                if row is None:
-                    row = class_row(node, cls, leaves)
-                    if row_cache is not None:
-                        row_cache[cls] = row
-                for outcome in row.outcomes:
-                    j = index.get(outcome)
-                    if j is None:
-                        j = index[outcome] = len(states)
-                        states.append(outcome)
-                    indices.append(j)
-                data += row.probs
-                indptr.append(len(indices))
-                rows.append(cursor)
-                transient.append(True)
-                cursor += 1
-                if limit is not None and len(states) - 1 > limit:
+            self._place(seeds, self.layout.keys(seeds))
+            start = mark
+            while start < self._size:
+                end = self._size
+                self.frontier_steps += 1
+                codes = self._codes[start - 1 : end - 1]
+                moves = np.ones(end - start, dtype=bool) if absorbing is None else ~absorbing(codes)
+                self._transient[start:end] = moves
+                expanding, owners = codes[moves], start + np.flatnonzero(moves)
+                # In blocks, so a step's arrays (entries × fields) stay bounded.
+                for at in range(0, len(owners), _CLASSES_PER_BLOCK):
+                    rows = owners[at : at + _CLASSES_PER_BLOCK]
+                    owner, successors, drop, keys, probs = self.flat.step(
+                        expanding[at : at + _CLASSES_PER_BLOCK]
+                    )
+                    targets = np.zeros(len(owner), dtype=np.int64)
+                    live = ~drop
+                    targets[live] = self._place(successors[live], keys[live])
+                    counts = np.bincount(owner, minlength=len(rows))
+                    self._chunks.append((self._stored, rows, counts, targets, probs))
+                    self._stored += len(rows)
+                if limit is not None and self._size - 1 > limit:
                     raise DomainTooLargeError(
                         f"reachable symbolic space exceeds the limit {limit}"
                     )
+                start = end
         except BaseException:
-            for cls in states[mark:]:
-                del index[cls]
-            del states[mark:], transient[mark:], rows[stored:], indptr[stored + 1:]
-            del indices[indptr[-1]:], data[indptr[-1]:]
+            self._size, self._stored = mark, stored
+            self._keys, self._key_states, self.frontier_steps = saved
+            del self._chunks[chunks:]
             raise
         return stored
-
-    def row(self, cls: SymbolicPacket) -> ClassRow:
-        """The diagram's row of ``cls`` (a class over ``domains``), whether or
-        not the chain holds it; nothing is appended."""
-        return class_row(self.node, cls, self.leaves)
 
     def rows_from(self, stored: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The rows stored since ``stored``, as arrays for the solver.
 
         ``(states, indptr, successors, probabilities)``: the transient
         states the rows belong to and their CSR slice (``indptr`` starting
-        at 0), successors as state indices.  One array build per call.
+        at 0), successors as state indices.
         """
         import numpy as np
 
-        start = self.indptr[stored]
+        chunks = [chunk for chunk in self._chunks if chunk[0] >= stored]
+        if not chunks:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, np.zeros(1, dtype=np.int64), empty, np.zeros(0)
+        counts = np.concatenate([chunk[2] for chunk in chunks])
         return (
-            np.array(self.rows[stored:], dtype=np.int64),
-            np.array(self.indptr[stored:], dtype=np.int64) - start,
-            np.array(self.indices[start:], dtype=np.int64),
-            np.array(self.data[start:], dtype=np.float64),
+            np.concatenate([chunk[1] for chunk in chunks]),
+            np.concatenate(([0], np.cumsum(counts))),
+            np.concatenate([chunk[3] for chunk in chunks]),
+            np.concatenate([chunk[4] for chunk in chunks]),
         )
 
     def matrix(self) -> "TransitionMatrix":
@@ -479,17 +557,15 @@ class ClassChain:
         import numpy as np
         from scipy.sparse import csr_matrix
 
-        n = len(self.states) - 1
-        row_of = np.repeat(np.array(self.rows, dtype=np.int64), np.diff(self.indptr)) - 1
-        col_of = np.array(self.indices, dtype=np.int64) - 1
+        n = self._size - 1
+        rows, indptr, successors, probabilities = self.rows_from(0)
+        row_of = np.repeat(rows, np.diff(indptr)) - 1
+        col_of = successors - 1
         col_of[col_of < 0] = n
-        loops = np.array(
-            [i - 1 for i, moves in enumerate(self.transient) if not moves and i] + [n],
-            dtype=np.int64,
-        )
+        loops = np.append(np.flatnonzero(~self.transient[1:]), n)
         matrix = csr_matrix(
             (
-                np.concatenate([np.array(self.data, dtype=np.float64), np.ones(len(loops))]),
+                np.concatenate([probabilities, np.ones(len(loops))]),
                 (np.concatenate([row_of, loops]), np.concatenate([col_of, loops])),
             ),
             shape=(n + 1, n + 1),
@@ -497,7 +573,7 @@ class ClassChain:
         return TransitionMatrix(
             classes=self.states[1:],
             matrix=matrix,
-            domains={f: tuple(sorted(set(v))) for f, v in self.domains.items()},
+            domains=self.layout.domains,
             assembled_rows=n,
         )
 
@@ -508,7 +584,6 @@ def fdd_to_matrix(
     limit: int | None = 1_000_000,
     seeds: Iterable[SymbolicPacket] | None = None,
     absorbing_when: Callable[[SymbolicPacket], bool] | None = None,
-    row_cache: MutableMapping[SymbolicPacket, ClassRow] | None = None,
 ) -> TransitionMatrix:
     """Convert an FDD to a sparse stochastic matrix over symbolic classes.
 
@@ -522,21 +597,30 @@ def fdd_to_matrix(
     subspace, the trick that lets network-scale models stay small).
     ``absorbing_when`` marks classes that should not be expanded further
     — they receive a self-loop row, turning the matrix into the absorbing
-    chain of a loop whose exit condition is the predicate.  ``row_cache``
-    memoises class transition rows (:class:`ClassRow` values) across
-    repeated calls.
+    chain of a loop whose exit condition is the predicate.  It is asked
+    once per class, as the class's frontier is expanded.
 
     This is the one-shot front door of :class:`ClassChain`: one chain,
     one :meth:`~ClassChain.explore` over the seeds (or over the whole
     enumerated domain), read back as a :class:`TransitionMatrix`.  A
     caller whose seed set grows keeps the chain instead.
     """
-    domains = matrix_domains(node, extra_values)
-    chain = ClassChain(node, domains, row_cache)
+    chain = ClassChain(node, ClassLayout(matrix_domains(node, extra_values)))
+    layout = chain.layout
+    absorbing = None
+    if absorbing_when is not None:
+        import numpy as np
+
+        def absorbing(codes: np.ndarray) -> np.ndarray:
+            classes = [chain.decode(row) for row in map(tuple, codes.tolist())]
+            return np.fromiter(map(absorbing_when, classes), dtype=bool, count=len(classes))
+
     if seeds is None:
-        chain.explore(enumerate_classes(domains, limit=limit), absorbing_when)
+        classes = enumerate_classes(layout.domains, limit=limit)
+        limit = None
     else:
-        chain.explore((project_class(cls, domains) for cls in seeds), absorbing_when, limit)
+        classes = seeds
+    chain.explore([layout.encode(cls.values) for cls in classes], absorbing, limit)
     return chain.matrix()
 
 

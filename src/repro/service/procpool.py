@@ -59,7 +59,6 @@ import threading
 import traceback
 from typing import TYPE_CHECKING
 
-from repro.core.answer import delivered_mass
 from repro.service.faults import FaultPlan
 from repro.service.pool import BackendPool, ReplicaFailure
 from repro.service.telemetry import Telemetry, Tracer
@@ -470,19 +469,10 @@ class ReplicaClient:
             telemetry.tracer.ingest(stats.get("spans") or ())
         return result.to_distributions()
 
-    def certainly_delivers(self, model, tolerance: float = 1e-9) -> bool:
-        """Delivery check: distributions in the worker, predicate here.
-
-        The delivered predicate is an AST, so it never crosses the wire;
-        the worker returns raw distributions and the parent reads them
-        with the same :func:`~repro.core.answer.delivered_mass` as every
-        other entry point.
-        """
-        dists = self.output_distributions(model.policy, model.ingress_packets)
-        return all(
-            float(delivered_mass(dist, model.delivered)) >= 1.0 - tolerance
-            for dist in dists.values()
-        )
+    def certainly_delivers(self, model) -> bool:
+        """The model's structural verdict, here: no worker is asked (see
+        :meth:`repro.backends.matrix.MatrixBackend.certainly_delivers`)."""
+        return model.certainly_delivers()
 
     def ping(self) -> dict:
         """Round-trip liveness probe; returns (and caches) worker stats."""

@@ -607,9 +607,9 @@ class AnalysisSession:
     def certainly_delivers(self, model: NetworkModel) -> bool:
         """Whether every ingress of ``model`` delivers with probability one.
 
-        Delegates to a leased replica (structural analysis for the native
-        family, batched numerical check for the matrix backend); verdicts
-        are cached by canonical policy key.
+        Delegates to a leased replica, whose backend answers with the
+        model's structural analysis (exact); verdicts are cached by
+        canonical policy key.
         """
         with self._serving():
             # Cached-verdict fast path: no lease needed when the policy's

@@ -7,9 +7,11 @@ one's answers.  The dense Gauss–Jordan oracle of the exact absorption
 solver sits beside its tests in ``test_exact_solver.py``; the float
 solver's dict-based construction is :func:`solve_absorption_reference`;
 the per-packet query path the batched answer replaced is
-:func:`per_packet_distributions`.  Model construction's one-pass
-builders (``Policy._scan``, integer-checked ``choice``, per-switch
-``Topology.program``) are held to the ``walk()``-based field scans,
+:func:`per_packet_distributions`; the class-by-class chain walk the
+frontier walk replaced is :func:`class_chain_reference`.  Model
+construction's one-pass builders (``Policy._scan``, integer-checked
+``choice``, per-switch ``Topology.program``) are held to the
+``walk()``-based field scans,
 the ``Fraction``-summed :func:`choice_reference` and
 :func:`topology_program_reference`.
 """
@@ -34,7 +36,7 @@ from repro.core.fdd.matrix import (
     matrix_domains,
     project_class,
 )
-from repro.core.fdd.node import FddNode, output_distribution
+from repro.core.fdd.node import FddNode, leaf_of, output_distribution
 from repro.core.markov import SOLVER_TOLERANCE, AbsorptionResult, _states_reaching_absorption
 from repro.core.packet import DROP, _DropType
 from repro.topology.graph import Topology
@@ -120,6 +122,46 @@ def fdd_to_matrix_reference(
         matrix=matrix,
         domains={f: tuple(sorted(v)) for f, v in domains.items()},
     )
+
+
+def class_row_reference(node: FddNode, cls: SymbolicPacket) -> list[tuple[object, float]]:
+    """The float row of one class, walked class by class: the leaf by
+    :func:`leaf_of`, each action applied to the class, a repeated
+    successor merged at its first place, its probabilities summed in
+    action order from ``0.0``."""
+    merged: dict = {}
+    for action, prob in leaf_of(node, dict(cls.values).get).dist.items():
+        outcome = cls.apply_action(action)
+        merged[outcome] = merged.get(outcome, 0.0) + float(prob)
+    return list(merged.items())
+
+
+def class_chain_reference(
+    node: FddNode,
+    seeds: Iterable[SymbolicPacket],
+    absorbing_when: Callable[[SymbolicPacket], bool] | None = None,
+) -> tuple[list[SymbolicPacket], dict[SymbolicPacket, list[tuple[object, float]]]]:
+    """The chain walk :class:`~repro.core.fdd.matrix.ClassChain` made before
+    it explored a frontier at a time, kept as its oracle.
+
+    First in, first out from ``seeds``, one class at a time: a class
+    ``absorbing_when`` holds on is not expanded, any other takes
+    :func:`class_row_reference` and appends the successors it sees first.
+    Returns the classes in discovery order (drop is not one) and the row
+    of every expanded class.
+    """
+    states: list[SymbolicPacket] = list(dict.fromkeys(seeds))
+    seen = set(states)
+    rows: dict[SymbolicPacket, list[tuple[object, float]]] = {}
+    for cls in states:  # grows while it is walked
+        if absorbing_when is not None and absorbing_when(cls):
+            continue
+        rows[cls] = class_row_reference(node, cls)
+        for outcome, _ in rows[cls]:
+            if outcome is not DROP and outcome not in seen:
+                seen.add(outcome)
+                states.append(outcome)
+    return states, rows
 
 
 def matrices_identical(vectorized, reference, tolerance=1e-12):
@@ -252,7 +294,9 @@ def _loop_step(stage, dist):
         if outcome is DROP or not stage.entered_by(outcome):
             acc[outcome] = acc.get(outcome, 0) + mass
             continue
-        for cls, weight in stage.solution(stage.classify_packet(outcome)).items():
+        cls = stage.classify_packet(outcome)
+        stage.read_solutions([cls])
+        for cls, weight in stage.solutions[cls].items():
             successor = DROP if cls is DROP else stage.concretize(cls, outcome)
             acc[successor] = acc.get(successor, 0) + float(mass) * weight
     return acc

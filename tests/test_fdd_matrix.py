@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from repro.core import syntax as s
 from repro.core.compiler import compile_policy
 from repro.core.distributions import Dist
-from repro.core.fdd import matrix as matrix_module
 from repro.core.fdd import ops
 from repro.core.fdd.actions import Action
-from repro.core.fdd.evaluator import ClassRow
+from repro.core.fdd.flat import ClassRow, FlatDiagram
 from repro.core.fdd.matrix import (
     DomainTooLargeError,
     SymbolicPacket,
@@ -222,35 +221,22 @@ class TestSinglePassAssembly:
     def test_each_class_evaluated_exactly_once_without_row_cache(self, monkeypatch):
         manager = FddManager()
         fdd = TestConversion().make_example_fdd(manager)
-        calls: dict[SymbolicPacket, int] = {}
-        real = class_row
+        calls: dict[tuple, int] = {}
+        steps = []
+        real = FlatDiagram.step
 
-        def counting(node, cls, leaf_cache=None):
-            calls[cls] = calls.get(cls, 0) + 1
-            return real(node, cls, leaf_cache)
+        def counting(flat, codes):
+            steps.append(len(codes))
+            for row in map(tuple, codes.tolist()):
+                calls[row] = calls.get(row, 0) + 1
+            return real(flat, codes)
 
-        monkeypatch.setattr(matrix_module, "class_row", counting)
+        monkeypatch.setattr(FlatDiagram, "step", counting)
         matrix = fdd_to_matrix(fdd, seeds=[SymbolicPacket({"pt": 1})])
-        assert matrix.assembled_rows == len(matrix.classes) > 0
-        assert calls  # the seeded path went through the kernel
+        assert matrix.assembled_rows == len(matrix.classes) == len(calls) > 0
         assert all(count == 1 for count in calls.values()), calls
-
-    def test_row_cache_skips_reevaluation_across_calls(self, monkeypatch):
-        manager = FddManager()
-        fdd = TestConversion().make_example_fdd(manager)
-        calls: dict[SymbolicPacket, int] = {}
-        real = class_row
-
-        def counting(node, cls, leaf_cache=None):
-            calls[cls] = calls.get(cls, 0) + 1
-            return real(node, cls, leaf_cache)
-
-        monkeypatch.setattr(matrix_module, "class_row", counting)
-        cache: dict = {}
-        fdd_to_matrix(fdd, seeds=[SymbolicPacket({"pt": 1})], row_cache=cache)
-        first = dict(calls)
-        fdd_to_matrix(fdd, seeds=[SymbolicPacket({"pt": 1})], row_cache=cache)
-        assert calls == first  # second assembly served entirely from the cache
+        # pt=1 reaches pt=2 and pt=3 in one step, which reach pt=1: two frontiers.
+        assert steps == [1, 2]
 
 
 _FIELDS = ["f", "g"]

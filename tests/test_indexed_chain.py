@@ -27,8 +27,9 @@ from repro.core.fdd.matrix import fdd_to_matrix
 from repro.core.markov import IncrementalAbsorptionSolver
 
 from oracles import solve_absorption_reference
-from test_compile_per_switch import NET_INGRESS, f10_batch_model, network_programs
+from test_compile_per_switch import NET_INGRESS, NET_SWITCHES, f10_batch_model, network_programs
 from test_exact_solver import ABSORBING, sparse_chains
+from test_interpreter_stages import whole_model
 from test_properties import examples
 
 
@@ -100,7 +101,8 @@ def test_mass_is_conserved_through_a_hop_loop_however_it_is_fed(parts, data):
         assert stage.matrix.is_stochastic(tolerance=1e-12)
     # Solve: absorbed + lost is one for every class a packet entered through ...
     for cls in stage.solutions:
-        _outcomes, masses, lost = stage.solver.absorbed(stage.chain.index[cls])
+        (state,) = stage.chain.states_of(stage.layout.array([cls])).tolist()
+        _outcomes, masses, lost = stage.solver.absorbed(state)
         assert sum(masses) + lost == pytest.approx(1, abs=1e-12)
     # ... and decode: delivered + dropped (the lost mass is in it) is one per ingress.
     for packet in NET_INGRESS:
@@ -116,6 +118,37 @@ def test_mass_is_conserved_through_a_hop_loop_however_it_is_fed(parts, data):
         fed.update(grown.output_distributions(policy, order[start:stop]))
     for packet in NET_INGRESS:
         assert total_variation(fed[packet], whole[packet]) <= 1e-12
+
+
+@settings(
+    max_examples=examples(40), deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    network_programs(),
+    network_programs(),
+    st.sampled_from(NET_SWITCHES),
+    st.sampled_from(NET_SWITCHES),
+)
+def test_mass_is_conserved_after_every_stage_of_a_two_loop_plan(parts, other, first, second):
+    """``lead ; hop ; while ¬(sw=first) do hop ; pt<-0 ; while ¬(sw=second) do hop'``."""
+    start = next(i for i, part in enumerate(other) if isinstance(part, s.Case))
+    policy = s.seq(
+        whole_model(parts, first),
+        s.while_do(s.neg(s.test("sw", second)), s.Seq(tuple(other[start:]))),
+    )
+    backend = MatrixBackend()
+    plan = backend.plan(policy)
+    assert len(plan.loop_stages) == 2
+    answers = list(backend._stagewise(plan, NET_INGRESS))
+    assert len(answers) == len(plan.stages) + 1
+    for answer in answers:
+        bounds = answer.indptr.tolist()
+        for start, stop in zip(bounds, bounds[1:]):
+            assert float(sum(answer.data[start:stop].tolist())) == pytest.approx(1, abs=1e-12)
+    assert answers[-1] == backend.output_distributions(policy, NET_INGRESS)
+    # A loop stage's chain was explored by frontier steps, and only by them.
+    for stage in plan.loop_stages:
+        assert (len(stage.chain) > 1) == (stage.chain.frontier_steps > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +203,7 @@ def test_a_solved_space_costs_nothing_and_a_reset_costs_everything_again(model):
     first = backend.output_distributions(model.policy, model.ingress_packets)
     stats = backend.solver_stats()
     assert (stats["assembly_rows"], stats["factorizations"], stats["schur_updates"]) == (357, 1, 0)
+    assert stats["frontier_steps"] == 5  # the chain's BFS depth: 51/51/48/117/90 classes
     # Asked again: no class is explored, nothing is factorized.
     again = backend.output_distributions(model.policy, model.ingress_packets[::-1])
     assert backend.solver_stats() == stats
@@ -181,7 +215,7 @@ def test_a_solved_space_costs_nothing_and_a_reset_costs_everything_again(model):
     assert stage.matrix is None and not stage.solutions and not stage.solver.solved_states
     assert backend.output_distributions(model.policy, model.ingress_packets) == first
     stats = backend.solver_stats()
-    assert (stats["assembly_rows"], stats["factorizations"]) == (714, 1)
+    assert (stats["assembly_rows"], stats["factorizations"], stats["frontier_steps"]) == (714, 1, 5)
 
 
 def test_a_stage_rebuilt_from_specs_answers_like_the_planners(model):

@@ -33,8 +33,9 @@ from repro.core.packet import DROP, Packet
 from repro.failure.models import independent_failure_program
 from repro.network import running_example as ex
 from repro.network.model import build_model
-from repro.routing import downward_failable_ports, ecmp_policy
-from repro.topology import fat_tree
+from repro.routing import downward_failable_ports, ecmp_policy, f10_model
+from repro.service import AnalysisSession
+from repro.topology import ab_fat_tree, fat_tree
 
 
 @pytest.fixture(scope="module")
@@ -160,16 +161,6 @@ class TestSeededConversion:
             absorbing_when=lambda cls: cls == frozen,
         )
         assert seeded.row(frozen) == Dist.point(frozen)
-
-    def test_row_cache_is_shared_between_calls(self):
-        manager = FddManager()
-        fdd = figure5_fdd(manager)
-        cache: dict = {}
-        fdd_to_matrix(fdd, seeds=[SymbolicPacket({"pt": 1})], row_cache=cache)
-        size_after_first = len(cache)
-        assert size_after_first > 0
-        fdd_to_matrix(fdd, seeds=[SymbolicPacket({"pt": 1})], row_cache=cache)
-        assert len(cache) == size_after_first
 
     def test_roundtrip_through_matrix_to_fdd(self):
         manager = FddManager()
@@ -444,6 +435,26 @@ class TestOneDeliveredPredicate:
         )
         assert MatrixBackend().certainly_delivers(model) and model.certainly_delivers()
         assert set(MatrixBackend().delivery_probabilities(model).values()) == {1.0}
+
+
+class TestOneCertaintyVerdict:
+    """Certain delivery is decided one way, by the model's structural analysis."""
+
+    def test_a_loss_below_any_float_tolerance_is_not_certain_delivery(self):
+        # One failure at 1e-10: every ingress delivers with 1 - 1e-10, which
+        # a solved probability held to a 1e-9 tolerance took for one.
+        model = f10_model(
+            ab_fat_tree(4), 1, scheme="f10_0",
+            failure_probability=Fraction(1, 10**10), max_failures=1,
+        )
+        backend = MatrixBackend()
+        assert 1 - 1e-9 <= min(backend.delivery_probabilities(model).values()) < 1
+        assert model.certainly_delivers() is False
+        assert backend.certainly_delivers(model) is False
+        table = resilience_table(lambda scheme, k: model, ["f10_0"], [1], backend="matrix")
+        assert table == {"f10_0": {1: False}}
+        with AnalysisSession(models=[model]) as session:
+            assert session.certainly_delivers(model) is False
 
 
 class TestBackendThreading:

@@ -113,7 +113,7 @@ def test_concretisation_depends_on_the_packet_only_through_its_residual():
         for cls in stage.solutions[stage.classify_packet(packet)].outcomes:
             if cls is not DROP:
                 assert stage.concretize(cls, packet) == packet.set_many(
-                    {name: value for name, value in cls.values if value is not None}
+                    {name: value for name, value in stage.layout.pairs(cls) if value is not None}
                 )
 
 
@@ -252,7 +252,7 @@ def test_a_loop_stage_builds_one_packet_per_class_and_residual():
     absorbing = {
         cls
         for packet in entering
-        for cls in stage.row(stage.classify_packet(packet)).outcomes
+        for cls in stage._rows[stage.classify_packet(packet)].outcomes
         if cls is not DROP
     }
     residuals = {stage._classified(packet)[1] for packet in entering}
@@ -321,15 +321,16 @@ def test_a_reset_keeps_prepared_leaves_and_nothing_per_packet():
     for old, new in zip(before, after):
         assert new is not old and old._class_cache
         assert not (new._class_cache or new._concrete_cache or new._rows)
-        old_leaves, new_leaves = (
-            (stage.chain.leaves if isinstance(stage, _LoopStage) else stage._leaves)
+        old_flats, new_flats = (
+            (stage.chain.flat, stage.guard) if isinstance(stage, _LoopStage) else (stage.flat,)
             for stage in (old, new)
         )
-        # One entry per diagram leaf, handed on as it is.
-        assert new_leaves is old_leaves and old_leaves.leaves
+        # The diagrams, flattened once per plan, handed on as they are.
+        assert all(mine is theirs for mine, theirs in zip(new_flats, old_flats))
+        assert all(flat.leaves for flat in old_flats)
     for stage in after:
         if isinstance(stage, _LoopStage):
-            assert len(stage.chain.states) == 1 and not stage.solutions
+            assert len(stage.chain) == 1 and not stage.solutions
 
 
 def test_a_descent_costs_lookups_per_field_not_per_switch():
