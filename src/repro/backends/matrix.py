@@ -26,12 +26,16 @@ system for every new ingress seed), the matrix backend:
   absorption columns from one factorization, a row decoded when a query
   enters through it.
 
-Every stage runs on symbolic classes: a packet is classified once, its
-class's row is taken once (a loop-free diagram walked, or a solved loop
-row decoded), and an outcome class is decoded to a packet once per
-batch.  A query returns one :class:`~repro.core.answer.Answer`, an
-ingress × outcome matrix built by one sparse product per stage; a
-``Dist`` is built only when a caller looks one up.  Loop solutions are
+Every stage runs on symbolic classes, and so does the batch between
+stages: its ingress packets are classified once, over the plan's layout
+(every field and value some stage mentions), its columns stay class
+codes plus a residual id from the first stage to the last
+(:class:`~repro.core.fdd.flat.Columns`), a class's row is taken once per
+stage (a loop-free diagram walked, or a solved loop row read), and
+packets are decoded once, after the last stage.  A query returns one
+:class:`~repro.core.answer.Answer`, an ingress × outcome matrix built by
+one sparse product per stage; a ``Dist`` is built only when a caller
+looks one up.  Loop solutions are
 float64, like the native backend's LU path, and so are the loop-free
 stages of a plan with a loop; a plan without one keeps the exact
 rational leaf weights.
@@ -39,14 +43,23 @@ rational leaf weights.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core import syntax as s
 from repro.core.answer import Answer, delivered_mass
 from repro.core.compiler import Compiler, leaf_holds
 from repro.core.distributions import Dist
-from repro.core.fdd.flat import ClassLayout, ClassRow, Codes, FlatDiagram
+from repro.core.fdd.flat import (
+    ClassLayout,
+    ClassRows,
+    Codes,
+    Columns,
+    FlatDiagram,
+    Projection,
+    group_rows,
+)
 from repro.core.fdd.matrix import (
     ClassChain,
     SymbolicPacket,
@@ -68,72 +81,55 @@ from repro.core.markov import IncrementalAbsorptionSolver
 from repro.core.packet import DROP, Packet, _DropType
 from repro.utils.timing import Stopwatch
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class _ClassStage:
-    """What both stage kinds share: packets in, symbolic classes through, packets out.
+    """What both stage kinds share: classes in, rows over classes out.
 
     A class is a row of int codes over the stage's ``layout``
     (:class:`~repro.core.fdd.flat.ClassLayout`, the ``domains`` fields
-    sorted).  A packet is classified over it (its class and its
-    *residual*, see :func:`_concretize`), the stage's row of that class
-    (over classes and :data:`DROP`) says where its mass goes, and an
-    outcome class is decoded with the packet's residual back into a
-    packet.  Each of the three is memoised: classification once per
-    distinct packet, a row once per class — the rows of all of one
-    batch's new classes from one call, :meth:`take_rows` — and a decode
-    once per (class, residual).  The memos live as long as the stage:
-    :meth:`MatrixBackend.reset_solutions` replaces every stage with its
-    ``fresh()`` copy, which keeps only what belongs to the compiled
-    diagrams — the layout and the diagrams flattened over it
-    (:class:`~repro.core.fdd.flat.FlatDiagram`).
+    sorted).  A batch's columns reach a stage as classes over it
+    (:class:`~repro.core.fdd.flat.Projection` ``.down``), and each
+    follows its class's row in ``rows``
+    (:class:`~repro.core.fdd.flat.ClassRows`, CSR over classes and drop,
+    found by class key).  A row is taken once per class, the rows of all
+    of one batch's new classes from one call (:meth:`take_rows`), and kept
+    as long as the stage: :meth:`MatrixBackend.reset_solutions` replaces
+    every stage with its ``fresh()`` copy, which keeps only what belongs
+    to the compiled diagrams — the layout and the diagrams flattened over
+    it (:class:`~repro.core.fdd.flat.FlatDiagram`).
     """
 
-    def __init__(self, domains: dict[str, tuple[int, ...]], layout: ClassLayout | None = None):
+    def __init__(
+        self, domains: dict[str, tuple[int, ...]], layout: ClassLayout | None, exact: bool = False
+    ):
         self.domains = domains
         self.layout = layout if layout is not None else ClassLayout(domains)
-        self._class_cache: dict[Packet, tuple[Codes, Packet]] = {}
-        # (class, residual) -> concrete output packet.
-        self._concrete_cache: dict[tuple[Codes, Packet], Packet] = {}
-        self._rows: dict[Codes, ClassRow] = {}
+        self.rows = ClassRows(self.layout, exact)
 
-    def take_rows(self, classes: list[Codes]) -> None:  # pragma: no cover - abstract
-        """Put the rows of ``classes`` (none held yet) into ``_rows``."""
-        raise NotImplementedError
+    def take_rows(self, codes: np.ndarray, keys: np.ndarray, limit: int) -> int:
+        """Put the rows of the classes ``codes`` (distinct, none held, with
+        their ``keys``) into ``rows``; returns the classes a loop's chain
+        appended on the way (``limit`` bounds them)."""
+        raise NotImplementedError  # pragma: no cover
 
-    def classify_packet(self, packet: Packet) -> Codes:
-        """The class of a concrete packet over this stage's layout."""
-        return self._classified(packet)[0]
-
-    def _classified(self, packet: Packet) -> tuple[Codes, Packet]:
-        """The class of ``packet`` and its residual (see :func:`_concretize`)."""
-        cached = self._class_cache.get(packet)
-        if cached is None:
-            cached = self._class_cache[packet] = self.layout.classify(packet)
-        return cached
-
-    def classify_columns(
-        self, columns: Sequence[Outcome]
-    ) -> tuple[list[tuple[Codes, Packet] | None], list[Codes]]:
-        """Each column's (class, residual) — ``None`` for drop — and the
-        distinct classes among them without a row yet, in column order."""
-        classified = [None if column is DROP else self._classified(column) for column in columns]
-        rows = self._rows
-        new = dict.fromkeys(
-            pair[0] for pair in classified if pair is not None and pair[0] not in rows
-        )
-        return classified, list(new)
-
-    def concretize(self, cls: Codes, base: Packet) -> Packet:
-        """Memoised :func:`_concretize`, keyed by ``cls`` and ``base``'s residual."""
-        return self._concrete(cls, self._classified(base)[1])
-
-    def _concrete(self, cls: Codes, residual: Packet) -> Packet:
-        cached = self._concrete_cache.get((cls, residual))
-        if cached is None:
-            cached = self._concrete_cache[cls, residual] = _concretize(
-                self.layout.assignments(cls), residual
-            )
-        return cached
+    def rows_of(self, codes: np.ndarray, drop: np.ndarray, limit: int) -> tuple[np.ndarray, int]:
+        """The row of each class of ``codes`` (drop's where ``drop``), the
+        rows of the classes without one taken first, in one call; and the
+        classes a loop's chain appended for them."""
+        keys = self.layout.keys(codes)
+        found = self.rows.find(keys)
+        found[drop] = 0
+        missing = (found < 0).nonzero()[0]
+        if not len(missing):
+            return found, 0
+        group, first = group_rows(keys[missing], None)
+        new = missing[first]
+        appended = self.take_rows(codes[new], keys[new], limit)
+        found[missing] = self.rows.find(keys[new])[group]
+        return found, appended
 
 
 class _FddStage(_ClassStage):
@@ -153,6 +149,7 @@ class _FddStage(_ClassStage):
         super().__init__(
             {field: tuple(sorted(values)) for field, values in domains.items()},
             flat.layout if flat is not None else None,
+            exact,
         )
         self.fdd = fdd
         self.exact = exact
@@ -162,25 +159,38 @@ class _FddStage(_ClassStage):
         self.flat = flat
 
     def fresh(self) -> "_FddStage":
-        """This stage's diagram and flat form, nothing classified, walked or decoded."""
+        """This stage's diagram and flat form, no row taken."""
         stage = _FddStage(self.fdd, self.exact, self.flat)
         stage.walks = self.walks
         return stage
 
-    def take_rows(self, classes: list[Codes]) -> None:
-        """Where the diagram sends each of ``classes``: one walk for all of them."""
-        self.walks += len(classes)
+    def take_rows(self, codes: np.ndarray, keys: np.ndarray, limit: int) -> int:
+        """Where the diagram sends each class: one walk for all of them."""
+        import numpy as np
+
+        self.walks += len(codes)
         if not self.exact:
-            self._rows.update(zip(classes, self.flat.rows(classes)))
-            return
+            owner, successors, drop, successor_keys, probs = self.flat.step(codes)
+            outcomes = self.rows.outcome_ids(successors, successor_keys, drop)
+            self.rows.add(keys, np.bincount(owner, minlength=len(codes)), outcomes, probs)
+            return 0
         layout = self.layout
-        for cls in classes:
+        counts, successors, drop, probs = [], [], [], []
+        wildcards = (0,) * len(layout.fields)
+        for cls in codes.tolist():
             dist = class_transition(self.fdd, SymbolicPacket._from_sorted(layout.pairs(cls)))
-            outcomes, masses = zip(*dist.items())
-            self._rows[cls] = ClassRow(
-                tuple(DROP if out is DROP else layout.encode(out.values) for out in outcomes),
-                masses,
-            )
+            counts.append(len(dist))
+            for outcome, mass in dist.items():
+                drop.append(outcome is DROP)
+                successors.append(wildcards if outcome is DROP else layout.encode(outcome.values))
+                probs.append(mass)
+        successors = layout.array(successors)
+        drop = np.array(drop, dtype=bool)
+        outcomes = self.rows.outcome_ids(successors, layout.keys(successors), drop)
+        self.rows.add(
+            keys, np.array(counts, dtype=np.int64), outcomes, np.array(probs, dtype=object)
+        )
+        return 0
 
 
 class _LoopStage(_ClassStage):
@@ -197,11 +207,11 @@ class _LoopStage(_ClassStage):
     arrays over its outcome index — so new ingress classes cost their own
     exploration and one factorization of the newly discovered subsystem,
     already-solved classes acting as absorbing gateways, and no class is
-    expanded, indexed or factorized twice.  ``solutions`` holds a solved
-    row as a :class:`~repro.core.fdd.flat.ClassRow` over outcome classes,
-    from the first time a packet entered through its class, and ``_rows``
-    the stage's row of every class it was asked about.  All of it but the
-    layout and the flat diagrams dies with the stage
+    expanded, indexed or factorized twice.  ``rows`` holds the stage's row
+    of every class it was asked about — a solved row read off the solver,
+    with its lost mass on drop, for a class the guard holds on — and of
+    every class a do-while's first body row enters the loop through.  All
+    of it but the layout and the flat diagrams dies with the stage
     (:meth:`MatrixBackend.reset_solutions`).
     """
 
@@ -215,12 +225,14 @@ class _LoopStage(_ClassStage):
         watch: Stopwatch | None = None,
         flats: tuple[FlatDiagram, FlatDiagram] | None = None,
     ):
+        import numpy as np
+
         super().__init__(domains, flats[0].layout if flats is not None else None)
         #: The source AST of the loop, when this stage was built from one.
         #: Purely informational: query evaluation only ever consults the
-        #: compiled ``guard_fdd`` (see :meth:`entered_by`), so stages
-        #: rebuilt from manager-independent specs — in a worker process —
-        #: carry ``None`` here and behave identically.
+        #: compiled ``guard_fdd``, so stages rebuilt from
+        #: manager-independent specs — in a worker process — carry
+        #: ``None`` here and behave identically.
         self.loop = loop
         self.guard_fdd = guard_fdd
         self.body_fdd = body_fdd
@@ -235,18 +247,15 @@ class _LoopStage(_ClassStage):
         )
         self.chain = ClassChain(body_fdd, self.layout, body)
         self.solver = IncrementalAbsorptionSolver(watch=watch)
-        self.solutions: dict[Codes, ClassRow] = {}
         self._guard_leaves: dict[int, bool] = {}
-        self.seeds: set[Codes] = set()
-        # Per class asked about: whether the guard holds on it.
-        self._enters: dict[Codes, bool] = {}
-        # The do-while's first body row of a class the guard fails on, and
-        # per outcome whether it enters the loop.
-        self._first_rows: dict[Codes, tuple[ClassRow, tuple[bool, ...]]] = {}
+        # The seeds of each exploration, as code rows.
+        self._seeds: list[np.ndarray] = []
+        # Per chain state, its outcome id in ``rows`` (-1: none yet).
+        self._outcome_of = np.zeros(0, dtype=np.int64)
 
     def fresh(self) -> "_LoopStage":
         """This stage's compiled loop and its flat diagrams, nothing
-        explored, solved or memoised."""
+        explored, solved or taken."""
         return _LoopStage(
             self.loop,
             self.guard_fdd,
@@ -303,109 +312,167 @@ class _LoopStage(_ClassStage):
             holds = self._guard_leaves[leaf.uid] = leaf_holds(leaf)
         return holds
 
-    def entered_by(self, packet: Packet) -> bool:
-        """Whether a concrete packet enters the loop (guard holds on it).
-
-        Evaluated on the *compiled* guard FDD via the packet's symbolic
-        class — never on the guard AST — so stages rebuilt from specs
-        (which carry no AST) answer exactly like freshly compiled ones.
-        The loop's domains include every value the guard tests (they are
-        built with the guard's values folded in), so classification is
-        lossless for guard evaluation: a field value outside the domain
-        classifies as a wildcard, which fails every equality test, just
-        as the concrete value would.
-        """
-        return bool(self.guard.holds(self.layout.array([self.classify_packet(packet)]))[0])
+    @property
+    def seeds(self) -> set[Codes]:
+        """Every class the chain was seeded with so far."""
+        return {tuple(row) for seeds in self._seeds for row in seeds.tolist()}
 
     @property
     def seed_order(self) -> list[SymbolicPacket]:
         """All seeds seen so far, in class order."""
         return [self.chain.decode(cls) for cls in sorted(self.seeds)]
 
-    def entries(self, classes: list[Codes]) -> set[Codes]:
-        """The classes ``classes`` (none with a row yet) enter the chain through.
+    def take_rows(self, codes: np.ndarray, keys: np.ndarray, limit: int) -> int:
+        """The stage's output on each class, over outcome classes.
 
-        A class the guard holds on enters through itself; in a do-while,
-        one it fails on enters through the classes its first body row
-        reaches that the guard holds on.  One guard walk for ``classes``,
-        one body walk for the do-while's first rows and one guard walk for
-        their outcomes.
+        The solved row when the guard holds; in a do-while, the first body
+        row with every successor the guard holds on replaced by its solved
+        row (each outcome once, its masses summed in entry order); else
+        the class itself (the loop does not run).  One guard walk for the
+        classes, one body walk for the do-while's first rows and one guard
+        walk for their successors; the classes entered through are solved
+        first, in one growth step.
         """
-        enters = self.guard.holds(self.layout.array(classes)).tolist()
-        self._enters.update(zip(classes, enters))
-        wanted = {cls for cls, holds in zip(classes, enters) if holds}
-        if self.do_while:
-            failing = [cls for cls, holds in zip(classes, enters) if not holds]
-            self._take_first_rows(failing)
-            for cls in failing:
-                row, entering = self._first_rows[cls]
-                wanted.update(
-                    successor for successor, holds in zip(row.outcomes, entering) if holds
-                )
-        return wanted
+        import numpy as np
 
-    def _take_first_rows(self, classes: list[Codes]) -> None:
-        missing = [cls for cls in classes if cls not in self._first_rows]
-        if not missing:
-            return
-        rows = self.chain.flat.rows(missing)
-        successors = [outcome for row in rows for outcome in row.outcomes if outcome is not DROP]
-        holds = iter(self.guard.holds(self.layout.array(successors)).tolist())
-        for cls, row in zip(missing, rows):
-            self._first_rows[cls] = (
-                row,
-                tuple(outcome is not DROP and next(holds) for outcome in row.outcomes),
+        holds = self.guard.holds(codes)
+        entering, entering_keys = codes[holds], keys[holds]
+        failing = ~holds
+        first = None
+        if self.do_while and failing.any():
+            first = self.chain.flat.step(codes[failing])
+            _owner, successors, drop, successor_keys, _probs = first
+            enters = ~drop & self.guard.holds(successors)
+            entering = np.concatenate([entering, successors[enters]])
+            entering_keys = np.concatenate([entering_keys, successor_keys[enters]])
+        appended = self._take_solved(entering, entering_keys, limit, may_repeat=first is not None)
+        if not failing.any():
+            return appended
+        if first is None:
+            count = int(failing.sum())
+            itself = self.rows.outcome_ids(
+                codes[failing], keys[failing], np.zeros(count, dtype=bool)
             )
+            self.rows.add(keys[failing], np.ones(count, dtype=np.int64), itself, np.ones(count))
+        else:
+            self.rows.add(keys[failing], *self._through_the_loop(first, enters, int(failing.sum())))
+        return appended
 
-    def read_solutions(self, classes: Iterable[Codes]) -> None:
-        """Decode the absorption rows of solved ``classes`` not decoded yet, in one read.
+    def _through_the_loop(self, first, enters: np.ndarray, classes: int):
+        """The do-while rows: each first-row entry the guard holds on
+        spread over its solved row, the rest kept; per row, each outcome
+        once at its first place."""
+        import numpy as np
+
+        owner, successors, drop, keys, probs = first
+        rows = self.rows
+        counts, solved = rows.entries(rows.find(keys[enters]))
+        kept = np.flatnonzero(~enters)
+        spread = np.ones(len(owner), dtype=np.int64)
+        spread[enters] = counts
+        starts = np.cumsum(spread) - spread
+        outcomes = np.empty(int(spread.sum()), dtype=np.int64)
+        masses = np.empty(len(outcomes))
+        outcomes[starts[kept]] = rows.outcome_ids(successors[kept], keys[kept], drop[kept])
+        masses[starts[kept]] = probs[kept]
+        ends = np.cumsum(counts)
+        at = np.arange(len(solved)) + np.repeat(starts[enters] - ends + counts, counts)
+        outcomes[at] = rows.outcomes[solved]
+        masses[at] = rows.probs[solved] * np.repeat(probs[enters], counts)
+        # Each outcome of a row once, at its first place; bincount sums the
+        # masses in entry order from zero, as a dict merge would.
+        owner = np.repeat(owner, spread)
+        group, once = group_rows(owner * len(rows.codes) + outcomes, None)
+        return (
+            np.bincount(owner[once], minlength=classes),
+            outcomes[once],
+            np.bincount(group, weights=masses),
+        )
+
+    def _take_solved(
+        self, codes: np.ndarray, keys: np.ndarray, limit: int, may_repeat: bool
+    ) -> int:
+        """Solve the classes ``codes`` the guard holds on and put their
+        solved rows into ``rows``; with ``may_repeat`` a class may be
+        given twice or have a row already, and is taken once or not at all.
 
         Mass that reaches no absorbing class diverges; the guarded limit
         semantics assigns it to drop.
         """
-        pending = [cls for cls in classes if cls not in self.solutions]
-        if not pending:
-            return
-        chain = self.chain
-        states = chain.states_of(self.layout.array(pending))
-        rows = self.solver.absorbed_many(states.tolist())
-        reached = sorted({j for outcomes, _masses, _lost in rows for j in outcomes if j})
-        outcome_of: dict[int, Codes | _DropType] = dict(zip(reached, chain.codes_of(reached)))
-        outcome_of[0] = DROP
-        for cls, (outcomes, masses, lost) in zip(pending, rows):
-            if lost:  # onto state 0, drop
-                if 0 in outcomes:
-                    masses[outcomes.index(0)] += lost
-                else:
-                    outcomes.append(0)
-                    masses.append(lost)
-            self.solutions[cls] = ClassRow(tuple([outcome_of[j] for j in outcomes]), tuple(masses))
+        import numpy as np
 
-    def take_rows(self, classes: list[Codes]) -> None:
-        """The stage's output on each of ``classes``, over outcome classes.
+        if may_repeat:
+            missing = self.rows.find(keys) < 0
+            _, first = np.unique(keys[missing], return_index=True)
+            codes, keys = codes[missing][first], keys[missing][first]
+        if not len(codes):
+            return 0
+        appended = self._solve(codes, keys, limit)
+        counts, states, masses, lost = self.solver.absorbed_rows(self.chain.lookup(keys))
+        if lost.any():  # onto state 0, drop
+            row = np.repeat(np.arange(len(counts)), counts)
+            at_drop = states == 0
+            masses[at_drop] += lost[row[at_drop]]
+            with_drop = np.bincount(row[at_drop], minlength=len(counts)) > 0
+            alone = np.flatnonzero((lost > 0) & ~with_drop)
+            ends = np.cumsum(counts)[alone]
+            states = np.insert(states, ends, 0)
+            masses = np.insert(masses, ends, lost[alone])
+            counts[alone] += 1
+        self.rows.add(keys, counts, self._outcomes_of(states), masses)
+        return appended
 
-        The absorption row when the guard holds; in a do-while, the first
-        body row with every successor the guard holds on replaced by its
-        absorption row; else the class itself (the loop does not run).
-        :meth:`entries` has classified ``classes`` and the classes they
-        enter through are solved and read.
+    def _outcomes_of(self, states: np.ndarray) -> np.ndarray:
+        """The outcome id in ``rows`` of each chain state (state 0: drop)."""
+        import numpy as np
+
+        if len(self._outcome_of) < len(self.chain):
+            known = self._outcome_of
+            self._outcome_of = np.full(2 * len(self.chain), -1, dtype=np.int64)
+            self._outcome_of[: len(known)] = known
+        ids = self._outcome_of[states]
+        if (ids < 0).any():
+            asked = np.zeros(len(self._outcome_of), dtype=bool)
+            asked[states[ids < 0]] = True
+            new = asked.nonzero()[0]
+            codes = self.chain.codes_at(new)
+            self._outcome_of[new] = self.rows.outcome_ids(codes, self.layout.keys(codes), new == 0)
+            ids = self._outcome_of[states]
+        return ids
+
+    def _solve(self, codes: np.ndarray, keys: np.ndarray, limit: int) -> int:
+        """Put every class of ``codes`` (distinct, with ``keys``) on the chain, solved.
+
+        The classes the chain does not hold are its new seeds, taken in
+        class order: exploration appends them and what they newly reach,
+        one BFS frontier per step, and the solver factorizes exactly the
+        rows that were appended — classes solved for an earlier seed are
+        absorbing gateways whose final rows are composed in — so each
+        class is expanded once and participates in one, small,
+        factorization however the seeds arrive.  Solved rows are final:
+        exploration closes forward reachability, so a solved class never
+        gains a successor.  Returns how many classes the chain appended.
         """
-        for cls in classes:
-            if self._enters[cls]:
-                row = self.solutions[cls]
-            elif self.do_while:
-                first, entering = self._first_rows[cls]
-                weights: dict[Codes | _DropType, float] = {}
-                for successor, weight, enters in zip(first.outcomes, first.probs, entering):
-                    if enters:
-                        for outcome, mass in self.solutions[successor].items():
-                            weights[outcome] = weights.get(outcome, 0.0) + weight * mass
-                    else:
-                        weights[successor] = weights.get(successor, 0.0) + weight
-                row = ClassRow(tuple(weights), tuple(weights.values()))
-            else:
-                row = ClassRow((cls,), (1.0,))
-            self._rows[cls] = row
+        import numpy as np
+
+        chain = self.chain
+        fresh = codes[chain.lookup(keys) < 0]
+        if not len(fresh):
+            return 0
+        fresh = fresh[np.lexsort(fresh.T[::-1])]
+        known = len(chain)
+        with self.watch.measure("assemble") if self.watch is not None else nullcontext():
+            stored = chain.explore(
+                fresh, absorbing=lambda rows: ~self.guard.holds(rows), limit=limit
+            )
+            rows = chain.rows_from(stored)
+        self._seeds.append(fresh)
+        # The solver reports its own "factorize"/"solve" sections on the
+        # stage's stopwatch, so no outer measurement wraps it — the phases
+        # stay disjoint.
+        if len(rows[0]):
+            self.solver.grow(*rows)
+        return len(chain) - known
 
 
 @dataclass
@@ -421,10 +488,20 @@ class QueryPlan:
     policy: s.Policy | None
     stages: list[_FddStage | _LoopStage]
     specs: tuple | None = field(default=None, repr=False)
+    _projections: list[Projection] | None = field(default=None, repr=False)
 
     @property
     def loop_stages(self) -> list[_LoopStage]:
         return [stage for stage in self.stages if isinstance(stage, _LoopStage)]
+
+    @property
+    def projections(self) -> list[Projection]:
+        """Per stage, its layout inside the plan's
+        (:class:`~repro.core.fdd.flat.Projection`): built on first use,
+        kept across :meth:`MatrixBackend.reset_solutions` (the layouts are)."""
+        if self._projections is None:
+            self._projections = Projection.for_stages([stage.layout for stage in self.stages])
+        return self._projections
 
 
 def _stages(parts: list[FddNode | _LoopStage]) -> list[_FddStage | _LoopStage]:
@@ -718,23 +795,36 @@ class MatrixBackend:
     def _stagewise(self, plan: QueryPlan, packets: list[Packet]) -> Iterator[Answer]:
         """The batch before the first stage and after each stage, in turn.
 
-        The batch is an ingress × outcome matrix from the start: each stage
-        maps the current outcome columns to its own (:func:`_advance`) and
-        the rows follow by one sparse product.  A stage first takes the rows
-        of the columns' new classes in one call; a loop stage solves the
-        classes they enter through before.
+        The batch is an ingress × outcome matrix from the start.  Its
+        ingress packets are classified once, over the plan's layout; from
+        there its outcome columns stay classes
+        (:class:`~repro.core.fdd.flat.Columns`).  At each stage the
+        columns' classes move down to the stage's layout
+        (:attr:`QueryPlan.projections`), the stage takes the rows of the
+        new ones in one call — a loop stage solving the classes they enter
+        through first — the columns follow their rows back up to the
+        stage's outcome columns, and the ingress rows follow by one sparse
+        product.  Only the last stage's columns are decoded to packets,
+        each distinct (class, residual) once; an earlier answer's
+        outcomes are its :class:`~repro.core.fdd.flat.Columns`.
         """
         answer = Answer.identity(packets)
         yield answer
-        for stage in plan.stages:
-            classified, new = stage.classify_columns(answer.outcomes)
-            if new:
-                if isinstance(stage, _LoopStage):
-                    entries = stage.entries(new)
-                    self._solve_loop(stage, entries)
-                    stage.read_solutions(entries)
-                stage.take_rows(new)
-            answer = _advance(answer, stage, classified)
+        if not plan.stages:
+            return
+        projections = plan.projections
+        columns = Columns.classify(answer.outcomes, projections[0].plan)
+        for projection, stage in zip(projections, plan.stages):
+            classes = projection.down(columns.codes)
+            found, appended = stage.rows_of(classes, columns.drop, self.class_limit)
+            self.assembly_rows += appended
+            indptr, indices, data, columns = columns.follow(projection, classes, stage.rows, found)
+            if stage is plan.stages[-1]:
+                outcomes = columns.decode()
+                decoded = len(outcomes) - int(columns.drop.sum())
+                answer = answer.then(outcomes, indptr, indices, data, decoded)
+            else:
+                answer = answer.then(columns, indptr, indices, data)
             yield answer
 
     def output_distribution(
@@ -869,11 +959,11 @@ class MatrixBackend:
         """Drop per-loop solver state while keeping compiled plans.
 
         Every cached plan keeps its compiled stage FDDs, their class
-        layouts and their flat diagrams, but each stage is
-        rebuilt empty (``fresh()``): a loop stage's chain (classes, index,
-        rows) and solved rows, a loop-free stage's class rows, and every
-        per-packet memo go with the old stage — nothing keyed by a packet
-        or a class survives.  This bounds solver memory for
+        layouts, their flat diagrams and the plan's code-translation arrays
+        (:attr:`QueryPlan.projections`), but each stage is rebuilt empty
+        (``fresh()``): a loop stage's chain (classes, index, rows) and
+        solved rows and every stage's class rows go with the old stage —
+        nothing keyed by a packet or a class survives.  This bounds solver memory for
         long-lived sessions without paying recompilation, and gives
         benchmarks a repeatable solver-path measurement (every pass after
         a reset re-runs exploration and factorization, not just cache
@@ -883,112 +973,3 @@ class MatrixBackend:
         plans.extend(self._adopted.values())
         for plan in plans:
             plan.stages[:] = [stage.fresh() for stage in plan.stages]
-
-    # -- stage application ---------------------------------------------------------
-    def _solve_loop(self, stage: _LoopStage, entries: set[Codes]) -> None:
-        """Put every entry class on the stage's chain, solved.
-
-        The entries the chain does not hold are its new seeds, taken in
-        class order: exploration appends them and what they newly reach,
-        one BFS frontier per step, and the solver factorizes exactly the
-        rows that were appended — classes solved for an earlier seed are
-        absorbing gateways whose final rows are composed in — so each
-        class is expanded once and participates in one, small,
-        factorization however the seeds arrive.  Solved rows are final:
-        exploration closes forward reachability, so a solved class never
-        gains a successor.
-        """
-        if not entries:
-            return
-        chain = stage.chain
-        ordered = sorted(entries)
-        codes = stage.layout.array(ordered)
-        fresh = chain.states_of(codes) < 0
-        if not fresh.any():
-            return
-        known = len(chain)
-        with self.watch.measure("assemble"):
-            stored = chain.explore(
-                codes[fresh],
-                absorbing=lambda rows: ~stage.guard.holds(rows),
-                limit=self.class_limit,
-            )
-            rows = chain.rows_from(stored)
-        stage.seeds.update(cls for cls, new in zip(ordered, fresh.tolist()) if new)
-        self.assembly_rows += len(chain) - known
-        # The solver reports its own "factorize"/"solve" sections on this
-        # backend's stopwatch (it was constructed with watch=self.watch),
-        # so no outer measurement wraps it — the phases stay disjoint.
-        if len(rows[0]):
-            stage.solver.grow(*rows)
-
-
-#: Where drop goes through any stage: nowhere else.
-_DROP_ROW = ClassRow((DROP,), (1.0,))
-
-
-def _advance(
-    answer: Answer, stage: _ClassStage, classified: list[tuple[Codes, Packet] | None]
-) -> Answer:
-    """``answer`` followed by ``stage``, one row per outcome column.
-
-    ``classified`` is each column's (class, residual) —
-    :meth:`_ClassStage.classify_columns`, ``None`` for drop — and the
-    stage holds every class's row.  A column's row is read off by the
-    column's residual; an outcome (class, residual) is decoded to a
-    packet once per batch and becomes one column of the result, however
-    many columns and ingresses reach it.
-    """
-    at_by_residual: dict[Packet | None, dict[Codes | _DropType, int]] = {}
-    columns: dict[Outcome, int] = {}
-    outcomes: list[Outcome] = []
-    indptr, indices, data = [0], [], []
-    decoded = 0
-    rows = stage._rows
-    for pair in classified:
-        if pair is None:
-            row, residual = _DROP_ROW, None
-        else:
-            row, residual = rows[pair[0]], pair[1]
-        at = at_by_residual.get(residual)
-        if at is None:
-            at = at_by_residual[residual] = {}
-        for successor in row.outcomes:
-            if successor not in at:
-                if successor is DROP:
-                    outcome = DROP
-                else:
-                    outcome = stage._concrete(successor, residual)
-                    decoded += 1
-                at[successor] = columns.setdefault(outcome, len(outcomes))
-                if at[successor] == len(outcomes):
-                    outcomes.append(outcome)
-        indices.extend([at[successor] for successor in row.outcomes])
-        data.extend(row.probs)
-        indptr.append(len(indices))
-    return answer.then(outcomes, indptr, indices, data, decoded)
-
-
-def _concretize(assignments: Mapping[str, int], base: Packet) -> Packet:
-    """The concrete output packet of a class for input packet ``base``.
-
-    ``assignments`` are the class's concretely-valued fields
-    (:meth:`~repro.core.fdd.flat.ClassLayout.assignments`): they are
-    written onto the packet; wildcard fields were untouched by the stage
-    (a wildcard can only be preserved, never created), so the packet
-    keeps its own value — or stays without the field — exactly like the
-    forward interpreter.
-
-    Actions write only mentioned values, so a field that ``base``'s own
-    class holds concretely is concrete in every class the stage reaches
-    from it and is overwritten here.  The result therefore depends on
-    ``base`` only through its *residual* — ``base`` restricted to the
-    fields its class holds as wildcards or not at all (one and the same
-    for every ingress of a network model) — and may be computed from, and
-    memoised by, the residual alone.  That holds for the classes of
-    ``base``'s own row — a diagram's one step or a loop's solution —
-    which is all a stage ever asks for.
-    """
-    merged = dict(base.items())
-    merged.update(assignments)
-    return Packet._from_sorted_items(tuple(sorted(merged.items())))

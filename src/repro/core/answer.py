@@ -60,9 +60,12 @@ class Answer(Mapping):
     ``Fraction`` objects when nothing in the plan floated them.  As a
     ``Mapping`` from ingress packet to :class:`Dist` it is what every
     ``output_distributions`` returns; each ``Dist`` is built on first
-    access.  ``decoded`` counts the outcome packets the last stage
-    decoded from (class, residual) pairs: one per distinct outcome
-    column, never one per ingress.
+    access.  ``decoded`` counts the outcome packets decoded from (class,
+    residual) columns: after a plan's last stage only, one per distinct
+    outcome column, never one per ingress.  Between a plan's stages the
+    ``outcomes`` are the batch's still-undecoded
+    :class:`~repro.core.fdd.flat.Columns`, of which the next step reads
+    only the count.
     """
 
     __slots__ = (
@@ -78,6 +81,7 @@ class Answer(Mapping):
         indices: np.ndarray,
         data: np.ndarray,
         decoded: int = 0,
+        rows: dict[Packet, int] | None = None,
     ):
         self.ingresses = ingresses
         self.outcomes = outcomes
@@ -86,7 +90,8 @@ class Answer(Mapping):
         self.data = data
         self.decoded = decoded
         self._identity = False
-        self._rows = {packet: i for i, packet in enumerate(ingresses)}
+        # Ingress -> row; an answer built from another shares its table.
+        self._rows = {packet: i for i, packet in enumerate(ingresses)} if rows is None else rows
         self._dists: dict[int, Dist] = {}
         self._masks: dict[int, tuple[Predicate, np.ndarray]] = {}
         self._masses: dict[int, tuple[Predicate, list]] = {}
@@ -152,11 +157,13 @@ class Answer(Mapping):
         """
         import numpy as np
 
-        step_ptr = np.array(indptr)
-        step_columns = np.array(indices, dtype=np.int64)
-        step = np.array(data)
+        step_ptr = np.asarray(indptr)
+        step_columns = np.asarray(indices, dtype=np.int64)
+        step = np.asarray(data)
         if self._identity:
-            return Answer(self.ingresses, outcomes, step_ptr, step_columns, step, decoded)
+            return Answer(
+                self.ingresses, outcomes, step_ptr, step_columns, step, decoded, self._rows
+            )
         # Entry k of this answer (row r, column c, mass m) spreads m over step row c.
         starts = step_ptr[self.indices]
         spread = step_ptr[self.indices + 1] - starts
@@ -179,6 +186,7 @@ class Answer(Mapping):
             keys % width,
             sums[order],
             decoded,
+            self._rows,
         )
 
     # -- rows -------------------------------------------------------------------

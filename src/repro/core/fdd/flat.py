@@ -15,7 +15,13 @@ time, and its successor rows are built by array operations
 (:meth:`FlatDiagram.step`), with no Python per class.  A layout packs a
 row into one fixed-width *key* — mixed radix over the fields, in as many
 63-bit words as the layout needs (:meth:`ClassLayout.keys`); sorted keys
-are how a chain tells new classes from known ones.
+(:class:`KeyIndex`) are how a chain tells new classes from known ones.
+
+A query's batch stays on codes between stages too: its outcome columns
+are classes over the plan's layout plus a residual id (:class:`Columns`),
+each stage's layout sits inside the plan's by per-field translation
+arrays (:class:`Projection`), and a stage keeps its rows as CSR arrays
+over an outcome index (:class:`ClassRows`).
 
 Import rule: numpy is imported inside the functions that build or walk
 arrays.  A layout that only classifies packets and decodes codes never
@@ -25,7 +31,8 @@ loads it.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.distributions import Dist
 from repro.core.fdd.node import Branch, FddNode, Leaf, chain_table
@@ -87,7 +94,7 @@ class ClassLayout:
     from FatTree k=48 with failures up.
     """
 
-    __slots__ = ("fields", "values", "position", "code", "_coded", "_radix")
+    __slots__ = ("fields", "values", "position", "code", "_coded", "_radix", "_dtype")
 
     def __init__(self, domains: Mapping[str, Iterable[int]]):
         self.fields: tuple[str, ...] = tuple(sorted(domains))
@@ -106,6 +113,7 @@ class ClassLayout:
             for value, code in table.items()
         }
         self._radix: np.ndarray | None = None
+        self._dtype = None
 
     @property
     def domains(self) -> dict[str, tuple[int, ...]]:
@@ -115,9 +123,12 @@ class ClassLayout:
     def dtype(self):
         """The numpy integer type of a code: 16 bits unless a field has
         more than 32 766 values."""
-        import numpy as np
+        if self._dtype is None:
+            import numpy as np
 
-        return np.int16 if max(map(len, self.values), default=0) < 2**15 - 1 else np.int32
+            wide = max(map(len, self.values), default=0) >= 2**15 - 1
+            self._dtype = np.int32 if wide else np.int16
+        return self._dtype
 
     def array(self, classes: Sequence[Codes]) -> np.ndarray:
         """``classes`` as one ``len × fields`` array of codes."""
@@ -130,9 +141,9 @@ class ClassLayout:
         """How many int64 words a key takes."""
         return self._radices().shape[1]
 
-    def classify(self, packet: Packet) -> tuple[Codes, Packet]:
+    def classify(self, packet: Packet) -> tuple[Codes, tuple[tuple[str, int], ...]]:
         """The class of ``packet`` and its residual: the pairs no code holds
-        (fields outside the layout, values outside a field's domain)."""
+        (fields outside the layout, values outside a field's domain), sorted."""
         codes = [0] * len(self.fields)
         residual = []
         coded = self._coded.get
@@ -142,7 +153,7 @@ class ClassLayout:
                 residual.append(item)
             else:
                 codes[found >> 32] = found & 0xFFFFFFFF
-        return tuple(codes), Packet._from_sorted_items(tuple(residual))
+        return tuple(codes), tuple(residual)
 
     def encode(self, pairs: Iterable[tuple[str, int | None]]) -> Codes:
         """The codes of a class given as ``(field, value)`` pairs; a field
@@ -191,12 +202,21 @@ class ClassLayout:
         An int64 per row when the layout fits one word; otherwise the
         words of a row as one fixed-width byte string.
         """
+        return self._packed(codes @ self._radices())
+
+    def _packed(self, words: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        words = codes @ self._radices()
         if words.shape[1] == 1:
             return words[:, 0]
         return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+
+    @property
+    def drop_key(self) -> np.ndarray:
+        """A key no class has (every word ``-1``): what a drop entry is keyed by."""
+        import numpy as np
+
+        return self._packed(np.full((1, self.words), -1, dtype=np.int64))[0]
 
 
 class FlatDiagram:
@@ -435,3 +455,414 @@ def _merge(owner, successors, drop, keys, probs):
     keep = np.zeros(len(order), dtype=bool)
     keep[order[fresh]] = True
     return owner[keep], successors[keep], drop[keep], keys[keep], sums[group[keep]]
+
+
+class KeyIndex:
+    """Class keys (:meth:`ClassLayout.keys`), sorted, and the number each stands for."""
+
+    __slots__ = ("keys", "numbers")
+
+    def __init__(self, layout: ClassLayout):
+        import numpy as np
+
+        self.keys = layout.keys(np.zeros((0, len(layout.fields)), dtype=layout.dtype))
+        self.numbers = np.zeros(0, dtype=np.int64)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The number of each key, ``-1`` where there is none."""
+        import numpy as np
+
+        if not len(self.keys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        at = self.keys.searchsorted(keys)
+        np.minimum(at, len(self.keys) - 1, out=at)
+        found = self.numbers[at]
+        found[self.keys[at] != keys] = -1
+        return found
+
+    def number(self, keys: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The number of each of ``keys``: a held key's own, the others
+        numbered from ``start`` in the order they first occur, and held
+        from now on.  Returns the numbers and, per new number, the first
+        row of ``keys`` that has it."""
+        import numpy as np
+
+        numbers = self.find(keys)
+        missing = (numbers < 0).nonzero()[0]
+        if len(missing):
+            group, first = group_rows(keys[missing], None)
+            numbers[missing] = start + group
+            missing = missing[first]
+            self.insert(keys[missing], np.arange(start, start + len(first)))
+        return numbers, missing
+
+    def insert(self, keys: np.ndarray, numbers: np.ndarray) -> None:
+        """Add ``keys`` (distinct, none held yet) standing for ``numbers``.
+
+        The arrays are replaced, never written in place, so a caller may
+        keep the old pair to roll back to.
+        """
+        import numpy as np
+
+        order = keys.argsort()
+        keys, numbers = keys[order], numbers[order]
+        if not len(self.keys):
+            self.keys, self.numbers = keys, numbers
+            return
+        # Where each new key lands in the merged order, and the old ones around them.
+        at = self.keys.searchsorted(keys) + np.arange(len(keys))
+        new = np.zeros(len(self.keys) + len(keys), dtype=bool)
+        new[at] = True
+        merged = np.empty(len(new), dtype=self.keys.dtype)
+        merged[at], merged[~new] = keys, self.keys
+        numbered = np.empty(len(new), dtype=np.int64)
+        numbered[at], numbered[~new] = numbers, self.numbers
+        self.keys, self.numbers = merged, numbered
+
+
+class ClassRows:
+    """Where a stage sends each class it was asked about: CSR rows over an outcome index.
+
+    Rows are found by class key.  An entry is an outcome id and a
+    probability, in the order the stage lists them.  Outcome 0 is drop;
+    any other is a class over ``layout``, ``codes[id]``, each once (found
+    by key, numbered as first met).  Row 0 is drop's own: one entry,
+    outcome 0, mass one.  Rows and outcomes are only appended; the arrays
+    grow by doubling.
+    """
+
+    def __init__(self, layout: ClassLayout, exact: bool = False):
+        import numpy as np
+
+        self.layout = layout
+        self._index = KeyIndex(layout)
+        self._outcome_index = KeyIndex(layout)
+        self._rows, self._entries, self._outcomes = 1, 1, 1
+        self._first = np.zeros(1, dtype=np.int64)
+        self._count = np.ones(1, dtype=np.int64)
+        #: Per entry, its outcome id and its probability.
+        self.outcomes = np.zeros(1, dtype=np.int64)
+        self.probs = np.ones(1, dtype=object if exact else np.float64)
+        self.probs[0] = 1.0
+        #: Per outcome id, its class (drop's: every field a wildcard).
+        self.codes = np.zeros((1, len(layout.fields)), dtype=layout.dtype)
+
+    def __len__(self) -> int:
+        """Class rows held (drop's not counted)."""
+        return self._rows - 1
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each class key, ``-1`` where there is none."""
+        return self._index.find(keys)
+
+    def outcome_ids(self, codes: np.ndarray, keys: np.ndarray, drop: np.ndarray) -> np.ndarray:
+        """The outcome id of each class of ``codes`` (with ``keys``; ``0``
+        where ``drop``), numbering the new ones in the order they first occur."""
+        import numpy as np
+
+        ids = np.zeros(len(keys), dtype=np.int64)
+        live = (~drop).nonzero()[0]
+        ids[live], new = self._outcome_index.number(keys[live], self._outcomes)
+        size = self._outcomes + len(new)
+        if size > len(self.codes):
+            self.codes = _grown(self.codes, size)
+        self.codes[self._outcomes : size] = codes[live[new]]
+        self._outcomes = size
+        return ids
+
+    def add(
+        self, keys: np.ndarray, counts: np.ndarray, outcomes: np.ndarray, probs: np.ndarray
+    ) -> None:
+        """Append the rows of the classes ``keys`` (distinct, none held):
+        ``counts[i]`` entries each, in order, over outcome ids."""
+        import numpy as np
+
+        rows, entries = self._rows + len(keys), self._entries + len(probs)
+        if rows > len(self._first):
+            self._first, self._count = _grown(self._first, rows), _grown(self._count, rows)
+        if entries > len(self.probs):
+            self.outcomes, self.probs = _grown(self.outcomes, entries), _grown(self.probs, entries)
+        self._first[self._rows : rows] = self._entries + counts.cumsum() - counts
+        self._count[self._rows : rows] = counts
+        self.outcomes[self._entries : entries] = outcomes
+        self.probs[self._entries : entries] = probs
+        self._index.insert(keys, np.arange(self._rows, rows))
+        self._rows, self._entries = rows, entries
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, at)``: the number of entries of each of ``rows`` and
+        their entries, row after row."""
+        import numpy as np
+
+        counts = self._count[rows]
+        ends = counts.cumsum()
+        at = np.arange(ends[-1] if len(ends) else 0) + (self._first[rows] - ends + counts).repeat(
+            counts
+        )
+        return counts, at
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` in a buffer twice ``size`` long (its rows first)."""
+    import numpy as np
+
+    grown = np.zeros((2 * size, *array.shape[1:]), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+class Projection:
+    """One stage's layout inside its plan's: per field, code-translation arrays.
+
+    A plan's layout (:meth:`for_stages`) holds every field of every stage
+    with every value some stage mentions, so a class over it says of a
+    packet everything any stage can test or write.  A stage's field maps
+    each plan code *down* to the stage's code for the same value (``0``,
+    the stage's wildcard, where the stage does not mention it) and each
+    stage code back *up*.  The arrays depend only on the two layouts:
+    built once per plan.
+    """
+
+    __slots__ = ("plan", "stage", "at", "_down", "_down_offset", "_up", "_up_offset")
+
+    def __init__(self, plan: ClassLayout, stage: ClassLayout):
+        import numpy as np
+
+        self.plan, self.stage = plan, stage
+        #: Per stage field, its position in the plan's layout.
+        self.at = np.array([plan.position[name] for name in stage.fields], dtype=np.int64)
+        down, down_offset, up, up_offset = [], [], [], []
+        for name, values in zip(stage.fields, stage.values):
+            there = plan.position[name]
+            down_offset.append(len(down))
+            down.append(0)
+            codes = stage.code[stage.position[name]]
+            down.extend(codes.get(value, 0) for value in plan.values[there])
+            up_offset.append(len(up))
+            up.append(0)
+            up.extend(plan.code[there][value] for value in values)
+        self._down = np.array(down, dtype=stage.dtype)
+        self._down_offset = np.array(down_offset, dtype=np.int64)
+        self._up = np.array(up, dtype=plan.dtype)
+        self._up_offset = np.array(up_offset, dtype=np.int64)
+
+    @staticmethod
+    def for_stages(layouts: Sequence[ClassLayout]) -> list[Projection]:
+        """The plan layout of ``layouts`` (one per stage) and each one's projection."""
+        domains: dict[str, set[int]] = {}
+        for layout in layouts:
+            for name, values in zip(layout.fields, layout.values):
+                domains.setdefault(name, set()).update(values)
+        plan = ClassLayout(domains)
+        return [Projection(plan, layout) for layout in layouts]
+
+    def down(self, codes: np.ndarray) -> np.ndarray:
+        """Plan classes (rows of ``codes``) as the stage's classes."""
+        return self._down[codes[:, self.at] + self._down_offset]
+
+    def up(self, codes: np.ndarray, successors: np.ndarray) -> None:
+        """Plan classes ``codes``, in place, after the stage sent them to
+        ``successors`` (stage classes, one per row): a field the stage
+        holds a wildcard in keeps its plan code, as the stage keeps its
+        value."""
+        import numpy as np
+
+        codes[:, self.at] = np.where(
+            successors != 0, self._up[successors + self._up_offset], codes[:, self.at]
+        )
+
+
+class Residuals:
+    """A batch's residuals, each once: what of a packet no class code holds.
+
+    A column of a batch is a class plus a residual id into this table
+    (:class:`Columns`); id 0 is the empty residual.  Every ingress of a
+    network model has one and the same residual, so the table stays small.
+    """
+
+    __slots__ = ("items", "fields", "_ids")
+
+    def __init__(self):
+        #: Per id, the residual's sorted ``(field, value)`` pairs.
+        self.items: list[tuple[tuple[str, int], ...]] = [()]
+        #: Every field some residual holds a value of.
+        self.fields: set[str] = set()
+        self._ids = {(): 0}
+
+    def id_of(self, items: tuple[tuple[str, int], ...]) -> int:
+        """The id of the residual holding ``items`` (sorted), added if new."""
+        found = self._ids.get(items)
+        if found is None:
+            found = self._ids[items] = len(self.items)
+            self.items.append(items)
+            self.fields.update(name for name, _ in items)
+        return found
+
+    def without(self, residual: int, names: set[str]) -> int:
+        """The id of residual ``residual`` less the fields ``names``."""
+        return self.id_of(tuple(item for item in self.items[residual] if item[0] not in names))
+
+
+class Columns:
+    """A batch's outcome columns over a plan's layout: a class and a residual each, or drop.
+
+    Row ``i`` of ``codes`` is column ``i``'s class; ``residual[i]`` its
+    residual's id in ``residuals``.  A column stands for the packet its
+    residual and its class's concrete fields make, and each packet is one
+    column: a residual holds no field the class holds concretely, and no
+    value the layout has a code for.  :meth:`decode` turns them into
+    packets (or :data:`DROP`).
+    """
+
+    __slots__ = ("layout", "codes", "drop", "residual", "residuals")
+
+    def __init__(
+        self,
+        layout: ClassLayout,
+        codes: np.ndarray,
+        drop: np.ndarray,
+        residual: np.ndarray,
+        residuals: Residuals,
+    ):
+        self.layout = layout
+        self.codes = codes
+        self.drop = drop
+        self.residual = residual
+        self.residuals = residuals
+
+    @classmethod
+    def classify(cls, packets: Sequence[Packet], layout: ClassLayout) -> Columns:
+        """Each of ``packets`` as a column over ``layout`` (classified once)."""
+        import numpy as np
+
+        residuals = Residuals()
+        classes, ids = [], []
+        for packet in packets:
+            codes, residual = layout.classify(packet)
+            classes.append(codes)
+            ids.append(residuals.id_of(residual))
+        return cls(
+            layout,
+            layout.array(classes),
+            np.zeros(len(classes), dtype=bool),
+            np.array(ids, dtype=np.int64),
+            residuals,
+        )
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def decode(self) -> list[Packet | object]:
+        """Every column as its packet (or :data:`DROP`), in order."""
+        packets: list[Packet | object] = []
+        for codes, dropped, residual in zip(
+            self.codes.tolist(), self.drop.tolist(), self.residual.tolist()
+        ):
+            if dropped:
+                packets.append(DROP)
+                continue
+            merged = dict(self.residuals.items[residual])
+            merged.update(self.layout.assignments(codes))
+            packets.append(Packet._from_sorted_items(tuple(sorted(merged.items()))))
+        return packets
+
+    def follow(
+        self, projection: Projection, stage: np.ndarray, rows: ClassRows, found: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Columns]:
+        """One stage: column ``i``, of class ``stage[i]`` over the stage's
+        layout (``projection.down`` of its own), goes where row ``found[i]``
+        of the stage's ``rows`` sends it.
+
+        Returns the stage's CSR buffers ``(indptr, indices, probs)`` over
+        the next columns, and those columns: each distinct outcome (class,
+        residual) once, in the order the entries first reach it.  An
+        outcome class is the stage's outcome on the stage's fields where
+        that is concrete, and the column's class elsewhere; it keeps the
+        column's residual, less the fields the stage wrote a concrete
+        value into.
+        """
+        import numpy as np
+
+        counts, at = rows.entries(found)
+        outcomes = rows.outcomes[at]
+        owner = np.arange(len(counts)).repeat(counts)
+        # Where a column's stage class is concrete, so is every outcome of
+        # its row: an outcome is fixed by the stage outcome and what the
+        # column holds elsewhere (its kind).  Lift each (outcome, kind)
+        # once, not each entry, then merge the lifts that coincide.
+        rest = self.codes.copy()
+        rest[:, projection.at] *= stage == 0
+        kind, _ = group_rows(self.layout.keys(rest), self.residual)
+        pair, first = group_rows(outcomes * (len(kind) + 1) + kind[owner], None)
+        drop = outcomes[first] == 0
+        codes, residual = self._lift(projection, rows.codes[outcomes[first]], owner[first])
+        codes[drop] = 0
+        keys = self.layout.keys(codes)
+        keys[drop] = self.layout.drop_key
+        residual[drop] = 0
+        merged, once = group_rows(keys, residual)
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        counts.cumsum(out=indptr[1:])
+        follows = Columns(self.layout, codes[once], drop[once], residual[once], self.residuals)
+        return indptr, merged[pair], rows.probs[at], follows
+
+    def _lift(
+        self, projection: Projection, stage: np.ndarray, owner: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per stage outcome ``stage[j]`` reached from column ``owner[j]``,
+        its class over the plan's layout and its residual."""
+        import numpy as np
+
+        codes = self.codes[owner]
+        residual = self.residual[owner]
+        if not self.residuals.fields.isdisjoint(projection.stage.position):
+            # A value written into a wildcard the residual holds leaves it.
+            written = (stage != 0) & (codes[:, projection.at] == 0)
+            wrote = np.unique(written.nonzero()[0])
+            if len(wrote):
+                written = written[wrote]
+                layout = projection.stage
+                group, first = group_rows(
+                    layout.keys(written.astype(layout.dtype)), residual[wrote]
+                )
+                fields = np.array(layout.fields)
+                stripped = [
+                    self.residuals.without(
+                        int(residual[wrote[k]]), set(fields[written[k]].tolist())
+                    )
+                    for k in first.tolist()
+                ]
+                residual[wrote] = np.array(stripped, dtype=np.int64)[group]
+        projection.up(codes, stage)
+        return codes, residual
+
+
+def group_rows(keys: np.ndarray, residual: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by (key, residual), numbered in the order they first occur.
+
+    Returns each row's group and each group's first row.  One stable sort
+    by key (and residual, unless ``None``: one for every row): a group's
+    first row in sorted order is the first in row order.
+    """
+    import numpy as np
+
+    if keys.dtype.kind == "V":  # a key of several words: number them first
+        keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    if residual is None:
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    else:
+        order = np.lexsort((residual, keys))
+        ranked, ranked_residual = keys[order], residual[order]
+        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+        fresh[1:] |= ranked_residual[1:] != ranked_residual[:-1]
+    first = order[fresh]
+    by_first = first.argsort()
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = rank[fresh.cumsum() - 1]
+    return group, first[by_first]

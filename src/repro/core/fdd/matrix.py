@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.distributions import Dist
 from repro.core.fdd.actions import Action, ActionOrDrop
-from repro.core.fdd.flat import ClassLayout, ClassRow, FlatDiagram
+from repro.core.fdd.flat import ClassLayout, ClassRow, FlatDiagram, KeyIndex
 from repro.core.fdd.node import FddManager, FddNode, leaf_of, mentioned_values
 from repro.core.packet import DROP, Packet, _DropType
 
@@ -389,8 +389,7 @@ class ClassChain:
         self._size = 1  # states, drop included
         self._codes = np.zeros((16, len(self.layout.fields)), dtype=self.layout.dtype)
         self._transient = np.zeros(16, dtype=bool)
-        self._keys = self.layout.keys(self._codes[:0])  # sorted
-        self._key_states = np.zeros(0, dtype=np.int64)
+        self._index = KeyIndex(self.layout)
         # One (first row, states, counts, successors, probabilities) per block
         # of a frontier.
         self._chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -412,6 +411,14 @@ class ClassChain:
         picked = self._codes[np.fromiter(states, dtype=np.int64) - 1]
         return list(map(tuple, picked.tolist()))
 
+    def codes_at(self, states: np.ndarray) -> np.ndarray:
+        """The code rows of ``states`` as one array; drop's row is all wildcards."""
+        import numpy as np
+
+        codes = self._codes[np.maximum(states, 1) - 1]
+        codes[states == 0] = 0
+        return codes
+
     def decode(self, codes: tuple[int, ...]) -> SymbolicPacket:
         """The class a code row stands for."""
         return SymbolicPacket._from_sorted(self.layout.pairs(codes))
@@ -427,33 +434,14 @@ class ClassChain:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """The state of each class key (:meth:`ClassLayout.keys`), ``-1`` where none."""
-        import numpy as np
-
-        if not len(self._keys):
-            return np.full(len(keys), -1, dtype=np.int64)
-        at = np.searchsorted(self._keys, keys)
-        np.minimum(at, len(self._keys) - 1, out=at)
-        return np.where(self._keys[at] == keys, self._key_states[at], -1)
+        return self._index.find(keys)
 
     def _place(self, codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """The states of the classes ``codes`` (with ``keys``), appending the
         unknown ones in the order they first occur."""
-        import numpy as np
-
-        states = self.lookup(keys)
-        missing = np.flatnonzero(states < 0)
-        if len(missing):
-            unseen, first, inverse = np.unique(
-                keys[missing], return_index=True, return_inverse=True
-            )
-            order = np.argsort(first)
-            numbers = np.empty(len(unseen), dtype=np.int64)
-            numbers[order] = np.arange(self._size, self._size + len(unseen))
-            states[missing] = numbers[inverse]
-            self._append(codes[missing[first[order]]])
-            at = np.searchsorted(self._keys, unseen)
-            self._keys = np.insert(self._keys, at, unseen)
-            self._key_states = np.insert(self._key_states, at, numbers)
+        states, new = self._index.number(keys, self._size)
+        if len(new):
+            self._append(codes[new])
         return states
 
     def _append(self, codes: np.ndarray) -> None:
@@ -495,7 +483,7 @@ class ClassChain:
         import numpy as np
 
         mark, stored, chunks = self._size, self._stored, len(self._chunks)
-        saved = (self._keys, self._key_states, self.frontier_steps)
+        saved = (self._index.keys, self._index.numbers, self.frontier_steps)
         seeds = self.layout.array(seeds)
         try:
             self._place(seeds, self.layout.keys(seeds))
@@ -526,7 +514,7 @@ class ClassChain:
                 start = end
         except BaseException:
             self._size, self._stored = mark, stored
-            self._keys, self._key_states, self.frontier_steps = saved
+            self._index.keys, self._index.numbers, self.frontier_steps = saved
             del self._chunks[chunks:]
             raise
         return stored

@@ -47,6 +47,7 @@ path pays the import at its first solve.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from contextlib import nullcontext
 from fractions import Fraction
@@ -446,10 +447,14 @@ class IncrementalAbsorptionSolver:
         self._solutions: dict[State, dict[State, Fraction | float]] = {}
         self._lost: dict[State, Fraction | float] = {}
         # What grow() appends to: state index -> slot (-1 unsolved; no
-        # array before the first step), the solved row of each slot, and
-        # the outcome index with its inverse.
+        # array before the first step), the solved rows of each step (one
+        # block, its slots in order, over the outcome index as it was at
+        # the step) with the first slot of each, and the outcome index
+        # with its inverse.
         self._slot: np.ndarray | None = None
-        self._rows: list[np.ndarray] = []
+        self._blocks: list[np.ndarray] = []
+        self._bases: list[int] = []
+        self._solved = 0
         self._outcomes: list[int] = []
         self._column: dict[int, int] = {}
 
@@ -605,7 +610,7 @@ class IncrementalAbsorptionSolver:
         """
         import numpy as np
 
-        n, base = len(states), len(self._rows)
+        n, base = len(states), self._solved
         highest = int(max(states.max(initial=0), successors.max(initial=0)))
         if self._slot is None:
             self._slot = np.full(64, -1, dtype=np.int64)
@@ -664,7 +669,9 @@ class IncrementalAbsorptionSolver:
         block = np.zeros((n, final.shape[1]))
         block[live] = np.clip(final, 0.0, 1.0)
         slot[states] = slots
-        self._rows.extend(block)
+        self._blocks.append(block)
+        self._bases.append(base)
+        self._solved += n
         self.system = system
         self.factorizations += 1
         self.schur_updates += bool(base)
@@ -690,12 +697,20 @@ class IncrementalAbsorptionSolver:
         final = np.zeros((len(absorption), len(outcomes)))
         final[:, landing] = absorption[:, : len(targets)]
         if len(gateways):
-            g_mat = np.zeros((len(gateways), len(outcomes)))
-            for k, at in enumerate(self._slot[gateways].tolist()):
-                row = self._rows[at]
-                g_mat[k, : len(row)] = row
-            final += absorption[:, len(targets):] @ g_mat
+            final += absorption[:, len(targets):] @ self._gather(self._slot[gateways])
         return final
+
+    def _gather(self, slots: np.ndarray) -> np.ndarray:
+        """The solved rows in ``slots``, one dense row each over the outcome index."""
+        import numpy as np
+
+        rows = np.zeros((len(slots), len(self._outcomes)))
+        step = np.searchsorted(self._bases, slots, side="right") - 1
+        for k in np.unique(step).tolist():
+            mine = step == k
+            block = self._blocks[k]
+            rows[mine, : block.shape[1]] = block[slots[mine] - self._bases[k]]
+        return rows
 
     def absorbed(self, state: int) -> tuple[list[int], list[float], float]:
         """Where a solved state's mass ends up (:meth:`absorbed_many` of one)."""
@@ -704,41 +719,49 @@ class IncrementalAbsorptionSolver:
     def absorbed_many(self, states: Sequence[int]) -> list[tuple[list[int], list[float], float]]:
         """Where each solved state's mass ends up: outcomes, masses, lost mass.
 
-        Per state, the outcomes (state indices) with nonzero mass in
-        outcome-index order, their masses, and the deficit ``1 − Σ`` — the
-        mass that reaches no absorbing state — or ``0.0`` when it is
-        within :data:`SOLVER_TOLERANCE`.  The rows are read as one block
-        over the outcome index.  This is the one place a solved row is
-        decoded; callers ask when a query needs the row.
+        :meth:`absorbed_rows` as one list triple per state.
         """
-        if self._slot is None:  # no growth step yet: nothing is solved
-            if len(states):
-                raise KeyError(f"state {states[0]} is not solved")
-            return []
+        counts, outcomes, masses, lost = self.absorbed_rows(states)
+        bounds = [0, *itertools.accumulate(counts.tolist())]
+        outcomes, masses = outcomes.tolist(), masses.tolist()
+        return [
+            (outcomes[start:stop], masses[start:stop], deficit)
+            for start, stop, deficit in zip(bounds, bounds[1:], lost.tolist())
+        ]
+
+    def absorbed_rows(
+        self, states: Sequence[int] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where each solved state's mass ends up, as CSR arrays.
+
+        ``(counts, outcomes, masses, lost)``: per state, its number of
+        outcomes (state indices with nonzero mass, in outcome-index
+        order), those outcomes and masses row after row, and the deficit
+        ``1 − Σ`` — the mass that reaches no absorbing state — or ``0.0``
+        when it is within :data:`SOLVER_TOLERANCE`.  The rows are read as
+        one block over the outcome index.  This is the one place a solved
+        row is decoded; callers ask when a query needs the row.
+        """
+        if self._slot is None and len(states):  # no growth step yet: nothing is solved
+            raise KeyError(f"state {states[0]} is not solved")
         import numpy as np
 
-        slots = self._slot[np.asarray(states, dtype=np.int64)]
+        states = np.asarray(states, dtype=np.int64)
+        if self._slot is None:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0), np.zeros(0)
+        slots = self._slot[states]
         if (slots < 0).any():
             raise KeyError(f"state {states[int(np.argmin(slots))]} is not solved")
-        block = np.zeros((len(slots), len(self._outcomes)))
-        for i, slot in enumerate(slots.tolist()):
-            row = self._rows[slot]  # over the outcome index as it was at its step
-            block[i, : len(row)] = row
+        block = self._gather(slots)
         rows, columns = np.nonzero(block)
         masses = block[rows, columns]
         # bincount adds each row's masses in order from zero, as ``sum`` does.
         deficits = 1.0 - np.bincount(rows, weights=masses, minlength=len(slots))
-        bounds = np.searchsorted(rows, np.arange(len(slots) + 1)).tolist()
-        outcomes = np.array(self._outcomes, dtype=np.int64)[columns].tolist()
-        masses = masses.tolist()
-        return [
-            (
-                outcomes[bounds[i]:bounds[i + 1]],
-                masses[bounds[i]:bounds[i + 1]],
-                deficit if deficit > SOLVER_TOLERANCE else 0.0,
-            )
-            for i, deficit in enumerate(deficits.tolist())
-        ]
+        deficits[deficits <= SOLVER_TOLERANCE] = 0.0
+        counts = np.bincount(rows, minlength=len(slots))
+        outcomes = np.array(self._outcomes, dtype=np.int64)[columns]
+        return counts, outcomes, masses, deficits
 
 
 def solve_absorption(

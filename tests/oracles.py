@@ -7,8 +7,10 @@ one's answers.  The dense Gauss–Jordan oracle of the exact absorption
 solver sits beside its tests in ``test_exact_solver.py``; the float
 solver's dict-based construction is :func:`solve_absorption_reference`;
 the per-packet query path the batched answer replaced is
-:func:`per_packet_distributions`; the class-by-class chain walk the
-frontier walk replaced is :func:`class_chain_reference`.  Model
+:func:`per_packet_distributions`; the per-packet handoff between stages
+the class-code columns replaced is :func:`class_handoff_reference`; the
+class-by-class chain walk the frontier walk replaced is
+:func:`class_chain_reference`.  Model
 construction's one-pass builders (``Policy._scan``, integer-checked
 ``choice``, per-switch ``Topology.program``) are held to the
 ``walk()``-based field scans,
@@ -26,7 +28,9 @@ from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 from repro.core import syntax as s
+from repro.core.answer import Answer
 from repro.core.distributions import Dist
+from repro.core.fdd.flat import ClassRow
 from repro.core.fdd.matrix import (
     DomainTooLargeError,
     SymbolicPacket,
@@ -38,7 +42,7 @@ from repro.core.fdd.matrix import (
 )
 from repro.core.fdd.node import FddNode, leaf_of, output_distribution
 from repro.core.markov import SOLVER_TOLERANCE, AbsorptionResult, _states_reaching_absorption
-from repro.core.packet import DROP, _DropType
+from repro.core.packet import DROP, Packet, _DropType
 from repro.topology.graph import Topology
 
 
@@ -272,7 +276,10 @@ def per_packet_distributions(backend, policy, packets) -> dict:
             dists = [_fdd_step(stage.fdd, dist) for dist in dists]
             continue
         if stage.do_while:
-            dists = [_fdd_step(stage.body_fdd, dist, stage.entered_by) for dist in dists]
+            dists = [
+                _fdd_step(stage.body_fdd, dist, lambda packet: _entered_by(stage, packet))
+                for dist in dists
+            ]
         dists = [_loop_step(stage, dist) for dist in dists]
     return {packet: Dist(weights, check=False) for packet, weights in zip(packets, dists)}
 
@@ -291,15 +298,142 @@ def _fdd_step(fdd, dist, passes=None):
 def _loop_step(stage, dist):
     acc = {}
     for outcome, mass in dist.items():
-        if outcome is DROP or not stage.entered_by(outcome):
+        if outcome is DROP or not _entered_by(stage, outcome):
             acc[outcome] = acc.get(outcome, 0) + mass
             continue
-        cls = stage.classify_packet(outcome)
-        stage.read_solutions([cls])
-        for cls, weight in stage.solutions[cls].items():
-            successor = DROP if cls is DROP else stage.concretize(cls, outcome)
+        layout = stage.layout
+        cls, residual = layout.classify(outcome)
+        for cls, weight in _solved_row(stage, cls).items():
+            successor = DROP if cls is DROP else _concretize(layout.assignments(cls), residual)
             acc[successor] = acc.get(successor, 0) + float(mass) * weight
     return acc
+
+
+def _entered_by(stage, packet) -> bool:
+    """Whether a concrete packet enters a loop stage: the flat guard on its class."""
+    return bool(stage.guard.holds(stage.layout.array([stage.layout.classify(packet)[0]]))[0])
+
+
+# -- the per-packet handoff between stages ----------------------------------------
+
+def class_handoff_reference(backend, plan, packets) -> list:
+    """The handoff between stages that class-code columns replaced, kept as their oracle.
+
+    The batch before the first stage and after each one, as
+    :class:`~repro.core.answer.Answer` s over concrete packets: every
+    stage classifies each outcome packet of the batch (its class and its
+    residual), takes each class's row as a
+    :class:`~repro.core.fdd.flat.ClassRow`, and decodes every outcome
+    (class, residual) back to a packet (:func:`_concretize`) before the
+    next stage classifies it again (:func:`_advance_reference`).  Loop
+    rows are read off the stage's solver, so ``backend`` must have
+    answered ``packets`` on ``plan`` already: what is held to this oracle
+    is everything around the solve.
+    """
+    answer = Answer.identity(packets)
+    answers = [answer]
+    for stage in plan.stages:
+        layout = stage.layout
+        classified = [
+            None if column is DROP else layout.classify(column) for column in answer.outcomes
+        ]
+        rows = {pair[0]: None for pair in classified if pair is not None}
+        for cls in rows:
+            rows[cls] = _stage_row(stage, cls)
+        answer = _advance_reference(answer, layout, rows, classified)
+        answers.append(answer)
+    return answers
+
+
+def _stage_row(stage, cls) -> ClassRow:
+    """A stage's row of one class, over classes (code tuples) and drop."""
+    layout = stage.layout
+    if hasattr(stage, "fdd"):
+        if not stage.exact:
+            return stage.flat.rows([cls])[0]
+        dist = class_transition(stage.fdd, SymbolicPacket._from_sorted(layout.pairs(cls)))
+        outcomes, masses = zip(*dist.items())
+        return ClassRow(
+            tuple(DROP if out is DROP else layout.encode(out.values) for out in outcomes), masses
+        )
+    if stage.guard.holds(layout.array([cls]))[0]:
+        return _solved_row(stage, cls)
+    if not stage.do_while:
+        return ClassRow((cls,), (1.0,))
+    (first,) = stage.chain.flat.rows([cls])
+    weights: dict = {}
+    for successor, weight in first.items():
+        if successor is not DROP and stage.guard.holds(layout.array([successor]))[0]:
+            for outcome, mass in _solved_row(stage, successor).items():
+                weights[outcome] = weights.get(outcome, 0.0) + weight * mass
+        else:
+            weights[successor] = weights.get(successor, 0.0) + weight
+    return ClassRow(tuple(weights), tuple(weights.values()))
+
+
+def _solved_row(stage, cls) -> ClassRow:
+    """The absorption row of a solved class, its lost mass on drop."""
+    (state,) = stage.chain.states_of(stage.layout.array([cls])).tolist()
+    outcomes, masses, lost = stage.solver.absorbed(state)
+    if lost:  # onto state 0, drop
+        if 0 in outcomes:
+            masses[outcomes.index(0)] += lost
+        else:
+            outcomes.append(0)
+            masses.append(lost)
+    reached = [j for j in outcomes if j]
+    decoded = dict(zip(reached, stage.chain.codes_of(reached)))
+    decoded[0] = DROP
+    return ClassRow(tuple(decoded[j] for j in outcomes), tuple(masses))
+
+
+def _advance_reference(answer, layout, rows, classified):
+    """``answer`` followed by a stage, one row per outcome column.
+
+    ``classified`` is each column's (class, residual items) — ``None``
+    for drop — and ``rows`` each class's row.  An outcome (class,
+    residual) is decoded to a packet once per batch and becomes one column
+    of the result, however many columns and ingresses reach it.
+    """
+    at_by_residual: dict = {}
+    columns: dict = {}
+    outcomes: list = []
+    indptr, indices, data = [0], [], []
+    decoded = 0
+    for pair in classified:
+        if pair is None:
+            row, residual = ClassRow((DROP,), (1.0,)), None
+        else:
+            row, residual = rows[pair[0]], pair[1]
+        at = at_by_residual.setdefault(residual, {})
+        for successor in row.outcomes:
+            if successor not in at:
+                if successor is DROP:
+                    outcome = DROP
+                else:
+                    outcome = _concretize(layout.assignments(successor), residual)
+                    decoded += 1
+                at[successor] = columns.setdefault(outcome, len(outcomes))
+                if at[successor] == len(outcomes):
+                    outcomes.append(outcome)
+        indices.extend([at[successor] for successor in row.outcomes])
+        data.extend(row.probs)
+        indptr.append(len(indices))
+    return answer.then(outcomes, indptr, indices, data, decoded)
+
+
+def _concretize(assignments: Mapping[str, int], residual) -> Packet:
+    """The concrete output packet of a class for an input with ``residual``.
+
+    ``assignments`` are the class's concretely-valued fields: they are
+    written onto the residual's pairs (the input less the fields its
+    class holds); wildcard fields were untouched by the stage, so the
+    packet keeps its own value — or stays without the field — exactly
+    like the forward interpreter.
+    """
+    merged = dict(residual)
+    merged.update(assignments)
+    return Packet._from_sorted_items(tuple(sorted(merged.items())))
 
 
 # -- model construction ---------------------------------------------------------

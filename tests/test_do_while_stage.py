@@ -139,7 +139,7 @@ def test_a_reset_an_adopted_and_a_fresh_plan_agree(model):
     reset.reset_solutions()
     plan = reset.plan(policy)
     (stage,) = plan.loop_stages
-    assert stage.do_while and stage.matrix is None and not stage.solutions
+    assert stage.do_while and stage.matrix is None and not len(stage.rows)
     assert reset.output_distributions(policy, packets) == want
     assert key_from_stages(reset, plan) == reset.plan_key(policy) == key
 
@@ -158,5 +158,5 @@ def test_fresh_keeps_every_compiled_attribute_and_nothing_solved(model):
     again = stage.fresh()
     compiled = ("loop", "guard_fdd", "body_fdd", "domains", "do_while", "watch")
     assert all(getattr(again, name) is getattr(stage, name) for name in compiled)
-    assert stage.solutions and not again.solutions and again.matrix is None
+    assert len(stage.rows) and not len(again.rows) and again.matrix is None
     assert type(stage).from_spec(backend.manager, stage.spec(), stage.watch).spec() == stage.spec()

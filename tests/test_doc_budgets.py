@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 43_708
+README_BUDGET = 43_682
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
 

@@ -99,9 +99,8 @@ def test_mass_is_conserved_through_a_hop_loop_however_it_is_fed(parts, data):
     # Assembly: every row sums to one, the drop column included.
     if stage.matrix is not None:
         assert stage.matrix.is_stochastic(tolerance=1e-12)
-    # Solve: absorbed + lost is one for every class a packet entered through ...
-    for cls in stage.solutions:
-        (state,) = stage.chain.states_of(stage.layout.array([cls])).tolist()
+    # Solve: absorbed + lost is one for every class on the chain the loop runs on ...
+    for state in np.flatnonzero(stage.chain.transient).tolist():
         _outcomes, masses, lost = stage.solver.absorbed(state)
         assert sum(masses) + lost == pytest.approx(1, abs=1e-12)
     # ... and decode: delivered + dropped (the lost mass is in it) is one per ingress.
@@ -212,7 +211,7 @@ def test_a_solved_space_costs_nothing_and_a_reset_costs_everything_again(model):
     backend.reset_solutions()
     assert backend.solver_stats()["factorizations"] == 0
     (stage,) = backend.plan(model.policy).loop_stages
-    assert stage.matrix is None and not stage.solutions and not stage.solver.solved_states
+    assert stage.matrix is None and not len(stage.rows) and not stage.solver.solved_states
     assert backend.output_distributions(model.policy, model.ingress_packets) == first
     stats = backend.solver_stats()
     assert (stats["assembly_rows"], stats["factorizations"], stats["frontier_steps"]) == (714, 1, 5)

@@ -335,7 +335,7 @@ class TestSolverReset:
         assert any(stage.factorizations for stage in plan.loop_stages)
         backend.reset_solutions()
         assert backend.plan(model.policy) is plan  # compiled plan survives
-        assert all(not stage.solutions for stage in plan.loop_stages)
+        assert all(not len(stage.rows) for stage in plan.loop_stages)
         again = backend.output_distributions(model.policy, model.ingress_packets)
         assert any(stage.factorizations for stage in plan.loop_stages)
         for packet in model.ingress_packets:
@@ -390,10 +390,10 @@ class TestSolverReset:
         # The seed order (the order of the seeds' codes) is the class order.
         assert len(stage.seed_order) == len(stage.seeds) > 1
         assert stage.seed_order == sorted(stage.seed_order, key=class_order)
-        # Concretisation is memoised per (class, input packet).
-        packet = model.ingress_packets[0]
-        cls = next(iter(stage.solutions))
-        assert stage.concretize(cls, packet) is stage.concretize(cls, packet)
+        # A row is taken once per class: asking again takes none.
+        rows = len(stage.rows)
+        backend.output_distributions(model.policy, model.ingress_packets[:1])
+        assert len(stage.rows) == rows
 
 
 # ---------------------------------------------------------------------------

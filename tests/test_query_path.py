@@ -1,8 +1,8 @@
 """The matrix backend's query path, per distinct outcome — checked without a clock.
 
-Three shortcuts took decode off the ledger: a loop stage decodes and
-concretises once per distinct entering packet (keyed by the packet's
-*residual*), every diagram is descended through per-chain jump tables,
+Three shortcuts took decode off the ledger: a batch's columns stay
+classes plus a *residual* from the first stage to the last and are
+decoded once, every diagram is descended through per-chain jump tables,
 and the absorption solver is built on index arrays.  Each is held here
 to the path it replaced — the AST interpreter, the linear walk, the
 dict-based solver kept in ``oracles.py`` — by identity, exact equality
@@ -21,6 +21,7 @@ from repro.backends import MatrixBackend
 from repro.backends.matrix import _LoopStage
 from repro.core import syntax as s
 from repro.core.compiler import Compiler
+from repro.core.fdd.flat import Columns
 from repro.core.fdd.node import (
     Branch,
     FddManager,
@@ -89,7 +90,7 @@ def test_backend_equals_the_ast_interpreter_on_residual_batches(policy, batch, c
 
 
 def test_concretisation_depends_on_the_packet_only_through_its_residual():
-    """The invariant in ``_concretize``'s docstring, on a loop that writes a wildcard field."""
+    """The invariant ``Columns`` keep, on a loop that writes a wildcard field."""
     step = s.ite(s.test("f", 0), s.assign("f", 1), s.assign("f", 2))
     coin = s.choice((s.assign("g", 1), Fraction(1, 2)), (s.skip(), Fraction(1, 2)))
     loop = s.while_do(s.neg(s.test("f", 2)), s.seq(step, coin))
@@ -100,21 +101,21 @@ def test_concretisation_depends_on_the_packet_only_through_its_residual():
     oracle = Interpreter(exact=True, compile_bodies=False)
     for packet in batch:
         assert got[packet].close_to(oracle.run_packet(loop, packet), tolerance=1e-12)
-    (stage,) = backend.plan(loop).loop_stages
-    residuals = {packet: stage._classified(packet)[1] for packet in batch}
+    (projection,) = backend.plan(loop).projections
+    columns = Columns.classify(batch, projection.plan)
+    residuals = [columns.residuals.items[at] for at in columns.residual.tolist()]
     # f ∈ {0, 1, 2} is concrete in every class, g=9 and g=8 are wildcards of
     # g's domain {1}, and h is not a class field at all.
-    assert residuals[batch[0]] == residuals[batch[1]] == Packet({"g": 9, "h": 1})
-    assert residuals[batch[2]] == Packet({"g": 8, "h": 1})
-    assert residuals[batch[3]] == Packet({})
-    # One packet per (absorbing class, residual): f=0 and f=1 share theirs.
-    assert len(stage._concrete_cache) == 2 + 2 + 1
+    assert residuals[0] == residuals[1] == (("g", 9), ("h", 1))
+    assert residuals[2] == (("g", 8), ("h", 1))
+    assert residuals[3] == ()
+    # One column per outcome packet: writing g=1 takes g out of the residual,
+    # so f=2, g=1 is one column for both h=1 residuals.
+    assert got.decoded == len(got.outcomes) == 4
     for packet in batch:
-        for cls in stage.solutions[stage.classify_packet(packet)].outcomes:
-            if cls is not DROP:
-                assert stage.concretize(cls, packet) == packet.set_many(
-                    {name: value for name, value in stage.layout.pairs(cls) if value is not None}
-                )
+        assert set(got[packet].support()) <= {
+            packet.set_many({"f": 2}), packet.set_many({"f": 2, "g": 1})
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +246,23 @@ def test_leaf_of_is_the_linear_walk_on_compiled_programs(policy, batch):
 def test_a_loop_stage_builds_one_packet_per_class_and_residual():
     model = f10_batch_model()
     backend = MatrixBackend()
-    backend.output_distributions(model.policy, model.ingress_packets)
-    (stage,) = backend.plan(model.policy).loop_stages
-    # The packets the head stage handed the loop, each classified once.
-    entering = [packet for packet in stage._class_cache if stage.entered_by(packet)]
-    absorbing = {
-        cls
-        for packet in entering
-        for cls in stage._rows[stage.classify_packet(packet)].outcomes
-        if cls is not DROP
-    }
-    residuals = {stage._classified(packet)[1] for packet in entering}
-    # Every ingress of a network model leaves the same residual: here the
-    # detour flag at 0, a value the loop body never mentions.
-    assert residuals == {Packet({"detour": 0})}
-    built = len(stage._concrete_cache)
-    assert 0 < built <= len(absorbing) * len(residuals)
-    assert built < len(model.ingress_packets) == 51
-    # A second batch replays the class rows: nothing is built or decoded again.
-    rows = dict(stage._rows)
-    backend.output_distributions(model.policy, model.ingress_packets)
-    assert len(stage._concrete_cache) == built
-    assert stage._rows.keys() == rows.keys()
-    assert all(stage._rows[cls] is row for cls, row in rows.items())
+    first = backend.output_distributions(model.policy, model.ingress_packets)
+    plan = backend.plan(model.policy)
+    (stage,) = plan.loop_stages
+    # Every ingress of a network model leaves the same residual: here none,
+    # as the plan's layout codes every value of an ingress packet.
+    columns = Columns.classify(model.ingress_packets, plan.projections[0].plan)
+    assert columns.residuals.items == [()] and not columns.residual.any()
+    # One row per class the head stage handed the loop, taken once.
+    rows = len(stage.rows)
+    assert 0 < rows <= len(model.ingress_packets) == 51
+    outcomes, probs = stage.rows.outcomes, stage.rows.probs
+    # A second batch replays the class rows: nothing is taken again, and
+    # packets are decoded once per outcome column, after the last stage.
+    again = backend.output_distributions(model.policy, model.ingress_packets)
+    assert len(stage.rows) == rows
+    assert stage.rows.outcomes is outcomes and stage.rows.probs is probs
+    assert again.decoded == first.decoded == len(first.outcomes)
 
 
 def through_the_loop(model) -> s.Policy:
@@ -282,14 +277,14 @@ def test_a_stage_decodes_each_outcome_column_once():
     answer = MatrixBackend().output_distributions(through_the_loop(model), model.ingress_packets)
     columns = [outcome for outcome in answer.outcomes if outcome is not DROP]
     # 51 ingresses reach 12 (class, residual) outcomes over 558 row entries:
-    # the loop stage decodes each outcome once, not once per ingress or entry.
+    # the last stage's outcomes are decoded once each, not once per ingress
+    # or entry.
     assert answer.decoded == len(columns) == 12
     assert answer.indptr[-1] == 558
-    # The tail's resets send all 12 to one packet.  Its diagram mentions
-    # only the reset values, so each input keeps its own flags in its
-    # residual: one decode per input column, one column out.
+    # Decoded only after the last stage: the tail's resets send all 12 to
+    # one packet, and that one column is the only one decoded.
     whole = MatrixBackend().output_distributions(model.policy, model.ingress_packets)
-    assert whole.decoded == 12 and len(whole.outcomes) == 1
+    assert whole.decoded == len(whole.outcomes) == 1
 
 
 def test_one_ingress_per_call_walks_no_more_loop_free_diagrams_than_one_call():
@@ -314,13 +309,16 @@ def test_a_reset_keeps_prepared_leaves_and_nothing_per_packet():
     model = f10_batch_model()
     backend = MatrixBackend()
     backend.output_distributions(model.policy, model.ingress_packets)
-    before = list(backend.plan(model.policy).stages)
+    plan = backend.plan(model.policy)
+    before, projections = list(plan.stages), plan.projections
     backend.reset_solutions()
     after = backend.plan(model.policy).stages
     assert [type(stage) for stage in after] == [type(stage) for stage in before]
+    # The code-translation arrays, built once per plan, are kept.
+    assert plan.projections is projections
     for old, new in zip(before, after):
-        assert new is not old and old._class_cache
-        assert not (new._class_cache or new._concrete_cache or new._rows)
+        assert new is not old and len(old.rows)
+        assert not len(new.rows)
         old_flats, new_flats = (
             (stage.chain.flat, stage.guard) if isinstance(stage, _LoopStage) else (stage.flat,)
             for stage in (old, new)
@@ -330,7 +328,7 @@ def test_a_reset_keeps_prepared_leaves_and_nothing_per_packet():
         assert all(flat.leaves for flat in old_flats)
     for stage in after:
         if isinstance(stage, _LoopStage):
-            assert len(stage.chain) == 1 and not stage.solutions
+            assert len(stage.chain) == 1 and not stage.solver.solved_states
 
 
 def test_a_descent_costs_lookups_per_field_not_per_switch():
