@@ -16,7 +16,7 @@ repeated ``REPEATS`` times) at one server twice:
   looks like.
 
 Both configurations run over one warmed session with the result cache
-*disabled*, so every streamed query travels the full planner → replica
+*disabled*, so every streamed query travels the full session → replica
 pool → solve pipeline and the measured ratio is about batch shape, not
 cache hits.  The throughput ratio is recorded; what is asserted is a
 mean coalesced batch size **> 1** (the direct evidence of cross-client
@@ -90,7 +90,6 @@ def workload():
     assert len(batch) >= 100, "the acceptance workload must exceed 100 pairs"
     with AnalysisSession(
         models=models.values(),
-        planner="destination",
         workers=4,
         cache=False,
     ) as session:

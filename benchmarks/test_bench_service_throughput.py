@@ -167,7 +167,7 @@ def test_sharded_session_throughput(benchmark, workload):
 
     def serve():
         with _quiesced_gc():
-            with AnalysisSession(models=models.values(), planner="destination") as session:
+            with AnalysisSession(models=models.values()) as session:
                 first = session.query_batch(batch)
                 second = session.query_batch(batch)
                 return first, second
@@ -227,7 +227,6 @@ def test_pool_parallel_throughput(benchmark, workload):
     def serve(pool_size):
         with AnalysisSession(
             models=models.values(),
-            planner="destination",
             workers=POOL_SIZE,
             pool_size=pool_size,
             pool_mode="thread" if pool_size == 1 else "process",
@@ -311,7 +310,6 @@ def test_telemetry_overhead(benchmark, workload):
     def passes(telemetry):
         with AnalysisSession(
             models=models.values(),
-            planner="destination",
             workers=POOL_SIZE,
             telemetry=telemetry,
         ) as session:
@@ -394,7 +392,6 @@ def test_crash_recovery_overhead(benchmark, workload):
         with _quiesced_gc():
             with AnalysisSession(
                 models=models.values(),
-                planner="destination",
                 workers=RECOVERY_POOL,
                 pool_size=RECOVERY_POOL,
                 pool_mode="process",
@@ -540,7 +537,6 @@ def _timed_solver_passes(models, batch, backend, pool_mode, pool_size):
     with AnalysisSession(
         models=models.values(),
         backend=backend,
-        planner="destination",
         workers=POOL_SIZE,
         pool_size=pool_size,
         pool_mode=pool_mode,
@@ -595,12 +591,7 @@ def test_procpool_solver_throughput(benchmark, f10_workload):
             f"{POOL_PASSES} passes",
         ]
     )
-    pids = {
-        pid
-        for result in pooled_passes
-        for report in result.shards
-        for pid in report.workers
-    }
+    pids = {report.worker for result in pooled_passes for report in result.shards}
     RESULTS.append(
         [
             f"f10 process pool={POOL_SIZE}",

@@ -71,7 +71,6 @@ def build_workload(p: int):
 def open_session(factory):
     return AnalysisSession(
         model_factory=factory,
-        planner="destination",
         workers=4,
         pool_size=2,
         pool_mode="process",

@@ -5,7 +5,7 @@ Opens one :class:`repro.service.AnalysisSession` over a FatTree running
 ECMP with link failures, then serves the all-pairs delivery batch (every
 (ingress, destination) pair) three ways:
 
-1. sharded by destination — each shard is one batched absorption solve;
+1. one batched absorption solve per destination;
 2. the same batch again — answered from the canonical-FDD result cache;
 3. a mixed-kind batch (delivery + expected hop count + full output
    distribution) through the ``repro.analysis`` entry points' ``session=``
@@ -57,14 +57,14 @@ def main() -> None:
         for sw, pt in topo.ingress_locations(exclude=[dest])
     ]
 
-    with AnalysisSession(model_factory=factory, planner="destination", workers=4) as session:
+    with AnalysisSession(model_factory=factory, workers=4) as session:
         print(f"serving {len(batch)} (ingress, destination) delivery queries "
               f"over {len(dests)} destinations ...")
         results = session.query_batch(batch)
         print(f"  cold: {results.seconds:.3f}s "
-              f"({results.queries_per_second:.0f} q/s, {len(results.shards)} shards)")
+              f"({results.queries_per_second:.0f} q/s, one solve per destination)")
         for report in results.shards:
-            print(f"    shard [{report.label}]: {report.queries} queries "
+            print(f"    dest {report.dest}: {report.queries} queries "
                   f"in {report.seconds:.3f}s")
 
         again = session.query_batch(batch)
@@ -84,20 +84,19 @@ def main() -> None:
 
         stats = session.stats()
         print(f"  session stats: {stats['queries']} queries, "
-              f"{stats['shards']} shards, backend={stats['backend']}")
+              f"{stats['shards']} destination solves, backend={stats['backend']}")
 
     # Process-hosted replicas: the same session API, but every replica is
     # a worker process fed by manager-independent plan specs, so plan
     # rebuild, matrix assembly and splu overlap across cores.
     with AnalysisSession(
         model_factory=factory,
-        planner="destination",
         workers=4,
         pool_size=2,
         pool_mode="process",
     ) as session:
         results = session.query_batch(batch)
-        pids = sorted({pid for report in results.shards for pid in report.workers})
+        pids = sorted({report.worker for report in results.shards})
         print(f"process pool: {results.seconds:.3f}s "
               f"({results.queries_per_second:.0f} q/s) across worker pids {pids}")
         for report in session.pool.worker_reports():

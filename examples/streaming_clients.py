@@ -74,7 +74,7 @@ async def main() -> None:
         for sw, pt in topo.ingress_locations(exclude=[dest])
     ]
 
-    session = AnalysisSession(model_factory=factory, planner="destination", workers=4)
+    session = AnalysisSession(model_factory=factory, workers=4)
     server = QueryServer(session, window=0.01, owns_session=True)
     await server.start()
     print(f"server listening on 127.0.0.1:{server.port} (admission window 10 ms)")

@@ -52,7 +52,6 @@ def main() -> None:
     telemetry = Telemetry(tracing=True)  # off by default; sample= thins roots
     with AnalysisSession(
         model_factory=factory,
-        planner="destination",
         workers=4,
         pool_size=2,
         pool_mode="process",

@@ -1,4 +1,4 @@
-"""repro.service — a persistent, sharded, concurrent analysis engine.
+"""repro.service — a persistent, concurrent analysis engine.
 
 The paper's scalability story is *compile once, query many times*; this
 subsystem is that story turned into a serving layer.  Where the
@@ -7,14 +7,15 @@ code with per-call engine setup, a :class:`AnalysisSession` holds
 compiled state for as long as you keep it open and answers arbitrary
 streams of queries against it.
 
-Architecture (**session → shards → pool → backend**):
+Architecture (**session → pool → backend**):
 
 * :mod:`repro.service.session` — the :class:`AnalysisSession`: one
   compiled model per destination, a canonical-spec-keyed result cache,
-  and a pool of backend replicas;
+  and a pool of backend replicas; a batch is one backend call per
+  destination;
 * :mod:`repro.service.pool` — the :class:`BackendPool`: N independent
   backend replicas (own FDD manager, plan caches, and ``splu``
-  factorizations each), leased exclusively per shard with destination
+  factorizations each), leased exclusively per destination group with
   affinity routing, work-stealing, and in-place respawn of failed
   replicas — whatever replica source it is given;
 * :mod:`repro.service.procpool` — the replica sources: the in-process
@@ -23,13 +24,12 @@ Architecture (**session → shards → pool → backend**):
   each driven by one :class:`ReplicaClient` over the manager-independent
   wire format of :mod:`repro.service.wire`, so the GIL-bound
   compile-rebuild and matrix-assembly phases parallelise too;
-* :mod:`repro.service.shards` — pluggable :class:`ShardPlanner`
-  strategies (by destination, by ingress block, round-robin) that cut a
-  batch into exact partitions and tag shards with affinity hints;
-* :mod:`repro.service.executor` — the persistent :class:`ShardExecutor`
-  running shards concurrently;
+* :mod:`repro.service.executor` — the persistent :class:`ShardExecutor`:
+  the dispatch threads of :meth:`AnalysisSession.submit_batch`, and the
+  threads destination groups fan out over when there are several
+  replicas;
 * :mod:`repro.service.results` — :class:`Query`, :class:`ResultSet`,
-  and per-shard reports;
+  and per-destination reports;
 * :mod:`repro.service.cli` — ``python -m repro.service``, serving a
   batch query file against a topology + routing scheme;
 * :mod:`repro.service.coalesce` — the :class:`BatchCoalescer`: an
@@ -59,7 +59,7 @@ Architecture (**session → shards → pool → backend**):
 
 Fault tolerance: replica failure is supervised and recoverable — a
 crashed or hung worker is quarantined, respawned in place (plans
-re-shipped as specs), and its shard transparently retried on a healthy
+re-shipped as specs), and its solve transparently retried on a healthy
 replica (:class:`ReplicaFailure` → bounded retry →
 :class:`PoolUnavailable`); streamed clients see at most a retryable
 ``unavailable`` error (:class:`Unavailable`).
@@ -70,7 +70,7 @@ Quick start::
 
     session = AnalysisSession(model_factory=lambda dest: build_model(...))
     batch = [Query.delivery((sw, pt), dest) for ...]
-    results = session.query_batch(batch)       # sharded, cached, concurrent
+    results = session.query_batch(batch)       # one solve per destination, cached
     session.close()
 
 Sessions also satisfy the analysis engine protocol, so every
@@ -109,16 +109,6 @@ from repro.service.results import (
 )
 from repro.service.server import PoolAutoscaler, QueryServer, StreamClient
 from repro.service.session import AnalysisSession
-from repro.service.shards import (
-    PLANNERS,
-    ByDestinationPlanner,
-    ByIngressBlockPlanner,
-    RoundRobinPlanner,
-    Shard,
-    ShardPlanner,
-    get_planner,
-    validate_partition,
-)
 from repro.service.telemetry import (
     MetricsRegistry,
     SpanContext,
@@ -135,13 +125,10 @@ from repro.service.transport import (
 from repro.service.wire import QuerySpec, ResultSpec
 
 __all__ = [
-    "PLANNERS",
     "QUERY_KINDS",
     "AnalysisSession",
     "BackendPool",
     "BatchCoalescer",
-    "ByDestinationPlanner",
-    "ByIngressBlockPlanner",
     "CoalescedAnswer",
     "DeadlineExceeded",
     "Fault",
@@ -163,10 +150,7 @@ __all__ = [
     "ReplicaFailure",
     "ResultSet",
     "ResultSpec",
-    "RoundRobinPlanner",
-    "Shard",
     "ShardExecutor",
-    "ShardPlanner",
     "ShardReport",
     "ShuttingDown",
     "SpanContext",
@@ -176,8 +160,6 @@ __all__ = [
     "TransportClosed",
     "TransportError",
     "Unavailable",
-    "get_planner",
     "open_pool",
     "span_tree",
-    "validate_partition",
 ]

@@ -19,7 +19,7 @@ destinations.
 Example::
 
     python -m repro.service --topology fattree:4 --scheme ecmp \\
-        --dest 1 --dest 2 --all-pairs --planner destination \\
+        --dest 1 --dest 2 --all-pairs \\
         --workers 4 --pool-mode process --pool-size 4 --output results.json
 
 ``python -m repro.service serve ...`` instead starts the asyncio
@@ -41,7 +41,6 @@ from typing import Callable, Sequence
 from repro.network.model import NetworkModel
 from repro.service.results import Query
 from repro.service.session import AnalysisSession
-from repro.service.shards import PLANNERS
 
 
 def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
@@ -89,22 +88,18 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         help="query backend registry name (default matrix)",
     )
     parser.add_argument(
-        "--planner",
-        default="destination",
-        help="shard planner: %s, optionally name:arg" % ", ".join(sorted(PLANNERS)),
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="shard executor threads (default: CPU count, capped)",
+        help="executor threads: concurrent batches, and destinations "
+        "solved at once with several replicas (default: CPU count, capped)",
     )
     parser.add_argument(
         "--pool-size",
         type=int,
         default=None,
-        help="independent backend replicas; shards lease one each, so "
-        "N>1 (process mode) enables parallel solves (default 1)",
+        help="independent backend replicas; each destination of a batch "
+        "leases one, so N>1 (process mode) enables parallel solves (default 1)",
     )
     parser.add_argument(
         "--pool-mode",
@@ -157,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="Serve a batch of network-analysis queries from one "
-        "persistent, sharded session.",
+        "persistent session.",
     )
     _add_session_arguments(parser)
     parser.add_argument(
@@ -184,7 +179,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service serve",
         description="Run the asyncio streaming front end: newline-delimited "
         "JSON queries over TCP, coalesced across clients by an admission "
-        "window into the sharded session.",
+        "window into one persistent session.",
     )
     _add_session_arguments(parser)
     parser.add_argument("--host", default="127.0.0.1", help="listen address")
@@ -356,7 +351,6 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
         backend=args.backend,
         pool_size=args.pool_size,
         pool_mode=args.pool_mode,
-        planner=args.planner,
         workers=args.workers,
         shard_timeout=args.shard_timeout,
         max_attempts=args.shard_attempts,
@@ -494,12 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{len(result.shards)} shard(s), {result.cache_hits} cache hit(s)"
         )
         for report in result.shards:
-            if report.replicas:
-                where = "replica " + ",".join(str(i) for i in report.replicas)
-            else:
-                where = "cache"
+            where = "cache" if report.replica < 0 else f"replica {report.replica}"
             print(
-                f"  shard {report.index:>3} [{report.label}] "
+                f"  shard {report.index:>3} [dest={report.dest}] "
                 f"{report.queries:>4} queries  {report.seconds:.3f}s  "
                 f"{report.cache_hits} hit(s)  ({where})"
             )

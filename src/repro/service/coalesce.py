@@ -8,7 +8,7 @@ question at a time.  This module recovers the batched advantage for
 streams: queries are **admitted** as they arrive and held for a short
 *admission window* (a few milliseconds); everything admitted within one
 window — across *all* clients — is dispatched as one batch through the
-session's ordinary pipeline (planner → shards → replica pool), so N
+session's ordinary pipeline (one solve per destination), so N
 concurrent single queries for one destination become one multi-RHS solve.
 
 Failure semantics, because an admission layer is only as good as its

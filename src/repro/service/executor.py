@@ -1,28 +1,18 @@
-"""The persistent shard executor of the analysis service.
+"""The persistent thread pools of the analysis service.
 
-Architecture: in the **session → shards → pool → backend** pipeline this
-module *runs* the shards.  One :class:`ShardExecutor` lives as long as
-its owning :class:`~repro.service.session.AnalysisSession`: its thread
-pool is started lazily on the first multi-shard batch and then reused by
-every subsequent batch, so steady-state serving pays no pool start-up
-cost per batch (the session likewise keeps its backend replicas alive
-for its whole lifetime).
+One :class:`ShardExecutor` lives as long as its owning
+:class:`~repro.service.session.AnalysisSession` and holds two lazily
+started thread pools, reused by every batch:
 
-Executor workers are always *threads*, in every pool mode: the session
-result cache is shared in-place, merge needs no serialisation, and each
-shard leases its *own* backend replica from the session's
-:class:`~repro.service.pool.BackendPool` — there is no session-wide
-solver lock, so shards on different replicas contend on nothing.  Where
-the replica's solve actually *runs* is the pool's concern, not the
-executor's: the in-process replica runs it on the executor thread, while
-a worker replica (:class:`~repro.service.procpool.ProcessReplicas`) runs
-the whole solve in its worker process and the executor thread merely
-waits on the pipe — which is why the same thread executor drives full
-multi-core parallelism in process mode.  Executor threads only ever block on pool
-*capacity* (every replica busy), never on another replica's solver
-lock.  Size ``workers >= pool_size`` to be able to drive every replica
-at once.  Closing the executor (or its owning session) tears the thread
-pool down; ``workers=1`` runs shards inline with no pool at all.
+* the *dispatch* pool runs whole batches for
+  :meth:`~repro.service.session.AnalysisSession.submit_batch` (the
+  streaming front end's surface);
+* the *shard* pool runs a batch's destination groups concurrently, and
+  the session uses it only when ``min(workers, pool size) > 1``, which
+  means worker processes: each group then leases its own replica and the
+  thread merely waits on the pipe while the solve runs in the worker.
+  With one replica every group runs inline on the calling thread, since
+  a second thread could only queue on the same lease.
 """
 
 from __future__ import annotations
@@ -34,12 +24,12 @@ from typing import Callable, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Upper bound on default worker threads (shard work is coarse-grained).
+#: Upper bound on default worker threads (the work is coarse-grained).
 _DEFAULT_WORKER_CAP = 8
 
 
 class ShardExecutor:
-    """A persistent, lazily started thread pool for shard execution."""
+    """Persistent, lazily started dispatch and shard thread pools."""
 
     def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
@@ -77,17 +67,13 @@ class ShardExecutor:
     def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
         """Run ``fn(*args)`` on the *dispatch* pool; returns its future.
 
-        This is the asynchronous submission surface the streaming front
-        end drives: a whole-batch call (``session.query_batch``) is
-        dispatched here and later calls :meth:`map` to fan its shards out.
-        Dispatch runs on a **separate** thread pool from the shard
-        workers, deliberately: if batch dispatch shared the shard pool, a
-        window of concurrent batches could occupy every worker thread
-        with batch coordinators, each blocked waiting for shard slots
-        none of them can free — a classic same-pool deadlock.  Keeping
-        the two stages on distinct pools makes the pipeline acyclic.  The
-        dispatch pool is sized like the shard pool (up to ``workers``
-        concurrent batches) and started lazily on first use.
+        A whole-batch call (``session.query_batch``) is dispatched here
+        and may later call :meth:`map` to fan its groups out.  Dispatch
+        runs on a **separate** pool from :meth:`map`, deliberately: if
+        they shared one, concurrent batches could occupy every thread
+        with coordinators, each waiting for slots none of them can free.
+        The dispatch pool is sized like the shard pool (up to
+        ``workers`` concurrent batches) and started lazily on first use.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -102,7 +88,7 @@ class ShardExecutor:
 
         The dispatch pool drains first: every in-flight batch runs to
         completion (and may keep using the shard pool while it does),
-        then the shard pool is drained and torn down.
+        then the shard pool is torn down.
         """
         self._closed = True
         if self._dispatch is not None:

@@ -1,11 +1,11 @@
-"""Backend replica pools: per-destination solver instances, leased per shard.
+"""Backend replica pools: solver instances leased per destination group.
 
-Architecture: in the **session → shards → pool → backend** pipeline this
-module owns the *replicas*.  A :class:`BackendPool` holds N independent
+Architecture: in the **session → pool → backend** pipeline this module
+owns the *replicas*.  A :class:`BackendPool` holds N independent
 replicas — each with its own FDD manager, plan caches, and ``splu``
-factorizations — and leases exactly one replica to each shard for the
-duration of its execution, so shards leasing *different* replicas never
-contend on any solver state.
+factorizations — and leases exactly one replica to each destination
+group of a batch for the duration of its solve, so groups leasing
+*different* replicas never contend on any solver state.
 
 Where a replica lives is not the pool's concern: the pool takes a
 *replica source*, ``spawn(index, dead) -> backend``, and drives whatever
@@ -17,36 +17,32 @@ process one, whose replicas are
 worker protocol over a pipe.
 
 Routing is **affinity first, work-stealing second**: a lease request
-carries an optional affinity key (the shard's destination, set by the
-planners), and
+carries an optional affinity key (the group's destination), and
 
 * an unassigned affinity is routed to a free replica with the fewest
   affinities (spreading destinations evenly over the pool);
 * an assigned affinity sticks to the replica that already holds that
   destination's factorizations — as long as that replica is free;
 * when the preferred replica is busy but another replica is idle, the
-  idle replica *steals* the shard (rebuilding the destination's state
+  idle replica *steals* the lease (rebuilding the destination's state
   from shipped plan specs) rather than queueing behind a busy solver —
   but the affinity binding stays with the original replica, so overflow
-  work runs one-off on spare capacity while subsequent shards keep
-  routing to the warm replica;
+  work runs one-off on spare capacity while later leases keep routing
+  to the warm replica;
 * only when every replica is busy does the request wait.
 
 Supervision: replica failure is a *recoverable* event, not a
 session-killing one.  Every replica carries a health state::
 
-    healthy ──(ReplicaFailure in a lease)──▶ suspect
-    suspect ──(probe succeeds: transient)──▶ healthy
-    suspect ──(probe fails / no probe)─────▶ restarting ──▶ healthy
+    healthy ──(ReplicaFailure in a lease)──▶ restarting ──▶ healthy
     restarting ──(respawn impossible)──────▶ dead  (permanent)
 
 A lease body that raises :class:`ReplicaFailure` (worker crash, hung
-worker killed by the watchdog) quarantines its replica: the replica is
-marked suspect, probed once (backends with a ``ping`` — a live backend
-recovers in place), and on a failed probe a background thread asks the
-source for a replacement *in place at the same index* — so the affinity
-map and ``lease_replica`` indices stay valid and the destination
-bindings transparently re-attach to the fresh backend.  The process
+worker killed by the watchdog) quarantines its replica: it goes
+``restarting`` and a background thread asks the source for a
+replacement *in place at the same index* — so the affinity map and
+``lease_replica`` indices stay valid and the destination bindings
+transparently re-attach to the fresh backend.  The process
 source re-publishes the dead worker's adopted plans as specs, so
 respawned workers never recompile.  Only when the source cannot build a
 replacement (or the pool is closing) does a replica go permanently
@@ -78,7 +74,6 @@ from typing import Callable, Iterator
 
 #: Replica health states (see the supervision diagram in the module doc).
 HEALTHY = "healthy"
-SUSPECT = "suspect"
 RESTARTING = "restarting"
 DEAD = "dead"
 
@@ -87,9 +82,9 @@ class ReplicaFailure(RuntimeError):
     """A replica's backend failed mid-lease (crash or hang).
 
     This is the *structured* crash signal the supervision layer acts on:
-    raising it out of a lease body quarantines the replica (probe →
-    respawn) instead of silently leaving a corpse in the pool.  Queries
-    are pure, so callers retry the failed shard on a healthy replica
+    raising it out of a lease body respawns the replica instead of
+    silently leaving a corpse in the pool.  Queries are pure, so callers
+    retry the failed solve on a healthy replica
     (see ``AnalysisSession``); exhausted retries surface as
     :class:`PoolUnavailable`.
 
@@ -99,7 +94,7 @@ class ReplicaFailure(RuntimeError):
         Index of the failed replica, when known.
     kind:
         ``"crash"`` (process died / pipe closed) or ``"timeout"`` (hung
-        worker stopped by the per-shard watchdog).
+        worker stopped by the per-request watchdog).
     exit_code:
         The dead worker's exit code, when known (negative = signal).
     """
@@ -133,7 +128,7 @@ class Replica:
 
     ``busy`` is set exactly while the replica is leased, so all raw
     backend access happens under a lease; the pool hands out only free
-    replicas, which means a shard never *blocks* on another replica's
+    replicas, which means a lease never *blocks* on another replica's
     solver — it either gets a free replica or waits for pool capacity.
     """
 
@@ -158,7 +153,7 @@ class Replica:
         self.leases = 0
         #: Affinity keys currently bound to this replica.
         self.affinities: set[object] = set()
-        #: Supervision state: healthy / suspect / restarting / dead.
+        #: Supervision state: healthy / restarting / dead.
         self.health = HEALTHY
         #: How many times this replica slot has failed.
         self.failures = 0
@@ -192,15 +187,15 @@ class BackendPool:
         The replica source (see :data:`ReplicaSource`).  It builds every
         replica — at construction, on :meth:`resize` growth, and on
         respawn after a failure.  Its ``mode`` is reported by
-        :meth:`stats` and shard reports; the in-process source hands out
+        :meth:`stats` and batch reports; the in-process source hands out
         the session's own backend, which stays the session's to close
         (``owns_replicas = False``).
     size:
         Number of replicas (≥ 1).
     telemetry:
         Optional :class:`~repro.service.telemetry.Telemetry` bundle.
-        When present, supervision transitions (quarantine, revive,
-        respawn) update its metrics and attach span events to whatever
+        When present, supervision transitions (quarantine, respawn)
+        update its metrics and attach span events to whatever
         span is current on the failing lease's thread; when tracing is
         on, in-process backends get a stopwatch listener so solver phases
         appear as spans.  ``None`` keeps the pool entirely
@@ -294,9 +289,9 @@ class BackendPool:
         """Exclusively lease one replica (affinity-routed; blocks when full).
 
         A lease body raising :class:`ReplicaFailure` quarantines the
-        replica (probe, then in-place respawn on a background thread)
-        before the failure propagates — so the pool self-heals while the
-        caller retries the shard on a healthy replica.
+        replica (in-place respawn on a background thread) before the
+        failure propagates — so the pool self-heals while the caller
+        retries on a healthy replica.
         """
         with self._held(self._acquire(affinity)) as replica:
             yield replica
@@ -311,7 +306,7 @@ class BackendPool:
         pool — a request for an index the pool no longer has fails
         loudly instead.  A permanently dead replica raises
         :class:`ReplicaFailure` (callers walking the pool skip it); a
-        suspect/restarting replica is waited for, so warmup lands on the
+        restarting replica is waited for, so warmup lands on the
         respawned backend.
         """
         with self._cv:
@@ -387,12 +382,12 @@ class BackendPool:
                             self._affinity[affinity] = replica.index
                             replica.affinities.add(affinity)
                         elif bound != replica.index:
-                            # Stolen: the overflow shard runs one-off on the
+                            # Stolen: the overflow lease runs one-off on the
                             # idle replica, but the binding *stays* with the
-                            # warm replica — otherwise concurrent shards of
-                            # one destination (the ingress planner emits
-                            # several) would ping-pong the binding and every
-                            # replica would rebuild the same factorizations.
+                            # warm replica — otherwise concurrent batches of
+                            # one destination would ping-pong the binding and
+                            # every replica would rebuild the same
+                            # factorizations.
                             self._steals += 1
                     return replica
                 if not any(r.health != DEAD for r in self.replicas):
@@ -441,64 +436,44 @@ class BackendPool:
 
     # -- supervision -----------------------------------------------------------
     def _quarantine(self, replica: Replica, failure: ReplicaFailure) -> None:
-        """Handle a failed lease: probe the replica, then respawn or revive.
+        """Handle a failed lease: respawn the replica in place.
 
         Runs on the failing lease's thread *while it still holds the
-        lease* (exclusive access makes the probe safe).  The replica goes
-        ``suspect``; a backend with a working ``ping`` recovers in place
-        (transient transport blip), anything else goes ``restarting`` and
-        a daemon thread respawns the backend at the same index.
+        lease*.  The replica goes ``restarting`` and a daemon thread
+        respawns its backend at the same index (``dead`` if the pool is
+        closing).
         """
         kind = getattr(failure, "kind", "crash")
         with self._cv:
             if replica.health != HEALTHY:
                 return  # already quarantined (double failure on one lease)
-            replica.health = SUSPECT
+            replica.health = DEAD if self._closed else RESTARTING
             replica.failures += 1
             replica.exit_code = getattr(failure, "exit_code", None)
             replica.last_error = str(failure)
             self._failures += 1
             self._cv.notify_all()
+            thread = None
+            if not self._closed:
+                thread = threading.Thread(
+                    target=self._respawn,
+                    args=(replica,),
+                    name=f"repro-respawn-{replica.index}",
+                    daemon=True,
+                )
+                self._respawns.append(thread)
         if self._telemetry is not None:
             self._failure_counter.labels(kind=kind).inc()
             # Runs on the failing lease's thread, so the event lands on
-            # the caller's current (shard) span when tracing is on.
+            # the caller's current span when tracing is on.
             self._telemetry.tracer.event(
                 "replica-quarantined",
                 replica=replica.index,
                 kind=kind,
                 exit_code=replica.exit_code,
             )
-        alive = False
-        if kind != "timeout":  # a watchdog-stopped worker is dead by design
-            probe = getattr(replica.backend, "ping", None)
-            if probe is not None:
-                try:
-                    probe()
-                    alive = True
-                except Exception:  # noqa: BLE001 - any probe failure = dead
-                    alive = False
-        with self._cv:
-            if alive:
-                replica.health = HEALTHY
-                self._cv.notify_all()
-                if self._telemetry is not None:
-                    self._telemetry.tracer.event(
-                        "replica-revived", replica=replica.index
-                    )
-                return
-            replica.health = DEAD if self._closed else RESTARTING
-            self._cv.notify_all()
-            if self._closed:
-                return
-            thread = threading.Thread(
-                target=self._respawn,
-                args=(replica,),
-                name=f"repro-respawn-{replica.index}",
-                daemon=True,
-            )
-            self._respawns.append(thread)
-        thread.start()
+        if thread is not None:
+            thread.start()
 
     def _respawn(self, replica: Replica) -> None:
         """Background thread: replace a dead replica's backend in place.
@@ -774,7 +749,6 @@ __all__ = [
     "DEAD",
     "HEALTHY",
     "RESTARTING",
-    "SUSPECT",
     "BackendPool",
     "PoolUnavailable",
     "Replica",

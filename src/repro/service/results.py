@@ -2,24 +2,17 @@
 
 This module holds the service's *data* layer: :class:`Query` (one
 (ingress, destination) question of a given kind), :class:`QueryResult`
-(its answer plus provenance — which shard computed it, whether it was a
-cache hit), :class:`ShardReport` (per-shard timings), and
-:class:`ResultSet` (the merged answer to a whole batch, in the caller's
-original query order).
-
-Architecture: a batch flows **session → shards → backend** — the
-:class:`~repro.service.session.AnalysisSession` coerces raw queries into
-:class:`Query` values, a :class:`~repro.service.shards.ShardPlanner`
-partitions them into shards, the executor runs each shard against the
-session's shared backend, and the per-shard answers are merged back into
-one :class:`ResultSet` here.
+(its answer plus provenance — which destination group computed it,
+whether it was a cache hit), :class:`ShardReport` (one destination
+group's timings), and :class:`ResultSet` (the answer to a whole batch,
+in the caller's original query order).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.distributions import Dist
 from repro.core.packet import Packet, _DropType
@@ -52,7 +45,7 @@ class Query:
       model built with ``count_hops=True``).
 
     ``dest=None`` targets the session's default model.  Queries are
-    hashable; the session's result cache and the planners key on them.
+    hashable.
     """
 
     kind: str
@@ -111,61 +104,48 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class ShardReport:
-    """Per-shard execution record (size, wall-clock, cache behaviour).
+    """One destination group of a batch: size, wall-clock, cache behaviour.
 
-    ``replicas`` lists every pooled backend replica the shard leased (a
-    mixed-destination shard solves one destination group per lease;
-    fully cached shards lease none).  ``replica`` is the convenience
-    single-server view: the replica index when exactly one replica
-    served the whole shard, ``-1`` otherwise (cached or mixed).
-    ``started`` / ``finished`` are ``time.perf_counter()`` stamps taken
-    on the shard's executor thread; they share one clock across all
-    shards of a batch, so overlapping ``[started, finished]`` intervals
-    are direct evidence that shards executed in parallel rather than
-    serialising on a shared solver lock.
+    ``replica`` is the index of the replica that solved the group's
+    misses (``-1`` when every query hit the cache, which leases none),
+    ``pool_mode`` how it was hosted (``"thread"`` or ``"process"``) and
+    ``worker`` the OS pid behind it (``None`` when cached).  ``started``
+    / ``finished`` are ``time.perf_counter()`` stamps that share one
+    clock across the groups of a batch, so overlapping windows with
+    distinct worker pids are direct evidence of cross-process parallel
+    execution.
 
-    ``pool_mode`` records how the serving replicas were hosted
-    (``"thread"`` or ``"process"``) and ``workers`` the OS pid behind
-    each leased replica, in ``replicas`` order — in process mode,
-    distinct pids on overlapping shard windows are direct evidence of
-    cross-process parallel execution, carried into benchmark artifacts.
-
-    ``attempts`` counts the lease attempts the shard's solves took (0
-    for a fully cached shard, which never leases; > its destination
-    group count when replica failures forced retries) and
-    ``failed_replicas`` lists the replica indices the shard retried
-    *away from*, in failure order — per-shard retry history, visible in
-    :meth:`ResultSet.to_json` rather than only in the session's
-    aggregate ``retried_shards`` counter.
+    ``attempts`` counts the lease attempts the solve took (0 when fully
+    cached, more than 1 when replica failures forced retries) and
+    ``failed_replicas`` lists the replica indices it retried *away
+    from*, in failure order.
     """
 
     index: int
-    label: str
+    dest: int | None
     queries: int
     seconds: float
     cache_hits: int
     replica: int = -1
-    replicas: tuple[int, ...] = ()
     pool_mode: str = "thread"
-    workers: tuple[int, ...] = ()
+    worker: int | None = None
     started: float = 0.0
     finished: float = 0.0
     attempts: int = 0
     failed_replicas: tuple[int, ...] = ()
 
     def overlaps(self, other: "ShardReport") -> bool:
-        """Whether the two shards' wall-clock execution windows intersect."""
+        """Whether the two groups' wall-clock execution windows intersect."""
         return self.started < other.finished and other.started < self.finished
 
 
 @dataclass
 class ResultSet:
-    """The merged answer to one query batch.
+    """The answer to one query batch.
 
-    ``results`` is in the caller's original query order regardless of how
-    the planner sharded the batch; ``shards`` records one
-    :class:`ShardReport` per executed shard; ``seconds`` is the
-    end-to-end wall-clock of the batch (planning + execution + merge).
+    ``results`` is in the caller's original query order; ``shards``
+    records one :class:`ShardReport` per destination, in order of first
+    appearance; ``seconds`` is the end-to-end wall-clock of the batch.
     """
 
     results: list[QueryResult]
@@ -219,14 +199,13 @@ class ResultSet:
             "shards": [
                 {
                     "index": report.index,
-                    "label": report.label,
+                    "dest": report.dest,
                     "queries": report.queries,
                     "seconds": round(report.seconds, 6),
                     "cache_hits": report.cache_hits,
                     "replica": report.replica,
-                    "replicas": list(report.replicas),
                     "pool_mode": report.pool_mode,
-                    "workers": list(report.workers),
+                    "worker": report.worker,
                     "attempts": report.attempts,
                     "failed_replicas": list(report.failed_replicas),
                 }
@@ -269,36 +248,6 @@ def _outcome_label(outcome) -> str:
     return items or "<empty>"
 
 
-def merge_shard_results(
-    queries: Sequence[Query],
-    shard_outputs: Iterable[tuple[ShardReport, list[QueryResult]]],
-    seconds: float,
-) -> ResultSet:
-    """Merge per-shard outputs back into the caller's original query order.
-
-    Duplicate queries in a batch are legal: each occurrence consumes one
-    computed result (planners preserve multiplicity, so the counts line
-    up exactly).
-    """
-    reports: list[ShardReport] = []
-    pending: dict[Query, list[QueryResult]] = {}
-    for report, results in shard_outputs:
-        reports.append(report)
-        for result in results:
-            pending.setdefault(result.query, []).append(result)
-    ordered: list[QueryResult] = []
-    for query in queries:
-        bucket = pending.get(query)
-        if not bucket:
-            raise RuntimeError(f"shard execution lost query {query!r}")
-        ordered.append(bucket.pop())
-    leftovers = sum(len(bucket) for bucket in pending.values())
-    if leftovers:
-        raise RuntimeError(f"shard execution produced {leftovers} surplus result(s)")
-    reports.sort(key=lambda report: report.index)
-    return ResultSet(results=ordered, shards=reports, seconds=seconds)
-
-
 __all__ = [
     "QUERY_KINDS",
     "Query",
@@ -306,5 +255,4 @@ __all__ = [
     "ResultSet",
     "ShardReport",
     "coerce_packet",
-    "merge_shard_results",
 ]

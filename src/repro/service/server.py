@@ -1,13 +1,13 @@
 """Asyncio streaming front end: JSON lines over TCP, coalesced serving.
 
 Architecture: the streaming pipeline is **connections → coalescer →
-session → shards → pool**.  A :class:`QueryServer` accepts any number of
+session → pool**.  A :class:`QueryServer` accepts any number of
 concurrent client connections speaking newline-delimited JSON; every
 query line is admitted into the shared
 :class:`~repro.service.coalesce.BatchCoalescer`, whose admission window
-merges queries *across clients* into batches that travel the existing
-sharded pipeline (planner → replica pool → multi-RHS solves).  Replies
-stream back the moment their shard completes — per query, correlated by
+merges queries *across clients* into batches that the session answers
+with one multi-RHS solve per destination.  Replies
+stream back the moment their batch completes — per query, correlated by
 the client's own ``id``, in completion order, over the connection that
 asked.
 
@@ -224,7 +224,7 @@ class QueryServer:
     Parameters
     ----------
     session:
-        The serving session (its planner, replica pool, and result cache
+        The serving session (its replica pool and result cache
         do the actual work).
     host / port:
         Listen address; ``port=0`` picks a free port (see :attr:`port`).

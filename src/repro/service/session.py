@@ -1,73 +1,49 @@
 """Persistent analysis sessions: compile once, serve query streams.
 
-Architecture: the service pipeline is **session → shards → pool →
-backend**.  An :class:`AnalysisSession` is the long-lived top layer a
-production verifier would keep per tenant or per network: it owns a
-:class:`~repro.service.pool.BackendPool` of one or more independent
-backend replicas (each with its own FDD manager, compiled query plans,
-and family of ``splu`` factorizations — the in-process backend itself,
-or worker processes fed manager-independent plan specs), registers one
-compiled
+Architecture: the service pipeline is **session → pool → backend**.  An
+:class:`AnalysisSession` owns a :class:`~repro.service.pool.BackendPool`
+of backend replicas (the in-process backend itself, or worker processes
+fed manager-independent plan specs), registers one compiled
 :class:`~repro.network.model.NetworkModel` per destination, and answers
-arbitrary streams of queries against that compiled state.
+streams of queries against that compiled state.
 
-A query batch flows through the session as follows:
+A batch is grouped by destination, in order of first appearance.  Each
+group is one compiled model, so it is answered from the session cache
+and, for its misses, one lease and one ``output_distributions`` call:
+the multi-RHS solve McNetKAT answers every ingress of a program with.
+Answers go straight back to the caller's positions, and each group adds
+one :class:`~repro.service.results.ShardReport` (timings, serving
+replica, worker pid) to the :class:`~repro.service.results.ResultSet`.
+With one replica (thread mode, or a process pool of one) the groups run
+inline on the calling thread; only when ``min(workers, pool size) > 1``
+do they fan out over the executor's threads, each leasing its own
+worker replica.
 
-1. raw queries are coerced to :class:`~repro.service.results.Query`
-   values ((ingress, destination) pairs plus a kind);
-2. the session's pluggable :class:`~repro.service.shards.ShardPlanner`
-   partitions the batch into shards (by destination, by ingress block,
-   or round-robin) — validated to be an *exact* partition — and tags
-   each shard with an affinity hint;
-3. the persistent :class:`~repro.service.executor.ShardExecutor` runs
-   the shards concurrently; each shard consults the session-wide result
-   cache first and, on a miss, **leases one backend replica** from the
-   pool (affinity-routed: shards of one destination stick to the replica
-   already holding that destination's factorizations) and solves the
-   missing slice against it — shards on different replicas share no
-   solver state and therefore run genuinely in parallel (with
-   ``pool_mode="process"`` each replica lives in its own worker process
-   fed by spec shipping, so even the GIL-bound phases overlap);
-4. per-shard answers are merged back into one
-   :class:`~repro.service.results.ResultSet` in the caller's original
-   query order, with per-shard timings (including the serving replica
-   and wall-clock start/finish stamps) attached.
-
-Concurrency model: there is **no session-wide solver lock**.  Raw
-backend access is serialised *per replica* by the pool's exclusive
-leases; the only session-scoped lock is a short state lock guarding the
-result cache, the model registry, and the serving counters (see
-:mod:`repro.service.pool` for the full lock hierarchy).  The result
-cache is keyed by the *canonical stage specs* of the queried policy —
-manager-independent serializations of the compiled FDD stages — so
-semantically equal policies share entries even when they were compiled
-by different replicas, and a hit computed on replica A is served to a
-shard headed for replica B without touching either solver.  Those specs
-are large (thousands of leaves, many of them ``Fraction``s) and tuples
-do not cache their hash, so the session hashes each one exactly once:
-it is interned to a small integer *plan token* when its policy object
-is first seen, and the cache is a two-level ``token -> {ingress packet
--> answer row}`` table — one dict probe per query on a hit.  A row
-(:class:`~repro.core.answer.AnswerRow`) is an ingress's row of the
-batched answer that solved it: a delivery query is a row reduction over
-it, and a distribution is built from it only for a query that asks.
+Concurrency model: there is **no session-wide solver lock**.  Backend
+access is serialised *per replica* by the pool's exclusive leases; the
+only session-scoped lock is a short state lock guarding the result
+cache, the model registry, and the serving counters (see
+:mod:`repro.service.pool` for the lock hierarchy).  The result cache is
+keyed by the *canonical stage specs* of the queried policy, so equal
+policies share entries even when different replicas compiled them.  A
+spec is hashed once, when its policy object is interned to a small
+integer *plan token*; the cache is a ``token -> {ingress packet ->
+answer row}`` table.  A row (:class:`~repro.core.answer.AnswerRow`) is
+an ingress's row of the batched answer that solved it: a delivery query
+is a row reduction over it.
 
 Sessions implement the analysis engine protocol
 (``output_distribution`` / ``certainly_delivers``), so every
-``repro.analysis`` entry point accepts one via its ``session=``
-parameter — or directly as ``backend=`` — and transparently gains the
-session's caches.
+``repro.analysis`` entry point accepts one via ``session=`` or
+``backend=``.
 
-Fault tolerance: queries are **pure** — a shard that died with its
-replica can be re-run verbatim on a healthy one — so every leased solve
-is wrapped in a bounded retry loop (``max_attempts``, default 2).  A
-:class:`~repro.service.pool.ReplicaFailure` raised under a lease
-quarantines and respawns the replica (see :mod:`repro.service.pool`)
-while this session immediately re-leases and re-solves; callers only
-ever see an error once retries are exhausted, and then the *typed*
-:class:`~repro.service.pool.PoolUnavailable` rather than a replica
-corpse's stack trace.  The streaming front end maps that type to the
-retryable ``unavailable`` wire error.
+Fault tolerance: queries are **pure**, so every leased solve runs in a
+bounded retry loop (``max_attempts``, default 2).  A
+:class:`~repro.service.pool.ReplicaFailure` under a lease respawns the
+replica (see :mod:`repro.service.pool`) while the session re-leases and
+re-solves; callers see an error only once retries are exhausted, as the
+typed :class:`~repro.service.pool.PoolUnavailable`, which the streaming
+front end maps to the retryable ``unavailable`` wire error.
 """
 
 from __future__ import annotations
@@ -94,14 +70,7 @@ from repro.service.pool import (
     ReplicaFailure,
 )
 from repro.service.procpool import open_pool
-from repro.service.results import (
-    Query,
-    QueryResult,
-    ResultSet,
-    ShardReport,
-    merge_shard_results,
-)
-from repro.service.shards import Shard, ShardPlanner, get_planner, validate_partition
+from repro.service.results import Query, QueryResult, ResultSet, ShardReport
 from repro.service.telemetry import LATENCY_BUCKETS, SIZE_BUCKETS, Telemetry
 
 
@@ -137,15 +106,11 @@ class AnalysisSession:
         matrix assembly, factorization, solve — runs outside the
         parent's GIL, at the price of per-query IPC and per-worker
         memory.  Requires a spec-shipping backend (matrix).
-    planner:
-        Default shard planner: a name (``"destination"``, ``"ingress"``,
-        ``"round-robin"``, optionally ``"name:arg"``) or a
-        :class:`~repro.service.shards.ShardPlanner` instance.
     workers:
-        Concurrency of the shard executor (default: CPU count, capped).
-        ``1`` executes shards sequentially inline.  For true parallel
-        serving use ``workers >= pool_size`` so every replica can be
-        driven simultaneously.
+        Threads of the executor (default: CPU count, capped): how many
+        batches :meth:`submit_batch` runs at once and, with several
+        replicas, how many destination groups of one batch run at once.
+        Groups run inline whenever ``min(workers, pool size)`` is 1.
     cache:
         Keep the canonical-spec-keyed result cache (default).  Disable to
         re-solve every query (e.g. for benchmarking the raw solver path).
@@ -167,7 +132,8 @@ class AnalysisSession:
         (tracing on at full sampling), or ``None``/``False`` (the
         default — metrics counters still work, tracing fully disabled).
         With tracing on, every batch becomes one span tree — ``request →
-        shard → lease → worker:query → phase:*`` — spanning the process
+        shard → lease → worker:query → phase:*``, one ``shard`` per
+        destination group — spanning the process
         boundary in process mode (worker-side spans ship back in reply
         stats and are re-parented into the caller's trace).
     """
@@ -181,7 +147,6 @@ class AnalysisSession:
         backend: object | str | None = "matrix",
         pool_size: int | None = None,
         pool_mode: str = "thread",
-        planner: ShardPlanner | str | None = None,
         workers: int | None = None,
         cache: bool = True,
         shard_timeout: float | None = None,
@@ -248,7 +213,6 @@ class AnalysisSession:
             shard_timeout=shard_timeout,
             telemetry=self._telemetry,
         )
-        self._planner = get_planner(planner)
         self._executor = ShardExecutor(workers)
         self._model_factory = model_factory
         self._cache_enabled = cache
@@ -256,15 +220,14 @@ class AnalysisSession:
         self._closing = False
         # The only session-scoped lock: a short state lock for the result
         # cache, the model registry, and the counters.  Raw backend access
-        # is serialised per replica by the pool's leases instead — shards
-        # leasing different replicas run genuinely in parallel.  The state
+        # is serialised per replica by the pool's leases instead.  The state
         # lock may be taken while holding a replica lease, never the other
         # way around (see repro.service.pool for the lock hierarchy).
         self._state_lock = threading.RLock()
         # In-flight public calls (batches + engine-protocol calls).  close()
         # waits for this to reach zero before tearing anything down, which
-        # makes teardown deterministic even for inline (workers=1) execution
-        # the executor cannot drain for us.
+        # makes teardown deterministic for batches run inline, which the
+        # executor cannot drain for us.
         self._active_calls = 0
         self._idle = threading.Condition(self._state_lock)
         # dest -> model; the None key is the session's default model.
@@ -307,7 +270,7 @@ class AnalysisSession:
         argument) sets the default model served by ``dest=None`` queries —
         lazily factory-built models never promote themselves, so the
         default cannot depend on which destination happened to be queried
-        (or built by a concurrent shard) first.
+        first.
         """
         self._models[model.dest] = model
         if default:
@@ -369,9 +332,9 @@ class AnalysisSession:
         in-flight leases to finish.  This is the knob the streaming
         server's queue-depth autoscaler turns; it counts as an in-flight
         call for :meth:`close`'s drain, so teardown and resizing cannot
-        interleave.  Note the shard executor's ``workers`` bound is fixed
-        at construction: to let an autoscaler drive ``N`` replicas
-        concurrently, construct the session with ``workers >= N``.
+        interleave.  The size is read on every batch; ``workers`` is
+        fixed at construction, so to let an autoscaler drive ``N``
+        replicas at once, construct the session with ``workers >= N``.
         """
         with self._serving():
             return self._pool.resize(size)
@@ -388,7 +351,7 @@ class AnalysisSession:
 
     @property
     def retried_shards(self) -> int:
-        """How many shard attempts were transparently retried after a
+        """How many leased solves were transparently retried after a
         replica failure (each one a crash the caller never saw)."""
         return self._shard_retries
 
@@ -398,11 +361,11 @@ class AnalysisSession:
 
         Teardown is deterministic in both pool modes, in three ordered
         steps: (1) the session starts *closing* — every public query
-        surface refuses new work, but shards already in flight keep full
-        access to the caches and the pool; (2) the executor is drained
-        (``shutdown(wait=True)`` runs every submitted shard to
-        completion, so a ``query_batch`` racing ``close()`` returns its
-        complete :class:`ResultSet` instead of dying mid-batch); (3) the
+        surface refuses new work, but batches already in flight keep full
+        access to the caches and the pool, and are waited for (so a
+        ``query_batch`` racing ``close()`` returns its complete
+        :class:`ResultSet` instead of dying mid-batch); (2) the executor
+        is shut down; (3) the
         session is marked closed and the pool is torn down — which itself
         waits out any lease still held by an engine-protocol call before
         closing backends (and, in process mode, stopping
@@ -418,8 +381,7 @@ class AnalysisSession:
                 return
             self._closing = True
             # Drain: every in-flight query_batch / engine-protocol call
-            # entered before _closing flipped runs to completion (inline
-            # execution included — the executor cannot drain that for us).
+            # entered before _closing flipped runs to completion.
             while self._active_calls:
                 self._idle.wait()
         self._executor.close()
@@ -454,48 +416,45 @@ class AnalysisSession:
     def query_batch(
         self,
         queries: Iterable[Query | Mapping | tuple],
-        planner: ShardPlanner | str | None = None,
         *,
         trace_parent: object | None = None,
     ) -> ResultSet:
-        """Answer a batch of queries, sharded and executed concurrently.
+        """Answer a batch of queries: one solve per destination.
 
         Returns a :class:`~repro.service.results.ResultSet` in the
-        original query order with per-shard timing reports attached.
-        ``trace_parent`` (a span, span context, or wire tuple) parents
-        the batch's ``request`` span under an enclosing trace — the
-        coalescer passes its window span here so coalesced batches keep
-        their admission history.
+        original query order, with one
+        :class:`~repro.service.results.ShardReport` per destination in
+        order of first appearance.  ``trace_parent`` (a span, span
+        context, or wire tuple) parents the batch's ``request`` span
+        under an enclosing trace — the coalescer passes its window span
+        here so coalesced batches keep their admission history.
         """
         with self._serving():
             batch = [Query.coerce(raw) for raw in queries]
             start = time.perf_counter()
-            chosen = get_planner(planner) if planner is not None else self._planner
-            tracer = self._telemetry.tracer
-            with tracer.span(
+            groups: dict[int | None, list[int]] = {}
+            for position, query in enumerate(batch):
+                groups.setdefault(query.dest, []).append(position)
+            with self._telemetry.tracer.span(
                 "request", parent=trace_parent, queries=len(batch)
             ) as span:
-                shards = chosen.plan(batch)
-                validate_partition(batch, shards)
-                context = span.context
-                runner = (
-                    self._run_shard
-                    if context is None
-                    else partial(self._run_shard, trace_parent=context)
-                )
-                outputs = self._executor.map(runner, shards)
-                result = merge_shard_results(
-                    batch, outputs, time.perf_counter() - start
-                )
+                results: list[QueryResult] = [None] * len(batch)  # type: ignore[list-item]
+                run = partial(self._run_group, batch, results, trace_parent=span.context)
+                items = list(enumerate(groups.items()))
+                if min(self._executor.workers, self._pool.size) > 1:
+                    reports = self._executor.map(run, items)
+                else:
+                    reports = [run(item) for item in items]
+                result = ResultSet(results, reports, time.perf_counter() - start)
                 span.set(
-                    shards=len(shards),
+                    shards=len(reports),
                     cache_hits=result.cache_hits,
                     seconds=round(result.seconds, 6),
                 )
             with self._state_lock:
                 self._queries_served += len(batch)
                 self._batches_served += 1
-                self._shards_run += len(shards)
+                self._shards_run += len(reports)
             self._m_requests.inc()
             self._m_queries.inc(len(batch))
             self._m_cache_hits.inc(result.cache_hits)
@@ -506,34 +465,28 @@ class AnalysisSession:
     def submit_batch(
         self,
         queries: Iterable[Query | Mapping | tuple],
-        planner: ShardPlanner | str | None = None,
         *,
         trace_parent: object | None = None,
     ):
         """Dispatch a batch asynchronously; returns a ``Future[ResultSet]``.
 
-        The batch is handed to the executor's dispatch pool (distinct
-        from the shard workers — see
-        :meth:`~repro.service.executor.ShardExecutor.submit` for why)
-        and runs exactly like :meth:`query_batch`, including the
-        closing-session refusal, which then surfaces as the future's
-        exception.  This is the submission surface the asyncio streaming
-        front end (:mod:`repro.service.server`) coalesces queries onto.
+        The batch runs on the executor's dispatch pool exactly like
+        :meth:`query_batch`, including the closing-session refusal, which
+        then surfaces as the future's exception.  This is the submission
+        surface the asyncio streaming front end
+        (:mod:`repro.service.server`) coalesces queries onto.
         """
         batch = list(queries)
         with self._state_lock:
             self._check_open()
-        if trace_parent is None:
-            return self._executor.submit(self.query_batch, batch, planner)
         # The dispatch thread has no ambient span context, so the parent
-        # rides along explicitly (submit passes positionals only).
-        bound = partial(self.query_batch, trace_parent=trace_parent)
-        return self._executor.submit(bound, batch, planner)
+        # rides along explicitly.
+        return self._executor.submit(
+            partial(self.query_batch, trace_parent=trace_parent), batch
+        )
 
     async def query_batch_async(
-        self,
-        queries: Iterable[Query | Mapping | tuple],
-        planner: ShardPlanner | str | None = None,
+        self, queries: Iterable[Query | Mapping | tuple]
     ) -> ResultSet:
         """Awaitable :meth:`query_batch` for asyncio callers.
 
@@ -543,7 +496,7 @@ class AnalysisSession:
         """
         import asyncio
 
-        return await asyncio.wrap_future(self.submit_batch(queries, planner))
+        return await asyncio.wrap_future(self.submit_batch(queries))
 
     def query(self, kind: str, ingress, dest: int | None = None):
         """Answer one query and return its bare value.
@@ -744,69 +697,49 @@ class AnalysisSession:
                 if self._active_calls == 0:
                     self._idle.notify_all()
 
-    def _run_shard(
-        self, shard: Shard, trace_parent: object | None = None
-    ) -> tuple[ShardReport, list[QueryResult]]:
+    def _run_group(
+        self,
+        batch: Sequence[Query],
+        results: list[QueryResult],
+        item: tuple[int, tuple[int | None, list[int]]],
+        trace_parent: object | None = None,
+    ) -> ShardReport:
+        """Answer one destination's queries, ``batch`` at ``positions``.
+
+        Each answer is written to ``results`` at its query's position.
+        """
+        index, (dest, positions) = item
         started = time.perf_counter()
-        results: list[QueryResult] = []
-        hits_total = 0
-        replicas_used: list[int] = []
-        attempts_total = 0
-        failed: list[int] = []
-        tracer = self._telemetry.tracer
-        with tracer.span(
-            "shard",
-            parent=trace_parent,
-            index=shard.index,
-            label=shard.label,
-            queries=len(shard.queries),
+        with self._telemetry.tracer.span(
+            "shard", parent=trace_parent, index=index, dest=dest, queries=len(positions)
         ) as span:
-            for dest, group in shard.dest_groups().items():
-                model = self.model_for(dest)
-                affinity = (
-                    shard.affinity if shard.affinity is not None else ("dest", dest)
-                )
-                rows, hits, served_by, attempts, group_failed = self._answer_rows(
-                    model.policy, [query.ingress for query in group], affinity=affinity
-                )
-                attempts_total += attempts
-                failed.extend(group_failed)
-                if served_by is not None and served_by not in replicas_used:
-                    replicas_used.append(served_by)
-                for query in group:
-                    cached = query.ingress in hits
-                    hits_total += 1 if cached else 0
-                    value = self._evaluate(query, model, rows[query.ingress])
-                    results.append(QueryResult(query, value, shard.index, cached))
-            span.set(
-                cache_hits=hits_total,
-                replicas=tuple(replicas_used),
-                attempts=attempts_total,
+            model = self.model_for(dest)
+            queries = [batch[position] for position in positions]
+            rows, hits, served_by, attempts, failed = self._answer_rows(
+                model.policy, [query.ingress for query in queries], affinity=("dest", dest)
             )
+            cache_hits = 0
+            for position, query in zip(positions, queries):
+                cached = query.ingress in hits
+                cache_hits += cached
+                value = self._evaluate(query, model, rows[query.ingress])
+                results[position] = QueryResult(query, value, index, cached)
+            span.set(cache_hits=cache_hits, replica=served_by, attempts=attempts)
         finished = time.perf_counter()
-        report = ShardReport(
-            index=shard.index,
-            label=shard.label,
-            queries=len(shard.queries),
+        return ShardReport(
+            index=index,
+            dest=dest,
+            queries=len(queries),
             seconds=finished - started,
-            cache_hits=hits_total,
-            # A mixed-destination shard may lease several replicas (one per
-            # destination group); ``replica`` is only meaningful when the
-            # whole shard was served by exactly one.
-            replica=replicas_used[0] if len(replicas_used) == 1 else -1,
-            replicas=tuple(replicas_used),
-            # Provenance for benchmark artifacts: which pool mode served
-            # the shard and in which OS process(es) the solves actually
-            # ran — in process mode distinct worker pids are direct
-            # evidence of cross-process overlap.
+            cache_hits=cache_hits,
+            replica=-1 if served_by is None else served_by,
             pool_mode=self._pool.mode,
-            workers=tuple(self._pool.worker_id(index) for index in replicas_used),
+            worker=None if served_by is None else self._pool.worker_id(served_by),
             started=started,
             finished=finished,
-            attempts=attempts_total,
-            failed_replicas=tuple(failed),
+            attempts=attempts,
+            failed_replicas=failed,
         )
-        return report, results
 
     def _evaluate(self, query: Query, model: NetworkModel, row: AnswerRow):
         if query.kind == "delivery":
@@ -861,12 +794,12 @@ class AnalysisSession:
         from, in failure order.
         """
         if self._closed:
-            # Every query surface funnels through here (query_batch via
-            # _run_shard, the engine protocol, warm), so a closed session
-            # cannot silently restart backend resources close() released.
-            # Deliberately `_closed`, not `_closing`: while close() drains
-            # the executor, in-flight shards must keep solving — only the
-            # *entry points* refuse new work during the drain.
+            # Every query surface funnels through here (query_batch, the
+            # engine protocol, warm), so a closed session cannot silently
+            # restart backend resources close() released.  Deliberately
+            # `_closed`, not `_closing`: while close() drains, in-flight
+            # batches must keep solving — only the *entry points* refuse
+            # new work during the drain.
             raise RuntimeError("session is closed")
         if self._cache_enabled:
             table = self._rows.get(self._known_token(policy))
@@ -891,8 +824,8 @@ class AnalysisSession:
     def _with_lease(self, affinity: object | None, body: Callable[[Replica], object]):
         """Run ``body`` under a pool lease, retrying replica failures.
 
-        Queries are pure, so a shard whose replica crashed (or hung past
-        the watchdog) mid-solve re-runs verbatim on a healthy replica —
+        Queries are pure, so a solve whose replica crashed (or hung past
+        the watchdog) re-runs verbatim on a healthy replica —
         the crashed attempt published nothing partial (cache publication
         happens after a completed solve).  The failed replica is already
         quarantined and respawning by the time the failure reaches this
@@ -952,7 +885,7 @@ class AnalysisSession:
             return self._rows_of(backend, policy, packets), set()
         token = self._policy_key(policy, backend)
         # The read happens under the lease, immediately before the solve:
-        # entries another shard (e.g. one stolen onto a different replica)
+        # entries another batch (e.g. one stolen onto a different replica)
         # published while this one waited for its lease are hits here.
         table = self._rows.get(token, {})
         out: dict[Packet, AnswerRow] = {}
@@ -972,7 +905,7 @@ class AnalysisSession:
             # Publish into the *live* table: a concurrent clear_cache() may
             # have dropped the one read above.  setdefault both publishes
             # and reads back, so every miss resolves to the entry the cache
-            # actually holds (ours, or a racing shard's equal answer).
+            # actually holds (ours, or a racing batch's equal answer).
             table = self._rows.setdefault(token, {})
             for packet in misses:
                 out[packet] = table.setdefault(packet, computed[packet])

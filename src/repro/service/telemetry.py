@@ -1,7 +1,7 @@
 """Zero-dependency tracing + metrics for the serving stack.
 
 The service pipeline now has five layers between a client and a
-``splu`` solve — coalescer, session, shard executor, pool lease, worker
+``splu`` solve — coalescer, session, executor, pool lease, worker
 process — and ad-hoc ``stats()`` dicts cannot answer "where did this
 query's 50 ms go?".  This module is the observability layer threaded
 through all of them:
@@ -12,7 +12,7 @@ through all of them:
   shared trace id, wall-clock start/end stamps, attributes, and point
   events.  Nesting is tracked per thread via a :class:`~contextvars.ContextVar`
   for same-thread callees, and by *explicit* :class:`SpanContext`
-  hand-off where work hops threads (the shard executor) or processes
+  hand-off where work hops threads (the executor) or processes
   (the worker pool — contexts travel as plain tuples on
   :class:`~repro.service.wire.QuerySpec` and finished worker spans ship
   back in the reply stats blob, re-parented into the caller's trace by

@@ -1,6 +1,6 @@
 """Manager-independent wire format for cross-process query serving.
 
-Architecture: in the **session → shards → pool → backend** pipeline this
+Architecture: in the **session → pool → backend** pipeline this
 module defines what may *cross a process boundary*.  Worker replicas
 (:class:`~repro.service.procpool.ReplicaClient`) are full backends in
 their own processes; nothing manager-bound — FDD nodes, FDD
@@ -124,7 +124,7 @@ def dist_from_spec(spec: DistSpec | Iterable[tuple]) -> Dist[Outcome]:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """One shard-shaped unit of cross-process work.
+    """One destination group's unit of cross-process work.
 
     Attributes
     ----------

@@ -33,7 +33,7 @@ from repro.service import (
     StreamClient,
 )
 from repro.service import faults as faults_module
-from repro.service.pool import DEAD, HEALTHY, RESTARTING, SUSPECT
+from repro.service.pool import DEAD, HEALTHY, RESTARTING
 from repro.topology import edge_switches, fat_tree
 
 pytestmark = pytest.mark.chaos
@@ -325,7 +325,7 @@ class TestHealingIntrospection:
             if probed["health"] == HEALTHY:
                 assert probed["pid"] != old_pid
             else:
-                assert probed["health"] in (SUSPECT, RESTARTING, DEAD)
+                assert probed["health"] in (RESTARTING, DEAD)
                 assert probed["exit_code"] == -signal.SIGKILL
 
             # The pool heals: the slot comes back healthy with a new worker

@@ -3,7 +3,8 @@
 README.md may not grow past its size when the budget was set; a change
 that adds a paragraph trims another.  Every CHANGES.md entry (one line,
 ``PR <n> ...``) from PR 12 on stays within 1.5 KiB: what a change did and
-what it measured, not its working notes.
+what it measured, not its working notes.  A deleted mechanism stays
+deleted: README.md, ``examples/`` and ``src/`` do not name it.
 """
 
 from __future__ import annotations
@@ -12,9 +13,18 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 43_682
+README_BUDGET = 43_566
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
+#: Names of deleted mechanisms: the shard planners and their partition check.
+DELETED_NAMES = (
+    "ShardPlanner",
+    "get_planner",
+    "validate_partition",
+    "--planner",
+    "planner=",
+    "round-robin",
+)
 
 
 def test_readme_within_budget():
@@ -32,3 +42,16 @@ def test_changes_entries_within_budget():
     assert budgeted, "no CHANGES.md entries from PR 12 on"
     over = [(pr, size) for pr, size in budgeted if size > ENTRY_BUDGET]
     assert not over, f"entries over {ENTRY_BUDGET} B (PR, bytes): {over}"
+
+
+def test_deleted_names_stay_deleted():
+    files = [ROOT / "README.md"]
+    for folder in ("examples", "src"):
+        files += sorted((ROOT / folder).rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in files
+        for name in DELETED_NAMES
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not found, f"deleted names still mentioned: {found}"

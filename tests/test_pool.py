@@ -141,17 +141,16 @@ class TestCrossManagerKeys:
 # Pooled sessions agree with pool-of-1 and with per-call analysis
 # ---------------------------------------------------------------------------
 class TestPooledAgreement:
-    @pytest.mark.parametrize("planner", ["destination", "ingress:4", "round-robin:3"])
     def test_pool_matches_single_and_per_call(
-        self, models, all_pairs, per_call_values, planner
+        self, models, all_pairs, per_call_values
     ):
         """Pool of N answers the all-pairs batch identically (≤1e-9) to a
         pool of 1 and to per-call ``repro.analysis`` results."""
         with AnalysisSession(
-            models=models.values(), planner=planner, workers=1, pool_size=1
+            models=models.values(), workers=1, pool_size=1
         ) as single:
             baseline = single.query_batch(all_pairs).values
-        with process_session(models, 3, planner=planner, workers=4) as pooled:
+        with process_session(models, 3, workers=4) as pooled:
             served = pooled.query_batch(all_pairs).values
         for value, reference, expected in zip(served, baseline, per_call_values):
             assert value == pytest.approx(reference, abs=1e-9)
@@ -162,17 +161,19 @@ class TestPooledAgreement:
             session.query_batch(all_pairs)
             repeat = session.query_batch(all_pairs)
             assert repeat.cache_hits == len(all_pairs)
-            # Fully cached shards never touch a replica.
+            # Fully cached destinations never touch a replica.
             assert all(report.replica == -1 for report in repeat.shards)
+            assert all(report.worker is None for report in repeat.shards)
 
     def test_results_cached_across_replicas(self, models, all_pairs):
         """A hit computed on one replica serves queries headed anywhere."""
         with process_session(models, 3, workers=1) as session:
-            first = session.query_batch(all_pairs, planner="destination")
+            first = session.query_batch(all_pairs)
             assert first.cache_hits == 0
-            # Different planner, different shard->replica routing: still
-            # answered entirely from the shared session cache.
-            second = session.query_batch(all_pairs, planner="round-robin:3")
+            assert len({report.replica for report in first.shards}) == 3
+            # Three replicas solved it; one session cache answers it again,
+            # in any order.
+            second = session.query_batch(all_pairs[::-1])
             assert second.cache_hits == len(all_pairs)
 
     def test_local_pools_report_placement_defaults(self, models):
@@ -196,9 +197,9 @@ class TestRouting:
         # always free and affinity routing is perfectly sticky.
         with process_session(models, 2, workers=1, cache=False) as session:
             first = session.query_batch(all_pairs)
-            serving = {r.label: r.replica for r in first.shards}
+            serving = {r.dest: r.replica for r in first.shards}
             again = session.query_batch(all_pairs)
-            assert {r.label: r.replica for r in again.shards} == serving
+            assert {r.dest: r.replica for r in again.shards} == serving
             assert session.pool.steals == 0
             # Destinations spread over both replicas.
             assert len(set(serving.values())) == 2
@@ -219,7 +220,7 @@ class TestRouting:
             assert not thread.is_alive()
         # The preferred replica was busy and the other was idle: the
         # idle one must have served the request (no waiting) — but the
-        # binding stays with the warm replica, so concurrent shards of
+        # binding stays with the warm replica, so concurrent batches of
         # one destination cannot ping-pong it across the pool.
         assert grabbed and grabbed[0] != bound
         assert pool.steals == 1
@@ -260,12 +261,14 @@ class TestRouting:
         pool.close()
 
     def test_shard_windows_overlap(self, models, all_pairs):
-        """The acceptance check: shard wall-clock windows overlap, i.e.
-        no shard waited out another replica's solve before starting."""
+        """Process mode fans destinations out across workers: their
+        wall-clock windows overlap, i.e. no destination waited out
+        another replica's solve before starting."""
         with process_session(models, 3, workers=4) as session:
             result = session.query_batch(all_pairs)
         solved = [r for r in result.shards if r.replica >= 0]
         assert len({r.replica for r in solved}) > 1
+        assert len({r.worker for r in solved}) > 1
         assert any(
             a.overlaps(b) for a in solved for b in solved if a.index < b.index
         )
@@ -538,7 +541,7 @@ class TestResize:
             pool = session.pool
             # workers=1 routes shards sequentially: affinities bind across
             # all three replicas (one destination each).
-            session.query_batch(all_pairs, planner="destination")
+            session.query_batch(all_pairs)
             assert {pool._affinity[key] for key in pool._affinity} == {0, 1, 2}
             retired = [replica.backend for replica in pool.replicas[1:]]
             assert session.resize_pool(1) == 1
@@ -624,7 +627,7 @@ class TestResize:
 
 
 # ---------------------------------------------------------------------------
-# Supervision: quarantine, probe, in-place respawn, permanent death
+# Supervision: quarantine, in-place respawn, permanent death
 # ---------------------------------------------------------------------------
 from repro.service.pool import (  # noqa: E402 - section-local imports
     DEAD,
@@ -635,24 +638,18 @@ from repro.service.pool import (  # noqa: E402 - section-local imports
 
 
 class _StubBackend:
-    """An in-memory replica backend whose probe can be made to answer."""
+    """An in-memory replica backend that records being closed."""
 
-    def __init__(self, family, *, pingable=False):
+    def __init__(self, family):
         self.family = family
         self.family.append(self)
-        self.pingable = pingable
         self.closed = False
-
-    def ping(self):
-        if not self.pingable:
-            raise RuntimeError("stub is dead")
-        return {"pid": 0}
 
     def close(self):
         self.closed = True
 
 
-def _stub_source(*, pingable=False, replaceable=True, gate=None):
+def _stub_source(*, replaceable=True, gate=None):
     """A replica source of stubs, plus the list of every stub it built.
 
     ``replaceable=False`` refuses every replacement (permanent death);
@@ -666,7 +663,7 @@ def _stub_source(*, pingable=False, replaceable=True, gate=None):
                 return None
             if gate is not None:
                 gate.wait(timeout=10)
-        return _StubBackend(family, pingable=pingable)
+        return _StubBackend(family)
 
     return spawn, family
 
@@ -715,32 +712,6 @@ class TestSupervision:
         assert stats["affinities"][("dest", 7)] == bound
         dead = [b for b in family if b.closed]
         assert len(dead) == 1
-        pool.close()
-
-    def test_transient_blip_revives_without_respawn(self):
-        pool = BackendPool(_stub_source(pingable=True)[0], 2)
-        survivor = pool.replicas[0].backend
-        with pytest.raises(ReplicaFailure):
-            with pool.lease_replica(0):
-                raise ReplicaFailure("transport blip")
-        # The probe answered: same backend object, healthy, no restart.
-        assert pool.replicas[0].health == HEALTHY
-        assert pool.replicas[0].backend is survivor
-        assert pool.failures == 1
-        assert pool.restarts == 0
-        pool.close()
-
-    def test_timeout_failure_skips_the_probe(self):
-        """A watchdog kill is death by definition — even a backend whose
-        ping would succeed is respawned, not revived."""
-        pool = BackendPool(_stub_source(pingable=True)[0], 2)
-        victim = pool.replicas[1].backend
-        with pytest.raises(ReplicaFailure):
-            with pool.lease_replica(1):
-                raise ReplicaFailure("hung and killed", kind="timeout")
-        assert wait_until(lambda: pool.replicas[1].health == HEALTHY, timeout=10)
-        assert pool.replicas[1].backend is not victim
-        assert pool.restarts == 1
         pool.close()
 
     def test_unrespawnable_pool_goes_dead_and_unavailable(self):

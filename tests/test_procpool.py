@@ -159,47 +159,43 @@ class TestWireFormat:
 # Process replicas: spec-shipped workers
 # ---------------------------------------------------------------------------
 class TestProcessPool:
-    def test_all_pairs_agreement_across_planners(
-        self, all_models, all_pairs, per_call_values
-    ):
-        """The acceptance criterion: the 112-pair batch, three planners.
+    def test_all_pairs_agreement(self, all_models, all_pairs, per_call_values):
+        """The acceptance criterion: the 112-pair batch.
 
         Process-pool answers must match the in-process session and
-        per-call analysis within 1e-9 under every planner, and the workers
-        must have served the whole batch without ever compiling an AST.
+        per-call analysis within 1e-9, and the workers must have served
+        the whole batch without ever compiling an AST.
         """
         with AnalysisSession(models=all_models.values(), workers=4) as threaded:
             thread_values = threaded.query_batch(all_pairs).values
 
-        for planner in ("destination", "ingress:8", "round-robin:4"):
-            with AnalysisSession(
-                models=all_models.values(),
-                pool_size=4,
-                pool_mode="process",
-                workers=4,
-                planner=planner,
-            ) as session:
-                served = session.query_batch(all_pairs)
-                for value, thread_value, per_call in zip(
-                    served.values, thread_values, per_call_values
-                ):
-                    assert value == pytest.approx(thread_value, abs=1e-9)
-                    assert value == pytest.approx(per_call, abs=1e-9)
-                # Workers rebuilt every plan from shipped specs only.
-                reports = session.pool.worker_reports()
-                assert len(reports) == 4
-                assert all(report["ast_compilations"] == 0 for report in reports)
-                assert sum(report["queries"] for report in reports) >= len(all_pairs)
-                # Solver counters cross the process boundary per replica.
-                assert all(report["solver"]["factorizations"] >= 1 for report in reports)
-                assert all(report["solver"]["assembly_rows"] > 0 for report in reports)
+        with AnalysisSession(
+            models=all_models.values(),
+            pool_size=4,
+            pool_mode="process",
+            workers=4,
+        ) as session:
+            served = session.query_batch(all_pairs)
+            for value, thread_value, per_call in zip(
+                served.values, thread_values, per_call_values
+            ):
+                assert value == pytest.approx(thread_value, abs=1e-9)
+                assert value == pytest.approx(per_call, abs=1e-9)
+            # Workers rebuilt every plan from shipped specs only.
+            reports = session.pool.worker_reports()
+            assert len(reports) == 4
+            assert all(report["ast_compilations"] == 0 for report in reports)
+            assert sum(report["queries"] for report in reports) >= len(all_pairs)
+            # Solver counters cross the process boundary per replica.
+            assert all(report["solver"]["factorizations"] >= 1 for report in reports)
+            assert all(report["solver"]["assembly_rows"] > 0 for report in reports)
 
     def test_shards_carry_worker_pids(self, all_models, all_pairs):
         with AnalysisSession(
             models=all_models.values(), pool_size=2, pool_mode="process", workers=2
         ) as session:
             result = session.query_batch(all_pairs)
-            pids = {pid for report in result.shards for pid in report.workers}
+            pids = {report.worker for report in result.shards}
             # Cross-process evidence: served from >1 worker process, and
             # never from the parent.
             import os
@@ -209,7 +205,7 @@ class TestProcessPool:
             assert all(report.pool_mode == "process" for report in result.shards)
             payload = result.to_json()
             assert all(shard["pool_mode"] == "process" for shard in payload["shards"])
-            assert all(shard["workers"] for shard in payload["shards"])
+            assert all(shard["worker"] for shard in payload["shards"])
 
     def test_warm_preplans_every_worker(self, all_models):
         model = next(iter(all_models.values()))
@@ -371,7 +367,7 @@ class TestProcessCli:
         assert payload["queries"] == 28
         assert {shard["replica"] for shard in payload["shards"]} == {0, 1}
         assert all(shard["pool_mode"] == "process" for shard in payload["shards"])
-        pids = {pid for shard in payload["shards"] for pid in shard["workers"]}
+        pids = {shard["worker"] for shard in payload["shards"]}
         assert os.getpid() not in pids
         assert "pool: 2 process-hosted replicas" in capsys.readouterr().out
 

@@ -6,12 +6,14 @@ valid probe query, and half-closes its side.  The server flushes every
 reply before it closes the connection, so reading to EOF collects them
 all.  The property: the generated line got exactly one reply, its error
 code (if any) is a documented one, and the probe on the same connection
-was answered.
+was answered.  A second server pins crash isolation: a backend exception
+for one destination is one ``internal`` reply, and serving goes on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import socket
 import threading
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.backends import MatrixBackend
 from repro.network.model import build_model
 from repro.routing import ecmp_policy
 from repro.service import AnalysisSession, QueryServer
@@ -58,10 +61,9 @@ VALID = {"id": 7, "kind": "delivery", "ingress": INGRESS, "dest": DEST}
 PROBE = json.dumps({**VALID, "id": PROBE_ID}).encode()
 
 
-@pytest.fixture(scope="module")
-def address():
-    """One live server on an ephemeral port, its loop on a thread."""
-    session = AnalysisSession(models=[MODEL], workers=1)
+@contextlib.contextmanager
+def serving(session):
+    """A live server over ``session`` on an ephemeral port, its loop on a thread."""
     started = threading.Event()
     box: dict = {}
 
@@ -77,10 +79,18 @@ def address():
     thread = threading.Thread(target=asyncio.run, args=(serve(),), daemon=True)
     thread.start()
     assert started.wait(30.0), "server did not start"
-    yield ("127.0.0.1", box["server"].port)
-    box["server"].request_stop()
-    thread.join(30.0)
-    session.close()
+    try:
+        yield ("127.0.0.1", box["server"].port)
+    finally:
+        box["server"].request_stop()
+        thread.join(30.0)
+        session.close()
+
+
+@pytest.fixture(scope="module")
+def address():
+    with serving(AnalysisSession(models=[MODEL], workers=1)) as bound:
+        yield bound
 
 
 def decode(text: bytes) -> dict:
@@ -212,3 +222,41 @@ def test_ids_too_deep_to_echo_are_still_answered(address):
     to write back; its line is answered all the same."""
     for depth in range(900, 1_001):
         assert_one_typed_reply(address, b'{"id": ' + b"[" * depth + b"]" * depth + b"}")
+
+
+class _FailingBackend(MatrixBackend):
+    """Raises a plain ``RuntimeError`` for one policy, answers the rest."""
+
+    def __init__(self, poisoned):
+        super().__init__()
+        self.poisoned = poisoned
+
+    def output_distributions(self, policy, inputs):
+        if policy is self.poisoned:
+            raise RuntimeError("backend bug for this destination")
+        return super().output_distributions(policy, inputs)
+
+
+def test_a_backend_exception_is_one_internal_reply_and_serving_goes_on():
+    """Thread mode runs solves in the server's process: a backend that
+    raises for one destination fails that request alone, with exactly one
+    ``internal`` reply; the probe behind it on the same connection is
+    answered, and so is every later request."""
+    bad_dest = edge_switches(TOPOLOGY)[1]
+    bad_model = build_model(
+        TOPOLOGY, routing=ecmp_policy(TOPOLOGY, bad_dest), dest=bad_dest
+    )
+    session = AnalysisSession(
+        models=[MODEL, bad_model],
+        backend=_FailingBackend(bad_model.policy),
+        workers=1,
+    )
+    bad = json.dumps({**VALID, "id": "bad", "dest": bad_dest}).encode()
+    with serving(session) as bound:
+        for _ in range(3):
+            probe, others = exchange(bound, bad)
+            assert len(others) == 1, others
+            error = others[0]["error"]
+            assert (others[0]["id"], error["code"]) == ("bad", ERROR_INTERNAL)
+            assert "RuntimeError" in error["message"]
+            assert len(probe) == 1 and "value" in probe[0], probe

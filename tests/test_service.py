@@ -1,9 +1,11 @@
-"""Tests for the sharded query service (``repro.service``)."""
+"""Tests for the query service (``repro.service``)."""
 
 from __future__ import annotations
 
 import json
+import random
 import re
+import threading
 
 import pytest
 
@@ -18,18 +20,8 @@ from repro.core.packet import Packet
 from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy
-from repro.service import (
-    AnalysisSession,
-    ByDestinationPlanner,
-    ByIngressBlockPlanner,
-    Query,
-    ResultSet,
-    RoundRobinPlanner,
-    Shard,
-    ShardExecutor,
-    get_planner,
-    validate_partition,
-)
+from repro.backends import MatrixBackend
+from repro.service import AnalysisSession, Query, ResultSet, ShardExecutor
 from repro.service.cli import main as service_main
 from repro.topology import fat_tree
 
@@ -72,80 +64,6 @@ def all_pairs(models):
 
 
 # ---------------------------------------------------------------------------
-# Shard planners
-# ---------------------------------------------------------------------------
-class TestPlanners:
-    def batch(self) -> list[Query]:
-        queries = [
-            Query.delivery((sw, pt), dest)
-            for dest in (1, 2, 3)
-            for sw in (5, 6, 7)
-            for pt in (1, 2)
-        ]
-        # A duplicate occurrence must survive partitioning too.
-        queries.append(queries[0])
-        return queries
-
-    @pytest.mark.parametrize(
-        "planner",
-        [
-            ByDestinationPlanner(),
-            ByIngressBlockPlanner(block_size=4),
-            ByIngressBlockPlanner(block_size=1),
-            RoundRobinPlanner(shards=4),
-            RoundRobinPlanner(shards=100),
-        ],
-        ids=["dest", "ingress4", "ingress1", "rr4", "rr100"],
-    )
-    def test_partitions_exactly(self, planner):
-        queries = self.batch()
-        shards = planner.plan(queries)
-        validate_partition(queries, shards)  # raises on loss/duplication
-        assert sum(len(shard) for shard in shards) == len(queries)
-        assert all(shard.queries for shard in shards)
-        assert [shard.index for shard in shards] == list(range(len(shards)))
-
-    def test_by_destination_groups(self):
-        shards = ByDestinationPlanner().plan(self.batch())
-        for shard in shards:
-            assert len({query.dest for query in shard.queries}) == 1
-
-    def test_ingress_blocks_bound_size_and_dest(self):
-        shards = ByIngressBlockPlanner(block_size=4).plan(self.batch())
-        for shard in shards:
-            assert len(shard) <= 4
-            assert len({query.dest for query in shard.queries}) == 1
-
-    def test_round_robin_uses_exact_shard_count(self):
-        queries = self.batch()
-        shards = RoundRobinPlanner(shards=4).plan(queries)
-        assert len(shards) == 4
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_get_planner_specs(self):
-        assert isinstance(get_planner(None), ByDestinationPlanner)
-        assert isinstance(get_planner("destination"), ByDestinationPlanner)
-        assert get_planner("ingress:32").block_size == 32
-        assert get_planner("round-robin:8").shards == 8
-        planner = RoundRobinPlanner(shards=2)
-        assert get_planner(planner) is planner
-        with pytest.raises(ValueError, match="unknown shard planner"):
-            get_planner("fibonacci")
-        with pytest.raises(ValueError, match="must be an integer"):
-            get_planner("ingress:many")
-
-    def test_validate_partition_catches_loss_and_duplication(self):
-        queries = self.batch()
-        shards = ByDestinationPlanner().plan(queries)
-        with pytest.raises(ValueError, match="lost"):
-            validate_partition(queries + [Query.delivery((9, 9), 9)], shards)
-        broken = list(shards) + [Shard(len(shards), "dup", (queries[0],))]
-        with pytest.raises(ValueError, match="duplicated"):
-            validate_partition(queries, broken)
-
-
-# ---------------------------------------------------------------------------
 # Executor
 # ---------------------------------------------------------------------------
 class TestShardExecutor:
@@ -182,12 +100,11 @@ class TestShardExecutor:
 # ---------------------------------------------------------------------------
 class TestSessionAgreement:
     @pytest.mark.parametrize("backend", ["matrix", "native"])
-    @pytest.mark.parametrize("planner", ["destination", "ingress:4", "round-robin:3"])
     def test_concurrent_batch_matches_per_call_analysis(
-        self, models, all_pairs, backend, planner
+        self, models, all_pairs, backend
     ):
         with AnalysisSession(
-            models=models.values(), backend=backend, planner=planner, workers=4
+            models=models.values(), backend=backend, workers=4
         ) as session:
             results = session.query_batch(all_pairs)
             assert len(results) == len(all_pairs)
@@ -255,6 +172,61 @@ class TestSessionAgreement:
         assert set(served) == set(direct)
         for packet, probability in direct.items():
             assert served[packet] == pytest.approx(probability, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# A batch is one backend call per destination, on the caller's thread
+# ---------------------------------------------------------------------------
+class _RecordingBackend(MatrixBackend):
+    """A matrix backend that logs (policy, packets, thread) per batched call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[tuple[object, list, int]] = []
+
+    def output_distributions(self, policy, inputs):
+        packets = list(inputs)
+        self.calls.append((policy, packets, threading.get_ident()))
+        return super().output_distributions(policy, packets)
+
+
+class TestOneCallPerDestination:
+    def test_thread_mode_batch_is_one_call_per_destination_on_the_caller(
+        self, models
+    ):
+        batch = [
+            Query.delivery(packet, dest)
+            for dest, model in models.items()
+            for packet in model.ingress_packets
+        ]
+        batch += batch[::3]  # duplicates, answered once per occurrence
+        random.Random(7).shuffle(batch)
+        first_seen = list(dict.fromkeys(query.dest for query in batch))
+        backend = _RecordingBackend()
+        with AnalysisSession(
+            models=models.values(), backend=backend, workers=4
+        ) as session:
+            result = session.query_batch(batch)
+        # Every backend call on the calling thread, and exactly one per
+        # destination, in first-appearance order.
+        assert {thread for _policy, _packets, thread in backend.calls} == {
+            threading.get_ident()
+        }
+        assert [policy for policy, _packets, _thread in backend.calls] == [
+            models[dest].policy for dest in first_seen
+        ]
+        # One report per destination, in first-appearance order.
+        assert [report.dest for report in result.shards] == first_seen
+        assert [report.index for report in result.shards] == list(range(len(first_seen)))
+        assert sum(report.queries for report in result.shards) == len(batch)
+        # Every occurrence answered, in the caller's order.
+        assert [answer.query for answer in result] == batch
+        for answer in result:
+            expected = delivery_probability(
+                models[answer.query.dest], inputs=[answer.query.ingress]
+            )
+            assert answer.value == pytest.approx(expected, abs=1e-9)
+            assert result.shards[answer.shard].dest == answer.query.dest
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +630,7 @@ class TestServiceCli:
         assert payload["queries"] == 28
         # ...which serves both destination shards.
         assert {shard["replica"] for shard in payload["shards"]} == {0}
+        assert [shard["dest"] for shard in payload["shards"]] == [1, 2]
         assert all(shard["pool_mode"] == "thread" for shard in payload["shards"])
         assert "-hosted replicas" not in capsys.readouterr().out
 

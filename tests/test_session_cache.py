@@ -160,8 +160,8 @@ class TestCacheSharingSemantics:
             cached = session.stats()["cached_distributions"]
             assert session.pool.size == replicas
         assert (hits, cached) == ([0, len(half), len(all_pairs), 0], len(all_pairs))
-        # The reference solves each destination in one call, as the
-        # destination planner's shards do after the solver reset.
+        # The reference solves each destination in one call, as a session
+        # batch does after the solver reset.
         reference = MatrixBackend()
         expected = {}
         for dest, model in models.items():
