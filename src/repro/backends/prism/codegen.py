@@ -61,9 +61,3 @@ def to_prism_source(model: PrismModel) -> str:
             lines.append(f'label "{name}" = {predicate_to_prism(predicate)};')
     lines.append("")
     return "\n".join(lines)
-
-
-def write_prism_source(model: PrismModel, path: str) -> None:
-    """Write the PRISM source of ``model`` to a file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_prism_source(model))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core import syntax as s
 
@@ -88,13 +88,6 @@ class PrismModel:
     def add_label(self, name: str, predicate: s.Predicate) -> None:
         self.labels[name] = predicate
 
-    def state_space_size(self) -> int:
-        """Product of the variable ranges (the full, unreachable-included size)."""
-        size = 1
-        for var in self.variables:
-            size *= var.high - var.low + 1
-        return size
-
     def check_well_formed(self) -> None:
         """Validate that every command's probabilities sum to one."""
         for index, command in enumerate(self.commands):
@@ -103,9 +96,3 @@ class PrismModel:
                 raise ValueError(
                     f"command {index} has branch probabilities summing to {total}"
                 )
-
-
-def updates_from_mapping(updates: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Normalise updates into the sorted tuple form used by :class:`Branch`."""
-    items = updates.items() if isinstance(updates, Mapping) else updates
-    return tuple(sorted(items))

@@ -342,12 +342,6 @@ class Compiler:
         self._raw_cache[id(policy)] = (policy, result)
         return result
 
-    def compile_predicate(self, pred: s.Predicate) -> FddNode:
-        """Compile a predicate to a 0/1-valued FDD."""
-        if not isinstance(pred, s.Predicate):
-            raise TypeError(f"expected a predicate, got {pred!r}")
-        return self.compile(pred)
-
     # -- translation ------------------------------------------------------------
     def _compile(self, policy: s.Policy) -> FddNode:
         manager = self.manager

@@ -40,9 +40,6 @@ class Action:
                 return value
         return None
 
-    def modifies(self, field: str) -> bool:
-        return any(name == field for name, _ in self.mods)
-
     @property
     def fields(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.mods)

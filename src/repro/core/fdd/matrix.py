@@ -290,9 +290,6 @@ class TransitionMatrix:
     def drop_index(self) -> int:
         return len(self.classes)
 
-    def index_of(self, cls: SymbolicPacket) -> int:
-        return self._index[cls]
-
     def __post_init__(self) -> None:
         self._index = {cls: i for i, cls in enumerate(self.classes)}
 

@@ -175,14 +175,6 @@ class FddManager:
         return node
 
     # -- primitive FDDs ----------------------------------------------------------
-    def const_true(self) -> Leaf:
-        """FDD of ``skip`` (identity with probability 1)."""
-        return self.true_leaf
-
-    def const_false(self) -> Leaf:
-        """FDD of ``drop``."""
-        return self.false_leaf
-
     def from_test(self, field: str, value: int) -> FddNode:
         """FDD of the predicate ``field = value``."""
         self.field_rank(field)

@@ -10,7 +10,7 @@ fields of a network model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from repro.core import syntax as s
 from repro.core.packet import PacketUniverse
@@ -88,12 +88,4 @@ class FieldTable:
         table = FieldTable()
         for name, values in policy.field_values().items():
             table.declare(name, min(minimum, min(values)), max(values))
-        return table
-
-    @staticmethod
-    def from_domains(domains: Mapping[str, Iterable[int]]) -> "FieldTable":
-        table = FieldTable()
-        for name, values in domains.items():
-            values = list(values)
-            table.declare(name, min(values), max(values))
         return table

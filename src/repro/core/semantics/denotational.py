@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core import syntax as s
 from repro.core.distributions import Dist
-from repro.core.packet import Packet, PacketUniverse
+from repro.core.packet import Packet
 
 PacketSet = frozenset[Packet]
 
@@ -128,15 +128,3 @@ def _eval_star(
         "p* did not converge within the iteration bound; "
         "use the closed-form small-step semantics instead"
     )
-
-
-def eval_on_universe(
-    policy: s.Policy,
-    universe: PacketUniverse,
-    max_star_iterations: int = 200,
-) -> dict[PacketSet, Dist[PacketSet]]:
-    """Tabulate ``[[policy]]`` on every input set of a (tiny) universe."""
-    table: dict[PacketSet, Dist[PacketSet]] = {}
-    for subset in universe.subsets():
-        table[subset] = eval_policy(policy, subset, max_star_iterations)
-    return table

@@ -38,8 +38,8 @@ Architecture (**session → pool → backend**):
   per-query deadlines, and poisoned-batch isolation;
 * :mod:`repro.service.server` — the :class:`QueryServer`:
   ``python -m repro.service serve``, an asyncio JSON-lines-over-TCP
-  streaming front end with per-reply correlation ids, graceful lossless
-  drain, and a queue-depth :class:`PoolAutoscaler`;
+  streaming front end with per-reply correlation ids and graceful
+  lossless drain;
 * :mod:`repro.service.transport` — the :class:`PipeTransport` under
   worker replicas, which also owns worker liveness (it watches the
   worker's process sentinel) and reports typed failures
@@ -107,7 +107,7 @@ from repro.service.results import (
     ResultSet,
     ShardReport,
 )
-from repro.service.server import PoolAutoscaler, QueryServer, StreamClient
+from repro.service.server import QueryServer, StreamClient
 from repro.service.session import AnalysisSession
 from repro.service.telemetry import (
     MetricsRegistry,
@@ -137,7 +137,6 @@ __all__ = [
     "MetricsRegistry",
     "Overloaded",
     "PipeTransport",
-    "PoolAutoscaler",
     "PoolUnavailable",
     "ProcessReplicas",
     "Query",

@@ -35,8 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.network.model import NetworkModel
 from repro.service.results import Query
@@ -217,19 +218,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "their own 'deadline_ms'; default: none)",
     )
     parser.add_argument(
-        "--autoscale-max",
-        type=int,
-        default=None,
-        help="enable the queue-depth pool autoscaler with this replica "
-        "ceiling (floor is --pool-size; default: autoscaling off)",
-    )
-    parser.add_argument(
-        "--autoscale-target",
-        type=int,
-        default=32,
-        help="autoscaler target of outstanding queries per replica",
-    )
-    parser.add_argument(
         "--max-line-kib",
         type=int,
         default=1024,
@@ -331,11 +319,10 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
     """Open the session both entry points (batch and serve) share."""
     if args.pool_size is not None and args.pool_size < 1:
         raise SystemExit("--pool-size must be >= 1")
-    wanted = max(args.pool_size or 1, getattr(args, "autoscale_max", None) or 1)
-    if args.pool_mode == "thread" and wanted > 1:
+    if args.pool_mode == "thread" and (args.pool_size or 1) > 1:
         raise SystemExit(
             "--pool-mode thread serves from one in-process replica; "
-            "--pool-size/--autoscale-max above 1 need --pool-mode process"
+            "--pool-size above 1 needs --pool-mode process"
         )
     if args.shard_attempts < 1:
         raise SystemExit("--shard-attempts must be >= 1")
@@ -382,6 +369,15 @@ def print_supervision(stats: dict) -> None:
         )
 
 
+@contextmanager
+def _usage_errors() -> Iterator[None]:
+    """Report bad input met while setting up as a one-line error, not a traceback."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def serve_main(
     argv: Sequence[str] | None = None,
     started_cb: Callable[[object], None] | None = None,
@@ -397,8 +393,6 @@ def serve_main(
     args = build_serve_parser().parse_args(argv)
     if args.window_ms < 0:
         raise SystemExit("--window-ms must be >= 0")
-    if args.autoscale_max is not None and args.autoscale_max < (args.pool_size or 1):
-        raise SystemExit("--autoscale-max must be >= --pool-size")
     return asyncio.run(_run_server(args, started_cb))
 
 
@@ -408,28 +402,31 @@ async def _run_server(args: argparse.Namespace, started_cb=None) -> int:
 
     from repro.service.server import QueryServer
 
-    topology = load_topology(args.topology)
-    session = build_session(args, topology)
-    for dest in args.dest or [1]:
-        if args.warm:
-            session.warm(dest)
-        else:
-            session.model_for(dest)  # register so dest-less queries fail fast
-    server = QueryServer(
-        session,
-        host=args.host,
-        port=args.port,
-        window=args.window_ms / 1000.0,
-        max_batch=args.max_batch,
-        max_pending=args.max_pending,
-        default_deadline=(
-            args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-        ),
-        autoscale_max=args.autoscale_max,
-        autoscale_target=args.autoscale_target,
-        max_line_bytes=args.max_line_kib * 1024,
-        owns_session=True,
-    )
+    with _usage_errors():
+        topology = load_topology(args.topology)
+        session = build_session(args, topology)
+        try:
+            for dest in args.dest or [1]:
+                if args.warm:
+                    session.warm(dest)
+                else:
+                    session.model_for(dest)  # register so dest-less queries fail fast
+            server = QueryServer(
+                session,
+                host=args.host,
+                port=args.port,
+                window=args.window_ms / 1000.0,
+                max_batch=args.max_batch,
+                max_pending=args.max_pending,
+                default_deadline=(
+                    args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
+                ),
+                max_line_bytes=args.max_line_kib * 1024,
+                owns_session=True,
+            )
+        except BaseException:
+            session.close()
+            raise
     await server.start()
     loop = asyncio.get_running_loop()
     for signame in ("SIGINT", "SIGTERM"):
@@ -468,16 +465,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.repeat < 1:
         raise SystemExit("--repeat must be >= 1")
-    topology = load_topology(args.topology)
-    batch = load_queries(args, topology)
-    if any(query.kind == "hops" for query in batch) and not args.count_hops:
-        args.count_hops = True  # hop queries need the counter in the model
+    with _usage_errors():
+        topology = load_topology(args.topology)
+        batch = load_queries(args, topology)
+        if any(query.kind == "hops" for query in batch) and not args.count_hops:
+            args.count_hops = True  # hop queries need the counter in the model
+        session = build_session(args, topology)
 
-    with build_session(args, topology) as session:
-        # Default-destination queries need a registered default model.
-        if any(query.dest is None for query in batch):
-            default_dest = (args.dest or [1])[0]
-            session.add_model(session.model_for(default_dest), default=True)
+    with session:
+        with _usage_errors():
+            # Build every queried destination's model up front, so a bad
+            # destination is reported before serving starts.
+            for dest in dict.fromkeys(q.dest for q in batch if q.dest is not None):
+                session.model_for(dest)
+            # Default-destination queries need a registered default model.
+            if any(query.dest is None for query in batch):
+                default_dest = (args.dest or [1])[0]
+                session.add_model(session.model_for(default_dest), default=True)
         result = session.query_batch(batch)
         for _ in range(args.repeat - 1):
             result = session.query_batch(batch)

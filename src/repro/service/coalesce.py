@@ -232,11 +232,6 @@ class BatchCoalescer:
 
     # -- admission -------------------------------------------------------------
     @property
-    def depth(self) -> int:
-        """Outstanding queries: admitted (window + in flight) minus answered."""
-        return self._outstanding
-
-    @property
     def closing(self) -> bool:
         return self._closing
 

@@ -185,13 +185,12 @@ class BackendPool:
     ----------
     spawn:
         The replica source (see :data:`ReplicaSource`).  It builds every
-        replica — at construction, on :meth:`resize` growth, and on
-        respawn after a failure.  Its ``mode`` is reported by
-        :meth:`stats` and batch reports; the in-process source hands out
-        the session's own backend, which stays the session's to close
-        (``owns_replicas = False``).
+        replica — at construction and on respawn after a failure.  Its
+        ``mode`` is reported by :meth:`stats` and batch reports; the
+        in-process source hands out the session's own backend, which
+        stays the session's to close (``owns_replicas = False``).
     size:
-        Number of replicas (≥ 1).
+        Number of replicas (≥ 1), fixed until :meth:`close`.
     telemetry:
         Optional :class:`~repro.service.telemetry.Telemetry` bundle.
         When present, supervision transitions (quarantine, respawn)
@@ -300,24 +299,15 @@ class BackendPool:
     def lease_replica(self, index: int) -> Iterator[Replica]:
         """Exclusively lease a *specific* replica (used by pool-wide walks).
 
-        The replica is re-fetched by index on every wake-up, so a
-        concurrent :meth:`resize` that retires and replaces pool tails
-        can never hand out a lease on a replica that already left the
-        pool — a request for an index the pool no longer has fails
-        loudly instead.  A permanently dead replica raises
-        :class:`ReplicaFailure` (callers walking the pool skip it); a
-        restarting replica is waited for, so warmup lands on the
-        respawned backend.
+        A permanently dead replica raises :class:`ReplicaFailure`
+        (callers walking the pool skip it); a restarting replica is
+        waited for, so warmup lands on the respawned backend.
         """
+        replica = self.replicas[index]
         with self._cv:
             while True:
                 if self._closed:
                     raise RuntimeError("pool is closed")
-                if index >= len(self.replicas):
-                    raise RuntimeError(
-                        f"replica {index} is not in the pool (size {len(self.replicas)})"
-                    )
-                replica = self.replicas[index]
                 if replica.health == DEAD:
                     raise ReplicaFailure(
                         f"replica {index} is dead ({replica.last_error})",
@@ -352,20 +342,17 @@ class BackendPool:
         destination.  Returns ``{index: body's result}`` for the replicas
         reached.  A replica that is dead — or dies under ``body``, which
         quarantines it through the lease's own exception path — is
-        skipped; the pool size is re-read per step, so a concurrent
-        :meth:`resize` shrink or a close simply ends the walk early.
+        skipped; a concurrent close ends the walk early.
         """
         results: dict[int, object] = {}
-        index = 0
-        while index < len(self.replicas):
+        for index in range(self.size):
             try:
                 with self.lease_replica(index) as replica:
                     results[index] = body(replica)
             except ReplicaFailure:
                 pass  # dead or dying slot: skip it, keep walking the live ones
             except RuntimeError:
-                break  # pool closed (or shrank past index) mid-walk
-            index += 1
+                break  # pool closed mid-walk
         return results
 
     def _acquire(self, affinity: object | None) -> Replica:
@@ -480,31 +467,24 @@ class BackendPool:
 
         The fresh backend is installed at the *same index*, so the
         affinity map and ``lease_replica`` indices stay valid and bound
-        destinations re-attach transparently.  When the slot was retired
-        (resize shrink) or the pool closed mid-respawn, the fresh backend
-        is torn down instead of installed; when the source cannot build a
-        replacement, the replica goes permanently dead and its
-        affinities are unbound so future leases re-route.
+        destinations re-attach transparently.  When the pool closed
+        mid-respawn, the fresh backend is torn down instead of installed;
+        when the source cannot build a replacement, the replica goes
+        permanently dead and its affinities are unbound so future leases
+        re-route.
         """
         try:
             backend = self._spawn(replica.index, replica.backend)
         except Exception:  # noqa: BLE001 - a failed respawn = permanent death
             backend = None
         old = replica.backend
-        close_old = False
-        close_new = False
         with self._cv:
-            current = (
-                replica.index < len(self.replicas)
-                and self.replicas[replica.index] is replica
-            )
-            if backend is None or self._closed or not current:
+            if backend is None or self._closed:
                 replica.health = DEAD
                 for key in replica.affinities:
                     self._affinity.pop(key, None)
                 replica.affinities.clear()
-                close_new = backend is not None
-                close_old = current
+                discard = [old] if backend is None else [backend, old]
             else:
                 replica.backend = self._instrument_backend(backend)
                 replica.health = HEALTHY
@@ -512,76 +492,9 @@ class BackendPool:
                 self._restarts += 1
                 if self._restart_counter is not None:
                     self._restart_counter.inc()
-                close_old = old is not backend
+                discard = [] if old is backend else [old]
             self._cv.notify_all()
-        self._close_backends(
-            ([backend] if close_new else []) + ([old] if close_old else [])
-        )
-
-    # -- elasticity ------------------------------------------------------------
-    def resize(self, size: int) -> int:
-        """Grow or shrink the pool to ``size`` replicas; returns the new size.
-
-        Growth asks the source for fresh replicas and makes them
-        leasable immediately.  Shrinking retires replicas from
-        the *tail* of the pool — replica indices are positions in the
-        replica list, so the affinity map and ``lease_replica`` stay
-        valid throughout — and waits for a busy tail replica's lease to
-        finish before closing its backend, so downsizing never rips
-        state out from under an in-flight solve.  A dead or restarting
-        tail is retired without waiting (its respawn thread notices the
-        retired slot and discards the fresh backend).  Affinities bound
-        to a retired replica are unbound; the next query for such a
-        destination re-routes (and rebuilds from shipped plan specs)
-        like any unassigned key.
-
-        The pool never shrinks below one replica, and the in-process
-        source refuses to grow past one.  Safe to call concurrently with
-        leasing; concurrent ``resize`` calls serialise on the pool lock.
-        """
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        # Grow: spawn outside the condition variable (process workers take
-        # real time to start).
-        while True:
-            with self._cv:
-                if self._closed:
-                    raise RuntimeError("pool is closed")
-                current = len(self.replicas)
-            if current >= size:
-                break
-            backend = self._spawn(current, None)
-            with self._cv:
-                if self._closed:
-                    self._close_backends([backend])
-                    raise RuntimeError("pool is closed")
-                self.replicas.append(
-                    Replica(len(self.replicas), self._instrument_backend(backend))
-                )
-                self._cv.notify_all()
-        # Shrink: retire tails once their leases drain (never replica 0).
-        retired: list[Replica] = []
-        with self._cv:
-            while len(self.replicas) > max(size, 1):
-                tail = self.replicas[-1]
-                while tail.busy:
-                    if self._closed:
-                        return len(self.replicas)
-                    self._cv.wait()
-                if self._closed:
-                    return len(self.replicas)
-                if self.replicas[-1] is not tail:  # concurrent resize moved it
-                    continue
-                self.replicas.pop()
-                for key in tail.affinities:
-                    self._affinity.pop(key, None)
-                tail.affinities.clear()
-                retired.append(tail)
-            self._cv.notify_all()
-        # Closing a dead backend is a cheap reap (clients are idempotent),
-        # so retiring a crashed tail neither hangs nor double-joins.
-        self._close_backends([replica.backend for replica in retired])
-        return self.size
+        self._close_backends(discard)
 
     def _close_backends(self, backends: list[object]) -> None:
         """Tear down pool-owned backends (a no-op for the in-process one)."""
@@ -669,32 +582,22 @@ class BackendPool:
         carries ``index``, ``health`` and ``pid``.
         """
         reports: list[dict] = []
-        index = 0
-        while True:
-            with self._cv:
-                if index >= len(self.replicas):
-                    break
-                healthy = self.replicas[index].health == HEALTHY
+        for replica in self.replicas:
             report = None
-            if healthy:
+            if replica.health == HEALTHY:
                 try:
-                    with self.lease_replica(index) as replica:
-                        probed = self._probe(replica.backend)
-                        report = {**self._report(replica), **probed}
+                    with self.lease_replica(replica.index) as leased:
+                        report = {**self._report(leased), **self._probe(leased.backend)}
                 except ReplicaFailure:
                     pass  # died under the probe: fall through to a status report
                 except RuntimeError:
-                    break  # pool closed (or shrank past index) mid-walk
+                    break  # pool closed mid-walk
             if report is None:
                 with self._cv:
-                    if index >= len(self.replicas):
-                        break
-                    replica = self.replicas[index]
                     report = self._report(replica)
                     report.update(exit_code=replica.exit_code, error=replica.last_error)
-            report["index"] = index
+            report["index"] = replica.index
             reports.append(report)
-            index += 1
         return reports
 
     def _report(self, replica: Replica) -> dict:

@@ -68,30 +68,6 @@ from repro.service.wire import QuerySpec, ResultSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.matrix import MatrixBackend
 
-#: Environment override for the worker start method ("fork", "spawn", ...).
-START_METHOD_ENV = "REPRO_POOL_START_METHOD"
-
-
-def _pick_start_method(requested: str | None) -> str:
-    """The multiprocessing start method for worker processes.
-
-    ``fork`` (when the platform offers it) makes workers available in
-    milliseconds; ``spawn`` is the portable fallback (it hands the
-    parent's ``sys.path`` to the child, so a source-tree checkout works
-    either way).  The ``REPRO_POOL_START_METHOD`` environment variable
-    and the ``start_method=`` parameter both override.
-    """
-    choice = requested or os.environ.get(START_METHOD_ENV)
-    available = multiprocessing.get_all_start_methods()
-    if choice:
-        if choice not in available:
-            raise ValueError(
-                f"start method {choice!r} not available here (have: {available})"
-            )
-        return choice
-    return "fork" if "fork" in available else "spawn"
-
-
 def _worker_stats(
     backend: "MatrixBackend", queries: int, spans: list[dict] | None = None
 ) -> dict:
@@ -575,10 +551,6 @@ class ProcessReplicas:
         canonical cache keys workers and sessions share.  Must support
         spec shipping (``plan_payload``/``plan_key`` — the matrix
         backend; the native family cannot host worker replicas).
-    start_method:
-        Multiprocessing start method; default ``fork`` where available
-        (fast, inherits ``sys.path``), else ``spawn``.  Also overridable
-        via the ``REPRO_POOL_START_METHOD`` environment variable.
     shard_timeout:
         Per-request wall-clock watchdog in seconds.  A worker that does
         not answer within the budget is killed, reported as a
@@ -596,7 +568,6 @@ class ProcessReplicas:
         self,
         planner: object,
         *,
-        start_method: str | None = None,
         shard_timeout: float | None = None,
         telemetry: Telemetry | None = None,
     ):
@@ -608,12 +579,15 @@ class ProcessReplicas:
             )
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive (or None)")
-        self.start_method = _pick_start_method(start_method)
         self.shard_timeout = shard_timeout
         #: The shared plan directory (parent-side compile-once registry).
         self.directory = PlanDirectory(planner)
         self._telemetry = telemetry
-        self._context = multiprocessing.get_context(self.start_method)
+        # ``fork`` starts a worker in milliseconds; ``spawn`` is the
+        # portable fallback (it hands the child this process's sys.path).
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
 
     def __call__(self, index: int, dead: ReplicaClient | None = None) -> ReplicaClient:
         """Start a worker for slot ``index`` (replacing ``dead``, if given).

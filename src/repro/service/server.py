@@ -41,12 +41,6 @@ Shutdown is a lossless drain: :meth:`QueryServer.stop` stops accepting
 connections and admissions, flushes the pending admission window, waits
 for every in-flight answer to be *written to its client*, and only then
 closes connections (and the session, when the server owns it).
-
-A :class:`PoolAutoscaler` rides along: it watches the coalescer's queue
-depth and grows/shrinks the session's backend replica pool
-(:meth:`~repro.service.session.AnalysisSession.resize_pool`) between a
-configured floor and ceiling — in process mode that is literally
-starting and stopping worker processes under load.
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ import json
 import math
 import random
 import time
-from typing import Callable
 
 from repro.service.coalesce import (
     BatchCoalescer,
@@ -67,110 +60,6 @@ from repro.service.coalesce import (
 )
 from repro.service.results import _json_value
 from repro.service.wire import error_payload
-
-
-class PoolAutoscaler:
-    """Grow/shrink the session's replica pool from admission-queue depth.
-
-    Sizing rule: the desired replica count is ``ceil(depth /
-    target_depth)`` clamped to ``[min_size, max_size]`` — one replica per
-    ``target_depth`` outstanding queries.  Growth applies immediately
-    (queues hurt now); shrinking waits for ``patience`` consecutive
-    observations wanting a smaller pool (hysteresis, so a gap between
-    bursts does not thrash worker processes).  Resizes run on a worker
-    thread because shrinking blocks until the retired replicas' leases
-    drain.
-    """
-
-    def __init__(
-        self,
-        session,
-        depth_fn: Callable[[], int],
-        *,
-        min_size: int = 1,
-        max_size: int = 4,
-        target_depth: int = 32,
-        interval: float = 0.05,
-        patience: int = 4,
-    ):
-        if min_size < 1 or max_size < min_size:
-            raise ValueError("need 1 <= min_size <= max_size")
-        if target_depth < 1:
-            raise ValueError("target_depth must be >= 1")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self._session = session
-        self._depth_fn = depth_fn
-        self.min_size = min_size
-        self.max_size = max_size
-        self.target_depth = target_depth
-        self.interval = interval
-        self.patience = patience
-        self._shrink_votes = 0
-        self._grow_events = 0
-        self._shrink_events = 0
-        self._task: asyncio.Task | None = None
-
-    def plan(self, depth: int) -> int | None:
-        """The next pool size for ``depth`` outstanding queries, or ``None``.
-
-        Pure decision logic (the async loop just applies it), so the
-        grow-now/shrink-later hysteresis is unit-testable without a
-        server.
-        """
-        size = self._session.pool_size
-        desired = max(self.min_size, min(self.max_size, math.ceil(depth / self.target_depth)))
-        if desired > size:
-            self._shrink_votes = 0
-            return desired
-        if desired < size:
-            self._shrink_votes += 1
-            if self._shrink_votes >= self.patience:
-                self._shrink_votes = 0
-                return desired
-            return None
-        self._shrink_votes = 0
-        return None
-
-    async def _apply(self, size: int) -> None:
-        loop = asyncio.get_running_loop()
-        before = self._session.pool_size
-        await loop.run_in_executor(None, self._session.resize_pool, size)
-        if size > before:
-            self._grow_events += 1
-        elif size < before:
-            self._shrink_events += 1
-
-    async def run(self) -> None:
-        """The periodic observe → plan → resize loop (cancelled on stop)."""
-        while True:
-            await asyncio.sleep(self.interval)
-            desired = self.plan(self._depth_fn())
-            if desired is not None:
-                await self._apply(desired)
-
-    def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self.run())
-
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "pool_size": self._session.pool_size,
-            "min_size": self.min_size,
-            "max_size": self.max_size,
-            "target_depth": self.target_depth,
-            "grow_events": self._grow_events,
-            "shrink_events": self._shrink_events,
-        }
 
 
 #: Transport write-buffer size above which a sender awaits ``drain()``.
@@ -233,14 +122,8 @@ class QueryServer:
         :class:`~repro.service.coalesce.BatchCoalescer`.
     default_deadline:
         Optional default per-query deadline in seconds, applied when a
-        query carries no ``deadline_ms`` of its own.
-    autoscale_max:
-        Enable the :class:`PoolAutoscaler` with this ceiling (the floor
-        is the session's starting pool size).  ``None`` disables
-        autoscaling.
-    autoscale_target / autoscale_interval / autoscale_patience:
-        Autoscaler tuning (queries per replica, observation period,
-        shrink hysteresis).
+        query carries no ``deadline_ms`` of its own; it must be positive
+        and finite (``ValueError`` otherwise).
     owns_session:
         Close the session when the server stops (the CLI sets this; an
         embedding application managing its own session does not).
@@ -261,15 +144,15 @@ class QueryServer:
         max_batch: int = 256,
         max_pending: int = 1024,
         default_deadline: float | None = None,
-        autoscale_max: int | None = None,
-        autoscale_target: int = 32,
-        autoscale_interval: float = 0.05,
-        autoscale_patience: int = 4,
         owns_session: bool = False,
         max_line_bytes: int = DEFAULT_MAX_LINE,
     ):
         if max_line_bytes < 1024:
             raise ValueError("max_line_bytes must be >= 1024")
+        if default_deadline is not None and not 0 < default_deadline < math.inf:
+            raise ValueError(
+                f"default_deadline must be positive and finite seconds, not {default_deadline}"
+            )
         self.session = session
         self.host = host
         self._requested_port = port
@@ -284,17 +167,6 @@ class QueryServer:
             max_pending=max_pending,
             telemetry=getattr(session, "telemetry", None),
         )
-        self.autoscaler: PoolAutoscaler | None = None
-        if autoscale_max is not None:
-            self.autoscaler = PoolAutoscaler(
-                session,
-                lambda: self.coalescer.depth,
-                min_size=session.pool_size,
-                max_size=max(autoscale_max, session.pool_size),
-                target_depth=autoscale_target,
-                interval=autoscale_interval,
-                patience=autoscale_patience,
-            )
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
         self._stopped = asyncio.Event()
@@ -305,14 +177,12 @@ class QueryServer:
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> "QueryServer":
-        """Bind the listener (and the autoscaler); returns ``self``."""
+        """Bind the listener; returns ``self``."""
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._on_client, self.host, self._requested_port,
             limit=self.max_line_bytes,
         )
-        if self.autoscaler is not None:
-            self.autoscaler.start()
         return self
 
     @property
@@ -334,12 +204,12 @@ class QueryServer:
     async def stop(self) -> None:
         """Graceful, lossless shutdown (idempotent).
 
-        Ordered drain: (1) stop accepting connections; (2) stop the
-        autoscaler; (3) close the coalescer — new submissions are refused
-        with ``shutting-down``, the pending admission window flushes
-        immediately, and every in-flight query runs to its answer;
-        (4) wait until each of those answers has been *written* to its
-        client; (5) close the connections; (6) close the session if this
+        Ordered drain: (1) stop accepting connections; (2) close the
+        coalescer — new submissions are refused with ``shutting-down``,
+        the pending admission window flushes immediately, and every
+        in-flight query runs to its answer; (3) wait until each of those
+        answers has been *written* to its client; (4) close the
+        connections; (5) close the session if this
         server owns it (off the event loop — session close drains its own
         executor and pool).
         """
@@ -347,8 +217,6 @@ class QueryServer:
         self._stopped.set()
         if self._server is not None:
             self._server.close()  # stops accepting; existing sockets live on
-        if self.autoscaler is not None:
-            await self.autoscaler.stop()
         await self.coalescer.aclose()
         pending = [task for conn in self._connections for task in conn.tasks]
         if pending:
@@ -573,7 +441,6 @@ class QueryServer:
                 "health": pool["health"],
             },
             "retried_shards": getattr(self.session, "retried_shards", 0),
-            "autoscaler": self.autoscaler.stats() if self.autoscaler else None,
         }
 
 
@@ -698,4 +565,4 @@ class StreamClient:
             pass
 
 
-__all__ = ["PoolAutoscaler", "QueryServer", "StreamClient"]
+__all__ = ["QueryServer", "StreamClient"]

@@ -321,23 +321,8 @@ class AnalysisSession:
 
     @property
     def pool_size(self) -> int:
-        """The current number of backend replicas (autoscaling changes it)."""
+        """The number of backend replicas (fixed when the session opens)."""
         return self._pool.size
-
-    def resize_pool(self, size: int) -> int:
-        """Grow or shrink the replica pool to ``size``; returns the new size.
-
-        Delegates to :meth:`~repro.service.pool.BackendPool.resize`:
-        growth is immediate, shrinking waits for the retired replicas'
-        in-flight leases to finish.  This is the knob the streaming
-        server's queue-depth autoscaler turns; it counts as an in-flight
-        call for :meth:`close`'s drain, so teardown and resizing cannot
-        interleave.  The size is read on every batch; ``workers`` is
-        fixed at construction, so to let an autoscaler drive ``N``
-        replicas at once, construct the session with ``workers >= N``.
-        """
-        with self._serving():
-            return self._pool.resize(size)
 
     @property
     def exact(self) -> bool:

@@ -99,8 +99,3 @@ def from_dot(source: str, name: str = "topology") -> Topology:
             port_b=attrs.get("dst_port"),
         )
     return topo
-
-
-def read_dot(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_dot(handle.read())

@@ -133,9 +133,6 @@ class Topology:
         peers = self._adjacency[node]
         return len(peers) + (node in peers)  # a self-loop has two ends here
 
-    def max_degree(self) -> int:
-        return max(map(self.degree, self._nodes), default=0)
-
     def port_to(self, a: Node, b: Node) -> int:
         """The local port number at ``a`` of the link towards ``b``."""
         return self._adjacency[a][b]["ports"][a]

@@ -13,10 +13,12 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 43_566
+README_BUDGET = 43_258
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
-#: Names of deleted mechanisms: the shard planners and their partition check.
+#: Names of deleted mechanisms: the shard planners and their partition
+#: check; the queue-depth autoscaler, live pool resizing and the worker
+#: start-method override.
 DELETED_NAMES = (
     "ShardPlanner",
     "get_planner",
@@ -24,6 +26,12 @@ DELETED_NAMES = (
     "--planner",
     "planner=",
     "round-robin",
+    "PoolAutoscaler",
+    "resize_pool",
+    "--autoscale-max",
+    "--autoscale-target",
+    "autoscale_",
+    "REPRO_POOL_START_METHOD",
 )
 
 

@@ -407,6 +407,8 @@ class TestLifecycle:
         model = next(iter(models.values()))
         with pytest.raises(ValueError, match="pool_mode='process'"):
             AnalysisSession(model, backend="native", pool_size=4, workers=2)
+        with pytest.raises(ValueError, match="pool_mode='process'"):
+            AnalysisSession(model, pool_size=2, workers=1)
         with AnalysisSession(model, backend="native", workers=2) as session:
             assert session.pool.size == 1
             assert session.pool.replicas[0].backend is session.backend
@@ -517,113 +519,6 @@ class TestLifecycle:
         assert stats["pool"]["size"] == 2
         assert sum(stats["pool"]["leases"]) >= 1
         assert isinstance(stats["pool"]["affinities"], dict)
-
-
-# ---------------------------------------------------------------------------
-# Elastic resizing (the streaming autoscaler's knob)
-# ---------------------------------------------------------------------------
-class TestResize:
-    def test_grow_spawns_independent_replicas(self, models, all_pairs, per_call_values):
-        with process_session(models, 1, workers=4) as session:
-            before = session.query_batch(all_pairs).values
-            assert session.resize_pool(3) == 3
-            assert session.pool_size == 3
-            pids = {replica.backend.pid for replica in session.pool.replicas}
-            assert len(pids) == 3
-            session.clear_cache(keep_plans=True)
-            after = session.query_batch(all_pairs).values
-        for value, reference, expected in zip(after, before, per_call_values):
-            assert value == pytest.approx(reference, abs=1e-9)
-            assert value == pytest.approx(expected, abs=1e-9)
-
-    def test_shrink_retires_tails_and_their_affinities(self, models, all_pairs):
-        with process_session(models, 3, workers=1) as session:
-            pool = session.pool
-            # workers=1 routes shards sequentially: affinities bind across
-            # all three replicas (one destination each).
-            session.query_batch(all_pairs)
-            assert {pool._affinity[key] for key in pool._affinity} == {0, 1, 2}
-            retired = [replica.backend for replica in pool.replicas[1:]]
-            assert session.resize_pool(1) == 1
-            assert [replica.index for replica in pool.replicas] == [0]
-            assert all(not worker.alive for worker in retired)
-            # No affinity entry may point at a retired replica index.
-            assert all(index == 0 for index in pool._affinity.values())
-            # The survivor still answers the whole batch correctly.
-            session.clear_cache(keep_plans=True)
-            repeat = session.query_batch(all_pairs)
-            assert all(report.replica == 0 for report in repeat.shards)
-
-    def test_shrink_waits_for_busy_tail(self):
-        pool = BackendPool(_stub_source()[0], 2)
-        release = threading.Event()
-        leased = threading.Event()
-        events: list[str] = []
-
-        def hold_tail():
-            with pool.lease_replica(1):
-                leased.set()
-                release.wait(timeout=5)
-                events.append("released")
-
-        holder = threading.Thread(target=hold_tail)
-        holder.start()
-        assert leased.wait(timeout=5)
-
-        def shrink():
-            pool.resize(1)
-            events.append("shrunk")
-
-        shrinker = threading.Thread(target=shrink)
-        shrinker.start()
-        # The shrink parks on the pool condition until the tail drains.
-        assert wait_until(lambda: pool._cv._waiters, timeout=5)
-        assert "shrunk" not in events and pool.size == 2
-        release.set()
-        holder.join(timeout=5)
-        shrinker.join(timeout=5)
-        assert events == ["released", "shrunk"]
-        assert pool.size == 1
-        pool.close()
-
-    def test_resize_validation_and_non_forkable_cap(self, models):
-        model = next(iter(models.values()))
-        with AnalysisSession(model, workers=1) as session:
-            with pytest.raises(ValueError, match="pool size"):
-                session.resize_pool(0)
-            # The in-process replica is the only one thread mode hosts.
-            with pytest.raises(ValueError, match="pool_mode='process'"):
-                session.resize_pool(3)
-            assert session.pool_size == 1
-        session = AnalysisSession(model, workers=1, pool_size=1)
-        session.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            session.resize_pool(2)
-
-    def test_grow_under_concurrent_serving(self, models, all_pairs, per_call_values):
-        """resize() during in-flight query_batch calls never corrupts answers."""
-        with process_session(models, 1, workers=4) as session:
-            errors: list[Exception] = []
-            outputs: list[list[float]] = []
-
-            def serve():
-                try:
-                    for _ in range(3):
-                        session.clear_cache(keep_plans=True)
-                        outputs.append(session.query_batch(all_pairs).values)
-                except Exception as exc:  # pragma: no cover - failure path
-                    errors.append(exc)
-
-            server = threading.Thread(target=serve)
-            server.start()
-            for size in (2, 3, 2):
-                session.resize_pool(size)
-            server.join(timeout=60)
-            assert not errors
-            assert len(outputs) == 3
-        for values in outputs:
-            for value, expected in zip(values, per_call_values):
-                assert value == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

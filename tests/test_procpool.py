@@ -373,7 +373,7 @@ class TestProcessCli:
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle racing worker crashes: close()/resize() with corpses in the pool
+# Lifecycle racing worker crashes: close() with corpses in the pool
 # ---------------------------------------------------------------------------
 @pytest.mark.chaos
 class TestCrashLifecycleRaces:
@@ -395,29 +395,6 @@ class TestCrashLifecycleRaces:
         assert all(
             not handle.transport.process.is_alive() for handle in workers(session)
         )
-
-    def test_resize_retires_crashed_tail(self, all_models):
-        """Shrinking over a dead tail replica reaps it without waiting."""
-        import os
-        import signal
-
-        with AnalysisSession(
-            model := next(iter(all_models.values())),
-            pool_size=3,
-            pool_mode="process",
-            workers=1,
-            max_attempts=3,
-        ) as session:
-            session.warm(model.dest, solve=False)
-            tail = workers(session)[2]
-            os.kill(tail.pid, signal.SIGKILL)
-            tail.transport.process.join(timeout=10.0)
-            assert session.resize_pool(1) == 1
-            assert [replica.index for replica in session.pool.replicas] == [0]
-            # The survivor still answers.
-            batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
-            result = session.query_batch(batch)
-            assert len(result) == len(batch)
 
     def test_close_races_inflight_crash_and_respawn(self, all_models, all_pairs):
         """Killing a busy worker and closing immediately afterwards must

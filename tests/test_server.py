@@ -1,7 +1,6 @@
 """Tests for the streaming front end: admission coalescing
 (``repro.service.coalesce``), the asyncio JSON-lines server
-(``repro.service.server``), the pool autoscaler, and the CLI ``serve``
-subcommand."""
+(``repro.service.server``), and the CLI ``serve`` subcommand."""
 
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ from repro.service import (
     BatchCoalescer,
     DeadlineExceeded,
     Overloaded,
-    PoolAutoscaler,
     Query,
     QueryServer,
     ShuttingDown,
@@ -28,7 +26,7 @@ from repro.service import (
 from repro.service.cli import serve_main
 from repro.topology import edge_switches, fat_tree
 
-from polling import wait_until, wait_until_async
+from polling import wait_until
 
 
 def ecmp_model(topo, dest: int):
@@ -308,7 +306,6 @@ class TestServer:
         assert stats["queries_answered"] >= 1
         assert stats["coalescer"]["answered"] >= 1
         assert stats["pool"]["mode"] == "thread"
-        assert stats["autoscaler"] is None
 
     def test_midstream_shutdown_drains_inflight_replies(self, models, all_pairs):
         """stop() during an open admission window loses no admitted query."""
@@ -349,88 +346,65 @@ class TestServer:
         asyncio.run(run())
         assert not session._closed
 
+    @pytest.mark.parametrize("seconds", [0.0, -0.005, float("inf"), float("nan")])
+    def test_default_deadline_must_be_positive_and_finite(self, session, seconds):
+        with pytest.raises(ValueError, match="default_deadline"):
+            QueryServer(session, default_deadline=seconds)
 
-# ---------------------------------------------------------------------------
-# PoolAutoscaler: sizing decisions and end-to-end resizing
-# ---------------------------------------------------------------------------
-class TestAutoscaler:
-    def make(self, session, **kwargs):
-        kwargs.setdefault("min_size", 1)
-        kwargs.setdefault("max_size", 4)
-        kwargs.setdefault("target_depth", 10)
-        kwargs.setdefault("patience", 2)
-        return PoolAutoscaler(session, lambda: 0, **kwargs)
+    def test_past_per_query_deadline_is_deadline_exceeded(self, session, all_pairs):
+        """A client's own ``deadline_ms`` may be spent already: that query
+        is answered ``deadline-exceeded``, not refused as a bad request."""
 
-    def test_grow_is_immediate_shrink_needs_patience(self, models):
-        with AnalysisSession(
-            models=models.values(), workers=4, pool_size=1, pool_mode="process"
-        ) as session:
-            scaler = self.make(session)
-            # Depth 35 over target 10 -> ceil = 4 replicas, immediately.
-            assert scaler.plan(35) == 4
-            session.resize_pool(4)
-            # Depth back to 0 wants 1, but only after `patience` votes.
-            assert scaler.plan(0) is None
-            assert scaler.plan(0) == 1
-            session.resize_pool(1)
-            # A grow burst resets the shrink hysteresis.
-            session.resize_pool(2)
-            assert scaler.plan(0) is None
-            assert scaler.plan(25) == 3  # grow interrupts the shrink streak
-            session.resize_pool(3)
-            assert scaler.plan(0) is None  # the streak starts over
-            assert scaler.plan(0) == 1
+        async def run():
+            async with QueryServer(session, window=0.01, default_deadline=30.0) as server:
+                conn = await StreamClient.connect("127.0.0.1", server.port)
+                reply = await conn.request({**wire(all_pairs[0]), "deadline_ms": -5})
+                await conn.aclose()
+                return reply
 
-    def test_plan_clamps_to_bounds(self, models):
-        with AnalysisSession(
-            models=models.values(), workers=4, pool_size=2, pool_mode="process"
-        ) as session:
-            scaler = self.make(session, min_size=2, max_size=3)
-            assert scaler.plan(1000) == 3  # clamped to the ceiling
-            session.resize_pool(3)
-            assert scaler.plan(0) is None
-            assert scaler.plan(0) == 2  # clamped to the floor, not min 1
-            assert scaler.plan(25) is None  # desired == current size: no-op
+        reply = asyncio.run(run())
+        assert reply["error"]["code"] == "deadline-exceeded"
 
-    def test_validation(self, models):
-        with AnalysisSession(models=models.values(), workers=1) as session:
-            with pytest.raises(ValueError, match="min_size"):
-                PoolAutoscaler(session, lambda: 0, min_size=0)
-            with pytest.raises(ValueError, match="target_depth"):
-                PoolAutoscaler(session, lambda: 0, target_depth=0)
-            with pytest.raises(ValueError, match="patience"):
-                PoolAutoscaler(session, lambda: 0, patience=0)
 
-    def test_autoscaler_grows_pool_under_load(self, models, all_pairs):
-        """End to end: queue depth grows the pool through the event loop."""
-
-        async def run(session):
-            server = QueryServer(
-                session,
-                window=0.15,
-                autoscale_max=3,
-                autoscale_target=4,
-                autoscale_interval=0.02,
-            )
-            await server.start()
-            conn = await StreamClient.connect("127.0.0.1", server.port)
-            # Hold >= 2*target queries inside the long admission window so
-            # several autoscaler observations see the queue depth.
-            pending = [await conn.send(wire(query)) for query in all_pairs[:12]]
-            await wait_until_async(lambda: session.pool_size >= 3, timeout=5.0)
-            grown_size = session.pool_size
-            replies = await asyncio.gather(*pending)
-            await conn.aclose()
-            await server.stop()
-            return grown_size, replies, server.autoscaler.stats()
-
-        with AnalysisSession(
-            models=models.values(), workers=4, pool_size=1, pool_mode="process"
-        ) as session:
-            grown_size, replies, stats = asyncio.run(run(session))
-        assert grown_size == 3  # ceil(12 / 4) = 3, clamped by autoscale_max
-        assert stats["grow_events"] >= 1
-        assert all("error" not in reply for reply in replies)
+#: ``(entry point, argv, message fragment)``: bad input met while setting
+#: up, reported by ``python -m repro.service [serve]`` as a one-line error.
+#: ``{name}`` stands for a query file the test writes.
+BAD_INPUT = [
+    ("batch", ["--all-pairs", "--workers", "0"], "workers must be >= 1"),
+    ("serve", ["--workers", "0"], "workers must be >= 1"),
+    ("serve", ["--max-batch", "0"], "max_batch must be >= 1"),
+    ("serve", ["--max-pending", "0"], "max_pending must be >= 1"),
+    ("serve", ["--max-line-kib", "0"], "max_line_bytes must be >= 1024"),
+    ("batch", ["--all-pairs", "--topology", "fattree:3"], "even integer"),
+    ("serve", ["--topology", "fattree:3"], "even integer"),
+    (
+        "batch",
+        ["--all-pairs", "--scheme", "f10_0", "--max-failures", "-1"],
+        "max_failures must be non-negative",
+    ),
+    (
+        "serve",
+        ["--scheme", "f10_0", "--max-failures", "-1"],
+        "max_failures must be non-negative",
+    ),
+    (
+        "batch",
+        ["--all-pairs", "--pool-mode", "process", "--shard-timeout", "-1"],
+        "shard_timeout must be positive",
+    ),
+    (
+        "serve",
+        ["--pool-mode", "process", "--shard-timeout", "-1"],
+        "shard_timeout must be positive",
+    ),
+    ("serve", ["--deadline-ms", "-5"], "default_deadline must be positive"),
+    ("serve", ["--deadline-ms", "nan"], "default_deadline must be positive"),
+    ("batch", ["--queries", "{missing}"], "No such file"),
+    ("batch", ["--queries", "{not-json}"], "Expecting value"),
+    ("batch", ["--queries", "{unknown-kind}"], "unknown query kind"),
+    ("batch", ["--queries", "{bad-ingress}"], "ingress"),
+    ("batch", ["--queries", "{dest-99}"], "destination switch 99"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +466,40 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             serve_main(["--window-ms", "-1"])
         with pytest.raises(SystemExit):
-            serve_main(["--pool-size", "2", "--autoscale-max", "1"])
+            serve_main(["--pool-size", "0"])
         # More than one replica needs worker processes.
         with pytest.raises(SystemExit, match="--pool-mode process"):
-            serve_main(["--autoscale-max", "3"])
+            serve_main(["--pool-size", "3"])
+
+    @pytest.mark.parametrize(
+        "entry, argv, message",
+        BAD_INPUT,
+        ids=[f"{entry} {' '.join(argv)}" for entry, argv, _ in BAD_INPUT],
+    )
+    def test_bad_input_is_a_one_line_error(self, tmp_path, entry, argv, message):
+        from repro.service import cli
+
+        files = {
+            "{missing}": None,
+            "{not-json}": "nope",
+            "{unknown-kind}": '[{"kind": "bogus", "ingress": [2, 3], "dest": 1}]',
+            "{bad-ingress}": '[{"ingress": "x", "dest": 1}]',
+            "{dest-99}": '[{"ingress": [2, 3], "dest": 99}]',
+        }
+        resolved = []
+        for arg in argv:
+            if arg in files:
+                path = tmp_path / "queries.json"
+                if files[arg] is not None:
+                    path.write_text(files[arg])
+                arg = str(path)
+            resolved.append(arg)
+        run = cli.serve_main if entry == "serve" else cli.main
+        with pytest.raises(SystemExit) as exit_info:
+            run(resolved)
+        text = str(exit_info.value.code)
+        assert message in text
+        assert "\n" not in text and exit_info.value.__suppress_context__
 
     def test_main_dispatches_serve(self, monkeypatch):
         from repro.service import cli
