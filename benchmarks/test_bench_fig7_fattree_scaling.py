@@ -41,12 +41,12 @@ out, they are a 2^k-leaf product per switch (k=12: 5 s and 360 MiB a
 plan, k=16 out of reach).  The compiler does not multiply them out: each
 flag is composed onto the routing/topology/reset product that tests and
 then overwrites it before it meets the other flags, and one diagram is
-compiled per switch *role* (seven per FatTree stage, at every k) and
-renamed for every switch of the role; the first hop is not compiled
-again (the plan's loop stage is a do-while).  A cold k=12-with-failures
-plan is 0.05 s, k=16 0.13 s and under 120 MiB.  k=32 with failures plans
-in 1.1 s and answers its 8 176 ingresses in 1.7 s at 298 MiB, measured
-by hand (2-core box), not swept.
+compiled per switch *role* (seven per FatTree stage, at every k); the
+plan keeps it per role, each switch a row of constants gathered into the
+flat arrays, with no switch's diagram renamed or joined; the first hop
+is not compiled again (the plan's loop stage is a do-while).  k=32 with
+failures plans in 0.6 s and answers its 8 176 ingresses in 0.9 s at
+179 MiB, measured by hand (2-core box), not swept.
 
 ``compile_ops_k8_f1000`` (the ``restrict_eq`` + ``restrict_ne`` + ``ite``
 memo entries), ``leaf_actions_composed_k8_f1000``, ``compile_roles_k8_f1000``
@@ -91,12 +91,14 @@ COMPILE_OPS = ("restrict_eq", "restrict_ne", "ite")
 #: of the leaves ``sequence`` composed, runs compiled, diagrams renamed.
 #: (Before roles and sampler-first: 2 888, 8 046, and 160 runs compiled;
 #: before the do-while loop stage and the one-pass ingress predicate,
-#: which compiled the first hop a second time: 1 410, 248, 14, 160.)
+#: which compiled the first hop a second time: 1 410, 248, 14, 160;
+#: before the plan stayed per role, with one diagram renamed and joined
+#: per switch: 626, 81, 7, 80.)
 K8_F1000_WORK = {
-    "compile_ops": 626,
+    "compile_ops": 390,
     "leaf_actions_composed": 81,
     "compile_roles": 7,
-    "role_instances": 80,
+    "role_instances": 0,
 }
 #: The ceiling ROADMAP item 1 set for k=16 with failures, in MiB.
 K16_RSS_CEILING_MB = 1024
@@ -286,7 +288,8 @@ def test_matrix_compile_work_count(benchmark):
     samplers composed from the right makes 1 410, and composes 248 leaf
     actions where one run per switch composed 8 046 — every run.  The
     first hop compiled once, in the do-while loop stage, and the ingress
-    predicate built in one pass make 626 and 81.
+    predicate built in one pass make 626 and 81; the plan kept per role,
+    no switch's diagram renamed or joined, makes 390 and renames none.
     """
     from repro.backends import MatrixBackend
 

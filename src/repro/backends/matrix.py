@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from repro.core import syntax as s
 from repro.core.answer import Answer, delivered_mass
-from repro.core.compiler import Compiler, leaf_holds
+from repro.core.compiler import Compiler, RolePlan, leaf_holds
 from repro.core.distributions import Dist
 from repro.core.fdd.flat import (
     ClassLayout,
@@ -65,7 +65,6 @@ from repro.core.fdd.matrix import (
     SymbolicPacket,
     TransitionMatrix,
     class_transition,
-    fdd_to_matrix,
     matrix_domains,
 )
 from repro.core.fdd.node import (
@@ -132,6 +131,27 @@ class _ClassStage:
         return found, appended
 
 
+Body = FddNode | RolePlan
+"""A compiled loop-free program: its diagram, or its per-role plan."""
+
+
+def _diagram(body: Body) -> FddNode:
+    """The whole diagram of ``body`` (a per-role plan builds it on first use)."""
+    return body.fdd if isinstance(body, RolePlan) else body
+
+
+def _flat(body: Body, layout: ClassLayout) -> FlatDiagram:
+    """``body`` flattened over ``layout``; a per-role plan once per role."""
+    if isinstance(body, RolePlan):
+        return FlatDiagram.of_roles(body, layout)
+    return FlatDiagram(body, layout)
+
+
+def _mentioned(body: Body) -> dict[str, set[int]]:
+    """Per field, the values ``body``'s diagram tests or writes."""
+    return body.mentioned_values() if isinstance(body, RolePlan) else matrix_domains(body)
+
+
 class _FddStage(_ClassStage):
     """A loop-free policy segment, compiled to one canonical FDD.
 
@@ -141,26 +161,32 @@ class _FddStage(_ClassStage):
     every mass anyway — one walk of ``flat`` for all of a batch's new
     classes — and exact leaf weights
     (:func:`~repro.core.fdd.matrix.class_transition`, per class) in a
-    plan without one.
+    plan without one.  The stage is built from its compiled ``body``, a
+    :class:`~repro.core.compiler.RolePlan` where the program has one:
+    ``fdd`` is then built only when asked for.
     """
 
-    def __init__(self, fdd: FddNode, exact: bool, flat: FlatDiagram | None = None):
-        domains = matrix_domains(fdd)
+    def __init__(self, body: Body, exact: bool, flat: FlatDiagram | None = None):
+        domains = _mentioned(body)
         super().__init__(
             {field: tuple(sorted(values)) for field, values in domains.items()},
             flat.layout if flat is not None else None,
             exact,
         )
-        self.fdd = fdd
+        self.body = body
         self.exact = exact
         self.walks = 0
         if flat is None and not exact:
-            flat = FlatDiagram(fdd, self.layout)
+            flat = _flat(body, self.layout)
         self.flat = flat
+
+    @property
+    def fdd(self) -> FddNode:
+        return _diagram(self.body)
 
     def fresh(self) -> "_FddStage":
         """This stage's diagram and flat form, no row taken."""
-        stage = _FddStage(self.fdd, self.exact, self.flat)
+        stage = _FddStage(self.body, self.exact, self.flat)
         stage.walks = self.walks
         return stage
 
@@ -200,7 +226,9 @@ class _LoopStage(_ClassStage):
     ``class -> int`` index: the classes reached from every seed so far,
     their body rows as CSR buffers over those ints, a transient flag per
     class (the guard holds), explored one BFS frontier at a time over the
-    body flattened on the stage's layout; ``guard`` is the guard
+    body flattened on the stage's layout — per role where the body is a
+    :class:`~repro.core.compiler.RolePlan`, whose whole diagram
+    ``body_fdd`` is then built only when asked for; ``guard`` is the guard
     flattened on it.  ``solver``
     (:class:`~repro.core.markov.IncrementalAbsorptionSolver`) is fed the
     rows each exploration appended, by index, and keeps the solved rows as
@@ -219,7 +247,7 @@ class _LoopStage(_ClassStage):
         self,
         loop: s.WhileDo | None,
         guard_fdd: FddNode,
-        body_fdd: FddNode,
+        body: Body,
         domains: dict[str, tuple[int, ...]],
         do_while: bool = False,
         watch: Stopwatch | None = None,
@@ -235,17 +263,17 @@ class _LoopStage(_ClassStage):
         #: ``None`` here and behave identically.
         self.loop = loop
         self.guard_fdd = guard_fdd
-        self.body_fdd = body_fdd
+        self.body = body
         #: The stage runs ``body ; while guard do body``: a class the
         #: guard fails on takes one ``body_fdd`` row before the loop (on
         #: any other the loop already begins with the body).
         self.do_while = do_while
         self.watch = watch
-        body, self.guard = flats if flats is not None else (
-            FlatDiagram(body_fdd, self.layout),
+        flat, self.guard = flats if flats is not None else (
+            _flat(body, self.layout),
             FlatDiagram(guard_fdd, self.layout),
         )
-        self.chain = ClassChain(body_fdd, self.layout, body)
+        self.chain = ClassChain(None, self.layout, flat)
         self.solver = IncrementalAbsorptionSolver(watch=watch)
         self._guard_leaves: dict[int, bool] = {}
         # The seeds of each exploration, as code rows.
@@ -259,12 +287,16 @@ class _LoopStage(_ClassStage):
         return _LoopStage(
             self.loop,
             self.guard_fdd,
-            self.body_fdd,
+            self.body,
             self.domains,
             self.do_while,
             self.watch,
             (self.chain.flat, self.guard),
         )
+
+    @property
+    def body_fdd(self) -> FddNode:
+        return _diagram(self.body)
 
     def spec(self) -> tuple:
         """The manager-independent spec :meth:`from_spec` rebuilds this stage from."""
@@ -504,7 +536,7 @@ class QueryPlan:
         return self._projections
 
 
-def _stages(parts: list[FddNode | _LoopStage]) -> list[_FddStage | _LoopStage]:
+def _stages(parts: list[Body | _LoopStage]) -> list[_FddStage | _LoopStage]:
     """A plan's stages from its loop-free diagrams and loop stages, in order.
 
     The diagrams run exactly when no loop stage will float the masses.
@@ -550,8 +582,7 @@ class MatrixBackend:
     Parameters
     ----------
     class_limit:
-        Bound on the number of symbolic classes explored per loop (and on
-        full-domain conversions via :meth:`transition_matrix`).
+        Bound on the number of symbolic classes explored per loop.
     exact:
         Accepted for registry symmetry with the native backend but must
         stay ``False``: the batched solver is float64 by design (use the
@@ -584,9 +615,6 @@ class MatrixBackend:
         # Plans adopted from a manager-independent wire payload, keyed by
         # the caller's plan id (see adopt_plan; used by worker processes).
         self._adopted: dict[object, QueryPlan] = {}
-        # TransitionMatrix cache keyed by canonical FDD identity: FDDs are
-        # hash-consed, so semantically equal policies share one matrix.
-        self._matrices: dict[FddNode, TransitionMatrix] = {}
         # Manager-independent canonical stage keys (see plan_key).
         self._plan_keys: dict[int, tuple[s.Policy, tuple]] = {}
 
@@ -599,21 +627,6 @@ class MatrixBackend:
     def fdd_size(self, policy: s.Policy) -> int:
         """Number of distinct nodes in the compiled FDD of ``policy``."""
         return node_size(self.compile(policy))
-
-    def transition_matrix(self, policy: s.Policy) -> TransitionMatrix:
-        """The full-domain sparse stochastic matrix of a (loop-free) policy.
-
-        The result is cached by the canonical FDD of the policy, so any
-        two semantically equal policies share a single matrix.
-        """
-        fdd = self.compile(policy)
-        cached = self._matrices.get(fdd)
-        if cached is None:
-            with self.watch.measure("assemble"):
-                cached = fdd_to_matrix(fdd, limit=self.class_limit)
-            self.assembly_rows += cached.assembled_rows
-            self._matrices[fdd] = cached
-        return cached
 
     def plan(self, policy: s.Policy) -> QueryPlan:
         """Decompose ``policy`` into compiled stages (cached per policy)."""
@@ -732,15 +745,15 @@ class MatrixBackend:
         parts: Sequence[s.Policy] = (
             policy.parts if isinstance(policy, s.Seq) else [policy]
         )
-        stages: list[FddNode | _LoopStage] = []
+        stages: list[Body | _LoopStage] = []
         pending: list[s.Policy] = []
 
         def flush() -> None:
             if not pending:
                 return
-            fdd = self._compiler.compile(s.seq(*pending))
-            if fdd is not self.manager.true_leaf:
-                stages.append(fdd)
+            body = self._compiler.per_role(s.seq(*pending))
+            if body is not self.manager.true_leaf:
+                stages.append(body)
             pending.clear()
 
         for part in parts:
@@ -748,21 +761,23 @@ class MatrixBackend:
                 pending.append(part)
                 continue
             guard_fdd = self._compiler.compile(part.guard)
-            body_fdd = self._compiler.compile(part.body)
-            body = part.body.parts if isinstance(part.body, s.Seq) else (part.body,)
-            start = len(pending) - len(body)
+            body = self._compiler.per_role(part.body)
+            hop = part.body.parts if isinstance(part.body, s.Seq) else (part.body,)
+            start = len(pending) - len(hop)
             do_while = start >= 0 and all(
-                mine is theirs for mine, theirs in zip(pending[start:], body)
+                mine is theirs for mine, theirs in zip(pending[start:], hop)
             )
             if do_while:
                 del pending[start:]
             flush()
-            domains = matrix_domains(body_fdd, extra_values=matrix_domains(guard_fdd))
+            domains = _mentioned(body)
+            for field, values in matrix_domains(guard_fdd).items():
+                domains.setdefault(field, set()).update(values)
             stages.append(
                 _LoopStage(
                     part,
                     guard_fdd,
-                    body_fdd,
+                    body,
                     {f: tuple(sorted(v)) for f, v in domains.items()},
                     do_while,
                     self.watch,
@@ -871,7 +886,7 @@ class MatrixBackend:
         stage of every cached or adopted plan (see
         :class:`~repro.core.markov.IncrementalAbsorptionSolver`);
         ``assembly_rows`` counts the classes written onto a loop stage's
-        chain (or into a full-domain matrix), each once however the seeds
+        chain, each once however the seeds
         arrived; ``loop_free_walks`` the class rows loop-free stages
         took from their diagrams, across :meth:`reset_solutions`;
         ``frontier_steps`` the BFS frontiers the loop stages' chains
@@ -943,7 +958,7 @@ class MatrixBackend:
         return self
 
     def clear_caches(self) -> None:
-        """Drop cached plans, matrices, and loop solutions.
+        """Drop cached plans and loop solutions.
 
         A shared backend accumulates one plan (plus loop caches) per
         distinct policy queried; long-lived sweeps over many models can
@@ -951,7 +966,6 @@ class MatrixBackend:
         stay interned in the manager.
         """
         self._plans.clear()
-        self._matrices.clear()
         self._plan_keys.clear()
         self._adopted.clear()
 

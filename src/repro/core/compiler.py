@@ -19,7 +19,6 @@ McNetKAT's pragmatic restrictions (§5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -28,13 +27,14 @@ from repro.core.distributions import Dist
 from repro.core.fdd import ops
 from repro.core.fdd.actions import Action, ActionOrDrop
 from repro.core.fdd.evaluator import dispatch_spine
+from repro.core.fdd.flat import Placeholder
 from repro.core.fdd.matrix import (
     SymbolicPacket,
     class_transition,
     enumerate_classes,
     matrix_to_fdd,
 )
-from repro.core.fdd.node import FddManager, FddNode, Leaf, leaf_of, mentioned_values
+from repro.core.fdd.node import FddManager, FddNode, Leaf, leaf_of, leaves, mentioned_values
 from repro.core.markov import solve_absorption, solve_absorption_exact
 from repro.core.packet import DROP, _DropType
 
@@ -43,21 +43,8 @@ class GuardedFragmentError(ValueError):
     """Raised when a program falls outside the guarded fragment (§3, §5)."""
 
 
-@dataclass(frozen=True)
-class _Placeholder:
-    """Stands for a constant in the leaf modifications of a role's template.
-
-    A private value type, not a reserved integer: it only ever sits where
-    an assignment's value would, compares equal to no integer a program
-    can test, and is gone from every diagram
-    :meth:`Compiler.runs_per_value` hands out.
-    """
-
-    index: int
-
-
 class _NoRole(Exception):
-    """The branch cannot be abstracted (see :func:`_role`)."""
+    """The branch cannot be abstracted (see :func:`_template`)."""
 
 
 def _samples(node: FddNode) -> bool:
@@ -105,20 +92,98 @@ def _role(
     """The role of one dispatch value: ``(key, constants)``, or ``None``.
 
     ``head`` is the value's run, ``head[mover]`` the branch of the
-    ``case`` that re-assigns the dispatch field.  The key is ``head``
-    with the constants that branch assigns to the ``located`` fields
-    replaced by placeholders, numbered by first occurrence, placeholder
-    zero being the value itself (``own``: a self-loop link assigns it);
-    ``constants[i]`` is what placeholder ``i`` stands for.  Two values
-    with equal keys run the same program up to that renaming.
+    ``case`` that re-assigns the dispatch field.  One flat pre-order walk
+    of the run's parts makes the key, a tuple of tokens: a diagram part is
+    its node, an AST part the kind of each of its nodes with their fields,
+    values, probabilities and arities, except that in ``head[mover]`` a
+    constant assigned to a ``located`` field is its placeholder index,
+    numbered by first occurrence, index zero being the value itself
+    (``own``: a self-loop link assigns it).  ``constants[i]`` is what
+    index ``i`` stands for.  Two values with equal keys run the same
+    program up to that renaming.  No AST is built and no dataclass hashed:
+    the key is flat, and its template (:func:`_template`) is built the
+    first time the key is seen.
 
-    ``None`` when the branch cannot stand for its role: a test of a
+    ``None`` when ``head[mover]`` holds a loop, star or union.  A key
+    whose template cannot stand for its role (:func:`_template` returns
+    ``None``) is the caller's to remember.
+    """
+    numbering = {own: 0}
+    tokens: list = []
+    append = tokens.append
+    for at, item in enumerate(head):
+        if isinstance(item, FddNode):
+            append(item)
+            continue
+        moving = at == mover
+        stack = [item]
+        pop, push = stack.pop, stack.append
+        # Per node, its kind and what tells it apart from a node of the
+        # same kind (an arity, a field and value, probabilities).
+        while stack:
+            node = pop()
+            kind = type(node)
+            if kind is s.Assign:
+                if moving and node.field in located:
+                    constant = (node.field, node.value)
+                    index = numbering.get(constant)
+                    if index is None:
+                        index = numbering[constant] = len(numbering)
+                    tokens += (Placeholder, node.field, index)
+                else:
+                    tokens += (s.Assign, node.field, node.value)
+            elif kind is s.Test:
+                tokens += (s.Test, node.field, node.value)
+            elif kind is s.Seq:
+                tokens += (s.Seq, len(node.parts))
+                stack.extend(node.parts[::-1])
+            elif kind is s.Choice:
+                # Integer ratios hash and compare in C; a Fraction does neither.
+                tokens += (s.Choice, len(node.branches))
+                tokens += [prob.as_integer_ratio() for _, prob in node.branches]
+                for branch, _prob in node.branches[::-1]:
+                    push(branch)
+            elif kind is s.IfThenElse:
+                append(s.IfThenElse)
+                push(node.otherwise)
+                push(node.then)
+                push(node.guard)
+            elif kind is s.Case:
+                tokens += (s.Case, len(node.branches))
+                push(node.default)
+                for guard, branch in node.branches[::-1]:
+                    push(branch)
+                    push(guard)
+            elif kind is s.And or kind is s.Or:
+                append(kind)
+                push(node.right)
+                push(node.left)
+            elif kind is s.Not:
+                append(s.Not)
+                push(node.pred)
+            elif kind is s.TrueP or kind is s.FalseP:
+                append(kind)
+            elif moving:
+                return None
+            else:
+                append(node)
+    return tuple(tokens), [constant for _field, constant in numbering]
+
+
+def _template(
+    branch: s.Policy, located: Sequence[str], own: tuple[str, int]
+) -> tuple[s.Policy, tuple[str, ...]] | None:
+    """A role's moving branch over placeholders, and the field of each placeholder.
+
+    ``branch`` with the constants it assigns to the ``located`` fields
+    replaced by :class:`Placeholder` s, numbered as :func:`_role` numbers
+    them.  ``None`` when the branch cannot stand for its role: a test of a
     located field follows an assignment to it on some path (the test
     would meet a placeholder), or the branch holds a loop, star or union.
     The caller has checked that nothing after the ``case`` tests a
     located field.
     """
-    numbering: dict[tuple[str, int], _Placeholder] = {own: _Placeholder(0)}
+    numbering: dict[tuple[str, int], Placeholder] = {own: Placeholder(0)}
 
     def check(pred: s.Predicate, assigned: frozenset[str]) -> None:
         if assigned and _tests_any((pred,), assigned):
@@ -135,7 +200,7 @@ def _role(
             constant = (node.field, node.value)
             placeholder = numbering.get(constant)
             if placeholder is None:
-                placeholder = numbering[constant] = _Placeholder(len(numbering))
+                placeholder = numbering[constant] = Placeholder(len(numbering))
             if node.field not in assigned:
                 assigned = assigned | {node.field}
             return s.Assign(node.field, placeholder), assigned
@@ -169,11 +234,10 @@ def _role(
         raise _NoRole
 
     try:
-        template, _ = abstract(head[mover], frozenset())
+        template, _ = abstract(branch, frozenset())
     except _NoRole:
         return None
-    key = (*head[:mover], template, *head[mover + 1:])
-    return key, [constant for _field, constant in numbering]
+    return template, tuple(name for name, _constant in numbering)
 
 
 def _renaming(constants: Sequence[int]):
@@ -181,11 +245,11 @@ def _renaming(constants: Sequence[int]):
 
     def concrete(action: ActionOrDrop) -> ActionOrDrop:
         if isinstance(action, _DropType) or not any(
-            type(value) is _Placeholder for _, value in action.mods
+            type(value) is Placeholder for _, value in action.mods
         ):
             return action
         return Action(
-            (name, constants[value.index] if type(value) is _Placeholder else value)
+            (name, constants[value.index] if type(value) is Placeholder else value)
             for name, value in action.mods
         )
 
@@ -268,6 +332,330 @@ def _cube_union(
     return level[()]
 
 
+class RolePlan:
+    """A spine-shaped sequence's diagram, kept per role (:meth:`Compiler.per_role`).
+
+    The diagram :meth:`Compiler.compile` gives the sequence tests the
+    dispatch ``field`` first, as one chain over ``values`` (ascending).
+    Value ``values[i]`` leads to ``pieces[role[i]]`` with its placeholders
+    renamed by row ``row[i]`` of ``constants[role[i]]``; every other value
+    leads to ``rest``.  A piece is a role's template, compiled once and
+    already reduced — placeholder ``j`` stands for a constant of field
+    ``slots[piece][j]`` — or the reduced run of a value without a role (no
+    placeholders).  :class:`~repro.core.fdd.flat.FlatDiagram`
+    flattens each piece once and gathers every value's constants into its
+    arrays, so no per-value diagram is ever built.  The whole diagram,
+    :attr:`fdd`, is the plain compile's node, built on first use (plan
+    keys, equivalence, exact stages) and kept.
+    """
+
+    def __init__(self, field: str, rest: FddNode, whole: Callable[[], FddNode]):
+        self.field = field
+        self.rest = rest
+        self.values: list[int] = []
+        self.role: list[int] = []
+        self.row: list[int] = []
+        self.pieces: list[FddNode] = []
+        self.slots: list[tuple[str, ...]] = []
+        self.constants: list[list[tuple[int, ...]]] = []
+        self._index: dict[tuple[int, tuple[str, ...]], int] = {}
+        self._whole: Callable[[], FddNode] | None = whole
+        self._fdd: FddNode | None = None
+        self._mentioned: dict[str, set[int]] | None = None
+
+    def add(self, value: int, piece: FddNode, slots: tuple[str, ...], constants: tuple) -> None:
+        """Lead ``value`` (above every value added so far) to ``piece``
+        renamed by ``constants``."""
+        index = self._index.setdefault((id(piece), slots), len(self.pieces))
+        if index == len(self.pieces):
+            self.pieces.append(piece)
+            self.slots.append(slots)
+            self.constants.append([])
+        self.values.append(value)
+        self.role.append(index)
+        self.row.append(len(self.constants[index]))
+        self.constants[index].append(constants)
+
+    @property
+    def fdd(self) -> FddNode:
+        """The whole diagram (renamed, joined and reduced on first use)."""
+        if self._fdd is None:
+            self._fdd = self._whole()
+            self._whole = None
+        return self._fdd
+
+    def mentioned_values(self) -> dict[str, set[int]]:
+        """Per field, the values :attr:`fdd` tests or writes, read off the
+        pieces once (a fresh copy each call)."""
+        if self._mentioned is None:
+            values = {name: set(found) for name, found in mentioned_values(self.rest).items()}
+            values.setdefault(self.field, set()).update(self.values)
+            for piece, table in zip(self.pieces, self.constants):
+                for name, found in mentioned_values(piece).items():
+                    into = values.setdefault(name, set())
+                    for value in found:
+                        if type(value) is Placeholder:
+                            into.update(entry[value.index] for entry in table)
+                        else:
+                            into.add(value)
+            self._mentioned = values
+        return {name: set(found) for name, found in self._mentioned.items()}
+
+
+class _Template:
+    """A role's run over placeholders: its node, and the field of each placeholder."""
+
+    __slots__ = ("node", "slots")
+
+    def __init__(self, node: FddNode, slots: tuple[str, ...]):
+        self.node = node
+        self.slots = slots
+
+
+#: A role key not looked up before.
+_UNSEEN = object()
+
+
+class _Runs:
+    """The runs of one spine-shaped sequence (:meth:`Compiler.runs_per_value`)."""
+
+    def __init__(self, compiler: Compiler, parts: Sequence[s.Policy], spine: tuple):
+        field, marked, stable, located = spine
+        compiler.manager.register_fields(located)
+        self.compiler = compiler
+        self.parts = parts
+        self.field = field
+        self.marked = marked
+        self.stable = stable
+        self.located = located
+        self.first = next(i for i, table in enumerate(marked) if table is not None)
+        whole = [
+            None if table is not None else compiler.compile_unreduced(part)
+            for part, table in zip(parts, marked)
+        ]
+        # Past ``stable`` the field may have been reassigned: those parts
+        # run whole, and their product is the same for every value.
+        self.suffix = [_fold(whole[stable:])] if stable < len(parts) else []
+        self.default = self.run([
+            fdd if fdd is not None else part.default
+            for part, fdd in zip(parts[:stable], whole)
+        ])
+        self.values = sorted({
+            value for table in marked if table is not None for value in table
+        })
+        self.whole_at = [
+            ops.cofactors(fdd, field, self.values) if fdd is not None else None
+            for fdd in whole[:stable]
+        ]
+        # Roles abstract the ``case`` that moves the packet, if there is
+        # one and nothing after it tests where the packet is.
+        self.mover = stable - 1
+        self.roles = marked[self.mover] is not None and not _tests_any(parts[stable:], located)
+        # Role key -> its template; ``None``: the key's values run plainly.
+        self.templates: dict[tuple, _Template | None] = {}
+
+    def run(self, head: Sequence[FddNode | s.Policy]) -> FddNode:
+        """One value's product: per part, its cofactor or its ``case`` branch."""
+        steps: list[FddNode] = []
+        for item in head[self.first:]:
+            if isinstance(item, FddNode):
+                steps.append(item)
+            else:
+                branch = item.parts if isinstance(item, s.Seq) else (item,)
+                steps.extend(map(self.compiler.compile_unreduced, branch))
+        return _fold([*head[:self.first], _fold(steps + self.suffix)])
+
+    def head(self, value: int) -> list[FddNode | s.Policy]:
+        """Value ``value``'s parts: a cofactor, or the branch its ``case`` takes."""
+        return [
+            cofactor[value] if cofactor is not None else table.get(value, part.default)
+            for part, table, cofactor in zip(self.parts[:self.stable], self.marked, self.whole_at)
+        ]
+
+    def role(self, value: int, head: list) -> tuple[_Template, list[int]] | None:
+        """The template ``value`` instantiates and its constants, or ``None``."""
+        if not self.roles:
+            return None
+        found = _role(head, self.mover, self.located, (self.field, value))
+        if found is None:
+            return None
+        key, constants = found
+        template = self.templates.get(key, _UNSEEN)
+        if template is _UNSEEN:
+            template = self.templates[key] = self._compile_template(head, value)
+        return None if template is None else (template, constants)
+
+    def _compile_template(self, head: list, value: int) -> _Template | None:
+        found = _template(head[self.mover], self.located, (self.field, value))
+        if found is None:
+            return None
+        branch, slots = found
+        node = self.run([*head[:self.mover], branch, *head[self.mover + 1:]])
+        self.compiler.manager.counters["compile_roles"] += 1
+        return _Template(node, slots)
+
+    def at(self, value: int) -> FddNode:
+        """The run of ``value``: its template renamed, or its own product."""
+        head = self.head(value)
+        role = self.role(value, head)
+        if role is None:
+            return self.run(head)
+        template, constants = role
+        self.compiler.manager.counters["role_instances"] += 1
+        return ops.map_leaves(template.node, _renaming(constants))
+
+    def per_role(self, whole: Callable[[], FddNode]) -> RolePlan | None:
+        """The runs as a :class:`RolePlan` whose ``fdd`` is ``whole()``, or ``None``.
+
+        The whole diagram is ``reduce`` of the join of :meth:`_compile_seq`.
+        When no run and not the default tests a field ranked at or above
+        the dispatch field, that is one chain on it: value ``v`` leads to
+        ``reduce`` of its run under ``field = v`` and every other value to
+        ``reduce`` of the default, ``rest``.  A value whose run is the
+        default (the join adds no test) or reduces to ``rest`` (the test
+        collapses) is not on the chain.  A value with a role leads to its
+        template renamed, which is its reduced run when ``reduce`` finds
+        nothing to drop in the template, no constant equals a value the
+        template or the default holds in the same field (the renaming then
+        keeps equal and unequal values apart), and no leaf the join would
+        intern for it is interned already, or renamed for another value,
+        with its actions in another order.  Any other value takes its own
+        run.  ``None`` when the chain is not the diagram's root, or when
+        two values' leaves disagree on the order of one set of actions.
+        """
+        field, manager, default = self.field, self.compiler.manager, self.default
+        rank = manager.field_rank(field)
+
+        def below(node: FddNode) -> bool:
+            """Whether ``node`` tests only fields ranked after ``field``."""
+            return type(node) is Leaf or manager.field_rank(node.field) > rank
+
+        if not below(default):
+            return None
+        rest = ops.reduce(default)
+        fixed = mentioned_values(default)
+        # Per template: None, or (on the chain, per placeholder the constants
+        # it may not take, its leaves of several actions that hold one).
+        facts: dict[int, tuple[bool, list[set], list[_Renaming]] | None] = {}
+
+        def facts_of(template: _Template) -> tuple[bool, list[set], list[_Renaming]] | None:
+            node = template.node
+            if not below(node) or ops.reduce(node, ((field, Placeholder(0)),)) is not node:
+                # A test of the field, or a write ``reduce`` drops: the leaf
+                # left may be one interned before, its actions in another order.
+                return None
+            held = mentioned_values(node)
+            forbidden = [
+                {value for value in held.get(name, ()) if type(value) is not Placeholder}
+                | fixed.get(name, set())
+                for name in template.slots
+            ]
+            bare = not any(
+                type(value) is Placeholder for found in held.values() for value in found
+            )
+            renamed = [
+                _Renaming(leaf) for leaf in leaves(node)
+                if len(leaf.dist) > 1 and any(
+                    type(value) is Placeholder
+                    for action in leaf.dist.support() if type(action) is Action
+                    for _, value in action.mods
+                )
+            ]
+            return not ((bare and node is default) or node is rest), forbidden, renamed
+
+        # Values that take their own run go first: the join meets their
+        # leaves interned.
+        owns: dict[int, FddNode] = {}
+        roles: list[tuple[int, list, _Template, list[int]]] = []
+
+        def own(value: int, head: list) -> bool:
+            """Put ``value``'s own reduced run on the chain; False if it is
+            not below the dispatch field."""
+            run = self.run(head)
+            if run is default:
+                return True
+            node = ops.reduce(ops.restrict_eq(run, field, value), ((field, value),))
+            if node is not rest:
+                owns[value] = node
+            return below(node)
+
+        for value in self.values:
+            head = self.head(value)
+            role = self.role(value, head)
+            if role is not None:
+                template, constants = role
+                fact = facts.get(id(template), _UNSEEN)
+                if fact is _UNSEEN:
+                    fact = facts[id(template)] = facts_of(template)
+                if fact is not None and not any(
+                    constant in forbidden for constant, forbidden in zip(constants, fact[1])
+                ):
+                    if fact[0]:
+                        roles.append((value, head, template, constants))
+                    continue
+            if not own(value, head):
+                return None
+        orders: dict[frozenset, list] = {}
+        instances: dict[int, tuple[_Template, tuple[int, ...]]] = {}
+        for value, head, template, constants in roles:
+            for renaming in facts[id(template)][2]:
+                actions = renaming.of(constants)
+                key = frozenset(zip(actions, renaming.ratios))
+                interned = manager.interned(key)
+                if interned is not None:
+                    if [action for action, _ in interned.dist.items()] != actions:
+                        break  # the join would find this leaf: take the run
+                    continue
+                if orders.setdefault(key, actions) != actions:
+                    return None
+            else:
+                instances[value] = (template, tuple(constants))
+                continue
+            if not own(value, head):
+                return None
+
+        plan = RolePlan(field, rest, whole)
+        for value in self.values:
+            if value in owns:
+                plan.add(value, owns[value], (), ())
+            elif value in instances:
+                template, constants = instances[value]
+                plan.add(value, template.node, template.slots, constants)
+        return plan
+
+
+class _Renaming:
+    """A template leaf of several actions, renamed per value without a
+    ``Dist``: per action, its writes and where its placeholders sit in them;
+    ``ratios`` are its masses as the manager keys them."""
+
+    __slots__ = ("actions", "ratios")
+
+    def __init__(self, leaf: Leaf):
+        self.actions = []
+        for action, _mass in leaf.dist.items():
+            mods = list(action.mods) if type(action) is Action else []
+            slots = [
+                (at, name, value.index)
+                for at, (name, value) in enumerate(mods) if type(value) is Placeholder
+            ]
+            self.actions.append((action, mods, slots))
+        self.ratios = [mass.as_integer_ratio() for _action, mass in leaf.dist.items()]
+
+    def of(self, constants: Sequence[int]) -> list[ActionOrDrop]:
+        """The leaf's actions with ``constants`` put back, in its order."""
+        renamed = []
+        for action, mods, slots in self.actions:
+            if slots:
+                mods = mods.copy()
+                for at, name, index in slots:
+                    mods[at] = (name, constants[index])
+                action = object.__new__(Action)
+                object.__setattr__(action, "mods", tuple(mods))
+            renamed.append(action)
+        return renamed
+
+
 class Compiler:
     """Compiles guarded ProbNetKAT programs to probabilistic FDDs.
 
@@ -323,7 +711,11 @@ class Compiler:
         compiled per switch role and renamed for every switch of it)
         decides the work, never the node: sequential composition is
         associative on diagrams, and a role's renamed template is the
-        interned node the switch's own parts compile to.
+        interned node the switch's own parts compile to.  This is the whole
+        program's node, joined and reduced switch by switch; a query plan
+        asks :meth:`per_role` instead, which keeps a network's hop as one
+        template per role and a row of constants per switch, and builds
+        this node only when something asks for it.
         """
         return ops.reduce(self.compile_unreduced(policy))
 
@@ -442,7 +834,12 @@ class Compiler:
         spine = dispatch_spine(parts)
         if spine is None:
             return _fold([self.compile_unreduced(part) for part in parts])
-        field, values, at, default = self.runs_per_value(parts, spine)
+        return self._join(*self.runs_per_value(parts, spine))
+
+    def _join(
+        self, field: str, values: list[int], at: Callable[[int], FddNode], default: FddNode
+    ) -> FddNode:
+        """Every value's run, joined over the default run: one ``ite`` each."""
         default_at = ops.cofactors(default, field, values)
         result = default
         for value in reversed(values):
@@ -466,6 +863,7 @@ class Compiler:
         for the values its packets visit.  This is the one definition of
         a switch's run; ``values`` are the dispatch values some ``case``
         names, sorted, and every other value runs ``default``.
+        :meth:`per_role` reads the same runs without building one per value.
 
         Association order.  A run is ``lead ; (steps ; suffix)``: the
         value-independent ``suffix`` (flag resets, hop counter) is
@@ -486,17 +884,17 @@ class Compiler:
         One diagram per role.  Switches of one role (a fat-tree has
         seven, whatever its size) run the same program up to the
         constants their link program assigns.  A value's run is keyed by
-        its :func:`_role` — the cofactor nodes of its non-``case`` parts,
-        the branch ASTs of its ``case`` parts, and, in the branch of the
-        ``case`` that re-assigns the dispatch field, the constants
-        assigned to the located fields replaced by placeholders — and
-        compiled once per key, by the same ``run`` that serves a value
-        without a role; every value of the role is that template with the
-        placeholders renamed back by one :func:`~repro.core.fdd.ops.map_leaves`.
+        its :func:`_role` — a flat tuple of tokens read off its parts, the
+        constants the ``case`` that re-assigns the dispatch field assigns
+        to the located fields standing as placeholder indices — and the
+        key's template (:func:`_template`) is compiled once, by the same
+        ``run`` that serves a value without a role; a value asked for here
+        is that template with the placeholders renamed back by one
+        :func:`~repro.core.fdd.ops.map_leaves`.
         The renamed template *is* the node a compile of the value's own
         parts interns: no FDD operation looks at a value a leaf assigns
         except to restrict what follows by it, the role's precondition
-        (read off the program, see :func:`_role`) is that nothing that
+        (read off the program, see :func:`_template`) is that nothing that
         follows tests a located field, and the renaming is injective per
         field, so actions are equal after it exactly when they were
         before.
@@ -511,63 +909,37 @@ class Compiler:
         value (:func:`~repro.core.fdd.ops.cofactors`): each node of an
         n-value chain is visited once, not once per value.
         """
-        field, marked, stable, located = spine
-        manager = self.manager
-        manager.register_fields(located)
-        first = next(i for i, table in enumerate(marked) if table is not None)
-        whole = [
-            None if table is not None else self.compile_unreduced(part)
-            for part, table in zip(parts, marked)
-        ]
-        # Past ``stable`` the field may have been reassigned: those parts
-        # run whole, and their product is the same for every value.
-        suffix = [_fold(whole[stable:])] if stable < len(parts) else []
+        runs = _Runs(self, parts, spine)
+        return runs.field, runs.values, runs.at, runs.default
 
-        def run(head: Sequence[FddNode | s.Policy]) -> FddNode:
-            """One value's product: per part, its cofactor or its ``case`` branch."""
-            steps: list[FddNode] = []
-            for item in head[first:]:
-                if isinstance(item, FddNode):
-                    steps.append(item)
-                else:
-                    branch = item.parts if isinstance(item, s.Seq) else (item,)
-                    steps.extend(map(self.compile_unreduced, branch))
-            return _fold([*head[:first], _fold(steps + suffix)])
+    def per_role(self, policy: s.Policy) -> FddNode | RolePlan:
+        """``policy``'s diagram as a :class:`RolePlan` where it is spine-shaped.
 
-        default = run([
-            fdd if fdd is not None else part.default
-            for part, fdd in zip(parts[:stable], whole)
-        ])
-        values = sorted({
-            value for table in marked if table is not None for value in table
-        })
-        whole_at = [
-            ops.cofactors(fdd, field, values) if fdd is not None else None
-            for fdd in whole[:stable]
-        ]
-        # Roles abstract the ``case`` that moves the packet, if there is
-        # one and nothing after it tests where the packet is.
-        mover = stable - 1
-        roles = marked[mover] is not None and not _tests_any(parts[stable:], located)
-        templates: dict[tuple, FddNode] = {}
+        The plan holds each role's template compiled and reduced once, a
+        ``value → role`` index and each value's constants as one row of a
+        table: no per-value diagram is renamed, joined or reduced.  Its
+        ``fdd`` is :meth:`compile`'s node, built when first asked for.  A
+        sequence whose diagram would test another field above the dispatch
+        field, or whose every value runs the default, and any other
+        program, come back as :meth:`compile`'s node.
+        """
+        if isinstance(policy, s.Seq):
+            spine = dispatch_spine(policy.parts)
+            if spine is not None:
+                runs = _Runs(self, policy.parts, spine)
+                plan = runs.per_role(lambda: self._whole(policy, runs))
+                if plan is not None:
+                    return plan if plan.values else plan.rest
+        return self.compile(policy)
 
-        def at(value: int) -> FddNode:
-            head = [
-                cofactor[value] if cofactor is not None else table.get(value, part.default)
-                for part, table, cofactor in zip(parts[:stable], marked, whole_at)
-            ]
-            role = _role(head, mover, located, (field, value)) if roles else None
-            if role is None:
-                return run(head)
-            key, constants = role
-            template = templates.get(key)
-            if template is None:
-                template = templates[key] = run(key)
-                manager.counters["compile_roles"] += 1
-            manager.counters["role_instances"] += 1
-            return ops.map_leaves(template, _renaming(constants))
-
-        return field, values, at, default
+    def _whole(self, policy: s.Seq, runs: _Runs) -> FddNode:
+        """:meth:`compile` of a spine-shaped ``policy``, joining ``runs``
+        (whose templates are compiled already)."""
+        cached = self._raw_cache.get(id(policy))
+        if cached is None or cached[0] is not policy:
+            joined = self._join(runs.field, runs.values, runs.at, runs.default)
+            cached = self._raw_cache[id(policy)] = (policy, joined)
+        return ops.reduce(cached[1])
 
     # -- loops --------------------------------------------------------------------
     def _compile_while(self, loop: s.WhileDo) -> FddNode:

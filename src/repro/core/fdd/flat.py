@@ -219,6 +219,31 @@ class ClassLayout:
         return self._packed(np.full((1, self.words), -1, dtype=np.int64))[0]
 
 
+class Placeholder:
+    """Stands for a constant in the leaf writes of a role's template.
+
+    A value type of its own, not a reserved integer: it only ever sits
+    where an assignment's value would, compares equal to no integer a
+    program can test (only to a placeholder of the same index), and is gone
+    from every diagram a compile hands out.  :meth:`FlatDiagram.of_roles`
+    gathers each switch's constant where one is written.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Placeholder and other.index == self.index
+
+    def __hash__(self) -> int:
+        return hash((Placeholder, self.index))
+
+    def __repr__(self) -> str:
+        return f"Placeholder({self.index})"
+
+
 class FlatDiagram:
     """A diagram over one :class:`ClassLayout`, as arrays (module docstring).
 
@@ -227,6 +252,7 @@ class FlatDiagram:
     child for ``code`` in field ``field[c]``; a chain on a field outside
     the layout is skipped (every class takes its fall-through).  A
     diagram that writes a value the layout has no code for is refused.
+    :meth:`of_roles` builds the same walk from a per-role plan.
     """
 
     __slots__ = (
@@ -235,82 +261,94 @@ class FlatDiagram:
     )
 
     def __init__(self, node: FddNode, layout: ClassLayout):
+        flat = _flatten([(node, ())], layout)
+        self._adopt(layout, int(flat.root[0]), flat.leaves, flat.field, flat.offset, flat.jump)
+        self._leaf_arrays(flat.count, flat.prob, flat.drop, flat.mask, flat.written, flat.collide)
+
+    def _adopt(self, layout, root, leaves, field, offset, jump) -> None:
+        self.layout = layout
+        self.root = root
+        self.leaves = leaves
+        self._field, self._offset, self._jump = field, offset, jump
+        self._truth: np.ndarray | None = None
+
+    def _leaf_arrays(self, count, prob, drop, mask, written, collide) -> None:
+        self._count, self._prob, self._drop = count, prob, drop
+        self._mask, self._written, self._collide = mask, written, collide
+        self._first = count.cumsum() - count
+
+    @classmethod
+    def of_roles(cls, plan, layout: ClassLayout) -> FlatDiagram:
+        """The flat form of a :class:`~repro.core.compiler.RolePlan`'s diagram.
+
+        ``rest`` and every piece are flattened once.  Each value gets a
+        copy of its piece: the piece's chains, leaves and actions with its
+        chain and leaf numbers moved past the copies before it and its row
+        of constants gathered into the codes its placeholders write — for
+        all values at once, by array gathers.  The root is one chain on
+        the dispatch field: each of the plan's values leads to its copy's
+        root, every other code to ``rest``'s.  Walks and steps are those
+        of the flattened whole diagram, ``plan.fdd``, which is not built;
+        where that diagram shares a sub-diagram between values, each value
+        has a copy.  ``leaves`` lists, per leaf, the piece's leaf it was
+        copied from.
+        """
         import numpy as np
 
-        self.layout = layout
-        position = layout.position
-        ids: dict[int, int] = {}
-        chains: list[Branch] = []
-        leaves: list[Leaf] = []
+        at = layout.position.get(plan.field)
+        if at is None:  # the chain on the dispatch field is skipped
+            return cls(plan.rest, layout)
+        flat = _flatten([(plan.rest, ()), *zip(plan.pieces, plan.slots)], layout)
+        # One copy of rest, then one per value, piece after piece.
+        copies = np.array([1, *map(len, plan.constants)], dtype=np.int64)
+        block = np.repeat(np.arange(len(copies)), copies)
+        width = 1 + len(layout.values[at])
+        chains, jumps, leaves, actions, placed = (
+            np.diff(bounds)[block]
+            for bounds in (flat.chains, flat.jumps, flat.leaf_bounds, flat.actions, flat.placings)
+        )
+        chain_base = 1 + _starts(chains)
+        jump_base = width + _starts(jumps)
+        leaf_base = _starts(leaves)
+        action_base = _starts(actions)
 
-        def ident(current: FddNode) -> int:
-            while type(current) is Branch and current.field not in position:
-                current = chain_table(current)[1]
-            got = ids.get(current.uid)
-            if got is None:
-                if type(current) is Branch:
-                    got = len(chains)
-                    chains.append(current)
-                else:
-                    got = -1 - len(leaves)
-                    leaves.append(current)
-                ids[current.uid] = got
-            return got
+        def moved(ids: np.ndarray, copy: np.ndarray) -> np.ndarray:
+            return np.where(ids >= 0, ids + chain_base[copy], ids - leaf_base[copy])
 
-        self.root = ident(node)
-        field, offset, jump = [], [], []
-        cursor = 0
-        while cursor < len(chains):  # ident() appends what it discovers
-            chain = chains[cursor]
-            cursor += 1
-            at = position[chain.field]
-            table, rest = chain_table(chain)
-            default = ident(rest)
-            field.append(at)
-            offset.append(len(jump))
-            jump.append(default)
-            for value in layout.values[at]:
-                child = table.get(value)
-                jump.append(default if child is None else ident(child))
-        self.leaves = leaves
-        self._field = np.array(field, dtype=np.int64)
-        self._offset = np.array(offset, dtype=np.int64)
-        self._jump = np.array(jump, dtype=np.int64)
-
-        actions = [pair for leaf in leaves for pair in leaf.dist.items()]
-        count = [len(leaf.dist) for leaf in leaves]
-        self._count = np.array(count, dtype=np.int64)
-        self._first = np.cumsum(self._count) - self._count
-        self._prob = np.array([float(prob) for _, prob in actions], dtype=np.float64)
-        self._drop = np.array([action is DROP for action, _ in actions], dtype=bool)
-        mods = [() if action is DROP else action.mods for action, _ in actions]
-        self._mask = np.zeros((len(actions), len(layout.fields)), dtype=bool)
-        self._written = np.zeros((len(actions), len(layout.fields)), dtype=layout.dtype)
-        coded = layout._coded
-        # In blocks of actions: one int per written field would be the
-        # largest array of a flattening.
-        for start in range(0, len(mods), _ACTIONS_PER_BLOCK):
-            block = mods[start : start + _ACTIONS_PER_BLOCK]
-            lengths = [len(writes) for writes in block]
-            try:
-                hits = np.fromiter(
-                    map(coded.__getitem__, itertools.chain.from_iterable(block)),
-                    dtype=np.int64,
-                    count=sum(lengths),
-                )
-            except KeyError as error:
-                name, value = error.args[0]
-                raise ValueError(
-                    f"the diagram writes {name}={value}, outside the class layout"
-                ) from None
-            owner = np.repeat(np.arange(start, start + len(block)), lengths)
-            self._mask[owner, hits >> 32] = True
-            self._written[owner, hits >> 32] = hits & 0xFFFFFFFF
-        self._collide = np.zeros(len(leaves), dtype=bool)
-        for leaf in np.flatnonzero(_mixed_writes(self._mask, self._drop, self._count)).tolist():
-            first = int(self._first[leaf])
-            self._collide[leaf] = _may_collide(mods[first : first + count[leaf]])
-        self._truth: np.ndarray | None = None
+        at_chain, of_chain = _ragged(flat.chains[:-1][block], chains)
+        at_jump, of_jump = _ragged(flat.jumps[:-1][block], jumps)
+        at_leaf, _ = _ragged(flat.leaf_bounds[:-1][block], leaves)
+        at_action, _ = _ragged(flat.actions[:-1][block], actions)
+        roots = moved(flat.root[block], np.arange(len(block)))
+        root_jump = np.full(width, roots[0], dtype=np.int64)
+        if plan.values:
+            first_copy = _starts(copies)
+            copy = first_copy[np.array(plan.role, dtype=np.int64) + 1] + np.array(plan.row)
+            root_jump[np.searchsorted(layout.values[at], plan.values) + 1] = roots[copy]
+        written = flat.written[at_action]
+        if len(flat.placed):
+            at_placed, of_placed = _ragged(flat.placings[:-1][block], placed)
+            action, field, index = flat.placed[at_placed].T
+            constants = _table(plan.constants)[of_placed - 1, index]
+            written[action_base[of_placed] + action, field] = _codes(layout, field, constants)
+        result = cls.__new__(cls)
+        result._adopt(
+            layout,
+            0,
+            [leaf for piece, count in zip(flat.pieces, copies.tolist()) for leaf in piece * count],
+            np.concatenate([[at], flat.field[at_chain]]),
+            np.concatenate([[0], flat.offset[at_chain] + jump_base[of_chain]]),
+            np.concatenate([root_jump, moved(flat.jump[at_jump], of_jump)]),
+        )
+        result._leaf_arrays(
+            flat.count[at_leaf],
+            flat.prob[at_action],
+            flat.drop[at_action],
+            flat.mask[at_action],
+            written,
+            flat.collide[at_leaf],
+        )
+        return result
 
     def leaves_of(self, codes: np.ndarray) -> np.ndarray:
         """The leaf each row of ``codes`` reaches: one chain level per step."""
@@ -390,6 +428,178 @@ class FlatDiagram:
             ClassRow(tuple(outcomes[start:stop]), tuple(probs[start:stop]))
             for start, stop in zip(bounds, bounds[1:])
         ]
+
+
+class _Flat:
+    """Several diagrams' arrays over one layout (:func:`_flatten`), each
+    diagram's chains, leaves and actions numbered from 0 and stored one
+    diagram after the other: diagram ``d``'s are rows ``bounds[d]`` to
+    ``bounds[d + 1]`` of their arrays (``chains``, ``jumps``,
+    ``leaf_bounds``, ``actions``, ``placings``), and ``root[d]`` is its
+    root.  ``placed`` lists ``(action, field position, placeholder
+    index)`` per placeholder write, whose code in ``written`` is 0."""
+
+    __slots__ = (
+        "root", "leaves", "pieces", "field", "offset", "jump", "count", "prob", "drop",
+        "mask", "written", "collide", "placed",
+        "chains", "jumps", "leaf_bounds", "actions", "placings",
+    )
+
+
+def _flatten(nodes: Sequence[tuple[FddNode, Sequence[str]]], layout: ClassLayout) -> _Flat:
+    """Each ``(node, slots)`` of ``nodes`` as arrays over ``layout``; ``slots``
+    names the field of each placeholder the node's leaves may write."""
+    import numpy as np
+
+    flat = _Flat()
+    position = layout.position
+    roots, leaves, pieces, field, offset, jump = [], [], [], [], [], []
+    bounds: tuple[list[int], ...] = ([0], [0], [0], [0], [0])
+    placed: list[tuple[int, int, int]] = []
+    mods: list[tuple] = []
+    for node, slots in nodes:
+        ids: dict[int, int] = {}
+        chains: list[Branch] = []
+        mine: list[Leaf] = []
+
+        def ident(current: FddNode) -> int:
+            while type(current) is Branch and current.field not in position:
+                current = chain_table(current)[1]
+            got = ids.get(current.uid)
+            if got is None:
+                if type(current) is Branch:
+                    got = len(chains)
+                    chains.append(current)
+                else:
+                    got = -1 - len(mine)
+                    mine.append(current)
+                ids[current.uid] = got
+            return got
+
+        roots.append(ident(node))
+        cursor, jumped = 0, len(jump)
+        while cursor < len(chains):  # ident() appends what it discovers
+            chain = chains[cursor]
+            cursor += 1
+            at = position[chain.field]
+            table, rest = chain_table(chain)
+            default = ident(rest)
+            field.append(at)
+            offset.append(len(jump) - jumped)
+            jump.append(default)
+            for value in layout.values[at]:
+                child = table.get(value)
+                jump.append(default if child is None else ident(child))
+        for leaf in mine:
+            for action, _ in leaf.dist.items():
+                writes = () if action is DROP else action.mods
+                if slots and any(type(value) is Placeholder for _, value in writes):
+                    for name, value in writes:
+                        if type(value) is Placeholder:
+                            if name not in position:
+                                raise ValueError(
+                                    f"the diagram writes {name}, outside the class layout"
+                                )
+                            placed.append((len(mods) - bounds[3][-1], position[name], value.index))
+                mods.append(writes)
+        leaves.extend(mine)
+        pieces.append(mine)
+        for into, size in zip(bounds, (len(field), len(jump), len(leaves), len(mods), len(placed))):
+            into.append(size)
+    flat.root = np.array(roots, dtype=np.int64)
+    flat.leaves, flat.pieces = leaves, pieces
+    flat.field = np.array(field, dtype=np.int64)
+    flat.offset = np.array(offset, dtype=np.int64)
+    flat.jump = np.array(jump, dtype=np.int64)
+    flat.chains, flat.jumps, flat.leaf_bounds, flat.actions, flat.placings = (
+        np.array(sizes, dtype=np.int64) for sizes in bounds
+    )
+    flat.placed = np.array(placed, dtype=np.int64).reshape(len(placed), 3)
+
+    actions = [pair for leaf in leaves for pair in leaf.dist.items()]
+    count = [len(leaf.dist) for leaf in leaves]
+    flat.count = np.array(count, dtype=np.int64)
+    flat.prob = np.array([float(prob) for _, prob in actions], dtype=np.float64)
+    flat.drop = np.array([action is DROP for action, _ in actions], dtype=bool)
+    flat.mask = np.zeros((len(mods), len(layout.fields)), dtype=bool)
+    flat.written = np.zeros((len(mods), len(layout.fields)), dtype=layout.dtype)
+    flat.mask[flat.actions[np.repeat(np.arange(len(nodes)), np.diff(flat.placings))]
+              + flat.placed[:, 0], flat.placed[:, 1]] = True
+    coded = layout._coded
+    # In blocks of actions: one int per written field would be the
+    # largest array of a flattening.
+    for start in range(0, len(mods), _ACTIONS_PER_BLOCK):
+        block = [
+            [pair for pair in writes if type(pair[1]) is not Placeholder]
+            for writes in mods[start : start + _ACTIONS_PER_BLOCK]
+        ] if len(placed) else mods[start : start + _ACTIONS_PER_BLOCK]
+        lengths = [len(writes) for writes in block]
+        try:
+            hits = np.fromiter(
+                map(coded.__getitem__, itertools.chain.from_iterable(block)),
+                dtype=np.int64,
+                count=sum(lengths),
+            )
+        except KeyError as error:
+            name, value = error.args[0]
+            raise ValueError(
+                f"the diagram writes {name}={value}, outside the class layout"
+            ) from None
+        owner = np.repeat(np.arange(start, start + len(block)), lengths)
+        flat.mask[owner, hits >> 32] = True
+        flat.written[owner, hits >> 32] = hits & 0xFFFFFFFF
+    flat.collide = np.zeros(len(leaves), dtype=bool)
+    first = flat.count.cumsum() - flat.count
+    for leaf in np.flatnonzero(_mixed_writes(flat.mask, flat.drop, flat.count)).tolist():
+        start = int(first[leaf])
+        flat.collide[leaf] = _may_collide(mods[start : start + count[leaf]])
+    return flat
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``lengths`` starts."""
+    return lengths.cumsum() - lengths
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs ``starts[i]``, ``starts[i] + 1``, … of ``lengths[i]`` each, one
+    after the other, and the run each entry belongs to."""
+    import numpy as np
+
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return np.arange(len(run)) + (starts - _starts(lengths))[run], run
+
+
+def _table(rows: Sequence[Sequence[tuple[int, ...]]]) -> np.ndarray:
+    """Every piece's constants rows, one after the other, as one int table
+    (rows shorter than the longest padded with 0)."""
+    import numpy as np
+
+    width = max((len(row) for table in rows for row in table[:1]), default=0)
+    table = np.zeros((sum(map(len, rows)), width), dtype=np.int64)
+    at = 0
+    for mine in rows:
+        if mine and mine[0]:
+            table[at : at + len(mine), : len(mine[0])] = mine
+        at += len(mine)
+    return table
+
+
+def _codes(layout: ClassLayout, field: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The code of each ``values[i]`` in field ``field[i]`` of ``layout``."""
+    import numpy as np
+
+    codes = np.zeros(len(values), dtype=np.int64)
+    for at in np.unique(field).tolist():
+        domain = np.array(layout.values[at], dtype=np.int64)
+        mine = field == at
+        found = np.minimum(np.searchsorted(domain, values[mine]), max(len(domain) - 1, 0))
+        if not len(domain) or (domain[found] != values[mine]).any():
+            raise ValueError(
+                f"the diagram writes {layout.fields[at]} values outside the class layout"
+            )
+        codes[mine] = found + 1
+    return codes
 
 
 def _mixed_writes(mask: np.ndarray, drop: np.ndarray, count: np.ndarray) -> np.ndarray:

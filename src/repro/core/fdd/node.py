@@ -163,6 +163,11 @@ class FddManager:
             self._leaves[key] = node
         return node
 
+    def interned(self, key: frozenset) -> Leaf | None:
+        """The leaf interned under ``key`` — its ``(action, mass ratio)``
+        pairs, in whatever order it lists them — or ``None``."""
+        return self._leaves.get(key)
+
     def branch(self, field: str, value: int, hi: FddNode, lo: FddNode) -> FddNode:
         """Intern a branch, collapsing it when both children coincide."""
         if hi is lo:
@@ -205,9 +210,12 @@ class FddManager:
         exact work counts: ``leaf_actions_composed`` (actions of the
         leaves that :func:`~repro.core.fdd.ops.sequence` composed onto a
         diagram: what a product of samplers costs, which no memo table
-        counts), ``compile_roles`` (per-value runs compiled) and
-        ``role_instances`` (per-value diagrams obtained from one by
-        renaming), see :meth:`~repro.core.compiler.Compiler._compile_seq`."""
+        counts), ``compile_roles`` (role templates compiled, one per switch
+        role) and ``role_instances`` (per-switch diagrams built by renaming
+        a template: the interpreter's switches as it visits them, and a
+        whole program's join when its node is asked for; a query plan kept
+        per role renames none), see
+        :meth:`~repro.core.compiler.Compiler.runs_per_value`."""
         return {
             "nodes": self.node_count(),
             # A snapshot first: a serving thread may add a table meanwhile.

@@ -494,7 +494,7 @@ def _sequence_leaf(
     ])
 
 
-def reduce(node: FddNode) -> FddNode:
+def reduce(node: FddNode, eqs: _Eqs = ()) -> FddNode:
     """Normalise an FDD by dropping modifications implied by path tests.
 
     Along the true-branch of a test ``f = v`` the input packet is known to
@@ -503,14 +503,17 @@ def reduce(node: FddNode) -> FddNode:
     diagrams (e.g. those of ``f=1 ; f<-1`` and ``f=1``) to the same
     canonical node, which is what makes FDD equality a sound *and*
     complete equivalence check for the programs the compiler produces.
+    ``eqs`` are the tests known to hold above ``node`` (none at a root).
     """
     manager = node.manager
     cache = manager.op_cache("reduce")
-    root_key = (node.uid, ())
+    root_key = (node.uid, eqs)
     cached = cache.get(root_key)
     if cached is not None:
         return cached
-    stack: list[tuple[FddNode, _Eqs]] = [(node, ())]
+    stack: list[tuple[FddNode, _Eqs]] = [(node, eqs)]
+    # Per leaf, the (field, value) pairs its actions write.
+    writes: dict[int, set[tuple[str, int]]] = {}
     while stack:
         current, eqs = stack[-1]
         key = (current.uid, eqs)
@@ -518,7 +521,18 @@ def reduce(node: FddNode) -> FddNode:
             stack.pop()
             continue
         if isinstance(current, Leaf):
-            cache[key] = manager.leaf(current.dist.map(_simplifier(dict(eqs))))
+            written = writes.get(current.uid)
+            if written is None:
+                written = writes[current.uid] = {
+                    pair for action in current.dist.support() if not isinstance(action, _DropType)
+                    for pair in action.mods
+                }
+            # A leaf that writes none of the known pairs is its own reduction.
+            cache[key] = (
+                manager.leaf(current.dist.map(_simplifier(dict(eqs))))
+                if not written.isdisjoint(eqs)
+                else current
+            )
             stack.pop()
             continue
         assert isinstance(current, Branch)

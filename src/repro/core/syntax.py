@@ -183,15 +183,30 @@ class Policy:
         loop_free = True
         assigned: dict[str, None] = {}
         stack: list[Policy] = [self]
+        pop, push = stack.pop, stack.append
+        # Dispatching on ``type(node)`` for the common kinds, as ``_scan``
+        # does: a FatTree link program is tens of thousands of nodes.
         while stack:
-            node = stack.pop()
-            if isinstance(node, Predicate):
-                continue
-            if isinstance(node, Assign):
+            node = pop()
+            kind = type(node)
+            if kind is Assign:
                 assigned[node.field] = None
-            elif isinstance(node, (WhileDo, Star, Union)):
-                loop_free = False
-            stack.extend(reversed(node.children()))
+            elif kind is Seq:
+                stack.extend(node.parts[::-1])
+            elif kind is Case:
+                push(node.default)
+                for _guard, branch in node.branches[::-1]:
+                    push(branch)
+            elif kind is Choice:
+                for branch, _prob in node.branches[::-1]:
+                    push(branch)
+            elif kind is IfThenElse:
+                push(node.otherwise)
+                push(node.then)
+            elif not isinstance(node, Predicate):
+                if isinstance(node, (WhileDo, Star, Union)):
+                    loop_free = False
+                stack.extend(reversed(node.children()))
         shape = (loop_free, tuple(assigned))
         object.__setattr__(self, "_shape", shape)
         return shape

@@ -520,8 +520,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{solver.get('assembly_rows', 0)} row(s) assembled, "
                 f"{solver.get('fdd_nodes', 0)} FDD node(s); compile: "
                 f"{solver.get('leaf_actions_composed', 0)} leaf action(s) composed, "
-                f"{solver.get('compile_roles', 0)} role(s), "
-                f"{solver.get('role_instances', 0)} instance(s)"
+                f"{solver.get('compile_roles', 0)} role template(s), "
+                f"{solver.get('role_instances', 0)} switch diagram(s) renamed from one"
             )
 
         if args.output:

@@ -353,7 +353,11 @@ def restriction_step_visits(monkeypatch, k: int) -> tuple[int, int]:
 
     monkeypatch.setattr(ops, "cofactors", counting)
     backend = MatrixBackend()
-    backend.plan(fattree_model(k, False).policy)
+    policy = fattree_model(k, False).policy
+    backend.plan(policy)
+    # The plan is per role; the join, and its restriction step, runs when
+    # the whole diagram is asked for (here by the plan key).
+    backend.plan_key(policy)
     return visits, values_seen
 
 

@@ -24,10 +24,13 @@ from repro.core import compiler as compiler_module
 from repro.core import equivalence
 from repro.core import sugar
 from repro.core import syntax as s
-from repro.core.compiler import Compiler
+from repro.core.compiler import Compiler, RolePlan
+from repro.core.distributions import Dist
 from repro.core.fdd import ops
 from repro.core.fdd.evaluator import dispatch_spine
-from repro.core.fdd.node import FddManager, output_distribution
+from repro.core.fdd.flat import ClassLayout, FlatDiagram
+from repro.core.fdd.matrix import matrix_domains
+from repro.core.fdd.node import FddManager, node_size, output_distribution
 from repro.core.interpreter import Interpreter, eval_predicate
 from repro.core.packet import DROP, Packet
 from repro.failure.models import independent_failure_program
@@ -639,8 +642,10 @@ def test_the_count_repeats_and_separates_the_two_strategies(whole_program_compil
 
     # A count, not a timing: it repeats exactly.  237 while the plan
     # compiled the first hop a second time and the ingress predicate by
-    # one ``disjoin`` (``ite``) per host port.
-    assert count() == count() == 148
+    # one ``disjoin`` (``ite``) per host port; 148 while the plan joined
+    # the per-switch runs with one ``ite`` each (the plan is per role now,
+    # and the join waits for the whole diagram to be asked for).
+    assert count() == count() == 92
     whole_program_compile()
     assert count() == 2_277  # no spine: every product is whole, and no field is ranked first
 
@@ -660,8 +665,10 @@ def test_the_compile_counters_repeat_and_reach_solver_stats(one_run_per_switch):
 
     # Seven roles at every k, the loop body's: the first hop is the loop
     # stage's do-while, not a second per-switch compile (that was 14 roles).
-    assert count(4) == count(4) == (47, 7, 20)
-    assert count(6) == (64, 7, 45)
+    # No switch's diagram is renamed from its role's: the plan stays per
+    # role (20 and 45 renamed while the plan joined one diagram per switch).
+    assert count(4) == count(4) == (47, 7, 0)
+    assert count(6) == (64, 7, 0)
     with one_run_per_switch():
         assert count(6) == (1_432, 0, 0)  # a 2^k-action leaf per core switch
 
@@ -869,6 +876,124 @@ def test_refinement_verdicts_run_each_program_once_per_input(monkeypatch, relati
     assert equivalence.compare(weaker, weaker, inputs) == "≡"
     other = s.seq(s.test("sw", 2), s.assign("pt", 2))
     assert equivalence.compare(stronger, other, inputs) == "incomparable"
+
+
+# ---------------------------------------------------------------------------
+# (6) the plan stays per role
+# ---------------------------------------------------------------------------
+
+#: The fig7 sweep of the benchmark of record (``bench/w_fattree.py``), at
+#: fixed destinations.
+SWEEP = [(4, True), (6, True), (8, False), (10, False)]
+
+
+def assert_same_walks(mine: FlatDiagram, theirs: FlatDiagram, codes) -> None:
+    """Both flat forms step every class of ``codes`` to the same arrays, bit
+    for bit, through leaves of as many actions with the same collisions."""
+    import numpy as np
+
+    for got, want in zip(mine.step(codes), theirs.step(codes)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    reached, theirs_reached = mine.leaves_of(codes), theirs.leaves_of(codes)
+    assert np.array_equal(mine._count[reached], theirs._count[theirs_reached])
+    assert np.array_equal(mine._collide[reached], theirs._collide[theirs_reached])
+
+
+def every_class(layout: ClassLayout):
+    return layout.array(list(itertools.product(*(range(len(v) + 1) for v in layout.values))))
+
+
+def some_classes(layout: ClassLayout, extra):
+    """A seeded sample of ``layout``'s classes, and ``extra``."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    sample = [rng.integers(0, len(values) + 1, 20_000) for values in layout.values]
+    return np.concatenate([np.stack(sample, axis=1).astype(layout.dtype), extra])
+
+
+def the_stages_as_they_were(patch) -> None:
+    """Every compiled body a whole diagram, renamed and joined per switch."""
+    patch.setattr(Compiler, "per_role", Compiler.compile)
+
+
+class TestThePlanStaysPerRole:
+    """A plan flattens each role's template once and gathers every switch's
+    constants; it walks, answers and keys as the whole diagram does."""
+
+    @pytest.mark.parametrize("k,failures", SWEEP, ids=[f"k{k}-{f}" for k, f in SWEEP])
+    def test_flat_arrays_answers_and_keys_are_the_whole_diagrams(self, monkeypatch, k, failures):
+        import numpy as np
+
+        model = fattree_model(k, failures)
+        backend = MatrixBackend()
+        got = backend.output_distributions(model.policy, model.ingress_packets)
+        (stage,) = backend.plan(model.policy).loop_stages
+        assert isinstance(stage.body, RolePlan)
+        assert backend.manager.counters["role_instances"] == 0  # nothing renamed yet
+        layout = stage.layout
+        assert stage.body.mentioned_values() == matrix_domains(stage.body_fdd)
+        reached = stage.chain.codes_at(np.arange(len(stage.chain)))
+        codes = some_classes(layout, reached)
+        assert_same_walks(stage.chain.flat, FlatDiagram(stage.body_fdd, layout), codes)
+        key, size = backend.plan_key(model.policy), node_size(stage.body_fdd)
+        with monkeypatch.context() as patch:
+            the_stages_as_they_were(patch)
+            plain = MatrixBackend()
+            want = plain.output_distributions(model.policy, model.ingress_packets)
+            (plain_stage,) = plain.plan(model.policy).loop_stages
+            assert not isinstance(plain_stage.body, RolePlan)
+            assert plain.plan_key(model.policy) == key
+            assert node_size(plain_stage.body_fdd) == size
+            assert plain_stage.domains == stage.domains
+        assert list(got) == list(want)
+        for packet in want:
+            assert list(got[packet].items()) == list(want[packet].items())
+
+    @settings(
+        max_examples=examples(100),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(network_programs())
+    def test_generated_network_programs(self, parts):
+        program = s.Seq(tuple(parts))
+        compiler = Compiler()
+        plan = compiler.per_role(program)
+        whole = compiler.compile(program)
+        if not isinstance(plan, RolePlan):
+            assert plan is whole
+            return
+        assert plan.fdd is whole
+        domains = matrix_domains(whole)
+        assert plan.mentioned_values() == domains
+        layout = ClassLayout(domains)
+        assert_same_walks(FlatDiagram.of_roles(plan, layout), FlatDiagram(whole, layout), every_class(layout))
+
+
+def renames_of_a_warm_plan(monkeypatch, k: int) -> Counter:
+    """The ``map_leaves`` and ``Dist.map`` calls of a FatTree ``k`` (with
+    failures) plan whose diagram operations find every memo table warm: a
+    first plan on the same manager compiled every role, so what a second
+    compile does is what it does per switch."""
+    model = fattree_model(k, True)
+    backend = MatrixBackend()
+    backend.plan(model.policy)
+    backend.clear_caches()
+    monkeypatch.setattr(backend, "_compiler", Compiler(manager=backend.manager))
+    calls: Counter = Counter()
+    map_leaves, dist_map = ops.map_leaves, Dist.map
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "map_leaves", lambda *args: calls.update(["map_leaves"]) or map_leaves(*args))
+        patch.setattr(Dist, "map", lambda dist, f: calls.update(["Dist.map"]) or dist_map(dist, f))
+        backend.plan(model.policy)
+    return calls
+
+
+def test_a_plan_renames_no_switch(monkeypatch):
+    """20 and 80 of each (one per switch) while every switch's diagram was
+    its role's renamed and joined into the body's."""
+    assert renames_of_a_warm_plan(monkeypatch, 4) == renames_of_a_warm_plan(monkeypatch, 8)
 
 
 # ---------------------------------------------------------------------------

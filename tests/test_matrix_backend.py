@@ -357,13 +357,6 @@ class TestMatrixBackendEquivalence:
             backend.output_distribution(model, dist), tolerance=1e-9
         )
 
-    def test_transition_matrix_cached_by_canonical_fdd(self):
-        backend = MatrixBackend()
-        # Two syntactically different but semantically equal loop-free policies.
-        first = s.seq(s.test("pt", 1), s.assign("pt", 2))
-        second = s.seq(s.test("pt", 1), s.skip(), s.assign("pt", 2))
-        assert backend.transition_matrix(first) is backend.transition_matrix(second)
-
     def test_classify_concretize_consistency(self, example):
         """Entry classes contain their concrete entry packets."""
         backend = MatrixBackend()

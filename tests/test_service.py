@@ -566,11 +566,14 @@ class TestServiceCli:
         )
         assert code == 0
         match = re.search(
-            r"compile: (\d+) leaf action\(s\) composed, (\d+) role\(s\), (\d+) instance\(s\)",
+            r"compile: (\d+) leaf action\(s\) composed, (\d+) role template\(s\), "
+            r"(\d+) switch diagram\(s\) renamed from one",
             capsys.readouterr().out,
         )
         assert match is not None
-        # The loop body's seven roles; the first hop runs in the do-while loop stage.
+        # The loop body's seven roles; the first hop runs in the do-while loop
+        # stage.  The plan is per role; the session's plan key builds the
+        # whole body diagram, which renames each of the 20 switches once.
         assert tuple(map(int, match.groups())) == (47, 7, 20)
 
     def test_batch_file_run(self, tmp_path):
