@@ -14,8 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.backends.prism import PrismBackend
-from repro.core.fields import FieldTable
+from repro.backends.prism import to_prism_source, translate_policy
 from repro.network.model import build_model
 from repro.routing import ecmp_policy
 from repro.topology import zoo
@@ -43,9 +42,7 @@ def main() -> None:
     print(f"Expected hop count towards {city_of[dest]}: {expected_hop_count(model):.2f}")
 
     dot_source = to_dot(topo)
-    prism_source = PrismBackend().source(
-        model.policy, fields=FieldTable.from_policy(model.policy), delivered=model.delivered
-    )
+    prism_source = to_prism_source(translate_policy(model.policy, delivered=model.delivered))
     print(f"\nGraphviz export: {len(dot_source.splitlines())} lines (topology.dot)")
     print(f"PRISM export   : {len(prism_source.splitlines())} lines (abilene.prism)")
     with open("topology.dot", "w", encoding="utf-8") as handle:

@@ -5,7 +5,8 @@ Probabilistic NetKAT.  This package provides:
 
 * :mod:`repro.core` — the ProbNetKAT language, its Markov-chain semantics,
   the probabilistic-FDD compiler, and the forward interpreter;
-* :mod:`repro.backends` — the native and PRISM backends;
+* :mod:`repro.backends` — the native and matrix backends, and the
+  ProbNetKAT→PRISM translation as a source export;
 * :mod:`repro.topology`, :mod:`repro.routing`, :mod:`repro.failure`,
   :mod:`repro.network` — data-center topologies, routing schemes (ECMP,
   F10), failure models, and network model builders;
@@ -13,9 +14,7 @@ Probabilistic NetKAT.  This package provides:
   queries;
 * :mod:`repro.service` — the persistent, sharded analysis service: an
   ``AnalysisSession`` compiles models once and serves concurrent query
-  streams (``python -m repro.service`` is its CLI);
-* :mod:`repro.baselines` — a Bayonet-style general-purpose exact
-  inference baseline used for performance comparisons.
+  streams (``python -m repro.service`` is its CLI).
 """
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from repro.network.model import NetworkModel
 #: Type accepted by the ``backend=`` parameter of the analysis entry
 #: points: a registry name ("native", "matrix"), a backend
 #: instance with an ``output_distribution`` method, or ``None`` for the
-#: classic per-query forward interpreter.  The PRISM backend exposes a
-#: probability-oriented API and cannot serve distribution queries.
+#: classic per-query forward interpreter.
 Backend = object
 
 
@@ -63,8 +62,7 @@ def _distribution_engine(backend, exact: bool):
     if not hasattr(engine, "output_distribution"):
         raise TypeError(
             f"backend {type(engine).__name__} does not support distribution "
-            "queries; use 'native' or 'matrix' (the PRISM backend "
-            "answers via its probability() API)"
+            "queries; use 'native' or 'matrix'"
         )
     return engine
 

@@ -1,13 +1,16 @@
 """Analysis backends and the backend registry (§5–§6).
 
-Three backends answer queries about compiled network models:
+Two backends answer queries about compiled network models:
 
 * ``native`` — FDD compilation plus the forward interpreter ("PNK");
 * ``matrix`` — the batched sparse-matrix engine: compile once, factorize
-  ``I - Q`` once, answer every ingress query by multi-RHS solves;
-* ``prism`` — the ProbNetKAT→PRISM translation with a mini DTMC engine
-  ("PPNK"; note its query API is probability-oriented, see
-  :class:`repro.backends.prism.PrismBackend`).
+  ``I - Q`` once, answer every ingress query by multi-RHS solves.
+
+Both answer distributions, batches of them and certainty verdicts.  The
+paper's PRISM backend ("PPNK") runs the PRISM binary, which cannot be
+bundled; its translation stays as an export: :mod:`repro.backends.prism`
+turns a guarded program into PRISM source
+(``to_prism_source(translate_policy(...))``).
 
 :func:`get_backend` instantiates a backend by name so analyses and
 benchmarks can select one with a plain string.  The matrix backend also
@@ -20,13 +23,11 @@ worker processes serve parallel sharded execution
 
 from repro.backends.matrix import MatrixBackend, QueryPlan
 from repro.backends.native import NativeBackend
-from repro.backends.prism import PrismBackend
 
 #: Registry of backend names to backend classes.
 BACKENDS = {
     "native": NativeBackend,
     "matrix": MatrixBackend,
-    "prism": PrismBackend,
 }
 
 
@@ -60,7 +61,6 @@ __all__ = [
     "BACKENDS",
     "MatrixBackend",
     "NativeBackend",
-    "PrismBackend",
     "QueryPlan",
     "get_backend",
     "resolve_backend",

@@ -583,22 +583,15 @@ class MatrixBackend:
     ----------
     class_limit:
         Bound on the number of symbolic classes explored per loop.
-    exact:
-        Accepted for registry symmetry with the native backend but must
-        stay ``False``: the batched solver is float64 by design (use the
-        native backend for exact rational loop solving).
+
+    The batched solver is float64 by design (``splu``); exact rational
+    loop solving is ``NativeBackend(exact=True)``.
     """
 
-    exact: bool = False
     class_limit: int = 1_000_000
     watch: Stopwatch = field(default_factory=Stopwatch)
 
     def __post_init__(self) -> None:
-        if self.exact:
-            raise ValueError(
-                "MatrixBackend is float64-only (splu); use NativeBackend(exact=True) "
-                "for exact rational arithmetic"
-            )
         self.manager = FddManager()
         self._compiler = Compiler(manager=self.manager, class_limit=self.class_limit)
         #: Classes written onto chains and matrices by this backend (the

@@ -1,28 +1,23 @@
-"""The PRISM backend ("PPNK" in the paper, §5.2).
+"""The ProbNetKAT→PRISM translation ("PPNK" in the paper, §5.2).
 
 McNetKAT's second backend is a purely syntactic translation of guarded
 ProbNetKAT to the input language of the PRISM probabilistic model
-checker.  This package reproduces that translation:
+checker.  This package reproduces the translation and emits the source a
+reader with PRISM can run; it bundles no engine:
 
 * :mod:`repro.backends.prism.automaton` — the Thompson-style state
   machine with basic-block collapsing;
 * :mod:`repro.backends.prism.model` — the PRISM program representation;
 * :mod:`repro.backends.prism.translate` — guarded ProbNetKAT → PRISM;
-* :mod:`repro.backends.prism.codegen` — PRISM source emission;
-* :mod:`repro.backends.prism.engine` — a miniature DTMC engine that
-  executes translated programs (standing in for the PRISM binary, which
-  cannot be bundled in this offline environment).
+* :mod:`repro.backends.prism.codegen` — PRISM source emission.
 """
 
 from repro.backends.prism.model import Command, PrismModel, PrismVariable
-from repro.backends.prism.translate import PrismBackend, translate_policy
+from repro.backends.prism.translate import translate_policy
 from repro.backends.prism.codegen import to_prism_source
-from repro.backends.prism.engine import MiniDtmc
 
 __all__ = [
     "Command",
-    "MiniDtmc",
-    "PrismBackend",
     "PrismModel",
     "PrismVariable",
     "to_prism_source",

@@ -7,8 +7,7 @@ guarded probabilistic commands::
 
 Guards are represented by ProbNetKAT predicates over the variables (the
 program counter ``pc`` is just another variable), which keeps the
-translation compact and lets the mini DTMC engine reuse the predicate
-evaluator.
+translation compact and code generation one predicate printer.
 """
 
 from __future__ import annotations

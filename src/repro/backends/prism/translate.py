@@ -8,16 +8,12 @@ variable ``pc`` to encode the control state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 from repro.core import syntax as s
 from repro.core.fields import FieldTable
-from repro.core.packet import Packet
 from repro.backends.prism.automaton import Edge, build_automaton
 from repro.backends.prism.model import Branch, Command, PrismModel, PrismVariable
-from repro.utils.timing import Stopwatch
 
 #: Name of the program-counter variable added by the translation.
 PC = "pc"
@@ -84,61 +80,3 @@ def translate_policy(
     model.check_well_formed()
     return model
 
-
-@dataclass
-class PrismBackend:
-    """Facade bundling translation, code generation, and the mini engine.
-
-    This plays the role of the "PPNK" backend in the paper's plots: the
-    ProbNetKAT-to-PRISM translation is the artifact under test, and the
-    bundled :class:`MiniDtmc` engine stands in for the PRISM binary.
-    """
-
-    exact: bool = False
-    watch: Stopwatch = field(default_factory=Stopwatch)
-
-    def translate(
-        self,
-        policy: s.Policy,
-        fields: FieldTable | None = None,
-        delivered: s.Predicate | None = None,
-    ) -> PrismModel:
-        with self.watch.measure("translate"):
-            return translate_policy(policy, fields=fields, delivered=delivered)
-
-    def source(
-        self,
-        policy: s.Policy,
-        fields: FieldTable | None = None,
-        delivered: s.Predicate | None = None,
-    ) -> str:
-        from repro.backends.prism.codegen import to_prism_source
-
-        model = self.translate(policy, fields=fields, delivered=delivered)
-        return to_prism_source(model)
-
-    def probability(
-        self,
-        policy: s.Policy,
-        input_packet: Packet | Mapping[str, int],
-        target: s.Predicate,
-        fields: FieldTable | None = None,
-    ) -> float | Fraction:
-        """P[eventually terminated ∧ target] from the given input packet."""
-        from repro.backends.prism.engine import MiniDtmc
-
-        overrides = (
-            input_packet.as_dict() if isinstance(input_packet, Packet) else dict(input_packet)
-        )
-        table = fields
-        if table is None:
-            table = FieldTable.from_policy(policy)
-            for name, value in overrides.items():
-                table.declare(name, min(0, value), value)
-        model = self.translate(policy, fields=table, delivered=target)
-        engine = MiniDtmc(model, exact=self.exact)
-        with self.watch.measure("model_check"):
-            return engine.probability(model.labels["delivered"], overrides=overrides)
-
-    def timings(self) -> dict[str, float]:
-        return dict(self.watch.sections)

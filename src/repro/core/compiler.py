@@ -35,7 +35,7 @@ from repro.core.fdd.matrix import (
     matrix_to_fdd,
 )
 from repro.core.fdd.node import FddManager, FddNode, Leaf, leaf_of, leaves, mentioned_values
-from repro.core.markov import solve_absorption, solve_absorption_exact
+from repro.core.markov import solve_absorption_batched, solve_absorption_exact
 from repro.core.packet import DROP, _DropType
 
 
@@ -979,8 +979,10 @@ class Compiler:
                 row[outcome] = row.get(outcome, Fraction(0)) + prob
             transitions[cls] = row
 
-        solver = solve_absorption_exact if self.exact else solve_absorption
-        result = solver(transient, absorbing, transitions)
+        if self.exact:
+            result = solve_absorption_exact(transient, absorbing, transitions)
+        else:
+            result = solve_absorption_batched(transient, absorbing, transitions).result()
 
         rows: dict[SymbolicPacket, Dist] = {}
         for cls in classes:

@@ -5,15 +5,15 @@ absorption probabilities ``A = (I - Q)^{-1} R`` of a finite absorbing
 Markov chain whose transient-to-transient block is ``Q`` and whose
 transient-to-absorbing block is ``R``.
 
-Three solvers are provided:
+Two solvers are provided:
 
-* :func:`solve_absorption` — float64 sparse LU via SciPy (the role played
-  by UMFPACK in McNetKAT);
-* :func:`solve_absorption_batched` — like :func:`solve_absorption`, but
-  returns an :class:`AbsorptionSystem` that retains the single sparse LU
-  factorization of ``I - Q`` so arbitrarily many right-hand sides can be
-  solved against it in one batched call (the paper's "compile once,
-  query many times" story at the linear-algebra level);
+* :func:`solve_absorption_batched` — float64 sparse LU via SciPy (the
+  role played by UMFPACK in McNetKAT), returned as an
+  :class:`AbsorptionSystem` that retains the single factorization of
+  ``I - Q`` so arbitrarily many right-hand sides can be solved against it
+  in one batched call (the paper's "compile once, query many times" story
+  at the linear-algebra level); :meth:`AbsorptionSystem.result` reads the
+  answer back as rows;
 * :func:`solve_absorption_exact` — exact rational elimination in SCC
   order of the transient graph (mirrors the paper's use of exact
   arithmetic in the frontend; the interpreter's and compiler's exact mode).
@@ -215,8 +215,7 @@ class AbsorptionSystem:
         """The absorption probabilities in dict-of-rows form.
 
         Tiny negative LU artefacts are clamped to zero and the per-state
-        mass deficit is reported as lost (diverging) mass, exactly like
-        :func:`solve_absorption`.
+        mass deficit is reported as lost (diverging) mass.
         """
         import numpy as np
 
@@ -764,33 +763,6 @@ class IncrementalAbsorptionSolver:
         return counts, outcomes, masses, deficits
 
 
-def solve_absorption(
-    transient: Sequence[State],
-    absorbing: Sequence[State],
-    transitions: Mapping[State, Mapping[State, float | Fraction]],
-) -> AbsorptionResult:
-    """Compute absorption probabilities with a sparse float64 LU solve.
-
-    Parameters
-    ----------
-    transient:
-        The transient states (rows of ``Q`` and ``R``).
-    absorbing:
-        The absorbing states (columns of ``R``).
-    transitions:
-        For each transient state, a mapping from successor state to
-        transition probability.  Successors may be transient or
-        absorbing; rows may be sub-stochastic (mass can be lost).
-
-    Returns
-    -------
-    AbsorptionResult
-        ``result[t][a]`` is the probability of eventually reaching
-        absorbing state ``a`` from transient state ``t``.
-    """
-    return solve_absorption_batched(transient, absorbing, transitions).result()
-
-
 def _sccs_sinks_first(edges: Sequence[Mapping[int, object]]) -> list[list[int]]:
     """Strongly connected components of the graph ``i -> edges[i]`` (Tarjan).
 
@@ -874,7 +846,7 @@ def solve_absorption_exact(
     absorbing: Sequence[State],
     transitions: Mapping[State, Mapping[State, Fraction | int]],
 ) -> AbsorptionResult:
-    """Exact rational version of :func:`solve_absorption`.
+    """Exact rational absorption probabilities.
 
     Solves ``(I - Q) X = R`` over :class:`fractions.Fraction` by
     elimination in SCC order of the transient graph, sinks first.  A state
@@ -938,26 +910,3 @@ def solve_absorption_exact(
             rows[state], lost[state] = {}, Fraction(1)
     return AbsorptionResult(rows, lost)
 
-
-def reachable_states(
-    start: Sequence[State],
-    successors,
-) -> list[State]:
-    """Breadth-first exploration of the states reachable from ``start``.
-
-    ``successors(state)`` must return an iterable of successor states.
-    The result preserves discovery order (deterministic given the input).
-    """
-    seen: dict[State, None] = {}
-    frontier = list(start)
-    for state in frontier:
-        seen.setdefault(state, None)
-    index = 0
-    while index < len(frontier):
-        state = frontier[index]
-        index += 1
-        for succ in successors(state):
-            if succ not in seen:
-                seen[succ] = None
-                frontier.append(succ)
-    return list(seen)

@@ -54,7 +54,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.backends import BACKENDS, resolve_backend
+from repro.backends import resolve_backend
 from repro.backends.matrix import mix_outputs
 from repro.core import syntax as s
 from repro.core.answer import Answer, AnswerRow, delivered_mass
@@ -193,13 +193,9 @@ class AnalysisSession:
         if engine is None:
             raise ValueError("a session needs a backend (name or instance)")
         if not hasattr(engine, "output_distributions"):
-            batched = sorted(
-                name for name, cls in BACKENDS.items()
-                if hasattr(cls, "output_distributions")
-            )
             raise TypeError(
                 f"backend {type(engine).__name__} does not support batched "
-                f"distribution queries; use {' or '.join(repr(n) for n in batched)}"
+                "distribution queries; use 'matrix' or 'native'"
             )
         self._backend = engine
         # Registry names instantiate a fresh backend the session owns (and

@@ -16,6 +16,13 @@ construction's one-pass builders (``Policy._scan``, integer-checked
 ``walk()``-based field scans,
 the ``Fraction``-summed :func:`choice_reference` and
 :func:`topology_program_reference`.
+
+Figures 9 and 10 compare McNetKAT with two general-purpose engines.
+Their stand-ins live here too, as differential oracles and as the
+state-space counts fig10 reports: :class:`MiniDtmc` runs the §5.2 PRISM
+translation over its explicit valuations, exactly, and
+:class:`ExactInferenceBaseline` is a Bayonet-style dense interpreter
+that unrolls loops.
 """
 
 from __future__ import annotations
@@ -27,8 +34,10 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
+from repro.backends.prism import PrismModel, translate_policy
 from repro.core import syntax as s
 from repro.core.answer import Answer
+from repro.core.compiler import GuardedFragmentError
 from repro.core.distributions import Dist
 from repro.core.fdd.flat import ClassRow
 from repro.core.fdd.matrix import (
@@ -41,8 +50,15 @@ from repro.core.fdd.matrix import (
     project_class,
 )
 from repro.core.fdd.node import FddNode, leaf_of, output_distribution
-from repro.core.markov import SOLVER_TOLERANCE, AbsorptionResult, _states_reaching_absorption
-from repro.core.packet import DROP, Packet, _DropType
+from repro.core.fields import FieldTable
+from repro.core.interpreter import eval_predicate
+from repro.core.markov import (
+    SOLVER_TOLERANCE,
+    AbsorptionResult,
+    _states_reaching_absorption,
+    solve_absorption_exact,
+)
+from repro.core.packet import DROP, Packet, PacketUniverse, _DropType
 from repro.topology.graph import Topology
 
 
@@ -517,3 +533,320 @@ def topology_program_reference(
             port_branches.append((s.test(pt_field, link.port), rule))
         switch_branches.append((s.test(sw_field, node), s.case(port_branches, s.drop())))
     return s.case(switch_branches, s.drop())
+
+
+# -- the general-purpose engines of figures 9 and 10 -------------------------------
+
+Valuation = tuple[tuple[str, int], ...]
+
+
+def reachable_states(start, successors) -> list:
+    """Breadth-first exploration of the states reachable from ``start``.
+
+    ``successors(state)`` must return an iterable of successor states.
+    The result preserves discovery order (deterministic given the input).
+    """
+    seen = dict.fromkeys(start)
+    frontier = list(seen)
+    index = 0
+    while index < len(frontier):
+        state = frontier[index]
+        index += 1
+        for succ in successors(state):
+            if succ not in seen:
+                seen[succ] = None
+                frontier.append(succ)
+    return frontier
+
+
+def eval_guard(pred: s.Predicate, valuation: Mapping[str, int]) -> bool:
+    """Evaluate a predicate over a variable valuation."""
+    if isinstance(pred, s.TrueP):
+        return True
+    if isinstance(pred, s.FalseP):
+        return False
+    if isinstance(pred, s.Test):
+        return valuation.get(pred.field) == pred.value
+    if isinstance(pred, s.And):
+        return eval_guard(pred.left, valuation) and eval_guard(pred.right, valuation)
+    if isinstance(pred, s.Or):
+        return eval_guard(pred.left, valuation) or eval_guard(pred.right, valuation)
+    if isinstance(pred, s.Not):
+        return not eval_guard(pred.pred, valuation)
+    raise TypeError(f"not a predicate: {pred!r}")
+
+
+def _pc_test(pred: s.Predicate) -> int | None:
+    """Extract the ``pc = n`` conjunct of a guard, if syntactically present."""
+    if isinstance(pred, s.Test) and pred.field == "pc":
+        return pred.value
+    if isinstance(pred, s.And):
+        left = _pc_test(pred.left)
+        return left if left is not None else _pc_test(pred.right)
+    return None
+
+
+class MiniDtmc:
+    """Explicit-state exact engine for a translated PRISM program (§5.2).
+
+    What the PRISM binary would do with the emitted source, in small:
+    explore every reachable variable valuation, take a valuation with no
+    enabled command as terminal, and solve reachability over ``Fraction``s
+    with :func:`repro.core.markov.solve_absorption_exact`.  The number of
+    valuations :meth:`explore` returns is the state space fig10 reports.
+    """
+
+    def __init__(self, model):
+        model.check_well_formed()
+        self.model = model
+        # Commands indexed by the pc value they test, so a state scans only its own.
+        self._by_pc: dict[int, list] = {}
+        self._unindexed: list = []
+        for command in model.commands:
+            pc_value = _pc_test(command.guard)
+            if pc_value is None:
+                self._unindexed.append(command)
+            else:
+                self._by_pc.setdefault(pc_value, []).append(command)
+
+    def _enabled(self, valuation: Mapping[str, int]) -> list:
+        candidates = self._by_pc.get(valuation.get("pc"), []) + self._unindexed
+        return [command for command in candidates if eval_guard(command.guard, valuation)]
+
+    def step(self, state: Valuation) -> Dist[Valuation] | None:
+        """One-step transition distribution, ``None`` where no command is enabled."""
+        valuation = dict(state)
+        enabled = self._enabled(valuation)
+        if not enabled:
+            return None
+        if len(enabled) > 1:
+            raise ValueError(
+                "PRISM model is nondeterministic: multiple commands enabled in one state"
+            )
+        weights: dict[Valuation, Fraction] = {}
+        for branch in enabled[0].branches:
+            successor = tuple(sorted({**valuation, **branch.updates_dict()}.items()))
+            weights[successor] = weights.get(successor, Fraction(0)) + branch.probability
+        return Dist(weights)
+
+    def _start(self, overrides: Mapping[str, int] | None) -> Valuation:
+        return tuple(sorted(self.model.initial_valuation(overrides).items()))
+
+    def explore(
+        self, overrides: Mapping[str, int] | None = None
+    ) -> dict[Valuation, Dist[Valuation] | None]:
+        """Every valuation reachable from the initial one, in discovery
+        order, with its :meth:`step`."""
+        steps: dict[Valuation, Dist[Valuation] | None] = {}
+
+        def successors(state: Valuation):
+            steps[state] = step = self.step(state)
+            return step.support() if step is not None else ()
+
+        reachable_states([self._start(overrides)], successors)
+        return steps
+
+    def terminal_distribution(self, overrides: Mapping[str, int] | None = None) -> Dist[Valuation]:
+        """Distribution over terminal valuations reached from the initial state."""
+        start = self._start(overrides)
+        steps = self.explore(overrides)
+        if steps[start] is None:
+            return Dist.point(start)
+        terminal = [state for state, step in steps.items() if step is None]
+        transitions = {
+            state: dict(step.items()) for state, step in steps.items() if step is not None
+        }
+        result = solve_absorption_exact(list(transitions), terminal, transitions)
+        row = dict(result.get(start, {}))
+        lost = result.lost_mass.get(start, 0)
+        if lost:
+            # Divergence: report the missing mass on a synthetic outcome.
+            row[(("__diverged__", 1),)] = lost
+        return Dist(row, check=False)
+
+    def probability(
+        self, target: s.Predicate, overrides: Mapping[str, int] | None = None
+    ) -> Fraction:
+        """P[eventually reach a terminal state satisfying ``target``]."""
+        total = Fraction(0)
+        for state, mass in self.terminal_distribution(overrides).items():
+            valuation = dict(state)
+            if not valuation.get("__diverged__") and eval_guard(target, valuation):
+                total += mass
+        return total
+
+
+def prism_model(
+    policy: s.Policy, input_packet: Packet, target: s.Predicate
+) -> tuple[PrismModel, dict[str, int]]:
+    """The §5.2 translation of ``policy`` with ``target`` as its ``delivered``
+    label, and the input packet as overrides of the initial valuation.
+
+    Field bounds come from the program, widened to cover the input
+    packet's values.
+    """
+    overrides = input_packet.as_dict()
+    table = FieldTable.from_policy(policy)
+    for name, value in overrides.items():
+        table.declare(name, min(0, value), value)
+    return translate_policy(policy, fields=table, delivered=target), overrides
+
+
+def prism_probability(policy: s.Policy, input_packet: Packet, target: s.Predicate) -> Fraction:
+    """P[terminated ∧ target] of the translated program, solved exactly."""
+    model, overrides = prism_model(policy, input_packet, target)
+    return MiniDtmc(model).probability(model.labels["delivered"], overrides=overrides)
+
+
+class UnrollLimitExceeded(RuntimeError):
+    """Raised when a loop fails to converge within the unrolling bound."""
+
+
+class ExactInferenceBaseline:
+    """A Bayonet-style whole-state-space inference over guarded ProbNetKAT.
+
+    Bayonet hands a network to a general-purpose probabilistic language
+    and its engine, without McNetKAT's two domain-specific moves:
+
+    1. state is a dense distribution over the *entire* declared variable
+       space (every combination of field values), not the packets
+       reachable from the query's ingress;
+    2. ``while`` loops have no closed form: they are unrolled until the
+       mass still inside them drops below ``tolerance``.
+
+    :attr:`space` is the size of the last query's declared space and
+    :attr:`unrollings` the loop iterations run so far — fig10's two
+    columns for this engine.
+
+    Parameters
+    ----------
+    unroll_limit:
+        Maximum number of loop unrollings before giving up.
+    tolerance:
+        The mass left inside a loop below which it counts as converged.
+    max_states:
+        Safety bound on the size of the declared state space (the product
+        of all field domains).
+    """
+
+    def __init__(
+        self, unroll_limit: int = 10_000, tolerance: float = 1e-12, max_states: int = 200_000
+    ):
+        self.unroll_limit = unroll_limit
+        self.tolerance = tolerance
+        self.max_states = max_states
+        self.space = 0
+        self.unrollings = 0
+        self._universe: list[Packet] = []
+        self._index: dict[Packet, int] = {}
+        self._masks: dict[s.Predicate, np.ndarray] = {}
+
+    def output_distribution(self, policy: s.Policy, input_packet: Packet) -> Dist:
+        """Output distribution of ``policy`` on ``input_packet``.
+
+        Field domains come from the program, widened to cover the input
+        packet's values.
+        """
+        fields = FieldTable.from_policy(policy)
+        for name, value in input_packet.items():
+            fields.declare(name, min(0, value), value)
+        universe = PacketUniverse(fields.as_domains())
+        if universe.size > self.max_states:
+            raise MemoryError(
+                f"declared state space has {universe.size} packets, "
+                f"exceeding the baseline's limit of {self.max_states}"
+            )
+        self.space = universe.size
+        self._masks = {}
+        self._universe = list(universe.packets)
+        self._index = {packet: i for i, packet in enumerate(self._universe)}
+
+        # The input packet, extended with the low end of every undeclared field.
+        start = Packet({spec.name: spec.low for spec in fields} | input_packet.as_dict())
+        vector = np.zeros(len(self._universe) + 1)
+        vector[self._index[start]] = 1.0
+        result = self._run(policy, vector)
+
+        weights: dict = {self._universe[i]: float(result[i]) for i in np.flatnonzero(result[:-1])}
+        if result[-1] > 0.0:
+            weights[DROP] = float(result[-1])
+        return Dist(weights, check=False)
+
+    def delivery_probability(
+        self, policy: s.Policy, input_packet: Packet, delivered: s.Predicate
+    ) -> float:
+        """Probability that the output satisfies ``delivered``."""
+        dist = self.output_distribution(policy, input_packet)
+        return float(
+            dist.prob_of(
+                lambda out: not isinstance(out, _DropType) and eval_predicate(delivered, out)
+            )
+        )
+
+    # -- dense interpretation; the last slot of a vector is drop -------------------
+    def _run(self, policy: s.Policy, vector: np.ndarray) -> np.ndarray:
+        """Push a dense state distribution through a policy."""
+        if isinstance(policy, s.Predicate):
+            kept = vector * self._mask(policy)
+            kept[-1] = vector[-1] + float(vector[:-1].sum() - kept[:-1].sum())
+            return kept
+        if isinstance(policy, s.Assign):
+            result = np.zeros_like(vector)
+            result[-1] = vector[-1]
+            for i in np.flatnonzero(vector[:-1]):
+                target = self._universe[i].set(policy.field, policy.value)
+                result[self._index[target]] += vector[i]
+            return result
+        if isinstance(policy, s.Seq):
+            for part in policy.parts:
+                vector = self._run(part, vector)
+            return vector
+        if isinstance(policy, s.Choice):
+            result = np.zeros_like(vector)
+            for branch, prob in policy.branches:
+                result += float(prob) * self._run(branch, vector.copy())
+            return result
+        if isinstance(policy, s.IfThenElse):
+            mask = self._mask(policy.guard)
+            return self._run(policy.then, vector * mask) + self._run(
+                policy.otherwise, vector * (1.0 - mask)
+            )
+        if isinstance(policy, s.Case):
+            return self._run(s.case_to_ite(policy), vector)
+        if isinstance(policy, s.WhileDo):
+            return self._run_while(policy, vector)
+        if isinstance(policy, (s.Union, s.Star)):
+            raise GuardedFragmentError(
+                "the exact-inference baseline handles the guarded fragment only"
+            )
+        raise TypeError(f"unknown policy node {type(policy)!r}")
+
+    def _mask(self, pred: s.Predicate) -> np.ndarray:
+        """1 on the packets satisfying ``pred``, 0 elsewhere and on drop."""
+        mask = self._masks.get(pred)
+        if mask is None:
+            mask = np.zeros(len(self._universe) + 1)
+            for i, packet in enumerate(self._universe):
+                if eval_predicate(pred, packet):
+                    mask[i] = 1.0
+            self._masks[pred] = mask
+        return mask
+
+    def _run_while(self, loop: s.WhileDo, vector: np.ndarray) -> np.ndarray:
+        """Bounded unrolling of a while loop (no closed form, like Bayonet)."""
+        mask = self._mask(loop.guard)
+        settled = vector * (1.0 - mask)
+        settled[-1] = vector[-1]
+        active = vector * mask
+        for _ in range(self.unroll_limit):
+            if active[:-1].sum() <= self.tolerance:
+                return settled
+            self.unrollings += 1
+            stepped = self._run(loop.body, active)
+            newly_settled = stepped * (1.0 - mask)
+            newly_settled[-1] = stepped[-1]
+            settled = settled + newly_settled
+            active = stepped * mask
+        raise UnrollLimitExceeded(
+            f"while loop did not converge within {self.unroll_limit} unrollings"
+        )

@@ -21,14 +21,14 @@ from repro.analysis.resilience import (
     refinement_table,
     resilience_table,
 )
-from repro.baselines import ExactInferenceBaseline
-from repro.baselines.exact_inference import UnrollLimitExceeded
 from repro.core import syntax as s
 from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP, Packet
 from repro.routing import ecmp_policy, f10_model
 from repro.network.model import build_model
 from repro.topology import ab_fat_tree, chain_model
+
+from oracles import ExactInferenceBaseline, UnrollLimitExceeded
 
 
 @pytest.fixture(scope="module")

@@ -205,13 +205,20 @@ class TestInjectedFaults:
         self, all_models, all_pairs, per_call_values, inject_faults
     ):
         """Worker 1 dies on its third query request — on every incarnation
-        (the respawn re-reads the plan) — and the batch still answers."""
+        (the respawn re-reads the plan) — and the batch still answers.
+
+        Dispatch is serial so the routing is fixed: new destinations
+        alternate between the two replicas, and worker 1 dies on the sixth.
+        With two dispatch threads, worker 0 could take seven of the eight
+        destinations while worker 1 still served its first, and the fault
+        never fired.
+        """
         inject_faults("kill@1:after=2")
         with AnalysisSession(
             models=all_models.values(),
             pool_size=2,
             pool_mode="process",
-            workers=2,
+            workers=1,
             max_attempts=3,
         ) as session:
             result = session.query_batch(all_pairs)

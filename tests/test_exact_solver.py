@@ -21,7 +21,7 @@ from repro.core.markov import (
     AbsorptionResult,
     _sccs_sinks_first,
     _states_reaching_absorption,
-    solve_absorption,
+    solve_absorption_batched,
     solve_absorption_exact,
 )
 from repro.routing import f10_model
@@ -167,7 +167,7 @@ def test_equals_dense_oracle_on_random_sparse_chains(chain):
     if stochastic and len(reaching) == len(transient):
         # A proper absorbing chain loses nothing (ROADMAP 4b).
         assert not any(result.lost_mass.values())
-    approx = solve_absorption(transient, ABSORBING, transitions)
+    approx = solve_absorption_batched(transient, ABSORBING, transitions).result()
     for state in transient:
         assert float(result.lost_mass[state]) == pytest.approx(
             approx.lost_mass[state], abs=1e-9

@@ -7,50 +7,57 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.markov import (
-    reachable_states,
-    solve_absorption,
-    solve_absorption_exact,
-)
+from repro.core.markov import solve_absorption_batched, solve_absorption_exact
 
+from oracles import reachable_states, solve_absorption_reference
 from test_properties import examples
+
+
+def float_rows(transient, absorbing, transitions):
+    """The float solver's answer in dict-of-rows form."""
+    return solve_absorption_batched(transient, absorbing, transitions).result()
+
+
+def reference_rows(transient, absorbing, transitions):
+    """The dict-based construction the float solver replaced (an oracle)."""
+    return solve_absorption_reference(transient, absorbing, transitions)[2]
 
 
 class TestFloatSolver:
     def test_simple_two_state_chain(self):
         # t -> a with probability 1.
-        result = solve_absorption(["t"], ["a"], {"t": {"a": 1.0}})
+        result = float_rows(["t"], ["a"], {"t": {"a": 1.0}})
         assert result["t"]["a"] == pytest.approx(1.0)
         assert result.lost_mass["t"] == 0.0
 
     def test_geometric_escape(self):
         # t loops with prob 1/2 and escapes with prob 1/2: absorbed w.p. 1.
-        result = solve_absorption(["t"], ["a"], {"t": {"t": 0.5, "a": 0.5}})
+        result = float_rows(["t"], ["a"], {"t": {"t": 0.5, "a": 0.5}})
         assert result["t"]["a"] == pytest.approx(1.0)
 
     def test_split_absorption(self):
-        result = solve_absorption(
+        result = float_rows(
             ["t"], ["a", "b"], {"t": {"t": 0.5, "a": 0.25, "b": 0.25}}
         )
         assert result["t"]["a"] == pytest.approx(0.5)
         assert result["t"]["b"] == pytest.approx(0.5)
 
     def test_substochastic_rows_report_lost_mass(self):
-        result = solve_absorption(["t"], ["a"], {"t": {"a": 0.25, "t": 0.25}})
+        result = float_rows(["t"], ["a"], {"t": {"a": 0.25, "t": 0.25}})
         assert result["t"]["a"] == pytest.approx(1 / 3)
         assert result.lost_mass["t"] == pytest.approx(2 / 3)
 
     def test_chain_of_transient_states(self):
         transitions = {"t1": {"t2": 1.0}, "t2": {"t3": 1.0}, "t3": {"a": 1.0}}
-        result = solve_absorption(["t1", "t2", "t3"], ["a"], transitions)
+        result = float_rows(["t1", "t2", "t3"], ["a"], transitions)
         assert result["t1"]["a"] == pytest.approx(1.0)
 
     def test_unknown_successor_rejected(self):
         with pytest.raises(KeyError):
-            solve_absorption(["t"], ["a"], {"t": {"a": 0.5, "mystery": 0.5}})
+            float_rows(["t"], ["a"], {"t": {"a": 0.5, "mystery": 0.5}})
 
     def test_empty_transient_set(self):
-        assert solve_absorption([], ["a"], {}) == {}
+        assert float_rows([], ["a"], {}) == {}
 
 
 class TestExactSolver:
@@ -83,7 +90,7 @@ class TestExactSolver:
         assert result.lost_mass["t"] == 1
 
     def test_doomed_states_lose_all_mass_float(self):
-        result = solve_absorption(
+        result = float_rows(
             ["t", "u"], ["a"], {"t": {"u": 0.5, "a": 0.5}, "u": {"u": 1.0}}
         )
         assert result["t"]["a"] == pytest.approx(0.5)
@@ -96,7 +103,7 @@ class TestExactSolver:
             "y": {"x": Fraction(1, 2), "b": Fraction(1, 2)},
         }
         exact = solve_absorption_exact(["x", "y"], ["a", "b"], transitions)
-        approx = solve_absorption(["x", "y"], ["a", "b"], transitions)
+        approx = float_rows(["x", "y"], ["a", "b"], transitions)
         for state in ("x", "y"):
             for target in ("a", "b"):
                 assert float(exact[state].get(target, 0)) == pytest.approx(
@@ -143,7 +150,7 @@ class TestIncrementalAbsorptionSolver:
         transitions = self.chain(4)
         solver = IncrementalAbsorptionSolver()
         result = solver.solve(list(range(4)), transitions)
-        reference = solve_absorption(list(range(4)), ["win"], transitions)
+        reference = reference_rows(list(range(4)), ["win"], transitions)
         for state in range(4):
             assert result[state]["win"] == pytest.approx(reference[state]["win"], abs=1e-12)
         assert solver.factorizations == 1
@@ -157,7 +164,7 @@ class TestIncrementalAbsorptionSolver:
         assert solver.factorizations == 1
         result = solver.solve(list(range(6)), transitions)  # grow downwards
         assert solver.factorizations == 2
-        reference = solve_absorption(list(range(6)), ["win"], transitions)
+        reference = reference_rows(list(range(6)), ["win"], transitions)
         for state in range(6):
             assert result[state]["win"] == pytest.approx(reference[state]["win"], abs=1e-12)
         # No growth: answered from the cache, no further factorization.
@@ -231,7 +238,7 @@ class TestSchurGrowthUpdates:
         result = solver.solve(list(range(40)), transitions)
         assert (solver.factorizations, solver.schur_updates) == (2, 1)
         assert len(solver.system.transient) == 8
-        reference = solve_absorption(list(range(40)), ["win"], transitions)
+        reference = reference_rows(list(range(40)), ["win"], transitions)
         for state in range(40):
             assert result[state]["win"] == pytest.approx(
                 reference[state]["win"], abs=1e-9
@@ -264,7 +271,7 @@ class TestSchurGrowthUpdates:
         result = solver.solve(list(range(30)), transitions)
         assert (solver.factorizations, solver.schur_updates) == (2, 1)
         assert len(solver.system.transient) == 30 - solved_first
-        reference = solve_absorption(list(range(30)), ["win"], transitions)
+        reference = reference_rows(list(range(30)), ["win"], transitions)
         for state in range(30):
             assert result[state]["win"] == pytest.approx(
                 reference[state]["win"], abs=1e-9
@@ -379,7 +386,7 @@ def test_incremental_growth_matches_from_scratch(data):
         cursor += step
         solver.solve(list(range(cursor)), transitions)
     result = solver.solve(list(range(n)), transitions)
-    reference = solve_absorption(list(range(n)), targets, transitions)
+    reference = reference_rows(list(range(n)), targets, transitions)
     for state in range(n):
         for target in targets:
             assert result[state].get(target, 0.0) == pytest.approx(

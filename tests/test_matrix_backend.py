@@ -11,7 +11,6 @@ from repro.backends import (
     BACKENDS,
     MatrixBackend,
     NativeBackend,
-    PrismBackend,
     get_backend,
     resolve_backend,
 )
@@ -28,7 +27,7 @@ from repro.core.fdd.matrix import (
 from repro.core.fdd.node import FddManager
 from repro.core.fdd.node import output_distribution as fdd_output_distribution
 from repro.core.interpreter import Interpreter
-from repro.core.markov import solve_absorption, solve_absorption_batched
+from repro.core.markov import solve_absorption_batched
 from repro.core.packet import DROP, Packet
 from repro.failure.models import independent_failure_program
 from repro.network import running_example as ex
@@ -37,10 +36,19 @@ from repro.routing import downward_failable_ports, ecmp_policy, f10_model
 from repro.service import AnalysisSession
 from repro.topology import ab_fat_tree, fat_tree
 
+from oracles import solve_absorption_reference
+
 
 @pytest.fixture(scope="module")
 def example():
     return ex.build()
+
+
+class ProbabilityOnly:
+    """A PRISM-style engine: point probabilities, no distributions or verdicts."""
+
+    def probability(self, policy, packet, target):  # pragma: no cover
+        raise AssertionError("a refused backend is never asked")
 
 
 def fattree_model(failure_probability=None):
@@ -72,7 +80,7 @@ class TestBatchedAbsorption:
         transient = ["a", "b"]
         absorbing = ["done", "drop"]
         batched = solve_absorption_batched(transient, absorbing, self.CHAIN).result()
-        plain = solve_absorption(transient, absorbing, self.CHAIN)
+        _, _, plain = solve_absorption_reference(transient, absorbing, self.CHAIN)
         for state in transient:
             for target in absorbing:
                 assert batched[state].get(target, 0.0) == pytest.approx(
@@ -215,17 +223,19 @@ class TestWideDomains:
 
 class TestRegistry:
     def test_registered_names(self):
-        assert set(BACKENDS) == {"native", "matrix", "prism"}
+        assert set(BACKENDS) == {"native", "matrix"}
+        # PRISM is a source export (repro.backends.prism), not an engine.
+        with pytest.raises(ValueError, match="unknown backend 'prism'"):
+            get_backend("prism")
 
     def test_get_backend_instantiates(self):
         assert isinstance(get_backend("native"), NativeBackend)
         assert isinstance(get_backend("matrix"), MatrixBackend)
-        assert isinstance(get_backend("prism"), PrismBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("umfpack")
-        with pytest.raises(ValueError, match="matrix, native, prism"):
+        with pytest.raises(ValueError, match="available backends: matrix, native$"):
             get_backend("parallel")
 
     def test_resolve_backend_passthrough(self):
@@ -235,7 +245,8 @@ class TestRegistry:
         assert isinstance(resolve_backend("matrix"), MatrixBackend)
 
     def test_matrix_backend_is_float_only(self):
-        with pytest.raises(ValueError, match="float64"):
+        # No exact mode to ask for: exact solving is NativeBackend(exact=True).
+        with pytest.raises(TypeError, match="exact"):
             MatrixBackend(exact=True)
 
 
@@ -523,16 +534,16 @@ class TestBackendThreading:
         assert dist.close_to(reference, tolerance=0)
 
     def test_prism_backend_rejected_for_distribution_queries(self, example):
-        with pytest.raises(TypeError, match="does not support distribution"):
+        with pytest.raises(TypeError, match="ProbabilityOnly does not support distribution"):
             output_distribution(
                 example.models_naive["f0"],
                 inputs=[example.ingress_packet],
-                backend="prism",
+                backend=ProbabilityOnly(),
             )
 
     def test_prism_backend_rejected_for_resilience_queries(self):
-        with pytest.raises(TypeError, match="does not support resilience"):
-            resilience_table(lambda scheme, bound: None, ["x"], [0], backend="prism")
+        with pytest.raises(TypeError, match="ProbabilityOnly does not support resilience"):
+            resilience_table(lambda scheme, bound: None, ["x"], [0], backend=ProbabilityOnly())
 
     def test_interpreter_and_backend_conflict(self):
         model = build_model(

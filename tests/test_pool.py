@@ -454,7 +454,7 @@ class TestLifecycle:
         """The refusal names exactly the registered batched backends."""
         model = next(iter(models.values()))
         with pytest.raises(TypeError) as excinfo:
-            AnalysisSession(model, backend="prism")
+            AnalysisSession(model, backend=object())
         assert str(excinfo.value).endswith("use 'matrix' or 'native'")
 
     def test_backend_missing_answer_fails_fast(self, models):

@@ -1,19 +1,26 @@
-"""Tests for the PRISM backend: automaton, translation, code generation, engine."""
+"""Tests for the PRISM translation: automaton, translation, code generation.
+
+The translated programs run on the explicit-state oracle
+(``oracles.MiniDtmc``), exactly, and must answer what the interpreter does.
+"""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.backends.prism import MiniDtmc, PrismBackend, translate_policy
+from repro.backends import MatrixBackend
+from repro.backends.prism import to_prism_source, translate_policy
 from repro.backends.prism.automaton import build_automaton
 from repro.backends.prism.codegen import predicate_to_prism
-from repro.backends.prism.engine import eval_guard
 from repro.core import syntax as s
 from repro.core.compiler import GuardedFragmentError
 from repro.core.fields import FieldTable
 from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP, Packet
 from repro.network import running_example as ex
+from repro.topology import chain_model
+
+from oracles import ExactInferenceBaseline, MiniDtmc, eval_guard, prism_probability
 
 
 class TestAutomaton:
@@ -72,9 +79,10 @@ class TestTranslation:
 
 class TestCodegen:
     def test_source_structure(self):
-        backend = PrismBackend()
-        source = backend.source(
-            s.ite(s.test("f", 0), s.assign("f", 1), s.drop()), delivered=s.test("f", 1)
+        source = to_prism_source(
+            translate_policy(
+                s.ite(s.test("f", 0), s.assign("f", 1), s.drop()), delivered=s.test("f", 1)
+            )
         )
         assert source.startswith("dtmc")
         assert "module program" in source
@@ -86,9 +94,10 @@ class TestCodegen:
         assert predicate_to_prism(pred) == "(sw=1 & !(pt=2))"
 
     def test_probabilities_rendered_as_fractions(self):
-        backend = PrismBackend()
-        source = backend.source(
-            s.choice((s.assign("f", 1), Fraction(1, 3)), (s.assign("f", 2), Fraction(2, 3)))
+        source = to_prism_source(
+            translate_policy(
+                s.choice((s.assign("f", 1), Fraction(1, 3)), (s.assign("f", 2), Fraction(2, 3)))
+            )
         )
         assert "1/3" in source and "2/3" in source
 
@@ -101,24 +110,23 @@ class TestEngine:
     def test_terminal_distribution_simple_choice(self):
         policy = s.choice((s.assign("f", 1), Fraction(1, 4)), (s.assign("f", 2), Fraction(3, 4)))
         model = translate_policy(policy)
-        engine = MiniDtmc(model, exact=True)
+        engine = MiniDtmc(model)
         dist = engine.terminal_distribution(overrides={"f": 0})
         prob_f1 = sum(mass for state, mass in dist.items() if dict(state).get("f") == 1)
         assert prob_f1 == Fraction(1, 4)
 
     def test_probability_of_loop_outcome(self):
         loop = s.while_do(s.test("f", 0), s.choice((s.assign("f", 1), 0.5), (s.skip(), 0.5)))
-        backend = PrismBackend(exact=True)
-        assert backend.probability(loop, Packet({"f": 0}), s.test("f", 1)) == 1
+        assert prism_probability(loop, Packet({"f": 0}), s.test("f", 1)) == 1
 
     def test_dropped_packets_not_counted_as_delivered(self):
-        backend = PrismBackend(exact=True)
-        prob = backend.probability(s.seq(s.test("f", 1), s.assign("g", 1)), Packet({"f": 0, "g": 0}), s.test("g", 1))
+        policy = s.seq(s.test("f", 1), s.assign("g", 1))
+        prob = prism_probability(policy, Packet({"f": 0, "g": 0}), s.test("g", 1))
         assert prob == 0
 
 
 class TestAgainstNativeBackend:
-    """The PRISM pipeline and the native interpreter agree on whole models."""
+    """The translated program and the native interpreter agree on whole models."""
 
     @pytest.fixture(scope="class")
     def example(self):
@@ -133,18 +141,29 @@ class TestAgainstNativeBackend:
         native_prob = native.prob_of(
             lambda o: o is not DROP and o.get("sw") == 2 and o.get("pt") == 2
         )
-        prism_prob = PrismBackend(exact=True).probability(
-            model, example.ingress_packet, delivered
-        )
-        assert float(prism_prob) == pytest.approx(float(native_prob), abs=1e-9)
+        prism_prob = prism_probability(model, example.ingress_packet, delivered)
+        assert prism_prob == native_prob
 
     def test_chain_model_agreement(self):
-        from repro.topology import chain_model
+        """Figure 10's chains, d = 1..4: the translated program, the exact
+        interpreter and the closed form ``(1 - p/2)^d`` are equal as
+        ``Fraction``s; the matrix backend and the Bayonet-style baseline
+        agree with them within 1e-9."""
+        p = Fraction(1, 1000)
+        for diamonds in range(1, 5):
+            chain = chain_model(diamonds, p)
+            expected = (1 - p / 2) ** diamonds
 
-        chain = chain_model(2, Fraction(1, 100))
-        native = Interpreter(exact=True).run_packet(chain.policy, chain.ingress)
-        native_prob = float(
-            native.prob_of(lambda o: o is not DROP and o.get("sw") == 8)
-        )
-        prism_prob = PrismBackend().probability(chain.policy, chain.ingress, chain.delivered)
-        assert float(prism_prob) == pytest.approx(native_prob, abs=1e-9)
+            def delivered(o):
+                return o is not DROP and o.get("sw") == 4 * diamonds
+
+            native = Interpreter(exact=True).run_packet(chain.policy, chain.ingress)
+            assert native.prob_of(delivered) == expected
+            prism = prism_probability(chain.policy, chain.ingress, chain.delivered)
+            assert prism == expected
+            matrix = MatrixBackend().output_distribution(chain.policy, chain.ingress)
+            assert float(matrix.prob_of(delivered)) == pytest.approx(float(expected), abs=1e-9)
+            baseline = ExactInferenceBaseline().delivery_probability(
+                chain.policy, chain.ingress, chain.delivered
+            )
+            assert baseline == pytest.approx(float(expected), abs=1e-9)

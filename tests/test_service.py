@@ -468,8 +468,14 @@ class TestLifecycleAndResults:
             AnalysisSession()
 
     def test_prism_backend_rejected(self, models):
-        with pytest.raises(TypeError, match="batched"):
-            AnalysisSession(models[1], backend="prism")
+        """A PRISM-style engine answers point probabilities, not batches."""
+
+        class ProbabilityOnly:
+            def probability(self, policy, packet, target):  # pragma: no cover
+                raise AssertionError("a refused backend is never asked")
+
+        with pytest.raises(TypeError, match="ProbabilityOnly does not support batched"):
+            AnalysisSession(models[1], backend=ProbabilityOnly())
 
     def test_result_set_json_roundtrip(self, models, tmp_path):
         model = models[1]
