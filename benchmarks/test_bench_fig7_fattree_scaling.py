@@ -93,9 +93,10 @@ COMPILE_OPS = ("restrict_eq", "restrict_ne", "ite")
 #: before the do-while loop stage and the one-pass ingress predicate,
 #: which compiled the first hop a second time: 1 410, 248, 14, 160;
 #: before the plan stayed per role, with one diagram renamed and joined
-#: per switch: 626, 81, 7, 80.)
+#: per switch: 626, 81, 7, 80; before a local flag's write skipped the
+#: diagrams that test no such field: 390, 81, 7, 0.)
 K8_F1000_WORK = {
-    "compile_ops": 390,
+    "compile_ops": 96,
     "leaf_actions_composed": 81,
     "compile_roles": 7,
     "role_instances": 0,
@@ -281,7 +282,8 @@ def test_matrix_compile_work_count(benchmark):
     actions where one run per switch composed 8 046 — every run.  The
     first hop compiled once, in the do-while loop stage, and the ingress
     predicate built in one pass make 626 and 81; the plan kept per role,
-    no switch's diagram renamed or joined, makes 390 and renames none.
+    no switch's diagram renamed or joined, makes 390 and renames none;
+    a write restricting only the diagrams that test its field makes 96.
     """
     from repro.backends import MatrixBackend
 

@@ -27,7 +27,7 @@ from repro.core.packet import DROP
 from repro.topology import chain_model
 
 PFAIL = Fraction(1, 1000)
-SIZES = [1, 2, 4, 8]
+SIZES = [1, 2, 4, 8, 16]
 
 
 def main() -> None:

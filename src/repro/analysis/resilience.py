@@ -10,19 +10,60 @@ on their delivery behaviour, which is what Figure 11(c) reports.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Mapping, Sequence
 
 from repro.backends import resolve_backend
-from repro.core.equivalence import compare
+from repro.core.distributions import Dist
+from repro.core.equivalence import joint_distributions, output_distributions, relation
+from repro.core.interpreter import Interpreter, Outcome
+from repro.core.packet import Packet
 from repro.network.model import NetworkModel
 
 #: Symbols used in the printed tables, matching the paper's figures.
 CHECK = "✓"
 CROSS = "✗"
 
+ModelFactory = Callable[[str, int | None], NetworkModel]
+
+
+class _Answers:
+    """What the tables learned from one model factory.
+
+    ``models`` maps ``(scheme, bound)`` to the model the factory built;
+    ``dists`` maps ``(scheme, bound, exact, which)`` to the output
+    distributions computed so far of that model's ``policy`` or its
+    ``teleport`` spec (``which``), per ingress packet.
+    """
+
+    __slots__ = ("models", "dists")
+
+    def __init__(self) -> None:
+        self.models: dict[tuple[str, int | None], NetworkModel] = {}
+        self.dists: dict[tuple, dict[Packet, Dist[Outcome]]] = {}
+
+    def model(self, factory: ModelFactory, scheme: str, bound: int | None) -> NetworkModel:
+        key = (scheme, bound)
+        if key not in self.models:
+            self.models[key] = factory(scheme, bound)
+        return self.models[key]
+
+
+#: One store per live factory; an entry goes when its factory does.
+_STORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _answers(factory: ModelFactory) -> _Answers:
+    """The store of ``factory``; one that lasts this call if it cannot be
+    weakly referenced."""
+    try:
+        return _STORES.setdefault(factory, _Answers())
+    except TypeError:
+        return _Answers()
+
 
 def resilience_table(
-    model_factory: Callable[[str, int | None], NetworkModel],
+    model_factory: ModelFactory,
     schemes: Sequence[str],
     failure_bounds: Sequence[int | None],
     backend=None,
@@ -30,9 +71,12 @@ def resilience_table(
 ) -> dict[str, dict[int | None, bool]]:
     """Evaluate *k*-resilience of several schemes (Figure 11(b)).
 
-    ``model_factory(scheme, k)`` must build the network model of the given
-    scheme under failure bound ``k`` (``None`` meaning unbounded).  The
-    result maps scheme → {k → certainly-delivers}.
+    ``model_factory(scheme, k)`` builds the network model of the given
+    scheme under failure bound ``k`` (``None`` meaning unbounded), so a
+    model is a value of ``(factory, scheme, k)``: the tables call the
+    factory once per ``(scheme, k)`` and keep the model for as long as
+    the factory lives, shared with :func:`refinement_table`.  The result
+    maps scheme → {k → certainly-delivers}.
 
     The check is the interpreter's structural possibility analysis
     (:meth:`~repro.network.model.NetworkModel.certainly_delivers`), which
@@ -50,11 +94,12 @@ def resilience_table(
             f"backend {type(engine).__name__} does not support resilience "
             "queries; use 'native' or 'matrix'"
         )
+    answers = _answers(model_factory)
     table: dict[str, dict[int | None, bool]] = {}
     for scheme in schemes:
         row: dict[int | None, bool] = {}
         for bound in failure_bounds:
-            model = model_factory(scheme, bound)
+            model = answers.model(model_factory, scheme, bound)
             if engine is not None:
                 row[bound] = engine.certainly_delivers(model)
             else:
@@ -64,7 +109,7 @@ def resilience_table(
 
 
 def refinement_table(
-    model_factory: Callable[[str, int | None], NetworkModel],
+    model_factory: ModelFactory,
     scheme_pairs: Sequence[tuple[str, str]],
     failure_bounds: Sequence[int | None],
     exact: bool = False,
@@ -74,23 +119,47 @@ def refinement_table(
     ``"teleport"`` may be used as a scheme name to compare against the
     teleportation specification.  Entries are ``"≡"``, ``"<"``, ``">"``,
     or ``"incomparable"``.
+
+    ``model_factory(scheme, k)`` builds the model of ``(scheme, k)``, as
+    for :func:`resilience_table`, so a side's output distributions are
+    values of ``(factory, scheme, k, exact)``: each side is evaluated once
+    per factory (sides a cell lacks are evaluated together, on one
+    interpreter) and read by every pair it sits in.
     """
+    answers = _answers(model_factory)
     table: dict[tuple[str, str], dict[int | None, str]] = {}
     for left, right in scheme_pairs:
         row: dict[int | None, str] = {}
         for bound in failure_bounds:
-            reference = model_factory(
-                left if left != "teleport" else right, bound
+            owner = left if left != "teleport" else right
+            reference = answers.model(model_factory, owner, bound)
+            inputs = reference.ingress_packets
+            keys, sides = [], {}
+            for scheme in (left, right):
+                if scheme == "teleport":
+                    key, policy = (owner, bound, exact, "teleport"), reference.teleport
+                else:
+                    model = answers.model(model_factory, scheme, bound)
+                    key, policy = (scheme, bound, exact, "policy"), model.policy
+                sides[key] = policy
+                keys.append(key)
+            runs = []
+            for key, policy in sides.items():
+                known = answers.dists.setdefault(key, {})
+                packets = [packet for packet in inputs if packet not in known]
+                if packets:
+                    runs.append((known, policy, packets))
+            if runs:
+                evaluated = joint_distributions(
+                    [(policy, packets) for _, policy, packets in runs], exact
+                )
+                for (known, _, _), dists in zip(runs, evaluated):
+                    known.update(dists)
+            left_dists, right_dists = (
+                {packet: answers.dists[key][packet] for packet in inputs}
+                for key in keys
             )
-            left_policy = reference.teleport if left == "teleport" else reference.policy
-            right_policy = (
-                reference.teleport
-                if right == "teleport"
-                else model_factory(right, bound).policy
-            )
-            row[bound] = compare(
-                left_policy, right_policy, reference.ingress_packets, exact=exact
-            )
+            row[bound] = relation(left_dists, right_dists)
         table[(left, right)] = row
     return table
 
@@ -98,17 +167,33 @@ def refinement_table(
 def compare_schemes(
     models: Mapping[str, NetworkModel], exact: bool = False
 ) -> dict[tuple[str, str], str]:
-    """All pairwise refinement relations among a set of assembled models."""
+    """All pairwise refinement relations among a set of assembled models.
+
+    Each model runs on an interpreter of its own, kept across all its
+    pairs, and each of its ingress packets is evaluated once.
+    """
     names = list(models)
+    interpreters: dict[str, Interpreter] = {}
+    known: dict[str, dict[Packet, Dist[Outcome]]] = {name: {} for name in names}
+
+    def dists(name: str, inputs: Sequence[Packet]) -> dict[Packet, Dist[Outcome]]:
+        have = known[name]
+        missing = [packet for packet in inputs if packet not in have]
+        if missing:
+            if name not in interpreters:
+                interpreters[name] = Interpreter(exact=exact)
+            have.update(
+                output_distributions(
+                    models[name].policy, missing, interpreter=interpreters[name]
+                )
+            )
+        return {packet: have[packet] for packet in inputs}
+
     results: dict[tuple[str, str], str] = {}
     for i, left in enumerate(names):
         for right in names[i + 1 :]:
-            results[(left, right)] = compare(
-                models[left].policy,
-                models[right].policy,
-                models[left].ingress_packets,
-                exact=exact,
-            )
+            inputs = models[left].ingress_packets
+            results[(left, right)] = relation(dists(left, inputs), dists(right, inputs))
     return results
 
 

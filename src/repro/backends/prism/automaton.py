@@ -16,6 +16,8 @@ program counter small and the resulting PRISM model tractable.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -48,6 +50,8 @@ class Automaton:
     reject: int
     edges: list[Edge] = field(default_factory=list)
     state_count: int = 0
+    #: Edges :func:`collapse_basic_blocks` looked at to build this automaton.
+    visits: int = 0
 
     def states(self) -> range:
         return range(self.state_count)
@@ -84,19 +88,23 @@ class _Builder:
 
 def build_automaton(policy: s.Policy) -> Automaton:
     """Translate a guarded policy into its control-flow automaton."""
+    return collapse_basic_blocks(control_flow_automaton(policy))
+
+
+def control_flow_automaton(policy: s.Policy) -> Automaton:
+    """The automaton of a guarded policy, before basic blocks are collapsed."""
     builder = _Builder()
     start = builder.fresh()
     accept = builder.fresh()
     reject = builder.fresh()
     _translate(builder, policy, start, accept, reject)
-    automaton = Automaton(
+    return Automaton(
         start=start,
         accept=accept,
         reject=reject,
         edges=builder.edges,
         state_count=builder.count,
     )
-    return collapse_basic_blocks(automaton)
 
 
 def _translate(builder: _Builder, policy: s.Policy, entry: int, exit_: int, reject: int) -> None:
@@ -162,50 +170,67 @@ def collapse_basic_blocks(automaton: Automaton) -> Automaton:
     do not test any field written by ``updates`` (otherwise the guard
     would have to be rewritten).  Protected states (start, accept,
     reject) are never removed.
+
+    Merges are not confluent (a merged state writes more fields, which
+    can block a later merge), so the order is fixed: the first mergeable
+    state in edge order, where a merged state's edges move to the end.
+    One pass over a priority queue keeps that order; a merge re-queues
+    only the merged state and its predecessors, the states whose
+    mergeability it can change.  ``visits`` on the result counts the
+    edges the pass looked at.
     """
     protected = {automaton.start, automaton.accept, automaton.reject}
-    edges = list(automaton.edges)
-    changed = True
-    while changed:
-        changed = False
-        by_src: dict[int, list[Edge]] = {}
-        for edge in edges:
-            by_src.setdefault(edge.src, []).append(edge)
-        for state, outgoing in by_src.items():
-            if state in protected or len(outgoing) != 1:
-                continue
-            only = outgoing[0]
-            if only.probability != 1 or not isinstance(only.guard, s.TrueP):
-                continue
-            if only.dst == state:
-                continue
-            written = {name for name, _ in only.updates}
-            successor_edges = by_src.get(only.dst, [])
-            if any(
-                written & edge.guard.fields() for edge in successor_edges
-            ):
-                continue
-            # Splice: redirect the state's unique edge through the successor.
-            replacement: list[Edge] = []
-            for edge in edges:
-                if edge.src != state:
-                    replacement.append(edge)
-            for succ_edge in successor_edges:
-                merged_updates = dict(only.updates)
-                merged_updates.update(dict(succ_edge.updates))
-                replacement.append(
-                    Edge(
-                        state,
-                        succ_edge.guard,
-                        succ_edge.probability,
-                        tuple(sorted(merged_updates.items())),
-                        succ_edge.dst,
-                    )
-                )
-            if successor_edges:
-                edges = replacement
-                changed = True
-                break
+    by_src: dict[int, list[Edge]] = {}
+    into: dict[int, set[int]] = {}
+    for edge in automaton.edges:
+        by_src.setdefault(edge.src, []).append(edge)
+        into.setdefault(edge.dst, set()).add(edge.src)
+    visits = len(automaton.edges)
+    # A state's place in edge order; a merged state's edges move to the end.
+    place = {state: rank for rank, state in enumerate(by_src)}
+    queue = [(rank, state) for state, rank in place.items()]
+    ranks = itertools.count(len(place))
+    moved: set[int] = set()
+    while queue:
+        rank, state = heapq.heappop(queue)
+        visits += 1
+        outgoing = by_src[state]
+        if place[state] != rank or state in protected or len(outgoing) != 1:
+            continue
+        only = outgoing[0]
+        if only.probability != 1 or not isinstance(only.guard, s.TrueP):
+            continue
+        if only.dst == state:
+            continue
+        written = {name for name, _ in only.updates}
+        successor_edges = by_src.get(only.dst, [])
+        visits += len(successor_edges)
+        if not successor_edges or any(
+            written & edge.guard.fields() for edge in successor_edges
+        ):
+            continue
+        # Splice: redirect the state's unique edge through the successor.
+        by_src[state] = [
+            Edge(
+                state,
+                succ_edge.guard,
+                succ_edge.probability,
+                tuple(sorted({**dict(only.updates), **dict(succ_edge.updates)}.items())),
+                succ_edge.dst,
+            )
+            for succ_edge in successor_edges
+        ]
+        into[only.dst].discard(state)
+        for succ_edge in successor_edges:
+            into.setdefault(succ_edge.dst, set()).add(state)
+        moved.add(state)
+        place[state] = next(ranks)
+        heapq.heappush(queue, (place[state], state))
+        for pred in into.get(state, ()):
+            heapq.heappush(queue, (place[pred], pred))
+    edges = [edge for edge in automaton.edges if edge.src not in moved]
+    for state in sorted(moved, key=place.__getitem__):
+        edges.extend(by_src[state])
     reachable = _reachable_states(automaton.start, edges)
     reachable |= protected
     kept = [edge for edge in edges if edge.src in reachable]
@@ -221,6 +246,7 @@ def collapse_basic_blocks(automaton: Automaton) -> Automaton:
         reject=remap[automaton.reject],
         edges=renumbered,
         state_count=len(remap),
+        visits=visits,
     )
 
 

@@ -48,8 +48,11 @@ def translate_policy(
     for spec in table:
         model.variables.append(PrismVariable(spec.name, spec.low, spec.high, init=spec.low))
 
+    by_src: dict[int, list[Edge]] = {}
+    for edge in automaton.edges:
+        by_src.setdefault(edge.src, []).append(edge)
     for state in automaton.states():
-        outgoing = automaton.outgoing(state)
+        outgoing = by_src.get(state)
         if not outgoing:
             continue
         groups: dict[s.Predicate, list[Edge]] = {}

@@ -68,16 +68,17 @@ def output_distributions(
     return {packet: interp.run_packet(p, packet) for packet in inputs}
 
 
-def _paired_distributions(
-    p: s.Policy, q: s.Policy, inputs: Sequence[Packet], exact: bool
-) -> tuple[dict[Packet, Dist[Outcome]], dict[Packet, Dist[Outcome]]]:
-    """Evaluate both programs on one interpreter: one compiler, one FDD manager,
-    so the sub-diagrams the two share are interned and combined once."""
+def joint_distributions(
+    runs: Sequence[tuple[s.Policy, Sequence[Packet]]], exact: bool
+) -> list[dict[Packet, Dist[Outcome]]]:
+    """Evaluate each ``(program, inputs)`` run on one interpreter: one compiler,
+    one FDD manager, so the sub-diagrams the programs share are interned and
+    combined once."""
     interpreter = Interpreter(exact=exact)
-    return (
-        output_distributions(p, inputs, interpreter=interpreter),
-        output_distributions(q, inputs, interpreter=interpreter),
-    )
+    return [
+        output_distributions(policy, inputs, interpreter=interpreter)
+        for policy, inputs in runs
+    ]
 
 
 def output_equivalent(
@@ -89,7 +90,7 @@ def output_equivalent(
 ) -> bool:
     """Equivalence of ``p`` and ``q`` restricted to the given input packets."""
     inputs = list(inputs)
-    dists_p, dists_q = _paired_distributions(p, q, inputs, exact)
+    dists_p, dists_q = joint_distributions([(p, inputs), (q, inputs)], exact)
     for packet in inputs:
         if exact:
             if dists_p[packet] != dists_q[packet]:
@@ -126,7 +127,8 @@ def refines(
     excluded, following the paper: ``q`` delivers packets with higher
     probability than ``p``).
     """
-    dists_p, dists_q = _paired_distributions(p, q, list(inputs), exact)
+    inputs = list(inputs)
+    dists_p, dists_q = joint_distributions([(p, inputs), (q, inputs)], exact)
     return _dominated(dists_p, dists_q, tolerance)
 
 
@@ -154,7 +156,21 @@ def compare(
     entries used in Figure 11(c) of the paper.  Each program is evaluated
     once per input; both refinement directions read the same distributions.
     """
-    dists_p, dists_q = _paired_distributions(p, q, list(inputs), exact)
+    inputs = list(inputs)
+    dists_p, dists_q = joint_distributions([(p, inputs), (q, inputs)], exact)
+    return relation(dists_p, dists_q, tolerance)
+
+
+def relation(
+    dists_p: dict[Packet, Dist[Outcome]],
+    dists_q: dict[Packet, Dist[Outcome]],
+    tolerance: float = 1e-9,
+) -> str:
+    """Classify two programs by their output distributions on the same inputs.
+
+    ``dists_p`` and ``dists_q`` map each input packet to that program's
+    output distribution; the result is :func:`compare`'s.
+    """
     le = _dominated(dists_p, dists_q, tolerance)
     ge = _dominated(dists_q, dists_p, tolerance)
     if le and ge:

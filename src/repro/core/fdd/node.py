@@ -110,6 +110,9 @@ class FddManager:
         self._op_caches: dict[str, dict[tuple, FddNode]] = {}
         # Branch uid -> (field, chain_table): the jump tables of leaf_of.
         self._jump_memo: dict[int, tuple[str, dict[int, FddNode], FddNode]] = {}
+        # Branch uid -> the highest field rank tested at or below it
+        # (see :func:`~repro.core.fdd.ops.deepest_rank`).
+        self.deepest_ranks: dict[int, int] = {}
         # Compile work the memo tables do not see (see :meth:`stats`).
         self.counters = dict.fromkeys(
             ("leaf_actions_composed", "compile_roles", "role_instances"), 0

@@ -187,13 +187,48 @@ def restrict_ne(node: FddNode, field: str, value: int) -> FddNode:
 
 
 def restrict_action(node: FddNode, action: Action) -> FddNode:
-    """Partially evaluate ``node`` after the modifications of ``action``."""
+    """Partially evaluate ``node`` after the modifications of ``action``.
+
+    A field ranked after every field the diagram tests is not tested in
+    it, so its write restricts nothing and the diagram is not walked.
+    """
     result = node
     for field, value in action.mods:
         if type(result) is Leaf:
             break
+        if result.manager.field_rank(field) > deepest_rank(result):
+            continue
         result = restrict_eq(result, field, value)
     return result
+
+
+def deepest_rank(node: FddNode) -> int:
+    """The highest field rank ``node`` tests anywhere (-1 for a leaf).
+
+    Memoised per node on its manager, so a diagram is walked once for it.
+    """
+    if type(node) is Leaf:
+        return -1
+    manager = node.manager
+    memo = manager.deepest_ranks
+    stack = [node]
+    while stack:
+        current = stack[-1]
+        if current.uid in memo:
+            stack.pop()
+            continue
+        children = [
+            child for child in (current.hi, current.lo) if type(child) is not Leaf
+        ]
+        pending = [child for child in children if child.uid not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[current.uid] = max(
+            [manager.field_rank(current.field)] + [memo[child.uid] for child in children]
+        )
+        stack.pop()
+    return memo[node.uid]
 
 
 # ---------------------------------------------------------------------------

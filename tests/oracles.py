@@ -35,6 +35,7 @@ from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 from repro.backends.prism import PrismModel, translate_policy
+from repro.backends.prism.automaton import Automaton, Edge, _reachable_states
 from repro.core import syntax as s
 from repro.core.answer import Answer
 from repro.core.compiler import GuardedFragmentError
@@ -538,6 +539,79 @@ def topology_program_reference(
 # -- the general-purpose engines of figures 9 and 10 -------------------------------
 
 Valuation = tuple[tuple[str, int], ...]
+
+
+def collapse_basic_blocks_reference(automaton: Automaton) -> Automaton:
+    """Collapse chains of unconditional probability-one edges.
+
+    A state whose *only* outgoing edge is ``--[skip, 1, updates]--> next``
+    is merged into its successor whenever the successor's outgoing edges
+    do not test any field written by ``updates`` (otherwise the guard
+    would have to be rewritten).  Protected states (start, accept,
+    reject) are never removed.
+
+    The replaced translation step: it rebuilds the edge list and restarts
+    its scan after every merge, quadratic in the edges.
+    """
+    protected = {automaton.start, automaton.accept, automaton.reject}
+    edges = list(automaton.edges)
+    changed = True
+    while changed:
+        changed = False
+        by_src: dict[int, list[Edge]] = {}
+        for edge in edges:
+            by_src.setdefault(edge.src, []).append(edge)
+        for state, outgoing in by_src.items():
+            if state in protected or len(outgoing) != 1:
+                continue
+            only = outgoing[0]
+            if only.probability != 1 or not isinstance(only.guard, s.TrueP):
+                continue
+            if only.dst == state:
+                continue
+            written = {name for name, _ in only.updates}
+            successor_edges = by_src.get(only.dst, [])
+            if any(
+                written & edge.guard.fields() for edge in successor_edges
+            ):
+                continue
+            # Splice: redirect the state's unique edge through the successor.
+            replacement: list[Edge] = []
+            for edge in edges:
+                if edge.src != state:
+                    replacement.append(edge)
+            for succ_edge in successor_edges:
+                merged_updates = dict(only.updates)
+                merged_updates.update(dict(succ_edge.updates))
+                replacement.append(
+                    Edge(
+                        state,
+                        succ_edge.guard,
+                        succ_edge.probability,
+                        tuple(sorted(merged_updates.items())),
+                        succ_edge.dst,
+                    )
+                )
+            if successor_edges:
+                edges = replacement
+                changed = True
+                break
+    reachable = _reachable_states(automaton.start, edges)
+    reachable |= protected
+    kept = [edge for edge in edges if edge.src in reachable]
+    remap = {old: new for new, old in enumerate(sorted(reachable))}
+    renumbered = [
+        Edge(remap[e.src], e.guard, e.probability, e.updates, remap[e.dst])
+        for e in kept
+        if e.dst in remap
+    ]
+    return Automaton(
+        start=remap[automaton.start],
+        accept=remap[automaton.accept],
+        reject=remap[automaton.reject],
+        edges=renumbered,
+        state_count=len(remap),
+    )
 
 
 def reachable_states(start, successors) -> list:

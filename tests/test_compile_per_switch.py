@@ -644,10 +644,32 @@ def test_the_count_repeats_and_separates_the_two_strategies(whole_program_compil
     # compiled the first hop a second time and the ingress predicate by
     # one ``disjoin`` (``ite``) per host port; 148 while the plan joined
     # the per-switch runs with one ``ite`` each (the plan is per role now,
-    # and the join waits for the whole diagram to be asked for).
-    assert count() == count() == 92
+    # and the join waits for the whole diagram to be asked for); 92 while
+    # each local flag the head writes walked the whole ingress predicate,
+    # which tests none of them.
+    assert count() == count() == 50
     whole_program_compile()
-    assert count() == 2_277  # no spine: every product is whole, and no field is ranked first
+    # No spine: every product is whole, and no field is ranked first (2 277
+    # while restrict_action walked diagrams for fields they do not test).
+    assert count() == 1_909
+
+
+def test_a_write_restricts_only_diagrams_that_test_its_field(monkeypatch):
+    """The head's local flags are ranked below every test of the ingress
+    predicate, so their writes leave it as it is, without walking it."""
+    policy = fattree_model(8, True).policy
+
+    def plan() -> tuple[int, int, object]:
+        backend = MatrixBackend()
+        backend.plan(policy)
+        stats = backend.manager.stats()
+        return stats["memo"]["restrict_eq"], stats["nodes"], backend.plan_key(policy)
+
+    skipping = plan()
+    monkeypatch.setattr(ops, "deepest_rank", lambda node: sys.maxsize)
+    walking = plan()
+    assert (skipping[0], walking[0]) == (58, 352)
+    assert skipping[1:] == walking[1:]  # the same diagrams, the same plan
 
 
 #: What ``restrict``/``ite`` memo entries do not see: they read 9 523 on a

@@ -10,7 +10,11 @@ import pytest
 
 from repro.backends import MatrixBackend
 from repro.backends.prism import to_prism_source, translate_policy
-from repro.backends.prism.automaton import build_automaton
+from repro.backends.prism.automaton import (
+    build_automaton,
+    collapse_basic_blocks,
+    control_flow_automaton,
+)
 from repro.backends.prism.codegen import predicate_to_prism
 from repro.core import syntax as s
 from repro.core.compiler import GuardedFragmentError
@@ -20,7 +24,13 @@ from repro.core.packet import DROP, Packet
 from repro.network import running_example as ex
 from repro.topology import chain_model
 
-from oracles import ExactInferenceBaseline, MiniDtmc, eval_guard, prism_probability
+from oracles import (
+    ExactInferenceBaseline,
+    MiniDtmc,
+    collapse_basic_blocks_reference,
+    eval_guard,
+    prism_probability,
+)
 
 
 class TestAutomaton:
@@ -54,6 +64,51 @@ class TestAutomaton:
     def test_union_rejected(self):
         with pytest.raises(GuardedFragmentError):
             build_automaton(s.Union((s.assign("f", 1), s.assign("f", 2))))
+
+
+def _collapse_cases():
+    """Programs the basic-block collapse is held to its reference on."""
+    from repro.network.model import build_model
+    from repro.routing import ecmp_policy
+    from repro.topology import zoo
+
+    example = ex.build()
+    cases = {f"chain-{d}": chain_model(d, Fraction(1, 1000)).policy for d in range(1, 9)}
+    for name, model in example.models_naive.items():
+        cases[f"naive-{name}"] = model
+    for name, model in example.models_resilient.items():
+        cases[f"resilient-{name}"] = model
+    abilene = zoo.load("abilene")
+    cases["abilene"] = build_model(
+        abilene, ecmp_policy(abilene, 1), dest=1, count_hops=True
+    ).policy
+    return cases
+
+
+class TestBasicBlockCollapse:
+    """One worklist pass gives the automaton the rescanning collapse gave."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return {
+            name: control_flow_automaton(policy) for name, policy in _collapse_cases().items()
+        }
+
+    def test_same_automaton_as_the_reference(self, cases):
+        for name, raw in cases.items():
+            fast, slow = collapse_basic_blocks(raw), collapse_basic_blocks_reference(raw)
+            assert fast.edges == slow.edges, name  # the same edges, in the same order
+            assert (fast.start, fast.accept, fast.reject, fast.state_count) == (
+                slow.start, slow.accept, slow.reject, slow.state_count
+            ), name
+
+    def test_edge_visits_are_linear_in_the_edges(self, cases):
+        # A count, not a time: the rescanning collapse visited every edge
+        # once per merge, ~1 000 times each on the d = 8 chain.  A merge
+        # copies its successor's edges, so the edges out count too.
+        for name, raw in cases.items():
+            collapsed = collapse_basic_blocks(raw)
+            assert collapsed.visits <= 3 * (len(raw.edges) + len(collapsed.edges)), name
 
 
 class TestTranslation:
