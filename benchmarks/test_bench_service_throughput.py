@@ -28,7 +28,7 @@ isolates the solver path the pool parallelises.  The structural
 evidence of parallelism — distinct replicas serving shards whose
 wall-clock windows overlap — is asserted unconditionally.
 
-A fifth claim landed with the telemetry layer: observability must not
+A further claim landed with the telemetry layer: observability must not
 cost what it observes.  The same warmed steady-state solver passes are
 served once with the default tracing-disabled telemetry and once with
 full span tracing on; the extra time is recorded as the
@@ -37,23 +37,12 @@ percentage of the pass would grow every time the pass gets shorter) and
 gated by CI, so
 instrumentation creep on the serving path fails the build instead of
 silently taxing every query.
-
-A fourth claim rides along since the supervision layer landed: crash
-recovery must be cheap.  The same 112-pair batch is served twice by a
-warmed two-worker process pool — once cleanly, once while one worker is
-SIGKILLed mid-batch — and the wall-clock *excess* of the faulted pass
-(quarantine + transparent retry + in-place respawn) is recorded as the
-lower-is-better ``recovery_extra_ms`` metric and gated by CI against
-the committed baseline, so the self-healing path cannot silently grow
-a pathological recovery stall.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import signal
-import threading
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -66,7 +55,6 @@ from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy, f10_model
 from repro.service import AnalysisSession, Query, Telemetry
-from repro.service.pool import HEALTHY
 from repro.topology import ab_fat_tree, edge_switches, fat_tree
 
 from bench_utils import print_table, record, scale
@@ -82,8 +70,6 @@ POOL_SIZE = 4
 POOL_PASSES = 3
 #: Destinations of the solver-dominated f10/AB-FatTree process-pool workload.
 PROC_DESTS = 4
-#: Worker count of the crash-recovery measurement (one dies, one carries on).
-RECOVERY_POOL = 2
 
 RESULTS: list[list[object]] = []
 MEASURED: dict[str, float] = {}
@@ -368,124 +354,6 @@ def test_telemetry_overhead(benchmark, workload):
             "telemetry_overhead_us": overhead_us,
             "untraced_qps": off_qps,
             "traced_qps": on_qps,
-        },
-    )
-
-
-@pytest.mark.chaos
-def test_crash_recovery_overhead(benchmark, workload):
-    """SIGKILL one of two workers mid-batch: how much does healing cost?
-
-    A warmed ``pool_mode="process"`` session serves the 112-pair batch
-    twice from compiled plans — a clean reference pass, then a pass
-    during which the first busy worker is SIGKILLed.  Supervision
-    quarantines the corpse, transparently retries its shard on the
-    survivor, and respawns the worker in place, so the faulted pass
-    still returns every answer; the wall-clock excess over the clean
-    pass is the caller-visible price of one crash and is recorded as
-    the lower-is-better ``recovery_extra_ms`` metric, gated by CI
-    against the committed baseline.
-    """
-    models, batch = workload
-
-    def measure():
-        with _quiesced_gc():
-            with AnalysisSession(
-                models=models.values(),
-                workers=RECOVERY_POOL,
-                pool_size=RECOVERY_POOL,
-                pool_mode="process",
-                max_attempts=3,
-            ) as session:
-                for dest in models:
-                    session.warm(dest, solve=False)
-                session.query_batch(batch)  # untimed: plan ship + first solve
-                session.clear_cache(keep_plans=True)
-
-                start = time.perf_counter()
-                clean = session.query_batch(batch)
-                clean_seconds = time.perf_counter() - start
-                session.clear_cache(keep_plans=True)
-
-                killed: list[int] = []
-                stop = threading.Event()
-
-                def killer():
-                    # Kill the first worker caught mid-lease (busy =
-                    # serving a shard).  If the SIGKILL races a reply that
-                    # already left the pipe no failure registers, so keep
-                    # striking busy workers until the pool notices one.
-                    deadline = time.monotonic() + 60.0
-                    while time.monotonic() < deadline and not stop.is_set():
-                        for replica in session.pool.replicas:
-                            if replica.busy and replica.health == HEALTHY:
-                                os.kill(replica.backend.pid, signal.SIGKILL)
-                                killed.append(replica.index)
-                                settle = time.monotonic() + 2.0
-                                while time.monotonic() < settle:
-                                    if session.pool.failures > 0:
-                                        return
-                                    time.sleep(0.005)
-                        time.sleep(0.0005)
-
-                thread = threading.Thread(target=killer)
-                thread.start()
-                start = time.perf_counter()
-                faulted = session.query_batch(batch)
-                faulted_seconds = time.perf_counter() - start
-                stop.set()
-                thread.join(timeout=10.0)
-                # The respawn runs on a supervisor thread; give it time
-                # to land before reading the stats snapshot.
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    if session.pool.stats()["restarts"] >= 1:
-                        break
-                    time.sleep(0.01)
-                stats = session.pool.stats()
-                retried = session.retried_shards
-                return clean, clean_seconds, faulted, faulted_seconds, killed, stats, retried
-
-    clean, clean_seconds, faulted, faulted_seconds, killed, stats, retried = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    assert killed, "the fault injector never caught a busy worker"
-    assert stats["failures"] >= 1, "the SIGKILL was never detected as a replica failure"
-    assert stats["restarts"] >= 1, "the killed worker was never respawned"
-    assert retried >= 1, "no shard was transparently retried"
-    # The faulted pass is still exact: every answer matches the clean pass.
-    for query, expected in zip(batch, clean.values):
-        assert faulted.value(query) == pytest.approx(expected, abs=1e-9)
-
-    recovery_extra_ms = max(0.0, (faulted_seconds - clean_seconds) * 1000.0)
-    MEASURED["recovery_extra_ms"] = recovery_extra_ms
-    RESULTS.append(
-        [
-            f"recovery clean (proc pool={RECOVERY_POOL})",
-            len(batch),
-            f"{clean_seconds:.2f}s",
-            f"{len(batch) / clean_seconds:.1f}",
-            "reference pass",
-        ]
-    )
-    RESULTS.append(
-        [
-            "recovery with SIGKILL",
-            len(batch),
-            f"{faulted_seconds:.2f}s",
-            f"{len(batch) / faulted_seconds:.1f}",
-            f"+{recovery_extra_ms:.0f}ms, {stats['restarts']} restart(s)",
-        ]
-    )
-    record(
-        "service",
-        "Service throughput — sharded session vs naive per-call analysis (FatTree k=4)",
-        ["path", "queries", "time", "q/s", "notes"],
-        RESULTS,
-        metrics={
-            "recovery_extra_ms": recovery_extra_ms,
-            "recovery_clean_qps": len(batch) / clean_seconds,
-            "recovery_faulted_qps": len(batch) / faulted_seconds,
         },
     )
 

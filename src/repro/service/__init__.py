@@ -16,8 +16,8 @@ Architecture (**session → pool → backend**):
 * :mod:`repro.service.pool` — the :class:`BackendPool`: N independent
   backend replicas (own FDD manager, plan caches, and ``splu``
   factorizations each), leased exclusively per destination group with
-  affinity routing, work-stealing, and in-place respawn of failed
-  replicas — whatever replica source it is given;
+  affinity routing and work-stealing — whatever replica source it is
+  given; a replica whose worker died leaves the rotation;
 * :mod:`repro.service.procpool` — the replica sources: the in-process
   backend (``pool_mode="thread"``, one replica, called directly), and
   worker processes (:class:`ProcessReplicas`, ``pool_mode="process"``),
@@ -42,12 +42,9 @@ Architecture (**session → pool → backend**):
   lossless drain;
 * :mod:`repro.service.transport` — the :class:`PipeTransport` under
   worker replicas, which also owns worker liveness (it watches the
-  worker's process sentinel) and reports typed failures
-  (:class:`TransportClosed`) instead of hangs; plus a frame codec kept
+  worker's process sentinel) and reports a dead worker as
+  :class:`TransportClosed` instead of a hang; plus a frame codec kept
   for the benchmark's wire metrics;
-* :mod:`repro.service.faults` — the :class:`FaultPlan` fault-injection
-  harness (``REPRO_FAULTS``): deterministic worker kills, reply delays,
-  and dropped pipes for chaos-testing the supervision layer;
 * :mod:`repro.service.telemetry` — zero-dependency observability: a
   :class:`Tracer` producing one span tree per request (``request →
   shard → lease → worker:query → phase:*``, propagated across the
@@ -57,12 +54,12 @@ Architecture (**session → pool → backend**):
   text exposition — all off by default with a constant-cost disabled
   path.
 
-Fault tolerance: replica failure is supervised and recoverable — a
-crashed or hung worker is quarantined, respawned in place (plans
-re-shipped as specs), and its solve transparently retried on a healthy
-replica (:class:`ReplicaFailure` → bounded retry →
-:class:`PoolUnavailable`); streamed clients see at most a retryable
-``unavailable`` error (:class:`Unavailable`).
+Crashes: a worker that dies fails the destination group it was
+solving with :class:`ReplicaFailure` and leaves the pool's rotation;
+later batches are served by the remaining replicas, and
+:class:`PoolUnavailable` says none is left.  Nothing is respawned or
+retried.  Streamed clients see both as the retryable ``unavailable``
+error (:class:`Unavailable`).
 
 Quick start::
 
@@ -88,7 +85,6 @@ from repro.service.coalesce import (
     Unavailable,
 )
 from repro.service.executor import ShardExecutor
-from repro.service.faults import Fault, FaultPlan
 from repro.service.pool import (
     BackendPool,
     PoolUnavailable,
@@ -131,8 +127,6 @@ __all__ = [
     "BatchCoalescer",
     "CoalescedAnswer",
     "DeadlineExceeded",
-    "Fault",
-    "FaultPlan",
     "FrameError",
     "MetricsRegistry",
     "Overloaded",

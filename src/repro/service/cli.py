@@ -76,7 +76,7 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-failures",
         type=int,
         default=None,
-        help="bound k on concurrent failures (f10 schemes; default unbounded)",
+        help="bound k on concurrent failures (f10 schemes only; default unbounded)",
     )
     parser.add_argument(
         "--count-hops",
@@ -110,21 +110,6 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         "process; 'process' gives every replica its own worker process fed "
         "by spec shipping, parallelising plan rebuild + matrix assembly + "
         "solve end-to-end (default thread)",
-    )
-    parser.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        help="per-shard wall-clock watchdog in seconds (worker replicas): a "
-        "worker that does not answer in time is killed, respawned, and the "
-        "shard retried on a healthy replica (default: no watchdog)",
-    )
-    parser.add_argument(
-        "--shard-attempts",
-        type=int,
-        default=2,
-        help="replicas a shard may be attempted on across crashes before "
-        "failing with PoolUnavailable (default 2: original + one retry)",
     )
     parser.add_argument(
         "--trace-out",
@@ -324,8 +309,8 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
             "--pool-mode thread serves from one in-process replica; "
             "--pool-size above 1 needs --pool-mode process"
         )
-    if args.shard_attempts < 1:
-        raise SystemExit("--shard-attempts must be >= 1")
+    if args.scheme == "ecmp" and args.max_failures is not None:
+        raise ValueError("--max-failures bounds the f10 schemes; --scheme ecmp takes none")
     if not 0.0 < args.trace_sample <= 1.0:
         raise SystemExit("--trace-sample must be in (0, 1]")
     from repro.service.telemetry import Telemetry
@@ -339,8 +324,6 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
         pool_size=args.pool_size,
         pool_mode=args.pool_mode,
         workers=args.workers,
-        shard_timeout=args.shard_timeout,
-        max_attempts=args.shard_attempts,
         telemetry=telemetry,
     )
 
@@ -356,17 +339,6 @@ def export_telemetry(session: AnalysisSession, args: argparse.Namespace) -> None
         print(f"trace written to {args.trace_out} ({count} span(s))")
     if args.metrics:
         print(session.metrics_text(), end="")
-
-
-def print_supervision(stats: dict) -> None:
-    """The ``supervision:`` line, when a replica failed during serving."""
-    pool = stats["pool"]
-    if pool["failures"] or stats["retried_shards"]:
-        print(
-            f"supervision: {pool['failures']} replica failure(s), "
-            f"{pool['restarts']} worker restart(s), "
-            f"{stats['retried_shards']} shard(s) transparently retried"
-        )
 
 
 @contextmanager
@@ -444,15 +416,13 @@ async def _run_server(args: argparse.Namespace, started_cb=None) -> int:
         started_cb(server)
     await server.serve_until_stopped()
     await server.stop()
-    stats = server.stats()
-    coalescer = stats["coalescer"]
+    coalescer = server.stats()["coalescer"]
     print(
         f"served {coalescer['answered']} queries in {coalescer['batches']} "
         f"coalesced batch(es) (mean batch {coalescer['batch_mean']:.2f}, "
         f"{coalescer['deadline_exceeded']} deadline-exceeded, "
         f"{coalescer['overloaded']} overloaded)"
     )
-    print_supervision(stats)
     export_telemetry(session, args)
     return 0
 
@@ -505,9 +475,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(
                 f"pool: {pool['size']} {pool['mode']}-hosted replicas "
                 f"(pids {workers}), leases {pool['leases']}, "
-                f"{pool['steals']} steal(s), {pool['restarts']} restart(s)"
+                f"{pool['steals']} steal(s)"
             )
-        print_supervision(stats)
         timings = stats["backend_timings"]
         if timings:
             phases = ", ".join(f"{name}={value:.3f}s" for name, value in sorted(timings.items()))

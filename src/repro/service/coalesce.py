@@ -26,16 +26,15 @@ edges:
   can fail the whole coalesced ``query_batch``) is retried query by
   query, so exactly the bad queries get the error and every innocent
   bystander coalesced into the same window still gets its answer.
-* **Classification** — failures are sorted into *retryable* transport
-  conditions and *terminal* semantic errors before reaching clients: a
-  replica crash or exhausted pool
+* **Classification** — failures are sorted into *retryable*
+  infrastructure conditions and *terminal* semantic errors before
+  reaching clients: a replica crash or a pool with no replica left
   (:class:`~repro.service.pool.ReplicaFailure` /
   :class:`~repro.service.pool.PoolUnavailable`) becomes
-  :class:`Unavailable` (``retry: true`` — the pool is respawning the
-  worker; the same query will succeed), while a genuinely bad query
-  keeps its non-retryable error.  Without this split, isolation retries
-  would mark *every* error terminal and clients would drop queries the
-  pool could have served a moment later.
+  :class:`Unavailable` (``retry: true`` — the crashed replica has left
+  the rotation, and a resent query goes to the remaining ones) for
+  every query of the batch, without isolation: no query caused it.  A
+  genuinely bad query keeps its non-retryable error.
 * **Drain** — :meth:`BatchCoalescer.aclose` refuses new admissions,
   flushes the pending window immediately, and waits for every in-flight
   answer to be delivered, which is what makes server shutdown lossless.
@@ -88,12 +87,12 @@ class ShuttingDown(QueryRejected):
 
 
 class Unavailable(QueryRejected):
-    """A backend replica failed mid-query; the pool is healing — retry.
+    """A backend replica died mid-query, or none is left — retry.
 
     Raised in place of a raw :class:`~repro.service.pool.ReplicaFailure`
     or :class:`~repro.service.pool.PoolUnavailable` so streamed clients
-    see a *retryable* wire error: the crashed worker is being respawned
-    and the same query is expected to succeed on the next attempt.
+    see a *retryable* wire error: the dead replica has left the pool's
+    rotation, so a resent query is served by a remaining one.
     """
 
     code = "unavailable"
@@ -104,8 +103,8 @@ def classify_failure(error: BaseException) -> BaseException:
     """Map transport/replica failures to retryable errors, pass the rest.
 
     The split the wire contract relies on: infrastructure failures
-    (replica crashed, watchdog fired, retries exhausted while the pool
-    heals) become :class:`Unavailable` (``retry: true``); semantic query
+    (a replica crashed, or none is left) become :class:`Unavailable`
+    (``retry: true``); semantic query
     errors (unknown destination, bad kind) come back unchanged and stay
     terminal — resending those would fail identically.
     """
@@ -359,14 +358,16 @@ class BatchCoalescer:
         """Resolve every entry of a completed (or failed) batch dispatch."""
         error = done.exception()
         if error is not None:
-            if isolate_on_error and len(entries) > 1:
-                # One poisoned query fails the whole coalesced batch; retry
-                # query-by-query so only the culprit sees the error.
+            mapped = classify_failure(error)
+            # One poisoned query fails the whole coalesced batch; retry
+            # query-by-query so only the culprit sees the error.  A replica
+            # crash (mapped to Unavailable) is no query's fault: all fail.
+            if isolate_on_error and len(entries) > 1 and mapped is error:
                 self._isolation_retries += 1
                 for entry in entries:
                     self._dispatch([entry], isolate_on_error=False)
             else:
-                self._fail_all(entries, error)
+                self._fail_all(entries, mapped)
             return
         result_set = done.result()
         now = self._clock()
@@ -391,10 +392,9 @@ class BatchCoalescer:
             entry.future.set_exception(DeadlineExceeded(reason))
 
     def _fail_all(self, entries: list[_Pending], error: BaseException) -> None:
-        # Classify before delivering: replica/transport failures surface as
-        # the retryable Unavailable, so a worker crash that slipped past the
-        # session's own retries (or raced the isolation re-dispatch) tells
-        # clients to resend rather than to give up.
+        # Classify before delivering: a replica crash surfaces as the
+        # retryable Unavailable, which tells clients to resend rather than
+        # to give up.
         mapped = classify_failure(error)
         for entry in entries:
             if not entry.future.done():

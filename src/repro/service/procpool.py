@@ -1,7 +1,8 @@
 """Replica sources: where a pool's replicas live, and the one client for workers.
 
-A :class:`~repro.service.pool.BackendPool` leases, routes, and
-supervises replicas; the *source* it is given builds them.  There are
+A :class:`~repro.service.pool.BackendPool` leases and routes replicas;
+the *source* it is given builds them, once per slot, when the pool is
+built.  There are
 two, picked by :func:`open_pool` from the session's ``pool_mode``:
 
 * :class:`InProcess` (``"thread"``) — exactly one replica, the session's
@@ -38,17 +39,12 @@ own; the :class:`PlanDirectory` lock *may* compile (parent-side, first
 time a policy is seen) — it is therefore only ever taken from inside a
 lease or from warmup, never while holding the session state lock.
 
-Supervision: worker liveness is the pipe's job — it waits on the
-worker's OS sentinel — and the client's one request loop turns what the
-pipe reports into a :class:`~repro.service.pool.ReplicaFailure`.  A
-``shard_timeout`` arms a per-request watchdog: a worker that does not
-answer in time is killed and reported as ``kind="timeout"``.  The
-pool's quarantine/respawn machinery then asks the source for a fresh
-worker at the same index, which re-adopts every plan the dead worker had
-from the parent-side :class:`PlanDirectory` — as specs, so respawned
-workers still report 0 AST compilations.  Fault injection for all of this lives in
-:mod:`repro.service.faults` (``REPRO_FAULTS``), which
-:func:`worker_main` consults around query requests only.
+Crashes: worker liveness is the pipe's job — it waits on the worker's
+OS sentinel — and the client's one request loop turns a closed pipe
+into a :class:`~repro.service.pool.ReplicaFailure` carrying the exit
+code.  The pool then takes that replica out of the rotation; no worker
+is started after the pool is built, so workers are only ever forked
+from the thread that builds the session.
 """
 
 from __future__ import annotations
@@ -59,10 +55,9 @@ import threading
 import traceback
 from typing import TYPE_CHECKING
 
-from repro.service.faults import FaultPlan
 from repro.service.pool import BackendPool, ReplicaFailure
 from repro.service.telemetry import Telemetry, Tracer
-from repro.service.transport import PipeTransport, TransportClosed, TransportTimeout
+from repro.service.transport import PipeTransport, TransportClosed
 from repro.service.wire import QuerySpec, ResultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,17 +100,11 @@ def worker_main(connection, index: int = 0) -> None:
     * ``("reset", keep_plans)`` → drop solver state (and, without
       ``keep_plans``, the adopted plans); reply ``("ok", stats)``.
     * ``("ping",)`` → reply ``("ok", stats)`` (liveness + stats fetch).
-    * ``("stop",)`` → reply ``("ok", stats)`` and exit.
+    * ``("stop",)`` → exit without a reply.
 
     Any exception is caught and returned as ``("error", summary,
     traceback)`` — the worker survives and keeps serving, so one bad
     query cannot take a replica (and its warm factorizations) down.
-
-    Fault injection (chaos testing): when ``REPRO_FAULTS`` names this
-    worker's ``index``, the :mod:`repro.service.faults` hooks run around
-    **query** requests only — plan shipping and the respawn path stay
-    clean, so injected crashes exercise the same recovery machinery a
-    real mid-solve crash would.
     """
     import signal
 
@@ -125,11 +114,8 @@ def worker_main(connection, index: int = 0) -> None:
 
     from repro.backends.matrix import MatrixBackend
 
-    plan = FaultPlan.from_env()
-    faults = plan.for_worker(index) if plan is not None else None
     backend = MatrixBackend()
     queries_served = 0
-    requests_served = 0
     # Worker-side tracer, built lazily on the first *traced* query (the
     # untraced path never pays for it).  Always enabled once built: the
     # sampling decision was made by the caller and travels in the
@@ -143,17 +129,12 @@ def worker_main(connection, index: int = 0) -> None:
         op = message[0]
         try:
             if op == "stop":
-                connection.send(("ok", _worker_stats(backend, queries_served)))
                 return
             if op == "plan":
                 _, plan_id, fields, stage_specs = message
                 backend.adopt_plan(plan_id, fields, stage_specs)
                 connection.send(("ok", _worker_stats(backend, queries_served)))
             elif op == "query":
-                if faults is not None and faults.sabotage_query(requests_served) == "drop":
-                    connection.close()
-                    return
-                requests_served += 1
                 spec: QuerySpec = message[1]
                 if spec.kind != "distributions":
                     raise ValueError(f"unknown wire query kind {spec.kind!r}")
@@ -188,8 +169,6 @@ def worker_main(connection, index: int = 0) -> None:
                     dists = backend.query_plan(spec.plan, spec.ingress_packets())
                 queries_served += len(spec.ingress)
                 result = ResultSpec.from_distributions(spec.plan, dists)
-                if faults is not None:
-                    faults.delay_reply(requests_served)
                 connection.send(
                     ("result", result, _worker_stats(backend, queries_served, spans))
                 )
@@ -230,9 +209,6 @@ class PlanDirectory:
         # id(policy) -> (policy, plan_id, fields, stage_specs, plan_key);
         # the policy is retained so a recycled id cannot alias.
         self._entries: dict[int, tuple] = {}
-        # plan_id -> (fields, stage_specs): the respawn path re-ships a
-        # dead worker's adopted plans by id, without the policy objects.
-        self._by_id: dict[int, tuple] = {}
         self._next_id = 0
 
     def entry(self, policy) -> tuple[int, tuple, tuple, object]:
@@ -249,22 +225,7 @@ class PlanDirectory:
             plan_id = self._next_id
             self._next_id += 1
             self._entries[id(policy)] = (policy, plan_id, fields, stage_specs, key)
-            self._by_id[plan_id] = (fields, stage_specs)
             return plan_id, fields, stage_specs, key
-
-    def payload(self, plan_id: int) -> tuple | None:
-        """The ``(fields, stage_specs)`` payload of ``plan_id``, if known.
-
-        This is the respawn re-publication path: a fresh worker replacing
-        a dead one re-adopts every plan the corpse had, straight from the
-        directory — no policy object, no recompilation.
-        """
-        with self._lock:
-            return self._by_id.get(plan_id)
-
-
-#: ``_request``'s default: the client's own per-shard budget.
-_SHARD_BUDGET = object()
 
 
 class ReplicaClient:
@@ -277,21 +238,17 @@ class ReplicaClient:
     messages — so sessions, warmup, and benchmarks are drop-in between
     pool modes.  The pipe carries the messages and watches the worker
     (see :mod:`repro.service.transport`); :meth:`_request`, the one
-    request loop, maps what it reports onto
-    :class:`~repro.service.pool.ReplicaFailure`:
+    request loop, turns a closed pipe
+    (:class:`~repro.service.transport.TransportClosed`: the worker
+    exited, the pipe was lost) into a
+    :class:`~repro.service.pool.ReplicaFailure` with the worker's exit
+    code.
 
-    * :class:`~repro.service.transport.TransportClosed` (the worker
-      exited, the pipe was lost) → ``kind="crash"``;
-    * :class:`~repro.service.transport.TransportTimeout` (no answer
-      within ``shard_timeout``) → the worker is killed, then
-      ``kind="timeout"``.
-
-    A failed client is permanently dead; the pool's supervision replaces
-    it with a fresh client at the same replica index.  Semantic worker
-    errors (bad query, unknown plan) come back as ordinary
-    ``RuntimeError`` — the worker survives those, nothing restarts.  A
-    client is only ever driven under its replica's exclusive lease,
-    hence one outstanding request at a time.
+    A failed client stays dead: every later request raises the same
+    failure.  Semantic worker errors (bad query, unknown plan) come back
+    as ordinary ``RuntimeError`` — the worker survives those.  A client
+    is only ever driven under its replica's exclusive lease, hence one
+    outstanding request at a time.
     """
 
     def __init__(
@@ -300,20 +257,12 @@ class ReplicaClient:
         directory: PlanDirectory,
         transport: PipeTransport,
         *,
-        shard_timeout: float | None = None,
         telemetry: Telemetry | None = None,
-        carry_timings: dict | None = None,
     ):
         self.index = index
         self.transport = transport
         self._directory = directory
-        self._timeout = shard_timeout
         self._telemetry = telemetry
-        # Phase timings accumulated by this slot's *previous* worker
-        # incarnations (injected by the respawn path).  timings() adds the
-        # live worker's snapshot on top, so a restart never makes the
-        # slot's cumulative phase time go backwards.
-        self._carry_timings: dict[str, float] = dict(carry_timings or {})
         self._closed = False
         #: The failure that killed this client, when dead (sticky).
         self._failure: ReplicaFailure | None = None
@@ -337,54 +286,24 @@ class ReplicaClient:
     def alive(self) -> bool:
         return self._failure is None and not self._closed
 
-    @property
-    def failure(self) -> ReplicaFailure | None:
-        """The sticky failure that condemned this client, if any."""
-        return self._failure
-
     # -- the request loop ------------------------------------------------------
-    def _mark_dead(self, kind: str, detail: str, cause: BaseException) -> ReplicaFailure:
-        """Record this client as permanently dead; the first failure sticks."""
-        if self._failure is None:
-            failure = ReplicaFailure(
-                f"worker {self.index} (pid {self.pid}) {detail}",
-                replica=self.index,
-                kind=kind,
-                exit_code=self.exit_code,
-            )
-            failure.__cause__ = cause
-            self._failure = failure
-        return self._failure
-
-    def _request(self, message: tuple, timeout=_SHARD_BUDGET) -> tuple:
-        """One message round trip; transport trouble becomes a ReplicaFailure."""
+    def _request(self, message: tuple) -> tuple:
+        """One message round trip; a closed pipe becomes a ReplicaFailure."""
         if self._closed:
             raise RuntimeError("replica client is closed")
         if self._failure is not None:
             raise self._failure
-        budget = self._timeout if timeout is _SHARD_BUDGET else timeout
-        op = message[0]
         try:
             self.transport.send(message)
-            reply = self.transport.recv(budget)
-        except TransportTimeout as exc:
-            # Watchdog: the worker is hung (or stalling) past the budget.
-            # Stop it so the caller can retry on a healthy replica instead
-            # of waiting forever.
-            self.transport.kill()
-            if self._telemetry is not None:
-                self._telemetry.tracer.event(
-                    "watchdog-kill",
-                    replica=self.index,
-                    pid=self.pid,
-                    op=op,
-                    budget=budget,
-                )
-            raise self._mark_dead(
-                "timeout", f"did not answer {op!r} in time ({exc}) and was stopped", exc
-            )
+            reply = self.transport.recv()
         except TransportClosed as exc:
-            raise self._mark_dead("crash", f"died while serving {op!r} ({exc})", exc)
+            self._failure = ReplicaFailure(
+                f"worker {self.index} (pid {self.pid}) died while serving "
+                f"{message[0]!r} ({exc})",
+                replica=self.index,
+                exit_code=self.exit_code,
+            )
+            raise self._failure from exc
         if reply[0] == "error":
             _, summary, trace = reply
             raise RuntimeError(
@@ -393,30 +312,13 @@ class ReplicaClient:
         self.worker_stats = reply[-1]
         return reply
 
-    def adopt(self, plan_id: int, fields, stage_specs) -> None:
-        """Ship one plan payload by id."""
-        self._request(("plan", plan_id, fields, stage_specs))
-        self._shipped.add(plan_id)
-
-    def reship(self, dead: "ReplicaClient") -> None:
-        """Re-adopt every plan ``dead`` had shipped (the respawn path).
-
-        The payloads come straight from the parent-side
-        :class:`PlanDirectory` — as manager-independent specs, never as
-        ASTs — so the replacement serves its destinations immediately
-        and its ``ast_compilations`` counter stays 0.
-        """
-        for plan_id in sorted(dead._shipped):
-            payload = self._directory.payload(plan_id)
-            if payload is not None:
-                self.adopt(plan_id, *payload)
-
     # -- backend surface (driven under a replica lease) ------------------------
     def plan(self, policy) -> int:
         """Ship ``policy``'s payload to the worker once; returns its plan id."""
         plan_id, fields, stage_specs, _key = self._directory.entry(policy)
         if plan_id not in self._shipped:
-            self.adopt(plan_id, fields, stage_specs)
+            self._request(("plan", plan_id, fields, stage_specs))
+            self._shipped.add(plan_id)
         return plan_id
 
     def plan_key(self, policy) -> object:
@@ -465,22 +367,8 @@ class ReplicaClient:
         self._shipped.clear()
 
     def timings(self) -> dict[str, float]:
-        """The replica slot's cumulative phase timings across incarnations.
-
-        The live worker's last-known snapshot *plus* the carry from every
-        previous worker that served this slot (injected on respawn) — so
-        a crashed-and-replaced worker never makes the slot's cumulative
-        phase time go backwards, and session-level ``backend_timings``
-        stay monotone under churn.  (Work a worker did after its last
-        reply and before dying is unavoidably lost; monotonicity is the
-        contract, not exactness.)
-        """
-        total = dict(self._carry_timings)
-        timings = self.worker_stats.get("timings")
-        if timings:
-            for name, value in timings.items():
-                total[name] = total.get(name, 0.0) + value
-        return total
+        """The worker's last-known cumulative phase timings."""
+        return dict(self.worker_stats.get("timings") or {})
 
     def solver_stats(self) -> dict[str, int]:
         """The worker's last-known numeric-kernel counters.
@@ -488,21 +376,23 @@ class ReplicaClient:
         ``factorizations``/``schur_updates``/``assembly_rows`` from the
         stats blob of the most recent reply (see
         :meth:`~repro.backends.matrix.MatrixBackend.solver_stats`).
-        Counters restart with the worker: a respawned replica reports its
-        own work, not its predecessor's.
         """
         return dict(self.worker_stats.get("solver") or {})
 
     def close(self) -> None:
-        """Stop the worker and release the transport (idempotent)."""
+        """Stop the worker and release the transport (idempotent).
+
+        ``stop`` is sent without waiting for an answer; the transport
+        joins the worker, and terminates one that does not exit.
+        """
         if self._closed:
             return
+        self._closed = True
         if self._failure is None:
             try:
-                self._request(("stop",), timeout=5.0)
-            except RuntimeError:
+                self.transport.send(("stop",))
+            except TransportClosed:
                 pass  # it died on the way out; the transport reaps it
-        self._closed = True
         self.transport.close()
 
 
@@ -510,11 +400,10 @@ class InProcess:
     """The in-process replica source: one replica, ``backend`` itself.
 
     Queries reach the backend by a direct call — no codec, no copy — so
-    this is the path every single-process caller runs.  A failed lease
-    re-installs the same backend (the call was in-process: there is no
-    worker to lose), and a second replica is refused: replicas in one
-    interpreter share its GIL, so parallel serving is what the process
-    source is for.  The backend stays its owner's to close.
+    this is the path every single-process caller runs.  A second replica
+    is refused: replicas in one interpreter share its GIL, so parallel
+    serving is what the process source is for.  The backend stays its
+    owner's to close.
     """
 
     mode = "thread"
@@ -523,7 +412,7 @@ class InProcess:
     def __init__(self, backend: object):
         self.backend = backend
 
-    def __call__(self, index: int, dead: object) -> object:
+    def __call__(self, index: int) -> object:
         if index:
             raise ValueError(
                 "pool_mode='thread' hosts exactly one in-process replica; "
@@ -551,35 +440,19 @@ class ProcessReplicas:
         canonical cache keys workers and sessions share.  Must support
         spec shipping (``plan_payload``/``plan_key`` — the matrix
         backend; the native family cannot host worker replicas).
-    shard_timeout:
-        Per-request wall-clock watchdog in seconds.  A worker that does
-        not answer within the budget is killed, reported as a
-        ``kind="timeout"`` :class:`~repro.service.pool.ReplicaFailure`,
-        and respawned — so a hung worker degrades into a retried shard
-        instead of a stuck batch.  ``None`` (default) disables the
-        watchdog.
     telemetry:
-        Carried into every client (watchdog events, trace propagation).
+        Carried into every client (trace propagation).
     """
 
     mode = "process"
 
-    def __init__(
-        self,
-        planner: object,
-        *,
-        shard_timeout: float | None = None,
-        telemetry: Telemetry | None = None,
-    ):
+    def __init__(self, planner: object, *, telemetry: Telemetry | None = None):
         if not hasattr(planner, "plan_payload") or not hasattr(planner, "plan_key"):
             raise TypeError(
                 f"backend {type(planner).__name__} cannot host worker replicas: "
                 "spec shipping needs plan_payload()/plan_key() (use the matrix "
                 "backend, or pool_mode='thread')"
             )
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive (or None)")
-        self.shard_timeout = shard_timeout
         #: The shared plan directory (parent-side compile-once registry).
         self.directory = PlanDirectory(planner)
         self._telemetry = telemetry
@@ -589,15 +462,11 @@ class ProcessReplicas:
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
 
-    def __call__(self, index: int, dead: ReplicaClient | None = None) -> ReplicaClient:
-        """Start a worker for slot ``index`` (replacing ``dead``, if given).
+    def __call__(self, index: int) -> ReplicaClient:
+        """Start the worker of slot ``index``, with empty plan caches.
 
-        New workers join with empty plan caches; the shared
-        :class:`PlanDirectory` ships each compiled plan payload the first
-        time the worker is asked about the policy.  A replacement for
-        ``dead`` instead re-adopts the corpse's plans up front and takes
-        over its cumulative phase timings as carry, so the slot's
-        reported phase time never resets across restarts.
+        The shared :class:`PlanDirectory` ships each compiled plan
+        payload the first time the worker is asked about the policy.
         """
         conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
@@ -608,21 +477,9 @@ class ProcessReplicas:
         )
         process.start()
         child_conn.close()
-        client = ReplicaClient(
-            index,
-            self.directory,
-            PipeTransport(conn, process),
-            shard_timeout=self.shard_timeout,
-            telemetry=self._telemetry,
-            carry_timings=None if dead is None else dead.timings(),
+        return ReplicaClient(
+            index, self.directory, PipeTransport(conn, process), telemetry=self._telemetry
         )
-        if dead is not None:
-            try:
-                client.reship(dead)
-            except Exception:
-                client.close()  # the replacement died too: reap, then give up
-                raise
-        return client
 
 
 def open_pool(
@@ -630,7 +487,6 @@ def open_pool(
     backend: object,
     size: int | None = None,
     *,
-    shard_timeout: float | None = None,
     telemetry: Telemetry | None = None,
 ) -> BackendPool:
     """A :class:`~repro.service.pool.BackendPool` over the source for ``mode``.
@@ -638,12 +494,12 @@ def open_pool(
     ``"thread"`` serves from ``backend`` itself (:class:`InProcess`, one
     replica, which stays the caller's to close); ``"process"`` keeps
     ``backend`` as the parent-side planner and hosts ``size`` workers
-    (default 1).
+    (default 1), all started here.
     """
     if mode == "thread":
         source = InProcess(backend)
     elif mode == "process":
-        source = ProcessReplicas(backend, shard_timeout=shard_timeout, telemetry=telemetry)
+        source = ProcessReplicas(backend, telemetry=telemetry)
     else:
         raise ValueError(
             f"unknown pool_mode {mode!r}; expected 'thread' or 'process'"

@@ -114,11 +114,6 @@ class ShardReport:
     clock across the groups of a batch, so overlapping windows with
     distinct worker pids are direct evidence of cross-process parallel
     execution.
-
-    ``attempts`` counts the lease attempts the solve took (0 when fully
-    cached, more than 1 when replica failures forced retries) and
-    ``failed_replicas`` lists the replica indices it retried *away
-    from*, in failure order.
     """
 
     index: int
@@ -131,8 +126,6 @@ class ShardReport:
     worker: int | None = None
     started: float = 0.0
     finished: float = 0.0
-    attempts: int = 0
-    failed_replicas: tuple[int, ...] = ()
 
     def overlaps(self, other: "ShardReport") -> bool:
         """Whether the two groups' wall-clock execution windows intersect."""
@@ -206,8 +199,6 @@ class ResultSet:
                     "replica": report.replica,
                     "pool_mode": report.pool_mode,
                     "worker": report.worker,
-                    "attempts": report.attempts,
-                    "failed_replicas": list(report.failed_replicas),
                 }
                 for report in self.shards
             ],

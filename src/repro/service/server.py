@@ -27,8 +27,9 @@ Wire protocol (one JSON object per line, both directions)::
 ``kind`` defaults to ``"delivery"``; ``deadline_ms`` is a per-query
 relative deadline; error codes (see :mod:`repro.service.wire`) are
 ``bad-request``, ``overloaded`` (retryable — the backpressure
-slow-down), ``unavailable`` (retryable — a backend replica crashed and
-the pool is respawning it), ``deadline-exceeded``, ``shutting-down``,
+slow-down), ``unavailable`` (retryable — a backend replica crashed
+under the request; the remaining replicas serve it when resent),
+``deadline-exceeded``, ``shutting-down``,
 ``too-large`` (non-retryable — the request line exceeded the server's
 ``max_line_bytes``; the line is discarded and the connection survives),
 and ``internal``.  :meth:`StreamClient.request` honours ``retry: true``
@@ -421,9 +422,8 @@ class QueryServer:
     def stats(self) -> dict[str, object]:
         """Server + coalescer + pool counters (the ``stats`` op's payload).
 
-        The ``pool`` block carries the supervision counters (failures,
-        restarts, per-replica health) and ``retried_shards`` counts the
-        crashes the session absorbed without any client noticing.
+        The ``pool`` block lists the replicas whose worker died
+        (``dead``), which no longer serve.
         """
         pool = self.session.pool.stats()
         return {
@@ -436,11 +436,8 @@ class QueryServer:
                 "mode": pool["mode"],
                 "size": pool["size"],
                 "steals": pool["steals"],
-                "failures": pool["failures"],
-                "restarts": pool["restarts"],
-                "health": pool["health"],
+                "dead": pool["dead"],
             },
-            "retried_shards": getattr(self.session, "retried_shards", 0),
         }
 
 
@@ -521,7 +518,7 @@ class StreamClient:
 
         With ``retries > 0``, a reply carrying a *retryable* error
         (``error.retry == true`` — the ``overloaded`` backpressure signal
-        or ``unavailable`` while the pool respawns a crashed worker) is
+        or ``unavailable`` after a replica crashed under the query) is
         resent up to ``retries`` times with capped exponential backoff
         and full jitter (each delay is uniform in ``[0, min(max_backoff,
         backoff * 2**attempt)]``, so synchronized clients de-correlate

@@ -37,13 +37,13 @@ Sessions implement the analysis engine protocol
 ``repro.analysis`` entry point accepts one via ``session=`` or
 ``backend=``.
 
-Fault tolerance: queries are **pure**, so every leased solve runs in a
-bounded retry loop (``max_attempts``, default 2).  A
-:class:`~repro.service.pool.ReplicaFailure` under a lease respawns the
-replica (see :mod:`repro.service.pool`) while the session re-leases and
-re-solves; callers see an error only once retries are exhausted, as the
-typed :class:`~repro.service.pool.PoolUnavailable`, which the streaming
-front end maps to the retryable ``unavailable`` wire error.
+Crashes: a :class:`~repro.service.pool.ReplicaFailure` under a lease
+(its worker died) fails the group that held the lease, and the batch
+raises it; the pool takes that replica out of the rotation, so later
+calls are served by the remaining replicas, and by none once
+:class:`~repro.service.pool.PoolUnavailable` says every one is dead.
+The streaming front end maps both to the retryable ``unavailable`` wire
+error.  Nothing is retried here.
 """
 
 from __future__ import annotations
@@ -63,12 +63,7 @@ from repro.core.interpreter import Outcome
 from repro.core.packet import Packet
 from repro.network.model import NetworkModel
 from repro.service.executor import ShardExecutor
-from repro.service.pool import (
-    BackendPool,
-    PoolUnavailable,
-    Replica,
-    ReplicaFailure,
-)
+from repro.service.pool import BackendPool, Replica
 from repro.service.procpool import open_pool
 from repro.service.results import Query, QueryResult, ResultSet, ShardReport
 from repro.service.telemetry import LATENCY_BUCKETS, SIZE_BUCKETS, Telemetry
@@ -114,18 +109,6 @@ class AnalysisSession:
     cache:
         Keep the canonical-spec-keyed result cache (default).  Disable to
         re-solve every query (e.g. for benchmarking the raw solver path).
-    shard_timeout:
-        Per-shard wall-clock watchdog in seconds (process mode): a
-        worker that does not answer a shard within the budget is killed,
-        respawned, and the shard retried on a healthy replica.  ``None`` (default) disables the
-        watchdog; the in-process replica is the session process itself
-        and cannot be killed independently, so the value is ignored
-        there.
-    max_attempts:
-        How many replicas a shard may be attempted on before the query
-        fails with :class:`~repro.service.pool.PoolUnavailable`
-        (default 2: the original attempt plus one retry).  Queries are
-        pure, so retrying on a healthy replica is always sound.
     telemetry:
         Observability configuration: a
         :class:`~repro.service.telemetry.Telemetry` instance, ``True``
@@ -149,12 +132,8 @@ class AnalysisSession:
         pool_mode: str = "thread",
         workers: int | None = None,
         cache: bool = True,
-        shard_timeout: float | None = None,
-        max_attempts: int = 2,
         telemetry: Telemetry | bool | None = None,
     ):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self._telemetry = Telemetry.coerce(telemetry)
         metrics = self._telemetry.metrics
         self._m_requests = metrics.counter(
@@ -165,10 +144,6 @@ class AnalysisSession:
         )
         self._m_cache_hits = metrics.counter(
             "repro_cache_hits_total", "Queries answered from the session result cache"
-        )
-        self._m_retries = metrics.counter(
-            "repro_shard_retries_total",
-            "Shard attempts transparently retried after a replica failure",
         )
         self._m_latency = metrics.histogram(
             "repro_request_latency_seconds",
@@ -202,13 +177,7 @@ class AnalysisSession:
         # closes); caller-supplied instances stay the caller's to close.
         # Worker replicas are always pool-owned.
         self._owns_backend = isinstance(backend, str)
-        self._pool = open_pool(
-            pool_mode,
-            engine,
-            pool_size,
-            shard_timeout=shard_timeout,
-            telemetry=self._telemetry,
-        )
+        self._pool = open_pool(pool_mode, engine, pool_size, telemetry=self._telemetry)
         self._executor = ShardExecutor(workers)
         self._model_factory = model_factory
         self._cache_enabled = cache
@@ -240,11 +209,9 @@ class AnalysisSession:
         self._rows: dict[int, dict[Packet, AnswerRow]] = {}
         # plan token -> certainly_delivers verdict.
         self._verdicts: dict[int, bool] = {}
-        self._max_attempts = max_attempts
         self._queries_served = 0
         self._batches_served = 0
         self._shards_run = 0
-        self._shard_retries = 0
 
         if model is not None:
             self.add_model(model, default=True)
@@ -329,12 +296,6 @@ class AnalysisSession:
     def telemetry(self) -> Telemetry:
         """The session's telemetry hub (tracer + metrics registry)."""
         return self._telemetry
-
-    @property
-    def retried_shards(self) -> int:
-        """How many leased solves were transparently retried after a
-        replica failure (each one a crash the caller never saw)."""
-        return self._shard_retries
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -563,8 +524,7 @@ class AnalysisSession:
                         cached = self._verdicts.setdefault(token, verdict)
                 return cached
 
-            verdict, _attempts, _failed = self._with_lease(None, check)
-            return verdict
+            return self._with_lease(None, check)
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> dict[str, object]:
@@ -594,7 +554,6 @@ class AnalysisSession:
             "queries": self._queries_served,
             "batches": self._batches_served,
             "shards": self._shards_run,
-            "retried_shards": self._shard_retries,
             "cached_distributions": cached,
             "destinations": self.destinations,
             "backend": type(self._backend).__name__,
@@ -644,9 +603,8 @@ class AnalysisSession:
                 if plan_fn is not None:
                     plan_fn(policy)
 
-            # A replica dying under the warmup call quarantines through
-            # the lease's own exception path and is skipped — its respawn
-            # re-ships adopted plans anyway.
+            # A replica dying under the warmup call is marked dead through
+            # the lease's own exception path and skipped.
             self._pool.for_each(plan)
             if solve:
                 self._answer_rows(policy, model.ingress_packets, affinity=("dest", dest))
@@ -696,7 +654,7 @@ class AnalysisSession:
         ) as span:
             model = self.model_for(dest)
             queries = [batch[position] for position in positions]
-            rows, hits, served_by, attempts, failed = self._answer_rows(
+            rows, hits, served_by = self._answer_rows(
                 model.policy, [query.ingress for query in queries], affinity=("dest", dest)
             )
             cache_hits = 0
@@ -705,7 +663,7 @@ class AnalysisSession:
                 cache_hits += cached
                 value = self._evaluate(query, model, rows[query.ingress])
                 results[position] = QueryResult(query, value, index, cached)
-            span.set(cache_hits=cache_hits, replica=served_by, attempts=attempts)
+            span.set(cache_hits=cache_hits, replica=served_by)
         finished = time.perf_counter()
         return ShardReport(
             index=index,
@@ -718,8 +676,6 @@ class AnalysisSession:
             worker=None if served_by is None else self._pool.worker_id(served_by),
             started=started,
             finished=finished,
-            attempts=attempts,
-            failed_replicas=failed,
         )
 
     def _evaluate(self, query: Query, model: NetworkModel, row: AnswerRow):
@@ -762,17 +718,14 @@ class AnalysisSession:
         policy: s.Policy,
         packets: Sequence[Packet],
         affinity: object | None = None,
-    ) -> tuple[dict[Packet, AnswerRow], set[Packet], int | None, int, tuple]:
+    ) -> tuple[dict[Packet, AnswerRow], set[Packet], int | None]:
         """Per-ingress answer rows of ``policy``, via the session cache.
 
-        Returns ``(rows, hits, replica, attempts, failed)`` where
-        ``hits`` are the packets answered from the cache, ``replica`` is
-        the index of the leased replica that solved the misses (``None``
-        when every packet hit — fully cached calls never lease, so
-        cached traffic runs with no solver contention at all),
-        ``attempts`` counts the lease attempts taken (0 when fully
-        cached), and ``failed`` lists the replica indices retried away
-        from, in failure order.
+        Returns ``(rows, hits, replica)`` where ``hits`` are the packets
+        answered from the cache and ``replica`` is the index of the
+        leased replica that solved the misses (``None`` when every
+        packet hit — fully cached calls never lease, so cached traffic
+        runs with no solver contention at all).
         """
         if self._closed:
             # Every query surface funnels through here (query_batch, the
@@ -792,65 +745,24 @@ class AnalysisSession:
                         break
                     out[packet] = found
                 else:
-                    return out, set(out), None, 0, ()
+                    return out, set(out), None
 
         def solve(replica: Replica) -> tuple[dict[Packet, AnswerRow], set[Packet], int]:
             rows, solved_hits = self._solve_on(replica, policy, packets)
             return rows, solved_hits, replica.index
 
-        result, attempts, failed = self._with_lease(affinity, solve)
-        rows, solved_hits, served_by = result
-        return rows, solved_hits, served_by, attempts, failed
+        return self._with_lease(affinity, solve)
 
     def _with_lease(self, affinity: object | None, body: Callable[[Replica], object]):
-        """Run ``body`` under a pool lease, retrying replica failures.
+        """Run ``body`` under a pool lease, inside a ``lease`` span.
 
-        Queries are pure, so a solve whose replica crashed (or hung past
-        the watchdog) re-runs verbatim on a healthy replica —
-        the crashed attempt published nothing partial (cache publication
-        happens after a completed solve).  The failed replica is already
-        quarantined and respawning by the time the failure reaches this
-        loop (the lease's exception path does that), so the re-lease
-        routes around it.  After ``max_attempts`` distinct failures the
-        typed :class:`~repro.service.pool.PoolUnavailable` surfaces,
-        chained to the last replica failure.
-
-        Returns ``(body's result, attempts taken, failed replica
-        indices)`` so callers can attach per-shard retry provenance to
-        their reports.
+        The span lives *inside* the pool lease, so a body failure closes
+        the span (with its error attr) before the lease's exception path
+        marks the replica dead.
         """
-        attempt = 0
-        failed: list[int] = []
-        tracer = self._telemetry.tracer
-        while True:
-            try:
-                with self._pool.lease(affinity) as replica:
-                    # The lease span lives *inside* the pool lease so a
-                    # body failure closes the span (with its error attr)
-                    # before the lease's exception path quarantines the
-                    # replica — quarantine events land on the outer span.
-                    with tracer.span(
-                        "lease", replica=replica.index, attempt=attempt + 1
-                    ):
-                        return body(replica), attempt + 1, tuple(failed)
-            except ReplicaFailure as failure:
-                attempt += 1
-                if failure.replica is not None:
-                    failed.append(failure.replica)
-                if attempt >= self._max_attempts:
-                    raise PoolUnavailable(
-                        f"shard failed on {attempt} replica(s); "
-                        f"retries exhausted (max_attempts={self._max_attempts})"
-                    ) from failure
-                with self._state_lock:
-                    self._shard_retries += 1
-                self._m_retries.inc()
-                tracer.event(
-                    "shard-retry",
-                    attempt=attempt,
-                    replica=failure.replica,
-                    kind=getattr(failure, "kind", "crash"),
-                )
+        with self._pool.lease(affinity) as replica:
+            with self._telemetry.tracer.span("lease", replica=replica.index):
+                return body(replica)
 
     def _solve_on(
         self, replica: Replica, policy: s.Policy, packets: Sequence[Packet]

@@ -347,17 +347,6 @@ class Tracer:
         if current is not None and current.recording:
             current.event(name, **attrs)
 
-    def mark(self, name: str, **attrs) -> None:
-        """Record a zero-length span: an incident on the trace timeline.
-
-        It nests under the current span when there is one and starts a
-        root otherwise — supervision work on respawn threads has no
-        current span, where :meth:`event` would be dropped.
-        """
-        if self.enabled:
-            with self.span(name, **attrs):
-                pass
-
     def phase_listener(self) -> Callable[[str, float], None]:
         """A :class:`~repro.utils.timing.Stopwatch` listener recording phases.
 

@@ -6,21 +6,13 @@ plain picklable messages (``("plan", ...)`` / ``("query", QuerySpec)`` /
 :class:`~repro.service.procpool.ReplicaClient` exchanges with one worker
 process over a :class:`PipeTransport`.  The pipe also owns the worker's
 *liveness*: every receive waits on the reply pipe and on the worker's
-OS sentinel, so a dead worker is noticed the moment it exits, and the
-watchdog action is to kill the process.
+OS sentinel, so a dead worker is noticed the moment it exits.
 
-Failure taxonomy (what supervision keys off):
-
-* :class:`TransportClosed` — the worker is gone (it exited, or the pipe
-  reset).  Subclasses :class:`EOFError` on purpose, so a loop written
-  against a raw ``Connection`` (``except (EOFError, OSError)``) keeps
-  working unmodified.
-* :class:`TransportTimeout` — ``recv(timeout=...)`` expired.
-
-The replica client's one request loop maps them onto
-``ReplicaFailure(kind="crash" | "timeout")``, so the pool's
-quarantine/respawn machinery treats a closed pipe exactly like worker
-death.
+:class:`TransportClosed` says the worker is gone (it exited, or the
+pipe reset).  It subclasses :class:`EOFError` on purpose, so a loop
+written against a raw ``Connection`` (``except (EOFError, OSError)``)
+keeps working unmodified.  The replica client's one request loop maps it
+onto a ``ReplicaFailure``, which takes the replica out of its pool.
 
 The frame codec (:func:`encode_message`, :func:`decode_message`,
 :func:`decode_header`, :func:`decode_payload`, :class:`FrameError`) is
@@ -53,7 +45,7 @@ DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 
 
 class TransportError(RuntimeError):
-    """Base class: the pipe closed, a receive timed out, or a frame is corrupt."""
+    """Base class: the pipe closed, or a frame is corrupt."""
 
 
 class TransportClosed(TransportError, EOFError):
@@ -68,10 +60,6 @@ class FrameError(TransportError):
     def __init__(self, message: str, *, reason: str):
         super().__init__(message)
         self.reason = reason
-
-
-class TransportTimeout(TransportError):
-    """``recv(timeout=...)`` expired before a reply arrived."""
 
 
 def encode_message(message: object, *, max_frame_bytes: int = DEFAULT_MAX_FRAME) -> bytes:
@@ -161,12 +149,11 @@ class PipeTransport:
 
     The wrapped :class:`~multiprocessing.connection.Connection` already
     frames and pickles; this class translates its failure modes
-    (``EOFError``/``OSError``/``BrokenPipeError``) into the typed
-    transport errors the supervision layer switches on.  With a
-    ``process``, every ``recv`` waits on the reply pipe *and* the
-    worker's ``Process.sentinel``, so a worker that dies is a
-    :class:`TransportClosed` the instant the OS reaps it (not after a
-    poll interval); :meth:`kill` kills it and :meth:`close` joins it.
+    (``EOFError``/``OSError``/``BrokenPipeError``) into
+    :class:`TransportClosed`.  With a ``process``, every ``recv`` waits
+    on the reply pipe *and* the worker's ``Process.sentinel``, so a
+    worker that dies is a :class:`TransportClosed` the instant the OS
+    reaps it (not after a poll interval); :meth:`close` joins it.
     """
 
     def __init__(self, connection, process=None):
@@ -188,14 +175,12 @@ class PipeTransport:
         except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
             raise TransportClosed(f"pipe closed while sending: {exc}") from exc
 
-    def recv(self, timeout: float | None = None) -> object:
+    def recv(self) -> object:
         waitables = [self.connection]
         if self.process is not None:
             waitables.append(self.process.sentinel)
         try:
-            ready = multiprocessing.connection.wait(waitables, timeout)
-            if not ready:
-                raise TransportTimeout(f"no pipe message within {timeout:.3f}s")
+            ready = multiprocessing.connection.wait(waitables)
             # A final reply may sit in the pipe buffer when the worker
             # exits right after it: drain it before reporting the death.
             if self.connection in ready or self.connection.poll(0):
@@ -204,13 +189,6 @@ class PipeTransport:
             raise TransportClosed(f"pipe closed while receiving: {exc}") from exc
         self.process.join(timeout=1.0)
         raise TransportClosed(f"worker died (exit code {self.process.exitcode})")
-
-    def kill(self) -> None:
-        if self.process is None:
-            self.close()
-            return
-        self.process.kill()
-        self.process.join(timeout=5.0)
 
     def close(self) -> None:
         """Close the pipe and join the worker (idempotent)."""
@@ -233,7 +211,6 @@ __all__ = [
     "PipeTransport",
     "TransportClosed",
     "TransportError",
-    "TransportTimeout",
     "decode_header",
     "decode_message",
     "decode_payload",

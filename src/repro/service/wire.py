@@ -62,7 +62,7 @@ ERROR_INTERNAL = "internal"
 ERROR_TOO_LARGE = "too-large"
 
 #: Codes a client should retry after backing off: transient conditions
-#: (admission queue full; replica pool healing after a worker crash) —
+#: (admission queue full; a worker crashed, the other replicas serve) —
 #: as opposed to semantic errors, which would fail identically again.
 RETRYABLE_ERROR_CODES = frozenset({ERROR_OVERLOADED, ERROR_UNAVAILABLE})
 

@@ -59,24 +59,3 @@ def coin() -> s.Policy:
 def ingress_packet() -> Packet:
     return Packet({"sw": 1, "pt": 1})
 
-
-@pytest.fixture
-def inject_faults(monkeypatch):
-    """Activate a ``REPRO_FAULTS`` fault-injection plan for worker processes.
-
-    Workers read the variable once at process start, so the plan must be
-    injected *before* building the pool (or session) whose workers it
-    targets; a worker respawned at the same index re-reads the same
-    plan.  Accepts either a spec string (``"kill@1:after=3"``) or a
-    :class:`repro.service.FaultPlan`.  ``monkeypatch`` restores the
-    environment after the test.
-    """
-
-    def _inject(plan) -> str:
-        from repro.service import faults
-
-        spec = plan if isinstance(plan, str) else plan.spec()
-        monkeypatch.setenv(faults.REPRO_FAULTS, spec)
-        return spec
-
-    return _inject

@@ -13,14 +13,15 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 43_102
+README_BUDGET = 41_067
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
 #: Names of deleted mechanisms: the shard planners and their partition
 #: check; the queue-depth autoscaler, live pool resizing and the worker
 #: start-method override; the backend's full-domain transition matrices;
 #: the PRISM backend facade, its DTMC engine and the Bayonet-style
-#: baseline (test oracles now) and the dict wrapper of the float solver.
+#: baseline (test oracles now) and the dict wrapper of the float solver;
+#: worker fault injection, respawn, shard retries and the watchdog.
 DELETED_NAMES = (
     "ShardPlanner",
     "get_planner",
@@ -40,6 +41,19 @@ DELETED_NAMES = (
     "ExactInferenceBaseline",
     "repro.baselines",
     "solve_absorption(",
+    "REPRO_FAULTS",
+    "FaultPlan",
+    "fault_injection",
+    "repro-respawn",
+    "RESTARTING",
+    "shard_timeout",
+    "--shard-timeout",
+    "max_attempts",
+    "--shard-attempts",
+    "retried_shards",
+    "recovery_extra_ms",
+    "TransportTimeout",
+    "carry_timings",
 )
 
 

@@ -185,7 +185,7 @@ class TestPooledAgreement:
             (pid,) = session.pool.stats()["workers"]
             (report,) = session.pool.worker_reports()
             assert pid != os.getpid()
-            assert (report["pid"], report["health"]) == (pid, "healthy")
+            assert (report["pid"], report["dead"]) == (pid, False)
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +522,9 @@ class TestLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# Supervision: quarantine, in-place respawn, permanent death
+# Crashes: a failed replica is dead for good; nothing respawns or retries
 # ---------------------------------------------------------------------------
 from repro.service.pool import (  # noqa: E402 - section-local imports
-    DEAD,
-    HEALTHY,
     PoolUnavailable,
     ReplicaFailure,
 )
@@ -544,32 +542,18 @@ class _StubBackend:
         self.closed = True
 
 
-def _stub_source(*, replaceable=True, gate=None):
-    """A replica source of stubs, plus the list of every stub it built.
-
-    ``replaceable=False`` refuses every replacement (permanent death);
-    a ``gate`` event holds replacements until it is set.
-    """
+def _stub_source():
+    """A replica source of stubs, plus the list of every stub it built."""
     family: list[_StubBackend] = []
 
-    def spawn(index, dead):
-        if dead is not None:
-            if not replaceable:
-                return None
-            if gate is not None:
-                gate.wait(timeout=10)
+    def spawn(index):
         return _StubBackend(family)
 
     return spawn, family
 
 
 class _CrashingBackend:
-    """Wraps a real backend; raises ReplicaFailure while the bomb is armed.
-
-    "Disarm after the first crash" models a single failure the in-process
-    replica recovers from, while a bomb that never disarms models a
-    replica that keeps dying.
-    """
+    """Wraps a real backend; raises ReplicaFailure while the bomb is armed."""
 
     def __init__(self, inner, bomb):
         self._inner = inner
@@ -577,9 +561,7 @@ class _CrashingBackend:
 
     def output_distributions(self, policy, inputs):
         if self._bomb["armed"]:
-            if self._bomb.get("once"):
-                self._bomb["armed"] = False
-            raise ReplicaFailure("injected replica crash", kind="crash")
+            raise ReplicaFailure("injected replica crash")
         return self._inner.output_distributions(policy, inputs)
 
     def __getattr__(self, name):
@@ -587,36 +569,36 @@ class _CrashingBackend:
 
 
 class TestSupervision:
-    def test_failure_respawns_in_place_and_keeps_affinity(self):
+    def test_failed_replica_leaves_the_rotation(self):
+        """A failure marks its replica dead and unbinds its affinities;
+        later leases of that destination go to the survivor, and the
+        corpse is closed only with the pool."""
         spawn, family = _stub_source()
         pool = BackendPool(spawn, 2)
-        first = pool.replicas[1].backend
         with pytest.raises(ReplicaFailure):
             with pool.lease(("dest", 7)) as replica:
-                bound = replica.index
-                raise ReplicaFailure("backend fell over")
-        assert wait_until(lambda: pool.replicas[bound].health == HEALTHY, timeout=10)
+                failed = replica.index
+                raise ReplicaFailure("backend fell over", exit_code=-9)
         stats = pool.stats()
-        assert stats["failures"] == 1
-        assert stats["restarts"] == 1
-        assert stats["health"] == [HEALTHY, HEALTHY]
-        # A fresh backend sits at the same index; the corpse was closed
-        # and the affinity binding survived the swap.
-        replaced = pool.replicas[bound].backend
-        assert replaced is not first or bound == 0
-        assert stats["affinities"][("dest", 7)] == bound
-        dead = [b for b in family if b.closed]
-        assert len(dead) == 1
+        assert stats["dead"] == [failed]
+        assert stats["affinities"] == {}
+        for _ in range(3):
+            with pool.lease(("dest", 7)) as replica:
+                assert replica.index != failed
+        assert pool.stats()["affinities"] == {("dest", 7): 1 - failed}
+        assert [backend.closed for backend in family] == [False, False]
+        (report,) = [r for r in pool.worker_reports() if r["dead"]]
+        assert (report["index"], report["exit_code"]) == (failed, -9)
         pool.close()
+        assert len(family) == 2 and all(backend.closed for backend in family)
 
     def test_unrespawnable_pool_goes_dead_and_unavailable(self):
-        """When no replacement can be built, the replica dies for good:
-        affinities unbind and leases fail typed instead of hanging."""
-        pool = BackendPool(_stub_source(replaceable=False)[0], 1)
+        """With its one replica dead, a pool's leases fail typed instead
+        of hanging."""
+        pool = BackendPool(_stub_source()[0], 1)
         with pytest.raises(ReplicaFailure):
             with pool.lease(("dest", 3)):
                 raise ReplicaFailure("backend fell over")
-        assert wait_until(lambda: pool.replicas[0].health == DEAD, timeout=10)
         assert pool.stats()["affinities"] == {}
         with pytest.raises(PoolUnavailable):
             with pool.lease():
@@ -627,61 +609,62 @@ class TestSupervision:
         pool.close()
 
     def test_lease_each_skips_dead_slots(self):
-        pool = BackendPool(_stub_source(replaceable=False)[0], 3)
+        pool = BackendPool(_stub_source()[0], 3)
         with pytest.raises(ReplicaFailure):
             with pool.lease_replica(1):
                 raise ReplicaFailure("backend fell over")
-        assert wait_until(lambda: pool.replicas[1].health == DEAD, timeout=10)
         visited = pool.for_each(lambda replica: replica.index)
         assert list(visited) == [0, 2]
         pool.close()
 
     def test_double_failure_in_one_lease_quarantines_once(self):
-        # The gate keeps the respawn in flight while the second failure
-        # of the same lease arrives: it must not re-quarantine the slot.
-        gate = threading.Event()
-        pool = BackendPool(_stub_source(gate=gate)[0], 2)
+        """A second failure in the lease that already took its replica out
+        of the rotation changes nothing: the first failure is the record."""
+        pool = BackendPool(_stub_source()[0], 2)
         with pytest.raises(ReplicaFailure):
             with pool.lease_replica(1) as replica:
-                pool._quarantine(replica, ReplicaFailure("first"))
-                raise ReplicaFailure("second")
-        gate.set()
-        assert wait_until(lambda: pool.replicas[1].health == HEALTHY, timeout=10)
-        assert pool.failures == 1
-        assert pool.restarts == 1
+                pool._mark_dead(replica, ReplicaFailure("first", exit_code=-9))
+                raise ReplicaFailure("second", exit_code=1)
+        assert pool.stats()["dead"] == [1]
+        assert (pool.replicas[1].last_error, pool.replicas[1].exit_code) == ("first", -9)
+        pool.close()
+
+    def test_last_replica_dying_wakes_waiting_leases(self):
+        """A lease waiting for the only replica raises PoolUnavailable
+        when that replica dies, instead of waiting forever."""
+        pool = BackendPool(_stub_source()[0], 1)
+        outcome: list[BaseException] = []
+
+        def wait_for_lease():
+            try:
+                with pool.lease():
+                    pass  # pragma: no cover
+            except BaseException as exc:  # noqa: BLE001 - recorded for the assert
+                outcome.append(exc)
+
+        with pytest.raises(ReplicaFailure):
+            with pool.lease():
+                waiter = threading.Thread(target=wait_for_lease)
+                waiter.start()
+                assert not wait_until(lambda: outcome, timeout=0.2)  # it waits
+                raise ReplicaFailure("backend fell over")
+        waiter.join(timeout=10)
+        assert [type(exc) for exc in outcome] == [PoolUnavailable]
         pool.close()
 
 
-class TestSessionRetry:
-    def test_crashed_shard_is_retried_transparently(self, models, all_pairs):
-        """One replica crash mid-batch: the shard re-runs once the replica
-        is back, answers stay exact, and the retry is counted."""
+class TestSessionCrash:
+    def test_a_crashed_group_fails_and_the_pool_empties(self, models):
+        """Thread mode: the one replica failing fails that call; the
+        session's next call finds no replica left."""
         model = next(iter(models.values()))
-        bomb = {"armed": True, "once": True}
+        bomb = {"armed": True}
         backend = _CrashingBackend(MatrixBackend(), bomb)
-        batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
-        with AnalysisSession(
-            model, backend=backend, workers=1, max_attempts=2
-        ) as session:
-            result = session.query_batch(batch)
-            expected = delivery_probability(model, inputs=[model.ingress_packets[0]])
-            assert result.values[0] == pytest.approx(expected, abs=1e-9)
-            assert session.retried_shards == 1
-            assert session.stats()["retried_shards"] == 1
-            assert session.pool.failures == 1
-
-    def test_exhausted_retries_surface_pool_unavailable(self, models):
-        model = next(iter(models.values()))
-        bomb = {"armed": True}  # never disarms: the replica keeps dying
-        backend = _CrashingBackend(MatrixBackend(), bomb)
-        with AnalysisSession(
-            model, backend=backend, workers=1, max_attempts=2
-        ) as session:
-            with pytest.raises(PoolUnavailable, match="retries exhausted"):
-                session.query("delivery", model.ingress_packets[0], model.dest)
-            assert session.pool.failures >= 2
-
-    def test_max_attempts_validation(self, models):
-        model = next(iter(models.values()))
-        with pytest.raises(ValueError, match="max_attempts"):
-            AnalysisSession(model, max_attempts=0)
+        packet = model.ingress_packets[0]
+        with AnalysisSession(model, backend=backend, workers=1) as session:
+            with pytest.raises(ReplicaFailure, match="injected replica crash"):
+                session.query("delivery", packet, model.dest)
+            bomb["armed"] = False
+            with pytest.raises(PoolUnavailable):
+                session.query("delivery", packet, model.dest)
+            assert session.pool.stats()["dead"] == [0]

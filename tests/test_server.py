@@ -389,13 +389,13 @@ BAD_INPUT = [
     ),
     (
         "batch",
-        ["--all-pairs", "--pool-mode", "process", "--shard-timeout", "-1"],
-        "shard_timeout must be positive",
+        ["--all-pairs", "--scheme", "ecmp", "--max-failures", "1"],
+        "--scheme ecmp takes none",
     ),
     (
         "serve",
-        ["--pool-mode", "process", "--shard-timeout", "-1"],
-        "shard_timeout must be positive",
+        ["--scheme", "ecmp", "--failure-prob", "0.1", "--max-failures", "-1"],
+        "--scheme ecmp takes none",
     ),
     ("serve", ["--deadline-ms", "-5"], "default_deadline must be positive"),
     ("serve", ["--deadline-ms", "nan"], "default_deadline must be positive"),
@@ -550,7 +550,7 @@ class TestFailureClassification:
 
         for error in (
             ReplicaFailure("worker 1 (pid 7) died while serving 'query'"),
-            PoolUnavailable("shard failed on 2 replica(s); retries exhausted"),
+            PoolUnavailable("all 2 replica(s) are dead"),
         ):
             mapped = classify_failure(error)
             assert isinstance(mapped, Unavailable)
@@ -590,7 +590,7 @@ class TestFailureClassification:
         from repro.service.pool import PoolUnavailable
 
         def doomed(*args, **kwargs):
-            raise PoolUnavailable("pool is healing")
+            raise PoolUnavailable("all 1 replica(s) are dead")
 
         monkeypatch.setattr(session, "query_batch", doomed)
 
@@ -614,10 +614,36 @@ class TestFailureClassification:
                 return stats
 
         stats = asyncio.run(run())
-        assert stats["pool"]["failures"] == 0
-        assert stats["pool"]["restarts"] == 0
-        assert stats["pool"]["health"] == ["healthy"]
-        assert stats["retried_shards"] == 0
+        assert stats["pool"] == {"mode": "thread", "size": 1, "steals": 0, "dead": []}
+
+    def test_replica_crash_in_a_coalesced_batch_is_not_isolated(
+        self, session, all_pairs, monkeypatch
+    ):
+        """A replica crash is no query's fault: every query of the window
+        gets the retryable Unavailable at once, none is re-dispatched."""
+        from repro.service import Unavailable
+        from repro.service.pool import ReplicaFailure
+
+        calls: list[int] = []
+
+        def crash(batch, **kwargs):
+            calls.append(len(batch))
+            raise ReplicaFailure("worker 0 (pid 7) died while serving 'query'")
+
+        monkeypatch.setattr(session, "query_batch", crash)
+
+        async def run():
+            coalescer = BatchCoalescer(session, window=0.05)
+            pending = [coalescer.submit_nowait(query) for query in all_pairs[:3]]
+            outcomes = await asyncio.gather(*pending, return_exceptions=True)
+            await coalescer.aclose()
+            return outcomes, coalescer.stats()
+
+        outcomes, stats = asyncio.run(run())
+        assert calls == [3]
+        assert [type(outcome) for outcome in outcomes] == [Unavailable] * 3
+        assert stats["isolation_retries"] == 0
+        assert stats["unavailable"] == 3
 
 
 class TestClientBackoff:

@@ -6,8 +6,10 @@ valid probe query, and half-closes its side.  The server flushes every
 reply before it closes the connection, so reading to EOF collects them
 all.  The property: the generated line got exactly one reply, its error
 code (if any) is a documented one, and the probe on the same connection
-was answered.  A second server pins crash isolation: a backend exception
-for one destination is one ``internal`` reply, and serving goes on.
+was answered.  Two more servers pin crash isolation: a backend exception
+for one destination is one ``internal`` reply, a killed worker of
+``serve --pool-mode process --pool-size 2`` is one ``unavailable``
+reply, and serving goes on after either.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import signal
 import socket
 import threading
 
@@ -26,6 +30,7 @@ from repro.backends import MatrixBackend
 from repro.network.model import build_model
 from repro.routing import ecmp_policy
 from repro.service import AnalysisSession, QueryServer
+from repro.service.cli import serve_main
 from repro.service.wire import (
     ERROR_BAD_REQUEST,
     ERROR_DEADLINE_EXCEEDED,
@@ -37,6 +42,7 @@ from repro.service.wire import (
 )
 from repro.topology import edge_switches, fat_tree
 
+from polling import wait_until
 from test_properties import examples
 
 #: The error codes the server documents (``repro.service.server``).
@@ -260,3 +266,47 @@ def test_a_backend_exception_is_one_internal_reply_and_serving_goes_on():
             assert (others[0]["id"], error["code"]) == ("bad", ERROR_INTERNAL)
             assert "RuntimeError" in error["message"]
             assert len(probe) == 1 and "value" in probe[0], probe
+
+
+def test_a_killed_worker_is_one_unavailable_reply_and_serving_goes_on():
+    """``serve --pool-mode process --pool-size 2``: the request that meets
+    a SIGKILLed worker gets one retryable ``unavailable`` reply (the probe
+    behind it is a cache hit and is answered), and the same request sent
+    again is answered by the surviving worker."""
+    started = threading.Event()
+    box: dict = {}
+
+    def on_start(server):
+        box["server"] = server
+        started.set()
+
+    argv = [
+        "--topology", "fattree:4", "--dest", str(DEST), "--port", "0",
+        "--window-ms", "0", "--pool-mode", "process", "--pool-size", "2",
+    ]
+    thread = threading.Thread(target=serve_main, args=(argv, on_start), daemon=True)
+    thread.start()
+    assert started.wait(60.0), "serve did not start"
+    server = box["server"]
+    bound = ("127.0.0.1", server.port)
+    second = MODEL.ingress_packets[1]
+    miss = json.dumps(
+        {**VALID, "id": "miss", "ingress": [second["sw"], second["pt"]]}
+    ).encode()
+    try:
+        assert_one_typed_reply(bound, json.dumps(VALID).encode())
+        pool = server.session.pool
+        replica = pool.stats()["affinities"][("dest", DEST)]
+        os.kill(pool.worker_id(replica), signal.SIGKILL)
+        process = pool.replicas[replica].backend.transport.process
+        assert wait_until(lambda: not process.is_alive(), timeout=10.0)
+
+        error = assert_one_typed_reply(bound, miss)["error"]
+        assert (error["code"], error["retry"]) == (ERROR_UNAVAILABLE, True)
+        answered = assert_one_typed_reply(bound, miss)
+        assert 0.0 < answered["value"] <= 1.0
+        assert pool.stats()["dead"] == [replica]
+    finally:
+        server.request_stop()
+        thread.join(60.0)
+    assert not thread.is_alive()
