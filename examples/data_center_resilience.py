@@ -4,8 +4,9 @@
 Reproduces Figure 11(b) and 11(c) on a p=4 AB FatTree: the ECMP-style
 ``F10_0`` scheme is 0-resilient, adding 3-hop rerouting (``F10_3``) makes
 it 2-resilient, and adding 5-hop rerouting (``F10_3,5``) makes it
-3-resilient.  Also prints the delivery probabilities under unbounded
-failures (the left end of Figure 12(a)).
+3-resilient.  Then Figure 12(a): delivery under unbounded failures as
+the per-link failure probability grows from 1/128 to 1/4, for the three
+schemes on the AB FatTree and ``F10_3,5`` on a standard FatTree.
 
 Run with::
 
@@ -15,6 +16,7 @@ Run with::
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 from repro.analysis.resilience import (
     format_refinement_table,
@@ -23,10 +25,12 @@ from repro.analysis.resilience import (
     resilience_table,
 )
 from repro.routing import f10_model
-from repro.topology import ab_fat_tree
+from repro.topology import ab_fat_tree, fat_tree
 
 FAILURE_PROBABILITY = 1 / 4
 SCHEMES = ["f10_0", "f10_3", "f10_3_5"]
+#: Figure 12(a)'s x-axis: per-link failure probabilities 1/128 … 1/4.
+SWEEP = [Fraction(1, 2**n) for n in (7, 6, 5, 4, 3, 2)]
 
 
 def main(p: int = 4) -> None:
@@ -50,10 +54,16 @@ def main(p: int = 4) -> None:
     print(format_refinement_table(refinement_table(factory, pairs, bounds)))
     print()
 
-    print(f"Delivery probability with unbounded failures (pr = {FAILURE_PROBABILITY}):")
-    for scheme in SCHEMES:
-        model = factory(scheme, None)
-        print(f"  {scheme:9s}: {model.delivery_probability():.4f}")
+    print("Figure 12(a) — delivery probability vs link-failure probability (k = ∞):")
+    print("pr".ljust(22) + "".join(f"{str(pr):>8s}" for pr in SWEEP))
+    series = [(f"AB FatTree, {scheme}", topo, scheme) for scheme in SCHEMES]
+    series.append(("FatTree, f10_3_5", fat_tree(p), "f10_3_5"))
+    for label, topology, scheme in series:
+        values = [
+            f10_model(topology, dest, scheme=scheme, failure_probability=pr).delivery_probability()
+            for pr in SWEEP
+        ]
+        print(label.ljust(22) + "".join(f"{value:8.4f}" for value in values))
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ bundled; its translation stays as an export: :mod:`repro.backends.prism`
 turns a guarded program into PRISM source
 (``to_prism_source(translate_policy(...))``).
 
-:func:`get_backend` instantiates a backend by name so analyses and
-benchmarks can select one with a plain string.  The matrix backend also
+:func:`get_backend` instantiates a backend by name so analyses and the
+service can select one with a plain string.  The matrix backend also
 ships compiled plans as manager-independent specs
 (:meth:`~repro.backends.matrix.MatrixBackend.plan_payload` /
 :meth:`~repro.backends.matrix.MatrixBackend.adopt_plan`), which is how

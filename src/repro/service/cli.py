@@ -3,7 +3,7 @@
 ``python -m repro.service`` loads a topology and a routing scheme,
 builds one network model per requested destination, opens an
 :class:`~repro.service.session.AnalysisSession` over them, and serves a
-batch query file — the same entry point the benchmarks and examples
+batch query file — the same entry point ``bench/`` and the examples
 drive, so measured serving numbers reflect what a user would see.
 
 Batch files are JSON: either a bare list of queries or an object with a

@@ -18,7 +18,7 @@ started thread pools, reused by every batch:
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -53,6 +53,8 @@ class ShardExecutor:
 
         Single-item batches and ``workers=1`` run inline (deterministic,
         no pool).  The pool, once started, persists until :meth:`close`.
+        A failure is re-raised only once every item has finished, the
+        first in item order: no call outlives the batch.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -62,7 +64,9 @@ class ShardExecutor:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-shard"
             )
-        return list(self._pool.map(fn, items))
+        futures = [self._pool.submit(fn, item) for item in items]
+        wait(futures)
+        return [future.result() for future in futures]
 
     def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
         """Run ``fn(*args)`` on the *dispatch* pool; returns its future.

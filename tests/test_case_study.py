@@ -2,8 +2,10 @@
 
 These check the qualitative content of Figures 11 and 12: the exact
 k-resilience levels of the three schemes, the refinement relationships,
-the ordering of delivery probabilities, and the path-stretch behaviour on
-AB FatTree versus standard FatTree.
+the shape of the delivery sweep, and the path-stretch behaviour on AB
+FatTree versus standard FatTree.  The interpreter's work over the fig11
+tables is pinned as counts.  ``examples/data_center_resilience.py`` and
+``examples/path_stretch.py`` print the tables.
 """
 
 from fractions import Fraction
@@ -12,6 +14,9 @@ import pytest
 
 from repro.analysis import expected_hop_count, hop_count_cdf
 from repro.analysis.resilience import refinement_table, resilience_table
+from repro.backends import MatrixBackend
+from repro.core import equivalence, markov
+from repro.core.interpreter import Interpreter
 from repro.routing import f10_model
 from repro.topology import ab_fat_tree, fat_tree
 
@@ -28,14 +33,23 @@ def ft():
     return fat_tree(4)
 
 
-def factory(topo):
+def factory(topo, probability=Fraction(PR)):
+    # 0.25 is dyadic: Fraction(PR) is exactly 1/4, as the exact verdicts need.
     def build(scheme, k):
-        # 0.25 is dyadic: Fraction(PR) is exactly 1/4, as the exact verdicts need.
         return f10_model(
-            topo, 1, scheme=scheme, failure_probability=Fraction(PR), max_failures=k
+            topo, 1, scheme=scheme, failure_probability=probability, max_failures=k
         )
 
     return build
+
+
+#: The four series of Figures 12(a) and 12(c): (topology, scheme).
+SERIES = {
+    "AB FatTree, F10_0": ("ab", "f10_0"),
+    "AB FatTree, F10_3": ("ab", "f10_3"),
+    "AB FatTree, F10_3,5": ("ab", "f10_3_5"),
+    "FatTree, F10_3,5": ("ft", "f10_3_5"),
+}
 
 
 class TestFigure11b:
@@ -44,11 +58,37 @@ class TestFigure11b:
     BOUNDS = [0, 1, 2, 3, 4, None]
 
     @pytest.fixture(scope="class")
-    def table(self, abft):
-        return resilience_table(factory(abft), ["f10_0", "f10_3", "f10_3_5"], self.BOUNDS)
+    def counted(self, abft):
+        """The table, and the loop-body possibility evaluations it took."""
+        built, evaluated = [], []
+        certain_outcomes = Interpreter.certain_outcomes
+
+        def counting(interpreter, policy, packet):
+            if built and policy is built[-1].body:
+                evaluated.append(packet)
+            return certain_outcomes(interpreter, policy, packet)
+
+        def build(scheme, k):
+            built.append(factory(abft)(scheme, k))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Interpreter, "certain_outcomes", counting)
+            table = resilience_table(build, ["f10_0", "f10_3", "f10_3_5"], self.BOUNDS)
+        return table, len(evaluated)
+
+    @pytest.fixture(scope="class")
+    def table(self, counted):
+        return counted[0]
 
     def column(self, *cells):
         return dict(zip(self.BOUNDS, cells))
+
+    def test_certainty_body_evals(self, counted):
+        """One evaluation per distinct reachable loop-head state of each of
+        the 18 cells: the analysis memoises the body's verdict per state
+        (4 616 while it re-walked shared states once per ingress)."""
+        assert counted[1] == 884
 
     def test_f10_0_is_0_resilient(self, table):
         assert table["f10_0"] == self.column(True, False, False, False, False, False)
@@ -69,15 +109,11 @@ class TestFigure11c:
     """
 
     BOUNDS = [0, 1, 2, 3, 4]
+    PAIRS = [("f10_0", "f10_3"), ("f10_3", "f10_3_5"), ("f10_3_5", "teleport")]
 
     @pytest.fixture(scope="class")
     def table(self, abft):
-        return refinement_table(
-            factory(abft),
-            [("f10_0", "f10_3"), ("f10_3", "f10_3_5"), ("f10_3_5", "teleport")],
-            self.BOUNDS,
-            exact=True,
-        )
+        return refinement_table(factory(abft), self.PAIRS, self.BOUNDS, exact=True)
 
     def column(self, *cells):
         return dict(zip(self.BOUNDS, cells))
@@ -91,9 +127,82 @@ class TestFigure11c:
     def test_f10_3_5_versus_teleport(self, table):
         assert table[("f10_3_5", "teleport")] == self.column("≡", "≡", "≡", "≡", "<")
 
+    def test_float_mode_gives_the_exact_verdicts(self, abft, table):
+        assert refinement_table(factory(abft, PR), self.PAIRS, self.BOUNDS) == table
+
+    def test_the_exact_cells_work_is_pinned(self, abft, table, monkeypatch):
+        """Each cell decided alone, by a fresh model factory: one interpreter
+        per comparison, and its work counted.  ``compiled_bodies`` and
+        ``body_runs`` are ``Interpreter.loop_stats()``; ``compile_roles`` and
+        ``role_instances`` the role templates its body compiler built and
+        the switches it renamed from them; ``exact_largest_scc`` the largest
+        component the exact solver eliminated densely.  A change that
+        lowers a count updates its pin."""
+        sizes = [0]
+        sccs_sinks_first = markov._sccs_sinks_first
+
+        def measuring(edges):
+            components = sccs_sinks_first(edges)
+            sizes.append(max(map(len, components), default=0))
+            return components
+
+        interpreters = []
+
+        class Recorded(equivalence.Interpreter):
+            def __init__(self, *args, **kwargs):
+                interpreters.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(markov, "_sccs_sinks_first", measuring)
+        monkeypatch.setattr(equivalence, "Interpreter", Recorded)
+        for pair in self.PAIRS:
+            for bound in self.BOUNDS:
+                cell = refinement_table(factory(abft), [pair], [bound], exact=True)
+                assert cell[pair][bound] == table[pair][bound]
+        assert len(interpreters) == len(self.PAIRS) * len(self.BOUNDS)
+        work = {
+            name: sum(interpreter.loop_stats()[name] for interpreter in interpreters)
+            for name in ("compiled_bodies", "body_runs")
+        }
+        for name in ("compile_roles", "role_instances"):
+            work[name] = sum(
+                interpreter.body_compiler().manager.counters[name] for interpreter in interpreters
+            )
+        work["exact_largest_scc"] = max(sizes)
+        assert work == {
+            "compiled_bodies": 80,
+            "body_runs": 3_978,
+            "compile_roles": 339,
+            "role_instances": 883,
+            "exact_largest_scc": 1,
+        }
+
 
 class TestFigure12a:
     """Delivery probability under unbounded failures."""
+
+    PROBABILITIES = [Fraction(1, 2**n) for n in (7, 6, 5, 4, 3, 2)]
+
+    @pytest.fixture(scope="class")
+    def sweep(self, abft, ft):
+        topologies = {"ab": abft, "ft": ft}
+        return {
+            label: [
+                f10_model(topologies[kind], 1, scheme=scheme, failure_probability=pr)
+                .delivery_probability()
+                for pr in self.PROBABILITIES
+            ]
+            for label, (kind, scheme) in SERIES.items()
+        }
+
+    def test_every_series_falls_as_failures_become_common(self, sweep):
+        for label, values in sweep.items():
+            assert all(0.0 <= value <= 1.0 for value in values), label
+            assert values == sorted(values, reverse=True), label
+
+    def test_f10_0_dips_where_f10_3_5_holds(self, sweep):
+        assert sweep["AB FatTree, F10_0"][-1] < 0.85
+        assert sweep["AB FatTree, F10_3,5"][-1] > 0.99
 
     def test_resilience_ordering_of_delivery_probability(self, abft):
         build = factory(abft)
@@ -132,9 +241,61 @@ class TestFigure12bc:
         cdf_ab, cdf_ft = hop_count_cdf(ab), hop_count_cdf(standard)
         # The AB FatTree recovers traffic at 6 hops; the FatTree needs 8.
         assert cdf_ab[6] > cdf_ft[6]
+        assert cdf_ft[6] == pytest.approx(cdf_ft[4], abs=1e-9)
+        assert cdf_ft[8] > cdf_ft[6]
         assert expected_hop_count(standard) > expected_hop_count(ab)
 
     def test_f10_0_expected_hop_count_decreases_with_failure_probability(self, abft):
         rare = f10_model(abft, 1, scheme="f10_0", failure_probability=1 / 128, count_hops=True)
         frequent = f10_model(abft, 1, scheme="f10_0", failure_probability=1 / 4, count_hops=True)
         assert expected_hop_count(frequent) < expected_hop_count(rare)
+
+    def stretch_models(self, abft, ft, probability=PR):
+        topologies = {"ab": abft, "ft": ft}
+        return {
+            label: f10_model(
+                topologies[kind], 1, scheme=scheme, failure_probability=probability,
+                count_hops=True, max_hops=14,
+            )
+            for label, (kind, scheme) in SERIES.items()
+        }
+
+    def test_every_hop_cdf_is_non_decreasing(self, abft, ft):
+        interpreter = Interpreter()
+        for label, model in self.stretch_models(abft, ft).items():
+            cdf = hop_count_cdf(model, max_hops=12, interpreter=interpreter)
+            values = [cdf[h] for h in sorted(cdf)]
+            assert values == sorted(values), label
+
+    def test_every_engine_gives_the_same_path_stretch(self, abft, ft):
+        """The AST walk, compiled bodies, and the matrix backend cold and
+        warm, on the AB FatTree's F10_3,5 chain, which has cycles."""
+        model = self.stretch_models(abft, ft)["AB FatTree, F10_3,5"]
+        walk = Interpreter(compile_bodies=False)
+        want = hop_count_cdf(model, max_hops=12, interpreter=walk)
+        backend = MatrixBackend()
+        for cdf in (
+            hop_count_cdf(model, max_hops=12, interpreter=Interpreter()),
+            hop_count_cdf(model, max_hops=12, backend=backend),
+            hop_count_cdf(model, max_hops=12, backend=backend),
+        ):
+            assert cdf.keys() == want.keys()
+            for hops, probability in want.items():
+                assert cdf[hops] == pytest.approx(probability, abs=1e-9)
+        expected = expected_hop_count(model, interpreter=walk)
+        assert expected_hop_count(model, interpreter=Interpreter()) == pytest.approx(
+            expected, abs=1e-9
+        )
+        assert expected_hop_count(model, backend=MatrixBackend()) == pytest.approx(
+            expected, abs=1e-9
+        )
+
+    def test_expected_hop_counts_over_the_failure_sweep(self, abft, ft):
+        interpreter = Interpreter()
+        sweep = {label: [] for label in SERIES}
+        for probability in (Fraction(1, 128), Fraction(1, 32), Fraction(1, 8), Fraction(1, 4)):
+            for label, model in self.stretch_models(abft, ft, probability).items():
+                sweep[label].append(expected_hop_count(model, interpreter=interpreter))
+        for label, values in sweep.items():
+            assert all(2.0 <= value <= 10.0 for value in values), label
+        assert sweep["AB FatTree, F10_3,5"][-1] > sweep["AB FatTree, F10_0"][-1]

@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 41_067
+README_BUDGET = 37_833
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
 #: Names of deleted mechanisms: the shard planners and their partition
@@ -21,7 +21,8 @@ FIRST_BUDGETED_PR = 12
 #: start-method override; the backend's full-domain transition matrices;
 #: the PRISM backend facade, its DTMC engine and the Bayonet-style
 #: baseline (test oracles now) and the dict wrapper of the float solver;
-#: worker fault injection, respawn, shard retries and the watchdog.
+#: worker fault injection, respawn, shard retries and the watchdog; the
+#: second benchmark harness's knobs, helpers and regression script.
 DELETED_NAMES = (
     "ShardPlanner",
     "get_planner",
@@ -54,6 +55,11 @@ DELETED_NAMES = (
     "recovery_extra_ms",
     "TransportTimeout",
     "carry_timings",
+    "REPRO_SCALE",
+    "REPRO_COLD",
+    "BENCH_OUTPUT_DIR",
+    "check_regression",
+    "bench_utils",
 )
 
 

@@ -94,6 +94,43 @@ class TestShardExecutor:
         assert not executor.started
         executor.close()
 
+    def test_a_failed_item_is_raised_after_the_rest_have_finished(self):
+        """A group that fails first must not leave the others running on
+        shard threads (holding their leases) once ``map`` has returned."""
+        running, returned = threading.Event(), threading.Event()
+        saw_map_return = []
+
+        def group(item):
+            if item == 0:
+                running.wait(timeout=10)
+                raise ValueError("group 0 failed")
+            running.set()
+            # Ends when map returns or, when map waits for it, at the timeout.
+            saw_map_return.append(returned.wait(timeout=0.5))
+            return item
+
+        with ShardExecutor(workers=2) as executor:
+            try:
+                with pytest.raises(ValueError, match="group 0"):
+                    executor.map(group, [0, 1])
+            finally:
+                returned.set()
+        assert saw_map_return == [False]
+
+    def test_the_first_failure_in_item_order_is_raised(self):
+        later_failed = threading.Event()
+
+        def group(item):
+            if item == 1:
+                later_failed.set()
+                raise KeyError("group 1")
+            later_failed.wait(timeout=10)
+            raise ValueError("group 0")
+
+        with ShardExecutor(workers=2) as executor:
+            with pytest.raises(ValueError, match="group 0"):
+                executor.map(group, [0, 1])
+
 
 # ---------------------------------------------------------------------------
 # Sessions: agreement with the single-threaded analysis entry points

@@ -19,6 +19,7 @@ import json
 import os
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -449,6 +450,33 @@ class TestThreadModeTracing:
         for phase in phases:
             chain = [a["name"] for a in ancestors(phase, by_id)]
             assert chain[0] == "lease" and chain[-1] == "request"
+
+    def test_spans_per_pass_are_pinned(self, all_models, all_pairs):
+        """Instrumentation creep shows as a count, not as a clock.  A traced
+        pass of the 112-pair batch records one request span and, per
+        destination group, a shard, a lease and four backend phases: 49
+        spans for 112 queries once plans are compiled, and one compile
+        phase per group more on the first pass.  Tracing off records none."""
+
+        def spans_per_pass(telemetry):
+            with AnalysisSession(
+                models=all_models.values(), workers=4, telemetry=telemetry
+            ) as session:
+                passes = []
+                for _ in range(2):
+                    session.query_batch(all_pairs)
+                    passes.append(Counter(r["name"] for r in session.telemetry.tracer.take()))
+                    session.clear_cache(keep_plans=True)
+                return passes
+
+        first, steady = spans_per_pass(Telemetry(tracing=True))
+        groups = len(all_models)
+        phases = ("assemble", "factorize", "solve", "query")
+        per_group = ["shard", "lease", *(f"phase:{name}" for name in phases)]
+        assert steady == Counter({"request": 1, **dict.fromkeys(per_group, groups)})
+        assert sum(steady.values()) == 49
+        assert first == steady + Counter({"phase:compile": groups})
+        assert spans_per_pass(None) == [Counter(), Counter()]
 
     def test_cached_pass_still_traces_request_without_leases(self, two_models):
         model = next(iter(two_models.values()))
