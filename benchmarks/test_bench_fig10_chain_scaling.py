@@ -6,11 +6,12 @@ probability 1/1000 (§6).  Its argument is structural: PRISM builds the
 explicit state space of the translated program (§5.2), Bayonet infers
 over the whole declared space and unrolls loops, while McNetKAT's loop
 is one absorbing chain over the packet classes reachable from the
-ingress.  This harness reports that argument as counts, not seconds:
+ingress.  This module reports that argument as counts, not seconds:
 neither engine can be bundled here, and a time against a stand-in
 written for this repo measures the stand-in, not the system.
 
-For each number of diamonds ``d`` it prints and pins:
+For each number of diamonds ``d`` it pins (``examples/chain_comparison.py``
+prints the table):
 
 * ``P[deliver]`` — the native backend's answer, equal to the closed form
   ``(1 - p/2)^d`` within 1e-9 on the compiled-body and the AST-walking
@@ -31,6 +32,7 @@ For each number of diamonds ``d`` it prints and pins:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -39,16 +41,14 @@ from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP
 from repro.topology import chain_model
 
-from bench_utils import print_table, scale, shared_interpreter
 from oracles import ExactInferenceBaseline, MiniDtmc, prism_model
 
 PFAIL = Fraction(1, 1000)
-NATIVE_SIZES = [1, 2, 4, 8, 16, 32][: 4 + scale()]
+NATIVE_SIZES = [1, 2, 4, 8, 16]
 PRISM_SIZES = [1, 2, 4, 8]
 BASELINE_SIZES = [1, 2, 4, 8, 16]
 #: Valuations reachable in the translated program.
 PRISM_VALUATIONS = {1: 50, 2: 160, 4: 563, 8: 2031}
-COLUMNS = ["P[deliver]", "chain states", "PRISM valuations", "dense space", "unrollings"]
 
 #: diamonds -> column -> value, filled by the tests below.
 ROWS: dict[int, dict[str, object]] = {}
@@ -62,9 +62,15 @@ def delivered(diamonds: int):
     return lambda o: o is not DROP and o.get("sw") == 4 * diamonds
 
 
-def _probability(diamonds: int, **options) -> float:
+@cache
+def interpreter(compile_bodies: bool) -> Interpreter:
+    """One interpreter per path, its loop caches shared across the sizes."""
+    return Interpreter(compile_bodies=compile_bodies)
+
+
+def _probability(diamonds: int, compile_bodies: bool = True) -> float:
     chain = chain_model(diamonds, PFAIL)
-    out = shared_interpreter("fig10", **options).run_packet(chain.policy, chain.ingress)
+    out = interpreter(compile_bodies).run_packet(chain.policy, chain.ingress)
     probability = float(out.prob_of(delivered(diamonds)))
     assert probability == pytest.approx(float(expected_probability(diamonds)), abs=1e-9)
     return probability
@@ -131,14 +137,9 @@ def test_exact_inference_baseline(diamonds):
 
 
 def test_report_figure10():
-    rows = [
-        [diamonds, 4 * diamonds] + [ROWS[diamonds].get(column, "-") for column in COLUMNS]
-        for diamonds in sorted(ROWS)
-    ]
-    print_table(
-        "Figure 10 — chain topology: delivery probability H1 -> H2 and state spaces",
-        ["diamonds", "switches"] + COLUMNS,
-        rows,
-        fig="fig10",
-    )
-    assert rows
+    """Every size the sweeps reach has its row; sizes a column skips show ``-``."""
+    assert sorted(ROWS) == NATIVE_SIZES
+    for diamonds, row in ROWS.items():
+        assert row["chain states"] == 5 * diamonds + 1
+        assert ("PRISM valuations" in row) == (diamonds in PRISM_SIZES)
+        assert ("dense space" in row) == (diamonds in BASELINE_SIZES)

@@ -5,19 +5,21 @@ of delivered traffic.  Expected shape: the rerouting schemes pay for
 their resilience with longer paths as failures become more common, the
 standard FatTree pays more than the AB FatTree, and ``F10_0``'s expected
 hop count *decreases* (only short intra-pod paths survive).
+``examples/path_stretch.py`` prints the table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from repro.analysis import expected_hop_count
+from repro.backends import MatrixBackend
+from repro.core.interpreter import Interpreter
 from repro.routing import f10_model
 from repro.topology import ab_fat_tree, fat_tree
-
-from bench_utils import print_table, shared_interpreter
 
 PROBABILITIES = [Fraction(1, 128), Fraction(1, 32), Fraction(1, 8), Fraction(1, 4)]
 SERIES = [
@@ -30,72 +32,53 @@ SERIES = [
 RESULTS: dict[str, list[float]] = {}
 
 
+@cache
+def shared_interpreter() -> Interpreter:
+    """One interpreter across the figure's whole (scheme × pr) sweep."""
+    return Interpreter()
+
+
 def sweep(topology, scheme):
     values = []
     for pr in PROBABILITIES:
         model = f10_model(
             topology, 1, scheme=scheme, failure_probability=pr, count_hops=True, max_hops=14
         )
-        # One interpreter across the figure's whole (scheme × pr) sweep.
-        values.append(
-            expected_hop_count(model, interpreter=shared_interpreter("fig12c"))
-        )
+        values.append(expected_hop_count(model, interpreter=shared_interpreter()))
     return values
 
 
 @pytest.mark.parametrize("label,topo_kind,scheme", SERIES, ids=[s[0] for s in SERIES])
-def test_expected_hop_count_sweep(benchmark, label, topo_kind, scheme):
+def test_expected_hop_count_sweep(label, topo_kind, scheme):
     topology = ab_fat_tree(4) if topo_kind == "ab" else fat_tree(4)
-    values = benchmark.pedantic(sweep, args=(topology, scheme), rounds=1, iterations=1)
+    values = sweep(topology, scheme)
     RESULTS[label] = values
     assert all(2.0 <= v <= 10.0 for v in values)
 
 
-def test_matrix_backend_agrees(benchmark):
+def stretch_model():
+    return f10_model(
+        ab_fat_tree(4), 1, scheme="f10_3_5",
+        failure_probability=PROBABILITIES[-1], count_hops=True, max_hops=14,
+    )
+
+
+def test_matrix_backend_agrees():
     """The matrix backend reproduces the conditioned expectation exactly."""
-    from repro.backends import MatrixBackend
-
-    model = f10_model(
-        ab_fat_tree(4), 1, scheme="f10_3_5",
-        failure_probability=PROBABILITIES[-1], count_hops=True, max_hops=14,
-    )
+    model = stretch_model()
     native = expected_hop_count(model)
-    matrix = benchmark.pedantic(
-        lambda: expected_hop_count(model, backend=MatrixBackend()),
-        rounds=1, iterations=1,
-    )
-    assert matrix == pytest.approx(native, abs=1e-9)
+    assert expected_hop_count(model, backend=MatrixBackend()) == pytest.approx(native, abs=1e-9)
 
 
-def test_compiled_body_agrees_with_interpreted(benchmark):
+def test_compiled_body_agrees_with_interpreted():
     """Compiled-body and AST-interpreted loop paths agree within 1e-9."""
-    from repro.core.interpreter import Interpreter
-
-    model = f10_model(
-        ab_fat_tree(4), 1, scheme="f10_3_5",
-        failure_probability=PROBABILITIES[-1], count_hops=True, max_hops=14,
-    )
-    interpreted = expected_hop_count(
-        model, interpreter=Interpreter(compile_bodies=False)
-    )
-    compiled = benchmark.pedantic(
-        lambda: expected_hop_count(model, interpreter=Interpreter()),
-        rounds=1, iterations=1,
-    )
+    model = stretch_model()
+    interpreted = expected_hop_count(model, interpreter=Interpreter(compile_bodies=False))
+    compiled = expected_hop_count(model, interpreter=Interpreter())
     assert compiled == pytest.approx(interpreted, abs=1e-9)
 
 
-def test_report_figure12c(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = [
-        [label] + [f"{value:.3f}" for value in values] for label, values in RESULTS.items()
-    ]
-    print_table(
-        "Figure 12(c) — expected hop count conditioned on delivery",
-        ["scheme"] + [str(pr) for pr in PROBABILITIES],
-        rows,
-        fig="fig12c",
-    )
+def test_report_figure12c():
     f10_0 = RESULTS["AB FatTree, F10_0"]
     assert f10_0[-1] < f10_0[0]  # shifts towards short intra-pod paths
     assert RESULTS["FatTree, F10_3,5"][-1] > RESULTS["AB FatTree, F10_3,5"][-1]

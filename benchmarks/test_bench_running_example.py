@@ -2,8 +2,8 @@
 
 The paper's overview claims the naive scheme delivers 80% of traffic and
 the fault-tolerant scheme 96% under independent 20% link failures, and
-that the fault-tolerant scheme is 1-resilient.  This harness regenerates
-those numbers and times the analysis.
+that the fault-tolerant scheme is 1-resilient.  This module regenerates
+those numbers; ``examples/quickstart.py`` prints them.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from repro.core.equivalence import output_equivalent
 from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP
 from repro.network import running_example as ex
-
-from bench_utils import print_table
 
 
 def _analyse():
@@ -41,13 +39,9 @@ def _analyse():
     return rows
 
 
-def test_running_example_delivery(benchmark):
-    rows = benchmark.pedantic(_analyse, rounds=3, iterations=1)
-    print_table(
-        "§2 running example (paper: naive 0.80, resilient 0.96 under f2)",
-        ["failure model", "naive", "resilient", "resilient ≡ teleport"],
-        rows,
-        fig="running_example",
-    )
+def test_running_example_delivery():
+    rows = _analyse()
     assert rows[2][1] == "0.80"
     assert rows[2][2] == "0.96"
+    # The resilient scheme is teleport under at most one failure, not two.
+    assert [row[3] for row in rows] == [True, True, False]

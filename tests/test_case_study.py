@@ -14,8 +14,7 @@ import pytest
 
 from repro.analysis import expected_hop_count, hop_count_cdf
 from repro.analysis.resilience import refinement_table, resilience_table
-from repro.backends import MatrixBackend
-from repro.core import equivalence, markov
+from repro.core import equivalence
 from repro.core.interpreter import Interpreter
 from repro.routing import f10_model
 from repro.topology import ab_fat_tree, fat_tree
@@ -33,17 +32,17 @@ def ft():
     return fat_tree(4)
 
 
-def factory(topo, probability=Fraction(PR)):
-    # 0.25 is dyadic: Fraction(PR) is exactly 1/4, as the exact verdicts need.
+def factory(topo):
     def build(scheme, k):
+        # 0.25 is dyadic: Fraction(PR) is exactly 1/4, as the exact verdicts need.
         return f10_model(
-            topo, 1, scheme=scheme, failure_probability=probability, max_failures=k
+            topo, 1, scheme=scheme, failure_probability=Fraction(PR), max_failures=k
         )
 
     return build
 
 
-#: The four series of Figures 12(a) and 12(c): (topology, scheme).
+#: The four series of Figure 12(a): (topology, scheme).
 SERIES = {
     "AB FatTree, F10_0": ("ab", "f10_0"),
     "AB FatTree, F10_3": ("ab", "f10_3"),
@@ -87,7 +86,9 @@ class TestFigure11b:
     def test_certainty_body_evals(self, counted):
         """One evaluation per distinct reachable loop-head state of each of
         the 18 cells: the analysis memoises the body's verdict per state
-        (4 616 while it re-walked shared states once per ingress)."""
+        (4 616 while it re-walked shared states once per ingress).  The
+        analysis is structural, so with the exact 1/4 used here the count
+        is the float table's (``benchmarks/test_bench_fig11b_resilience.py``)."""
         assert counted[1] == 884
 
     def test_f10_0_is_0_resilient(self, table):
@@ -127,39 +128,27 @@ class TestFigure11c:
     def test_f10_3_5_versus_teleport(self, table):
         assert table[("f10_3_5", "teleport")] == self.column("≡", "≡", "≡", "≡", "<")
 
-    def test_float_mode_gives_the_exact_verdicts(self, abft, table):
-        assert refinement_table(factory(abft, PR), self.PAIRS, self.BOUNDS) == table
-
-    def test_the_exact_cells_work_is_pinned(self, abft, table, monkeypatch):
-        """Each cell decided alone, by a fresh model factory: one interpreter
-        per comparison, and its work counted.  ``compiled_bodies`` and
-        ``body_runs`` are ``Interpreter.loop_stats()``; ``compile_roles`` and
-        ``role_instances`` the role templates its body compiler built and
-        the switches it renamed from them; ``exact_largest_scc`` the largest
-        component the exact solver eliminated densely.  A change that
-        lowers a count updates its pin."""
-        sizes = [0]
-        sccs_sinks_first = markov._sccs_sinks_first
-
-        def measuring(edges):
-            components = sccs_sinks_first(edges)
-            sizes.append(max(map(len, components), default=0))
-            return components
-
-        interpreters = []
+    def test_the_whole_exact_table_shares_the_left_models(self, abft, table, monkeypatch):
+        """The table decided in one call: one interpreter per comparison,
+        and each pair's left model built once for all its bounds.  Against
+        the cell-by-cell pass of ``benchmarks/test_bench_fig11c_refinement.py``
+        (30 models, 80 compiled bodies, 3 978 body runs) that halves the
+        models and saves about two fifths of the loop work.  A change
+        that lowers a count updates its pin."""
+        interpreters, built = [], []
 
         class Recorded(equivalence.Interpreter):
             def __init__(self, *args, **kwargs):
                 interpreters.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(markov, "_sccs_sinks_first", measuring)
+        def build(scheme, k):
+            built.append((scheme, k))
+            return factory(abft)(scheme, k)
+
         monkeypatch.setattr(equivalence, "Interpreter", Recorded)
-        for pair in self.PAIRS:
-            for bound in self.BOUNDS:
-                cell = refinement_table(factory(abft), [pair], [bound], exact=True)
-                assert cell[pair][bound] == table[pair][bound]
-        assert len(interpreters) == len(self.PAIRS) * len(self.BOUNDS)
+        assert refinement_table(build, self.PAIRS, self.BOUNDS, exact=True) == table
+        assert len(interpreters) == len(built) == len(self.PAIRS) * len(self.BOUNDS)
         work = {
             name: sum(interpreter.loop_stats()[name] for interpreter in interpreters)
             for name in ("compiled_bodies", "body_runs")
@@ -168,13 +157,11 @@ class TestFigure11c:
             work[name] = sum(
                 interpreter.body_compiler().manager.counters[name] for interpreter in interpreters
             )
-        work["exact_largest_scc"] = max(sizes)
         assert work == {
-            "compiled_bodies": 80,
-            "body_runs": 3_978,
-            "compile_roles": 339,
-            "role_instances": 883,
-            "exact_largest_scc": 1,
+            "compiled_bodies": 50,
+            "body_runs": 2_330,
+            "compile_roles": 203,
+            "role_instances": 529,
         }
 
 
@@ -241,61 +228,9 @@ class TestFigure12bc:
         cdf_ab, cdf_ft = hop_count_cdf(ab), hop_count_cdf(standard)
         # The AB FatTree recovers traffic at 6 hops; the FatTree needs 8.
         assert cdf_ab[6] > cdf_ft[6]
-        assert cdf_ft[6] == pytest.approx(cdf_ft[4], abs=1e-9)
-        assert cdf_ft[8] > cdf_ft[6]
         assert expected_hop_count(standard) > expected_hop_count(ab)
 
     def test_f10_0_expected_hop_count_decreases_with_failure_probability(self, abft):
         rare = f10_model(abft, 1, scheme="f10_0", failure_probability=1 / 128, count_hops=True)
         frequent = f10_model(abft, 1, scheme="f10_0", failure_probability=1 / 4, count_hops=True)
         assert expected_hop_count(frequent) < expected_hop_count(rare)
-
-    def stretch_models(self, abft, ft, probability=PR):
-        topologies = {"ab": abft, "ft": ft}
-        return {
-            label: f10_model(
-                topologies[kind], 1, scheme=scheme, failure_probability=probability,
-                count_hops=True, max_hops=14,
-            )
-            for label, (kind, scheme) in SERIES.items()
-        }
-
-    def test_every_hop_cdf_is_non_decreasing(self, abft, ft):
-        interpreter = Interpreter()
-        for label, model in self.stretch_models(abft, ft).items():
-            cdf = hop_count_cdf(model, max_hops=12, interpreter=interpreter)
-            values = [cdf[h] for h in sorted(cdf)]
-            assert values == sorted(values), label
-
-    def test_every_engine_gives_the_same_path_stretch(self, abft, ft):
-        """The AST walk, compiled bodies, and the matrix backend cold and
-        warm, on the AB FatTree's F10_3,5 chain, which has cycles."""
-        model = self.stretch_models(abft, ft)["AB FatTree, F10_3,5"]
-        walk = Interpreter(compile_bodies=False)
-        want = hop_count_cdf(model, max_hops=12, interpreter=walk)
-        backend = MatrixBackend()
-        for cdf in (
-            hop_count_cdf(model, max_hops=12, interpreter=Interpreter()),
-            hop_count_cdf(model, max_hops=12, backend=backend),
-            hop_count_cdf(model, max_hops=12, backend=backend),
-        ):
-            assert cdf.keys() == want.keys()
-            for hops, probability in want.items():
-                assert cdf[hops] == pytest.approx(probability, abs=1e-9)
-        expected = expected_hop_count(model, interpreter=walk)
-        assert expected_hop_count(model, interpreter=Interpreter()) == pytest.approx(
-            expected, abs=1e-9
-        )
-        assert expected_hop_count(model, backend=MatrixBackend()) == pytest.approx(
-            expected, abs=1e-9
-        )
-
-    def test_expected_hop_counts_over_the_failure_sweep(self, abft, ft):
-        interpreter = Interpreter()
-        sweep = {label: [] for label in SERIES}
-        for probability in (Fraction(1, 128), Fraction(1, 32), Fraction(1, 8), Fraction(1, 4)):
-            for label, model in self.stretch_models(abft, ft, probability).items():
-                sweep[label].append(expected_hop_count(model, interpreter=interpreter))
-        for label, values in sweep.items():
-            assert all(2.0 <= value <= 10.0 for value in values), label
-        assert sweep["AB FatTree, F10_3,5"][-1] > sweep["AB FatTree, F10_0"][-1]

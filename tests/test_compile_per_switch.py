@@ -695,30 +695,6 @@ def test_the_compile_counters_repeat_and_reach_solver_stats(one_run_per_switch):
         assert count(6) == (1_432, 0, 0)  # a 2^k-action leaf per core switch
 
 
-#: One cold FatTree k=8-with-failures plan's work, under the names fig7
-#: reports it by.  A change that lowers a count updates its pin.  Earlier:
-#: 2 888 memo entries and 8 046 leaf actions with one run per switch;
-#: 1 410 / 248 / 14 / 160 before the do-while loop stage and the one-pass
-#: ingress predicate; 626 / 81 / 7 / 80 before the plan stayed per role;
-#: 390 / 81 / 7 / 0 before a write skipped diagrams that test no field it
-#: writes.
-K8_F1000_WORK = {
-    "compile_ops_k8_f1000": 96,
-    "leaf_actions_composed_k8_f1000": 81,
-    "compile_roles_k8_f1000": 7,
-    "role_instances_k8_f1000": 0,
-}
-
-
-def test_the_fattree8_plan_work_is_pinned():
-    backend = MatrixBackend()
-    backend.plan(fattree_model(8, True).policy)
-    stats = backend.solver_stats()
-    work = {"compile_ops": compile_ops(backend.manager)}
-    work.update((name, stats[name]) for name in COMPILE_COUNTERS)
-    assert {f"{name}_k8_f1000": count for name, count in work.items()} == K8_F1000_WORK
-
-
 # ---------------------------------------------------------------------------
 # (5) wide predicates
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 37_833
+README_BUDGET = 37_885
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
 #: Names of deleted mechanisms: the shard planners and their partition
@@ -22,7 +22,8 @@ FIRST_BUDGETED_PR = 12
 #: the PRISM backend facade, its DTMC engine and the Bayonet-style
 #: baseline (test oracles now) and the dict wrapper of the float solver;
 #: worker fault injection, respawn, shard retries and the watchdog; the
-#: second benchmark harness's knobs, helpers and regression script.
+#: second benchmark harness's knobs, helpers, regression script and timer
+#: plugin.
 DELETED_NAMES = (
     "ShardPlanner",
     "get_planner",
@@ -60,7 +61,10 @@ DELETED_NAMES = (
     "BENCH_OUTPUT_DIR",
     "check_regression",
     "bench_utils",
+    "pytest-benchmark",
 )
+#: What reading a clock looks like in a figure test.
+CLOCKS = ("perf_counter", "time.time(", "monotonic", "process_time", "benchmark.pedantic")
 
 
 def test_readme_within_budget():
@@ -91,3 +95,16 @@ def test_deleted_names_stay_deleted():
         if name in path.read_text(encoding="utf-8")
     ]
     assert not found, f"deleted names still mentioned: {found}"
+
+
+def test_figure_tests_read_no_clock():
+    """The figure modules assert answers, shapes and counts; seconds are ``bench/``'s."""
+    modules = sorted((ROOT / "benchmarks").glob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(ROOT)}: {clock}"
+        for path in modules
+        for clock in CLOCKS
+        if clock in path.read_text(encoding="utf-8")
+    ]
+    assert not found, f"figure tests read a clock: {found}"

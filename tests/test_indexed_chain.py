@@ -173,13 +173,9 @@ def test_a_class_is_assembled_once_however_the_seeds_arrive(model, per_call):
     (stage,) = backend.plan(model.policy).loop_stages
     # 306 classes the hop reaches, and the 51 ingress classes: the loop
     # stage is a do-while, so an ingress enters the chain itself.
-    stats = backend.solver_stats()
-    assert stats["assembly_rows"] == len(stage.matrix.classes) == 357
-    # One factorization, then one per step that grew the solved chain.
-    assert stats["factorizations"] == stats["schur_updates"] + 1
+    assert backend.solver_stats()["assembly_rows"] == len(stage.matrix.classes) == 357
     whole = MatrixBackend().output_distributions(model.policy, model.ingress_packets)
     for packet in model.ingress_packets:
-        assert answers[packet].support() == whole[packet].support()
         assert total_variation(answers[packet], whole[packet]) <= 1e-12
 
 
