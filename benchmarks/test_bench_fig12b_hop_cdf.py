@@ -12,11 +12,13 @@ FatTree needs 8 hops for the same recovery (its detours are longer).
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 
 import pytest
 
 from repro.analysis import hop_count_cdf
 from repro.backends import MatrixBackend
+from repro.core.distributions import Dist
 from repro.core.interpreter import Interpreter
 from repro.routing import f10_model
 from repro.topology import ab_fat_tree, fat_tree
@@ -49,7 +51,7 @@ def shared_interpreter() -> Interpreter:
 
 def compute_cdf(topology, scheme):
     return hop_count_cdf(
-        build_model(topology, scheme), max_hops=max(HOPS), interpreter=shared_interpreter()
+        build_model(topology, scheme), max_hops=max(HOPS), backend=shared_interpreter()
     )
 
 
@@ -72,9 +74,17 @@ def test_matrix_backend_batched_query():
     """
     model = build_model(ab_fat_tree(4), "f10_3_5")
     native_cdf = hop_count_cdf(
-        model, max_hops=max(HOPS), interpreter=Interpreter(compile_bodies=False)
+        model, max_hops=max(HOPS), backend=Interpreter(compile_bodies=False)
     )
-    compiled_cdf = hop_count_cdf(model, max_hops=max(HOPS), interpreter=Interpreter())
+    # Exactly what one run of such an interpreter on the uniform ingress
+    # distribution gives.
+    output = Interpreter(compile_bodies=False).run(
+        model.policy, Dist.uniform(model.ingress_packets)
+    )
+    hops = output.map(lambda out: out.get("hops") if model.is_delivered(out) else None)
+    budget = range(max(HOPS) + 1)
+    assert native_cdf == dict(zip(budget, accumulate(float(hops(h)) for h in budget)))
+    compiled_cdf = hop_count_cdf(model, max_hops=max(HOPS), backend=Interpreter())
     backend = MatrixBackend()
     matrix_cdf = hop_count_cdf(model, max_hops=max(HOPS), backend=backend)
     warm_cdf = hop_count_cdf(model, max_hops=max(HOPS), backend=backend)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis import expected_hop_count
 from repro.backends import MatrixBackend
+from repro.core.distributions import Dist
 from repro.core.interpreter import Interpreter
 from repro.routing import f10_model
 from repro.topology import ab_fat_tree, fat_tree
@@ -44,7 +45,7 @@ def sweep(topology, scheme):
         model = f10_model(
             topology, 1, scheme=scheme, failure_probability=pr, count_hops=True, max_hops=14
         )
-        values.append(expected_hop_count(model, interpreter=shared_interpreter()))
+        values.append(expected_hop_count(model, backend=shared_interpreter()))
     return values
 
 
@@ -73,9 +74,21 @@ def test_matrix_backend_agrees():
 def test_compiled_body_agrees_with_interpreted():
     """Compiled-body and AST-interpreted loop paths agree within 1e-9."""
     model = stretch_model()
-    interpreted = expected_hop_count(model, interpreter=Interpreter(compile_bodies=False))
-    compiled = expected_hop_count(model, interpreter=Interpreter())
+    interpreted = expected_hop_count(model, backend=Interpreter(compile_bodies=False))
+    compiled = expected_hop_count(model, backend=Interpreter())
     assert compiled == pytest.approx(interpreted, abs=1e-9)
+    # The interpreted answer is exactly what one run of such an interpreter
+    # on the uniform ingress distribution gives.
+    output = Interpreter(compile_bodies=False).run(
+        model.policy, Dist.uniform(model.ingress_packets)
+    )
+    hops = output.map(lambda out: out.get("hops") if model.is_delivered(out) else None)
+    total = mass = 0.0
+    for h, prob in hops.items():
+        if h is not None:
+            total += float(prob) * h
+            mass += float(prob)
+    assert interpreted == total / mass
 
 
 def test_report_figure12c():

@@ -8,8 +8,8 @@ ECMP with link failures, then serves the all-pairs delivery batch (every
 1. one batched absorption solve per destination;
 2. the same batch again — answered from the canonical-FDD result cache;
 3. a mixed-kind batch (delivery + expected hop count + full output
-   distribution) through the ``repro.analysis`` entry points' ``session=``
-   parameter.
+   distribution), and the session passed to a ``repro.analysis`` entry
+   point as its ``backend=``.
 
 Equivalent CLI::
 
@@ -75,10 +75,10 @@ def main() -> None:
         print(f"  lowest delivery probability: {worst.value:.6f} "
               f"at ingress {dict(worst.query.ingress.as_dict())} -> {worst.query.dest}")
 
-        # Mixed kinds and the analysis session= glue share the same cache.
+        # Mixed kinds and the session as an analysis backend= share one cache.
         model = session.model_for(dests[0])
         hops = session.query("hops", model.ingress_packets[0], dests[0])
-        cdf = hop_count_cdf(model, max_hops=6, session=session)
+        cdf = hop_count_cdf(model, max_hops=6, backend=session)
         print(f"  expected hops (first ingress -> {dests[0]}): {hops:.3f}")
         print(f"  P[delivered within <=6 hops]: {cdf[6]:.4f}")
 

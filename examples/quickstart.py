@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.backends import get_backend
+from repro.backends import MatrixBackend
 from repro.core import pretty, sugar
 from repro.core.equivalence import fdd_equivalent, output_equivalent, strictly_refines
 from repro.core.interpreter import Interpreter
@@ -72,7 +72,7 @@ def main() -> None:
 
     # The batched matrix backend answers the same query from one sparse
     # factorization — the scalable path for many-ingress models.
-    backend = get_backend("matrix")
+    backend = MatrixBackend()
     dist = backend.output_distribution(bundle.models_resilient["f2"], bundle.ingress_packet)
     via_matrix = float(dist.prob_of(lambda o: o is not DROP and o.get("sw") == 2))
     print("Same query via the batched matrix backend:")

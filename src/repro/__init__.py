@@ -5,8 +5,9 @@ Probabilistic NetKAT.  This package provides:
 
 * :mod:`repro.core` — the ProbNetKAT language, its Markov-chain semantics,
   the probabilistic-FDD compiler, and the forward interpreter;
-* :mod:`repro.backends` — the native and matrix backends, and the
-  ProbNetKAT→PRISM translation as a source export;
+* :mod:`repro.backends` — the batched matrix backend (the exact engine is
+  ``Interpreter(exact=True)``), and the ProbNetKAT→PRISM translation as a
+  source export;
 * :mod:`repro.topology`, :mod:`repro.routing`, :mod:`repro.failure`,
   :mod:`repro.network` — data-center topologies, routing schemes (ECMP,
   F10), failure models, and network model builders;

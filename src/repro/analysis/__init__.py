@@ -1,10 +1,12 @@
 """Analyses over network models: delivery, resilience, and latency.
 
-Every distribution-backed entry point accepts ``backend=`` (a registry
-name or shared backend instance) and ``session=`` (a persistent
-:class:`~repro.service.AnalysisSession`, re-exported here lazily as
-``repro.analysis.AnalysisSession``): sessions pool one compiled backend,
-shard batched queries, and cache results across calls.
+Every distribution-backed entry point takes the engine that answers it
+as ``backend=``: ``None`` (a fresh interpreter), an
+:class:`~repro.core.interpreter.Interpreter`, a
+:class:`~repro.backends.matrix.MatrixBackend`, or a persistent
+:class:`~repro.service.AnalysisSession` (re-exported here lazily as
+``repro.analysis.AnalysisSession``), which pools one compiled backend,
+shards batched queries, and caches results across calls.
 """
 
 from repro.analysis.queries import (

@@ -12,59 +12,37 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.queries import _distribution_engine, _with_session
+from repro.analysis.queries import _distribution_engine
 from repro.core.distributions import Dist
-from repro.core.interpreter import Interpreter
 from repro.network.model import NetworkModel
 
 
 def _require_hops(model: NetworkModel) -> str:
     if model.hops_field is None:
-        raise ValueError(
-            "the model was built without a hop counter; pass count_hops=True"
-        )
+        raise ValueError("the model was built without a hop counter; pass count_hops=True")
     return model.hops_field
 
 
 def hop_count_distribution(
-    model: NetworkModel,
-    exact: bool = False,
-    interpreter: Interpreter | None = None,
-    backend=None,
-    session=None,
+    model: NetworkModel, exact: bool = False, backend=None
 ) -> Dist[int | None]:
     """Joint distribution of hop counts over the uniform ingress set.
 
     Dropped packets map to ``None``; delivered packets map to the value of
-    the model's hop counter.  ``backend`` selects the query engine (see
-    :mod:`repro.analysis.queries`); passing a shared matrix backend makes
-    the all-ingress query a single batched solve, and ``session`` routes
-    it through a persistent :class:`~repro.service.AnalysisSession` and
-    its result cache.
+    the model's hop counter.  ``backend`` is the engine that answers (see
+    :mod:`repro.analysis.queries`); a shared matrix backend makes the
+    all-ingress query a single batched solve, and an
+    :class:`~repro.service.AnalysisSession` answers it through its result
+    cache.
     """
     hops_field = _require_hops(model)
-    engine = _distribution_engine(_with_session(backend, session), exact)
-    if engine is not None:
-        if interpreter is not None:
-            raise ValueError("pass either interpreter= or backend=, not both")
-        output = engine.output_distribution(
-            model.policy, Dist.uniform(model.ingress_packets)
-        )
-    else:
-        interp = interpreter if interpreter is not None else Interpreter(exact=exact)
-        output = interp.run(model.policy, Dist.uniform(model.ingress_packets))
-    return output.map(
-        lambda out: out.get(hops_field) if model.is_delivered(out) else None
-    )
+    engine = _distribution_engine(backend, exact)
+    output = engine.output_distribution(model.policy, Dist.uniform(model.ingress_packets))
+    return output.map(lambda out: out.get(hops_field) if model.is_delivered(out) else None)
 
 
 def hop_count_cdf(
-    model: NetworkModel,
-    max_hops: int | None = None,
-    exact: bool = False,
-    interpreter: Interpreter | None = None,
-    backend=None,
-    session=None,
+    model: NetworkModel, max_hops: int | None = None, exact: bool = False, backend=None
 ) -> dict[int, float]:
     """``P[delivered within ≤ h hops]`` as a function of ``h`` (Figure 12(b)).
 
@@ -72,9 +50,7 @@ def hop_count_cdf(
     delivery), so the curve plateaus at the overall delivery probability,
     exactly like the paper's plot.
     """
-    dist = hop_count_distribution(
-        model, exact=exact, interpreter=interpreter, backend=backend, session=session
-    )
+    dist = hop_count_distribution(model, exact=exact, backend=backend)
     observed = [h for h in dist.support() if h is not None]
     top = max_hops if max_hops is not None else (max(observed) if observed else 0)
     cdf: dict[int, float] = {}
@@ -85,17 +61,9 @@ def hop_count_cdf(
     return cdf
 
 
-def expected_hop_count(
-    model: NetworkModel,
-    exact: bool = False,
-    interpreter: Interpreter | None = None,
-    backend=None,
-    session=None,
-) -> float:
+def expected_hop_count(model: NetworkModel, exact: bool = False, backend=None) -> float:
     """Expected hop count conditioned on delivery (Figure 12(c))."""
-    dist = hop_count_distribution(
-        model, exact=exact, interpreter=interpreter, backend=backend, session=session
-    )
+    dist = hop_count_distribution(model, exact=exact, backend=backend)
     total = 0.0
     mass = 0.0
     for hops, prob in dist.items():
@@ -113,15 +81,14 @@ def hop_count_series(
     max_hops: int | None = None,
     exact: bool = False,
     backend=None,
-    session=None,
 ) -> dict[str, dict[int, float]]:
     """CDF series for several labelled models (one plot line each).
 
-    A ``backend`` name is resolved once so all models in the series share
-    one instance (and therefore its compiled-plan and matrix caches); a
-    ``session`` additionally shares its result cache.
+    The engine is resolved once, so all models in the series share one
+    instance (a fresh interpreter for ``backend=None``) and therefore its
+    compiled-plan and loop caches.
     """
-    engine = _distribution_engine(_with_session(backend, session), exact)
+    engine = _distribution_engine(backend, exact)
     return {
         label: hop_count_cdf(model, max_hops=max_hops, exact=exact, backend=engine)
         for label, model in models.items()

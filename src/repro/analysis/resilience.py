@@ -13,7 +13,6 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Mapping, Sequence
 
-from repro.backends import resolve_backend
 from repro.core.distributions import Dist
 from repro.core.equivalence import joint_distributions, output_distributions, relation
 from repro.core.interpreter import Interpreter, Outcome
@@ -67,7 +66,6 @@ def resilience_table(
     schemes: Sequence[str],
     failure_bounds: Sequence[int | None],
     backend=None,
-    session=None,
 ) -> dict[str, dict[int | None, bool]]:
     """Evaluate *k*-resilience of several schemes (Figure 11(b)).
 
@@ -80,19 +78,16 @@ def resilience_table(
 
     The check is the interpreter's structural possibility analysis
     (:meth:`~repro.network.model.NetworkModel.certainly_delivers`), which
-    is exact.  Passing a backend (e.g. ``"matrix"``) delegates to its
-    ``certainly_delivers``, and every backend answers with that same
-    analysis.  ``session`` serves the sweep from a persistent
-    :class:`~repro.service.AnalysisSession` (cached verdicts); it is
-    mutually exclusive with ``backend``.
+    is exact, on a fresh interpreter per model.  Passing an engine (an
+    ``Interpreter``, a ``MatrixBackend`` or an
+    :class:`~repro.service.AnalysisSession`, whose verdicts are cached)
+    delegates to its ``certainly_delivers``, and every engine answers
+    with that same analysis.
     """
-    from repro.analysis.queries import _with_session
-
-    engine = resolve_backend(_with_session(backend, session))
-    if engine is not None and not hasattr(engine, "certainly_delivers"):
+    if backend is not None and not hasattr(backend, "certainly_delivers"):
         raise TypeError(
-            f"backend {type(engine).__name__} does not support resilience "
-            "queries; use 'native' or 'matrix'"
+            f"backend {type(backend).__name__} does not support resilience queries; "
+            "pass an Interpreter, a MatrixBackend or an AnalysisSession"
         )
     answers = _answers(model_factory)
     table: dict[str, dict[int | None, bool]] = {}
@@ -100,8 +95,8 @@ def resilience_table(
         row: dict[int | None, bool] = {}
         for bound in failure_bounds:
             model = answers.model(model_factory, scheme, bound)
-            if engine is not None:
-                row[bound] = engine.certainly_delivers(model)
+            if backend is not None:
+                row[bound] = backend.certainly_delivers(model)
             else:
                 row[bound] = model.certainly_delivers()
         table[scheme] = row

@@ -7,8 +7,8 @@ loop is factorized *once* with ``splu``, and every ingress query — output
 distributions, hop-count CDFs, delivery/resilience probabilities — is
 answered by batched multi-RHS solves against the cached factorization.
 
-Compared with the native backend (which re-solves a growing absorption
-system for every new ingress seed), the matrix backend:
+Compared with the forward interpreter (which re-solves a growing
+absorption system for every new ingress seed), the matrix backend:
 
 * decomposes a guarded model ``in ; body ; while ¬out do body ; …`` into
   loop-free *FDD stages* and *loop stages*; a run that ends in its loop's
@@ -36,7 +36,7 @@ packets are decoded once, after the last stage.  A query returns one
 :class:`~repro.core.answer.Answer`, an ingress × outcome matrix built by
 one sparse product per stage; a ``Dist`` is built only when a caller
 looks one up.  Loop solutions are
-float64, like the native backend's LU path, and so are the loop-free
+float64, like the interpreter's LU path, and so are the loop-free
 stages of a plan with a loop; a plan without one keeps the exact
 rational leaf weights.
 """
@@ -585,7 +585,7 @@ class MatrixBackend:
         Bound on the number of symbolic classes explored per loop.
 
     The batched solver is float64 by design (``splu``); exact rational
-    loop solving is ``NativeBackend(exact=True)``.
+    loop solving is ``Interpreter(exact=True)``.
     """
 
     class_limit: int = 1_000_000
@@ -786,7 +786,7 @@ class MatrixBackend:
         All ingress packets advance through the plan together, so every
         loop is factorized at most once for the union of their entry
         states (versus one incremental re-solve per packet in the
-        interpreter-based native path).  The result is one
+        forward interpreter).  The result is one
         :class:`~repro.core.answer.Answer`: a mapping from ingress packet
         to :class:`Dist` whose rows are arrays over one outcome table; a
         ``Dist`` is built when it is looked up.
@@ -921,10 +921,10 @@ class MatrixBackend:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (registry/session API symmetry).
+        """Release backend resources (nothing to release).
 
-        The matrix backend owns no worker pool; ``close()`` exists so
-        sessions can manage any registry backend uniformly.
+        The matrix backend owns no worker pool; ``close()`` is what a
+        session calls on the backend it built.
         """
 
     def __enter__(self) -> "MatrixBackend":

@@ -1,4 +1,4 @@
-"""The native backend compiler: ProbNetKAT → probabilistic FDDs (§5.1).
+"""The FDD compiler: ProbNetKAT → probabilistic FDDs (§5.1).
 
 The compiler translates guarded, history-free programs into canonical
 probabilistic FDDs over the single-packet state space ``Pk + ∅``:

@@ -65,7 +65,7 @@ def output_distributions(
 ) -> dict[Packet, Dist[Outcome]]:
     """Per-input output distributions of ``p`` (forward interpretation)."""
     interp = interpreter if interpreter is not None else Interpreter(exact=exact)
-    return {packet: interp.run_packet(p, packet) for packet in inputs}
+    return interp.output_distributions(p, inputs)
 
 
 def joint_distributions(

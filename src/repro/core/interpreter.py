@@ -115,6 +115,29 @@ class Interpreter:
             return self.run_packet(policy, inputs)
         return self._bind(policy, inputs)
 
+    def output_distribution(
+        self, policy: s.Policy, inputs: Dist[Outcome] | Packet | Iterable[Packet]
+    ) -> Dist[Outcome]:
+        """Output distribution on a packet, a distribution, or a uniform ingress set."""
+        if isinstance(inputs, (Packet, Dist)):
+            return self.run(policy, inputs)
+        return self.run(policy, Dist.uniform(list(inputs)))
+
+    def output_distributions(
+        self, policy: s.Policy, inputs: Iterable[Packet]
+    ) -> dict[Packet, Dist[Outcome]]:
+        """Per-ingress output distributions (loop solutions are shared across inputs)."""
+        return {packet: self.run_packet(policy, packet) for packet in inputs}
+
+    def certainly_delivers(self, model) -> bool:
+        """Whether every ingress of a network model delivers with probability one.
+
+        The model's structural possibility analysis
+        (:meth:`~repro.network.model.NetworkModel.certainly_delivers`) on
+        this interpreter, so its loop caches are reused.
+        """
+        return model.certainly_delivers(interpreter=self)
+
     def run_packet(self, policy: s.Policy, packet: Packet) -> Dist[Outcome]:
         """Output distribution of ``policy`` on one concrete input packet."""
         if isinstance(policy, s.Predicate):
@@ -462,9 +485,6 @@ class Interpreter:
         return frozenset(outcomes), diverge or len(exiting) < len(seen)
 
 
-_MISSING = object()
-
-
 def _build_dispatch(
     policy: s.Case,
 ) -> tuple[str, dict[int, s.Policy], s.Policy] | None:
@@ -494,8 +514,4 @@ def output_distribution(
     When ``inputs`` is an iterable of packets, the uniform distribution
     over them is used (the convention for multi-ingress network queries).
     """
-    interp = Interpreter(exact=exact)
-    if isinstance(inputs, (Packet, Dist)):
-        return interp.run(policy, inputs)
-    packets = list(inputs)
-    return interp.run(policy, Dist.uniform(packets))
+    return Interpreter(exact=exact).output_distribution(policy, inputs)

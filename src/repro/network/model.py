@@ -83,10 +83,7 @@ class NetworkModel:
     ) -> dict[Packet, Dist[Outcome]]:
         """Per-ingress output distributions of the model."""
         interp = interpreter if interpreter is not None else Interpreter(exact=exact)
-        return {
-            packet: interp.run_packet(self.policy, packet)
-            for packet in self.ingress_packets
-        }
+        return interp.output_distributions(self.policy, self.ingress_packets)
 
     def delivery_probabilities(
         self, exact: bool = False, interpreter: Interpreter | None = None

@@ -71,8 +71,8 @@ Quick start::
     session.close()
 
 Sessions also satisfy the analysis engine protocol, so every
-``repro.analysis`` entry point accepts ``session=`` (or the session as
-``backend=``) and gains the session's caches transparently.
+``repro.analysis`` entry point accepts the session as ``backend=`` and
+gains the session's caches transparently.
 """
 
 from repro.service.coalesce import (

@@ -84,11 +84,6 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         help="build models with a hop counter (required by 'hops' queries)",
     )
     parser.add_argument(
-        "--backend",
-        default="matrix",
-        help="query backend registry name (default matrix)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -320,7 +315,6 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
     )
     return AnalysisSession(
         model_factory=model_factory(topology, args),
-        backend=args.backend,
         pool_size=args.pool_size,
         pool_mode=args.pool_mode,
         workers=args.workers,

@@ -435,11 +435,10 @@ class ProcessReplicas:
     Parameters
     ----------
     planner:
-        The parent-side planner backend.  It never serves shard queries;
-        it compiles each policy once and produces the wire payloads and
-        canonical cache keys workers and sessions share.  Must support
-        spec shipping (``plan_payload``/``plan_key`` — the matrix
-        backend; the native family cannot host worker replicas).
+        The parent-side :class:`~repro.backends.matrix.MatrixBackend`.
+        It never serves shard queries; it compiles each policy once and
+        produces the wire payloads (``plan_payload``) and canonical cache
+        keys (``plan_key``) workers and sessions share.
     telemetry:
         Carried into every client (trace propagation).
     """
@@ -447,12 +446,6 @@ class ProcessReplicas:
     mode = "process"
 
     def __init__(self, planner: object, *, telemetry: Telemetry | None = None):
-        if not hasattr(planner, "plan_payload") or not hasattr(planner, "plan_key"):
-            raise TypeError(
-                f"backend {type(planner).__name__} cannot host worker replicas: "
-                "spec shipping needs plan_payload()/plan_key() (use the matrix "
-                "backend, or pool_mode='thread')"
-            )
         #: The shared plan directory (parent-side compile-once registry).
         self.directory = PlanDirectory(planner)
         self._telemetry = telemetry

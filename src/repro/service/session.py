@@ -34,8 +34,7 @@ is a row reduction over it.
 
 Sessions implement the analysis engine protocol
 (``output_distribution`` / ``certainly_delivers``), so every
-``repro.analysis`` entry point accepts one via ``session=`` or
-``backend=``.
+``repro.analysis`` entry point accepts one as ``backend=``.
 
 Crashes: a :class:`~repro.service.pool.ReplicaFailure` under a lease
 (its worker died) fails the group that held the lease, and the batch
@@ -54,8 +53,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.backends import resolve_backend
-from repro.backends.matrix import mix_outputs
+from repro.backends.matrix import MatrixBackend, mix_outputs
 from repro.core import syntax as s
 from repro.core.answer import Answer, AnswerRow, delivered_mass
 from repro.core.distributions import Dist
@@ -84,8 +82,9 @@ class AnalysisSession:
         ``dest -> NetworkModel`` builder for destinations not registered
         up front; built models are compiled once and cached.
     backend:
-        The base query engine: a registry name (default ``"matrix"``) or
-        a backend instance.  In thread mode it is the session's one
+        The base query engine, a :class:`~repro.backends.matrix.MatrixBackend`
+        instance; ``None`` (the default) builds a fresh one that the
+        session owns and closes.  In thread mode it is the session's one
         replica, called directly; in process mode it stays in the parent
         as the planner backend that compiles policies once and ships
         their specs to workers.
@@ -100,7 +99,7 @@ class AnalysisSession:
         as manager-independent specs and *every* phase — plan rebuild,
         matrix assembly, factorization, solve — runs outside the
         parent's GIL, at the price of per-query IPC and per-worker
-        memory.  Requires a spec-shipping backend (matrix).
+        memory.
     workers:
         Threads of the executor (default: CPU count, capped): how many
         batches :meth:`submit_batch` runs at once and, with several
@@ -127,7 +126,7 @@ class AnalysisSession:
         *,
         models: Iterable[NetworkModel] | Mapping[int, NetworkModel] | None = None,
         model_factory: Callable[[int], NetworkModel] | None = None,
-        backend: object | str | None = "matrix",
+        backend: MatrixBackend | None = None,
         pool_size: int | None = None,
         pool_mode: str = "thread",
         workers: int | None = None,
@@ -164,20 +163,18 @@ class AnalysisSession:
         self._m_pool = metrics.gauge(
             "repro_pool_size", "Current number of backend replicas"
         )
-        engine = resolve_backend(backend)
-        if engine is None:
-            raise ValueError("a session needs a backend (name or instance)")
-        if not hasattr(engine, "output_distributions"):
+        # The result cache is keyed by plan_key, which an Interpreter lacks.
+        if backend is not None and not hasattr(backend, "plan_key"):
             raise TypeError(
-                f"backend {type(engine).__name__} does not support batched "
-                "distribution queries; use 'matrix' or 'native'"
+                f"backend {type(backend).__name__} does not support batched, "
+                "plan-keyed queries; pass a MatrixBackend"
             )
-        self._backend = engine
-        # Registry names instantiate a fresh backend the session owns (and
-        # closes); caller-supplied instances stay the caller's to close.
-        # Worker replicas are always pool-owned.
-        self._owns_backend = isinstance(backend, str)
-        self._pool = open_pool(pool_mode, engine, pool_size, telemetry=self._telemetry)
+        # A session builds (and closes) its own backend when given none;
+        # caller-supplied instances stay the caller's to close.  Worker
+        # replicas are always pool-owned.
+        self._owns_backend = backend is None
+        self._backend = MatrixBackend() if backend is None else backend
+        self._pool = open_pool(pool_mode, self._backend, pool_size, telemetry=self._telemetry)
         self._executor = ShardExecutor(workers)
         self._model_factory = model_factory
         self._cache_enabled = cache
@@ -288,11 +285,6 @@ class AnalysisSession:
         return self._pool.size
 
     @property
-    def exact(self) -> bool:
-        """Whether the underlying backend runs in exact mode."""
-        return bool(getattr(self._backend, "exact", False))
-
-    @property
     def telemetry(self) -> Telemetry:
         """The session's telemetry hub (tracer + metrics registry)."""
         return self._telemetry
@@ -315,8 +307,8 @@ class AnalysisSession:
 
         A backend *instance* passed by the caller is not closed — shared
         instances may serve other users (the documented shared-backend
-        pattern); only a backend instantiated from a registry name, plus
-        every worker (always pool-owned), is torn down.
+        pattern); only the backend the session built itself, plus every
+        worker (always pool-owned), is torn down.
         """
         with self._state_lock:
             if self._closed:
@@ -329,9 +321,8 @@ class AnalysisSession:
         self._executor.close()
         self._closed = True
         self._pool.close()
-        closer = getattr(self._backend, "close", None)
-        if self._owns_backend and closer is not None:
-            closer()
+        if self._owns_backend:
+            self._backend.close()
 
     def __enter__(self) -> "AnalysisSession":
         return self
@@ -476,7 +467,7 @@ class AnalysisSession:
             for scheme in schemes
         }
 
-    # -- engine protocol (usable as backend=/session= in repro.analysis) --------
+    # -- engine protocol (usable as backend= in repro.analysis) -----------------
     def output_distribution(
         self, policy: s.Policy | NetworkModel, inputs: Packet | Dist | Iterable[Packet]
     ) -> Dist[Outcome]:
@@ -540,14 +531,10 @@ class AnalysisSession:
         timings: dict[str, float] = {}
         solver_totals: dict[str, int] = {}
         for replica in self._pool.replicas:
-            timer = getattr(replica.backend, "timings", None)
-            if timer is not None:
-                for name, value in timer().items():
-                    timings[name] = timings.get(name, 0.0) + value
-            solver = getattr(replica.backend, "solver_stats", None)
-            if solver is not None:
-                for name, value in solver().items():
-                    solver_totals[name] = solver_totals.get(name, 0) + int(value)
+            for name, value in replica.backend.timings().items():
+                timings[name] = timings.get(name, 0.0) + value
+            for name, value in replica.backend.solver_stats().items():
+                solver_totals[name] = solver_totals.get(name, 0) + int(value)
         with self._state_lock:
             cached = sum(len(table) for table in self._rows.values())
         return {
@@ -599,9 +586,7 @@ class AnalysisSession:
             policy = model.policy
 
             def plan(replica: Replica) -> None:
-                plan_fn = getattr(replica.backend, "plan", None)
-                if plan_fn is not None:
-                    plan_fn(policy)
+                replica.backend.plan(policy)
 
             # A replica dying under the warmup call is marked dead through
             # the lease's own exception path and skipped.
@@ -829,15 +814,13 @@ class AnalysisSession:
     def _policy_key(self, policy: s.Policy, backend: object) -> int:
         """The plan token of ``policy``: its interned canonical stage specs.
 
-        With a plan-capable backend the canonical key is
+        The canonical key is
         :meth:`~repro.backends.matrix.MatrixBackend.plan_key` — the
         manager-*independent* serialization of the policy's compiled
         stage FDDs.  Structural specs, not node ids: the same policy
         compiled by two different replicas (or two semantically equal
         policies compiled by one) yields the same key, which is what lets
-        all replicas share one session result cache.  Backends without
-        ``plan_key`` fall back to object identity (the policy is retained
-        so its id cannot be recycled).
+        all replicas share one session result cache.
 
         The key is hashed here and nowhere else — once per policy object,
         when it is interned to the small integer token every cache table
@@ -849,11 +832,7 @@ class AnalysisSession:
         token = self._known_token(policy)
         if token is not None:
             return token
-        plan_key_fn = getattr(backend, "plan_key", None)
-        if plan_key_fn is not None:
-            key: object = plan_key_fn(policy)
-        else:
-            key = ("policy-id", id(policy))
+        key = backend.plan_key(policy)
         with self._state_lock:
             token = self._known_token(policy)
             if token is None:

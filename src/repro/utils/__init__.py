@@ -1,5 +1,5 @@
 """Utility helpers shared across the :mod:`repro` package."""
 
-from repro.utils.timing import Stopwatch, timed
+from repro.utils.timing import Stopwatch
 
-__all__ = ["Stopwatch", "timed"]
+__all__ = ["Stopwatch"]

@@ -1,4 +1,4 @@
-"""Small timing helpers used by the benchmark harnesses and backends."""
+"""The stopwatch the backends time their phases with."""
 
 from __future__ import annotations
 
@@ -50,13 +50,3 @@ class Stopwatch:
     def __getitem__(self, name: str) -> float:
         return self.sections[name]
 
-
-@contextmanager
-def timed():
-    """Context manager yielding a single-element list holding elapsed seconds."""
-    holder = [0.0]
-    start = time.perf_counter()
-    try:
-        yield holder
-    finally:
-        holder[0] = time.perf_counter() - start

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import MatrixBackend, NativeBackend
+from repro.backends import MatrixBackend
 from repro.core import compiler as compiler_module
 from repro.core import equivalence
 from repro.core import sugar
@@ -597,7 +597,7 @@ class TestExactModeIsFractionIdentical:
             loop = compiler.compile(body)
             rows = [weights(output_distribution(hop, pk)) for pk in model.ingress_packets]
             rows += [weights(output_distribution(loop, pk)) for pk in locations]
-            native = NativeBackend(exact=True).output_distributions(
+            native = Interpreter(exact=True).output_distributions(
                 model.policy, model.ingress_packets
             )
             return rows, {pk: weights(dist) for pk, dist in native.items()}

@@ -1,4 +1,4 @@
-"""Tests for the batched matrix backend, registry, and batched solver APIs."""
+"""Tests for the batched matrix backend, engine arguments, and batched solver APIs."""
 
 from fractions import Fraction
 
@@ -7,13 +7,8 @@ import pytest
 from repro.analysis.latency import expected_hop_count, hop_count_cdf
 from repro.analysis.queries import delivery_probability, output_distribution
 from repro.analysis.resilience import resilience_table
-from repro.backends import (
-    BACKENDS,
-    MatrixBackend,
-    NativeBackend,
-    get_backend,
-    resolve_backend,
-)
+import repro.backends
+from repro.backends import MatrixBackend
 from repro.core import syntax as s
 from repro.core.compiler import compile_policy
 from repro.core.distributions import Dist
@@ -222,30 +217,29 @@ class TestWideDomains:
 
 
 class TestRegistry:
-    def test_registered_names(self):
-        assert set(BACKENDS) == {"native", "matrix"}
-        # PRISM is a source export (repro.backends.prism), not an engine.
-        with pytest.raises(ValueError, match="unknown backend 'prism'"):
-            get_backend("prism")
+    """Engines are instances: there are no backend names to look up."""
 
-    def test_get_backend_instantiates(self):
-        assert isinstance(get_backend("native"), NativeBackend)
-        assert isinstance(get_backend("matrix"), MatrixBackend)
+    def test_registered_names(self, example):
+        # The package exports the float engine; the exact one is
+        # Interpreter(exact=True).  PRISM is a source export
+        # (repro.backends.prism), not an engine.
+        assert repro.backends.__all__ == ["MatrixBackend", "QueryPlan"]
+        with pytest.raises(TypeError, match="str does not support"):
+            output_distribution(example.naive, inputs=[example.ingress_packet], backend="prism")
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("umfpack")
-        with pytest.raises(ValueError, match="available backends: matrix, native$"):
-            get_backend("parallel")
-
-    def test_resolve_backend_passthrough(self):
-        backend = MatrixBackend()
-        assert resolve_backend(backend) is backend
-        assert resolve_backend(None) is None
-        assert isinstance(resolve_backend("matrix"), MatrixBackend)
+    def test_unknown_backend_rejected(self, example):
+        """A name, even one that used to select an engine, is refused."""
+        model = example.models_naive["f0"]
+        for name in ("matrix", "umfpack"):
+            with pytest.raises(TypeError, match="str does not support distribution"):
+                output_distribution(model, inputs=[example.ingress_packet], backend=name)
+            with pytest.raises(TypeError, match="str does not support resilience"):
+                resilience_table(lambda scheme, bound: None, ["x"], [0], backend=name)
+        with pytest.raises(TypeError, match="str does not support batched"):
+            AnalysisSession(fattree_model(None), backend="matrix")
 
     def test_matrix_backend_is_float_only(self):
-        # No exact mode to ask for: exact solving is NativeBackend(exact=True).
+        # No exact mode to ask for: exact solving is Interpreter(exact=True).
         with pytest.raises(TypeError, match="exact"):
             MatrixBackend(exact=True)
 
@@ -357,7 +351,7 @@ class TestMatrixBackendEquivalence:
 
     def test_uniform_and_dist_inputs(self, example):
         model = example.models_resilient["f2"]
-        native = NativeBackend()
+        native = Interpreter()
         backend = MatrixBackend()
         packets = [example.ingress_packet]
         assert native.output_distribution(model, packets).close_to(
@@ -455,7 +449,7 @@ class TestOneCertaintyVerdict:
         assert 1 - 1e-9 <= min(backend.delivery_probabilities(model).values()) < 1
         assert model.certainly_delivers() is False
         assert backend.certainly_delivers(model) is False
-        table = resilience_table(lambda scheme, k: model, ["f10_0"], [1], backend="matrix")
+        table = resilience_table(lambda scheme, k: model, ["f10_0"], [1], backend=backend)
         assert table == {"f10_0": {1: False}}
         with AnalysisSession(models=[model]) as session:
             assert session.certainly_delivers(model) is False
@@ -468,13 +462,13 @@ class TestBackendThreading:
         model = example.models_naive["f2"]
         packets = [example.ingress_packet]
         default = output_distribution(model, inputs=packets)
-        matrix = output_distribution(model, inputs=packets, backend="matrix")
+        matrix = output_distribution(model, inputs=packets, backend=MatrixBackend())
         assert default.close_to(matrix, tolerance=1e-9)
 
     def test_delivery_probability_backend(self):
         model = fattree_model(1 / 1000)
         default = delivery_probability(model)
-        matrix = delivery_probability(model, backend="matrix")
+        matrix = delivery_probability(model, backend=MatrixBackend())
         assert matrix == pytest.approx(default, abs=1e-9)
 
     def test_hop_count_queries_backend(self):
@@ -502,25 +496,21 @@ class TestBackendThreading:
                 example.models_naive["f0"],
                 inputs=[example.ingress_packet],
                 exact=True,
-                backend="matrix",
+                backend=MatrixBackend(),
             )
-        # Registry names instantiate float-mode backends, so these are
-        # rejected too — only an exact-configured instance qualifies.
+        # A float-mode interpreter is rejected too: only an
+        # exact-configured instance qualifies.
         with pytest.raises(ValueError, match="exact-mode backend instance"):
             output_distribution(
                 example.models_naive["f0"],
                 inputs=[example.ingress_packet],
                 exact=True,
-                backend="native",
+                backend=Interpreter(),
             )
 
     def test_exact_with_exact_backend_allowed(self, example):
-        from fractions import Fraction
-
-        from repro.backends import NativeBackend
-
         model = example.models_naive["f1"]
-        exact_backend = NativeBackend(exact=True)
+        exact_backend = Interpreter(exact=True)
         dist = output_distribution(
             model,
             inputs=[example.ingress_packet],
@@ -546,11 +536,14 @@ class TestBackendThreading:
             resilience_table(lambda scheme, bound: None, ["x"], [0], backend=ProbabilityOnly())
 
     def test_interpreter_and_backend_conflict(self):
+        # The interpreter is an engine like the others: it is passed as
+        # backend=, and there is no interpreter= to pass it twice.
         model = build_model(
             fat_tree(4), routing=ecmp_policy(fat_tree(4), 1), dest=1, count_hops=True
         )
-        with pytest.raises(ValueError, match="not both"):
-            hop_count_cdf(model, backend="matrix", interpreter=Interpreter())
+        with pytest.raises(TypeError, match="interpreter"):
+            hop_count_cdf(model, backend=MatrixBackend(), interpreter=Interpreter())
+        assert hop_count_cdf(model, backend=Interpreter()) == hop_count_cdf(model)
 
     def test_resilience_table_backend_agrees_with_structural(self):
         def factory(scheme, bound):
@@ -558,8 +551,8 @@ class TestBackendThreading:
 
         schemes = ["healthy", "faulty"]
         exact = resilience_table(factory, schemes, [None])
-        numeric = resilience_table(factory, schemes, [None], backend="matrix")
-        native = resilience_table(factory, schemes, [None], backend="native")
+        numeric = resilience_table(factory, schemes, [None], backend=MatrixBackend())
+        native = resilience_table(factory, schemes, [None], backend=Interpreter())
         assert exact == numeric == native
         assert exact["healthy"][None] is True
         assert exact["faulty"][None] is False

@@ -11,6 +11,7 @@ import pytest
 from polling import wait_until
 from repro.analysis.queries import delivery_probability
 from repro.backends import MatrixBackend
+from repro.core.interpreter import Interpreter
 from repro.failure.models import independent_failure_program
 from repro.network.model import build_model
 from repro.routing import downward_failable_ports, ecmp_policy
@@ -406,10 +407,10 @@ class TestLifecycle:
     def test_thread_mode_hosts_one_replica(self, models):
         model = next(iter(models.values()))
         with pytest.raises(ValueError, match="pool_mode='process'"):
-            AnalysisSession(model, backend="native", pool_size=4, workers=2)
+            AnalysisSession(model, backend=MatrixBackend(), pool_size=4, workers=2)
         with pytest.raises(ValueError, match="pool_mode='process'"):
             AnalysisSession(model, pool_size=2, workers=1)
-        with AnalysisSession(model, backend="native", workers=2) as session:
+        with AnalysisSession(model, backend=MatrixBackend(), workers=2) as session:
             assert session.pool.size == 1
             assert session.pool.replicas[0].backend is session.backend
             packet = model.ingress_packets[0]
@@ -432,7 +433,7 @@ class TestLifecycle:
             # Worker replicas are pool-owned; the caller's backend is not.
             assert all(not worker.alive for worker in workers)
         assert closed == []
-        named = AnalysisSession(model, backend="matrix", workers=1)
+        named = AnalysisSession(model, workers=1)
         named.backend.close = lambda: closed.append("named")  # type: ignore[method-assign]
         named.close()
         assert closed == ["named"]
@@ -451,24 +452,20 @@ class TestLifecycle:
             AnalysisSession(model, pool_size=0)
 
     def test_unbatched_backend_names_the_registered_alternatives(self, models):
-        """The refusal names exactly the registered batched backends."""
+        """The refusal names the batched engine to pass instead."""
         model = next(iter(models.values()))
-        with pytest.raises(TypeError) as excinfo:
-            AnalysisSession(model, backend=object())
-        assert str(excinfo.value).endswith("use 'matrix' or 'native'")
+        for engine in (object(), Interpreter()):
+            with pytest.raises(TypeError) as excinfo:
+                AnalysisSession(model, backend=engine)
+            assert str(excinfo.value).endswith("pass a MatrixBackend")
 
     def test_backend_missing_answer_fails_fast(self, models):
         """A backend that drops a requested packet must raise, not spin."""
 
-        class DroppingBackend:
-            exact = False
-
-            def __init__(self):
-                self.inner = MatrixBackend()
-
+        class DroppingBackend(MatrixBackend):
             def output_distributions(self, policy, inputs):
                 packets = list(inputs)
-                answers = dict(self.inner.output_distributions(policy, packets))
+                answers = dict(super().output_distributions(policy, packets))
                 answers.pop(packets[-1], None)  # violate the contract
                 return answers
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from polling import wait_until
 from repro.analysis.queries import delivery_probability
-from repro.backends import MatrixBackend, NativeBackend
+from repro.backends import MatrixBackend
 from repro.core import syntax as s
 from repro.core.distributions import Dist
 from repro.core.packet import DROP, Packet
@@ -285,10 +285,6 @@ class TestProcessPool:
                 assert handle.ping()["pid"] == handle.pid
         finally:
             pool.close()
-
-    def test_native_backend_rejected_for_process_mode(self):
-        with pytest.raises(TypeError, match="spec shipping"):
-            ProcessReplicas(NativeBackend())
 
     def test_session_rejects_unknown_pool_mode(self, all_models):
         model = next(iter(all_models.values()))

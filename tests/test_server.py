@@ -404,6 +404,9 @@ BAD_INPUT = [
     ("batch", ["--queries", "{unknown-kind}"], "unknown query kind"),
     ("batch", ["--queries", "{bad-ingress}"], "ingress"),
     ("batch", ["--queries", "{dest-99}"], "destination switch 99"),
+    # Usage errors: argparse exits with code 2 and prints the message.
+    ("batch", ["--all-pairs", "--backend", "matrix"], 2),
+    ("serve", ["--backend", "matrix"], 2),
 ]
 
 
@@ -476,7 +479,7 @@ class TestServeCommand:
         BAD_INPUT,
         ids=[f"{entry} {' '.join(argv)}" for entry, argv, _ in BAD_INPUT],
     )
-    def test_bad_input_is_a_one_line_error(self, tmp_path, entry, argv, message):
+    def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, entry, argv, message):
         from repro.service import cli
 
         files = {
@@ -497,6 +500,10 @@ class TestServeCommand:
         run = cli.serve_main if entry == "serve" else cli.main
         with pytest.raises(SystemExit) as exit_info:
             run(resolved)
+        if message == 2:
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+            return
         text = str(exit_info.value.code)
         assert message in text
         assert "\n" not in text and exit_info.value.__suppress_context__

@@ -136,12 +136,12 @@ class TestShardExecutor:
 # Sessions: agreement with the single-threaded analysis entry points
 # ---------------------------------------------------------------------------
 class TestSessionAgreement:
-    @pytest.mark.parametrize("backend", ["matrix", "native"])
+    @pytest.mark.parametrize("backend", [MatrixBackend], ids=["matrix"])
     def test_concurrent_batch_matches_per_call_analysis(
         self, models, all_pairs, backend
     ):
         with AnalysisSession(
-            models=models.values(), backend=backend, workers=4
+            models=models.values(), backend=backend(), workers=4
         ) as session:
             results = session.query_batch(all_pairs)
             assert len(results) == len(all_pairs)
@@ -336,32 +336,34 @@ class TestSessionCache:
 
 
 # ---------------------------------------------------------------------------
-# Sessions: analysis entry-point integration (session=)
+# Sessions: analysis entry-point integration (the session as backend=)
 # ---------------------------------------------------------------------------
 class TestAnalysisIntegration:
     def test_output_distribution_session_kwarg(self, models):
         model = models[1]
         with AnalysisSession(model, workers=1) as session:
             packet = model.ingress_packets[0]
-            via_session = output_distribution(model, inputs=[packet], session=session)
+            via_session = output_distribution(model, inputs=[packet], backend=session)
             direct = output_distribution(model, inputs=[packet])
             assert via_session.close_to(direct, tolerance=1e-9)
 
     def test_backend_and_session_conflict(self, models):
+        # A session is an engine: it is passed as backend=, and there is
+        # no session= to pass next to another engine.
         model = models[1]
         with AnalysisSession(model, workers=1) as session:
-            with pytest.raises(ValueError, match="not both"):
+            with pytest.raises(TypeError, match="session"):
                 output_distribution(
                     model,
                     inputs=[model.ingress_packets[0]],
-                    backend="matrix",
+                    backend=MatrixBackend(),
                     session=session,
                 )
 
     def test_hop_cdf_session_kwarg(self, topo):
         model = ecmp_model(topo, 1, count_hops=True)
         with AnalysisSession(model, workers=1) as session:
-            via_session = hop_count_cdf(model, max_hops=8, session=session)
+            via_session = hop_count_cdf(model, max_hops=8, backend=session)
         assert via_session == pytest.approx(hop_count_cdf(model, max_hops=8), abs=1e-9)
 
     def test_resilience_table_session_kwarg(self, topo):
@@ -369,7 +371,7 @@ class TestAnalysisIntegration:
             return ecmp_model(topo, 1, failure_probability=None)
 
         with AnalysisSession(model_factory=lambda dest: ecmp_model(topo, dest)) as session:
-            table = resilience_table(factory, ["ecmp"], [0], session=session)
+            table = resilience_table(factory, ["ecmp"], [0], backend=session)
             reference = resilience_table(factory, ["ecmp"], [0])
         assert table == reference
 
@@ -428,16 +430,14 @@ class TestLifecycleAndResults:
             assert session.model_for(None) is built
 
     def test_close_only_tears_down_owned_backends(self, models):
-        from repro.backends import NativeBackend
-
-        shared = NativeBackend()
+        shared = MatrixBackend()
         closes: list[int] = []
         shared.close = lambda: closes.append(1)  # type: ignore[method-assign]
         with AnalysisSession(models[1], backend=shared, workers=1) as session:
             session.query_batch([Query.delivery(models[1].ingress_packets[0], 1)])
         assert closes == []  # caller-supplied instance: caller closes it
 
-        owned = AnalysisSession(models[1], backend="native", workers=1)
+        owned = AnalysisSession(models[1], workers=1)
         assert owned._owns_backend
         owned.close()
 

@@ -74,14 +74,18 @@ class CountingKey:
 class CountingKeyBackend:
     """Answers every packet with a point mass; its plan key counts hashes."""
 
-    exact = False
-
     def __init__(self):
         self.key = CountingKey()
         self.solved = 0
 
     def plan_key(self, policy) -> CountingKey:
         return self.key
+
+    def timings(self) -> dict[str, float]:
+        return {}
+
+    def solver_stats(self) -> dict[str, int]:
+        return {}
 
     def output_distributions(self, policy, inputs):
         packets = list(inputs)
@@ -188,14 +192,6 @@ class TestCacheSharingSemantics:
             assert session.stats()["cached_distributions"] == 0
             assert not session._rows and not session._verdicts
             assert session.query_batch(all_pairs).cache_hits == 0
-
-    def test_identity_fallback_for_backends_without_plan_key(self, models):
-        model = next(iter(models.values()))
-        batch = [Query.delivery(pk, model.dest) for pk in model.ingress_packets]
-        with AnalysisSession(model, backend="native", workers=1) as session:
-            assert session.query_batch(batch).cache_hits == 0
-            assert session.query_batch(batch).cache_hits == len(batch)
-            assert list(session._tokens) == [("policy-id", id(model.policy))]
 
 
 class TestLuFactorLifetime:
