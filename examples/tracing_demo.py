@@ -49,7 +49,7 @@ def main() -> None:
         for sw, pt in topo.ingress_locations(exclude=[dest])
     ]
 
-    telemetry = Telemetry(tracing=True)  # off by default; sample= thins roots
+    telemetry = Telemetry(tracing=True)  # off by default; every root records
     with AnalysisSession(
         model_factory=factory,
         workers=4,

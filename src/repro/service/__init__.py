@@ -49,10 +49,10 @@ Architecture (**session → pool → backend**):
   :class:`Tracer` producing one span tree per request (``request →
   shard → lease → worker:query → phase:*``, propagated across the
   process boundary and re-parented on return), a
-  :class:`MetricsRegistry` of counters/gauges/histograms, and
-  exporters for Perfetto (Chrome trace JSON), JSONL, and Prometheus
-  text exposition — all off by default with a constant-cost disabled
-  path.
+  :class:`MetricsRegistry` of counters/gauges/histograms that holds
+  every serving count ``stats()`` reports, and exporters for Perfetto
+  (Chrome trace JSON) and Prometheus text exposition — tracing off by
+  default with a constant-cost disabled path.
 
 Crashes: a worker that dies fails the destination group it was
 solving with :class:`ReplicaFailure` and leaves the pool's rotation;

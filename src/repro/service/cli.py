@@ -111,15 +111,7 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         default=None,
         help="enable span tracing and write the collected trace to FILE on "
-        "exit as Chrome trace JSON (open in Perfetto / chrome://tracing); "
-        "a .jsonl suffix writes raw span records instead",
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=float,
-        default=1.0,
-        help="fraction of requests to trace when --trace-out is set "
-        "(deterministic 1-in-round(1/RATE) sampling; default 1.0: all)",
+        "exit as Chrome trace JSON (open in Perfetto / chrome://tracing)",
     )
     parser.add_argument(
         "--metrics",
@@ -306,30 +298,19 @@ def build_session(args: argparse.Namespace, topology) -> AnalysisSession:
         )
     if args.scheme == "ecmp" and args.max_failures is not None:
         raise ValueError("--max-failures bounds the f10 schemes; --scheme ecmp takes none")
-    if not 0.0 < args.trace_sample <= 1.0:
-        raise SystemExit("--trace-sample must be in (0, 1]")
-    from repro.service.telemetry import Telemetry
-
-    telemetry = Telemetry(
-        tracing=args.trace_out is not None, sample=args.trace_sample
-    )
     return AnalysisSession(
         model_factory=model_factory(topology, args),
         pool_size=args.pool_size,
         pool_mode=args.pool_mode,
         workers=args.workers,
-        telemetry=telemetry,
+        telemetry=args.trace_out is not None,
     )
 
 
 def export_telemetry(session: AnalysisSession, args: argparse.Namespace) -> None:
     """Write ``--trace-out`` / print ``--metrics`` output on the way out."""
     if args.trace_out:
-        tracer = session.telemetry.tracer
-        if args.trace_out.endswith(".jsonl"):
-            count = tracer.export_jsonl(args.trace_out)
-        else:
-            count = tracer.export_chrome(args.trace_out)
+        count = session.telemetry.tracer.export_chrome(args.trace_out)
         print(f"trace written to {args.trace_out} ({count} span(s))")
     if args.metrics:
         print(session.metrics_text(), end="")

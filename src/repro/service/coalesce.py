@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.service.results import Query, QueryResult
-from repro.service.telemetry import Telemetry
+from repro.service.telemetry import Counters
 
 
 class QueryRejected(RuntimeError):
@@ -134,6 +134,20 @@ class CoalescedAnswer:
         return self.result.value
 
 
+#: The coalescer's event counts: ``stats()`` key -> help text of its
+#: ``repro_coalescer_<key>_total`` series.
+_COUNTERS = {
+    "submitted": "Queries offered for admission",
+    "answered": "Queries answered with a value",
+    "batches": "Coalesced batches dispatched",
+    "coalesced_queries": "Queries dispatched in coalesced batches",
+    "deadline_exceeded": "Queries answered with a deadline error",
+    "overloaded": "Admissions refused because the admission queue was full",
+    "isolation_retries": "Failed batches retried query by query",
+    "unavailable": "Queries failed because no replica could serve them",
+}
+
+
 @dataclass
 class _Pending:
     """One admitted query waiting in the current window."""
@@ -152,7 +166,12 @@ class BatchCoalescer:
     session:
         The serving session.  Batches are dispatched through its
         ``submit_batch`` (the executor's dispatch pool), so the event
-        loop never blocks on a solve.
+        loop never blocks on a solve.  Its telemetry holds the
+        coalescer's counters, and with tracing on every admission window
+        becomes a ``coalesce-window`` span — per-query ``admitted``
+        events, a dispatch event naming why the window closed — that
+        parents the dispatched batch's ``request`` span, so the exported
+        trace shows exactly which clients shared a solve.
     window:
         Admission window in seconds (default 4 ms).  The first query
         admitted into an empty window arms a timer; everything submitted
@@ -168,13 +187,6 @@ class BatchCoalescer:
         :class:`Overloaded`.
     clock:
         Monotonic time source (injectable for tests).
-    telemetry:
-        The serving telemetry hub (normally the session's own, passed
-        through by the server).  With tracing on, every admission window
-        becomes a ``coalesce-window`` span — per-query ``admitted``
-        events, a dispatch event naming why the window closed — and the
-        dispatched batch's ``request`` span is parented under it, so the
-        exported trace shows exactly which clients shared a solve.
     """
 
     def __init__(
@@ -185,7 +197,6 @@ class BatchCoalescer:
         max_batch: int = 256,
         max_pending: int = 1024,
         clock: Callable[[], float] = time.monotonic,
-        telemetry: Telemetry | bool | None = None,
     ):
         if window < 0:
             raise ValueError("window must be >= 0")
@@ -198,36 +209,24 @@ class BatchCoalescer:
         self.max_batch = max_batch
         self.max_pending = max_pending
         self._clock = clock
-        self._telemetry = Telemetry.coerce(telemetry)
+        self._tracer = session.telemetry.tracer
         self._window_span = None
-        metrics = self._telemetry.metrics
-        self._m_overloaded = metrics.counter(
-            "repro_coalescer_overloaded_total",
-            "Admissions refused because the admission queue was full",
-        )
-        self._m_deadline = metrics.counter(
-            "repro_coalescer_deadline_exceeded_total",
-            "Queries answered with a deadline error",
-        )
-        self._m_depth = metrics.gauge(
+        metrics = session.telemetry.metrics
+        self._count = Counters(metrics, "repro_coalescer_", _COUNTERS)
+        self._depth = metrics.gauge(
             "repro_coalescer_depth", "Outstanding admitted-but-unanswered queries"
-        )
+        ).labels()
+        self._batch_max = metrics.gauge(
+            "repro_coalescer_batch_max", "Largest batch the serving coalescer dispatched"
+        ).labels()
+        self._batch_max.set(0)
         self._pending: list[_Pending] = []
         self._timer: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._inflight: set[asyncio.Future] = set()
+        # Admission reads this plain int; the depth gauge mirrors it.
         self._outstanding = 0
         self._closing = False
-        # Stats (monotonic counters; see stats()).
-        self._submitted = 0
-        self._answered = 0
-        self._batches = 0
-        self._coalesced = 0
-        self._max_batch_seen = 0
-        self._deadline_exceeded = 0
-        self._overloaded = 0
-        self._isolation_retries = 0
-        self._unavailable = 0
 
     # -- admission -------------------------------------------------------------
     @property
@@ -253,34 +252,33 @@ class BatchCoalescer:
         """
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
-        self._submitted += 1
+        self._count["submitted"].inc()
         if self._closing:
             raise ShuttingDown("the server is shutting down")
         now = self._clock()
         if deadline is not None and now >= deadline:
-            self._deadline_exceeded += 1
+            self._count["deadline_exceeded"].inc()
             raise DeadlineExceeded("deadline expired before admission")
         if self._outstanding >= self.max_pending:
-            self._overloaded += 1
-            self._m_overloaded.inc()
+            self._count["overloaded"].inc()
             if self._window_span is not None:
                 self._window_span.event("overloaded", outstanding=self._outstanding)
             raise Overloaded(
                 f"admission queue is full ({self._outstanding} outstanding)"
             )
         future: asyncio.Future = self._loop.create_future()
-        if not self._pending and self._telemetry.tracer.enabled:
+        if not self._pending and self._tracer.enabled:
             # First admission into an empty window roots the window span.
             # Created un-entered: the event loop's ambient context must not
             # leak into unrelated callbacks, so parentage is explicit.
-            self._window_span = self._telemetry.tracer.span(
+            self._window_span = self._tracer.span(
                 "coalesce-window", window=self.window, max_batch=self.max_batch
             )
         if self._window_span is not None:
             self._window_span.event("admitted", kind=query.kind, dest=query.dest)
         self._pending.append(_Pending(query, deadline, future, now))
         self._outstanding += 1
-        self._m_depth.set(self._outstanding)
+        self._depth.set(self._outstanding)
         self._track(future)
         if self.window <= 0:
             self._flush(reason="immediate")
@@ -319,9 +317,10 @@ class BatchCoalescer:
             if window_span is not None:
                 window_span.set(admitted=len(entries), dispatched=0).finish()
             return
-        self._batches += 1
-        self._coalesced += len(live)
-        self._max_batch_seen = max(self._max_batch_seen, len(live))
+        self._count["batches"].inc()
+        self._count["coalesced_queries"].inc(len(live))
+        if len(live) > self._batch_max.get():
+            self._batch_max.set(len(live))
         trace_parent = None
         if window_span is not None:
             window_span.event("dispatch", reason=reason, batch=len(live))
@@ -363,7 +362,7 @@ class BatchCoalescer:
             # query-by-query so only the culprit sees the error.  A replica
             # crash (mapped to Unavailable) is no query's fault: all fail.
             if isolate_on_error and len(entries) > 1 and mapped is error:
-                self._isolation_retries += 1
+                self._count["isolation_retries"].inc()
                 for entry in entries:
                     self._dispatch([entry], isolate_on_error=False)
             else:
@@ -372,6 +371,7 @@ class BatchCoalescer:
         result_set = done.result()
         now = self._clock()
         batch = len(entries)
+        answered = 0
         for entry, result in zip(entries, result_set.results):
             if entry.future.done():
                 continue
@@ -379,15 +379,15 @@ class BatchCoalescer:
                 self._resolve_deadline(entry, "answer arrived after the deadline")
                 continue
             self._outstanding -= 1
-            self._answered += 1
+            answered += 1
             entry.future.set_result(CoalescedAnswer(result, batch))
-        self._m_depth.set(self._outstanding)
+        self._count["answered"].inc(answered)
+        self._depth.set(self._outstanding)
 
     def _resolve_deadline(self, entry: _Pending, reason: str) -> None:
-        self._deadline_exceeded += 1
-        self._m_deadline.inc()
+        self._count["deadline_exceeded"].inc()
         self._outstanding -= 1
-        self._m_depth.set(self._outstanding)
+        self._depth.set(self._outstanding)
         if not entry.future.done():
             entry.future.set_exception(DeadlineExceeded(reason))
 
@@ -400,9 +400,9 @@ class BatchCoalescer:
             if not entry.future.done():
                 self._outstanding -= 1
                 if isinstance(mapped, Unavailable):
-                    self._unavailable += 1
+                    self._count["unavailable"].inc()
                 entry.future.set_exception(mapped)
-        self._m_depth.set(self._outstanding)
+        self._depth.set(self._outstanding)
 
     def _track(self, future: asyncio.Future) -> None:
         self._inflight.add(future)
@@ -433,23 +433,18 @@ class BatchCoalescer:
     def stats(self) -> dict[str, object]:
         """Admission counters; ``batch_mean`` is the coalescing headline.
 
+        The counts are this coalescer's share of its registry series.
         ``batch_mean`` is the mean number of queries per *dispatched*
         batch — the factor by which the admission window turned streamed
         single queries back into multi-RHS solves.
         """
-        batch_mean = self._coalesced / self._batches if self._batches else 0.0
+        counts = self._count.counts()
+        batches = counts["batches"]
         return {
-            "submitted": self._submitted,
-            "answered": self._answered,
+            **counts,
             "outstanding": self._outstanding,
-            "batches": self._batches,
-            "coalesced_queries": self._coalesced,
-            "batch_mean": batch_mean,
-            "batch_max": self._max_batch_seen,
-            "deadline_exceeded": self._deadline_exceeded,
-            "overloaded": self._overloaded,
-            "isolation_retries": self._isolation_retries,
-            "unavailable": self._unavailable,
+            "batch_mean": counts["coalesced_queries"] / batches if batches else 0.0,
+            "batch_max": int(self._batch_max.get()),
             "window": self.window,
             "max_batch": self.max_batch,
             "max_pending": self.max_pending,

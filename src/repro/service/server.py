@@ -60,6 +60,7 @@ from repro.service.coalesce import (
     coerce_stream_query,
 )
 from repro.service.results import _json_value
+from repro.service.telemetry import Counters
 from repro.service.wire import error_payload
 
 
@@ -115,7 +116,8 @@ class QueryServer:
     ----------
     session:
         The serving session (its replica pool and result cache
-        do the actual work).
+        do the actual work; its metrics registry holds the server's
+        counters).
     host / port:
         Listen address; ``port=0`` picks a free port (see :attr:`port`).
     window / max_batch / max_pending:
@@ -158,23 +160,26 @@ class QueryServer:
         self.host = host
         self._requested_port = port
         self.max_line_bytes = max_line_bytes
-        self._oversize_refused = 0
         self.default_deadline = default_deadline
         self._owns_session = owns_session
         self.coalescer = BatchCoalescer(
-            session,
-            window=window,
-            max_batch=max_batch,
-            max_pending=max_pending,
-            telemetry=getattr(session, "telemetry", None),
+            session, window=window, max_batch=max_batch, max_pending=max_pending
         )
+        metrics = session.telemetry.metrics
+        self._count = Counters(
+            metrics,
+            "repro_server_",
+            {
+                "connections_served": "Client connections accepted",
+                "oversize_refused": "Request lines refused as too large",
+            },
+        )
+        self._open = metrics.gauge("repro_server_connections", "Client connections open").labels()
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
         self._stopped = asyncio.Event()
         self._stopping = False
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._queries_admitted = 0
-        self._connections_served = 0
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> "QueryServer":
@@ -240,6 +245,7 @@ class QueryServer:
 
     async def _close_connection(self, conn: _Connection) -> None:
         self._connections.discard(conn)
+        self._open.set(len(self._connections))
         try:
             conn.writer.close()
             await conn.writer.wait_closed()
@@ -252,7 +258,8 @@ class QueryServer:
     ) -> None:
         conn = _Connection(writer)
         self._connections.add(conn)
-        self._connections_served += 1
+        self._open.set(len(self._connections))
+        self._count["connections_served"].inc()
         try:
             while True:
                 line = await self._read_line(conn, reader)
@@ -295,7 +302,7 @@ class QueryServer:
         except asyncio.IncompleteReadError as exc:
             return exc.partial  # unterminated final line (or b"" at EOF)
         except asyncio.LimitOverrunError as exc:
-            self._oversize_refused += 1
+            self._count["oversize_refused"].inc()
             await self._send_error(
                 conn,
                 None,
@@ -363,7 +370,6 @@ class QueryServer:
                     conn, qid, "internal", f"{type(exc).__name__}: {exc}"
                 )
             return
-        self._queries_admitted += 1
         await self._send(
             conn,
             {
@@ -384,13 +390,7 @@ class QueryServer:
             # Prometheus text exposition over the query socket: one line
             # of JSON carrying the whole scrape body, so a sidecar can
             # poll metrics without a second listener.
-            metrics_fn = getattr(self.session, "metrics_text", None)
-            if metrics_fn is None:
-                await self._send_error(
-                    conn, qid, "bad-request", "session does not expose metrics"
-                )
-                return
-            await self._send(conn, {"id": qid, "metrics": metrics_fn()})
+            await self._send(conn, {"id": qid, "metrics": self.session.metrics_text()})
         else:
             await self._send_error(conn, qid, "bad-request", f"unknown op {op!r}")
 
@@ -422,16 +422,19 @@ class QueryServer:
     def stats(self) -> dict[str, object]:
         """Server + coalescer + pool counters (the ``stats`` op's payload).
 
-        The ``pool`` block lists the replicas whose worker died
+        The counts are this server's share of the session's registry
+        series.  The ``pool`` block lists the replicas whose worker died
         (``dead``), which no longer serve.
         """
         pool = self.session.pool.stats()
+        coalescer = self.coalescer.stats()
+        counts = self._count.counts()
         return {
             "connections": len(self._connections),
-            "connections_served": self._connections_served,
-            "queries_answered": self._queries_admitted,
-            "oversize_refused": self._oversize_refused,
-            "coalescer": self.coalescer.stats(),
+            "connections_served": counts["connections_served"],
+            "queries_answered": coalescer["answered"],
+            "oversize_refused": counts["oversize_refused"],
+            "coalescer": coalescer,
             "pool": {
                 "mode": pool["mode"],
                 "size": pool["size"],

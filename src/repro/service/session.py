@@ -22,11 +22,11 @@ worker replica.
 Concurrency model: there is **no session-wide solver lock**.  Backend
 access is serialised *per replica* by the pool's exclusive leases; the
 only session-scoped lock is a short state lock guarding the result
-cache, the model registry, and the serving counters (see
-:mod:`repro.service.pool` for the lock hierarchy).  The result cache is
-keyed by the *canonical stage specs* of the queried policy, so equal
-policies share entries even when different replicas compiled them.  A
-spec is hashed once, when its policy object is interned to a small
+cache and the model registry (see :mod:`repro.service.pool` for the
+lock hierarchy); the serving counters are the telemetry registry's.
+The result cache is keyed by the *canonical stage specs* of the
+queried policy, so equal policies share entries even when different
+replicas compiled them.  A spec is hashed once, when its policy object is interned to a small
 integer *plan token*; the cache is a ``token -> {ingress packet ->
 answer row}`` table.  A row (:class:`~repro.core.answer.AnswerRow`) is
 an ingress's row of the batched answer that solved it: a delivery query
@@ -111,8 +111,8 @@ class AnalysisSession:
     telemetry:
         Observability configuration: a
         :class:`~repro.service.telemetry.Telemetry` instance, ``True``
-        (tracing on at full sampling), or ``None``/``False`` (the
-        default — metrics counters still work, tracing fully disabled).
+        (tracing on), or ``None``/``False`` (the default — metrics
+        counters still work, tracing fully disabled).
         With tracing on, every batch becomes one span tree — ``request →
         shard → lease → worker:query → phase:*``, one ``shard`` per
         destination group — spanning the process
@@ -134,35 +134,41 @@ class AnalysisSession:
         telemetry: Telemetry | bool | None = None,
     ):
         self._telemetry = Telemetry.coerce(telemetry)
+        # The serving counts live here only; stats() reads them back.
         metrics = self._telemetry.metrics
         self._m_requests = metrics.counter(
             "repro_requests_total", "Query batches served by the session"
-        )
+        ).labels()
         self._m_queries = metrics.counter(
             "repro_queries_total", "Individual queries answered"
-        )
+        ).labels()
+        self._m_shards = metrics.counter(
+            "repro_shards_total", "Destination groups served"
+        ).labels()
         self._m_cache_hits = metrics.counter(
             "repro_cache_hits_total", "Queries answered from the session result cache"
-        )
+        ).labels()
         self._m_latency = metrics.histogram(
             "repro_request_latency_seconds",
             "End-to-end query batch latency",
             buckets=LATENCY_BUCKETS,
-        )
+        ).labels()
         self._m_batch_size = metrics.histogram(
             "repro_batch_size", "Queries per served batch", buckets=SIZE_BUCKETS
-        )
+        ).labels()
         self._m_phase = metrics.gauge(
             "repro_backend_phase_seconds",
             "Cumulative backend phase time summed over all replicas",
             labelnames=("phase",),
         )
+        self._m_solver = metrics.gauge(
+            "repro_backend_solver",
+            "Numeric-kernel and compile counts summed over all replicas",
+            labelnames=("counter",),
+        )
         self._m_cached = metrics.gauge(
             "repro_cached_distributions", "Entries in the session result cache"
-        )
-        self._m_pool = metrics.gauge(
-            "repro_pool_size", "Current number of backend replicas"
-        )
+        ).labels()
         # The result cache is keyed by plan_key, which an Interpreter lacks.
         if backend is not None and not hasattr(backend, "plan_key"):
             raise TypeError(
@@ -175,16 +181,17 @@ class AnalysisSession:
         self._owns_backend = backend is None
         self._backend = MatrixBackend() if backend is None else backend
         self._pool = open_pool(pool_mode, self._backend, pool_size, telemetry=self._telemetry)
+        metrics.gauge("repro_pool_size", "Number of backend replicas").labels().set(self._pool.size)
         self._executor = ShardExecutor(workers)
         self._model_factory = model_factory
         self._cache_enabled = cache
         self._closed = False
         self._closing = False
         # The only session-scoped lock: a short state lock for the result
-        # cache, the model registry, and the counters.  Raw backend access
-        # is serialised per replica by the pool's leases instead.  The state
-        # lock may be taken while holding a replica lease, never the other
-        # way around (see repro.service.pool for the lock hierarchy).
+        # cache and the model registry.  Raw backend access is serialised
+        # per replica by the pool's leases instead.  The state lock may be
+        # taken while holding a replica lease, never the other way around
+        # (see repro.service.pool for the lock hierarchy).
         self._state_lock = threading.RLock()
         # In-flight public calls (batches + engine-protocol calls).  close()
         # waits for this to reach zero before tearing anything down, which
@@ -206,9 +213,6 @@ class AnalysisSession:
         self._rows: dict[int, dict[Packet, AnswerRow]] = {}
         # plan token -> certainly_delivers verdict.
         self._verdicts: dict[int, bool] = {}
-        self._queries_served = 0
-        self._batches_served = 0
-        self._shards_run = 0
 
         if model is not None:
             self.add_model(model, default=True)
@@ -384,12 +388,9 @@ class AnalysisSession:
                     cache_hits=result.cache_hits,
                     seconds=round(result.seconds, 6),
                 )
-            with self._state_lock:
-                self._queries_served += len(batch)
-                self._batches_served += 1
-                self._shards_run += len(reports)
             self._m_requests.inc()
             self._m_queries.inc(len(batch))
+            self._m_shards.inc(len(reports))
             self._m_cache_hits.inc(result.cache_hits)
             self._m_latency.observe(result.seconds)
             self._m_batch_size.observe(len(batch))
@@ -526,45 +527,53 @@ class AnalysisSession:
         ``backend_solver`` sums the numeric-kernel counters
         (``factorizations`` / ``schur_updates`` / ``assembly_rows``) the
         same way; ``pool`` reports per-replica lease counts and the
-        affinity map.
+        affinity map.  The serving counts are read from the session's
+        metrics registry.
         """
-        timings: dict[str, float] = {}
-        solver_totals: dict[str, int] = {}
-        for replica in self._pool.replicas:
-            for name, value in replica.backend.timings().items():
-                timings[name] = timings.get(name, 0.0) + value
-            for name, value in replica.backend.solver_stats().items():
-                solver_totals[name] = solver_totals.get(name, 0) + int(value)
-        with self._state_lock:
-            cached = sum(len(table) for table in self._rows.values())
+        timings, solver = self._backend_totals()
         return {
-            "queries": self._queries_served,
-            "batches": self._batches_served,
-            "shards": self._shards_run,
-            "cached_distributions": cached,
+            "queries": int(self._m_queries.get()),
+            "batches": int(self._m_requests.get()),
+            "shards": int(self._m_shards.get()),
+            "cached_distributions": self._cached_count(),
             "destinations": self.destinations,
             "backend": type(self._backend).__name__,
             "backend_timings": timings,
-            "backend_solver": solver_totals,
+            "backend_solver": solver,
             "pool": self._pool.stats(),
-            "telemetry": self._telemetry.summary(),
         }
 
     def metrics_text(self) -> str:
         """The session's metrics in Prometheus text exposition format.
 
-        Counters and histograms update at serve time; the gauges sampled
-        here (per-phase backend seconds summed over replicas, result
-        cache size, pool size) are refreshed from live state on every
-        call, so the output is always scrape-fresh.  This is what the
-        streaming server's ``metrics`` op returns.
+        Counters and histograms update at serve time; the gauges of
+        backend phase seconds and solver counts (summed over replicas)
+        and of the result cache size are refreshed from live state on
+        every call, so the output is always scrape-fresh.  This is what
+        the streaming server's ``metrics`` op returns.
         """
-        snapshot = self.stats()
-        for name, value in snapshot["backend_timings"].items():
+        timings, solver = self._backend_totals()
+        for name, value in timings.items():
             self._m_phase.labels(phase=name).set(round(value, 6))
-        self._m_cached.set(snapshot["cached_distributions"])
-        self._m_pool.set(self._pool.size)
+        for name, value in solver.items():
+            self._m_solver.labels(counter=name).set(value)
+        self._m_cached.set(self._cached_count())
         return self._telemetry.metrics.to_prometheus()
+
+    def _backend_totals(self) -> tuple[dict[str, float], dict[str, int]]:
+        """Phase seconds and solver counts, each summed over the replicas."""
+        timings: dict[str, float] = {}
+        solver: dict[str, int] = {}
+        for replica in self._pool.replicas:
+            for name, value in replica.backend.timings().items():
+                timings[name] = timings.get(name, 0.0) + value
+            for name, value in replica.backend.solver_stats().items():
+                solver[name] = solver.get(name, 0) + int(value)
+        return timings, solver
+
+    def _cached_count(self) -> int:
+        with self._state_lock:
+            return sum(len(table) for table in self._rows.values())
 
     def warm(self, dest: int | None = None, solve: bool = True) -> "AnalysisSession":
         """Pre-plan one destination's model on every replica and pre-solve it.

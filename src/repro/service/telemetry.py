@@ -20,21 +20,18 @@ through all of them:
   seconds precisely so one timeline covers parent and workers.
 * **Metrics** — a :class:`MetricsRegistry` of counters, gauges, and
   fixed-bucket histograms with optional labels, rendered in Prometheus
-  text exposition format by :meth:`MetricsRegistry.to_prometheus`.
-* **Exporters** — Chrome trace event JSON (:meth:`Tracer.chrome_trace`,
-  loadable in Perfetto / ``chrome://tracing``) and a JSON-lines sink
-  (:meth:`Tracer.export_jsonl`).
+  text exposition format by :meth:`MetricsRegistry.to_prometheus`.  It
+  is the one store of the serving counters: each component's
+  ``stats()`` reads its series back.
+* **Exporter** — Chrome trace event JSON (:meth:`Tracer.chrome_trace`,
+  loadable in Perfetto / ``chrome://tracing``).
 
 Cost model, because observability must not cost what it observes:
 tracing is **off by default** and the disabled fast path is a couple of
 attribute checks returning the shared :data:`NOOP_SPAN` singleton — no
-allocation, no lock, no timestamp.  When tracing is on, roots are
-*sampled* deterministically (every ``round(1/sample)``-th root records);
-an unsampled root still returns a real :class:`Span` so descendants
-inherit the (negative) decision through the context var instead of
-accidentally starting fresh traces, but nothing it touches is buffered.
-The span buffer is bounded (``max_spans``); overflow increments a
-dropped counter rather than growing without bound.
+allocation, no lock, no timestamp.  When tracing is on, every root
+records.  The span buffer is bounded (``max_spans``); overflow
+increments a dropped counter rather than growing without bound.
 
 Lock note: the tracer's buffer lock and every registry lock are *leaf*
 locks in the service hierarchy (dict/list ops only, never held across a
@@ -62,14 +59,11 @@ class SpanContext(NamedTuple):
 
     This is what crosses thread and process boundaries — a worker
     receives the parent's context as a tuple on the wire and parents its
-    own spans to ``span_id`` under ``trace_id``.  ``sampled`` carries the
-    root's sampling decision, so remote children of an unsampled trace
-    record nothing either.
+    own spans to ``span_id`` under ``trace_id``.
     """
 
     trace_id: int
     span_id: int
-    sampled: bool = True
 
 
 def _coerce_parent(parent) -> SpanContext | None:
@@ -80,10 +74,9 @@ def _coerce_parent(parent) -> SpanContext | None:
         return parent.context
     if isinstance(parent, SpanContext):
         return parent
-    # Wire form: a plain (trace_id, span_id[, sampled]) tuple.
-    trace_id, span_id = parent[0], parent[1]
-    sampled = bool(parent[2]) if len(parent) > 2 else True
-    return SpanContext(int(trace_id), int(span_id), sampled)
+    # Wire form: a plain (trace_id, span_id) tuple.
+    trace_id, span_id = parent
+    return SpanContext(int(trace_id), int(span_id))
 
 
 class Span:
@@ -93,9 +86,7 @@ class Span:
     ``set()`` attributes, and ``event()`` point annotations.  Entering
     the span makes it the thread's *current* span (children created
     without an explicit parent nest under it); exiting restores the
-    previous one and, for recording spans, pushes the finished record
-    into the tracer's buffer.  ``recording=False`` spans (unsampled) do
-    all the context plumbing but never buffer anything.
+    previous one and pushes the finished record into the tracer's buffer.
     """
 
     __slots__ = (
@@ -108,7 +99,6 @@ class Span:
         "end",
         "attrs",
         "events",
-        "recording",
         "_token",
     )
 
@@ -119,7 +109,6 @@ class Span:
         trace_id: int,
         span_id: int,
         parent_id: int | None,
-        recording: bool,
         attrs: dict | None = None,
     ):
         self.tracer = tracer
@@ -127,7 +116,6 @@ class Span:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
-        self.recording = recording
         self.start = time.time()
         self.end: float | None = None
         self.attrs = dict(attrs) if attrs else {}
@@ -136,41 +124,38 @@ class Span:
 
     @property
     def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id, self.recording)
+        return SpanContext(self.trace_id, self.span_id)
 
     def set(self, **attrs) -> "Span":
-        """Attach attributes (no-op on unsampled spans)."""
-        if self.recording:
-            self.attrs.update(attrs)
+        """Attach attributes."""
+        self.attrs.update(attrs)
         return self
 
     def event(self, name: str, **attrs) -> "Span":
-        """Attach a point-in-time annotation (no-op on unsampled spans)."""
-        if self.recording:
-            self.events.append((name, time.time(), attrs))
+        """Attach a point-in-time annotation."""
+        self.events.append((name, time.time(), attrs))
         return self
 
     def finish(self) -> None:
-        """Close the span and (if recording) buffer its record."""
+        """Close the span and buffer its record."""
         if self.end is not None:
             return
         self.end = time.time()
-        if self.recording:
-            self.tracer._record(
-                {
-                    "type": "span",
-                    "trace": self.trace_id,
-                    "span": self.span_id,
-                    "parent": self.parent_id,
-                    "name": self.name,
-                    "start": self.start,
-                    "end": self.end,
-                    "pid": os.getpid(),
-                    "tid": threading.get_ident(),
-                    "attrs": self.attrs,
-                    "events": [list(entry) for entry in self.events],
-                }
-            )
+        self.tracer._record(
+            {
+                "type": "span",
+                "trace": self.trace_id,
+                "span": self.span_id,
+                "parent": self.parent_id,
+                "name": self.name,
+                "start": self.start,
+                "end": self.end,
+                "pid": os.getpid(),
+                "tid": threading.get_ident(),
+                "attrs": self.attrs,
+                "events": [list(entry) for entry in self.events],
+            }
+        )
 
     def __enter__(self) -> "Span":
         self._token = _CURRENT.set(self)
@@ -180,15 +165,12 @@ class Span:
         if self._token is not None:
             _CURRENT.reset(self._token)
             self._token = None
-        if exc is not None and self.recording:
+        if exc is not None:
             self.attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
         self.finish()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Span({self.name!r}, trace={self.trace_id:x}, span={self.span_id:x},"
-            f" recording={self.recording})"
-        )
+        return f"Span({self.name!r}, trace={self.trace_id:x}, span={self.span_id:x})"
 
 
 class _NoopSpan:
@@ -196,13 +178,10 @@ class _NoopSpan:
 
     Every method is a constant-cost no-op; it never touches the context
     var, never reads a clock, and never allocates — the whole point of
-    the off-by-default contract.  (An *enabled-but-unsampled* trace uses
-    real non-recording :class:`Span` objects instead, so context still
-    flows to descendants.)
+    the off-by-default contract.
     """
 
     __slots__ = ()
-    recording = False
     context = None
 
     def set(self, **attrs) -> "_NoopSpan":
@@ -236,29 +215,18 @@ class Tracer:
     enabled:
         Master switch.  Disabled tracers hand out :data:`NOOP_SPAN` from
         every entry point after a single attribute check.
-    sample:
-        Fraction of *root* spans that record (default 1.0).  Sampling is
-        deterministic — every ``round(1/sample)``-th root — so repeated
-        runs trace the same requests.  Children always inherit their
-        root's decision, locally via the context var and remotely via
-        :class:`SpanContext.sampled`.
     max_spans:
         Bound on buffered finished spans; overflow is counted in
         ``dropped`` instead of growing the buffer.
     """
 
-    def __init__(self, *, enabled: bool = False, sample: float = 1.0, max_spans: int = 100_000):
-        if not 0.0 < sample <= 1.0:
-            raise ValueError("sample must be in (0, 1]")
+    def __init__(self, *, enabled: bool = False, max_spans: int = 100_000):
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
         self.enabled = enabled
-        self.sample = sample
-        self._interval = max(1, round(1.0 / sample))
         self._max_spans = max_spans
         self._lock = threading.Lock()
         self._records: list[dict] = []
-        self._roots = 0
         self.dropped = 0
 
     # -- span creation -----------------------------------------------------
@@ -267,61 +235,38 @@ class Tracer:
 
         ``parent`` may be a :class:`Span`, a :class:`SpanContext`, a wire
         tuple, or ``None`` — ``None`` nests under the thread's current
-        span, or starts a new (sampled-or-not) root when there is none.
-        Disabled tracers return :data:`NOOP_SPAN`.
+        span, or starts a new root when there is none.  Disabled tracers
+        return :data:`NOOP_SPAN`.
         """
         if not self.enabled:
             return NOOP_SPAN
-        ctx = _coerce_parent(parent)
+        ctx = _coerce_parent(parent) or self.current_context()
         if ctx is None:
-            current = _CURRENT.get()
-            if current is not None and current is not NOOP_SPAN:
-                ctx = current.context
-        if ctx is None:
-            with self._lock:
-                index = self._roots
-                self._roots += 1
-            recording = (index % self._interval) == 0
-            trace_id = random.getrandbits(63)
-            parent_id = None
+            trace_id, parent_id = random.getrandbits(63), None
         else:
-            recording = ctx.sampled
-            trace_id = ctx.trace_id
-            parent_id = ctx.span_id
-        return Span(
-            self,
-            name,
-            trace_id,
-            random.getrandbits(63),
-            parent_id,
-            recording,
-            attrs or None,
-        )
+            trace_id, parent_id = ctx
+        return Span(self, name, trace_id, random.getrandbits(63), parent_id, attrs or None)
 
     def current_context(self) -> SpanContext | None:
-        """The context of the thread's current recording span, if any."""
+        """The context of the thread's current span, if any."""
         if not self.enabled:
             return None
         current = _CURRENT.get()
-        if current is None or not current.recording:
-            return None
-        return current.context
+        return None if current is None else current.context
 
     def record_span(self, name: str, start: float, end: float, parent=None, **attrs) -> None:
         """Record an already-timed operation as a completed span.
 
         The hook for phase listeners (:class:`~repro.utils.timing.Stopwatch`):
         the work was measured elsewhere; this just files it under
-        ``parent`` (default: the current span).  Without a recording
-        parent nothing is recorded — timed phases outside any traced
-        request are not worth orphan roots.
+        ``parent`` (default: the current span).  Without a parent
+        nothing is recorded — timed phases outside any traced request are
+        not worth orphan roots.
         """
         if not self.enabled:
             return
-        ctx = _coerce_parent(parent)
+        ctx = _coerce_parent(parent) or self.current_context()
         if ctx is None:
-            ctx = self.current_context()
-        if ctx is None or not ctx.sampled:
             return
         self._record(
             {
@@ -344,7 +289,7 @@ class Tracer:
         if not self.enabled:
             return
         current = _CURRENT.get()
-        if current is not None and current.recording:
+        if current is not None:
             current.event(name, **attrs)
 
     def phase_listener(self) -> Callable[[str, float], None]:
@@ -449,15 +394,6 @@ class Tracer:
             handle.write("\n")
         return len(trace["traceEvents"])
 
-    def export_jsonl(self, path: str) -> int:
-        """Write one JSON record per line to ``path``; returns the line count."""
-        records = self.spans()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record))
-                handle.write("\n")
-        return len(records)
-
 
 # -- metrics ---------------------------------------------------------------
 
@@ -537,7 +473,11 @@ class _Family:
         self.children: dict[tuple, _Child] = {}
 
     def labels(self, **labels) -> _Child:
-        """The child series for one label-value assignment."""
+        """The child series for one label-value assignment.
+
+        Every update goes through a child: bind it once (``labels()`` for
+        a label-less family) and keep it, off the per-call path.
+        """
         if tuple(sorted(labels)) != tuple(sorted(self.labelnames)):
             raise ValueError(
                 f"metric {self.name!r} takes labels {sorted(self.labelnames)}, "
@@ -549,27 +489,6 @@ class _Family:
             if child is None:
                 child = self.children[key] = _Child(self)
             return child
-
-    def _default(self) -> _Child:
-        if self.labelnames:
-            raise ValueError(f"metric {self.name!r} needs labels {list(self.labelnames)}")
-        return self.labels()
-
-    # Label-less convenience: family proxies straight to its only child.
-    def inc(self, amount: float = 1.0) -> None:
-        self._default().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
-
-    def set(self, value: float) -> None:
-        self._default().set(value)
-
-    def get(self) -> float:
-        return self._default().get()
-
-    def observe(self, value: float) -> None:
-        self._default().observe(value)
 
 
 def _format_value(value: float) -> str:
@@ -660,23 +579,45 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
+class Counters:
+    """One component's label-less counters, kept in a shared registry.
+
+    ``counters[key].inc()`` bumps the ``<prefix><key>_total`` series.
+    The registry outlives the component (a session serves one coalescer
+    or server after another), so :meth:`counts` reads each series back
+    as counted since this object was made.
+    """
+
+    def __init__(self, metrics: MetricsRegistry, prefix: str, help_texts: dict[str, str]):
+        self._series = {
+            key: metrics.counter(f"{prefix}{key}_total", text).labels()
+            for key, text in help_texts.items()
+        }
+        self._base = {key: child.get() for key, child in self._series.items()}
+
+    def __getitem__(self, key: str) -> _Child:
+        return self._series[key]
+
+    def counts(self) -> dict[str, int]:
+        return {key: int(child.get() - self._base[key]) for key, child in self._series.items()}
+
+
 class Telemetry:
     """The per-session observability bundle: one tracer + one registry.
 
     ``Telemetry()`` is the always-safe default — tracing disabled (the
     :data:`NOOP_SPAN` fast path), metrics live.  ``Telemetry(tracing=True)``
-    turns on span collection, optionally sampled.
+    turns on span collection.
     """
 
     def __init__(
         self,
         *,
         tracing: bool = False,
-        sample: float = 1.0,
         max_spans: int = 100_000,
         metrics: MetricsRegistry | None = None,
     ):
-        self.tracer = Tracer(enabled=tracing, sample=sample, max_spans=max_spans)
+        self.tracer = Tracer(enabled=tracing, max_spans=max_spans)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     @classmethod
@@ -694,15 +635,6 @@ class Telemetry:
     def tracing(self) -> bool:
         return self.tracer.enabled
 
-    def summary(self) -> dict[str, object]:
-        """A small introspection blob (for ``stats()`` surfaces)."""
-        return {
-            "tracing": self.tracer.enabled,
-            "sample": self.tracer.sample,
-            "spans": len(self.tracer),
-            "dropped_spans": self.tracer.dropped,
-        }
-
 
 def span_tree(records: Iterable[dict]) -> dict[int | None, list[dict]]:
     """Group span records by parent id: ``{parent_span_id: [children]}``.
@@ -719,6 +651,7 @@ def span_tree(records: Iterable[dict]) -> dict[int | None, list[dict]]:
 __all__ = [
     "LATENCY_BUCKETS",
     "NOOP_SPAN",
+    "Counters",
     "SIZE_BUCKETS",
     "MetricsRegistry",
     "Span",

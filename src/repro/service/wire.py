@@ -145,7 +145,7 @@ class QuerySpec:
         reserved for future kinds (must be picklable plain data).
     trace:
         Optional trace propagation context as a plain
-        ``(trace_id, span_id, sampled)`` tuple (see
+        ``(trace_id, span_id)`` tuple (see
         :class:`~repro.service.telemetry.SpanContext`).  When present,
         the worker traces its side of the query — plan adoption and
         solver phases — parented under ``span_id``, and ships the

@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 37_871
+README_BUDGET = 37_779
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
 #: Names of deleted mechanisms: the shard planners and their partition
@@ -24,7 +24,8 @@ FIRST_BUDGETED_PR = 12
 #: worker fault injection, respawn, shard retries and the watchdog; the
 #: second benchmark harness's knobs, helpers, regression script and timer
 #: plugin; the native backend facade, the backend-name registry and the
-#: CLI's engine flag (engines are passed as instances).
+#: CLI's engine flag (engines are passed as instances); span sampling and
+#: the JSONL span exporter.
 DELETED_NAMES = (
     "ShardPlanner",
     "get_planner",
@@ -68,6 +69,9 @@ DELETED_NAMES = (
     "resolve_backend",
     "BACKENDS",
     "--backend",
+    "export_jsonl",
+    "--trace-sample",
+    "trace_sample",
 )
 #: What reading a clock looks like in a figure test.
 CLOCKS = ("perf_counter", "time.time(", "monotonic", "process_time", "benchmark.pedantic")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import threading
 
 import pytest
@@ -551,6 +552,34 @@ class TestLifecycleAndResults:
         assert stats["batches"] == 1
         assert stats["shards"] >= 1
         assert stats["backend"] == "MatrixBackend"
+
+    def test_counts_survive_concurrent_batches(self, models):
+        """Batches served from many threads lose no count: the registry
+        series that ``stats()`` reads back are updated under their locks."""
+        model = models[1]
+        batch = [Query.delivery(packet, 1) for packet in model.ingress_packets[:2]]
+        threads, rounds = 8, 25
+        with AnalysisSession(model, workers=1) as session:
+            session.warm()
+
+            def serve():
+                for _ in range(rounds):
+                    session.query_batch(batch)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [threading.Thread(target=serve) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+            stats = session.stats()
+        assert stats["batches"] == threads * rounds
+        assert stats["queries"] == stats["shards"] * len(batch) == threads * rounds * len(batch)
 
     def test_warm_makes_batches_pure_hits(self, models):
         model = models[1]

@@ -101,6 +101,21 @@ def ancestors(record, by_id):
     return chain
 
 
+def scraped(text: str) -> dict[str, float]:
+    """Every sample line of a Prometheus scrape: ``{series: value}``."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples
+
+
+def stream_message(packet, dest: int, **extra) -> dict:
+    """The JSON-lines query for one ingress packet."""
+    return {"kind": "delivery", "ingress": [packet["sw"], packet["pt"]], "dest": dest, **extra}
+
+
 def assert_single_tree(records):
     """Every record shares one trace id and parents resolve to one root."""
     assert records, "no spans were recorded"
@@ -137,7 +152,7 @@ class TestSpans:
 
     def test_wire_tuple_parent(self):
         tracer = Tracer(enabled=True)
-        with tracer.span("child", parent=(21, 42, True)) as child:
+        with tracer.span("child", parent=(21, 42)) as child:
             assert child.trace_id == 21
             assert child.parent_id == 42
         (record,) = tracer.spans()
@@ -183,7 +198,7 @@ class TestSpans:
 
     def test_take_drains_and_ingest_readopts(self):
         worker = Tracer(enabled=True)
-        with worker.span("worker:query", parent=(5, 9, True)):
+        with worker.span("worker:query", parent=(5, 9)):
             pass
         shipped = worker.take()
         assert len(worker) == 0
@@ -217,39 +232,27 @@ class TestDisabledPath:
         with AnalysisSession(models=two_models.values()) as session:
             result = session.query_batch(batch)
             assert len(result) == len(batch)
-            summary = session.stats()["telemetry"]
-            assert summary["tracing"] is False
-            assert summary["spans"] == 0
+            assert session.telemetry.tracing is False
+            assert len(session.telemetry.tracer) == 0
 
 
 class TestSampling:
-    def test_deterministic_one_in_n_roots(self):
-        tracer = Tracer(enabled=True, sample=0.5)
-        decisions = []
-        for _ in range(6):
-            with tracer.span("root") as span:
-                decisions.append(span.recording)
-        assert decisions == [True, False, True, False, True, False]
-        assert len(tracer) == 3
+    """There is no sampling: every root records, and the knob is gone."""
 
-    def test_unsampled_root_still_flows_context(self):
-        tracer = Tracer(enabled=True, sample=0.5)
-        with tracer.span("sampled"):
-            pass
-        with tracer.span("unsampled") as root:
-            assert root.recording is False
-            assert root is not NOOP_SPAN  # real span: context still flows
-            with tracer.span("child") as child:
-                assert child.recording is False
-                assert child.trace_id == root.trace_id
-            tracer.record_span("phase", 0.0, 1.0)  # dropped: unsampled parent
-        assert [r["name"] for r in tracer.spans()] == ["sampled"]
+    def test_every_root_records(self):
+        tracer = Tracer(enabled=True)
+        for _ in range(3):
+            with tracer.span("root"):
+                pass
+        records = tracer.spans()
+        assert len(records) == 3
+        assert len({record["trace"] for record in records}) == 3
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError, match="sample"):
-            Tracer(enabled=True, sample=0.0)
-        with pytest.raises(ValueError, match="sample"):
-            Tracer(enabled=True, sample=1.5)
+        with pytest.raises(TypeError, match="sample"):
+            Tracer(enabled=True, sample=0.5)
+        with pytest.raises(TypeError, match="sample"):
+            Telemetry(tracing=True, sample=0.5)
         with pytest.raises(ValueError, match="max_spans"):
             Tracer(enabled=True, max_spans=0)
 
@@ -287,16 +290,13 @@ class TestExporters:
         assert request["args"]["queries"] == 2
         assert request["args"]["parent"] is None
 
-    def test_export_chrome_and_jsonl_files(self, tmp_path):
+    def test_export_chrome_file(self, tmp_path):
         tracer = self._traced()
         chrome = tmp_path / "trace.json"
-        jsonl = tmp_path / "trace.jsonl"
         assert tracer.export_chrome(str(chrome)) == 3  # 2 spans + 1 instant
-        assert tracer.export_jsonl(str(jsonl)) == 2
         payload = json.loads(chrome.read_text())
         assert len(payload["traceEvents"]) == 3
-        lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
-        assert {line["name"] for line in lines} == {"request", "shard"}
+        assert not hasattr(tracer, "export_jsonl")
 
     def test_span_tree_groups_by_parent(self):
         tracer = self._traced()
@@ -313,10 +313,10 @@ class TestExporters:
 class TestMetricsRegistry:
     def test_counter_and_gauge_exposition(self):
         registry = MetricsRegistry()
-        served = registry.counter("repro_served_total", "Queries served")
+        served = registry.counter("repro_served_total", "Queries served").labels()
         served.inc()
         served.inc(4)
-        depth = registry.gauge("repro_depth", "Queue depth")
+        depth = registry.gauge("repro_depth", "Queue depth").labels()
         depth.set(7)
         depth.dec(2)
         text = registry.to_prometheus()
@@ -337,14 +337,14 @@ class TestMetricsRegistry:
         assert 'repro_failures{kind="timeout"} 1' in text
         with pytest.raises(ValueError, match="takes labels"):
             failures.labels(mode="crash")
-        with pytest.raises(ValueError, match="needs labels"):
-            failures.inc()
+        with pytest.raises(ValueError, match="takes labels"):
+            failures.labels()
 
     def test_histogram_cumulative_buckets(self):
         registry = MetricsRegistry()
         latency = registry.histogram(
             "repro_latency_seconds", "Latency", buckets=(0.1, 1.0, 10.0)
-        )
+        ).labels()
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):
             latency.observe(value)
         text = registry.to_prometheus()
@@ -357,7 +357,7 @@ class TestMetricsRegistry:
 
     def test_boundary_lands_in_its_bucket(self):
         registry = MetricsRegistry()
-        h = registry.histogram("repro_h", "", buckets=(1.0, 2.0))
+        h = registry.histogram("repro_h", "", buckets=(1.0, 2.0)).labels()
         h.observe(1.0)  # le="1" is inclusive, Prometheus-style
         assert 'repro_h_bucket{le="1"} 1' in registry.to_prometheus()
 
@@ -406,21 +406,10 @@ class TestTelemetryBundle:
         assert default.tracing is False
         assert Telemetry.coerce(False).tracing is False
         assert Telemetry.coerce(True).tracing is True
-        bundle = Telemetry(tracing=True, sample=0.5)
+        bundle = Telemetry(tracing=True)
         assert Telemetry.coerce(bundle) is bundle
         with pytest.raises(TypeError):
             Telemetry.coerce("on")
-
-    def test_summary(self):
-        bundle = Telemetry(tracing=True)
-        with bundle.tracer.span("x"):
-            pass
-        assert bundle.summary() == {
-            "tracing": True,
-            "sample": 1.0,
-            "spans": 1,
-            "dropped_spans": 0,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -492,33 +481,88 @@ class TestThreadModeTracing:
         assert "lease" not in names  # fully cached shards never lease
 
     def test_metrics_text_reflects_serving(self, two_models):
+        """The registry is the one record of every count: after a session's
+        own batches and a server's mix — answers, an overloaded refusal, an
+        isolation retry, an oversize line — each count in ``server.stats()``,
+        its coalescer block and ``session.stats()`` is its scraped series."""
         model = next(iter(two_models.values()))
         batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
+        good = [stream_message(p, model.dest) for p in model.ingress_packets[:2]]
+        poison = {"kind": "delivery", "ingress": [1, 1], "dest": 99}
+
+        async def serve(session):
+            async with QueryServer(
+                session, window=0.2, max_pending=3, max_line_bytes=1024
+            ) as server:
+                conn = await StreamClient.connect("127.0.0.1", server.port)
+                # Three admissions fill one window (the poison fails the
+                # batch, which is retried query by query); a fourth overflows.
+                pending = [await conn.send(message) for message in (*good, poison)]
+                overloaded = await conn.request(good[0])
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(json.dumps({"op": "ping", "pad": "x" * 2048}).encode() + b"\n")
+                oversize = json.loads(await reader.readline())
+                replies = await asyncio.gather(*pending)
+                stats, text = server.stats(), session.metrics_text()
+                writer.close()
+                await conn.aclose()
+                return overloaded, oversize, replies, stats, text
+
         with AnalysisSession(model) as session:
             session.query_batch(batch)
             session.query_batch(batch)
             text = session.metrics_text()
-        assert "repro_requests_total 2" in text
-        assert f"repro_queries_total {2 * len(batch)}" in text
-        assert f"repro_cache_hits_total {len(batch)}" in text
-        assert "repro_request_latency_seconds_count 2" in text
-        assert 'repro_backend_phase_seconds{phase="solve"}' in text
-        assert "repro_pool_size 1" in text
+            assert "repro_requests_total 2" in text
+            assert f"repro_queries_total {2 * len(batch)}" in text
+            assert f"repro_cache_hits_total {len(batch)}" in text
+            assert "repro_request_latency_seconds_count 2" in text
+            assert 'repro_backend_phase_seconds{phase="solve"}' in text
+            assert "repro_pool_size 1" in text
 
-    def test_sampled_session_traces_a_subset(self, two_models):
-        model = next(iter(two_models.values()))
-        batch = [Query.delivery(p, model.dest) for p in model.ingress_packets]
-        with AnalysisSession(
-            model, telemetry=Telemetry(tracing=True, sample=0.5)
-        ) as session:
-            for _ in range(4):
-                session.query_batch(batch)
-                session.clear_cache()
-            records = session.telemetry.tracer.spans()
-        requests = [r for r in records if r["name"] == "request"]
-        assert len(requests) == 2  # every 2nd root records
-        traces = {r["trace"] for r in records}
-        assert len(traces) == 2  # two recorded trees, nothing orphaned
+            overloaded, oversize, replies, served, text = asyncio.run(serve(session))
+            session_stats = session.stats()
+        assert overloaded["error"]["code"] == "overloaded"
+        assert oversize["error"]["code"] == "too-large"
+        assert ["error" in reply for reply in replies] == [False, False, True]
+
+        coalescer = served["coalescer"]
+        assert coalescer["submitted"] == 4
+        assert coalescer["answered"] == served["queries_answered"] == 2
+        assert (coalescer["overloaded"], coalescer["isolation_retries"]) == (1, 1)
+        assert served["oversize_refused"] == 1
+        assert served["connections_served"] == 2
+
+        samples = scraped(text)
+        expected = {
+            "repro_server_connections": served["connections"],
+            "repro_server_connections_served_total": served["connections_served"],
+            "repro_server_oversize_refused_total": served["oversize_refused"],
+            "repro_coalescer_answered_total": served["queries_answered"],
+            "repro_coalescer_depth": coalescer["outstanding"],
+            "repro_coalescer_batch_max": coalescer["batch_max"],
+            "repro_pool_size": served["pool"]["size"],
+            "repro_queries_total": session_stats["queries"],
+            "repro_requests_total": session_stats["batches"],
+            "repro_shards_total": session_stats["shards"],
+            "repro_cached_distributions": session_stats["cached_distributions"],
+        }
+        for key in (
+            "submitted",
+            "answered",
+            "batches",
+            "coalesced_queries",
+            "deadline_exceeded",
+            "overloaded",
+            "isolation_retries",
+            "unavailable",
+        ):
+            expected[f"repro_coalescer_{key}_total"] = coalescer[key]
+        for name, value in session_stats["backend_solver"].items():
+            expected[f'repro_backend_solver{{counter="{name}"}}'] = value
+        assert {series: samples.get(series) for series in expected} == expected
+        for name, value in session_stats["backend_timings"].items():
+            series = f'repro_backend_phase_seconds{{phase="{name}"}}'
+            assert samples[series] == pytest.approx(value, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +672,7 @@ class TestCrossProcessTrace:
 class TestStreamingTelemetry:
     def test_traced_streaming_request_roots_under_the_window(self, two_models):
         model = next(iter(two_models.values()))
-        queries = [
-            {"kind": "delivery", "ingress": [p["sw"], p["pt"]], "dest": model.dest}
-            for p in model.ingress_packets[:4]
-        ]
+        queries = [stream_message(p, model.dest) for p in model.ingress_packets[:4]]
 
         async def run(session):
             async with QueryServer(session, window=0.1) as server:
@@ -667,6 +708,26 @@ class TestStreamingTelemetry:
         assert "repro_requests_total 1" in text
         assert "repro_coalescer_depth 0" in text
 
+    def test_expired_deadline_counts_once_in_stats_and_metrics(self, two_models):
+        """A query refused at admission for its deadline is one count, in
+        the coalescer's stats and in its scraped series alike."""
+        model = next(iter(two_models.values()))
+        query = stream_message(model.ingress_packets[0], model.dest, deadline_ms=0)
+
+        async def run(session):
+            async with QueryServer(session, window=0.01) as server:
+                conn = await StreamClient.connect("127.0.0.1", server.port)
+                reply = await conn.request(query)
+                scrape = await conn.request({"op": "metrics"})
+                await conn.aclose()
+                return reply, server.coalescer.stats(), scrape["metrics"]
+
+        with AnalysisSession(model) as session:
+            reply, stats, text = asyncio.run(run(session))
+        assert reply["error"]["code"] == "deadline-exceeded"
+        assert stats["deadline_exceeded"] == 1
+        assert scraped(text)["repro_coalescer_deadline_exceeded_total"] == 1
+
     def test_cli_trace_out_and_metrics(self, tmp_path, capsys):
         from repro.service.cli import main as service_main
 
@@ -693,10 +754,11 @@ class TestStreamingTelemetry:
         names = {event["name"] for event in payload["traceEvents"]}
         assert {"request", "shard", "lease"} <= names
 
-    def test_cli_rejects_bad_sample(self):
+    def test_cli_rejects_bad_sample(self, capsys):
+        """Sampling is gone: ``--trace-sample`` is an unknown argument."""
         from repro.service.cli import main as service_main
 
-        with pytest.raises(SystemExit, match="trace-sample"):
+        with pytest.raises(SystemExit) as excinfo:
             service_main(
                 [
                     "--topology",
@@ -709,6 +771,8 @@ class TestStreamingTelemetry:
                     "--trace-out",
                     "x.json",
                     "--trace-sample",
-                    "2.0",
+                    "0.5",
                 ]
             )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --trace-sample" in capsys.readouterr().err
