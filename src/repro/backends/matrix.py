@@ -72,7 +72,6 @@ from repro.core.fdd.node import (
     FddNode,
     leaf_of,
     node_from_spec,
-    node_size,
     node_to_spec,
 )
 from repro.core.interpreter import Outcome
@@ -616,10 +615,6 @@ class MatrixBackend:
         """Compile ``policy`` to its canonical FDD (timed as ``"compile"``)."""
         with self.watch.measure("compile"):
             return self._compiler.compile(policy)
-
-    def fdd_size(self, policy: s.Policy) -> int:
-        """Number of distinct nodes in the compiled FDD of ``policy``."""
-        return node_size(self.compile(policy))
 
     def plan(self, policy: s.Policy) -> QueryPlan:
         """Decompose ``policy`` into compiled stages (cached per policy)."""

@@ -15,8 +15,8 @@ Architecture (**session → pool → backend**):
   destination;
 * :mod:`repro.service.pool` — the :class:`BackendPool`: N independent
   backend replicas (own FDD manager, plan caches, and ``splu``
-  factorizations each), leased exclusively per destination group with
-  affinity routing and work-stealing — whatever replica source it is
+  factorizations each), leased exclusively per destination group, the
+  lowest-index free replica first — whatever replica source it is
   given; a replica whose worker died leaves the rotation;
 * :mod:`repro.service.procpool` — the replica sources: the in-process
   backend (``pool_mode="thread"``, one replica, called directly), and

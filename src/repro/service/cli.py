@@ -449,8 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             workers = ",".join(str(pid) for pid in pool["workers"])
             print(
                 f"pool: {pool['size']} {pool['mode']}-hosted replicas "
-                f"(pids {workers}), leases {pool['leases']}, "
-                f"{pool['steals']} steal(s)"
+                f"(pids {workers}), leases {pool['leases']}"
             )
         timings = stats["backend_timings"]
         if timings:

@@ -10,33 +10,26 @@ group of a batch for the duration of its solve, so groups leasing
 Where a replica lives is not the pool's concern: the pool takes a
 *replica source*, ``spawn(index) -> backend``, calls it once per slot
 when it is built, and drives whatever it returns through the same lease
-and routing code.  The sources (:mod:`repro.service.procpool`) are the
-in-process one — exactly one replica, the session's own backend, called
-directly — and the process one, whose replicas are
+code.  The sources (:mod:`repro.service.procpool`) are the in-process
+one — exactly one replica, the session's own backend, called directly —
+and the process one, whose replicas are
 :class:`~repro.service.procpool.ReplicaClient` objects speaking the
-worker protocol over a pipe.
+worker protocol over a pipe.  Both kinds of replica implement the same
+backend surface, so the pool calls it directly.
 
-Routing is **affinity first, work-stealing second**: a lease request
-carries an optional affinity key (the group's destination), and
-
-* an unassigned affinity is routed to a free replica with the fewest
-  affinities (spreading destinations evenly over the pool);
-* an assigned affinity sticks to the replica that already holds that
-  destination's factorizations — as long as that replica is free;
-* when the preferred replica is busy but another replica is idle, the
-  idle replica *steals* the lease (rebuilding the destination's state
-  from shipped plan specs) rather than queueing behind a busy solver —
-  but the affinity binding stays with the original replica, so overflow
-  work runs one-off on spare capacity while later leases keep routing
-  to the warm replica;
-* only when every replica is busy does the request wait.
+Leasing: :meth:`BackendPool.lease` grants the lowest-index free live
+replica and waits when none is free.  Sequential traffic therefore stays
+on replica 0, whose plans and factorizations are warm, and concurrent
+groups overflow to the next free replica.  Each grant counts on the
+replica's ``repro_pool_leases_total`` series in the pool's metrics
+registry, which is what :meth:`BackendPool.stats` reports.
 
 Crashes: a lease body that raises :class:`ReplicaFailure` (its worker
 died) marks the replica dead and re-raises, so the caller's group
-fails.  A dead replica leaves the rotation for good: its affinities
-are unbound and later leases go to the remaining replicas.  Nothing is
-respawned or retried.  Once every replica is dead, lease requests fail
-with :class:`PoolUnavailable` instead of waiting forever.
+fails.  A dead replica leaves the rotation for good and later leases go
+to the remaining replicas.  Nothing is respawned or retried.  Once every
+replica is dead, lease requests fail with :class:`PoolUnavailable`
+instead of waiting forever.
 
 Lock hierarchy (strict, never nested the other way around)::
 
@@ -56,7 +49,16 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol
+
+from repro.service.telemetry import Telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends.matrix import MatrixBackend
+    from repro.service.procpool import ReplicaClient
+    from repro.service.telemetry import _Child
+
+    Backend = MatrixBackend | ReplicaClient
 
 
 class ReplicaFailure(RuntimeError):
@@ -75,9 +77,7 @@ class ReplicaFailure(RuntimeError):
         The dead worker's exit code, when known (negative = signal).
     """
 
-    def __init__(
-        self, message: str, *, replica: int | None = None, exit_code: int | None = None
-    ):
+    def __init__(self, message: str, *, replica: int | None = None, exit_code: int | None = None):
         super().__init__(message)
         self.replica = replica
         self.exit_code = exit_code
@@ -101,25 +101,14 @@ class Replica:
     solver — it either gets a free replica or waits for pool capacity.
     """
 
-    __slots__ = (
-        "index",
-        "backend",
-        "busy",
-        "leases",
-        "affinities",
-        "dead",
-        "exit_code",
-        "last_error",
-    )
+    __slots__ = ("index", "backend", "leases", "busy", "dead", "exit_code", "last_error")
 
-    def __init__(self, index: int, backend: object):
+    def __init__(self, index: int, backend: Backend, leases: _Child):
         self.index = index
         self.backend = backend
+        #: This replica's ``repro_pool_leases_total`` series (grants so far).
+        self.leases = leases
         self.busy = False
-        #: Total leases granted (introspection / load balancing tiebreak).
-        self.leases = 0
-        #: Affinity keys currently bound to this replica.
-        self.affinities: set[object] = set()
         #: Set once a lease body raised ReplicaFailure; never cleared.
         self.dead = False
         #: Exit code of the dead backend (worker replicas; negative = signal).
@@ -129,23 +118,29 @@ class Replica:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dead" if self.dead else "busy" if self.busy else "free"
-        return f"Replica(#{self.index}, {state}, leases={self.leases})"
+        return f"Replica(#{self.index}, {state}, leases={int(self.leases.get())})"
 
 
-#: A replica source: ``spawn(index)`` builds the backend of slot
-#: ``index``.  A source may declare ``mode`` (how it hosts replicas,
-#: default ``"thread"``) and ``owns_replicas`` (whether the pool closes
-#: what it spawned, default ``True``).
-ReplicaSource = Callable[[int], object]
+class ReplicaSource(Protocol):
+    """Builds the backend of each pool slot: ``spawn(index)``.
+
+    ``mode`` says how it hosts replicas (``"thread"`` or ``"process"``);
+    ``owns_replicas`` whether the pool closes what it spawned.
+    """
+
+    mode: str
+    owns_replicas: bool
+
+    def __call__(self, index: int) -> Backend: ...
 
 
 class BackendPool:
-    """N independent backend replicas with affinity-routed exclusive leases.
+    """N independent backend replicas, each leased exclusively, lowest index first.
 
     Parameters
     ----------
     spawn:
-        The replica source (see :data:`ReplicaSource`), called once per
+        The replica source (see :class:`ReplicaSource`), called once per
         slot here.  Its ``mode`` is reported by :meth:`stats` and batch
         reports; the in-process source hands out the session's own
         backend, which stays the session's to close
@@ -153,41 +148,35 @@ class BackendPool:
     size:
         Number of replicas (≥ 1), fixed until :meth:`close`.
     telemetry:
-        Optional :class:`~repro.service.telemetry.Telemetry` bundle.
-        When tracing is on, in-process backends get a stopwatch listener
-        so solver phases appear as spans, and a replica's death is an
-        event on the failing lease's current span.  ``None`` keeps the
-        pool entirely telemetry-free.
+        The :class:`~repro.service.telemetry.Telemetry` bundle whose
+        registry counts leases (a fresh one when ``None``).  When tracing
+        is on, in-process backends get a stopwatch listener so solver
+        phases appear as spans, and a replica's death is an event on the
+        failing lease's current span.
     """
 
-    def __init__(
-        self,
-        spawn: ReplicaSource,
-        size: int = 1,
-        *,
-        telemetry=None,
-    ):
+    def __init__(self, spawn: ReplicaSource, size: int = 1, *, telemetry: Telemetry | None = None):
         if size < 1:
             raise ValueError("pool size must be >= 1")
         #: How replicas are hosted: ``"thread"`` or ``"process"``.
-        self.mode = getattr(spawn, "mode", "thread")
-        self._owns_replicas = getattr(spawn, "owns_replicas", True)
+        self.mode = spawn.mode
+        self._owns_replicas = spawn.owns_replicas
         self._closed = False
         self._cv = threading.Condition()
-        # affinity key -> index of the replica holding that key's state.
-        self._affinity: dict[object, int] = {}
-        self._steals = 0
-        self._telemetry = telemetry
+        self._telemetry = Telemetry.coerce(telemetry)
+        leases = self._telemetry.metrics.counter(
+            "repro_pool_leases_total", "Leases granted per replica", labelnames=("replica",)
+        )
         self.replicas: list[Replica] = []
         try:
             for index in range(size):
                 backend = self._instrument_backend(spawn(index))
-                self.replicas.append(Replica(index, backend))
+                self.replicas.append(Replica(index, backend, leases.labels(replica=index)))
         except BaseException:
             self._close_backends([replica.backend for replica in self.replicas])
             raise
 
-    def _instrument_backend(self, backend: object) -> object:
+    def _instrument_backend(self, backend: Backend) -> Backend:
         """Attach a phase-span listener to a backend's stopwatch (if traced).
 
         In-process replicas are instrumented here: each measured backend
@@ -197,33 +186,26 @@ class BackendPool:
         process — their phases are traced worker-side and shipped back —
         so this hook is a no-op for them.
         """
-        telemetry = self._telemetry
-        if telemetry is None or not telemetry.tracer.enabled:
-            return backend
+        tracer = self._telemetry.tracer
         watch = getattr(backend, "watch", None)
-        if watch is not None and hasattr(watch, "listener"):
-            watch.listener = telemetry.tracer.phase_listener()
+        if tracer.enabled and watch is not None:
+            watch.listener = tracer.phase_listener()
         return backend
 
     @property
     def size(self) -> int:
         return len(self.replicas)
 
-    @property
-    def steals(self) -> int:
-        """How many leases were served by stealing from a busy preferred replica."""
-        return self._steals
-
     # -- leasing ---------------------------------------------------------------
     @contextmanager
-    def lease(self, affinity: object | None = None) -> Iterator[Replica]:
-        """Exclusively lease one live replica (affinity-routed; blocks when full).
+    def lease(self) -> Iterator[Replica]:
+        """Exclusively lease the lowest-index free live replica (blocks when none is free).
 
         A lease body raising :class:`ReplicaFailure` marks the replica
         dead before the failure propagates; with no live replica left
         the request raises :class:`PoolUnavailable`.
         """
-        with self._held(self._acquire(affinity)) as replica:
+        with self._held(self._acquire()) as replica:
             yield replica
 
     @contextmanager
@@ -285,57 +267,23 @@ class BackendPool:
                 break  # pool closed mid-walk
         return results
 
-    def _acquire(self, affinity: object | None) -> Replica:
+    def _acquire(self) -> Replica:
         with self._cv:
             while True:
                 if self._closed:
                     raise RuntimeError("pool is closed")
-                replica = self._select(affinity)
-                if replica is not None:
-                    self._grant(replica)
-                    if affinity is not None:
-                        bound = self._affinity.get(affinity)
-                        if bound is None:
-                            self._affinity[affinity] = replica.index
-                            replica.affinities.add(affinity)
-                        elif bound != replica.index:
-                            # Stolen: the overflow lease runs one-off on the
-                            # idle replica, but the binding *stays* with the
-                            # warm replica — otherwise concurrent batches of
-                            # one destination would ping-pong the binding and
-                            # every replica would rebuild the same
-                            # factorizations.
-                            self._steals += 1
-                    return replica
-                if all(r.dead for r in self.replicas):
-                    raise PoolUnavailable(
-                        f"all {len(self.replicas)} replica(s) are dead"
-                    )
+                for replica in self.replicas:
+                    if not replica.busy and not replica.dead:
+                        self._grant(replica)
+                        return replica
+                if all(replica.dead for replica in self.replicas):
+                    raise PoolUnavailable(f"all {self.size} replica(s) are dead")
                 self._cv.wait()
-
-    def _select(self, affinity: object | None) -> Replica | None:
-        """Pick a free live replica for ``affinity``, or ``None`` to wait.
-
-        Preference order: the replica already bound to the affinity if it
-        is free; otherwise any idle replica (work stealing — for a bound
-        affinity this trades a state rebuild for not waiting); otherwise
-        wait.  Unbound requests go to the free replica with the fewest
-        affinities, then fewest leases, spreading load evenly.  Dead
-        replicas are never candidates (and hold no affinities).
-        """
-        if affinity is not None:
-            bound = self._affinity.get(affinity)
-            if bound is not None and not self.replicas[bound].busy:
-                return self.replicas[bound]
-        free = [r for r in self.replicas if not r.busy and not r.dead]
-        if not free:
-            return None
-        return min(free, key=lambda r: (len(r.affinities), r.leases, r.index))
 
     def _grant(self, replica: Replica) -> None:
         assert not replica.busy, "replica leased twice"
         replica.busy = True
-        replica.leases += 1
+        replica.leases.inc()
 
     def _release(self, replica: Replica) -> None:
         with self._cv:
@@ -345,9 +293,8 @@ class BackendPool:
     def _mark_dead(self, replica: Replica, failure: ReplicaFailure) -> None:
         """Take a failed replica out of the rotation (on the failing lease's thread).
 
-        Its affinities are unbound so their destinations re-route to the
-        remaining replicas; the backend is kept until :meth:`close`, so
-        reports still show its pid and exit code.
+        The backend is kept until :meth:`close`, so reports still show
+        its pid and exit code.
         """
         with self._cv:
             if replica.dead:
@@ -355,23 +302,16 @@ class BackendPool:
             replica.dead = True
             replica.exit_code = failure.exit_code
             replica.last_error = str(failure)
-            for key in replica.affinities:
-                self._affinity.pop(key, None)
-            replica.affinities.clear()
             self._cv.notify_all()
-        if self._telemetry is not None:
-            self._telemetry.tracer.event(
-                "replica-dead", replica=replica.index, exit_code=replica.exit_code
-            )
+        self._telemetry.tracer.event(
+            "replica-dead", replica=replica.index, exit_code=replica.exit_code
+        )
 
-    def _close_backends(self, backends: list[object]) -> None:
+    def _close_backends(self, backends: list[Backend]) -> None:
         """Tear down pool-owned backends (a no-op for the in-process one)."""
-        if not self._owns_replicas:
-            return
-        for backend in backends:
-            closer = getattr(backend, "close", None)
-            if closer is not None:
-                closer()
+        if self._owns_replicas:
+            for backend in backends:
+                backend.close()
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -396,18 +336,17 @@ class BackendPool:
     def clear_caches(self, keep_plans: bool = False) -> None:
         """Clear every live replica's backend caches (under its lease).
 
-        With ``keep_plans`` replicas that support it only reset their
-        solver state (``reset_solutions``: row caches, absorption
-        solutions, ``splu`` factorizations) and keep compiled plans.  A
-        replica that dies mid-clear is marked dead and skipped.
+        With ``keep_plans`` replicas only reset their solver state
+        (``reset_solutions``: row caches, absorption solutions, ``splu``
+        factorizations) and keep compiled plans.  A replica that dies
+        mid-clear is marked dead and skipped.
         """
 
         def clear(replica: Replica) -> None:
-            backend = replica.backend
-            resetter = getattr(backend, "reset_solutions", None) if keep_plans else None
-            clearer = resetter or getattr(backend, "clear_caches", None)
-            if clearer is not None:
-                clearer()
+            if keep_plans:
+                replica.backend.reset_solutions()
+            else:
+                replica.backend.clear_caches()
 
         if not self._closed:
             self.for_each(clear)
@@ -418,13 +357,13 @@ class BackendPool:
 
         A live replica is sampled under its lease: worker replicas
         answer a ``ping`` with their stats blob (``pid``,
-        ``ast_compilations``, ``plans``, ``queries``), every replica adds
-        its phase ``timings`` and — for backends that expose it — the
-        ``solver`` counter dict (``factorizations`` / ``schur_updates`` /
-        ``assembly_rows``).  A dead replica is reported by its
-        ``exit_code`` and ``error`` instead of raising through the lease
-        path; a worker found dead *by* the probe is marked dead on the
-        way.  Every report carries ``index``, ``dead`` and ``pid``.
+        ``ast_compilations``, ``plans``, ``queries``), and every replica
+        adds its phase ``timings`` and its ``solver`` counter dict
+        (``factorizations`` / ``schur_updates`` / ``assembly_rows``).  A
+        dead replica is reported by its ``exit_code`` and ``error``
+        instead of raising through the lease path; a worker found dead
+        *by* the probe is marked dead on the way.  Every report carries
+        ``index``, ``dead`` and ``pid``.
         """
         reports: list[dict] = []
         for replica in self.replicas:
@@ -450,16 +389,12 @@ class BackendPool:
         return {"dead": replica.dead, "pid": self.worker_id(replica.index)}
 
     @staticmethod
-    def _probe(backend: object) -> dict:
+    def _probe(backend: Backend) -> dict:
         """A leased backend's live stats: ping blob, phase timings, solver counters."""
         ping = getattr(backend, "ping", None)
         report = dict(ping()) if ping is not None else {}
-        timer = getattr(backend, "timings", None)
-        if timer is not None:
-            report["timings"] = timer()
-        solver = getattr(backend, "solver_stats", None)
-        if solver is not None:
-            report["solver"] = solver()
+        report["timings"] = backend.timings()
+        report["solver"] = backend.solver_stats()
         return report
 
     def worker_id(self, index: int) -> int:
@@ -473,22 +408,19 @@ class BackendPool:
         return os.getpid() if pid is None else pid
 
     def stats(self) -> dict[str, object]:
-        """Pool shape, dead replicas, per-replica lease counts and pids, and the affinity map."""
+        """Pool shape, dead replicas, per-replica lease counts and pids.
+
+        ``leases`` reads each replica's ``repro_pool_leases_total``
+        series back from the registry.
+        """
         with self._cv:
-            stats = {
+            return {
                 "mode": self.mode,
                 "size": self.size,
-                "steals": self._steals,
                 "dead": [replica.index for replica in self.replicas if replica.dead],
-                "leases": [replica.leases for replica in self.replicas],
-                "affinities": {
-                    key: index for key, index in sorted(
-                        self._affinity.items(), key=lambda item: repr(item[0])
-                    )
-                },
+                "leases": [int(replica.leases.get()) for replica in self.replicas],
                 "workers": [self.worker_id(replica.index) for replica in self.replicas],
             }
-        return stats
 
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Replica sources: where a pool's replicas live, and the one client for workers.
 
-A :class:`~repro.service.pool.BackendPool` leases and routes replicas;
+A :class:`~repro.service.pool.BackendPool` leases replicas;
 the *source* it is given builds them, once per slot, when the pool is
 built.  There are
 two, picked by :func:`open_pool` from the session's ``pool_mode``:
@@ -234,11 +234,11 @@ class ReplicaClient:
     Implements exactly the backend surface a leased replica is driven
     through (``plan`` / ``plan_key`` / ``output_distributions`` /
     ``certainly_delivers`` / ``reset_solutions`` / ``clear_caches`` /
-    ``timings`` / ``close``), translating each call into worker protocol
-    messages — so sessions, warmup, and benchmarks are drop-in between
-    pool modes.  The pipe carries the messages and watches the worker
-    (see :mod:`repro.service.transport`); :meth:`_request`, the one
-    request loop, turns a closed pipe
+    ``timings`` / ``solver_stats`` / ``close``), translating each call
+    into worker protocol messages — so sessions, warmup, and benchmarks
+    are drop-in between pool modes.  The pipe carries the messages and
+    watches the worker (see :mod:`repro.service.transport`);
+    :meth:`_request`, the one request loop, turns a closed pipe
     (:class:`~repro.service.transport.TransportClosed`: the worker
     exited, the pipe was lost) into a
     :class:`~repro.service.pool.ReplicaFailure` with the worker's exit
@@ -444,6 +444,7 @@ class ProcessReplicas:
     """
 
     mode = "process"
+    owns_replicas = True
 
     def __init__(self, planner: object, *, telemetry: Telemetry | None = None):
         #: The shared plan directory (parent-side compile-once registry).

@@ -438,7 +438,6 @@ class QueryServer:
             "pool": {
                 "mode": pool["mode"],
                 "size": pool["size"],
-                "steals": pool["steals"],
                 "dead": pool["dead"],
             },
         }
@@ -453,9 +452,15 @@ class StreamClient:
     latency the admission window spends.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        limit: int = DEFAULT_MAX_LINE,
+    ):
         self._reader = reader
         self._writer = writer
+        self._limit = limit
         self._ids = itertools.count()
         self._waiting: dict[object, asyncio.Future] = {}
         #: How many requests were resent after a retryable error reply.
@@ -466,11 +471,17 @@ class StreamClient:
     async def connect(
         cls, host: str, port: int, *, limit: int = DEFAULT_MAX_LINE
     ) -> "StreamClient":
-        # Same raised line limit as the server: distribution replies (and
-        # metrics scrapes) can legitimately exceed asyncio's 64 KiB
-        # default, and past it the reader raises instead of returning.
+        """Open a client whose line ``limit`` must match the server's.
+
+        The server's bound is ``--max-line-kib`` × 1024 bytes
+        (``max_line_bytes``); both default to :data:`DEFAULT_MAX_LINE`.
+        Replies are read under the same limit: distribution replies (and
+        metrics scrapes) can legitimately exceed asyncio's 64 KiB default,
+        past which the reader raises instead of returning.  Requests are
+        held to it by :meth:`send`.
+        """
         reader, writer = await asyncio.open_connection(host, port, limit=limit)
-        return cls(reader, writer)
+        return cls(reader, writer, limit)
 
     async def _read_loop(self) -> None:
         try:
@@ -494,7 +505,12 @@ class StreamClient:
             self._waiting.clear()
 
     async def send(self, message: dict) -> asyncio.Future:
-        """Send one message (auto-assigning ``id``); returns the reply future."""
+        """Send one message (auto-assigning ``id``); returns the reply future.
+
+        A message whose line is longer than the client's ``limit`` raises
+        ``ValueError`` and nothing is written: the server would discard
+        it unparsed and reply with ``"id": null``, which no future awaits.
+        """
         if self._reader_task.done() or self._writer.is_closing():
             # The read loop is gone: nothing will ever resolve a new
             # future, so fail fast instead of returning one that hangs.
@@ -502,9 +518,16 @@ class StreamClient:
         payload = dict(message)
         if "id" not in payload:
             payload["id"] = next(self._ids)
+        line = json.dumps(payload).encode("utf-8")
+        # The server's reader refuses a line whose bytes before the
+        # newline exceed its limit.
+        if len(line) > self._limit:
+            raise ValueError(
+                f"request line is {len(line)} bytes, over the {self._limit}-byte line limit"
+            )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiting[payload["id"]] = future
-        self._writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+        self._writer.write(line + b"\n")
         if self._writer.transport.get_write_buffer_size() > _DRAIN_THRESHOLD:
             await self._writer.drain()
         return future

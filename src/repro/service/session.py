@@ -516,7 +516,7 @@ class AnalysisSession:
                         cached = self._verdicts.setdefault(token, verdict)
                 return cached
 
-            return self._with_lease(None, check)
+            return self._with_lease(check)
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> dict[str, object]:
@@ -526,9 +526,9 @@ class AnalysisSession:
         work, which can exceed wall-clock when replicas run in parallel);
         ``backend_solver`` sums the numeric-kernel counters
         (``factorizations`` / ``schur_updates`` / ``assembly_rows``) the
-        same way; ``pool`` reports per-replica lease counts and the
-        affinity map.  The serving counts are read from the session's
-        metrics registry.
+        same way; ``pool`` reports the pool's shape, dead replicas,
+        worker pids and per-replica lease counts.  The serving and lease
+        counts are read from the session's metrics registry.
         """
         timings, solver = self._backend_totals()
         return {
@@ -583,8 +583,8 @@ class AnalysisSession:
         concurrent :meth:`query_batch` traffic on the same destination.
         Every replica gets the compiled plan (cheap after the first: a
         worker rebuilds it from shipped specs), then the full ingress
-        set is solved once on the destination's affinity replica, which
-        also populates the session result cache.  After warming, any
+        set is solved once on the lowest-index free replica, which also
+        populates the session result cache.  After warming, any
         batch over that destination's ingress packets is answered from
         the cache.  With ``solve=False`` only the plans are compiled
         (plan-only warmup for latency-sensitive services: first queries
@@ -601,7 +601,7 @@ class AnalysisSession:
             # the lease's own exception path and skipped.
             self._pool.for_each(plan)
             if solve:
-                self._answer_rows(policy, model.ingress_packets, affinity=("dest", dest))
+                self._answer_rows(policy, model.ingress_packets)
             return self
 
     # -- internals -------------------------------------------------------------
@@ -649,7 +649,7 @@ class AnalysisSession:
             model = self.model_for(dest)
             queries = [batch[position] for position in positions]
             rows, hits, served_by = self._answer_rows(
-                model.policy, [query.ingress for query in queries], affinity=("dest", dest)
+                model.policy, [query.ingress for query in queries]
             )
             cache_hits = 0
             for position, query in zip(positions, queries):
@@ -708,10 +708,7 @@ class AnalysisSession:
         return {packet: row.dist() for packet, row in rows.items()}
 
     def _answer_rows(
-        self,
-        policy: s.Policy,
-        packets: Sequence[Packet],
-        affinity: object | None = None,
+        self, policy: s.Policy, packets: Sequence[Packet]
     ) -> tuple[dict[Packet, AnswerRow], set[Packet], int | None]:
         """Per-ingress answer rows of ``policy``, via the session cache.
 
@@ -745,16 +742,16 @@ class AnalysisSession:
             rows, solved_hits = self._solve_on(replica, policy, packets)
             return rows, solved_hits, replica.index
 
-        return self._with_lease(affinity, solve)
+        return self._with_lease(solve)
 
-    def _with_lease(self, affinity: object | None, body: Callable[[Replica], object]):
+    def _with_lease(self, body: Callable[[Replica], object]):
         """Run ``body`` under a pool lease, inside a ``lease`` span.
 
         The span lives *inside* the pool lease, so a body failure closes
         the span (with its error attr) before the lease's exception path
         marks the replica dead.
         """
-        with self._pool.lease(affinity) as replica:
+        with self._pool.lease() as replica:
             with self._telemetry.tracer.span("lease", replica=replica.index):
                 return body(replica)
 
@@ -772,7 +769,7 @@ class AnalysisSession:
             return self._rows_of(backend, policy, packets), set()
         token = self._policy_key(policy, backend)
         # The read happens under the lease, immediately before the solve:
-        # entries another batch (e.g. one stolen onto a different replica)
+        # entries another batch (e.g. one that ran on a different replica)
         # published while this one waited for its lease are hits here.
         table = self._rows.get(token, {})
         out: dict[Packet, AnswerRow] = {}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.compiler import Compiler
-from repro.core.fdd.node import node_size
 from repro.core.interpreter import Interpreter
 from repro.core.packet import DROP, Packet
 from repro.network import running_example as ex
@@ -22,9 +21,6 @@ class TestNativeBackend:
             example.models_naive["f0"], example.ingress_packet
         )
         assert dist(Packet({"sw": 2, "pt": 2, "up2": 0, "up3": 0})) == 1
-
-    def test_fdd_size_positive(self, example):
-        assert node_size(Compiler().compile(example.naive)) > 1
 
     def test_output_distributions_per_ingress(self, example):
         dists = Interpreter().output_distributions(

@@ -108,20 +108,21 @@ class TestInjectedFaults:
         first, second = halves
         with process_session(all_models.values(), 2) as session:
             assert session.query_batch(first).values == thread_values[0]
-            assert len(session.pool.stats()["affinities"]) == len(all_models)
-            kill_worker(session, 1)
+            # Sequential groups all ran on replica 0: kill the one that served.
+            assert session.pool.stats()["leases"] == [len(all_models), 0]
+            kill_worker(session, 0)
             with pytest.raises(ReplicaFailure) as excinfo:
                 session.query_batch(second)
-            assert (excinfo.value.replica, excinfo.value.exit_code) == (1, -signal.SIGKILL)
+            assert (excinfo.value.replica, excinfo.value.exit_code) == (0, -signal.SIGKILL)
 
             result = session.query_batch(second)
             assert result.values == thread_values[1]
-            survivor = session.pool.worker_id(0)
+            survivor = session.pool.worker_id(1)
             solved = [report for report in result.shards if report.replica >= 0]
             assert {report.worker for report in solved} == {survivor}
             stats = session.pool.stats()
-            assert stats["dead"] == [1]
-            assert set(stats["affinities"].values()) == {0}
+            assert stats["dead"] == [0]
+            assert stats["leases"] == [len(all_models) + 1, len(all_models)]
 
     def test_every_replica_dying_raises_pool_unavailable(self, all_models):
         """Each dead worker fails one call; with none left, leases fail
@@ -205,7 +206,9 @@ class TestStreamingRecovery:
             async with QueryServer(session, window=0.0) as server:
                 conn = await StreamClient.connect("127.0.0.1", server.port)
                 answered = await conn.request(wire(first))
-                bound = session.pool.stats()["affinities"][("dest", model.dest)]
+                # The one request ran on replica 0: kill the one that served.
+                assert session.pool.stats()["leases"] == [1, 0]
+                bound = 0
                 kill_worker(session, bound)
                 refused = await conn.request(wire(second))
                 recovered = await conn.request(wire(model.ingress_packets[2]), retries=2)

@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_BUDGET = 37_779
+README_BUDGET = 37_690
 ENTRY_BUDGET = 1_536
 FIRST_BUDGETED_PR = 12
 #: Names of deleted mechanisms: the shard planners and their partition
@@ -25,7 +25,7 @@ FIRST_BUDGETED_PR = 12
 #: second benchmark harness's knobs, helpers, regression script and timer
 #: plugin; the native backend facade, the backend-name registry and the
 #: CLI's engine flag (engines are passed as instances); span sampling and
-#: the JSONL span exporter.
+#: the JSONL span exporter; the pool's affinity routing and work stealing.
 DELETED_NAMES = (
     "ShardPlanner",
     "get_planner",
@@ -72,6 +72,8 @@ DELETED_NAMES = (
     "export_jsonl",
     "--trace-sample",
     "trace_sample",
+    "affinity",
+    "steals",
 )
 #: What reading a clock looks like in a figure test.
 CLOCKS = ("perf_counter", "time.time(", "monotonic", "process_time", "benchmark.pedantic")

@@ -169,13 +169,16 @@ class TestPooledAgreement:
     def test_results_cached_across_replicas(self, models, all_pairs):
         """A hit computed on one replica serves queries headed anywhere."""
         with process_session(models, 3, workers=1) as session:
-            first = session.query_batch(all_pairs)
+            # Replica 0 is held, so the lowest free replica solves it all.
+            with session.pool.lease_replica(0):
+                first = session.query_batch(all_pairs)
             assert first.cache_hits == 0
-            assert len({report.replica for report in first.shards}) == 3
-            # Three replicas solved it; one session cache answers it again,
-            # in any order.
+            assert {report.replica for report in first.shards} == {1}
+            # Replica 1 solved it; one session cache answers it again, in
+            # any order, with replica 0 free.
             second = session.query_batch(all_pairs[::-1])
             assert second.cache_hits == len(all_pairs)
+            assert session.pool.stats()["leases"] == [1, len(models), 0]
 
     def test_local_pools_report_placement_defaults(self, models):
         """Both pool modes report the pid hosting each replica."""
@@ -190,43 +193,19 @@ class TestPooledAgreement:
 
 
 # ---------------------------------------------------------------------------
-# Affinity routing, work stealing, and lease exclusivity
+# Leasing: the lowest-index free replica, exclusively
 # ---------------------------------------------------------------------------
 class TestRouting:
-    def test_affinity_sticks_sequentially(self, models, all_pairs):
-        # workers=1: shards run one at a time, so the preferred replica is
-        # always free and affinity routing is perfectly sticky.
+    def test_lowest_free_replica_is_leased(self, models, all_pairs):
+        """Sequential groups all run on replica 0; a group arriving while
+        replica 0 is held overflows to replica 1."""
         with process_session(models, 2, workers=1, cache=False) as session:
             first = session.query_batch(all_pairs)
-            serving = {r.dest: r.replica for r in first.shards}
-            again = session.query_batch(all_pairs)
-            assert {r.dest: r.replica for r in again.shards} == serving
-            assert session.pool.steals == 0
-            # Destinations spread over both replicas.
-            assert len(set(serving.values())) == 2
-
-    def test_idle_replica_steals_bound_affinity(self):
-        pool = BackendPool(_stub_source()[0], 2)
-        with pool.lease(("dest", 7)) as holder:
-            bound = holder.index
-            grabbed: list[int] = []
-
-            def contend():
-                with pool.lease(("dest", 7)) as thief:
-                    grabbed.append(thief.index)
-
-            thread = threading.Thread(target=contend)
-            thread.start()
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        # The preferred replica was busy and the other was idle: the
-        # idle one must have served the request (no waiting) — but the
-        # binding stays with the warm replica, so concurrent batches of
-        # one destination cannot ping-pong it across the pool.
-        assert grabbed and grabbed[0] != bound
-        assert pool.steals == 1
-        assert pool.stats()["affinities"][("dest", 7)] == bound
-        pool.close()
+            assert {r.replica for r in first.shards} == {0}
+            with session.pool.lease():
+                again = session.query_batch(all_pairs)
+            assert {r.replica for r in again.shards} == {1}
+            assert session.pool.stats()["leases"] == [len(models) + 1, len(models)]
 
     def test_leases_are_exclusive_under_contention(self):
         pool = BackendPool(_stub_source()[0], 2)
@@ -258,7 +237,7 @@ class TestRouting:
         for thread in threads:
             thread.join()
         assert not failures
-        assert sum(replica.leases for replica in pool.replicas) == 150
+        assert sum(pool.stats()["leases"]) == 150
         pool.close()
 
     def test_shard_windows_overlap(self, models, all_pairs):
@@ -515,7 +494,7 @@ class TestLifecycle:
             stats = session.stats()
         assert stats["pool"]["size"] == 2
         assert sum(stats["pool"]["leases"]) >= 1
-        assert isinstance(stats["pool"]["affinities"], dict)
+        assert set(stats["pool"]) == {"mode", "size", "dead", "leases", "workers"}
 
 
 # ---------------------------------------------------------------------------
@@ -527,62 +506,67 @@ from repro.service.pool import (  # noqa: E402 - section-local imports
 )
 
 
-class _StubBackend:
-    """An in-memory replica backend that records being closed."""
+class _StubBackend(MatrixBackend):
+    """A replica backend that records being closed."""
 
     def __init__(self, family):
-        self.family = family
-        self.family.append(self)
+        super().__init__()
+        family.append(self)
         self.closed = False
 
     def close(self):
         self.closed = True
 
 
+class _StubSource:
+    """A pool-owned replica source of stubs; ``family`` is every stub it built."""
+
+    mode = "thread"
+    owns_replicas = True
+
+    def __init__(self):
+        self.family: list[_StubBackend] = []
+
+    def __call__(self, index):
+        return _StubBackend(self.family)
+
+
 def _stub_source():
     """A replica source of stubs, plus the list of every stub it built."""
-    family: list[_StubBackend] = []
-
-    def spawn(index):
-        return _StubBackend(family)
-
-    return spawn, family
+    source = _StubSource()
+    return source, source.family
 
 
-class _CrashingBackend:
-    """Wraps a real backend; raises ReplicaFailure while the bomb is armed."""
+class _CrashingBackend(MatrixBackend):
+    """Raises ReplicaFailure while the bomb is armed."""
 
-    def __init__(self, inner, bomb):
-        self._inner = inner
+    def __init__(self, bomb):
+        super().__init__()
         self._bomb = bomb
 
     def output_distributions(self, policy, inputs):
         if self._bomb["armed"]:
             raise ReplicaFailure("injected replica crash")
-        return self._inner.output_distributions(policy, inputs)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+        return super().output_distributions(policy, inputs)
 
 
 class TestSupervision:
     def test_failed_replica_leaves_the_rotation(self):
-        """A failure marks its replica dead and unbinds its affinities;
-        later leases of that destination go to the survivor, and the
-        corpse is closed only with the pool."""
+        """A failure marks the replica that served dead (replica 0, the
+        lowest free one); later leases go to the survivor, and the corpse
+        is closed only with the pool."""
         spawn, family = _stub_source()
         pool = BackendPool(spawn, 2)
         with pytest.raises(ReplicaFailure):
-            with pool.lease(("dest", 7)) as replica:
+            with pool.lease() as replica:
                 failed = replica.index
                 raise ReplicaFailure("backend fell over", exit_code=-9)
-        stats = pool.stats()
-        assert stats["dead"] == [failed]
-        assert stats["affinities"] == {}
+        assert failed == 0
+        assert pool.stats()["dead"] == [failed]
         for _ in range(3):
-            with pool.lease(("dest", 7)) as replica:
+            with pool.lease() as replica:
                 assert replica.index != failed
-        assert pool.stats()["affinities"] == {("dest", 7): 1 - failed}
+        assert pool.stats()["leases"] == [1, 3]
         assert [backend.closed for backend in family] == [False, False]
         (report,) = [r for r in pool.worker_reports() if r["dead"]]
         assert (report["index"], report["exit_code"]) == (failed, -9)
@@ -594,9 +578,9 @@ class TestSupervision:
         of hanging."""
         pool = BackendPool(_stub_source()[0], 1)
         with pytest.raises(ReplicaFailure):
-            with pool.lease(("dest", 3)):
+            with pool.lease():
                 raise ReplicaFailure("backend fell over")
-        assert pool.stats()["affinities"] == {}
+        assert pool.stats()["dead"] == [0]
         with pytest.raises(PoolUnavailable):
             with pool.lease():
                 pass  # pragma: no cover
@@ -656,7 +640,7 @@ class TestSessionCrash:
         session's next call finds no replica left."""
         model = next(iter(models.values()))
         bomb = {"armed": True}
-        backend = _CrashingBackend(MatrixBackend(), bomb)
+        backend = _CrashingBackend(bomb)
         packet = model.ingress_packets[0]
         with AnalysisSession(model, backend=backend, workers=1) as session:
             with pytest.raises(ReplicaFailure, match="injected replica crash"):

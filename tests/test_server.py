@@ -621,7 +621,7 @@ class TestFailureClassification:
                 return stats
 
         stats = asyncio.run(run())
-        assert stats["pool"] == {"mode": "thread", "size": 1, "steals": 0, "dead": []}
+        assert stats["pool"] == {"mode": "thread", "size": 1, "dead": []}
 
     def test_replica_crash_in_a_coalesced_batch_is_not_isolated(
         self, session, all_pairs, monkeypatch
@@ -795,6 +795,26 @@ class TestLineLimits:
         assert served["id"] == 2
         assert served["value"] == pytest.approx(per_call_values[0], abs=1e-9)
         assert stats["oversize_refused"] == 1
+
+    def test_client_refuses_a_line_over_its_limit(self, session, all_pairs, per_call_values):
+        """``StreamClient.send`` raises for a line the server would discard
+        unparsed (that reply carries ``"id": null``, which no request
+        awaits); nothing is written and the connection keeps serving."""
+        query = wire(all_pairs[0])
+
+        async def run():
+            async with QueryServer(session, window=0.0, max_line_bytes=4096) as server:
+                conn = await StreamClient.connect("127.0.0.1", server.port, limit=4096)
+                with pytest.raises(ValueError, match="4096-byte line limit"):
+                    await conn.send(dict(query, pad="x" * (64 * 1024)))
+                served = await conn.request(query)
+                stats = server.stats()
+                await conn.aclose()
+                return served, stats
+
+        served, stats = asyncio.run(run())
+        assert served["value"] == pytest.approx(per_call_values[0], abs=1e-9)
+        assert stats["oversize_refused"] == 0
 
     def test_max_line_bytes_is_validated(self, session):
         with pytest.raises(ValueError, match="max_line_bytes"):

@@ -296,7 +296,10 @@ def test_a_killed_worker_is_one_unavailable_reply_and_serving_goes_on():
     try:
         assert_one_typed_reply(bound, json.dumps(VALID).encode())
         pool = server.session.pool
-        replica = pool.stats()["affinities"][("dest", DEST)]
+        # The first lease is replica 0's (a probe racing it takes replica
+        # 1), and so is the next one: kill the replica that served.
+        assert pool.stats()["leases"][0] == 1
+        replica = 0
         os.kill(pool.worker_id(replica), signal.SIGKILL)
         process = pool.replicas[replica].backend.transport.process
         assert wait_until(lambda: not process.is_alive(), timeout=10.0)

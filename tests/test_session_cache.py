@@ -71,21 +71,16 @@ class CountingKey:
         return other is self
 
 
-class CountingKeyBackend:
+class CountingKeyBackend(MatrixBackend):
     """Answers every packet with a point mass; its plan key counts hashes."""
 
     def __init__(self):
+        super().__init__()
         self.key = CountingKey()
         self.solved = 0
 
     def plan_key(self, policy) -> CountingKey:
         return self.key
-
-    def timings(self) -> dict[str, float]:
-        return {}
-
-    def solver_stats(self) -> dict[str, int]:
-        return {}
 
     def output_distributions(self, policy, inputs):
         packets = list(inputs)

@@ -564,6 +564,30 @@ class TestThreadModeTracing:
             series = f'repro_backend_phase_seconds{{phase="{name}"}}'
             assert samples[series] == pytest.approx(value, abs=1e-6)
 
+    @pytest.mark.parametrize(("mode", "size"), [("thread", 1), ("process", 2)])
+    def test_pool_leases_are_the_scraped_series(self, two_models, mode, size):
+        """Each replica's count in ``session.stats()["pool"]["leases"]`` is
+        its scraped ``repro_pool_leases_total`` series: solving groups,
+        warmup and cache clears all lease, and each lease counts once."""
+        batch = [
+            Query.delivery(packet, dest)
+            for dest, model in two_models.items()
+            for packet in model.ingress_packets
+        ]
+        with AnalysisSession(
+            models=two_models.values(), pool_mode=mode, pool_size=size, workers=2
+        ) as session:
+            session.warm(next(iter(two_models)))
+            session.query_batch(batch)
+            session.clear_cache(keep_plans=True)
+            session.query_batch(batch)
+            stats, text = session.stats(), session.metrics_text()
+        leases = stats["pool"]["leases"]
+        assert len(leases) == size and all(leases)
+        samples = scraped(text)
+        series = [samples[f'repro_pool_leases_total{{replica="{i}"}}'] for i in range(size)]
+        assert series == leases
+
 
 # ---------------------------------------------------------------------------
 # The acceptance criterion: one trace tree across the process boundary
@@ -630,8 +654,8 @@ class TestCrossProcessTrace:
 
     @pytest.mark.chaos
     def test_trace_survives_mid_batch_sigkill(self, all_models, all_pairs):
-        """A SIGKILLed worker fails the batch at its first lease, after
-        other groups were served: the trace is still one tree, the
+        """A worker SIGKILLed after serving the batch's first group fails
+        the batch at its next lease: the trace is still one tree, the
         failed lease carries the error, and its shard the replica's death."""
         with AnalysisSession(
             models=all_models.values(),
@@ -643,19 +667,29 @@ class TestCrossProcessTrace:
             for dest in all_models:
                 session.warm(dest, solve=False)
             session.telemetry.tracer.take()  # warmup spans are not the test
-            os.kill(session.pool.worker_id(1), signal.SIGKILL)
-            process = session.pool.replicas[1].backend.transport.process
-            assert wait_until(lambda: not process.is_alive(), timeout=10.0)
+            client = session.pool.replicas[0].backend
+            serve = client.output_distributions
+
+            def serve_then_die(policy, inputs):
+                # Sequential groups all lease replica 0: its worker answers
+                # the first group, then dies before the second.
+                answer = serve(policy, inputs)
+                os.kill(client.pid, signal.SIGKILL)
+                process = client.transport.process
+                assert wait_until(lambda: not process.is_alive(), timeout=10.0)
+                return answer
+
+            client.output_distributions = serve_then_die
             with pytest.raises(ReplicaFailure) as excinfo:
                 session.query_batch(all_pairs)
-            assert excinfo.value.replica == 1
+            assert excinfo.value.replica == 0
             records = session.telemetry.tracer.spans()
 
         root, by_id = assert_single_tree(records)
         assert root["name"] == "request"
         assert "ReplicaFailure" in root["attrs"]["error"]
         (failed,) = [r for r in records if r["name"] == "lease" and "error" in r["attrs"]]
-        assert failed["attrs"]["replica"] == 1
+        assert failed["attrs"]["replica"] == 0
         shard = by_id[failed["parent"]]
         assert [event[0] for event in shard["events"]] == ["replica-dead"]
         # The groups served before the failure keep their worker parentage.
